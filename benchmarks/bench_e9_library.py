@@ -6,7 +6,8 @@ check-out/check-in, and uses the circulation log as an assessment
 criterion.
 
 Table A: search latency per query axis as the catalog grows (the
-Web-savvy interface must stay interactive).  Table B: a replayed term of
+Web-savvy interface must stay interactive), unlimited and with the
+``limit=10`` a results page asks for.  Table B: a replayed term of
 circulation sessions and the resulting assessment ranking sanity
 (engagement and score correlate).
 """
@@ -54,23 +55,26 @@ def build_library(n_docs: int) -> VirtualLibrary:
     return library
 
 
+PAGE_LIMIT = 10
+
+
 def time_queries(library: VirtualLibrary, repeats: int = 200) -> dict:
+    """``(axis, limit) -> (microseconds per query, hits returned)``."""
     queries = {
-        "keyword": lambda: library.search(keywords="multimedia database"),
-        "instructor": lambda: library.search(instructor="instructor7"),
-        "course": lambda: library.search(course="C003"),
-        "combined": lambda: library.search(
-            keywords="network", instructor="instructor3"
-        ),
+        "keyword": {"keywords": "multimedia database"},
+        "instructor": {"instructor": "instructor7"},
+        "course": {"course": "C003"},
+        "combined": {"keywords": "network", "instructor": "instructor3"},
     }
     out = {}
-    for name, fn in queries.items():
-        hits = len(fn())
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        elapsed = (time.perf_counter() - start) / repeats
-        out[name] = (elapsed * 1e6, hits)
+    for name, axes in queries.items():
+        for limit in (None, PAGE_LIMIT):
+            hits = len(library.search(**axes, limit=limit))
+            start = time.perf_counter()
+            for _ in range(repeats):
+                library.search(**axes, limit=limit)
+            elapsed = (time.perf_counter() - start) / repeats
+            out[name, limit] = (elapsed * 1e6, hits)
     return out
 
 
@@ -102,8 +106,11 @@ def experiment_rows() -> list[list]:
     for n_docs in (500, 2000, 5000):
         library = build_library(n_docs)
         timings = time_queries(library)
-        for axis, (micros, hits) in timings.items():
-            rows.append([n_docs, axis, f"{micros:.0f}", hits])
+        for (axis, limit), (micros, hits) in timings.items():
+            rows.append([
+                n_docs, axis, "-" if limit is None else limit,
+                f"{micros:.0f}", hits,
+            ])
     return rows
 
 
@@ -140,7 +147,7 @@ def test_e9_bench_term_replay(benchmark):
 def main() -> None:
     print_table(
         "E9a: search latency by axis and catalog size",
-        ["docs", "query_axis", "latency_us", "hits"],
+        ["docs", "query_axis", "limit", "latency_us", "hits"],
         experiment_rows(),
     )
     outcome = run_term()

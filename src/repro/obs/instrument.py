@@ -66,6 +66,10 @@ INSTRUMENT_POINTS: dict[str, str] = {
     "tiers.cache": "result-cache outcomes (hit/miss/bypass)",
     "tiers.request_seconds": "request latency by operation",
     "tiers.requests": "requests by operation and status",
+    # library.search — the browsing interface's ranked retrieval
+    "library.searches": "search calls answered by the index",
+    "library.search.candidates": "documents matching the query axes",
+    "library.search.returned": "hits handed back after ranking and limit",
     # net.transport — bytes on the wire
     "net.bytes": "payload bytes accepted onto links",
     "net.messages": "messages sent (including dropped)",

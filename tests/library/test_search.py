@@ -97,6 +97,28 @@ class TestCombinedAxes:
     def test_limit(self, index):
         assert len(index.search(keywords="multimedia", limit=1)) == 1
 
+    def test_limit_zero_returns_nothing(self, index):
+        assert index.search(keywords="multimedia", limit=0) == []
+
+    @pytest.mark.parametrize("limit", [-1, "10", 2.0, True])
+    def test_malformed_limit_rejected(self, index, limit):
+        # A limit is a count, never a slice bound: -1 must not mean
+        # "all but the last hit", and a non-int must not reach a slice.
+        with pytest.raises(ValueError, match="limit"):
+            index.search(keywords="multimedia", limit=limit)
+
+
+class TestSearchMetrics:
+    def test_counts_candidates_and_returned_once_per_call(
+            self, index, metrics_registry):
+        index.search(keywords="multimedia", limit=1)  # 2 candidates
+        index.search()  # browse: all 3 candidates returned
+        index.search(keywords="quantum")  # no candidates
+        snap = metrics_registry.snapshot()
+        assert snap.counter_total("library.searches") == 3
+        assert snap.counter_total("library.search.candidates") == 5
+        assert snap.counter_total("library.search.returned") == 4
+
 
 class TestMaintenance:
     def test_remove_document(self, index):

@@ -106,6 +106,7 @@ def test_instrument_points_catalogue_is_sane():
         assert prefix in {
             "rdb", "wal", "tiers", "net", "broadcast", "lock", "fault",
             "replication", "replica", "shard", "admission", "breaker",
+                "library",
         }, name
         assert description
 

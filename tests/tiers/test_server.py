@@ -198,6 +198,20 @@ class TestLibraryOps:
                      doc_id="d1", time=30.0).unwrap()
         assert held["held_seconds"] == 30.0
 
+    @pytest.mark.parametrize("limit", [-1, "10"])
+    def test_malformed_search_limit_is_a_failure_reply(
+            self, server, instructor_session, limit):
+        # Params arrive off the wire unvalidated: a bad limit must come
+        # back as a failure reply (ValueError is in _handle's except
+        # tuple; the TypeError a str limit would raise in a slice is
+        # not), and -1 must not be served as "all but the last hit".
+        _call(server, instructor_session, "publish_course_document",
+              doc_id="d1", title="T", course_number="C")
+        response = _call(server, instructor_session, "search_library",
+                         course="C", limit=limit)
+        assert not response.ok
+        assert "ValueError" in response.error
+
     def test_withdraw(self, server, instructor_session):
         _call(server, instructor_session, "publish_course_document",
               doc_id="d1", title="T", course_number="C")
