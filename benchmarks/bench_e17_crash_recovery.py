@@ -20,9 +20,9 @@ layer three ways:
   across N transactions, which is why the paper-era "lazy write"
   default survives in the ``interval`` mode.
 
-A legacy-format check rounds it out: v1 (JSON-lines) journals written
-by earlier revisions must keep recovering byte-identically under the
-v2 reader.
+The v1 (JSON-lines) journal format was retired in PR 13; one line of
+output shows such a file is refused untouched, not trimmed as a torn
+tail.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.fault.crashsim import (
     build_crash_db,
     run_crash_matrix,
 )
-from repro.rdb import Database
+from repro.rdb import Database, JournalCorruptError
 from repro.rdb.wal import Journal, SyncPolicy
 
 MATRIX_TXNS = 30
@@ -145,22 +145,19 @@ def sync_policy_rows(txns: int):
 
 
 # ---------------------------------------------------------------------------
-# Legacy v1 compatibility
+# Retired v1 format
 # ---------------------------------------------------------------------------
-def v1_compat_ok(records: int = 50) -> bool:
-    """A pre-v2 JSON-lines journal must still recover completely."""
+def v1_refused() -> bool:
+    """A v1 JSON-lines journal is refused and left byte-identical."""
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "legacy.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            for k in range(1, records + 1):
-                fh.write(json.dumps({
-                    "txn": k,
-                    "ops": [["insert", "crash_docs",
-                             {"doc_id": k, "title": f"doc-{k:06d}"}]],
-                }) + "\n")
-        db = Database.recover("legacy", CRASH_SCHEMAS,
-                              journal_path=str(path))
-        return db.count("crash_docs") == records
+        path.write_text(json.dumps({"txn": 1, "ops": []}) + "\n")
+        before = path.read_bytes()
+        try:
+            Journal(path, salvage=True)
+        except JournalCorruptError as exc:
+            return "v1 JSON-lines" in str(exc) and path.read_bytes() == before
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +175,21 @@ def test_e17_recovery_scales_linearly():
     assert per_record[1] <= per_record[0] * 3.0
 
 
-def test_e17_v1_journals_still_recover():
-    assert v1_compat_ok(20)
+def test_e17_v1_journal_refused():
+    assert v1_refused()
 
 
 # ---------------------------------------------------------------------------
 def smoke() -> int:
-    """CI guard: small crash matrix + v1 compatibility, exit 1 on any
+    """CI guard: small crash matrix + v1 refusal, exit 1 on any
     committed-prefix or integrity violation."""
     report, rows = matrix_rows(txns=12, stride=MATRIX_STRIDE)
     for label, value in rows:
         print(f"{label}: {value}")
-    legacy = v1_compat_ok()
-    print("v1 journal compatibility:", "ok" if legacy else "FAIL")
-    ok = report.ok and legacy
+    refused = v1_refused()
+    print("v1 journal (retired format):",
+          "refused, untouched" if refused else "FAIL")
+    ok = report.ok and refused
     print("crash matrix guard:", "ok" if ok else "FAIL")
     if not ok:
         for failure in report.failures[:10]:
@@ -226,8 +224,8 @@ def main() -> int:
         ["policy", "txns/s", "fsyncs", "fsync amortization"],
         sync_policy_rows(1_500),
     )
-    print(f"E17d: legacy v1 journal recovery: "
-          f"{'ok' if v1_compat_ok() else 'FAIL'}")
+    print("v1 journal (retired in PR 13):",
+          "refused, file untouched" if v1_refused() else "FAIL: not refused")
     return 0 if report.ok else 1
 
 

@@ -1,40 +1,53 @@
 """E19 (extension) — compiled, vectorized execution on the scan/join path.
 
-The seed executor walked every candidate row through a per-row Python
-generator pipeline and evaluated WHERE clauses by recursive
-``Expr.eval`` tree interpretation.  This PR lowers each predicate tree
-to one generated Python function (``repro.rdb.compile``) and pulls rows
-through the executor in batches, so a full scan becomes a single fused
-list comprehension instead of ~5 frame pushes per row.
+``repro.rdb`` lowers each predicate tree to one generated Python
+function (``repro.rdb.compile``) and pulls rows through the executor in
+batches, so a full scan is a single fused list comprehension instead of
+a tree walk per row.  Since PR 13 that is the *only* executor: the
+per-row pipeline PR 7 kept behind an environment kill switch as its
+in-run baseline is gone.
 
-E19 measures that end to end, with the interpreted baseline re-enabled
-*in the same process* via the ``REPRO_COMPILED_EXEC=0`` kill switch:
+E19 therefore measures the executor against the **oracle the test
+suites judge it by** — the semantics written down as naively as
+possible, timed in the same process:
 
 * **full scan** — a 3-conjunct WHERE over the document corpus through
-  ``Database.select``.  Target: >=10x interpreted throughput.
+  ``Database.select``, against ``[dict(r) for r in rows if
+  where.eval(r)]``.
 * **join query** — filtered documents ⋈ course catalog through
   ``Database.join`` (the paper's "documents of one author with their
-  course records" shape).  Target: >=10x.
-* **pure merge** — ``join_rows`` over pre-materialized inputs.  The
-  hash merge must build one fresh output dict per matched pair (~1 us
-  each), which both modes pay, so the honest ceiling here is ~2x; the
-  end-to-end join clears 10x because the compiled scans feed it.
+  course records" shape), against two naive scans feeding
+  ``tests.rdb.oracles._reference_join`` (the seed hash join).
+* **pure merge** — ``join_rows`` against ``_reference_join`` over the
+  same pre-materialized inputs.  Both build one fresh output dict per
+  matched pair (~1 us each), so the honest ceiling here is ~2x.
 * **bare filter** — the generated batch filter against per-row
   ``Expr.eval``: the codegen ablation with no executor around it.
-* **obs overhead** — the enabled-observability cost on a compiled
-  scan.  Batches are counted analytically (one add per batch, never
-  per row), so the target is <1%.
+* **obs overhead** — the enabled-observability cost on a scan.
+  Batches are counted analytically (one add per batch, never per
+  row), so the target is <1%.
 
-Modes are interleaved A/B across repeats and the best run per mode is
-kept.  ``--smoke`` is the CI perf guard at small scale with
-deliberately generous floors (shared runners are noisy): it fails
-(exit 1) if compiled throughput falls below 4x interpreted on the full
-scan, 2.5x on the join query, or the enabled-obs overhead exceeds 10%.
+**These ratios are not comparable with PR 7's 13.5x / 13.2x.**  Those
+were measured against the seed executor's generator pipeline (plan,
+per-row rowid hop, ``table.get``, counting iterator, ``Expr.eval``,
+defensive copy) — a pipeline that no longer exists.  The naive oracle
+skips all of that machinery, so it is a *faster* baseline and the
+ratios below are smaller; what they isolate is tree interpretation vs
+generated code (scan, filter) and per-column dict building vs
+``dict(zip)`` (merge).
+
+Sides are interleaved A/B across repeats and the best run per side is
+kept.  ``--smoke`` is the CI perf guard at small scale with generous
+floors re-derived from the measured ratios against the new baseline
+(10k rows, three runs: full scan 8.5-9.5x, join query 5.9-8.0x; the
+floors are about half of that because shared runners are noisy): it
+fails (exit 1) if the executor falls below 4x the naive oracle on the
+full scan, 3x on the join query, or the enabled-obs overhead exceeds
+10%.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,8 +58,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.common import print_table
 from repro.obs import MetricsRegistry, disable, enable
 from repro.rdb import Column, ColumnType, Database, Schema, col
-from repro.rdb.compile import ENV_VAR
+from repro.rdb.compile import batch_filter
 from repro.rdb.query import join_rows
+from tests.rdb.oracles import _reference_join
 
 T = ColumnType
 
@@ -107,17 +121,6 @@ def build_corpus(rows: int) -> Database:
     return db
 
 
-def _set_mode(compiled: bool) -> None:
-    os.environ[ENV_VAR] = "1" if compiled else "0"
-
-
-def _restore_mode(previous: str | None) -> None:
-    if previous is None:
-        os.environ.pop(ENV_VAR, None)
-    else:
-        os.environ[ENV_VAR] = previous
-
-
 def _qps_once(fn, iters: int) -> float:
     start = time.perf_counter()
     for _ in range(iters):
@@ -126,67 +129,62 @@ def _qps_once(fn, iters: int) -> float:
     return iters / elapsed if elapsed else float("inf")
 
 
-def _best_both_modes(fn, iters: int) -> tuple[float, float]:
-    """(interpreted q/s, compiled q/s), modes interleaved per repeat."""
-    previous = os.environ.get(ENV_VAR)
+def _best_of_pair(oracle, executor, iters: int) -> tuple[float, float]:
+    """(oracle q/s, executor q/s), sides interleaved per repeat."""
     best = [0.0, 0.0]
-    try:
-        for _ in range(REPEATS):
-            for index, compiled in enumerate((False, True)):
-                _set_mode(compiled)
-                best[index] = max(best[index], _qps_once(fn, iters))
-    finally:
-        _restore_mode(previous)
+    for _ in range(REPEATS):
+        for index, fn in enumerate((oracle, executor)):
+            best[index] = max(best[index], _qps_once(fn, iters))
     return best[0], best[1]
 
 
+def naive_scan(db: Database, table: str, where=None) -> list[dict]:
+    """The scan oracle: ``Expr.eval`` on every row, copy what matches."""
+    return [
+        dict(row) for row in db.table(table).rows()
+        if where is None or where.eval(row)
+    ]
+
+
 def _workloads(db: Database, iters: int):
-    """(label, fn, iters) triples covered by both table and smoke."""
-    # Pure-merge inputs are pre-materialized so only join_rows is timed.
+    """(label, oracle fn, executor fn, iters) covered by table and smoke."""
+    # Pure-merge inputs are pre-materialized so only the merge is timed.
     left = db.select("docs", where=col("version") == 3)
     right = db.select("courses")
-    docs = db.table("docs")
-    rows_list = docs.rows_list()
-
-    def full_scan() -> None:
-        db.select("docs", where=SCAN_WHERE)
-
-    def join_query() -> None:
-        db.join("docs", "courses", ON, where_left=JOIN_WHERE)
-
-    def pure_merge() -> None:
-        join_rows(left, right, ON)
-
-    def bare_filter() -> None:
-        # Interpreted shape of the same filter; the compiled mode swaps
-        # in the generated batch function via the executor — here we
-        # time the two filter bodies directly.
-        from repro.rdb.compile import batch_filter, compiled_exec_enabled
-        if compiled_exec_enabled():
-            batch_filter(SCAN_WHERE)(rows_list)
-        else:
-            evaluate = SCAN_WHERE.eval
-            [row for row in rows_list if evaluate(row)]
-
+    rows_list = db.table("docs").rows_list()
+    evaluate = SCAN_WHERE.eval
     return [
-        ("full scan", full_scan, iters),
-        ("join query", join_query, iters),
-        ("pure merge", pure_merge, max(1, iters // 2)),
-        ("bare filter", bare_filter, iters),
+        ("full scan",
+         lambda: naive_scan(db, "docs", SCAN_WHERE),
+         lambda: db.select("docs", where=SCAN_WHERE),
+         iters),
+        ("join query",
+         lambda: _reference_join(naive_scan(db, "docs", JOIN_WHERE),
+                                 naive_scan(db, "courses"), ON),
+         lambda: db.join("docs", "courses", ON, where_left=JOIN_WHERE),
+         iters),
+        ("pure merge",
+         lambda: _reference_join(left, right, ON),
+         lambda: join_rows(left, right, ON),
+         max(1, iters // 2)),
+        ("bare filter",
+         lambda: [row for row in rows_list if evaluate(row)],
+         lambda: batch_filter(SCAN_WHERE)(rows_list),
+         iters),
     ]
 
 
 def measure(rows: int, iters: int) -> dict[str, tuple[float, float]]:
-    """{workload: (interpreted q/s, compiled q/s)} on the corpus."""
+    """{workload: (oracle q/s, executor q/s)} on the corpus."""
     db = build_corpus(rows)
     return {
-        label: _best_both_modes(fn, n)
-        for label, fn, n in _workloads(db, iters)
+        label: _best_of_pair(oracle, executor, n)
+        for label, oracle, executor, n in _workloads(db, iters)
     }
 
 
 def measure_obs_overhead(rows: int, iters: int) -> tuple[float, float, float]:
-    """(fixed us/statement, big-scan ms, overhead %) for compiled scans.
+    """(fixed us/statement, big-scan ms, overhead %) for scans.
 
     Batches are counted analytically — the instrumentation cost of a
     select is a fixed handful of counter adds per *statement*, never
@@ -206,37 +204,32 @@ def measure_obs_overhead(rows: int, iters: int) -> tuple[float, float, float]:
     def big_scan() -> None:
         big.select("docs", where=SCAN_WHERE)
 
-    previous = os.environ.get(ENV_VAR)
     best = [0.0, 0.0]
-    try:
-        _set_mode(True)
-        for _ in range(REPEATS):
-            for index, setup in enumerate(
-                (disable, lambda: enable(registry=MetricsRegistry()))
-            ):
-                setup()
-                try:
-                    best[index] = max(
-                        best[index], _qps_once(micro_scan, iters * 40)
-                    )
-                finally:
-                    disable()
-        fixed_s = max(0.0, 1.0 / best[1] - 1.0 / best[0])
-        scan_qps = max(_qps_once(big_scan, iters) for _ in range(REPEATS))
-    finally:
-        _restore_mode(previous)
+    for _ in range(REPEATS):
+        for index, setup in enumerate(
+            (disable, lambda: enable(registry=MetricsRegistry()))
+        ):
+            setup()
+            try:
+                best[index] = max(
+                    best[index], _qps_once(micro_scan, iters * 40)
+                )
+            finally:
+                disable()
+    fixed_s = max(0.0, 1.0 / best[1] - 1.0 / best[0])
+    scan_qps = max(_qps_once(big_scan, iters) for _ in range(REPEATS))
     scan_s = 1.0 / scan_qps
     return fixed_s * 1e6, scan_s * 1e3, fixed_s / scan_s * 100.0
 
 
 def speedup_rows(rows: int, iters: int) -> list[list]:
     out = []
-    for label, (interp, compiled) in measure(rows, iters).items():
+    for label, (oracle, executor) in measure(rows, iters).items():
         out.append([
             label,
-            f"{interp:,.0f}",
-            f"{compiled:,.0f}",
-            f"{compiled / interp:.1f}x",
+            f"{oracle:,.0f}",
+            f"{executor:,.0f}",
+            f"{executor / oracle:.1f}x",
         ])
     return out
 
@@ -244,71 +237,48 @@ def speedup_rows(rows: int, iters: int) -> list[list]:
 # ---------------------------------------------------------------------------
 # pytest checks (generous bounds: CI machines are shared and noisy)
 # ---------------------------------------------------------------------------
-def test_e19_compiled_and_interpreted_agree():
+def test_e19_executor_and_oracle_agree():
     db = build_corpus(3_000)
-    previous = os.environ.get(ENV_VAR)
-    results = {}
-    try:
-        for compiled in (False, True):
-            _set_mode(compiled)
-            results[compiled] = (
-                db.select("docs", where=SCAN_WHERE, order_by="doc_id"),
-                db.join("docs", "courses", ON, where_left=JOIN_WHERE),
-                db.aggregate("docs", {"n": ("count", "doc_id")},
-                             where=SCAN_WHERE, group_by=["author"]),
-            )
-    finally:
-        _restore_mode(previous)
-    assert results[False] == results[True]
-    assert results[True][0]  # non-degenerate: the predicate selects rows
+    for label, oracle, executor, _iters in _workloads(db, 1):
+        assert executor() == oracle(), label
+    assert db.select("docs", where=SCAN_WHERE)  # non-degenerate
+    assert db.join("docs", "courses", ON, where_left=JOIN_WHERE)
 
 
-def test_e19_explain_reports_exec_mode():
+def test_e19_explain_has_no_exec_suffix():
     db = build_corpus(100)
-    previous = os.environ.get(ENV_VAR)
-    try:
-        _set_mode(True)
-        assert "exec=compiled batch=" in db.explain("docs", SCAN_WHERE)
-        _set_mode(False)
-        assert "exec=interpreted batch=1" in db.explain("docs", SCAN_WHERE)
-    finally:
-        _restore_mode(previous)
+    assert "exec=" not in db.explain("docs", SCAN_WHERE)
 
 
-def test_e19_compiled_scan_beats_interpreted():
+def test_e19_executor_scan_beats_naive_scan():
     db = build_corpus(8_000)
-    fn_iters = _workloads(db, 30)[0]
-    interp, compiled = _best_both_modes(fn_iters[1], fn_iters[2])
-    assert compiled >= 2.0 * interp  # full run shows >=10x; CI floor
+    _label, oracle, executor, iters = _workloads(db, 30)[0]
+    naive, batched = _best_of_pair(oracle, executor, iters)
+    assert batched >= 2.0 * naive  # full run shows ~9x; CI floor
 
 
 def test_e19_bench_compiled_scan(benchmark):
     db = build_corpus(4_000)
-    previous = os.environ.get(ENV_VAR)
-    try:
-        _set_mode(True)
-        benchmark(lambda: db.select("docs", where=SCAN_WHERE))
-    finally:
-        _restore_mode(previous)
+    benchmark(lambda: db.select("docs", where=SCAN_WHERE))
 
 
 # ---------------------------------------------------------------------------
 def smoke() -> int:
-    """CI perf guard at small scale (interpreted baseline measured
+    """CI perf guard at small scale (naive-oracle baseline measured
     in-run, floors generous for shared runners)."""
     failures = []
     results = measure(10_000, 40)
-    floors = {"full scan": 4.0, "join query": 2.5}
-    for label, (interp, compiled) in results.items():
-        ratio = compiled / interp
+    floors = {"full scan": 4.0, "join query": 3.0}
+    for label, (oracle, executor) in results.items():
+        ratio = executor / oracle
         floor = floors.get(label)
-        print(f"{label}: interpreted {interp:,.0f} q/s, "
-              f"compiled {compiled:,.0f} q/s ({ratio:.1f}x"
+        print(f"{label}: naive oracle {oracle:,.0f} q/s, "
+              f"executor {executor:,.0f} q/s ({ratio:.1f}x"
               + (f", floor {floor:.1f}x)" if floor else ")"))
         if floor is not None and ratio < floor:
             failures.append(
-                f"{label} compiled throughput is only {ratio:.2f}x "
-                f"interpreted (floor {floor:.1f}x)"
+                f"{label} executor throughput is only {ratio:.2f}x "
+                f"the naive oracle (floor {floor:.1f}x)"
             )
     fixed_us, scan_ms, overhead = measure_obs_overhead(10_000, 40)
     print(f"obs overhead on compiled scan: {fixed_us:.1f}us fixed / "
@@ -329,9 +299,9 @@ def main() -> int:
         return smoke()
     rows, iters = 40_000, 30
     print_table(
-        f"E19: compiled vs interpreted execution "
-        f"({rows:,} documents; best of {REPEATS} interleaved repeats)",
-        ["workload", "interpreted q/s", "compiled q/s", "speedup"],
+        f"E19: batched executor vs the naive Expr.eval / reference-join "
+        f"oracle ({rows:,} documents; best of {REPEATS} interleaved repeats)",
+        ["workload", "naive oracle q/s", "executor q/s", "ratio"],
         speedup_rows(rows, iters),
     )
     fixed_us, scan_ms, overhead = measure_obs_overhead(rows, iters)

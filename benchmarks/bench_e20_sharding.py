@@ -20,12 +20,11 @@ behind :class:`~repro.tiers.shards.ShardedDatabase`.  Three questions:
   be all-or-nothing everywhere.  ``--smoke`` fails (exit 1) if any
   kill point splits, if pruning scaling falls under its floor, or if
   scatter-gather disagrees with a single-node baseline on the same
-  rows (checked in both ``REPRO_COMPILED_EXEC`` modes).
+  rows.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 import time
@@ -36,7 +35,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.common import print_table
 from repro.rdb import Column, ColumnType, Database, Schema, col
-from repro.rdb.compile import ENV_VAR
 from repro.sharding.cluster import ShardCluster
 from repro.sharding.crash2pc import run_2pc_crash_matrix
 from repro.sharding.shardmap import ShardMap, TableSharding
@@ -188,8 +186,8 @@ def measure_write_paths(
 
 
 def differential_check(workdir: Path, rows: int) -> list[str]:
-    """Scatter-gather vs one Database on identical rows, both compiled
-    modes.  Returns mismatch descriptions (empty = agree)."""
+    """Scatter-gather vs one Database on identical rows.  Returns
+    mismatch descriptions (empty = agree)."""
     data = corpus(rows)
     baseline = Database("baseline")
     baseline.create_table(DOCS)
@@ -210,27 +208,13 @@ def differential_check(workdir: Path, rows: int) -> list[str]:
             None, ("version",),
         )),
     ]
-    previous = os.environ.get(ENV_VAR)
     problems = []
-    try:
-        for mode in ("0", "1"):
-            os.environ[ENV_VAR] = mode
-            for num_shards in SHARD_COUNTS:
-                cluster, sharded = build_cluster(
-                    workdir / f"diff-{mode}", num_shards, data
-                )
-                for label, run in queries:
-                    if run(sharded) != run(baseline):
-                        problems.append(
-                            f"{label} diverges at {num_shards} shards "
-                            f"(REPRO_COMPILED_EXEC={mode})"
-                        )
-                cluster.close()
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous
+    for num_shards in SHARD_COUNTS:
+        cluster, sharded = build_cluster(workdir / "diff", num_shards, data)
+        for label, run in queries:
+            if run(sharded) != run(baseline):
+                problems.append(f"{label} diverges at {num_shards} shards")
+        cluster.close()
     return problems
 
 
@@ -288,8 +272,7 @@ def smoke() -> int:
         for problem in problems:
             failures.append(f"differential: {problem}")
         print("differential vs single node:",
-              "FAIL" if problems else "ok (3 shapes x 3 shard counts "
-              "x 2 exec modes)")
+              "FAIL" if problems else "ok (3 shapes x 3 shard counts)")
         report = run_2pc_crash_matrix(
             workdir / "crash", num_shards=2, txns=8, stride=256
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.collab import DiscussionBoard, PresenceDaemon
 from repro.distribution import BroadcastVector, MAryTree, OnDemandFetcher, ReferenceBroadcaster
+from repro.fault import RetryPolicy
 from repro.net import Network, Simulator, Station
 from repro.net.link import DuplexLink
 from repro.util.units import MIB
@@ -83,8 +84,8 @@ def main() -> None:
     announcer.announce("cs101-lecture1", "s1")
     sim.run(until=sim.now + 5.0)  # let the fan-out settle first
     net.set_drop_rate(0.2)  # the 1999 Internet
-    fetcher = OnDemandFetcher(net, tree, retry_timeout_s=5.0,
-                              max_retries=20)
+    fetcher = OnDemandFetcher(
+        net, tree, retry_policy=RetryPolicy.fixed(5.0, max_retries=20))
     fetcher.seed_instance("s1", "cs101-lecture1", 20 * MIB)
     fetcher.request("s8", "cs101-lecture1")
     # Heartbeat loops run forever, so advance bounded time rather than

@@ -64,14 +64,8 @@ class OnDemandFetcher:
         *,
         cache_intermediate: bool = True,
         kind: BlobKind = BlobKind.VIDEO,
-        retry_timeout_s: float | None = None,
-        max_retries: int = 5,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if retry_policy is not None and retry_timeout_s is not None:
-            raise ValueError(
-                "pass either retry_policy or retry_timeout_s, not both"
-            )
         self.network = network
         self.tree = tree
         self.cache_intermediate = cache_intermediate
@@ -79,16 +73,8 @@ class OnDemandFetcher:
         #: the retry schedule: a requester that has not received its
         #: document within the policy's timeout re-issues the climb
         #: (survives lost messages on the paper's lossy Internet).
-        #: ``retry_timeout_s`` is the legacy fixed-interval spelling;
         #: None disables retrying entirely.
-        if retry_policy is not None:
-            self.retry_policy: RetryPolicy | None = retry_policy
-        elif retry_timeout_s is not None:
-            self.retry_policy = RetryPolicy.fixed(
-                retry_timeout_s, max_retries=max_retries
-            )
-        else:
-            self.retry_policy = None
+        self.retry_policy = retry_policy
         self.retries = 0
         self.reports: list[FetchReport] = []
         self._doc_sizes: dict[str, int] = {}

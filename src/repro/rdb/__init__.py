@@ -27,7 +27,6 @@ from repro.rdb.types import Column, ColumnType, Schema
 from repro.rdb.compile import (
     batch_filter,
     compile_mode,
-    compiled_exec_enabled,
     compiled_predicate,
     compiled_source,
     predicate_fn,
@@ -71,7 +70,6 @@ __all__ = [
     "predicate_cache_key",
     "batch_filter",
     "compile_mode",
-    "compiled_exec_enabled",
     "compiled_predicate",
     "compiled_source",
     "predicate_fn",

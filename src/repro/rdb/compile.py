@@ -1,7 +1,7 @@
 """Compiled predicate execution: lower ``Expr`` trees to one closure.
 
-The interpreted path walks an :class:`~repro.rdb.predicate.Expr` tree
-per row — five to ten Python method calls and dict hops for a two-term
+``Expr.eval`` walks an :class:`~repro.rdb.predicate.Expr` tree per row
+— five to ten Python method calls and dict hops for a two-term
 conjunction.  This module lowers a tree to a **single Python function**
 exactly once per statement:
 
@@ -28,31 +28,26 @@ Generated code runs under a restricted ``__builtins__`` whitelist
 or nondeterministic builtins; the ``codegen-namespace`` lint rule audits
 this module for exactly that property.
 
-Kill switch: setting ``REPRO_COMPILED_EXEC=0`` in the environment makes
-:func:`predicate_fn` hand back the interpreted ``Expr.eval`` bound
-method and the batched executor drop to batch size 1, restoring the
-legacy per-row pipeline for differential testing.
+This is the only executor: ``Expr.eval`` stays in
+:mod:`repro.rdb.predicate` as the definition of the semantics and as the
+oracle the test suites judge this module against, but nothing under
+``src/`` runs a statement through it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Mapping
 
 from repro.rdb import predicate as _p
 
 __all__ = [
-    "ENV_VAR",
     "DEFAULT_BATCH",
-    "compiled_exec_enabled",
     "compiled_predicate",
     "batch_filter",
     "predicate_fn",
     "compile_mode",
     "compiled_source",
 ]
-
-ENV_VAR = "REPRO_COMPILED_EXEC"
 
 #: Rows pulled (and filtered) per batch by the vectorized executor.
 DEFAULT_BATCH = 256
@@ -71,11 +66,6 @@ _COMPILED_ATTR = "_rdb_compiled"
 _BATCH_ATTR = "_rdb_batch_filter"
 _MODE_ATTR = "_rdb_compile_mode"
 _SOURCE_ATTR = "_rdb_compile_source"
-
-
-def compiled_exec_enabled() -> bool:
-    """True unless the ``REPRO_COMPILED_EXEC=0`` kill switch is set."""
-    return os.environ.get(ENV_VAR, "1") != "0"
 
 
 class _Uncompilable(Exception):
@@ -390,16 +380,9 @@ def batch_filter(expr: _p.Expr) -> Callable[[list], list]:
 def predicate_fn(
     expr: _p.Expr | None,
 ) -> Callable[[Mapping[str, Any]], Any] | None:
-    """The row filter a statement should use under the current mode.
-
-    ``None`` for no predicate; the interpreted ``expr.eval`` bound
-    method when the kill switch is set; the compiled closure otherwise.
-    """
-    if expr is None:
-        return None
-    if not compiled_exec_enabled():
-        return expr.eval
-    return compiled_predicate(expr)
+    """The row filter for an optional WHERE: ``None`` for no predicate,
+    the compiled closure otherwise."""
+    return None if expr is None else compiled_predicate(expr)
 
 
 def compile_mode(expr: _p.Expr) -> str:

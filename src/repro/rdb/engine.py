@@ -29,7 +29,7 @@ from repro.rdb.errors import (
     SchemaError,
     TransactionError,
 )
-from repro.rdb.compile import batch_filter, compiled_exec_enabled, predicate_fn
+from repro.rdb.compile import batch_filter, predicate_fn
 from repro.rdb.predicate import Expr
 from repro.rdb.query import (
     aggregate_table,
@@ -342,9 +342,7 @@ class Database:
         table = self._catalog.get(table_name)
         if where is None:
             return len(table)
-        if compiled_exec_enabled():
-            return len(batch_filter(where)(table.rows_list()))
-        return sum(1 for row in table.rows() if where.eval(row))
+        return len(batch_filter(where)(table.rows_list()))
 
     def select(
         self,
@@ -419,13 +417,9 @@ class Database:
         kind: str = "inner",
     ) -> list[dict[str, Any]]:
         """Join two tables; output keys are ``"l.<col>"`` / ``"r.<col>"``."""
-        if not compiled_exec_enabled():
-            left_rows = self.select(left_table, where=where_left)
-            right_rows = self.select(right_table, where=where_right)
-            return join_rows(left_rows, right_rows, on, kind=kind)
-        # Compiled path: feed the join from no-copy matching views — the
-        # merge builds fresh prefixed dicts, so the defensive copies a
-        # select makes for each side would be pure waste.
+        # Feed the join from no-copy matching views — the merge builds
+        # fresh prefixed dicts, so the defensive copies a select makes
+        # for each side would be pure waste.
         left = self._catalog.get(left_table)
         right = self._catalog.get(right_table)
         if OBS.enabled:
@@ -730,8 +724,7 @@ class Database:
     def _matching_rowids(table: Table, where: Expr | None) -> list[int]:
         """Rowids matching ``where``, snapshotted before mutation starts.
 
-        Uses the compiled predicate closure (or ``Expr.eval`` under the
-        ``REPRO_COMPILED_EXEC=0`` kill switch) so bulk UPDATE/DELETE
+        Uses the compiled predicate closure, so bulk UPDATE/DELETE
         target selection runs at compiled-filter speed.
         """
         items = list(table.items())

@@ -109,13 +109,13 @@ class JournalCorruptError(RdbError):
     the damage point.  ``offset`` is the byte position of the damaged
     record, ``reason`` the parse failure observed there.  Callers that
     prefer availability over strictness can re-run recovery in salvage
-    mode, which skips damaged records and keeps going.
+    mode, which skips damaged records and keeps going.  Also raised, in
+    either mode, for a file in the retired v1 JSON-lines format.
     """
 
     def __init__(self, path: object, offset: int, reason: str) -> None:
         super().__init__(
-            f"journal {str(path)!r} corrupt at byte {offset}: {reason} "
-            f"(valid records follow the damage; pass salvage=True to skip it)"
+            f"journal {str(path)!r} corrupt at byte {offset}: {reason}"
         )
         self.path = str(path)
         self.offset = offset

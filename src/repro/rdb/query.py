@@ -23,9 +23,9 @@ WHERE tree is lowered to one generated filter function per statement and
 rows are pulled in batches of :data:`~repro.rdb.compile.DEFAULT_BATCH`,
 so the per-row cost is the comparisons themselves rather than tree
 interpretation plus generator hops.  Observability tallies per batch,
-not per row.  The ``REPRO_COMPILED_EXEC=0`` kill switch restores the
-interpreted per-row pipeline (batch size 1, ``Expr.eval`` per row) for
-differential testing; EXPLAIN reports which mode a statement ran under.
+not per row.  There is no second executor: the naive ``Expr.eval`` scan
+and the reference hash join the batched pipeline is judged against live
+in ``tests/rdb/``, not here.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs.instrument import OBS
-from repro.rdb.compile import DEFAULT_BATCH, batch_filter, compiled_exec_enabled
+from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
 from repro.rdb.predicate import Expr, col, equality_bindings, range_bounds
 from repro.rdb.stats import TableStatistics
@@ -45,6 +45,7 @@ from repro.rdb.table import Table
 
 __all__ = [
     "SelectPlan",
+    "check_limit_offset",
     "execute_select",
     "range_scan",
     "join_rows",
@@ -62,10 +63,7 @@ class SelectPlan:
     pushdown) or ``"scan"``.  ``estimated_cost`` is the planner's row
     estimate for the chosen path; ``chosen_conjuncts`` are the WHERE
     conjuncts the path consumed; ``pushdown`` describes a range pushed
-    into a sorted index (``None`` otherwise).  ``exec_mode`` is
-    ``"compiled"`` (codegen'd batch filter) or ``"interpreted"`` (the
-    ``REPRO_COMPILED_EXEC=0`` fallback), with ``batch_size`` rows pulled
-    per executor step.
+    into a sorted index (``None`` otherwise).
     """
 
     table: str
@@ -74,8 +72,6 @@ class SelectPlan:
     estimated_cost: float = 0.0
     chosen_conjuncts: tuple[str, ...] = ()
     pushdown: str | None = None
-    exec_mode: str = "compiled"
-    batch_size: int = DEFAULT_BATCH
 
     def describe(self) -> str:
         """One-line EXPLAIN rendering."""
@@ -87,7 +83,6 @@ class SelectPlan:
             parts.append("using " + " AND ".join(self.chosen_conjuncts))
         if self.pushdown:
             parts.append(f"pushdown {self.pushdown}")
-        parts.append(f"exec={self.exec_mode} batch={self.batch_size}")
         return " ".join(parts)
 
 
@@ -129,7 +124,6 @@ def plan_select(
                 candidate.cost == best.cost and best.access_path == "scan"
             ):
                 best = candidate
-    compiled = compiled_exec_enabled()
     plan = SelectPlan(
         table=table.schema.name,
         access_path=best.access_path,
@@ -137,8 +131,6 @@ def plan_select(
         estimated_cost=best.cost,
         chosen_conjuncts=best.conjuncts,
         pushdown=best.pushdown,
-        exec_mode="compiled" if compiled else "interpreted",
-        batch_size=DEFAULT_BATCH if compiled else 1,
     )
     return plan, best.rowids()
 
@@ -197,6 +189,18 @@ def _index_candidates(
         )
 
 
+def check_limit_offset(limit: int | None, offset: int) -> None:
+    """``limit`` is None or a non-negative int, ``offset`` a non-negative
+    int (bools rejected) — anything else is a ``ValueError``, before a
+    negative bound can turn into a from-the-end slice."""
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValueError(
+            f"limit must be None or a non-negative int, got {limit!r}"
+        )
+    if type(offset) is not int or offset < 0:
+        raise ValueError(f"offset must be a non-negative int, got {offset!r}")
+
+
 def execute_select(
     table: Table,
     where: Expr | None = None,
@@ -213,6 +217,7 @@ def execute_select(
     occurrence wins, before LIMIT/OFFSET are applied), matching SQL's
     SELECT DISTINCT over the projected columns.
     """
+    check_limit_offset(limit, offset)
     if columns is not None:
         for name in columns:
             if not table.schema.has_column(name):
@@ -223,18 +228,10 @@ def execute_select(
     if OBS.enabled:
         handles = _obs_handles(table.schema.name, plan.access_path)
         handles[0].inc()
-    if (
-        plan.exec_mode == "compiled"
-        and order_by is None
-        and not descending
-        and not distinct
-    ):
+    if order_by is None and not descending and not distinct:
         # Hot path (no reorder, no dedup): batches extend the result
         # list directly and projection is one comprehension — no
         # per-row generator resumption between filter and output.
-        # Interpreted mode keeps the per-row generator pipeline below,
-        # preserving the pre-compilation executor as the differential
-        # baseline.
         needed = None if limit is None else limit + offset
         matched = _collect_matching(table, plan, rowids, where, counts, needed)
         if needed is not None:
@@ -280,7 +277,7 @@ def execute_select(
         reversed_rows.reverse()
         rows = reversed_rows
     else:
-        rows = matching  # stays lazy: LIMIT stops the batch pulls early
+        rows = matching  # DISTINCT only: lazy, LIMIT stops the batch pulls
     out: list[dict[str, Any]] = []
     seen: set[tuple] = set()
     needed = None if limit is None else limit + offset
@@ -353,8 +350,8 @@ def _candidate_batches(
     if plan.access_path == "scan":
         # Scan straight off the heap snapshot: no per-row rowid hop,
         # no per-row table.get().
-        return table.rows_batches(plan.batch_size)
-    return _row_batches(table, rowids, plan.batch_size)
+        return table.rows_batches(DEFAULT_BATCH)
+    return _row_batches(table, rowids, DEFAULT_BATCH)
 
 
 def _collect_matching(
@@ -379,41 +376,16 @@ def _collect_matching(
         rows = table.rows_list()
         counts[0] += len(rows)
         counts[1] += 1
-        if where is None:
-            return rows
-        if plan.exec_mode == "compiled":
-            return batch_filter(where)(rows)
-        evaluate = where.eval
-        return [row for row in rows if evaluate(row)]
+        return rows if where is None else batch_filter(where)(rows)
     out: list[dict[str, Any]] = []
     extend = out.extend
-    batches = _candidate_batches(table, plan, rowids)
-    if where is None:
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            extend(batch)
-            if needed is not None and len(out) >= needed:
-                break
-    elif plan.exec_mode == "compiled":
-        matching = batch_filter(where)
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            extend(matching(batch))
-            if needed is not None and len(out) >= needed:
-                break
-    else:
-        evaluate = where.eval
-        append = out.append
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            for row in batch:
-                if evaluate(row):
-                    append(row)
-            if needed is not None and len(out) >= needed:
-                break
+    matching = None if where is None else batch_filter(where)
+    for batch in _candidate_batches(table, plan, rowids):
+        counts[0] += len(batch)
+        counts[1] += 1
+        extend(batch if matching is None else matching(batch))
+        if needed is not None and len(out) >= needed:
+            break
     return out
 
 
@@ -428,31 +400,16 @@ def _matching_rows(
 
     ``counts`` is a two-slot tally ([rows examined, batches pulled]) the
     caller flushes to observability after consumption — two integer adds
-    per *batch* replace the per-row counting iterator the interpreted
-    executor used, which is what takes enabled-obs scan overhead under
-    1%.  Stays lazy across batches, so LIMIT without ORDER BY stops
-    pulling once it has enough rows.
+    per *batch*, not a counting iterator per row, which is what keeps
+    enabled-obs scan overhead under 1%.  Stays lazy across batches, so
+    DISTINCT + LIMIT without ORDER BY stops pulling once it has enough
+    rows.
     """
-    batches = _candidate_batches(table, plan, rowids)
-    if where is None:
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            yield from batch
-    elif plan.exec_mode == "compiled":
-        matching = batch_filter(where)
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            yield from matching(batch)
-    else:
-        evaluate = where.eval
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            for row in batch:
-                if evaluate(row):
-                    yield row
+    matching = None if where is None else batch_filter(where)
+    for batch in _candidate_batches(table, plan, rowids):
+        counts[0] += len(batch)
+        counts[1] += 1
+        yield from (batch if matching is None else matching(batch))
 
 
 def _hashable(value: Any) -> Any:
@@ -485,33 +442,19 @@ def range_scan(
                 low, high, include_low=include_low, include_high=include_high
             )
         ]
-    if compiled_exec_enabled():
-        # Lower the bounds to a predicate tree and run it through the
-        # compiled batch filter — same null/ordering semantics as the
-        # interpreted loop below (None keys excluded, unorderable
-        # values raise), one generated comparison chain per batch row.
-        where = col(column).not_null()
-        if low is not None:
-            where = where & (
-                col(column) >= low if include_low else col(column) > low
-            )
-        if high is not None:
-            where = where & (
-                col(column) <= high if include_high else col(column) < high
-            )
-        matching = batch_filter(where)
-        return [dict(row) for row in matching(table.rows_list())]
-    out: list[dict[str, Any]] = []
-    for row in table.rows():
-        value = row[column]
-        if value is None:
-            continue
-        if low is not None and (value < low or (value == low and not include_low)):
-            continue
-        if high is not None and (value > high or (value == high and not include_high)):
-            continue
-        out.append(dict(row))
-    return out
+    # No index: lower the bounds to a predicate tree and run it through
+    # the compiled batch filter (None keys excluded, unorderable values
+    # raise), one generated comparison chain per row.
+    where = col(column).not_null()
+    if low is not None:
+        where = where & (
+            col(column) >= low if include_low else col(column) > low
+        )
+    if high is not None:
+        where = where & (
+            col(column) <= high if include_high else col(column) < high
+        )
+    return [dict(row) for row in batch_filter(where)(table.rows_list())]
 
 
 def _join_key_fns(
@@ -562,16 +505,10 @@ def join_rows(
     The vectorized form decomposes every row into (key shape, value
     tuple) so a merged output row is a single C-level ``dict(zip(...))``
     over cached prefixed-name tuples — no per-column formatting, no
-    intermediate dicts.  The ``REPRO_COMPILED_EXEC=0`` kill switch
-    restores the per-row interpreted merge loop.
+    intermediate dicts.
     """
     if kind not in ("inner", "left"):
         raise ValueError(f"join kind must be 'inner' or 'left', got {kind!r}")
-    if not compiled_exec_enabled():
-        return _join_rows_interpreted(
-            left_rows, right_rows, on,
-            left_prefix=left_prefix, right_prefix=right_prefix, kind=kind,
-        )
     left_key, right_key, key_has_null = _join_key_fns(on)
     right_cache: dict[tuple, tuple[str, ...]] = {}
     buckets: dict[Any, list[tuple[tuple[str, ...], tuple]]] = {}
@@ -609,41 +546,6 @@ def join_rows(
                     right_names, left_names + right_names
                 )
             append(dict(zip(shape[1], left_values + right_values)))
-    return out
-
-
-def _join_rows_interpreted(
-    left_rows: Iterable[dict[str, Any]],
-    right_rows: Iterable[dict[str, Any]],
-    on: Sequence[tuple[str, str]],
-    *,
-    left_prefix: str = "l",
-    right_prefix: str = "r",
-    kind: str = "inner",
-) -> list[dict[str, Any]]:
-    """The pre-vectorization hash join, kept verbatim for the kill
-    switch: the differential suite pins ``join_rows`` to this output."""
-    right_list = list(right_rows)
-    buckets: dict[tuple, list[dict[str, Any]]] = {}
-    for row in right_list:
-        key = tuple(row[rc] for _lc, rc in on)
-        buckets.setdefault(key, []).append(row)
-    right_columns: set[str] = set()
-    for row in right_list:
-        right_columns.update(row)
-    out: list[dict[str, Any]] = []
-    for left in left_rows:
-        key = tuple(left[lc] for lc, _rc in on)
-        matches = buckets.get(key, []) if None not in key else []
-        if matches:
-            for right in matches:
-                merged = {f"{left_prefix}.{k}": v for k, v in left.items()}
-                merged.update({f"{right_prefix}.{k}": v for k, v in right.items()})
-                out.append(merged)
-        elif kind == "left":
-            merged = {f"{left_prefix}.{k}": v for k, v in left.items()}
-            merged.update({f"{right_prefix}.{k}": None for k in right_columns})
-            out.append(merged)
     return out
 
 

@@ -19,8 +19,11 @@ Journal format v2 (framed)::
   acknowledged history was altered — a strict
   :class:`~repro.rdb.errors.JournalCorruptError`, or scan-forward
   recovery in salvage mode).
-* Legacy v1 journals (one JSON object per text line) are read
-  transparently, including files that mix v1 lines with v2 frames.
+* This is the only format.  A file that starts with ``{`` is a v1
+  JSON-lines journal (retired in PR 13): it is refused with a
+  :class:`~repro.rdb.errors.JournalCorruptError` naming the retired
+  format and left untouched — never mistaken for a torn tail and
+  trimmed to nothing.
 * Besides committed-transaction and checkpoint payloads, a frame may
   carry a two-phase-commit protocol record (``{"2pc": ...}``) — the
   prepare/commit/abort votes of :mod:`repro.sharding`.  They share the
@@ -303,102 +306,55 @@ def _parse_frame(
     return entry, payload_end, None
 
 
-def _parse_v1_line(
-    data: bytes, pos: int, last_lsn: int
-) -> tuple[_Entry | None, int, str | None]:
-    """Parse a legacy v1 JSON line at ``pos``.
-
-    v1 records carry no LSN on disk; they are assigned implicit
-    sequential LSNs so the watermark protocol covers legacy journals.
-    """
-    newline = data.find(b"\n", pos)
-    end = len(data) if newline == -1 else newline + 1
-    raw = data[pos:end].strip()
-    if not raw:
-        return None, end, None  # blank line / trailing whitespace
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except ValueError:
-        return None, pos, ("torn line" if newline == -1 else
-                           "unparseable line")
-    if not (isinstance(obj, dict) and "txn" in obj and "ops" in obj):
-        return None, pos, "line is not a transaction record"
-    entry = _Entry("txn", last_lsn + 1, pos, end, obj["txn"], obj["ops"])
-    return entry, end, None
-
-
-def _has_later_record(data: bytes, pos: int) -> bool:
-    """Is there plausibly valid journal content after the damage at
-    ``pos``?  True ⇒ mid-file corruption; False ⇒ torn tail."""
-    if data.find(MAGIC, pos + 1) != -1:
-        return True
-    newline = data.find(b"\n", pos)
-    if newline == -1:
-        return False
-    for line in data[newline + 1:].split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(obj, dict) and "txn" in obj and "ops" in obj:
-            return True
-    return False
-
-
-def _next_candidate(data: bytes, pos: int) -> int:
-    """First offset after ``pos`` where a record could plausibly start."""
-    candidates = []
-    magic = data.find(MAGIC, pos + 1)
-    if magic != -1:
-        candidates.append(magic)
-    newline = data.find(b"\n", pos)
-    if newline != -1 and newline + 1 > pos:
-        candidates.append(newline + 1)
-    return min(candidates) if candidates else len(data)
-
-
 def _scan_entries(
     data: bytes,
     *,
     salvage: bool,
     stats: RecoveryStats,
     path: object = "<journal>",
+    base: int = 0,
 ) -> Iterator[_Entry]:
     """Yield every readable record, classifying damage on the way.
 
-    Torn tail (damage in the final record): tolerated, counted, stop.
-    Mid-file corruption: :class:`JournalCorruptError` in strict mode; in
-    salvage mode the reader scans forward to the next plausible record
-    boundary and keeps going.
+    ``data`` starts ``base`` bytes into the file (0 except for a
+    tailer's incremental read).  Torn tail (damage with no frame magic
+    after it): tolerated, counted, stop.  Mid-file corruption (a later
+    frame exists): :class:`JournalCorruptError` in strict mode; in
+    salvage mode the reader skips to that frame and keeps going.  A
+    file that opens with ``{`` is a retired v1 journal and is refused in
+    either mode.
     """
+    if base == 0 and data.startswith(b"{"):
+        raise JournalCorruptError(
+            path, 0,
+            "this is a v1 JSON-lines journal, a format retired in PR 13; "
+            "refusing to read, trim or salvage it",
+        )
     pos = 0
     last_lsn = 0
     size = len(data)
     while pos < size:
+        entry, problem = None, "missing frame magic"
         if data.startswith(MAGIC, pos):
-            entry, next_pos, problem = _parse_frame(data, pos, last_lsn)
-        else:
-            entry, next_pos, problem = _parse_v1_line(data, pos, last_lsn)
-        if problem is None:
-            if entry is not None:
-                last_lsn = entry.lsn
-                yield entry
-            pos = next_pos
+            entry, pos, problem = _parse_frame(data, pos, last_lsn)
+        if entry is not None:
+            last_lsn = entry.lsn
+            yield entry
             continue
-        if _has_later_record(data, pos):
-            if not salvage:
-                raise JournalCorruptError(path, pos, problem)
-            skip_to = _next_candidate(data, pos)
-            stats.checksum_failures += 1
-            stats.bytes_skipped += skip_to - pos
-            pos = skip_to
-            continue
-        stats.torn_tails += 1
-        stats.bytes_skipped += size - pos
-        return
+        later = data.find(MAGIC, pos + 1)
+        if later == -1:
+            stats.torn_tails += 1
+            stats.bytes_skipped += size - pos
+            return
+        if not salvage:
+            raise JournalCorruptError(
+                path, base + pos,
+                f"{problem}; valid records follow the damage "
+                f"(pass salvage=True to skip it)",
+            )
+        stats.checksum_failures += 1
+        stats.bytes_skipped += later - pos
+        pos = later
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +364,9 @@ def _scan_entries(
 class WalFrame:
     """One complete journal frame, parsed *and* in wire form.
 
-    ``data`` is the exact v2 frame bytes (legacy v1 lines are re-framed
-    on read), so a frame can be shipped to a follower and appended to
-    its local journal verbatim — the CRC travels with it end to end.
+    ``data`` is the exact frame bytes, so a frame can be shipped to a
+    follower and appended to its local journal verbatim — the CRC
+    travels with it end to end.
     """
 
     kind: str  # "txn" | "ckpt" | "2pc"
@@ -430,18 +386,8 @@ class WalFrame:
 
 def _entry_frame(entry: _Entry, data: bytes) -> WalFrame:
     """Build a :class:`WalFrame` for ``entry`` parsed out of ``data``."""
-    raw = data[entry.start:entry.end]
-    if not raw.startswith(MAGIC):
-        # Legacy v1 line: re-frame as v2 so consumers ship one format.
-        if entry.kind == "ckpt":  # pragma: no cover - v1 had no ckpt
-            payload = json.dumps({"ckpt": entry.lsn},
-                                 separators=(",", ":")).encode("utf-8")
-        else:
-            payload = json.dumps({"txn": entry.txn_id, "ops": entry.ops},
-                                 separators=(",", ":")).encode("utf-8")
-        raw = _frame(entry.lsn, payload)
-    return WalFrame(entry.kind, entry.lsn, entry.txn_id, entry.ops, raw,
-                    entry.payload)
+    return WalFrame(entry.kind, entry.lsn, entry.txn_id, entry.ops,
+                    data[entry.start:entry.end], entry.payload)
 
 
 def read_frames(
@@ -484,10 +430,9 @@ def parse_frame(data: bytes) -> WalFrame:
     if not data.startswith(MAGIC):
         raise JournalCorruptError("<frame>", 0, "missing frame magic")
     entry, _end, problem = _parse_frame(data, 0, 0)
-    if problem is not None or entry is None:
+    if entry is None:
         raise JournalCorruptError("<frame>", 0, problem or "unparseable")
-    return WalFrame(entry.kind, entry.lsn, entry.txn_id, entry.ops,
-                    data[entry.start:entry.end], entry.payload)
+    return _entry_frame(entry, data)
 
 
 class JournalTailer:
@@ -537,28 +482,17 @@ class JournalTailer:
             fh.seek(self._pos)
             data = fh.read()
         frames: list[WalFrame] = []
-        pos = 0
-        scan_lsn = 0  # monotonicity is re-checked against last_lsn below
-        while pos < len(data):
-            if data.startswith(MAGIC, pos):
-                entry, next_pos, problem = _parse_frame(data, pos, scan_lsn)
-            else:
-                entry, next_pos, problem = _parse_v1_line(data, pos, scan_lsn)
-            if problem is not None:
-                if _has_later_record(data, pos):
-                    raise JournalCorruptError(
-                        self.path, self._pos + pos, problem
-                    )
-                break  # torn tail: an append in flight — retry next poll
-            if entry is None:  # blank v1 line
-                pos = next_pos
-                continue
-            scan_lsn = entry.lsn
+        consumed = 0
+        # Strict scan: a torn tail (an append in flight) just ends it and
+        # is retried next poll; monotonicity within the new bytes is the
+        # scanner's, the last_lsn filter deduplicates a rescan.
+        for entry in _scan_entries(data, salvage=False, stats=RecoveryStats(),
+                                   path=self.path, base=self._pos):
+            consumed = entry.end
             if entry.lsn > self.last_lsn:
                 frames.append(_entry_frame(entry, data))
                 self.last_lsn = entry.lsn
-            pos = next_pos
-        self._pos += pos
+        self._pos += consumed
         return frames
 
 
@@ -814,8 +748,7 @@ class Journal:
         corruption before the final record raises
         :class:`~repro.rdb.errors.JournalCorruptError` unless
         ``salvage`` is set, in which case damaged records are skipped
-        and counted in ``stats``.  Legacy v1 journals (JSON lines) are
-        read transparently with implicit sequential LSNs.
+        and counted in ``stats``.
         """
         path = Path(path)
         if stats is None:
@@ -921,27 +854,26 @@ def read_snapshot_info(
 ) -> tuple[dict[str, list[dict[str, Any]]], int]:
     """Load a snapshot; returns ``(tables, last_applied_lsn)``.
 
-    Legacy snapshots (a bare ``{table: rows}`` mapping) read with a
-    watermark of 0, i.e. "replay the whole journal", which matches the
-    pre-watermark semantics they were written under.
+    A pre-watermark snapshot (a bare ``{table: rows}`` mapping, retired
+    in PR 13) is refused: loading it with watermark 0 would replay the
+    whole journal on top of rows that may already contain it.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, dict) and payload.get(_SNAPSHOT_KEY) == 2:
-        raw_tables = payload["tables"]
-        watermark = int(payload.get("last_lsn", 0))
-    else:
-        raw_tables = payload
-        watermark = 0
+    if not (isinstance(payload, dict) and payload.get(_SNAPSHOT_KEY) == 2):
+        raise ValueError(
+            f"snapshot {str(path)!r} is not a v2 snapshot: the "
+            f"pre-watermark bare-mapping format was retired in PR 13"
+        )
     tables = {
         name: [decode_row(row) for row in rows]
-        for name, rows in raw_tables.items()
+        for name, rows in payload["tables"].items()
     }
-    return tables, watermark
+    return tables, int(payload.get("last_lsn", 0))
 
 
 def read_snapshot(
     path: str | os.PathLike[str],
 ) -> dict[str, list[dict[str, Any]]]:
     """Load just the tables of a snapshot written by
-    :func:`write_snapshot` (either format)."""
+    :func:`write_snapshot`."""
     return read_snapshot_info(path)[0]

@@ -19,8 +19,7 @@ processor:
 
 Fragment-aware planning reuses the single-node machinery end to end:
 every shard plans its fragment with the ordinary cost-based planner
-and executes through the compiled batch pipeline, so
-``REPRO_COMPILED_EXEC`` ablations apply unchanged to sharded scans.
+and executes through the compiled batch pipeline.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.admission import check_deadline, current_deadline
 from repro.obs.instrument import OBS
 from repro.rdb import Schema
 from repro.rdb.predicate import Expr
-from repro.rdb.query import join_rows
+from repro.rdb.query import check_limit_offset, join_rows
 from repro.sharding.coordinator import TwoPhaseCoordinator
 from repro.sharding.shardmap import ShardMap
 
@@ -275,6 +274,7 @@ class ShardedDatabase:
         merged order matches a single-node select.  DISTINCT dedups
         globally after a per-shard pre-dedup.
         """
+        check_limit_offset(limit, offset)
         shards = self._prune(table, where)
         if len(shards) == 1:
             return self.handles[shards[0]].select(

@@ -94,6 +94,7 @@ class TestRandomLoss:
 class TestOnDemandRetry:
     def _world(self, drop_rate, retry_timeout=2.0, max_retries=30, seed=11):
         from repro.distribution import MAryTree, OnDemandFetcher
+        from repro.fault import RetryPolicy
         from repro.util.units import MIB
 
         sim = Simulator()
@@ -104,8 +105,9 @@ class TestOnDemandRetry:
             net.add(Station(name, DuplexLink.symmetric_mbps(100)))
         tree = MAryTree(8, 2, names=names)
         fetcher = OnDemandFetcher(
-            net, tree, retry_timeout_s=retry_timeout,
-            max_retries=max_retries,
+            net, tree,
+            retry_policy=RetryPolicy.fixed(
+                retry_timeout, max_retries=max_retries),
         )
         fetcher.seed_instance("s1", "doc", MIB)
         return net, fetcher
@@ -184,36 +186,21 @@ class TestOnDemandRetryPolicy:
         net.quiesce()
         assert fetcher.holds("s8", "doc")
 
-    def test_legacy_kwargs_build_the_fixed_policy(self):
-        from repro.distribution import MAryTree, OnDemandFetcher
+    def test_fixed_policy_is_the_constant_schedule(self):
+        """``RetryPolicy.fixed`` is the one spelling of the schedule the
+        removed ``retry_timeout_s=``/``max_retries=`` keywords built:
+        over a black-hole network the request is re-issued exactly
+        ``max_retries`` times, one constant timeout apart."""
         from repro.fault import RetryPolicy
 
-        sim = Simulator()
-        net = Network(sim)
-        names = [f"s{k}" for k in range(1, 5)]
-        for name in names:
-            net.add(Station(name, DuplexLink.symmetric_mbps(100)))
-        fetcher = OnDemandFetcher(
-            net, MAryTree(4, 2, names=names),
-            retry_timeout_s=3.0, max_retries=7,
-        )
-        assert fetcher.retry_policy == RetryPolicy.fixed(3.0, max_retries=7)
-
-    def test_policy_and_legacy_kwargs_conflict(self):
-        from repro.distribution import MAryTree, OnDemandFetcher
-        from repro.fault import RetryPolicy
-
-        sim = Simulator()
-        net = Network(sim)
-        names = [f"s{k}" for k in range(1, 5)]
-        for name in names:
-            net.add(Station(name, DuplexLink.symmetric_mbps(100)))
-        with pytest.raises(ValueError):
-            OnDemandFetcher(
-                net, MAryTree(4, 2, names=names),
-                retry_timeout_s=2.0,
-                retry_policy=RetryPolicy.fixed(2.0),
-            )
+        policy = RetryPolicy.fixed(3.0, max_retries=7)
+        assert list(policy.delays()) == [3.0] * 7
+        net, fetcher = self._world(1.0, policy)
+        fetcher.request("s8", "doc")
+        net.quiesce()
+        assert fetcher.retry_policy is policy
+        assert fetcher.retries == 7 and fetcher.reports == []
+        assert net.sim.now == pytest.approx(policy.total_wait_s)
 
     def test_zero_retry_policy_never_reissues(self):
         from repro.fault import RetryPolicy

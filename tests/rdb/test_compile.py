@@ -1,16 +1,16 @@
 """Unit tests for compiled predicate execution (repro.rdb.compile).
 
 Covers the codegen / closure-fallback split, per-expression caching,
-the restricted generated namespace, the ``REPRO_COMPILED_EXEC`` kill
-switch, EXPLAIN's exec-mode report, the LIKE-regex LRU cache, and the
-batched write paths the vectorized executor leans on.  Semantic
-equivalence with the interpreter is pinned separately by the Hypothesis
-suite in ``test_compile_properties.py``.
+the restricted generated namespace, ``predicate_fn``, EXPLAIN's
+single-executor rendering, the LIKE-regex LRU cache, and the batched
+write paths the vectorized executor leans on.  Semantic equivalence
+with ``Expr.eval`` is pinned separately by the Hypothesis suite in
+``test_compile_properties.py``.
 """
 
 from __future__ import annotations
 
-import os
+import dataclasses
 
 import pytest
 
@@ -24,12 +24,9 @@ from repro.rdb import (
     col,
 )
 from repro.rdb.compile import (
-    DEFAULT_BATCH,
-    ENV_VAR,
     _SAFE_BUILTINS,
     batch_filter,
     compile_mode,
-    compiled_exec_enabled,
     compiled_predicate,
     compiled_source,
     predicate_fn,
@@ -43,12 +40,6 @@ ROWS = [
     {"a": 2, "b": "y", "c": 7},
     {"a": None, "b": "xx", "c": 3},
 ]
-
-
-@pytest.fixture
-def kill_switch(monkeypatch):
-    """Force interpreted mode for the duration of one test."""
-    monkeypatch.setenv(ENV_VAR, "0")
 
 
 def _docs_db() -> Database:
@@ -110,47 +101,35 @@ def test_generated_namespace_is_restricted():
     assert namespace.get("__builtins__") is _SAFE_BUILTINS
 
 
-# -- kill switch ------------------------------------------------------------
-def test_predicate_fn_dispatches_on_mode(kill_switch):
+# -- one executor ----------------------------------------------------------
+def test_predicate_fn_is_none_or_the_compiled_closure():
     expr = col("a") == 1
-    assert not compiled_exec_enabled()
-    assert predicate_fn(expr) == expr.eval
     assert predicate_fn(None) is None
-    os.environ[ENV_VAR] = "1"
-    assert compiled_exec_enabled()
     assert predicate_fn(expr) is compiled_predicate(expr)
 
 
-def test_select_results_identical_across_modes(monkeypatch):
+def test_select_equals_naive_eval_scan():
     db = _docs_db()
     db.insert_many("docs", [
         {"doc_id": i, "author": f"a{i % 5}", "size": i * 3 % 17}
         for i in range(60)
     ])
     where = (col("size") > 4) & col("author").isin(("a1", "a3"))
-    monkeypatch.setenv(ENV_VAR, "0")
-    interpreted = db.select("docs", where=where, order_by="doc_id")
-    monkeypatch.setenv(ENV_VAR, "1")
-    compiled = db.select("docs", where=where, order_by="doc_id")
-    assert interpreted == compiled and compiled
+    naive = [dict(r) for r in db.table("docs").rows() if where.eval(r)]
+    got = db.select("docs", where=where, order_by="doc_id")
+    assert got == sorted(naive, key=lambda r: r["doc_id"]) and got
 
 
-# -- EXPLAIN reports execution mode ----------------------------------------
-def test_explain_reports_compiled_exec(monkeypatch):
-    db = _docs_db()
-    monkeypatch.setenv(ENV_VAR, "1")
-    plan = db.explain_plan("docs", col("size") > 4)
-    assert plan.exec_mode == "compiled"
-    assert plan.batch_size == DEFAULT_BATCH
-    assert f"exec=compiled batch={DEFAULT_BATCH}" in plan.describe()
-
-
-def test_explain_reports_interpreted_exec(kill_switch):
+def test_explain_has_one_executor_and_says_nothing_about_it():
     db = _docs_db()
     plan = db.explain_plan("docs", col("size") > 4)
-    assert plan.exec_mode == "interpreted"
-    assert plan.batch_size == 1
-    assert "exec=interpreted batch=1" in plan.describe()
+    fields = {f.name for f in dataclasses.fields(plan)}
+    assert fields == {
+        "table", "access_path", "estimated_candidates", "estimated_cost",
+        "chosen_conjuncts", "pushdown",
+    }
+    assert plan.describe() == "docs: scan (~0 rows, cost 0)"
+    assert db.explain("docs", col("size") > 4) == plan.describe()
 
 
 # -- LIKE regex LRU cache ---------------------------------------------------

@@ -5,6 +5,33 @@ import pytest
 from repro.rdb import SchemaError, col
 
 
+BAD_BOUNDS = {
+    "neg-limit": dict(limit=-1), "str-limit": dict(limit="2"),
+    "bool-limit": dict(limit=True), "float-limit": dict(limit=1.0),
+    "neg-offset": dict(offset=-1), "limit-neg-offset": dict(limit=3, offset=-1),
+    "str-offset": dict(offset="1"), "bool-offset": dict(offset=False),
+    "none-offset": dict(offset=None),
+}
+
+
+class TestBounds:
+    """``limit``/``offset`` are checked once at ``execute_select`` entry:
+    a negative bound must not become a from-the-end slice, and the two
+    select pipelines (list-building and ordered) must agree."""
+
+    @pytest.mark.parametrize("bounds", BAD_BOUNDS.values(), ids=BAD_BOUNDS)
+    @pytest.mark.parametrize("order_by", [None, "order_id"],
+                             ids=["heap", "ordered"])
+    def test_bad_bounds_raise(self, populated_db, bounds, order_by):
+        with pytest.raises(ValueError, match="limit|offset"):
+            populated_db.select("orders", order_by=order_by, **bounds)
+
+    def test_zero_and_past_the_end_are_fine(self, populated_db):
+        assert populated_db.select("orders", limit=0) == []
+        assert populated_db.select("orders", offset=99) == []
+        assert len(populated_db.select("orders", limit=99)) == 3
+
+
 class TestDistinct:
     def test_distinct_projection(self, populated_db):
         rows = populated_db.select(

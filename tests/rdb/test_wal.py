@@ -292,33 +292,57 @@ class TestFramedFormat:
         assert [r["txn"] for r in Journal.read(path)] == [2, 3]
 
 
-class TestLegacyV1:
-    def _v1_line(self, txn, k):
-        return json.dumps(
-            {"txn": txn, "ops": [["insert", "events", {"k": k}]]}
-        ) + "\n"
+class TestRetiredV1:
+    """v1 JSON-lines journals (retired in PR 13) are refused by every
+    entry point, loudly, and the file is left byte-for-byte untouched —
+    never classified as a torn tail and trimmed to nothing."""
 
-    def test_v1_journal_read_transparently(self, tmp_path):
+    def _v1_file(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        path.write_text(self._v1_line(1, 1) + self._v1_line(2, 2))
-        records = list(Journal.read(path))
-        assert [r["txn"] for r in records] == [1, 2]
-        assert [r["lsn"] for r in records] == [1, 2]  # implicit LSNs
+        path.write_text("".join(
+            json.dumps({"txn": k, "ops": [["insert", "events", {"k": k}]]})
+            + "\n"
+            for k in (1, 2)
+        ))
+        return path
 
-    def test_mixed_v1_then_v2_file(self, tmp_path):
+    @pytest.mark.parametrize("salvage", [False, True],
+                             ids=["strict", "salvage"])
+    def test_v1_journal_refused_and_left_untouched(self, tmp_path, salvage):
+        from repro.rdb import JournalCorruptError
+        from repro.rdb.wal import JournalTailer, read_frames
+
+        path = self._v1_file(tmp_path)
+        before = path.read_bytes()
+        attempts = [
+            lambda: Journal(path, salvage=salvage),
+            lambda: list(Journal.read(path, salvage=salvage)),
+            lambda: list(Journal.read_records(path, salvage=salvage)),
+            lambda: list(read_frames(path)),
+            lambda: JournalTailer(path).poll(),
+            lambda: Database.recover(
+                "r", [EVENTS], journal_path=str(path), salvage=salvage),
+        ]
+        for attempt in attempts:
+            with pytest.raises(JournalCorruptError, match="v1 JSON-lines"):
+                attempt()
+            assert path.stat().st_size == len(before)
+            assert path.read_bytes() == before
+
+    def test_v1_lines_after_v2_frames_are_a_torn_tail(self, tmp_path):
+        """Only a file that *is* a v1 journal is refused; non-frame bytes
+        after valid v2 frames are still a tolerated, trimmed torn tail."""
         path = tmp_path / "wal.mixed"
-        path.write_text(self._v1_line(1, 1))
-        with Journal(path) as journal:  # resumes after the v1 line
-            journal.append(2, [["insert", "events", {"k": 2}]])
-        records = list(Journal.read(path))
-        assert [r["txn"] for r in records] == [1, 2]
-        assert records[1]["lsn"] > records[0]["lsn"]
-
-    def test_v1_journal_replays_into_engine(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text(self._v1_line(1, 1) + self._v1_line(2, 2))
-        recovered = Database.recover("r", [EVENTS], journal_path=str(path))
-        assert sorted(r["k"] for r in recovered.select("events")) == [1, 2]
+        with Journal(path) as journal:
+            journal.append(1, [["insert", "events", {"k": 1}]])
+            valid_end = journal.tell()
+        with path.open("ab") as fh:
+            fh.write(b'{"txn": 2, "ops": []}\n')
+        stats = RecoveryStats()
+        assert [r["txn"] for r in Journal.read(path, stats=stats)] == [1]
+        assert stats.torn_tails == 1
+        Journal(path).close()
+        assert path.stat().st_size == valid_end
 
 
 class TestSyncPolicy:
@@ -394,14 +418,17 @@ class TestCheckpointWatermark:
         assert watermark == 2
         assert len(tables["events"]) == 2
 
-    def test_legacy_snapshot_reads_with_zero_watermark(self, tmp_path):
+    def test_pre_watermark_snapshot_refused(self, tmp_path):
+        """A bare ``{table: rows}`` mapping (retired in PR 13) must not
+        load with watermark 0 and replay the journal over itself."""
         from repro.rdb.wal import read_snapshot_info
 
         path = tmp_path / "snap.json"
         path.write_text(json.dumps({"events": [{"k": 1}]}))
-        tables, watermark = read_snapshot_info(path)
-        assert watermark == 0
-        assert tables == {"events": [{"k": 1}]}
+        with pytest.raises(ValueError, match="pre-watermark"):
+            read_snapshot_info(path)
+        with pytest.raises(ValueError, match="retired in PR 13"):
+            Database.recover("r", [EVENTS], snapshot_path=str(path))
 
     def test_crash_between_snapshot_and_truncate_no_double_apply(
         self, tmp_path

@@ -2,9 +2,9 @@
 
 The same deterministic dataset goes into one plain
 :class:`~repro.rdb.Database` and into sharded clusters of 1, 2 and 4
-shards; every query below must return identical results from both, in
-both compiled-execution modes.  Integer-valued aggregate columns keep
-even ``avg`` exact (same ints, same division on both sides).
+shards; every query below must return identical results from both.
+Integer-valued aggregate columns keep even ``avg`` exact (same ints,
+same division on both sides).
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ def seed(request):
     return request.param
 
 
-@pytest.fixture(params=["0", "1"], ids=["interp", "compiled"])
-def exec_mode(request, monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED_EXEC", request.param)
-    return request.param
-
-
 @pytest.fixture
 def baseline(seed):
     db = Database("baseline")
@@ -109,6 +103,12 @@ def sharded_dbs(shard_cluster, seed):
     return out
 
 
+BAD_BOUNDS = {
+    "neg-limit": dict(limit=-1), "str-limit": dict(limit="2"),
+    "bool-limit": dict(limit=True), "neg-offset": dict(limit=3, offset=-1),
+    "str-offset": dict(offset="1"),
+}
+
 PREDICATES = [
     None,
     col("grp") == 3,
@@ -119,18 +119,14 @@ PREDICATES = [
 
 
 class TestScans:
-    def test_unordered_scans_match_as_sets(
-        self, baseline, sharded_dbs, exec_mode
-    ):
+    def test_unordered_scans_match_as_sets(self, baseline, sharded_dbs):
         for where in PREDICATES:
             want = canonical(baseline.select("wide", where))
             for num_shards, sdb in sharded_dbs.items():
                 got = canonical(sdb.select("wide", where))
                 assert got == want, (num_shards, where)
 
-    def test_ordered_top_k_matches_exactly(
-        self, baseline, sharded_dbs, exec_mode
-    ):
+    def test_ordered_top_k_matches_exactly(self, baseline, sharded_dbs):
         cases = [
             dict(order_by=("val", "id"), limit=11, offset=0),
             dict(order_by=("val", "id"), limit=7, offset=5),
@@ -143,9 +139,20 @@ class TestScans:
                 assert sdb.select("wide", **kwargs) == want, \
                     (num_shards, kwargs)
 
-    def test_distinct_projection_matches(
-        self, baseline, sharded_dbs, exec_mode
+    @pytest.mark.parametrize("bounds", BAD_BOUNDS.values(), ids=BAD_BOUNDS)
+    def test_bad_bounds_rejected_alike(
+        self, baseline, sharded_dbs, bounds
     ):
+        """Validated before ``limit+offset`` is folded into the
+        pushed-down bound, so no shard ever sees a poisoned top-k."""
+        for where in (None, col("id") == 17):  # scatter and single-shard
+            with pytest.raises(ValueError, match="limit|offset"):
+                baseline.select("wide", where=where, order_by="id", **bounds)
+            for sdb in sharded_dbs.values():
+                with pytest.raises(ValueError, match="limit|offset"):
+                    sdb.select("wide", where=where, order_by="id", **bounds)
+
+    def test_distinct_projection_matches(self, baseline, sharded_dbs):
         want = baseline.select(
             "wide", columns=("grp", "label"), distinct=True,
             order_by=("grp", "label"),
@@ -157,14 +164,14 @@ class TestScans:
             )
             assert got == want, num_shards
 
-    def test_point_lookups_match(self, baseline, sharded_dbs, exec_mode):
+    def test_point_lookups_match(self, baseline, sharded_dbs):
         for pk in (1, 17, 60, 999):
             want = baseline.get("wide", pk)
             for num_shards, sdb in sharded_dbs.items():
                 assert sdb.get("wide", pk) == want
                 assert sdb.exists("wide", pk) == (want is not None)
 
-    def test_counts_match(self, baseline, sharded_dbs, exec_mode):
+    def test_counts_match(self, baseline, sharded_dbs):
         for where in PREDICATES:
             want = baseline.count("wide", where)
             for num_shards, sdb in sharded_dbs.items():
@@ -181,18 +188,14 @@ class TestAggregates:
         "mean": ("avg", "val"),
     }
 
-    def test_global_aggregates_match(
-        self, baseline, sharded_dbs, exec_mode
-    ):
+    def test_global_aggregates_match(self, baseline, sharded_dbs):
         for where in (None, col("grp") == 2, col("id") > 900):
             want = baseline.aggregate("wide", self.SPEC, where)
             for num_shards, sdb in sharded_dbs.items():
                 assert sdb.aggregate("wide", self.SPEC, where) == want, \
                     (num_shards, where)
 
-    def test_grouped_aggregates_match(
-        self, baseline, sharded_dbs, exec_mode
-    ):
+    def test_grouped_aggregates_match(self, baseline, sharded_dbs):
         for group_by in (("grp",), ("label",), ("grp", "label")):
             want = baseline.aggregate(
                 "wide", self.SPEC, None, group_by
@@ -203,17 +206,13 @@ class TestAggregates:
 
 
 class TestJoins:
-    def test_non_colocated_join_matches(
-        self, baseline, sharded_dbs, exec_mode
-    ):
+    def test_non_colocated_join_matches(self, baseline, sharded_dbs):
         want = canonical(baseline.join("wide", "dim", [("grp", "k")]))
         for num_shards, sdb in sharded_dbs.items():
             got = canonical(sdb.join("wide", "dim", [("grp", "k")]))
             assert got == want, num_shards
 
-    def test_filtered_join_matches(
-        self, baseline, sharded_dbs, exec_mode
-    ):
+    def test_filtered_join_matches(self, baseline, sharded_dbs):
         want = canonical(baseline.join(
             "wide", "dim", [("grp", "k")], where_left=col("val") > 10,
         ))

@@ -24,6 +24,13 @@ BOOKS = Schema(
 )
 
 
+BAD_BOUNDS = {
+    "neg-limit": dict(limit=-1), "str-limit": dict(limit="2"),
+    "bool-limit": dict(limit=True), "neg-offset": dict(limit=3, offset=-1),
+    "str-offset": dict(offset="1"),
+}
+
+
 @pytest.fixture
 def db() -> Database:
     db = Database("lib")
@@ -123,6 +130,13 @@ class TestQueryCache:
         ))
         cache.select(db, "late")
         assert cache.bypasses == 1
+
+    @pytest.mark.parametrize("bounds", BAD_BOUNDS.values(), ids=BAD_BOUNDS)
+    def test_bad_bounds_raise_uncached(self, db, cache, bounds):
+        for _ in range(2):  # miss path both times: nothing was stored
+            with pytest.raises(ValueError, match="limit|offset"):
+                cache.select(db, "books", **bounds)
+        assert cache.stats()["entries"] == 0
 
     def test_stats_shape(self, db, cache):
         cache.select(db, "books")
