@@ -59,10 +59,11 @@ def matrix_rows(txns: int, stride: int, seed: int = 0):
             workdir, txns=txns, stride=stride, seed=seed
         )
     return report, [
-        ["crash points tested", report.points_tested],
-        ["torn tails tolerated", report.torn_tails],
-        ["corruptions detected (strict)", report.corruption_detected],
-        ["records recovered (total)", report.records_recovered],
+        ["crash points tested", len(report.cases)],
+        ["torn tails tolerated", report.total("torn_tails")],
+        ["corruptions detected (strict)",
+         report.total("corruption_detected")],
+        ["records recovered (total)", report.total("records_recovered")],
         ["committed-prefix violations", len(report.failures)],
         ["constraint/index violations", 0 if report.ok else "see failures"],
     ]

@@ -320,14 +320,13 @@ def main() -> int:
         report = run_2pc_crash_matrix(
             workdir / "crash", num_shards=2, txns=10, stride=96
         )
-        fired = sum(1 for case in report.cases if case.crashed)
         print_table(
             "E20: 2PC crash matrix (journal truncation sweep, "
             "coordinator + both shards)",
             ["quantity", "value"],
             [
                 ["kill points", len(report.cases)],
-                ["failpoints fired", fired],
+                ["failpoints fired", report.fired],
                 ["all-or-nothing violations", len(report.failures)],
             ],
         )

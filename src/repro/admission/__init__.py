@@ -13,9 +13,9 @@ breaks:
   through every fan-out via an ambient scope;
 - :class:`CircuitBreaker` — per-endpoint closed/open/half-open
   fail-fast for dead shards and flapping followers;
-- :class:`RetryBudget` / :func:`retry_schedule` — bounding the
-  population-wide retry amplification factor and gluing backoff to
-  deadlines.
+- :class:`RetryBudget` — bounding the population-wide retry
+  amplification factor (the backoff schedule and its deadline bound
+  are :class:`repro.fault.policy.RetryPolicy`).
 
 Everything takes an explicit or injectable clock, so simulated-time
 experiments (and the E21 saturation sweep in
@@ -38,7 +38,7 @@ from repro.admission.deadline import (
 )
 from repro.admission.errors import DeadlineExceededError, OverloadError
 from repro.admission.harness import ClockBox, LoadReport, find_knee, run_offered_load
-from repro.admission.retry import RetryBudget, retry_schedule
+from repro.admission.retry import RetryBudget
 from repro.admission.tokens import TenantQuotas, TokenBucket
 
 __all__ = [
@@ -63,6 +63,5 @@ __all__ = [
     "expired",
     "find_knee",
     "remaining",
-    "retry_schedule",
     "run_offered_load",
 ]

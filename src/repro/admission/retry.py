@@ -10,21 +10,15 @@ deposits ``ratio`` retry tokens, each retry spends one, so steady-state
 retry traffic can never exceed ``ratio`` of real traffic no matter how
 many callers are stuck in backoff loops.
 
-The backoff *schedule* itself stays in
-:class:`repro.fault.policy.RetryPolicy` (deterministic jitter from
-:mod:`repro.util.rng`); this module supplies the budget the schedule
-must also clear, and :func:`retry_schedule` glues the two to a
-deadline.
+The backoff *schedule* is :class:`repro.fault.policy.RetryPolicy`
+(deterministic jitter from :mod:`repro.util.rng`; ``allows(now=,
+deadline=)`` is its deadline bound); this module supplies the budget a
+retry must also clear.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:  # fault.policy's package pulls in net; stay acyclic
-    from repro.fault.policy import RetryPolicy
-
-__all__ = ["RetryBudget", "retry_schedule"]
+__all__ = ["RetryBudget"]
 
 
 class RetryBudget:
@@ -75,33 +69,3 @@ class RetryBudget:
             "retries": self.retries,
             "denied": self.denied,
         }
-
-
-def retry_schedule(
-    policy: RetryPolicy,
-    *,
-    now: float,
-    deadline: float | None = None,
-    budget: RetryBudget | None = None,
-) -> Iterator[tuple[int, float]]:
-    """Yield ``(attempt, wait_s)`` pairs while retrying is permitted.
-
-    Stops when the policy's ``max_retries`` runs out, when waiting
-    ``wait_s`` more would cross ``deadline``, or when ``budget`` is
-    exhausted — the caller's loop shape stays a plain ``for``:
-
-    >>> policy = RetryPolicy(initial_timeout_s=1.0, multiplier=2.0)
-    >>> [(a, w) for a, w in retry_schedule(policy, now=0.0, deadline=4.0)]
-    [(0, 1.0), (1, 2.0)]
-
-    (attempt 2 would wait until t=7 > deadline 4, so it never fires.)
-    """
-    elapsed = 0.0
-    for attempt in range(policy.max_retries):
-        wait = policy.timeout_for(attempt)
-        if deadline is not None and now + elapsed + wait > deadline:
-            return
-        if budget is not None and not budget.try_retry():
-            return
-        elapsed += wait
-        yield attempt, wait

@@ -3,11 +3,11 @@
 A retry loop that neither honours a deadline nor backs off is a retry
 storm waiting for a brown-out: it multiplies offered load exactly when
 capacity is scarcest, and it keeps retrying work whose caller gave up
-long ago.  The overload-robustness layer (:mod:`repro.admission`)
-supplies both disciplines — :func:`~repro.admission.retry_schedule`
-glues a :class:`~repro.fault.policy.RetryPolicy` to a deadline and a
-:class:`~repro.admission.RetryBudget` — so inside the configured
-``retry_paths`` this rule flags loops that retry bare.
+long ago.  Both disciplines exist — :class:`~repro.fault.policy
+.RetryPolicy` is the one backoff schedule (``timeout_for`` paces,
+``allows(now=, deadline=)`` bounds) and :class:`~repro.admission
+.RetryBudget` caps the fleet-wide amplification — so inside the
+configured ``retry_paths`` this rule flags loops that retry bare.
 
 Heuristic: a ``while``/``for`` loop is a *retry loop* when its body
 contains a ``try`` whose exception handler ``continue``s (swallow the
@@ -19,7 +19,7 @@ discipline:
   ``allows``/``check_deadline``/``expired``/``remaining``/``try_retry``
   anywhere in the loop (condition included);
 * backoff pacing — a call to ``sleep``/``schedule``/``timeout_for``/
-  ``backoff``/``retry_schedule``/``wait`` in the loop body.
+  ``backoff``/``wait`` in the loop body.
 
 A loop showing neither is flagged.  False positives suppress with
 ``# repro-analysis: ignore[retry-discipline]`` on the loop line.
@@ -42,7 +42,7 @@ _BOUND_CALLS = frozenset({
 })
 _BACKOFF_CALLS = frozenset({
     "sleep", "schedule", "schedule_at", "timeout_for", "backoff",
-    "retry_schedule", "wait", "wait_time",
+    "wait", "wait_time",
 })
 
 
@@ -92,7 +92,7 @@ class RetryDisciplineRule(Rule):
     id = "retry-discipline"
     summary = (
         "retry loop with neither a deadline/budget bound nor backoff "
-        "pacing; use admission.retry_schedule or RetryPolicy.allows"
+        "pacing; use RetryPolicy.allows and RetryPolicy.timeout_for"
     )
     severity = Severity.ERROR
 
@@ -112,7 +112,6 @@ class RetryDisciplineRule(Rule):
                 "retry loop is unbounded and unpaced: no deadline/"
                 "budget check and no backoff wait — a brown-out turns "
                 "this into a retry storm; bound it with "
-                "admission.retry_schedule (or RetryPolicy.allows with "
-                "now/deadline) and pace it with the policy's "
-                "timeout_for",
+                "RetryPolicy.allows (now/deadline) and pace it with "
+                "the policy's timeout_for",
             )

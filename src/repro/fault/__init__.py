@@ -21,10 +21,10 @@ the order a real failure unfolds:
   schedules the broadcast and on-demand layers also adopt;
 * :mod:`repro.fault.health` — per-station health reports folding the
   above into one table;
-* :mod:`repro.fault.crashsim` — a deterministic crash-injection
-  harness for the storage engine's journal: failpoint file wrappers
-  kill the write stream at exact byte offsets, and an exhaustive
-  kill-at-point matrix proves recovery's committed-prefix guarantee.
+* :mod:`repro.fault.crashsim` — the crash-matrix kit: failpoint file
+  wrappers kill a write stream at exact byte offsets, and one
+  kill-at-every-point driver runs the engine (E17), follower (E18) and
+  2PC (E20) scenarios that prove what recovery promises.
 
 With no schedule armed and no detector started, nothing here touches
 the healthy path: experiments E1–E13 are byte-identical with or
@@ -46,7 +46,7 @@ from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     AckedTxn,
     CrashCase,
-    CrashMatrixReport,
+    CrashReport,
     CrashWorkload,
     FailpointFile,
     SimulatedCrashError,
@@ -78,7 +78,7 @@ __all__ = [
     "AckedTxn",
     "CrashWorkload",
     "CrashCase",
-    "CrashMatrixReport",
+    "CrashReport",
     "crash_points",
     "run_crash_workload",
     "run_crash_matrix",

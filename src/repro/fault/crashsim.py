@@ -1,40 +1,35 @@
-"""Deterministic crash-injection harness for the WAL durability layer.
+"""The crash-matrix kit: failpoints, a ledgered workload, one sweep driver.
 
 Where the rest of :mod:`repro.fault` kills *stations* mid-broadcast,
-this module kills the *storage engine* mid-write and proves recovery
-honours the **committed-prefix guarantee**: after a crash at any byte
-of the journal's write stream,
+this module kills a *storage engine* mid-write.  The contract is two
+sentences: **100 % of what was acknowledged before the crash is
+recovered, and recovery is not impacted by the exact time of the
+failure** — so every matrix cuts a write stream at every frame boundary
+and every ``stride``-th byte and makes the same assertions at each.
 
-* every transaction acknowledged (appended and fsynced) before the
-  crash point is fully present after recovery,
-* no partial transaction is visible, and
-* every PK / unique / FK constraint and every secondary index is
-  consistent after the rebuild.
+* :class:`FailpointFile` kills a live write stream at an exact byte;
+* :class:`CrashWorkload` is the deterministic workload plus its ack
+  ledger, :func:`crash_ddl` its secondary indexes, :func:`audit` the
+  state-equality + :func:`verify_database` check on what recovers;
+* :func:`run_scenario` is the one sweep loop; a scenario names its
+  :class:`CutStream` s and judges one :class:`CrashCase`.  The
+  single-engine scenario (E17, the **committed-prefix guarantee**) is
+  :func:`run_crash_matrix`; the follower (E18) and 2PC (E20) scenarios
+  live beside the systems they crash, in
+  :mod:`repro.replication.chaos` and :mod:`repro.sharding.crash2pc`.
 
-Two complementary instruments:
-
-* :class:`FailpointFile` — wraps the journal's real file object and
-  kills the write stream at an exact byte offset (truncating it, or
-  garbling the byte first), so a live engine run crashes mid-append
-  exactly where the schedule says;
-* :func:`run_crash_matrix` — records one golden workload run, then
-  replays a kill-at-point sweep over every record boundary and every
-  ``stride``-byte offset within records, recovering and verifying the
-  committed prefix at each point, plus a garble sweep checking that
-  mid-file corruption is detected strictly and survivable in salvage
-  mode.
-
-Everything is seeded and offset-driven — a failing crash point is a
-one-line reproduction.
+Everything is seeded and offset-driven — a failing ``(stream, offset)``
+is a one-line reproduction.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from repro.rdb import (
     Action,
@@ -45,7 +40,7 @@ from repro.rdb import (
     JournalCorruptError,
     Schema,
 )
-from repro.rdb.wal import Journal
+from repro.rdb.wal import Journal, read_frames
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -54,20 +49,27 @@ __all__ = [
     "CRASH_SCHEMAS",
     "AckedTxn",
     "CrashWorkload",
+    "CutStream",
     "CrashCase",
-    "CrashMatrixReport",
+    "CrashReport",
+    "crash_ddl",
     "build_crash_db",
     "run_crash_workload",
     "recover_crash_db",
     "verify_database",
+    "audit",
     "database_state",
     "crash_points",
+    "frame_boundaries",
+    "run_scenario",
     "run_crash_matrix",
     "iter_live_crashes",
-    "report_as_json",
 ]
 
 T = ColumnType
+
+#: ``{table: {pk: row}}`` — what :func:`database_state` returns
+State = dict[str, dict[tuple, dict[str, Any]]]
 
 #: Parent table with a unique secondary key and extra indexed columns.
 DOCS = Schema(
@@ -100,6 +102,14 @@ REFS = Schema(
 )
 
 CRASH_SCHEMAS = (DOCS, REFS)
+
+
+def crash_ddl(db: Database) -> None:
+    """The workload's secondary indexes — issued at build time and
+    re-issued (backfilling from rows) by every recovery path."""
+    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
+    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
+    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
 
 
 class SimulatedCrashError(RuntimeError):
@@ -178,69 +188,35 @@ class FailpointFile:
 
 
 # ---------------------------------------------------------------------------
-# Golden workload
+# Workload and ack ledger
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class AckedTxn:
     """One acknowledged transaction: its LSN, durable byte extent in the
     journal, and the full expected database state right after it."""
 
-    txn_id: int
     lsn: int
     start_offset: int
     end_offset: int
-    state: dict[str, dict[tuple, dict[str, Any]]]
-
-
-@dataclass
-class CrashWorkload:
-    """The golden run a crash matrix replays against."""
-
-    journal_path: Path
-    data: bytes
-    acks: list[AckedTxn]
-
-    def boundaries(self) -> list[int]:
-        """Record boundaries: 0 plus every transaction's end offset."""
-        return [0] + [ack.end_offset for ack in self.acks]
-
-    def state_at(self, offset: int) -> dict[str, dict[tuple, dict[str, Any]]]:
-        """Expected state after crashing at byte ``offset``: the state of
-        the last transaction fully durable at or before it."""
-        state: dict[str, dict[tuple, dict[str, Any]]] = {
-            schema.name: {} for schema in CRASH_SCHEMAS
-        }
-        for ack in self.acks:
-            if ack.end_offset <= offset:
-                state = ack.state
-        return state
-
-    def damaged_ack(self, offset: int) -> AckedTxn | None:
-        """The transaction whose journal record covers byte ``offset``."""
-        for ack in self.acks:
-            if ack.start_offset <= offset < ack.end_offset:
-                return ack
-        return None
+    state: State
 
 
 def build_crash_db(name: str = "crashdb",
                    journal: Journal | None = None) -> Database:
-    """A database over :data:`CRASH_SCHEMAS` with the workload's
-    secondary indexes declared (same DDL a recovery run re-issues)."""
+    """A database over :data:`CRASH_SCHEMAS` with :func:`crash_ddl`
+    applied, journaling to ``journal`` when one is given."""
     db = Database(name)
     for schema in CRASH_SCHEMAS:
         db.create_table(schema)
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
+    crash_ddl(db)
     if journal is not None:
         db.attach_journal(journal)
     return db
 
 
-def database_state(db: Database) -> dict[str, dict[tuple, dict[str, Any]]]:
+def database_state(db: Database) -> State:
     """``{table: {pk: row}}`` deep-enough copy for state comparison."""
-    state: dict[str, dict[tuple, dict[str, Any]]] = {}
+    state: State = {}
     for name in db.table_names():
         table = db.table(name)
         state[name] = {
@@ -279,45 +255,94 @@ def apply_workload_txn(db: Database, k: int, rng: Any) -> None:
                 db.delete_pk("crash_docs", victim)
 
 
+class CrashWorkload:
+    """The deterministic workload on a fresh database journaling to
+    ``journal_path`` under ``sync=commit``, and the ledger of what it
+    acknowledged.
+
+    Acked ⇒ durable, so ``acks`` is the ground truth every matrix
+    judges a recovery against — by byte offset (:meth:`state_at`) on
+    the workload's own journal, by LSN (:meth:`state_at_lsn`) on a
+    follower's.
+    """
+
+    def __init__(
+        self, journal_path: str | Path, *, seed: int = 0,
+        name: str = "crashdb",
+        file_wrapper: Callable[[BinaryIO], Any] | None = None,
+    ) -> None:
+        self.journal = Journal(journal_path, sync="commit",
+                               file_wrapper=file_wrapper)
+        self.journal_path = self.journal.path
+        self.db = build_crash_db(name, journal=self.journal)
+        self.rng = make_rng(seed, "crashsim-workload")
+        self.acks: list[AckedTxn] = []
+        self._initial = database_state(self.db)
+
+    @property
+    def data(self) -> bytes:
+        """The journal's bytes as they are on disk right now."""
+        return self.journal_path.read_bytes()
+
+    def run(self, txns: int) -> None:
+        """Apply the next ``txns`` transactions, ledgering each ack.  A
+        crash propagates; ``acks`` then holds exactly what was
+        acknowledged before it."""
+        for _ in range(txns):
+            start = self.journal.tell()
+            apply_workload_txn(self.db, len(self.acks) + 1, self.rng)
+            self.acks.append(AckedTxn(
+                lsn=self.journal.last_lsn,
+                start_offset=start,
+                end_offset=self.journal.tell(),
+                state=database_state(self.db),
+            ))
+
+    def state_at(self, offset: int) -> State:
+        """Expected state after crashing at byte ``offset``: the state of
+        the last transaction fully durable at or before it."""
+        state = self._initial
+        for ack in self.acks:
+            if ack.end_offset <= offset:
+                state = ack.state
+        return state
+
+    def state_at_lsn(self, lsn: int) -> State | None:
+        """Acked state exactly at ``lsn`` (0 = before the first
+        transaction); None when no transaction was acked at that LSN."""
+        if lsn == 0:
+            return self._initial
+        return next((a.state for a in self.acks if a.lsn == lsn), None)
+
+    def damaged_ack(self, offset: int) -> AckedTxn | None:
+        """The transaction whose journal record covers byte ``offset``."""
+        for ack in self.acks:
+            if ack.start_offset <= offset < ack.end_offset:
+                return ack
+        return None
+
+
 def run_crash_workload(
     workdir: str | Path, *, txns: int = 40, seed: int = 0
 ) -> CrashWorkload:
-    """Run the golden workload with ``sync=commit`` (acked ⇒ durable),
-    recording every transaction's byte extent and expected state."""
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    path = workdir / "golden.wal"
-    journal = Journal(path, sync="commit")
-    db = build_crash_db(journal=journal)
-    rng = make_rng(seed, "crashsim-workload")
-    acks: list[AckedTxn] = []
-    for k in range(1, txns + 1):
-        start = journal.tell()
-        apply_workload_txn(db, k, rng)
-        acks.append(AckedTxn(
-            txn_id=k,
-            lsn=journal.last_lsn,
-            start_offset=start,
-            end_offset=journal.tell(),
-            state=database_state(db),
-        ))
-    journal.close()
-    return CrashWorkload(journal_path=path, data=path.read_bytes(),
-                         acks=acks)
+    """Run the golden workload into ``workdir/golden.wal``, close the
+    journal, return the ledger."""
+    workload = CrashWorkload(Path(workdir) / "golden.wal", seed=seed)
+    workload.run(txns)
+    workload.journal.close()
+    return workload
 
 
 def recover_crash_db(
     journal_path: str | Path, *, salvage: bool = False
 ) -> Database:
     """Recover a workload database from ``journal_path`` and re-issue
-    the workload's secondary-index DDL (backfilling from rows)."""
+    :func:`crash_ddl`."""
     db = Database.recover(
         "crashdb", CRASH_SCHEMAS, journal_path=str(journal_path),
         salvage=salvage,
     )
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
+    crash_ddl(db)
     return db
 
 
@@ -396,11 +421,19 @@ def verify_database(db: Database) -> list[str]:
     return problems
 
 
+def audit(db: Database, expected: State | None) -> list[str]:
+    """The check every matrix makes of a recovered database: its state
+    equals ``expected`` and :func:`verify_database` finds nothing."""
+    if database_state(db) != expected:
+        return ["recovered state diverges from the expected acked state"]
+    return verify_database(db)
+
+
 # ---------------------------------------------------------------------------
-# The crash matrix
+# The driver
 # ---------------------------------------------------------------------------
 def crash_points(
-    size: int, boundaries: list[int], *, stride: int = 64
+    size: int, boundaries: Iterable[int], *, stride: int = 64
 ) -> list[int]:
     """Every record boundary plus every ``stride``-byte offset up to and
     including ``size`` (the no-crash control point)."""
@@ -410,114 +443,176 @@ def crash_points(
     return sorted(points)
 
 
-@dataclass(frozen=True, slots=True)
-class CrashCase:
-    """One crash point's outcome."""
+def frame_boundaries(path: str | Path) -> list[int]:
+    """Byte offsets of a journal's frame ends (0 plus each cumulative
+    frame end)."""
+    bounds = [0]
+    for frame in read_frames(path):
+        bounds.append(bounds[-1] + len(frame.data))
+    return bounds
 
+
+class CutStream(NamedTuple):
+    """One write stream a scenario sweeps, sized by its golden run."""
+
+    name: str
+    size: int
+    boundaries: list[int]
+    stride: int
+    kind: str = "truncate"  # what the cut does there; or "garble"
+
+
+@dataclass(slots=True)
+class CrashCase:
+    """One ``(stream, offset)`` kill point.  The driver fills in where,
+    the scenario what happened there, the driver the verdict."""
+
+    stream: str
     offset: int
     kind: str  # "truncate" | "garble"
-    ok: bool
+    #: the case's own directory — a failing point's files stay there
+    dir: Path
+    ok: bool = True
+    #: whether the cut actually took effect (EOF offsets are controls)
+    crashed: bool = False
     detail: str = ""
+    #: scenario-specific observations (``recovered_lsn``, ``acked``,
+    #: ``matched``, torn-tail counts, ...)
+    facts: dict[str, Any] = field(default_factory=dict)
+
+    def failpoint(self, fh: BinaryIO) -> FailpointFile:
+        """``file_wrapper`` arming this case's cut on ``fh``."""
+        return FailpointFile(fh, self.offset, mode=self.kind)
+
+    def drive(self, workload: Callable[[], Any],
+              *also: type[BaseException]) -> None:
+        """Run ``workload`` into the cut; dying of the failpoint (or of
+        ``also``, its knock-on errors) marks the case crashed."""
+        try:
+            workload()
+        except (SimulatedCrashError, *also):
+            self.crashed = True
 
 
 @dataclass
-class CrashMatrixReport:
-    """Aggregated results of one kill-at-point sweep."""
+class CrashReport:
+    """Every case of one sweep."""
 
-    points_tested: int = 0
-    failures: list[CrashCase] = field(default_factory=list)
-    torn_tails: int = 0
-    corruption_detected: int = 0
-    records_recovered: int = 0
+    label: str
+    cases: list[CrashCase] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[CrashCase]:
+        """The cases whose invariant did not hold."""
+        return [c for c in self.cases if not c.ok]
 
     @property
     def ok(self) -> bool:
-        """True when every crash point recovered correctly."""
+        """True when every kill point recovered correctly."""
         return not self.failures
+
+    @property
+    def fired(self) -> int:
+        """How many cuts took effect (the rest are no-crash controls)."""
+        return sum(1 for c in self.cases if c.crashed)
+
+    def total(self, fact: str) -> int:
+        """Sum of a numeric fact over all cases (absent counts as 0)."""
+        return sum(c.facts.get(fact, 0) for c in self.cases)
 
     def summary(self) -> str:
         """One-line human summary."""
         status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        return (
-            f"crash matrix: {self.points_tested} points, "
-            f"{self.torn_tails} torn tails, "
-            f"{self.corruption_detected} corruptions detected, "
-            f"{self.records_recovered} records recovered — {status}"
-        )
+        return (f"{self.label}: {len(self.cases)} points "
+                f"({self.fired} fired), {status}")
+
+    def as_json(self) -> str:
+        """Serialize the verdict and every failing case for CI artifacts."""
+        return json.dumps({
+            "label": self.label, "points": len(self.cases),
+            "fired": self.fired, "ok": self.ok,
+            "failures": [asdict(c) for c in self.failures],
+        }, indent=2, default=str)
 
 
-def _check_truncation_point(
-    workload: CrashWorkload, case_path: Path, offset: int,
-    report: CrashMatrixReport,
-) -> None:
-    """Crash-by-truncation at ``offset``: strict recovery must succeed
-    and reproduce exactly the committed prefix."""
-    case_path.write_bytes(workload.data[:offset])
+def run_scenario(
+    workdir: str | Path,
+    label: str,
+    streams: Iterable[CutStream],
+    run_case: Callable[[CrashCase, ExitStack], Iterable[str]],
+) -> CrashReport:
+    """Sweep ``streams`` over their :func:`crash_points` lattice.
+
+    ``run_case(case, closing)`` is the scenario: build a fresh system
+    under ``case.dir`` with ``case.failpoint`` armed, ``case.drive`` the
+    workload into the cut, recover cold, and return (or yield) every
+    problem with what came back — none means the case passes.  Whatever
+    it opens it registers on ``closing``, which the driver unwinds after
+    the verdict, pass or fail.  Recovery raising is itself a failure.
+    """
+    report = CrashReport(label)
+    for stream in streams:
+        for offset in crash_points(stream.size, stream.boundaries,
+                                   stride=stream.stride):
+            case = CrashCase(
+                stream.name, offset, stream.kind,
+                Path(workdir) / f"case-{len(report.cases) + 1:04d}",
+            )
+            case.dir.mkdir(parents=True, exist_ok=True)
+            with ExitStack() as closing:
+                try:
+                    problems = list(run_case(case, closing))
+                except Exception as exc:  # at no point may recovery fail
+                    problems = [f"case raised {exc!r}"]
+            case.ok, case.detail = not problems, "; ".join(problems)
+            report.cases.append(case)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The single-engine scenario (E17)
+# ---------------------------------------------------------------------------
+def _engine_case(
+    golden: CrashWorkload, data: bytes, case: CrashCase
+) -> Iterator[str]:
+    """Cut the golden journal's bytes at ``case.offset`` and recover."""
+    path = case.dir / "case.wal"
+    if case.kind == "truncate":
+        # Strict recovery must succeed and reproduce exactly the last
+        # transaction acked at or before the cut.
+        path.write_bytes(data[:case.offset])
+        case.crashed = case.offset < len(data)
+        db = recover_crash_db(path)
+        yield from audit(db, golden.state_at(case.offset))
+        assert db.recovery_stats is not None
+        case.facts["torn_tails"] = db.recovery_stats.torn_tails
+        case.facts["records_recovered"] = \
+            db.recovery_stats.records_recovered
+        return
+    # Flip one bit: strict recovery must detect mid-file corruption
+    # (damage inside the final record is a torn tail, which it may
+    # tolerate); salvage recovery must keep everything but the damaged
+    # record and stay consistent.
+    garbled = bytearray(data)
+    garbled[case.offset] ^= 0x40
+    path.write_bytes(garbled)
+    case.crashed = True
+    damaged = golden.damaged_ack(case.offset)
     try:
-        db = recover_crash_db(case_path, salvage=False)
-    except JournalCorruptError as exc:
-        report.failures.append(CrashCase(
-            offset, "truncate", False,
-            f"strict recovery raised on pure truncation: {exc}",
-        ))
-        return
-    expected = workload.state_at(offset)
-    got = database_state(db)
-    if got != expected:
-        report.failures.append(CrashCase(
-            offset, "truncate", False,
-            "committed-prefix violation: recovered state diverges from "
-            "the last acked transaction at or before the crash point",
-        ))
-        return
-    problems = verify_database(db)
-    if problems:
-        report.failures.append(CrashCase(
-            offset, "truncate", False, "; ".join(problems)
-        ))
-        return
-    assert db.recovery_stats is not None
-    report.torn_tails += db.recovery_stats.torn_tails
-    report.records_recovered += db.recovery_stats.records_recovered
-
-
-def _check_garble_point(
-    workload: CrashWorkload, case_path: Path, offset: int,
-    report: CrashMatrixReport,
-) -> None:
-    """Flip one bit at ``offset``: strict recovery must detect mid-file
-    corruption; salvage recovery must keep everything but the damaged
-    record and stay consistent."""
-    damaged = workload.damaged_ack(offset)
-    data = bytearray(workload.data)
-    data[offset] ^= 0x40
-    case_path.write_bytes(bytes(data))
-    is_final = damaged is workload.acks[-1] if damaged else True
-    try:
-        recover_crash_db(case_path, salvage=False)
-        if not is_final:
-            report.failures.append(CrashCase(
-                offset, "garble", False,
-                "strict recovery accepted mid-file corruption silently",
-            ))
+        recover_crash_db(path)
+        if damaged is not None and damaged is not golden.acks[-1]:
+            yield "strict recovery accepted mid-file corruption silently"
             return
     except JournalCorruptError:
-        report.corruption_detected += 1
-    db = recover_crash_db(case_path, salvage=True)
+        case.facts["corruption_detected"] = 1
+    db = recover_crash_db(path, salvage=True)
     assert db.recovery_stats is not None
-    expected_recovered = len(workload.acks) - (1 if damaged else 0)
-    if db.recovery_stats.records_recovered != expected_recovered:
-        report.failures.append(CrashCase(
-            offset, "garble", False,
-            f"salvage recovered {db.recovery_stats.records_recovered} "
-            f"records, expected {expected_recovered}",
-        ))
+    expected = len(golden.acks) - (1 if damaged else 0)
+    if db.recovery_stats.records_recovered != expected:
+        yield (f"salvage recovered {db.recovery_stats.records_recovered} "
+               f"records, expected {expected}")
         return
-    problems = verify_database(db)
-    if problems:
-        report.failures.append(CrashCase(
-            offset, "garble", False, "; ".join(problems)
-        ))
+    yield from verify_database(db)
 
 
 def run_crash_matrix(
@@ -527,7 +622,7 @@ def run_crash_matrix(
     stride: int = 64,
     garble: bool = True,
     seed: int = 0,
-) -> CrashMatrixReport:
+) -> CrashReport:
     """Record a golden workload run, then kill-at-point sweep it.
 
     Truncation sweep: for every record boundary and every ``stride``-th
@@ -535,25 +630,22 @@ def run_crash_matrix(
     recover strictly, and assert the committed-prefix guarantee plus
     full constraint/index consistency.  Garble sweep (optional): flip a
     bit at each offset and assert strict detection + salvage survival.
+    Facts: ``torn_tails`` and ``records_recovered`` per truncate case,
+    ``corruption_detected`` per garble case.
     """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    workload = run_crash_workload(workdir / "golden", txns=txns, seed=seed)
-    report = CrashMatrixReport()
-    case_path = workdir / "case.wal"
-    boundaries = workload.boundaries()
-    for offset in crash_points(len(workload.data), boundaries,
-                               stride=stride):
-        _check_truncation_point(workload, case_path, offset, report)
-        report.points_tested += 1
+    golden = run_crash_workload(Path(workdir) / "golden", txns=txns,
+                                seed=seed)
+    data = golden.data
+    bounds = frame_boundaries(golden.journal_path)
+    streams = [CutStream("journal", len(data), bounds, stride)]
     if garble:
-        for offset in crash_points(len(workload.data) - 1, boundaries,
-                                   stride=stride):
-            if offset >= len(workload.data):
-                continue
-            _check_garble_point(workload, case_path, offset, report)
-            report.points_tested += 1
-    return report
+        streams.append(
+            CutStream("journal", len(data) - 1, bounds, stride, "garble")
+        )
+    return run_scenario(
+        workdir, "crash matrix", streams,
+        lambda case, _closing: _engine_case(golden, data, case),
+    )
 
 
 def iter_live_crashes(
@@ -572,56 +664,16 @@ def iter_live_crashes(
     caller to assert on.  Exercises the real append/fsync path rather
     than post-hoc byte surgery.
     """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     for offset in offsets:
-        path = workdir / f"live-{offset}.wal"
-        journal = Journal(
-            path, sync="commit",
+        workload = CrashWorkload(
+            Path(workdir) / f"live-{offset}.wal", seed=seed,
             file_wrapper=lambda fh, _o=offset: FailpointFile(
                 fh, _o, mode=mode
             ),
         )
-        db = build_crash_db(journal=journal)
-        rng = make_rng(seed, "crashsim-workload")
-        acked: list[AckedTxn] = []
         try:
-            for k in range(1, txns + 1):
-                start = journal.tell()
-                apply_workload_txn(db, k, rng)
-                acked.append(AckedTxn(
-                    txn_id=k, lsn=journal.last_lsn,
-                    start_offset=start, end_offset=journal.tell(),
-                    state=database_state(db),
-                ))
+            workload.run(txns)
         except SimulatedCrashError:
             pass
-        try:
-            journal.close()
-        except SimulatedCrashError:
-            pass
-        recovered = recover_crash_db(path, salvage=False)
-        yield offset, acked, recovered
-
-
-def _json_default(value: Any) -> Any:  # pragma: no cover - debug helper
-    return repr(value)
-
-
-def report_as_json(report: CrashMatrixReport) -> str:
-    """Serialize a matrix report for CI artifacts."""
-    return json.dumps(
-        {
-            "points_tested": report.points_tested,
-            "ok": report.ok,
-            "torn_tails": report.torn_tails,
-            "corruption_detected": report.corruption_detected,
-            "records_recovered": report.records_recovered,
-            "failures": [
-                {"offset": c.offset, "kind": c.kind, "detail": c.detail}
-                for c in report.failures
-            ],
-        },
-        indent=2,
-        default=_json_default,
-    )
+        workload.journal.close()  # flushes and syncs; writes nothing
+        yield offset, workload.acks, recover_crash_db(workload.journal_path)

@@ -19,10 +19,10 @@ middle tier into a replicated one:
   epoch (snapshot + fenced epoch number), retargets the surviving
   followers, and rejoins the deposed primary as a follower through the
   :mod:`repro.fault` rejoin path;
-* :mod:`~repro.replication.chaos` — the E17 crash harness extended to
-  followers: kill a follower at arbitrary byte offsets during snapshot
-  download or frame replay and prove it recovers to a consistent
-  prefix and resumes.
+* :mod:`~repro.replication.chaos` — the follower scenario of the
+  :mod:`repro.fault.crashsim` kit: kill a follower at arbitrary byte
+  offsets during snapshot download or frame replay and prove it
+  recovers to a consistent prefix and resumes.
 
 Read routing lives one layer up, in
 :class:`repro.tiers.replicaset.ReplicaSet`, which sends library search
@@ -47,11 +47,7 @@ See DESIGN.md §11 for the architecture and the failover protocol.
 from repro.replication.shipper import FollowerProgress, WalShipper
 from repro.replication.recoverer import Recoverer, RecoveryStage
 from repro.replication.failover import FailoverCoordinator, FailoverReport
-from repro.replication.chaos import (
-    FollowerCrashCase,
-    FollowerCrashReport,
-    run_follower_crash_matrix,
-)
+from repro.replication.chaos import run_follower_crash_matrix
 
 __all__ = [
     "WalShipper",
@@ -60,7 +56,5 @@ __all__ = [
     "RecoveryStage",
     "FailoverCoordinator",
     "FailoverReport",
-    "FollowerCrashCase",
-    "FollowerCrashReport",
     "run_follower_crash_matrix",
 ]

@@ -1,10 +1,9 @@
-"""E17's crash harness, extended to replication followers (E18).
+"""The follower scenario of the crash-matrix kit (E18).
 
-The primary-side matrix (:mod:`repro.fault.crashsim`) proves the
-committed-prefix guarantee for a single engine.  This module proves
-the *replicated* version: a follower killed at an arbitrary byte
-offset of its write stream — while replaying shipped frames, or while
-downloading a snapshot — always
+:mod:`repro.fault.crashsim` proves the committed-prefix guarantee for
+a single engine; this scenario proves the *replicated* version.  A
+follower killed at an arbitrary byte offset of its write stream — while
+replaying shipped frames, or while downloading a snapshot — always
 
 * recovers to a **consistent prefix**: its rebuilt table state equals
   the primary's acked state at the follower's recovered applied LSN,
@@ -12,154 +11,94 @@ downloading a snapshot — always
 * **resumes**: a restarted follower re-subscribes from that LSN and
   catches all the way up to the primary.
 
-The kill mechanism is the same :class:`~repro.fault.crashsim
-.FailpointFile` E17 arms on the primary's journal — here wrapped
-around the follower's journal (``file_wrapper``) or its snapshot
-download (``snapshot_wrapper``), so the failpoint fires inside a live
-network handler and the crash propagates out of the simulator drain
-exactly where a real process would die.
+The :class:`~repro.fault.crashsim.FailpointFile` is wrapped around the
+follower's journal (``file_wrapper``) or its snapshot download
+(``snapshot_wrapper``), so it fires inside a live network handler and
+the crash propagates out of the simulator drain exactly where a real
+process would die.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
-    FailpointFile,
-    SimulatedCrashError,
-    apply_workload_txn,
-    build_crash_db,
+    CrashCase,
+    CrashReport,
+    CrashWorkload,
+    CutStream,
+    audit,
+    crash_ddl,
     database_state,
-    verify_database,
+    frame_boundaries,
+    run_crash_workload,
+    run_scenario,
 )
 from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.net.transport import Network
-from repro.rdb import Database
-from repro.rdb.wal import Journal
 from repro.replication.recoverer import Recoverer
 from repro.replication.shipper import WalShipper
-from repro.util.rng import make_rng
 
-__all__ = [
-    "FollowerCrashCase",
-    "FollowerCrashReport",
-    "run_follower_crash_matrix",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class FollowerCrashCase:
-    """One follower kill-point's outcome."""
-
-    offset: int
-    phase: str  # "replay" | "snapshot"
-    ok: bool
-    #: applied LSN the restarted follower recovered to (before resuming)
-    recovered_lsn: int = 0
-    #: whether the failpoint actually fired (EOF offsets are controls)
-    crashed: bool = False
-    detail: str = ""
-
-
-@dataclass
-class FollowerCrashReport:
-    """Aggregated results of one follower crash sweep."""
-
-    cases: list[FollowerCrashCase] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[FollowerCrashCase]:
-        return [c for c in self.cases if not c.ok]
-
-    @property
-    def ok(self) -> bool:
-        """True when every kill point recovered and resumed correctly."""
-        return not self.failures
-
-    def summary(self) -> str:
-        """One-line human summary."""
-        crashes = sum(1 for c in self.cases if c.crashed)
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        return (
-            f"follower crash matrix: {len(self.cases)} points "
-            f"({crashes} fired), {status}"
-        )
-
-
-def _follower_ddl(db: Database) -> None:
-    """Same secondary-index DDL E17's recovery path re-issues."""
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
+__all__ = ["run_follower_crash_matrix"]
 
 
 class _Cluster:
-    """A fresh primary + one follower, rebuilt per kill point."""
+    """A fresh primary that has run the workload, plus a follower seat."""
 
     def __init__(
         self, workdir: Path, *, txns: int, seed: int,
         checkpoint_after: int | None = None,
     ) -> None:
         self.workdir = workdir
-        workdir.mkdir(parents=True, exist_ok=True)
         self.network = Network(Simulator(), default_latency_s=0.002)
         self.network.add(Station("primary"))
         self.network.add(Station("follower"))
-        self.journal = Journal(workdir / "primary.wal", sync="commit")
-        self.db = build_crash_db("primary", journal=self.journal)
-        self.snapshot_path = workdir / "primary.snapshot"
-        rng = make_rng(seed, "crashsim-workload")
         #: acked state per LSN (LSNs are 1..txns, one per transaction)
-        self.acked: dict[int, dict[str, Any]] = {0: database_state(self.db)}
-        for k in range(1, txns + 1):
-            apply_workload_txn(self.db, k, rng)
-            self.acked[self.journal.last_lsn] = database_state(self.db)
-            if checkpoint_after is not None and k == checkpoint_after:
-                # Opens a snapshot + truncated journal, so a from-zero
-                # subscriber must take the snapshot-download path.
-                self.db.snapshot(str(self.snapshot_path))
+        self.ledger = CrashWorkload(workdir / "primary.wal", seed=seed,
+                                    name="primary")
+        self.db, self.journal = self.ledger.db, self.ledger.journal
+        self.snapshot_path = workdir / "primary.snapshot"
+        if checkpoint_after is not None:
+            # Opens a snapshot + truncated journal, so a from-zero
+            # subscriber must take the snapshot-download path.
+            self.ledger.run(checkpoint_after)
+            self.db.snapshot(str(self.snapshot_path))
+            txns -= checkpoint_after
+        self.ledger.run(txns)
         self.shipper = WalShipper(
             self.network, "primary", self.journal,
             snapshot_path=self.snapshot_path,
         )
 
-    def state_at(self, lsn: int) -> dict[str, Any]:
-        """Primary acked state exactly at ``lsn`` (must be an ack point)."""
-        return self.acked[lsn]
-
     def follower(self, **wrappers: Any) -> Recoverer:
         return Recoverer(
             self.network, "follower", "primary", CRASH_SCHEMAS,
             self.workdir / "follower", sync_policy="commit",
-            ddl_fn=_follower_ddl, **wrappers,
+            ddl_fn=crash_ddl, **wrappers,
         )
 
 
-def _run_point(
-    cluster: _Cluster, offset: int, phase: str
-) -> FollowerCrashCase:
-    """Kill the follower at ``offset`` during ``phase``, restart, verify."""
-    if phase == "replay":
-        wrappers = {
-            "file_wrapper":
-                lambda fh, _o=offset: FailpointFile(fh, _o),
-        }
-    else:
-        wrappers = {
-            "snapshot_wrapper":
-                lambda fh, _o=offset: FailpointFile(fh, _o),
-        }
-    doomed = cluster.follower(**wrappers)
+def _follower_case(
+    case: CrashCase, closing: ExitStack, *,
+    txns: int, seed: int, checkpoint_after: int,
+) -> Iterator[str]:
+    """Kill the follower at ``case.offset``, restart it, verify."""
+    snapshot = case.stream == "snapshot"
+    cluster = _Cluster(
+        case.dir, txns=txns, seed=seed,
+        checkpoint_after=checkpoint_after if snapshot else None,
+    )
+    closing.callback(cluster.journal.close)
+    doomed = cluster.follower(**{
+        "snapshot_wrapper" if snapshot else "file_wrapper": case.failpoint,
+    })
     doomed.start()
-    crashed = False
-    try:
-        cluster.network.quiesce()
-    except SimulatedCrashError:
-        crashed = True
+    closing.callback(doomed.stop)
+    case.drive(cluster.network.quiesce)
     # The dead process stops receiving; drain whatever is still in
     # flight (dropped on the floor, as for any down station).
     cluster.network.set_down("follower", True)
@@ -169,29 +108,22 @@ def _run_point(
     survivor = cluster.follower()
     cluster.network.set_down("follower", False)
     survivor.start()
+    closing.callback(survivor.stop)
 
     # Consistent prefix BEFORE any resumed traffic is applied: the
     # recovered LSN must be an acked transaction (or the snapshot
     # watermark) and the table state must match the primary's state at
     # exactly that LSN.
-    lsn = survivor.applied_lsn
+    lsn = case.facts["recovered_lsn"] = survivor.applied_lsn
     assert survivor.db is not None
-    if lsn not in cluster.acked:
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            f"recovered to LSN {lsn}, which the primary never acked",
-        )
-    if database_state(survivor.db) != cluster.state_at(lsn):
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            "recovered state diverges from the primary's acked state "
-            f"at LSN {lsn}",
-        )
-    problems = verify_database(survivor.db)
+    expected = cluster.ledger.state_at_lsn(lsn)
+    if expected is None:
+        yield f"recovered to LSN {lsn}, which the primary never acked"
+        return
+    problems = audit(survivor.db, expected)
     if problems:
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed, "; ".join(problems)
-        )
+        yield f"at recovered LSN {lsn}: " + "; ".join(problems)
+        return
 
     # Resume: the re-subscription must carry the follower all the way
     # to the primary's horizon.
@@ -199,18 +131,10 @@ def _run_point(
     cluster.shipper.pump()
     cluster.network.quiesce()
     if survivor.applied_lsn != cluster.journal.last_lsn:
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            f"resumed to LSN {survivor.applied_lsn}, primary is at "
-            f"{cluster.journal.last_lsn}",
-        )
-    if database_state(survivor.db) != database_state(cluster.db):
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            "caught-up state diverges from the primary",
-        )
-    survivor.stop()
-    return FollowerCrashCase(offset, phase, True, lsn, crashed)
+        yield (f"resumed to LSN {survivor.applied_lsn}, primary is at "
+               f"{cluster.journal.last_lsn}")
+    elif audit(survivor.db, database_state(cluster.db)):
+        yield "caught-up state diverges from the primary"
 
 
 def run_follower_crash_matrix(
@@ -221,50 +145,40 @@ def run_follower_crash_matrix(
     snapshot_stride: int = 1024,
     checkpoint_after: int | None = None,
     seed: int = 0,
-) -> FollowerCrashReport:
+) -> CrashReport:
     """Kill-at-point sweep over a live follower's two write streams.
 
-    **Replay sweep** — the follower tails the primary from LSN 0; its
-    journal write stream is killed at every ``stride``-th byte (plus
-    the no-crash control at EOF).  **Snapshot sweep** — the primary is
-    checkpointed after ``checkpoint_after`` transactions (defaults to
-    ``txns // 2``) so a from-zero subscriber must download a snapshot;
-    the download stream is killed at every ``snapshot_stride``-th byte.
+    **Replay** — the follower tails the primary from LSN 0; its journal
+    write stream is killed at every frame boundary and every
+    ``stride``-th byte (plus the no-crash control at EOF).
+    **Snapshot** — the primary is checkpointed after
+    ``checkpoint_after`` transactions (defaults to ``txns // 2``) so a
+    from-zero subscriber must download a snapshot; the download stream
+    is killed at every ``snapshot_stride``-th byte.
 
     Every point asserts consistent-prefix recovery *and* full resume;
-    see :class:`FollowerCrashCase` for the per-point verdicts.
+    ``case.facts["recovered_lsn"]`` is the applied LSN the restarted
+    follower recovered to before resuming.
     """
     workdir = Path(workdir)
-    report = FollowerCrashReport()
     if checkpoint_after is None:
         checkpoint_after = txns // 2
-
-    # Sizing probe: the follower's journal mirrors the primary's frame
-    # bytes, so the primary journal's size bounds the replay sweep.
-    probe = _Cluster(workdir / "probe", txns=txns, seed=seed)
-    replay_size = probe.journal.tell()
-    probe.journal.close()
-
-    for offset in [*range(1, replay_size, max(1, stride)), replay_size]:
-        cluster = _Cluster(
-            workdir / f"replay-{offset}", txns=txns, seed=seed
-        )
-        report.cases.append(_run_point(cluster, offset, "replay"))
-        cluster.journal.close()
-
-    snap_probe = _Cluster(
-        workdir / "snap-probe", txns=txns, seed=seed,
-        checkpoint_after=checkpoint_after,
-    )
-    snapshot_size = snap_probe.snapshot_path.stat().st_size
+    # Sizing probes: the follower's journal mirrors the primary's frame
+    # bytes, so the golden workload's journal gives the replay stream's
+    # frame boundaries; the snapshot is downloaded byte for byte.
+    bounds = frame_boundaries(run_crash_workload(
+        workdir / "probe", txns=txns, seed=seed
+    ).journal_path)
+    snap_probe = _Cluster(workdir / "snap-probe", txns=txns, seed=seed,
+                          checkpoint_after=checkpoint_after)
     snap_probe.journal.close()
-
-    for offset in [*range(1, snapshot_size, max(1, snapshot_stride)),
-                   snapshot_size]:
-        cluster = _Cluster(
-            workdir / f"snap-{offset}", txns=txns, seed=seed,
+    snapshot_size = snap_probe.snapshot_path.stat().st_size
+    return run_scenario(
+        workdir, "follower crash matrix",
+        [CutStream("replay", bounds[-1], bounds, stride),
+         CutStream("snapshot", snapshot_size, [], snapshot_stride)],
+        lambda case, closing: _follower_case(
+            case, closing, txns=txns, seed=seed,
             checkpoint_after=checkpoint_after,
-        )
-        report.cases.append(_run_point(cluster, offset, "snapshot"))
-        cluster.journal.close()
-    return report
+        ),
+    )

@@ -19,9 +19,9 @@ Layers:
 * :mod:`~repro.sharding.coordinator` — the presumed-abort coordinator;
 * :mod:`~repro.sharding.cluster` — assembly glue (N participants +
   coordinator, in-process or over :mod:`repro.net` RPC);
-* :mod:`~repro.sharding.crash2pc` — the E20 crash matrix: a
-  :class:`~repro.fault.crashsim.FailpointFile` sweep over every frame
-  boundary of every node's journal, asserting atomicity at each point.
+* :mod:`~repro.sharding.crash2pc` — the 2PC scenario of the
+  :mod:`repro.fault.crashsim` kit (E20): a failpoint sweep over every
+  frame boundary of every node's journal, asserting atomicity at each.
 
 The query side (scatter-gather scans, top-k, aggregates, co-located
 joins, EXPLAIN fan-out) lives in :mod:`repro.tiers.shards`, which is
@@ -33,11 +33,7 @@ from repro.sharding.coordinator import (
     TwoPhaseCoordinator,
     TwoPhaseAborted,
 )
-from repro.sharding.crash2pc import (
-    TwoPCCrashCase,
-    TwoPCCrashReport,
-    run_2pc_crash_matrix,
-)
+from repro.sharding.crash2pc import run_2pc_crash_matrix
 from repro.sharding.participant import (
     ShardParticipant,
     TwoPhaseError,
@@ -54,7 +50,5 @@ __all__ = [
     "TwoPhaseCoordinator",
     "TwoPhaseAborted",
     "ShardCluster",
-    "TwoPCCrashCase",
-    "TwoPCCrashReport",
     "run_2pc_crash_matrix",
 ]

@@ -1,27 +1,25 @@
-"""The 2PC crash matrix: kill any node at any byte, recover, audit.
+"""The 2PC scenario of the crash-matrix kit (E20): kill any node at
+any byte, recover, audit.
 
-E17 proved the committed-prefix guarantee for one engine and E18 for a
-WAL-shipped follower.  This module proves **distributed atomicity**: a
-cluster of journal-backed shards running a deterministic mix of
-single-shard and cross-shard transactions, with a
-:class:`~repro.fault.crashsim.FailpointFile` armed on exactly one
-node's journal — the coordinator's or any participant's — at every
-frame boundary and every ``stride``-byte offset of that journal's
-golden write stream.  After the failpoint fires, full-cluster recovery
-(restart every node, redeliver outstanding decisions, resolve in-doubt
-transactions by presumed abort) must land the cluster on an
-**all-or-nothing** state:
+:mod:`repro.fault.crashsim` proves the committed-prefix guarantee for
+one engine and :mod:`repro.replication.chaos` for a WAL-shipped
+follower.  This scenario proves **distributed atomicity**: a cluster
+of journal-backed shards runs a deterministic mix of single-shard and
+cross-shard transactions with a failpoint armed on exactly one node's
+journal — the coordinator's or any participant's.  After it fires,
+full-cluster recovery (restart every node, redeliver outstanding
+decisions, resolve in-doubt transactions by presumed abort) must land
+the cluster on an **all-or-nothing** state:
 
 * every acknowledged transaction is durable on *all* of its shards
   (no lost acked write), and
 * the in-flight transaction is either applied everywhere or nowhere
   (no split commit),
 
-which together mean the recovered cluster state equals the golden
-state after the last acked transaction, or that state plus the whole
-in-flight transaction — nothing else.  Every shard must also pass the
-full :func:`~repro.fault.crashsim.verify_database` audit (constraints,
-secondary indexes) after recovery.
+i.e. the recovered cluster state equals the golden state after the
+last acked transaction, or that state plus the whole in-flight
+transaction — nothing else — and every shard passes
+:func:`~repro.fault.crashsim.verify_database`.
 
 The workload is conflict-free by construction (fresh doc ids come from
 per-shard pools probed out of the shard map), so in the golden run
@@ -33,27 +31,27 @@ keys stay meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
-    FailpointFile,
-    SimulatedCrashError,
-    crash_points,
+    CrashCase,
+    CrashReport,
+    CutStream,
     database_state,
+    frame_boundaries,
+    run_scenario,
     verify_database,
 )
 from repro.rdb.errors import RdbError
-from repro.rdb.wal import read_frames
 from repro.sharding.cluster import COORD, ShardCluster
 from repro.sharding.shardmap import ShardMap, TableSharding
 from repro.util.rng import make_rng
 
 __all__ = [
-    "TwoPCCrashCase",
-    "TwoPCCrashReport",
     "build_2pc_workload",
     "run_2pc_golden",
     "run_2pc_crash_matrix",
@@ -64,13 +62,17 @@ __all__ = [
 ClusterState = dict[int, dict[str, dict[tuple, dict[str, Any]]]]
 
 
-def _sharded(shard_map: ShardMap, cluster: ShardCluster):
-    """Build the routing tier over a live cluster.  Imported lazily:
-    ``tiers.shards`` itself imports ``repro.sharding``, so a module-
-    level import here would close an import cycle."""
+def _open(workdir: Path, shard_map: ShardMap, file_wrappers=None):
+    """A journal-backed cluster under ``workdir`` plus its routing tier.
+    ``tiers.shards`` is imported lazily: it imports ``repro.sharding``
+    itself, so a module-level import here would close a cycle."""
     from repro.tiers.shards import ShardedDatabase
 
-    return ShardedDatabase(
+    cluster = ShardCluster(
+        workdir, CRASH_SCHEMAS, shard_map.num_shards,
+        sync="commit", use_net=False, file_wrappers=file_wrappers,
+    )
+    return cluster, ShardedDatabase(
         shard_map, cluster.handles, lambda: cluster.coordinator,
         schemas=CRASH_SCHEMAS,
     )
@@ -175,10 +177,11 @@ class TwoPCGolden:
     #: ``states[k]`` is the cluster state after transaction ``k``
     #: (``states[0]`` is the empty initial state)
     states: list[ClusterState]
-    #: per node (shard id or :data:`COORD`): journal frame boundaries
-    boundaries: dict[Any, list[int]]
-    #: per node: final journal byte size
-    sizes: dict[Any, int]
+    #: per journal stream (``"coord"``, ``"shard-N"``): the node key
+    #: (:data:`COORD` or shard id) failpoints are armed by
+    nodes: dict[str, Any]
+    #: per journal stream: golden frame boundaries (the last is its size)
+    boundaries: dict[str, list[int]]
 
 
 def cluster_state(cluster: ShardCluster) -> ClusterState:
@@ -187,16 +190,6 @@ def cluster_state(cluster: ShardCluster) -> ClusterState:
         shard_id: database_state(participant.db)
         for shard_id, participant in cluster.participants.items()
     }
-
-
-def _frame_boundaries(path: Path) -> list[int]:
-    """Byte offsets of frame ends (0 plus each cumulative frame end)."""
-    bounds = [0]
-    position = 0
-    for frame in read_frames(path):
-        position += len(frame.data)
-        bounds.append(position)
-    return bounds
 
 
 def run_2pc_golden(
@@ -208,12 +201,7 @@ def run_2pc_golden(
 ) -> TwoPCGolden:
     """Run the workload crash-free, capturing per-transaction cluster
     states and every node's journal geometry."""
-    workdir = Path(workdir)
-    cluster = ShardCluster(
-        workdir, CRASH_SCHEMAS, shard_map.num_shards,
-        sync="commit", use_net=False,
-    )
-    sharded = _sharded(shard_map, cluster)
+    cluster, sharded = _open(Path(workdir), shard_map)
     workload = build_2pc_workload(shard_map, txns=txns, seed=seed)
     states: list[ClusterState] = [cluster_state(cluster)]
     for stmts in workload:
@@ -221,140 +209,68 @@ def run_2pc_golden(
         states.append(cluster_state(cluster))
     cluster.close()
 
-    boundaries: dict[Any, list[int]] = {}
-    sizes: dict[Any, int] = {}
-    nodes: list[Any] = [COORD, *range(shard_map.num_shards)]
-    for node in nodes:
-        path = cluster.coord_journal_path() if node == COORD \
-            else cluster.shard_journal_path(node)
-        boundaries[node] = _frame_boundaries(path)
-        sizes[node] = path.stat().st_size if path.exists() else 0
+    journals = dict(zip(
+        [COORD, *range(shard_map.num_shards)], cluster.journal_paths()
+    ))
     return TwoPCGolden(
         shard_map=shard_map, workload=workload, states=states,
-        boundaries=boundaries, sizes=sizes,
+        nodes={path.stem: node for node, path in journals.items()},
+        boundaries={
+            path.stem: frame_boundaries(path) for path in journals.values()
+        },
     )
 
 
 # ---------------------------------------------------------------------------
-# The matrix
+# The scenario
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class TwoPCCrashCase:
-    """One (node, byte offset) kill point's outcome."""
-
-    target: Any  # shard id, or COORD
-    offset: int
-    ok: bool
-    #: whether the failpoint actually fired (EOF offsets are controls)
-    crashed: bool = False
-    #: number of transactions acknowledged before the run stopped
-    acked: int = 0
-    #: which golden state the recovered cluster matched ("last-acked",
-    #: "in-flight", "complete", or "" on failure)
-    matched: str = ""
-    detail: str = ""
-
-
-@dataclass
-class TwoPCCrashReport:
-    """Aggregated results of one 2PC kill-at-point sweep."""
-
-    cases: list[TwoPCCrashCase] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[TwoPCCrashCase]:
-        return [c for c in self.cases if not c.ok]
-
-    @property
-    def ok(self) -> bool:
-        """True when every kill point recovered all-or-nothing."""
-        return not self.failures
-
-    def summary(self) -> str:
-        """One-line human summary."""
-        fired = sum(1 for c in self.cases if c.crashed)
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        return (
-            f"2pc crash matrix: {len(self.cases)} points "
-            f"({fired} fired), {status}"
-        )
-
-
-def _run_crash_case(
-    casedir: Path,
-    golden: TwoPCGolden,
-    *,
-    target: Any,
-    offset: int,
-) -> TwoPCCrashCase:
-    """Replay the workload with one node armed to die at ``offset``,
+def _twopc_case(
+    golden: TwoPCGolden, case: CrashCase, closing: ExitStack
+) -> Iterator[str]:
+    """Replay the workload with one node armed to die at ``case.offset``,
     then recover the whole cluster and audit atomicity."""
-    wrapper = lambda fh: FailpointFile(fh, offset)  # noqa: E731
-    cluster = ShardCluster(
-        casedir, CRASH_SCHEMAS, golden.shard_map.num_shards,
-        sync="commit", use_net=False, file_wrappers={target: wrapper},
+    cluster, sharded = _open(
+        case.dir, golden.shard_map,
+        {golden.nodes[case.stream]: case.failpoint},
     )
-    sharded = _sharded(golden.shard_map, cluster)
-    acked = 0
-    crashed = False
-    try:
+    closing.callback(cluster.close)
+    case.facts.update(acked=0, matched="")
+
+    def workload() -> None:
         for stmts in golden.workload:
             sharded.transact(stmts)
-            acked += 1
-    except (SimulatedCrashError, RdbError):
-        # First failure of any kind ends the run: either the armed
-        # journal died mid-append, or a transaction was refused/aborted
-        # because an earlier crash left its shard dead or blocked.
-        # Either way every transaction before this one was acked.
-        crashed = True
+            case.facts["acked"] += 1
 
-    try:
-        cluster.recover_all()
-    except Exception as exc:  # recovery itself must never fail
-        cluster.close()
-        return TwoPCCrashCase(
-            target=target, offset=offset, ok=False, crashed=crashed,
-            acked=acked, detail=f"recovery raised {exc!r}",
-        )
+    # First failure of any kind ends the run: either the armed journal
+    # died mid-append, or a transaction was refused/aborted because an
+    # earlier crash left its shard dead or blocked.  Either way every
+    # transaction before this one was acked.
+    case.drive(workload, RdbError)
+    acked = case.facts["acked"]
 
+    cluster.recover_all()
     recovered = cluster_state(cluster)
-    problems: list[str] = []
     for shard_id, participant in cluster.participants.items():
-        problems += [
-            f"shard {shard_id}: {p}"
-            for p in verify_database(participant.db)
-        ]
+        for problem in verify_database(participant.db):
+            yield f"shard {shard_id}: {problem}"
         if participant.in_doubt:
-            problems.append(
-                f"shard {shard_id}: still in doubt after recovery: "
-                f"{sorted(participant.in_doubt)}"
-            )
-    cluster.close()
+            yield (f"shard {shard_id}: still in doubt after recovery: "
+                   f"{sorted(participant.in_doubt)}")
 
     # All-or-nothing: the recovered cluster must equal the golden state
     # after the last acked transaction, or that state plus the whole
     # in-flight transaction.  A split commit matches neither.
-    matched = ""
     if recovered == golden.states[acked]:
-        matched = "complete" if acked == len(golden.workload) \
-            else "last-acked"
+        case.facts["matched"] = "complete" \
+            if acked == len(golden.workload) else "last-acked"
     elif acked < len(golden.workload) \
             and recovered == golden.states[acked + 1]:
-        matched = "in-flight"
+        case.facts["matched"] = "in-flight"
     else:
-        problems.append(
-            f"recovered state matches neither golden[{acked}] nor "
-            f"golden[{acked + 1}] (split or lost write)"
-        )
-    if not crashed and acked != len(golden.workload):
-        problems.append(
-            f"run stopped at txn {acked + 1} without a crash"
-        )
-
-    return TwoPCCrashCase(
-        target=target, offset=offset, ok=not problems, crashed=crashed,
-        acked=acked, matched=matched, detail="; ".join(problems),
-    )
+        yield (f"recovered state matches neither golden[{acked}] nor "
+               f"golden[{acked + 1}] (split or lost write)")
+    if not case.crashed and acked != len(golden.workload):
+        yield f"run stopped at txn {acked + 1} without a crash"
 
 
 def run_2pc_crash_matrix(
@@ -364,30 +280,25 @@ def run_2pc_crash_matrix(
     txns: int = 12,
     stride: int = 64,
     seed: int = 0,
-) -> TwoPCCrashReport:
+) -> CrashReport:
     """Sweep every node's journal with kill points and audit each one.
 
     For each target node — the coordinator and every shard — the sweep
     covers every frame boundary of that node's golden journal plus
     every ``stride``-byte offset, including the end-of-file no-crash
-    control point.
+    control point.  Facts per case: ``acked`` (transactions
+    acknowledged before the run stopped) and ``matched`` (which golden
+    state the recovered cluster equals: ``"last-acked"``,
+    ``"in-flight"``, ``"complete"``, or ``""`` on failure).
     """
     workdir = Path(workdir)
-    shard_map = twopc_shard_map(num_shards)
     golden = run_2pc_golden(
-        workdir / "golden", shard_map, txns=txns, seed=seed
+        workdir / "golden", twopc_shard_map(num_shards), txns=txns,
+        seed=seed,
     )
-    report = TwoPCCrashReport()
-    case_number = 0
-    for target in [COORD, *range(num_shards)]:
-        points = crash_points(
-            golden.sizes[target], golden.boundaries[target],
-            stride=stride,
-        )
-        for offset in points:
-            case_number += 1
-            report.cases.append(_run_crash_case(
-                workdir / f"case-{case_number:04d}", golden,
-                target=target, offset=offset,
-            ))
-    return report
+    return run_scenario(
+        workdir, "2pc crash matrix",
+        [CutStream(stream, bounds[-1], bounds, stride)
+         for stream, bounds in golden.boundaries.items()],
+        lambda case, closing: _twopc_case(golden, case, closing),
+    )

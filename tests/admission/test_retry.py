@@ -1,9 +1,8 @@
-"""Tests for retry budgets and the deadline-bounded retry schedule."""
+"""Tests for retry budgets."""
 
 import pytest
 
-from repro.admission import RetryBudget, retry_schedule
-from repro.fault.policy import RetryPolicy
+from repro.admission import RetryBudget
 
 
 class TestRetryBudget:
@@ -50,34 +49,3 @@ class TestRetryBudget:
             RetryBudget(ratio=1.5)
         with pytest.raises(ValueError):
             RetryBudget(floor=-1.0)
-
-
-class TestRetrySchedule:
-    def test_bounded_by_max_retries(self):
-        policy = RetryPolicy(initial_timeout_s=1.0, multiplier=1.0,
-                             max_retries=3)
-        assert list(retry_schedule(policy, now=0.0)) == [
-            (0, 1.0), (1, 1.0), (2, 1.0),
-        ]
-
-    def test_bounded_by_deadline(self):
-        policy = RetryPolicy(initial_timeout_s=1.0, multiplier=2.0,
-                             max_retries=10)
-        # Waits 1, 2, 4 land at t=1, 3, 7; deadline 4 stops before 7.
-        assert [a for a, _ in retry_schedule(policy, now=0.0, deadline=4.0)] \
-            == [0, 1]
-
-    def test_bounded_by_budget(self):
-        policy = RetryPolicy(initial_timeout_s=1.0, multiplier=1.0,
-                             max_retries=10)
-        budget = RetryBudget(ratio=0.0, floor=2.0)
-        assert len(list(retry_schedule(policy, now=0.0, budget=budget))) == 2
-
-    def test_tightest_bound_wins(self):
-        policy = RetryPolicy(initial_timeout_s=1.0, multiplier=1.0,
-                             max_retries=2)
-        budget = RetryBudget(ratio=0.0, floor=50.0)
-        pairs = list(retry_schedule(
-            policy, now=10.0, deadline=1000.0, budget=budget
-        ))
-        assert len(pairs) == 2  # max_retries is the binding constraint

@@ -258,3 +258,26 @@ def course(wddb: WebDocumentDatabase) -> ImplementationSCI:
             DocumentFile("cs101/quiz.class", FileKind.PROGRAM, "code")
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# Crash-matrix fixtures
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def verdict_digest():
+    """``digest(report, *facts)``: a short hash of a crash matrix's
+    per-point ``(stream, offset, kind, ok[, crashed], *facts)`` list, for
+    pinning verdicts recorded from an earlier commit."""
+    import hashlib
+    import json
+
+    def digest(report, *facts, crashed=True):
+        rows = [
+            [c.stream, c.offset, c.kind, c.ok]
+            + ([c.crashed] if crashed else [])
+            + [c.facts[f] for f in facts]
+            for c in report.cases
+        ]
+        return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+    return digest

@@ -1,9 +1,12 @@
-"""The deterministic crash-injection harness and its guarantees."""
+"""The crash-matrix kit and the single-engine scenario's guarantees."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.fault import crashsim
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     FailpointFile,
@@ -13,7 +16,6 @@ from repro.fault.crashsim import (
     database_state,
     iter_live_crashes,
     recover_crash_db,
-    report_as_json,
     run_crash_matrix,
     run_crash_workload,
     verify_database,
@@ -180,9 +182,9 @@ class TestCrashMatrix:
     def test_matrix_holds_committed_prefix_guarantee(self, tmp_path):
         report = run_crash_matrix(tmp_path, txns=14, stride=48, seed=0)
         assert report.ok, report.failures[:3]
-        assert report.points_tested > 100
-        assert report.torn_tails > 0  # mid-record truncations occurred
-        assert report.corruption_detected > 0  # garble sweep ran
+        assert len(report.cases) > 100
+        assert report.total("torn_tails") > 0  # mid-record truncations
+        assert report.total("corruption_detected") > 0  # garble sweep ran
 
     def test_matrix_every_byte_small(self, tmp_path):
         """Exhaustive stride-1 sweep on a small workload."""
@@ -190,15 +192,79 @@ class TestCrashMatrix:
         assert report.ok, report.failures[:3]
 
     def test_report_serializes(self, tmp_path):
-        import json
-
         report = run_crash_matrix(
             tmp_path, txns=3, stride=200, garble=False, seed=1
         )
-        payload = json.loads(report_as_json(report))
+        payload = json.loads(report.as_json())
         assert payload["ok"] is True
-        assert payload["points_tested"] == report.points_tested
+        assert payload["points"] == len(report.cases)
+        assert payload["failures"] == []
         assert "ok" in report.summary()
+
+    def test_verdicts_match_the_pre_kit_harness(self, tmp_path,
+                                                verdict_digest):
+        """Pinned from the commit before the three harnesses became one
+        kit (E17's published configuration): same points, same verdicts,
+        same recovery statistics."""
+        report = run_crash_matrix(tmp_path, txns=30, stride=64, seed=0)
+        assert len(report.cases) == 276
+        assert report.failures == []
+        assert report.total("torn_tails") == 107
+        assert report.total("corruption_detected") == 133
+        assert report.total("records_recovered") == 2034
+        assert {c.stream for c in report.cases} == {"journal"}
+        assert verdict_digest(report, crashed=False) == "34a77e4bbaa86198"
+
+    def test_seeded_defect_fails_the_matrix(self, tmp_path, monkeypatch):
+        """A recovery that drops the last durable record must fail at
+        the first cut that leaves one record durable — and at no cut
+        before it."""
+        real = crashsim.recover_crash_db
+
+        def lossy(path, *, salvage=False):
+            db = real(path, salvage=salvage)
+            docs = [row["doc_id"] for row in db.select("crash_docs")]
+            if docs:
+                db.delete_pk("crash_docs", max(docs))
+            return db
+
+        monkeypatch.setattr(crashsim, "recover_crash_db", lossy)
+        report = run_crash_matrix(
+            tmp_path / "bad", txns=6, stride=64, garble=False, seed=2
+        )
+        assert not report.ok
+        first = report.failures[0]
+        golden = run_crash_workload(tmp_path / "g", txns=6, seed=2)
+        assert (first.stream, first.offset, first.kind) == \
+            ("journal", golden.acks[0].end_offset, "truncate")
+        assert "diverges" in first.detail
+        assert f'"offset": {first.offset}' in report.as_json()
+
+        monkeypatch.undo()
+        assert run_crash_matrix(
+            tmp_path / "good", txns=6, stride=64, garble=False, seed=2
+        ).ok
+
+    def test_teardown_runs_when_a_case_fails(self, tmp_path):
+        """The driver unwinds a case's resources pass or fail, and a
+        raising case is a failed verdict, not a dead sweep."""
+        closed = []
+
+        def run_case(case, closing):
+            closing.callback(closed.append, case.offset)
+            if case.offset == 4:
+                raise RuntimeError("recovery blew up")
+            return ["wrong"] if case.offset == 8 else []
+
+        report = crashsim.run_scenario(
+            tmp_path, "toy", [crashsim.CutStream("s", 8, [], 4)], run_case
+        )
+        assert closed == [0, 4, 8]
+        assert [(c.offset, c.ok) for c in report.cases] == \
+            [(0, True), (4, False), (8, False)]
+        assert "recovery blew up" in report.cases[1].detail
+        assert report.summary() == "toy: 3 points (0 fired), 2 FAILURES"
+        assert all(c.dir.is_dir() for c in report.cases)
 
 
 class TestSalvageSemantics:

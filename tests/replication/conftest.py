@@ -12,36 +12,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault.crashsim import CRASH_SCHEMAS, apply_workload_txn, build_crash_db
+from repro.fault.crashsim import CRASH_SCHEMAS, CrashWorkload, crash_ddl
 from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.net.transport import Network
-from repro.rdb.wal import Journal
 from repro.replication import Recoverer, WalShipper
-from repro.util.rng import make_rng
-
-
-def replication_ddl(db):
-    """The workload's secondary-index DDL every follower re-issues."""
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
 
 
 class ReplCluster:
     """One primary plus named followers over a fresh network."""
 
     #: exposed so tests rebuilding a follower use the exact same DDL
-    ddl = staticmethod(replication_ddl)
+    ddl = staticmethod(crash_ddl)
 
     def __init__(self, tmp_path, followers=("f1",)):
         self.tmp = tmp_path
         self.network = Network(Simulator(), default_latency_s=0.002)
         self.network.add(Station("primary"))
-        self.journal = Journal(tmp_path / "primary.wal", sync="commit")
-        self.db = build_crash_db("primary", journal=self.journal)
-        self.rng = make_rng(0, "crashsim-workload")
-        self.next_txn = 1
+        #: the kit's workload + ack ledger; ``write`` drives it
+        self.workload = CrashWorkload(tmp_path / "primary.wal",
+                                      name="primary")
+        self.db, self.journal = self.workload.db, self.workload.journal
         self.shipper = WalShipper(
             self.network, "primary", self.journal,
             snapshot_path=tmp_path / "primary.snapshot",
@@ -57,15 +48,13 @@ class ReplCluster:
         self.network.add(Station(name))
         recoverer = Recoverer(
             self.network, name, "primary", CRASH_SCHEMAS,
-            self.tmp / name, sync_policy="commit", ddl_fn=replication_ddl,
+            self.tmp / name, sync_policy="commit", ddl_fn=crash_ddl,
         )
         self.recoverers[name] = recoverer
         return recoverer
 
     def write(self, n=1):
-        for _ in range(n):
-            apply_workload_txn(self.db, self.next_txn, self.rng)
-            self.next_txn += 1
+        self.workload.run(n)
 
     def sync(self):
         self.shipper.pump()

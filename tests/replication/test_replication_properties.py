@@ -20,6 +20,7 @@ from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     apply_workload_txn,
     build_crash_db,
+    crash_ddl,
     database_state,
     verify_database,
 )
@@ -29,12 +30,6 @@ from repro.net.transport import Network
 from repro.rdb.wal import Journal
 from repro.replication import Recoverer, WalShipper
 from repro.util.rng import make_rng
-
-
-def _ddl(db):
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
 
 
 ACTIONS = st.lists(
@@ -68,7 +63,7 @@ def test_follower_state_is_always_an_acked_prefix(actions, seed):
         )
         rec = Recoverer(
             network, "follower", "primary", CRASH_SCHEMAS,
-            workdir / "follower", sync_policy="commit", ddl_fn=_ddl,
+            workdir / "follower", sync_policy="commit", ddl_fn=crash_ddl,
         )
         rec.start()
         network.quiesce()

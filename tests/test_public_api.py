@@ -11,6 +11,7 @@ import pytest
 
 PACKAGES = [
     "repro",
+    "repro.admission",
     "repro.analysis",
     "repro.annotations",
     "repro.collab",
@@ -21,6 +22,8 @@ PACKAGES = [
     "repro.net",
     "repro.qa",
     "repro.rdb",
+    "repro.replication",
+    "repro.sharding",
     "repro.storage",
     "repro.tiers",
     "repro.util",
