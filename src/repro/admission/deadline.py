@@ -17,9 +17,6 @@ caller.  Scopes nest; an inner scope may only *tighten* the deadline
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator
-
 from repro.admission.errors import DeadlineExceededError
 
 __all__ = [
@@ -41,26 +38,32 @@ def current_deadline() -> float | None:
     return min(_stack) if _stack else None
 
 
-@contextlib.contextmanager
-def deadline_scope(deadline: float | None) -> Iterator[None]:
+class deadline_scope:
     """Declare ``deadline`` for the duration of the block.
 
     ``None`` is a no-op scope (callers need not branch).  Nesting keeps
-    the *minimum* of all active deadlines effective.
+    the *minimum* of all active deadlines effective.  A plain class, not
+    a generator-based context manager: the middle tier enters one per
+    request that carries a deadline.
 
     >>> with deadline_scope(10.0):
     ...     with deadline_scope(25.0):
     ...         current_deadline()
     10.0
     """
-    if deadline is None:
-        yield
-        return
-    _stack.append(float(deadline))
-    try:
-        yield
-    finally:
-        _stack.pop()
+
+    __slots__ = ("_deadline",)
+
+    def __init__(self, deadline: float | None) -> None:
+        self._deadline = None if deadline is None else float(deadline)
+
+    def __enter__(self) -> None:
+        if self._deadline is not None:
+            _stack.append(self._deadline)
+
+    def __exit__(self, *_exc: object) -> None:
+        if self._deadline is not None:
+            _stack.pop()
 
 
 def remaining(now: float, deadline: float | None = None) -> float | None:

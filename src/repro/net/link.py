@@ -15,7 +15,7 @@ against tree depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.util.units import Bandwidth
 from repro.util.validation import check_non_negative
@@ -42,8 +42,7 @@ def _check_bandwidth(value: Bandwidth, name: str) -> Bandwidth:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class TransferTiming:
+class TransferTiming(NamedTuple):
     """Computed schedule of one transfer."""
 
     start: float  # when serialization begins (both ends reserved)
@@ -110,15 +109,22 @@ def schedule_transfer(
     which keeps the model single-pass (no retries/backtracking) and
     deterministic.
     """
-    check_non_negative(latency_s, "latency_s")
-    check_non_negative(size_bytes, "size_bytes")
-    effective = min(sender.up.bytes_per_second, receiver.down.bytes_per_second)
-    start = max(now, sender.up_busy_until, receiver.down_busy_until)
-    serialization = size_bytes / effective
-    serialized = start + serialization
+    if not latency_s >= 0:
+        check_non_negative(latency_s, "latency_s")
+    if not size_bytes >= 0:
+        check_non_negative(size_bytes, "size_bytes")
+    # min() and max() spelled as comparisons: this runs per message.
+    effective = sender.up.bytes_per_second
+    if receiver.down.bytes_per_second < effective:
+        effective = receiver.down.bytes_per_second
+    start = now
+    if sender.up_busy_until > start:
+        start = sender.up_busy_until
+    if receiver.down_busy_until > start:
+        start = receiver.down_busy_until
+    serialized = start + size_bytes / effective
     sender.up_busy_until = serialized
     receiver.down_busy_until = serialized
     sender.bytes_up += size_bytes
     receiver.bytes_down += size_bytes
-    return TransferTiming(start=start, serialized=serialized,
-                          arrival=serialized + latency_s)
+    return TransferTiming(start, serialized, serialized + latency_s)

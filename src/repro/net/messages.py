@@ -24,6 +24,7 @@ from repro.util.validation import check_non_negative
 
 __all__ = [
     "Message",
+    "payload_size",
     "REPL_SUBSCRIBE",
     "REPL_SNAPSHOT_META",
     "REPL_SNAPSHOT_CHUNK",
@@ -53,7 +54,7 @@ class Message:
     kind: str
     payload: Any
     size_bytes: int
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    msg_id: int = field(default_factory=_msg_counter.__next__)
     sent_at: float = 0.0
     #: absolute deadline (simulated seconds); the transport discards a
     #: message still in flight past its deadline instead of delivering
@@ -61,11 +62,54 @@ class Message:
     deadline: float | None = None
 
     def __post_init__(self) -> None:
-        check_non_negative(self.size_bytes, "size_bytes")
+        if not self.size_bytes >= 0:
+            check_non_negative(self.size_bytes, "size_bytes")
 
     def reply_kind(self) -> str:
         """Conventional kind tag for a response to this message."""
         return f"{self.kind}.reply"
+
+
+def payload_size(data: Any) -> int:
+    """Rough modeled byte count of a reply or RPC payload.
+
+    ``None`` is free, lists, tuples and sets cost their members, a
+    mapping costs ``len(str(key))`` plus its value per item, and every
+    other leaf costs ``len(str(leaf))``.  One explicit-stack pass,
+    dispatched on the exact type first (a ``str`` is its own ``str()``),
+    with ``isinstance`` behind it for subclasses; the counts feed the
+    link model, so they are part of the simulator's virtual time.  Sets
+    are flattened rather than printed because the length of a printed
+    set of strings follows the per-process hash order.
+    """
+    total = 0
+    stack = [data]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        item = pop()
+        kind = type(item)
+        if kind is str:
+            total += len(item)
+        elif kind is dict or isinstance(item, dict):
+            for key, value in item.items():
+                total += len(key) if type(key) is str else len(str(key))
+                kind = type(value)
+                if kind is str:
+                    total += len(value)
+                elif kind is float or kind is int:
+                    total += len(str(value))
+                elif value is not None:
+                    push(value)
+        elif kind is list or isinstance(item, (list, tuple, set)):
+            for member in item:
+                if type(member) is str:
+                    total += len(member)
+                else:
+                    push(member)
+        elif item is not None:
+            total += len(str(item))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.admission import (
     DeadlineExceededError,
     current_deadline,
 )
+from repro.net.messages import payload_size
 from repro.net.station import Station
 from repro.net.transport import Network
 from repro.obs.instrument import OBS
@@ -62,17 +63,6 @@ class ShardReply:
     ok: bool
     value: Any = None
     error: Exception | None = None
-
-
-def _wire_size(value: Any) -> int:
-    """Rough modeled byte count of a payload."""
-    if value is None:
-        return 0
-    if isinstance(value, (list, tuple, set)):
-        return sum(_wire_size(v) for v in value)
-    if isinstance(value, dict):
-        return sum(len(str(k)) + _wire_size(v) for k, v in value.items())
-    return len(str(value))
 
 
 class ShardServer:
@@ -128,7 +118,7 @@ class ShardServer:
             reply = ShardReply(call.call_id, False, error=exc)
         self.network.send(
             self.station_name, message.src, SHARD_REPLY, reply,
-            _BASE_BYTES + _wire_size(reply.value),
+            _BASE_BYTES + payload_size(reply.value),
         )
 
 
@@ -201,7 +191,7 @@ class ShardClient:
         station.state.setdefault("shard_rpc_pending", {})[call.call_id] = box
         self.network.send(
             self.station_name, self.server_station, SHARD_CALL, call,
-            _BASE_BYTES + _wire_size(call.args) + _wire_size(call.kwargs),
+            _BASE_BYTES + payload_size(call.args) + payload_size(call.kwargs),
         )
         wait_until = now + self.DEFAULT_TIMEOUT_S
         if caller_deadline is not None:

@@ -8,7 +8,7 @@ protocol in the reproduction is naturally callback-shaped.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.util.validation import check_non_negative
@@ -39,10 +39,11 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> int:
         """Schedule ``callback(*args)`` at ``now + delay``; returns an id."""
-        check_non_negative(delay, "delay")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, callback, args))
-        return self._seq
+        if not delay >= 0:
+            check_non_negative(delay, "delay")
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self.now + delay, seq, callback, args))
+        return seq
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -52,9 +53,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
-        self._seq += 1
-        heapq.heappush(self._queue, (float(time), self._seq, callback, args))
-        return self._seq
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (float(time), seq, callback, args))
+        return seq
 
     @property
     def pending(self) -> int:
@@ -63,9 +64,10 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return False
-        time, _seq, callback, args = heapq.heappop(self._queue)
+        time, _seq, callback, args = heappop(queue)
         self.now = time
         self.events_processed += 1
         callback(*args)

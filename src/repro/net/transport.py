@@ -5,6 +5,17 @@ Verbs follow the mpi4py tutorial's shape — ``send`` (point-to-point),
 from the root, the very cost the paper's tree distribution avoids) —
 but delivery is asynchronous through the simulator, and handlers run at
 arrival time.
+
+``send`` is the per-message hot path of every wire experiment, so its
+checks are written to cost nothing when they pass — stations come from
+the dict (``station()`` only words the error), failure injection is
+consulted only while some is configured — but each one still fires.
+What ``send`` computes is the contract: the arrival instant, the link
+horizons and the byte and message counters of a run are bit-identical
+however fast the Python around them gets (``tests/tiers/test_remote.py``
+pins a script of them).  A message that is dropped, or whose deadline
+passes in flight, simply never arrives: senders that wait for a reply
+(``tiers.remote``, ``net.shardrpc``) bound the wait and forget it.
 """
 
 from __future__ import annotations
@@ -191,17 +202,23 @@ class Network:
         completion is observable through handlers or by running the
         simulator and checking link horizons.
         """
-        sender = self.station(src)
-        receiver = self.station(dst)
+        stations = self._stations
+        sender = stations.get(src)
+        receiver = stations.get(dst)
+        if sender is None or receiver is None:
+            self.station(src)  # raises for whichever is unknown,
+            self.station(dst)  # the source first
         if src == dst:
             raise ValueError(f"station {src!r} cannot send to itself")
+        sim = self.sim
+        now = sim.now
         message = Message(
             src=src,
             dst=dst,
             kind=kind,
             payload=payload,
             size_bytes=size_bytes,
-            sent_at=self.sim.now,
+            sent_at=now,
             # The ambient caller deadline rides every message sent from
             # inside a deadline scope; background traffic (replication
             # streams, broadcasts) carries none and is never expired.
@@ -211,30 +228,36 @@ class Network:
         self.total_messages += 1
         if OBS.enabled:
             self._obs()["messages"].inc()
-        if self._should_drop(src, dst):
+        # Failure injection is consulted only while some is configured;
+        # with none, _should_drop would say no without drawing from the
+        # drop RNG, so skipping it leaves the seeded sequence as it was.
+        if (
+            self._down or self._partition is not None or self.drop_rate
+        ) and self._should_drop(src, dst):
             # The bytes never make it; a down/ lossy path costs the
             # sender nothing observable (fire-and-forget datagrams).
             self.messages_dropped += 1
             if OBS.enabled:
                 self._obs()["dropped"].inc()
             return message
-        timing = schedule_transfer(
-            self.sim.now,
+        arrival = schedule_transfer(
+            now,
             size_bytes,
             sender.link,
             receiver.link,
-            self.latency(src, dst),
-        )
+            self.latency(src, dst) if self._latency
+            else self.default_latency_s,
+        ).arrival
         self.total_bytes += size_bytes
         if OBS.enabled:
             self._obs()["bytes"].inc(size_bytes)
         # A station may crash while the message is in flight; check
         # again at delivery time.
-        self.sim.schedule_at(timing.arrival, self._deliver, receiver, message)
+        sim.schedule_at(arrival, self._deliver, receiver, message)
         return message
 
     def _deliver(self, receiver: Station, message: Message) -> None:
-        if receiver.name in self._down:
+        if self._down and receiver.name in self._down:
             self.messages_dropped += 1
             if OBS.enabled:
                 self._obs()["dropped"].inc()

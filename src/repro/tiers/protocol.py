@@ -88,7 +88,7 @@ class Request:
     op: str
     session_id: str | None
     params: dict[str, Any] = field(default_factory=dict)
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     #: absolute deadline on the caller's clock; None = v1 (unbounded)
     deadline: float | None = None
     #: admission priority; None defaults to interactive at the server
@@ -99,9 +99,11 @@ class Request:
     @property
     def wire_size(self) -> int:
         """Approximate bytes on the wire (for network-mode simulations)."""
-        return 64 + sum(
-            len(str(k)) + len(str(v)) for k, v in self.params.items()
-        )
+        size = 64
+        for key, value in self.params.items():
+            size += len(key) if type(key) is str else len(str(key))
+            size += len(value) if type(value) is str else len(str(value))
+        return size
 
     def to_wire(self) -> dict[str, Any]:
         """A plain-dict wire form; v2 fields omitted when unset so the

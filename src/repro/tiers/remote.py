@@ -9,13 +9,20 @@ which dispatches to the class administrator and sends the
 are charged to the link model, so tier traffic competes with lecture
 distribution for bandwidth — the contention the paper's pre-broadcast
 design is careful about.
+
+Any number of :class:`RemoteTierClient` stubs may share a workstation
+(one per browser window, say): a reply is routed to whichever stub
+still holds its ``request_id``.  A reply that never arrives — dropped,
+server down, expired in flight — is forgotten, not awaited for ever:
+``call_sync`` gives up with :class:`TimeoutError` and drops its entry,
+and a reply to a request nobody remembers is ignored.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.net.messages import Message
+from repro.net.messages import Message, payload_size
 from repro.net.station import Station
 from repro.net.transport import Network
 from repro.obs.instrument import OBS
@@ -68,21 +75,8 @@ class RemoteTierServer:
             message.src,
             RESPONSE_KIND,
             response,
-            RESPONSE_BYTES + _payload_size(response.data),
+            RESPONSE_BYTES + payload_size(response.data),
         )
-
-
-def _payload_size(data: Any) -> int:
-    """Rough wire size of a response payload."""
-    if data is None:
-        return 0
-    if isinstance(data, (list, tuple)):
-        return sum(_payload_size(item) for item in data)
-    if isinstance(data, dict):
-        return sum(
-            len(str(k)) + _payload_size(v) for k, v in data.items()
-        )
-    return len(str(data))
 
 
 class RemoteTierClient:
@@ -91,7 +85,8 @@ class RemoteTierClient:
     ``call`` is asynchronous: it sends the request and invokes the
     callback with the response when it arrives.  ``call_sync`` drives
     the simulator until the response lands — convenient in scripts where
-    the client is the only actor.
+    the client is the only actor.  Stubs on one station share its reply
+    handler; each keeps its own ``request_id -> callback`` table.
     """
 
     def __init__(
@@ -106,18 +101,24 @@ class RemoteTierClient:
         station = network.station(station_name)
         if not station.handles(RESPONSE_KIND):
             station.on(RESPONSE_KIND, self._on_response)
-        #: response dispatchers share the station; register ours
-        station.state.setdefault("tier_clients", {})[station_name] = self
+        #: every stub on this station; the one registered handler routes
+        #: a reply to whichever of them holds its request id
+        station.state.setdefault("tier_clients", []).append(self)
 
     def _on_response(self, station: Station, message: Message) -> None:
         response: Response = message.payload
-        # Route to whichever client on this station issued the request.
-        for client in station.state.get("tier_clients", {}).values():
-            callback = client._pending.pop(response.request_id, None)
-            if callback is not None:
-                client.responses_received += 1
-                callback(response)
-                return
+        request_id = response.request_id
+        client = self
+        callback = self._pending.pop(request_id, None)
+        if callback is None:
+            for client in station.state["tier_clients"]:
+                callback = client._pending.pop(request_id, None)
+                if callback is not None:
+                    break
+            else:
+                return  # late reply to a request its caller gave up on
+        client.responses_received += 1
+        callback(response)
 
     # ------------------------------------------------------------------
     def call(
@@ -130,7 +131,8 @@ class RemoteTierClient:
         priority: str | None = None,
         tenant: str | None = None,
     ) -> Request:
-        """Send a request; ``on_response`` fires at arrival.
+        """Send a request; ``on_response`` fires at arrival (without
+        one the call is fire-and-forget and its reply is ignored).
 
         ``deadline_s`` is relative to the simulator clock now and
         travels as an absolute deadline: the transport discards the
@@ -148,8 +150,6 @@ class RemoteTierClient:
         )
         if on_response is not None:
             self._pending[request.request_id] = on_response
-        else:
-            self._pending[request.request_id] = lambda _response: None
         self.network.send(
             self.station_name,
             self.server_station,
@@ -162,14 +162,16 @@ class RemoteTierClient:
     def call_sync(self, op: str, **params: Any) -> Response:
         """Send and run the simulator until the response arrives."""
         box: list[Response] = []
-        self.call(op, params, on_response=box.append)
+        request = self.call(op, params, on_response=box.append)
         # Drive the clock forward until our response lands (bounded so a
         # lost response cannot hang the caller).
-        deadline = self.network.sim.now + 3600.0
-        while not box and self.network.sim.now < deadline:
-            if not self.network.sim.step():
+        sim = self.network.sim
+        give_up_at = sim.now + 3600.0
+        while not box and sim.now < give_up_at:
+            if not sim.step():
                 break
         if not box:
+            self._pending.pop(request.request_id, None)
             raise TimeoutError(
                 f"no response to {op!r} from {self.server_station!r}"
             )

@@ -67,6 +67,11 @@ _STALE_SERVABLE: dict[str, tuple[str, ...]] = {
     "search_library": ("catalog_docs",),
 }
 
+#: Param types whose values key the stale-read ledger as they are (no
+#: two of them compare equal across types, unlike ``1 == 1.0 == True``).
+_PLAIN_KEYS = frozenset({str})
+_PLAIN_VALUES = frozenset({str, int, type(None)})
+
 T = ColumnType
 
 STUDENTS = Schema(
@@ -210,7 +215,10 @@ class ClassAdministrator:
         #: Optional overload defense; None preserves v1 behaviour.
         self.admission = admission
         #: Last-known-good replies for degraded serving while shedding.
+        #: Written only beside a controller (nothing else can look an
+        #: entry up); one installed later starts from an empty ledger.
         self.stale_reads = StaleReadCache(self.table_versions)
+        self._obs_cache: tuple[Any, dict[tuple[str, str], tuple]] | None = None
         self.requests_served = 0
         self.clock = 0.0  # advanced by callers that care about loan times
         self._handlers: dict[str, Callable[[Request, str, Role], Any]] = {
@@ -378,9 +386,12 @@ class ClassAdministrator:
         :func:`~repro.admission.deadline_scope` so every nested fan-out
         (shard RPC, scatter-gather, replica routing) can refuse to work
         for an expired caller.  Without a controller, v1 behaviour —
-        except that a request-carried deadline still propagates.
+        except that a request-carried deadline still propagates (a
+        request that carries none enters no scope at all).
         """
         if self.admission is None:
+            if request.deadline is None:
+                return self._timed_handle(request)
             with deadline_scope(request.deadline):
                 return self._timed_handle(request)
         try:
@@ -431,13 +442,25 @@ class ClassAdministrator:
 
     @staticmethod
     def _stale_key(request: Request) -> tuple | None:
+        """Ledger key of a read: op, session and its params in any order.
+
+        Params that are plain strings, ints and ``None`` under string
+        names — what browsers send — key as the set of their items;
+        anything else (floats, lists, objects) goes by sorted ``repr``.
+        """
+        params = request.params
         try:
-            params = tuple(
-                sorted((str(k), repr(v)) for k, v in request.params.items())
-            )
+            if _PLAIN_VALUES.issuperset(
+                map(type, params.values())
+            ) and _PLAIN_KEYS.issuperset(map(type, params)):
+                keyed: Any = frozenset(params.items())
+            else:
+                keyed = tuple(
+                    sorted((str(k), repr(v)) for k, v in params.items())
+                )
         except Exception:
             return None
-        return (request.op, request.session_id, params)
+        return (request.op, request.session_id, keyed)
 
     def _timed_handle(self, request: Request) -> Response:
         """Authorize and execute one request (timed when obs is on)."""
@@ -448,15 +471,26 @@ class ClassAdministrator:
         response = self._handle(request)
         registry = OBS.registry
         if registry is not None:
-            registry.histogram(
-                "tiers.request_seconds", op=request.op
-            ).observe(clock() - start)
-            registry.counter(
-                "tiers.requests",
-                op=request.op,
-                status="ok" if response.ok else "error",
-            ).inc()
+            seconds, requests = self._obs(
+                registry, request.op, "ok" if response.ok else "error"
+            )
+            seconds.observe(clock() - start)
+            requests.inc()
         return response
+
+    def _obs(self, registry: Any, op: str, status: str) -> tuple[Any, Any]:
+        """The request histogram and counter for ``(op, status)``,
+        resolved through the label-keyed registry once per registry."""
+        cache = self._obs_cache
+        if cache is None or cache[0] is not registry:
+            cache = self._obs_cache = (registry, {})
+        instruments = cache[1].get((op, status))
+        if instruments is None:
+            instruments = cache[1][(op, status)] = (
+                registry.histogram("tiers.request_seconds", op=op),
+                registry.counter("tiers.requests", op=op, status=status),
+            )
+        return instruments
 
     def _handle(self, request: Request) -> Response:
         """Authorize and execute one request."""
@@ -499,11 +533,12 @@ class ClassAdministrator:
             )
         except (RdbError, LookupError, ValueError, RuntimeError) as exc:
             return Response.failure(request, f"{type(exc).__name__}: {exc}")
-        tables = _STALE_SERVABLE.get(request.op)
-        if tables is not None:
-            key = self._stale_key(request)
-            if key is not None:
-                self.stale_reads.record(key, tables, data)
+        if self.admission is not None:
+            tables = _STALE_SERVABLE.get(request.op)
+            if tables is not None:
+                key = self._stale_key(request)
+                if key is not None:
+                    self.stale_reads.record(key, tables, data)
         return Response.success(request, data)
 
     # ------------------------------------------------------------------

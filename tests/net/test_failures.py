@@ -91,6 +91,85 @@ class TestRandomLoss:
         assert net.stats()["dropped"] == net.messages_dropped
 
 
+class TestGuardsOnTheSendPath:
+    """Down, partitioned and lossy paths lose exactly the messages they
+    lost before the send path was tightened."""
+
+    @pytest.mark.parametrize("down", ["s1", "s2"])
+    def test_down_end_drops_at_send_and_moves_no_bytes(self, net8, down):
+        net8.station("s2").on_default(lambda st, m: None)
+        net8.set_down(down)
+        net8.send("s1", "s2", "k", None, 100)
+        assert net8.sim.pending == 0  # dropped at send: nothing queued
+        assert net8.station("s1").messages_sent == 1
+        assert net8.station("s1").link.bytes_up == 0
+        assert net8.station("s2").link.bytes_down == 0
+        stats = net8.stats()
+        assert (stats["messages"], stats["dropped"], stats["bytes"]) == (1, 1, 0)
+
+    def test_crash_while_in_flight_dropped_at_delivery(self, net8):
+        seen = []
+        net8.station("s2").on_default(lambda st, m: seen.append(m))
+        net8.send("s1", "s2", "k", None, 100)
+        assert net8.sim.pending == 1 and net8.messages_dropped == 0
+        net8.set_down("s2")
+        net8.quiesce()
+        assert seen == [] and net8.messages_dropped == 1
+        # The bytes were already on the wire when the receiver died.
+        assert net8.total_bytes == 100
+        assert net8.station("s2").messages_received == 0
+
+    def test_partition_drops_across_groups_only(self, net8):
+        seen = []
+        for name in ("s2", "s3"):
+            net8.station(name).on_default(
+                lambda st, m: seen.append((st.name, m.payload))
+            )
+        net8.set_partition([["s1", "s2"], ["s3"]])
+        net8.send("s1", "s2", "k", "same side", 10)
+        net8.send("s1", "s3", "k", "across", 10)
+        net8.set_partition(None)
+        net8.send("s1", "s3", "k", "healed", 10)
+        net8.quiesce()
+        assert seen == [("s2", "same side"), ("s3", "healed")]
+        assert net8.messages_dropped == 1
+
+    def test_seeded_loss_drops_the_same_messages_as_ever(self):
+        """Pinned from the commit before the rewrite: the drop RNG is
+        drawn once per message sent over an up, unpartitioned path with
+        a non-zero rate — and at no other time — so a fixed seed loses
+        exactly these messages."""
+        net = Network(Simulator(), default_latency_s=0.001, drop_rate=0.3,
+                      seed=7)
+        seen = []
+        for name in ("a", "b", "c"):
+            net.add(Station(name, DuplexLink.symmetric_mbps(100)))
+            net.station(name).on_default(
+                lambda st, m: seen.append(m.payload)
+            )
+        for i in range(60):
+            if i == 10:
+                net.set_down("c")
+            if i == 20:
+                net.set_down("c", down=False)
+                net.set_partition([["a"], ["b", "c"]])
+            if i == 30:
+                net.set_partition(None)
+                net.set_drop_rate(0.0)
+            if i == 40:
+                net.set_drop_rate(0.3)
+            net.send("a", "bc"[i % 2], "k", i, 10)
+        net.quiesce()
+        assert seen == [
+            1, 2, 4, 6, 8, 9, 14, 18, 30, 31, 32, 33, 34, 35, 36, 37, 38,
+            39, 41, 42, 43, 44, 45, 47, 48, 49, 50, 55, 56, 57, 58,
+        ]
+        assert net.stats() == {
+            "stations": 3, "messages": 60, "bytes": 310, "dropped": 29,
+            "expired": 0, "time": 0.0010248, "events": 31,
+        }
+
+
 class TestOnDemandRetry:
     def _world(self, drop_rate, retry_timeout=2.0, max_retries=30, seed=11):
         from repro.distribution import MAryTree, OnDemandFetcher

@@ -117,3 +117,78 @@ class TestNetwork:
     def test_negative_size_rejected(self, net8):
         with pytest.raises(ValueError):
             net8.send("s1", "s2", "k", None, -1)
+
+
+class TestSendGuards:
+    """Every check on the send path fires, and fires before any
+    counter, link horizon or event is touched."""
+
+    @staticmethod
+    def _untouched(net):
+        stats = net.stats()
+        assert stats["messages"] == 0 and stats["bytes"] == 0
+        assert net.sim.pending == 0
+        for station in net.stations():
+            assert station.messages_sent == 0
+            assert station.link.bytes_up == 0 == station.link.bytes_down
+            assert station.link.up_busy_until == 0.0
+
+    @pytest.mark.parametrize("src, dst, size, error, match", [
+        ("ghost", "s1", 0, LookupError, "'ghost'"),
+        ("s1", "ghost", 0, LookupError, "'ghost'"),
+        ("nobody", "ghost", 0, LookupError, "'nobody'"),  # source first
+        ("s1", "s1", 10, ValueError, "cannot send to itself"),
+        ("s1", "s2", -1, ValueError, "size_bytes must be >= 0"),
+        ("s1", "s2", float("nan"), ValueError, "size_bytes must be >= 0"),
+    ])
+    def test_rejected_send_touches_nothing(
+        self, net8, src, dst, size, error, match
+    ):
+        with pytest.raises(error, match=match):
+            net8.send(src, dst, "k", None, size)
+        self._untouched(net8)
+
+    def test_negative_latency_reaches_the_link_check(self, net8):
+        net8.default_latency_s = -0.5  # bypasses the constructor's check
+        with pytest.raises(ValueError, match="latency_s must be >= 0"):
+            net8.send("s1", "s2", "k", None, 10)
+
+    def test_latency_override_applies_per_pair(self):
+        net = build_network(3, mbit=8.0, latency=0.1)
+        net.set_latency("s1", "s3", 2.0)
+        arrivals = {}
+        for name in ("s2", "s3"):
+            net.station(name).on(
+                "k", lambda st, m: arrivals.__setitem__(st.name, net.sim.now)
+            )
+        net.send("s1", "s2", "k", None, 0)
+        net.send("s1", "s3", "k", None, 0)
+        net.quiesce()
+        assert arrivals == {"s2": 0.1, "s3": 2.0}
+
+    def test_message_ids_are_fresh_and_increasing(self, net8):
+        net8.station("s2").on_default(lambda st, m: None)
+        first = net8.send("s1", "s2", "k")
+        second = net8.send("s1", "s2", "k")
+        assert second.msg_id == first.msg_id + 1
+
+    def test_deadline_expired_in_flight_is_not_delivered(self, net8):
+        from repro.admission import deadline_scope
+
+        seen = []
+        net8.station("s2").on_default(lambda st, m: seen.append(m.payload))
+        with deadline_scope(0.01):  # latency alone is 0.02
+            late = net8.send("s1", "s2", "k", "late", 10)
+        with deadline_scope(5.0):
+            on_time = net8.send("s1", "s2", "k", "on time", 10)
+        plain = net8.send("s1", "s2", "k", "no deadline", 10)
+        assert (late.deadline, on_time.deadline, plain.deadline) == (
+            0.01, 5.0, None
+        )
+        net8.quiesce()
+        assert seen == ["on time", "no deadline"]
+        stats = net8.stats()
+        assert stats["expired"] == 1 and stats["dropped"] == 0
+        # An expired message still crossed the wire: its bytes count.
+        assert stats["messages"] == 3 and stats["bytes"] == 30
+        assert net8.station("s2").messages_received == 2

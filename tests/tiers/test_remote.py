@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tiers import RemoteTierClient, RemoteTierServer
+from repro.tiers import RemoteTierClient, RemoteTierServer, Request
 
 from tests.conftest import build_network
 
@@ -94,3 +94,206 @@ class TestRemoteCalls:
         # the same administrator object is queryable in-process
         cursor = server.administrator.connection.cursor().select("students")
         assert cursor.fetchone()["student_id"] == "bob"
+
+
+class TestManyStubsOnOneStation:
+    """A reply goes to whichever stub holds its request id, however many
+    stubs share the workstation."""
+
+    def test_two_logged_in_clients_interleave(self, world):
+        net, server = world
+        a = RemoteTierClient(net, "s2", "s1")
+        b = RemoteTierClient(net, "s2", "s1")
+        a.login("registrar", "administrator")  # a is not the last stub
+        b.login("shih", "instructor")
+        assert a.session_id != b.session_id
+        a.call_sync("admit_student", student_id="alice").unwrap()
+        b.call_sync("register_course", course_number="CS1",
+                    title="Intro").unwrap()
+        a.call_sync("enroll", student_id="alice",
+                    course_number="CS1").unwrap()
+        assert b.call_sync("roster", course_number="CS1").unwrap() == ["alice"]
+        refused = b.call_sync("admit_student", student_id="bob")
+        assert not refused.ok and "instructor" in refused.error
+        assert (a.responses_received, b.responses_received) == (3, 4)
+        assert a._pending == {} and b._pending == {}
+        assert server.requests_received == 7
+
+    def test_three_stubs_with_replies_in_flight_together(self, world):
+        net, _server = world
+        stubs = [RemoteTierClient(net, "s2", "s1") for _ in range(3)]
+        got: list[tuple[int, bool]] = []
+        for index, stub in enumerate(stubs):
+            stub.call(
+                "login", {"user": f"u{index}", "role": "administrator"},
+                on_response=lambda r, index=index: got.append((index, r.ok)),
+            )
+        net.quiesce()
+        assert sorted(got) == [(0, True), (1, True), (2, True)]
+        assert [stub.responses_received for stub in stubs] == [1, 1, 1]
+
+
+class TestLostReplies:
+    """A reply that never arrives is forgotten, not awaited for ever."""
+
+    def test_timeout_on_a_lossy_path_forgets_the_request(self, world):
+        net, _server = world
+        client = RemoteTierClient(net, "s2", "s1")
+        net.set_drop_rate(1.0)
+        with pytest.raises(TimeoutError, match="no response to 'login'"):
+            client.call_sync("login", user="x", role="administrator")
+        assert client._pending == {}
+        net.set_drop_rate(0.0)
+        client.login("registrar", "administrator")  # the stub still works
+        assert client._pending == {}
+
+    def test_timeout_with_the_server_down_forgets_the_request(self, world):
+        net, _server = world
+        client = RemoteTierClient(net, "s2", "s1")
+        net.set_down("s1")
+        with pytest.raises(TimeoutError):
+            client.call_sync("login", user="x", role="administrator")
+        assert client._pending == {}
+
+    def test_request_expired_in_flight_forgets_the_request(self, world):
+        from repro.admission import deadline_scope
+
+        net, server = world
+        client = RemoteTierClient(net, "s2", "s1")
+        # Sent from inside a caller's scope, the request message itself
+        # carries the deadline and the transport discards it.
+        with deadline_scope(net.sim.now + 0.001):
+            with pytest.raises(TimeoutError):
+                client.call_sync("login", user="x", role="administrator")
+        assert client._pending == {} and server.requests_received == 0
+        assert net.stats()["expired"] == 1
+
+    def test_deadline_passed_at_dispatch_is_refused_not_lost(self, world):
+        net, server = world
+        client = RemoteTierClient(net, "s2", "s1")
+        box = []
+        client.call("login", {"user": "x", "role": "administrator"},
+                    on_response=box.append, deadline_s=0.001)
+        net.quiesce()
+        (response,) = box
+        assert response.shed and "deadline passed" in response.error
+        assert server.requests_received == 1
+        assert server.administrator.requests_served == 0
+        assert client._pending == {}
+
+    def test_fire_and_forget_registers_nothing(self, world):
+        net, server = world
+        client = RemoteTierClient(net, "s2", "s1")
+        client.call("login", {"user": "x", "role": "administrator"})
+        assert client._pending == {}
+        net.quiesce()  # the reply arrives and is ignored, not an error
+        assert server.requests_received == 1
+        assert client.responses_received == 0 and client._pending == {}
+
+    def test_late_reply_to_a_forgotten_request_is_ignored(self, world):
+        net, server = world
+        client = RemoteTierClient(net, "s2", "s1")
+        other = RemoteTierClient(net, "s2", "s1")
+        # One way takes longer than call_sync is prepared to wait.
+        net.set_latency("s1", "s2", 4000.0)
+        with pytest.raises(TimeoutError):
+            client.call_sync("login", user="x", role="administrator")
+        assert client._pending == {} and net.sim.pending == 1
+        net.quiesce()  # the reply lands at t=8000, long given up on
+        assert server.requests_received == 1
+        assert client.responses_received == 0 == other.responses_received
+
+
+class TestVirtualTimeIsPinned:
+    """The simulator's clock, counters and link horizons after a fixed
+    script — recorded at the commit before the request envelope was
+    optimised.  Wall-clock work on this path must never move them."""
+
+    def test_twelve_request_script(self):
+        net = build_network(2)
+        server = RemoteTierServer(net, "s1")
+        admin = server.administrator
+
+        def local(op, session, **params):
+            return admin.handle(Request(op, session, params)).unwrap()
+
+        registrar = local("login", None, user="registrar",
+                          role="administrator")["session_id"]
+        shih = local("login", None, user="shih",
+                     role="instructor")["session_id"]
+        for student in ("alice", "bob", "carol"):
+            local("admit_student", registrar, student_id=student)
+        local("register_course", shih, course_number="CS1", title="Intro")
+        for student in ("alice", "bob", "carol"):
+            local("enroll", registrar, student_id=student,
+                  course_number="CS1")
+        local("record_grade", shih, student_id="alice", course_number="CS1",
+              grade=3.5)
+        for doc_id, title, word, size in (
+            ("d1", "Intro notes", "intro", 1000),
+            ("d2", "Advanced notes", "advanced", 2000),
+        ):
+            local("publish_course_document", shih, doc_id=doc_id,
+                  title=title, course_number="CS1",
+                  keywords=[word, "notes"], size_bytes=size)
+
+        client = RemoteTierClient(net, "s2", "s1")
+        times: list[float] = []
+
+        def step(op, deadline_s=None, **params):
+            if deadline_s is None:
+                response = client.call_sync(op, **params)
+            else:
+                box = []
+                client.call(op, params, on_response=box.append,
+                            deadline_s=deadline_s)
+                net.quiesce()
+                (response,) = box
+            times.append(net.sim.now)
+            return response
+
+        client.session_id = step(
+            "login", user="alice", role="student"
+        ).unwrap()["session_id"]
+        replies = [
+            step("search_library", keywords="notes", limit=10),
+            step("transcript"),
+            step("check_out", doc_id="d1", time=5.0),
+            step("check_in", doc_id="d1", time=9.0),
+            step("fly_to_moon"),
+            step("check_out", doc_id="nope"),
+        ]
+        client.session_id = registrar
+        replies += [
+            step("roster", course_number="CS1"),
+            step("transcript", student_id="alice"),
+            step("roster", deadline_s=5.0, course_number="CS1"),
+            step("search_library", course="CS1"),
+            step("assessment_report"),
+        ]
+
+        assert [r.ok for r in replies] == [
+            True, True, True, True, False, False,
+            True, True, True, True, True,
+        ]
+        assert times == [
+            0.0404896, 0.08099200000000001, 0.12148400000000002,
+            0.1619768, 0.2024616, 0.24292239999999998, 0.2833912,
+            0.32387520000000003, 0.36437920000000007, 0.4048632000000001,
+            0.44535680000000016, 0.4858720000000002,
+        ]
+        assert net.stats() == {
+            "stations": 2, "messages": 24, "bytes": 7340, "dropped": 0,
+            "expired": 0, "time": 0.4858720000000002, "events": 24,
+        }
+        s1, s2 = net.station("s1"), net.station("s2")
+        assert (s1.link.bytes_up, s1.link.bytes_down) == (6436, 904)
+        assert (s2.link.bytes_up, s2.link.bytes_down) == (904, 6436)
+        assert (s1.messages_sent, s1.messages_received) == (12, 12)
+        assert (s2.messages_sent, s2.messages_received) == (12, 12)
+        assert s1.link.up_busy_until == s2.link.down_busy_until == float.fromhex(
+            "0x1.dd0d8cb07d0b2p-2"
+        )
+        assert s1.link.down_busy_until == s2.link.up_busy_until == float.fromhex(
+            "0x1.c81908e581cfap-2"
+        )

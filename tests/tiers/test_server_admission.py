@@ -173,3 +173,173 @@ class TestTenantIsolation:
         response = roster(server, session, tenant="cs102",
                           deadline=clock.now + 10.0)
         assert response.ok
+
+
+class TestStaleLedger:
+    """The stale-read ledger exists only beside a controller."""
+
+    def test_no_controller_no_ledger(self):
+        server = ClassAdministrator()
+        session = login(server)
+        for course in ("cs101", "cs102"):
+            assert roster(server, session, course=course).ok
+        assert server.handle(Request(
+            op="search_library", session_id=session,
+            params={"keywords": "notes", "limit": 10},
+        )).ok
+        assert server.handle(Request(
+            op="transcript", session_id=session,
+            params={"student_id": "alice"},
+        )).ok
+        assert len(server.stale_reads) == 0
+
+    def test_controller_installed_later_starts_empty(self, clock):
+        server = ClassAdministrator()
+        session = login(server)
+        roster(server, session)
+        server.admission = AdmissionController(
+            clock=clock, default_deadline_s=1.0
+        )
+        assert len(server.stale_reads) == 0
+        server.admission.busy_until = clock.now + 50.0
+        assert roster(server, session, deadline=clock.now + 0.5).shed
+        server.admission.busy_until = 0.0
+        assert roster(server, session, deadline=100.0).ok
+        assert len(server.stale_reads) == 1
+
+    def test_record_shed_serve_then_evict(self, clock):
+        server = make_server(clock)
+        session = login(server)
+        fresh = roster(server, session, deadline=100.0)
+        assert len(server.stale_reads) == 1
+        server.admission.busy_until = clock.now + 50.0
+        degraded = roster(server, session, deadline=clock.now + 0.5)
+        assert degraded.degraded == "stale-cache"
+        assert degraded.data == fresh.data
+        assert server.stale_reads.stats()["hits"] == 1
+        # A different read of the same op has no entry: shed honestly.
+        assert roster(server, session, course="cs999",
+                      deadline=clock.now + 0.5).shed
+        server.table_versions._versions["enrollments"] += \
+            server.stale_reads.max_version_lag + 1
+        assert roster(server, session, deadline=clock.now + 0.5).shed
+        stats = server.stale_reads.stats()
+        assert stats["too_stale"] == 1 and stats["entries"] == 0
+
+    def test_param_order_does_not_split_an_entry(self, clock):
+        server = make_server(clock)
+        session = login(server)
+
+        def search(params, deadline):
+            return server.handle(Request(
+                op="search_library", session_id=session, params=params,
+                deadline=deadline,
+            ))
+
+        assert search({"keywords": "notes", "limit": 10}, 100.0).ok
+        server.admission.busy_until = clock.now + 50.0
+        served = search({"limit": 10, "keywords": "notes"}, clock.now + 0.5)
+        assert served.degraded == "stale-cache"
+        # ... but a different value is a different read,
+        assert search({"limit": 11, "keywords": "notes"},
+                      clock.now + 0.5).shed
+        # and 10, 10.0 and True are three different limits.
+        assert search({"limit": 10.0, "keywords": "notes"},
+                      clock.now + 0.5).shed
+        assert len(server.stale_reads) == 1
+
+    def test_unhashable_params_key_by_repr(self, clock):
+        server = make_server(clock)
+        session = login(server)
+
+        def search(params, deadline):
+            return server.handle(Request(
+                op="search_library", session_id=session, params=params,
+                deadline=deadline,
+            ))
+
+        # A list is unhashable: the entry is keyed by sorted repr.
+        odd = {"keywords": "notes", "limit": 5, "tags": ["a", {"b": 1}]}
+        assert search(odd, 100.0).ok
+        assert len(server.stale_reads) == 1
+        (key,) = server.stale_reads._entries
+        assert key[2] == (
+            ("keywords", "'notes'"), ("limit", "5"),
+            ("tags", "['a', {'b': 1}]"),
+        )
+        server.admission.busy_until = clock.now + 50.0
+        again = dict(reversed(list(odd.items())))
+        assert search(again, clock.now + 0.5).degraded == "stale-cache"
+        assert search({**odd, "tags": ["a"]}, clock.now + 0.5).shed
+
+    def test_params_that_cannot_be_keyed_are_not_recorded(self, clock):
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        server = make_server(clock)
+        session = login(server)
+        response = server.handle(Request(
+            op="search_library", session_id=session,
+            params={"keywords": "notes", "extra": Unprintable()},
+            deadline=100.0,
+        ))
+        assert response.ok and len(server.stale_reads) == 0
+
+
+class TestDeadlineScopeAroundDispatch:
+    @staticmethod
+    def _sending_server(admission=None):
+        """A server whose roster handler sends a message mid-request, as
+        a nested fan-out (shard RPC, replica routing) would."""
+        from tests.conftest import build_network
+
+        net = build_network(2)
+        net.station("s2").on_default(lambda st, m: None)
+        server = ClassAdministrator(admission=admission)
+        sent = []
+        server._handlers["roster"] = lambda request, user, role: sent.append(
+            net.send("s1", "s2", "fanout", None, 10)
+        )
+        return server, sent
+
+    def test_send_inside_handle_carries_the_request_deadline(self):
+        server, sent = self._sending_server()
+        session = login(server)
+        assert roster(server, session, deadline=7.5).ok
+        assert roster(server, session).ok  # no deadline: no scope, no stamp
+        assert [m.deadline for m in sent] == [7.5, None]
+
+    def test_send_inside_handle_carries_the_ticket_deadline(self, clock):
+        server, sent = self._sending_server(
+            AdmissionController(clock=clock, default_deadline_s=1.0)
+        )
+        session = login(server)
+        assert roster(server, session, deadline=7.5).ok
+        clock.now = 2.0
+        assert roster(server, session).ok  # the controller's default
+        assert [m.deadline for m in sent] == [7.5, 3.0]
+
+    def test_scope_is_gone_after_dispatch_even_when_the_op_raises(self):
+        from repro.admission import current_deadline
+
+        server = ClassAdministrator()
+        session = login(server)
+        seen = []
+
+        def failing(error):
+            def handler(request, user, role):
+                seen.append(current_deadline())
+                raise error("boom")
+            return handler
+
+        # An error the dispatcher turns into a failure reply ...
+        server._handlers["roster"] = failing(RuntimeError)
+        response = roster(server, session, deadline=7.0)
+        assert not response.ok and "boom" in response.error
+        assert seen == [7.0] and current_deadline() is None
+        # ... and one that escapes handle() through the scope.
+        server._handlers["roster"] = failing(AttributeError)
+        with pytest.raises(AttributeError):
+            roster(server, session, deadline=8.0)
+        assert seen == [7.0, 8.0] and current_deadline() is None
