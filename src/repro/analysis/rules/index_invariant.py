@@ -5,9 +5,9 @@ Every index (and therefore every planner statistic from
 ``Table.apply_*`` / ``IndexSet.insert_row`` / ``remove_row``.  Code that
 writes ``table._rows`` or ``table._next_rowid`` directly bypasses that
 maintenance and silently corrupts both index lookups and the cost-based
-planner's selectivity estimates.  Only the table module itself may touch
-those internals; the one deliberate exception (undo of a delete, which
-must reuse the original rowid) carries an inline suppression.
+planner's selectivity estimates — and skips the ``Table.version`` bump
+the middle-tier caches invalidate on.  Only the table module itself may
+touch those internals.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ from repro.analysis.rules._ast_util import call_attr, enclosing_functions, walk_
 
 __all__ = ["MutationOutsideTransactionRule"]
 
-_RAW_MUTATORS = frozenset(
-    {"apply_insert", "apply_insert_many", "apply_update", "apply_delete"}
-)
+_RAW_MUTATORS = frozenset({
+    "apply_insert", "apply_insert_many", "apply_update", "apply_delete",
+    "apply_restore",
+})
 #: A ``<txn>.record(...)`` call or an ``UndoRecord(...)`` construction
 #: inside the same function marks the mutation as transaction-
 #: disciplined: an undo record is written for it.

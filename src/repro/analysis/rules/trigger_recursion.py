@@ -1,8 +1,7 @@
 """Rule: trigger-recursion.
 
-AFTER triggers observe applied mutations; the tiers result-cache and the
-integrity alert engine both hang version-bump/alert callbacks on them
-(PR 2's cache-correctness invariant).  An AFTER trigger whose callback
+AFTER triggers observe applied mutations; the integrity alert engine
+hangs its alert callbacks on them.  An AFTER trigger whose callback
 *mutates the table it watches* re-fires itself; a set of triggers whose
 mutations form a cycle across tables re-fire each other.  Either way the
 engine never terminates the statement.

@@ -188,7 +188,8 @@ class ShardClient:
         )
         station = self.network.station(self.station_name)
         box: list[ShardReply] = []
-        station.state.setdefault("shard_rpc_pending", {})[call.call_id] = box
+        pending = station.state.setdefault("shard_rpc_pending", {})
+        pending[call.call_id] = box
         self.network.send(
             self.station_name, self.server_station, SHARD_CALL, call,
             _BASE_BYTES + payload_size(call.args) + payload_size(call.kwargs),
@@ -200,6 +201,9 @@ class ShardClient:
             if not self.network.sim.step():
                 break
         if not box:
+            # Nobody waits on this call any more; a late reply finds no
+            # entry and is dropped by ``_on_reply``.
+            pending.pop(call.call_id, None)
             self.breaker.record_failure(self.network.sim.now)
             if (
                 caller_deadline is not None

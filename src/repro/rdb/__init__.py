@@ -26,7 +26,6 @@ guide's "make it work, make it right" ordering; the few hot paths
 from repro.rdb.types import Column, ColumnType, Schema
 from repro.rdb.compile import (
     batch_filter,
-    compile_mode,
     compiled_predicate,
     compiled_source,
     predicate_fn,
@@ -69,7 +68,6 @@ __all__ = [
     "lit",
     "predicate_cache_key",
     "batch_filter",
-    "compile_mode",
     "compiled_predicate",
     "compiled_source",
     "predicate_fn",

@@ -21,6 +21,9 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
+        #: Last version of each dropped table, so a re-created name
+        #: resumes past it and no reader's remembered version recurs.
+        self._dropped_versions: dict[str, int] = {}
 
     @property
     def tables(self) -> dict[str, Table]:
@@ -77,6 +80,7 @@ class Catalog:
                         f"unknown column {fk.parent_table}.{column_name}"
                     )
         table = Table(schema)
+        table.version = self._dropped_versions.pop(schema.name, -1) + 1
         self._tables[schema.name] = table
         return table
 
@@ -93,4 +97,4 @@ class Catalog:
                         f"cannot drop {name!r}: table {other_name!r} "
                         "references it"
                     )
-        del self._tables[name]
+        self._dropped_versions[name] = self._tables.pop(name).version

@@ -5,14 +5,15 @@
 conjunction.  This module lowers a tree to a **single Python function**
 exactly once per statement:
 
-* the primary strategy is **codegen**: the tree is rendered to the
-  source of one function body (``def _compiled(r): return ...``) and
-  compiled with :func:`compile`/``exec`` so the per-row cost collapses
-  to one call frame plus inline comparisons;
-* trees embedding opaque callables (:class:`~repro.rdb.predicate.Apply`
-  nodes, or ``Expr`` subclasses this module has never heard of) fall
-  back to **closure composition** — the same single-call shape without
-  source generation.
+* the tree is rendered to the source of one function body
+  (``def _compiled(r): return ...``) and compiled with
+  :func:`compile`/``exec`` so the per-row cost collapses to one call
+  frame plus inline comparisons;
+* what has no source form — an :class:`~repro.rdb.predicate.Apply`
+  node's opaque callable, the bound ``eval`` of an ``Expr`` subclass
+  this module has never heard of — is hoisted into the generated
+  function's namespace as a constant and called from the source, the
+  same way frozensets and regex ``match`` methods are.
 
 Compiled callables are cached on the expression instance, so repeated
 statements over the same predicate pay compilation once.  Semantics are
@@ -45,7 +46,6 @@ __all__ = [
     "compiled_predicate",
     "batch_filter",
     "predicate_fn",
-    "compile_mode",
     "compiled_source",
 ]
 
@@ -64,18 +64,12 @@ _SAFE_BUILTINS: dict[str, Any] = {
 
 _COMPILED_ATTR = "_rdb_compiled"
 _BATCH_ATTR = "_rdb_batch_filter"
-_MODE_ATTR = "_rdb_compile_mode"
 _SOURCE_ATTR = "_rdb_compile_source"
 
 
-class _Uncompilable(Exception):
-    """Raised by codegen on nodes it cannot render to source."""
-
-
 # ---------------------------------------------------------------------------
-# Shared runtime helpers (hoisted into generated namespaces and reused by
-# the closure-composition fallback).  Exact twins of the interpreted
-# null/TypeError semantics in repro.rdb.predicate.
+# Runtime helpers hoisted into generated namespaces.  Exact twins of the
+# interpreted null/TypeError semantics in repro.rdb.predicate.
 # ---------------------------------------------------------------------------
 def _in_check(value: Any, values: frozenset) -> bool:
     if value is None:
@@ -123,8 +117,9 @@ class _Codegen:
     """Renders one Expr tree to a Python expression string.
 
     Non-inlinable values (frozensets, regex match methods, helper
-    functions, floats — ``repr(inf)`` is not valid source) are hoisted
-    into the namespace the generated function is exec'd under.
+    functions, opaque callables, floats — ``repr(inf)`` is not valid
+    source) are hoisted into the namespace the generated function is
+    exec'd under.
     """
 
     def __init__(self) -> None:
@@ -185,9 +180,10 @@ class _Codegen:
             helper = self.const(_contains_check)
             item = self.const(node.item)
             return f"{helper}({self.emit(node.inner)}, {item})"
-        # Apply nodes (opaque callables) and unknown Expr subclasses are
-        # handled by the closure-composition fallback.
-        raise _Uncompilable(type(node).__name__)
+        if isinstance(node, _p.Apply):
+            return f"{self.const(node.fn)}({self.emit(node.inner)})"
+        # Foreign Expr subclass: its own eval is the only correct semantics.
+        return f"{self.const(node.eval)}(r)"
 
     def emit_bool(self, node: _p.Expr) -> str:
         """Source for ``node`` in a boolean context (AND/OR operand).
@@ -270,66 +266,6 @@ def _codegen_batch(expr: _p.Expr) -> tuple[Callable[[list], list], str]:
 
 
 # ---------------------------------------------------------------------------
-# Closure-composition fallback (Apply nodes, foreign Expr subclasses)
-# ---------------------------------------------------------------------------
-def _compose(node: _p.Expr) -> Callable[[Mapping[str, Any]], Any]:
-    if isinstance(node, _p.ColumnRef):
-        name = node.name
-        return lambda r: r[name]
-    if isinstance(node, _p.Literal):
-        value = node.value
-        return lambda r: value
-    if isinstance(node, _p.Compare):
-        left, right = _compose(node.left), _compose(node.right)
-        op = _p._OPS[node.op]
-
-        def compare(r: Mapping[str, Any]) -> bool:
-            a = left(r)
-            b = right(r)
-            if a is None or b is None:
-                return False
-            return op(a, b)
-
-        return compare
-    if isinstance(node, _p.And):
-        left, right = _compose(node.left), _compose(node.right)
-        return lambda r: bool(left(r)) and bool(right(r))
-    if isinstance(node, _p.Or):
-        left, right = _compose(node.left), _compose(node.right)
-        return lambda r: bool(left(r)) or bool(right(r))
-    if isinstance(node, _p.Not):
-        inner = _compose(node.inner)
-        return lambda r: not inner(r)
-    if isinstance(node, _p.IsNull):
-        inner = _compose(node.inner)
-        expect = node.expect_null
-        return lambda r: (inner(r) is None) == expect
-    if isinstance(node, _p.In):
-        inner = _compose(node.inner)
-        values = node.values
-        return lambda r: _in_check(inner(r), values)
-    if isinstance(node, _p.Like):
-        inner = _compose(node.inner)
-        match = node._regex.match
-
-        def like(r: Mapping[str, Any]) -> bool:
-            value = inner(r)
-            return isinstance(value, str) and match(value) is not None
-
-        return like
-    if isinstance(node, _p.Contains):
-        inner = _compose(node.inner)
-        item = node.item
-        return lambda r: _contains_check(inner(r), item)
-    if isinstance(node, _p.Apply):
-        inner = _compose(node.inner)
-        fn = node.fn
-        return lambda r: fn(inner(r))
-    # Foreign Expr subclass: its own eval is the only correct semantics.
-    return node.eval
-
-
-# ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 def compiled_predicate(expr: _p.Expr) -> Callable[[Mapping[str, Any]], Any]:
@@ -341,17 +277,10 @@ def compiled_predicate(expr: _p.Expr) -> Callable[[Mapping[str, Any]], Any]:
     cached = getattr(expr, _COMPILED_ATTR, None)
     if cached is not None:
         return cached
-    try:
-        fn, source = _codegen(expr)
-        mode = "codegen"
-    except _Uncompilable:
-        fn = _compose(expr)
-        mode = "closure"
-        source = None
+    fn, source = _codegen(expr)
     # Expr subclasses declare __slots__ but the base class does not, so
     # instances carry a __dict__ we can cache the closure in.
     setattr(expr, _COMPILED_ATTR, fn)
-    setattr(expr, _MODE_ATTR, mode)
     setattr(expr, _SOURCE_ATTR, source)
     return fn
 
@@ -359,20 +288,12 @@ def compiled_predicate(expr: _p.Expr) -> Callable[[Mapping[str, Any]], Any]:
 def batch_filter(expr: _p.Expr) -> Callable[[list], list]:
     """A compiled batch filter: ``fn(rows) -> [row for row in rows if expr]``.
 
-    Built once per expression and cached on it; trees codegen cannot
-    render fall back to a comprehension over the composed closure.
+    Built once per expression and cached on it.
     """
     cached = getattr(expr, _BATCH_ATTR, None)
     if cached is not None:
         return cached
-    try:
-        fn, _source = _codegen_batch(expr)
-    except _Uncompilable:
-        pred = compiled_predicate(expr)
-
-        def fn(rows: list, _pred=pred) -> list:
-            return [r for r in rows if _pred(r)]
-
+    fn, _source = _codegen_batch(expr)
     setattr(expr, _BATCH_ATTR, fn)
     return fn
 
@@ -385,13 +306,7 @@ def predicate_fn(
     return None if expr is None else compiled_predicate(expr)
 
 
-def compile_mode(expr: _p.Expr) -> str:
-    """``"codegen"`` or ``"closure"`` — how ``expr`` was compiled."""
-    compiled_predicate(expr)
-    return getattr(expr, _MODE_ATTR)
-
-
-def compiled_source(expr: _p.Expr) -> str | None:
-    """Generated source for ``expr`` (None for closure-composed trees)."""
+def compiled_source(expr: _p.Expr) -> str:
+    """Generated source for ``expr``."""
     compiled_predicate(expr)
     return getattr(expr, _SOURCE_ATTR)

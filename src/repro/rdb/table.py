@@ -6,6 +6,12 @@ containing (at minimum) a hash index on the primary key, one per unique
 set, and one per foreign key's child columns (so referential-action
 lookups are O(1)).  The table applies mutations mechanically; constraint
 checking and trigger firing belong to the engine layer.
+
+Every mutation — DML, undo, journal replay, replicated apply, snapshot
+load — lands in one of the ``apply_*`` methods below, and each bumps
+:attr:`Table.version`.  A reader that remembers the version it saw can
+tell "these rows may have changed" from one integer compare; that is
+the whole invalidation protocol of :mod:`repro.tiers.cache`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ class Table:
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        #: Bumped by every ``apply_*``; never decreases.  The catalog
+        #: starts a re-created table past its dropped namesake.
+        self.version = 0
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_rowid = 1
         self.indexes = IndexSet()
@@ -127,6 +136,7 @@ class Table:
         self._next_rowid += 1
         self._rows[rowid] = row
         self.indexes.insert_row(row, rowid)
+        self.version += 1
         return rowid
 
     def apply_insert_many(self, rows: list[dict[str, Any]]) -> list[int]:
@@ -149,6 +159,7 @@ class Table:
             next_rowid += 1
         self._next_rowid = next_rowid
         self.indexes.insert_rows(zip(rows, rowids))
+        self.version += 1
         return rowids
 
     def apply_update(self, rowid: int, new_row: dict[str, Any]) -> dict[str, Any]:
@@ -157,10 +168,23 @@ class Table:
         self.indexes.remove_row(old_row, rowid)
         self._rows[rowid] = new_row
         self.indexes.insert_row(new_row, rowid)
+        self.version += 1
         return old_row
 
     def apply_delete(self, rowid: int) -> dict[str, Any]:
         """Remove the row at ``rowid``; returns it."""
         row = self._rows.pop(rowid)
         self.indexes.remove_row(row, rowid)
+        self.version += 1
         return row
+
+    def apply_restore(self, rowid: int, row: dict[str, Any]) -> None:
+        """Put a deleted row back under its original row id.
+
+        The inverse of :meth:`apply_delete` for the undo log: later undo
+        records reference row ids, so :meth:`apply_insert` (which mints
+        a fresh one) would leave them dangling.
+        """
+        self._rows[rowid] = row
+        self.indexes.insert_row(row, rowid)
+        self.version += 1

@@ -42,12 +42,7 @@ class UndoRecord:
             self.table.apply_update(self.rowid, self.old_row)
         elif self.kind == "delete":
             assert self.old_row is not None
-            # Reinsert at the original rowid to keep later undo records
-            # (which reference rowids) coherent; apply_insert would mint a
-            # fresh rowid.  The paired insert_row keeps indexes + stats true.
-            # repro-analysis: ignore[index-invariant] -- rowid-stable reinsert
-            self.table._rows[self.rowid] = self.old_row
-            self.table.indexes.insert_row(self.old_row, self.rowid)
+            self.table.apply_restore(self.rowid, self.old_row)
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown undo kind {self.kind!r}")
 

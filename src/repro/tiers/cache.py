@@ -1,4 +1,4 @@
-"""Versioned read-through result cache for the class administrator.
+"""Version-stamped result cache for the class administrator.
 
 The middle tier re-executes the same selects on every browser request
 (rosters, transcripts, course lookups) — the repeated-read pattern the
@@ -6,19 +6,19 @@ BTeV web document database and the cellular content-management design
 solve with server-side caching in front of the DBMS.  This module adds
 that tier:
 
-* :class:`TableVersions` keeps a **monotonic version counter per
-  table**, bumped by AFTER INSERT/UPDATE/DELETE triggers wired through
-  the engine's existing trigger layer.
-* :class:`QueryCache` is an **LRU read-through cache** whose entries are
-  keyed by ``(table, normalized predicate, projection, order, limit,
-  offset, distinct, table version)``.  Because the current table
-  version is part of the key, any write implicitly invalidates every
-  cached result for that table — a stale read is impossible by
-  construction; old-version entries simply age out of the LRU.
-
-Version bumps fire when a row mutation applies, even if the enclosing
-transaction later rolls back.  That can only invalidate more than
-necessary (a spurious miss), never less, so correctness is unaffected.
+* :class:`TableVersions` reads the **version counter every table
+  keeps** (:attr:`repro.rdb.table.Table.version`).  The table bumps it
+  wherever rows change — DML, rollback and savepoint undo, journal
+  replay, replicated apply, snapshot load — so nothing here has to be
+  told about a write, and a dropped-and-re-created table resumes past
+  its old number.
+* :class:`QueryCache` is **one LRU store** whose entries carry the
+  ``{table: version}`` stamps they were computed at.  A lookup names
+  the version lag it tolerates: ``select`` reads through with lag 0
+  (any change to the table since the entry was stored is a miss, and
+  the fresh result replaces the dead entry in its slot), and the
+  server's degraded-mode ledger looks the same kind of store up with a
+  small positive lag while it sheds load.
 """
 
 from __future__ import annotations
@@ -28,61 +28,37 @@ from typing import Any, Sequence
 
 from repro.obs.instrument import OBS
 from repro.rdb import Database, Expr, predicate_cache_key
-from repro.rdb.triggers import TriggerContext, TriggerEvent, TriggerTiming
 
-__all__ = ["TableVersions", "QueryCache", "StaleReadCache"]
-
-_VERSION_TRIGGER_PREFIX = "__cache_version"
+__all__ = ["TableVersions", "QueryCache"]
 
 
 class TableVersions:
-    """Per-table monotonic version counters maintained by triggers."""
+    """The per-table version counters of one attached database."""
 
     def __init__(self) -> None:
-        self._versions: dict[str, int] = {}
+        self._db: Database | None = None
 
     def attach(self, db: Database) -> None:
-        """Track every table currently in ``db``."""
-        for name in db.table_names():
-            self.track(db, name)
+        """Read versions from ``db`` (every table, present and future)."""
+        self._db = db
 
-    def track(self, db: Database, table: str) -> None:
-        """Register version-bump triggers on one table (idempotent)."""
-        if table in self._versions:
-            return
-        self._versions[table] = 0
-
-        def bump(_ctx: TriggerContext, table: str = table) -> None:
-            self._versions[table] += 1
-
-        for event in (
-            TriggerEvent.INSERT, TriggerEvent.UPDATE, TriggerEvent.DELETE,
-        ):
-            db.register_trigger(
-                f"{_VERSION_TRIGGER_PREFIX}_{event.value}__",
-                table,
-                event,
-                TriggerTiming.AFTER,
-                bump,
-            )
-
-    def tracked(self, table: str) -> bool:
-        """True when ``table`` has version triggers installed."""
-        return table in self._versions
-
-    def version(self, table: str) -> int | None:
-        """Current version of ``table``, or None when untracked."""
-        return self._versions.get(table)
+    def version(self, table: str) -> int:
+        """Current version of ``table``; unknown tables raise as in
+        ``db.select``."""
+        if self._db is None:
+            raise RuntimeError("TableVersions.attach(db) was never called")
+        return self._db.table(table).version
 
 
 class QueryCache:
-    """LRU read-through result cache over a versioned database.
+    """LRU store of values stamped with the table versions they saw.
 
-    ``select`` executes through the cache; hits return copies of the
-    stored rows (the same copy depth an uncached select provides), so
-    callers mutating result rows can never poison the cache.  Queries
-    that cannot be keyed — untracked tables, predicates embedding opaque
-    callables — bypass the cache entirely.
+    ``record``/``lookup`` are the store; ``select`` is the read-through
+    over it with the same contract as ``db.select``.  Hits return
+    copies of the stored rows (the same copy depth an uncached select
+    provides), so callers mutating result rows can never poison the
+    cache.  Predicates embedding opaque callables cannot be keyed and
+    bypass the cache entirely.
     """
 
     def __init__(self, versions: TableVersions, max_entries: int = 256) -> None:
@@ -90,10 +66,14 @@ class QueryCache:
             raise ValueError("cache needs room for at least one entry")
         self.versions = versions
         self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, list[dict[str, Any]]] = OrderedDict()
+        #: key -> (value, {table: version at record time})
+        self._entries: OrderedDict[
+            tuple, tuple[Any, dict[str, int]]
+        ] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
+        self.too_stale = 0
         self._obs_cache: dict[str, Any] | None = None
 
     def __len__(self) -> int:
@@ -112,6 +92,35 @@ class QueryCache:
             }
         return cache
 
+    def record(self, key: tuple, tables: Sequence[str], value: Any) -> None:
+        """Store ``value``, derived from ``tables`` as they are now."""
+        version = self.versions.version
+        stamps = {table: version(table) for table in tables}
+        self._entries[key] = (value, stamps)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+
+    def lookup(self, key: tuple, max_lag: int) -> tuple[bool, Any]:
+        """``(hit, value)`` — a hit only while no stamped table has
+        moved more than ``max_lag`` versions past its stamp."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return False, None
+        value, stamps = entry
+        version = self.versions.version
+        for table, recorded in stamps.items():
+            if version(table) - recorded > max_lag:
+                # Evict: nobody should serve this, now or later.
+                del self._entries[key]
+                self.too_stale += 1
+                self.misses += 1
+                return False, None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return True, value
+
     def select(
         self,
         db: Database,
@@ -125,10 +134,8 @@ class QueryCache:
         distinct: bool = False,
     ) -> list[dict[str, Any]]:
         """Read-through select with the same contract as ``db.select``."""
-        key = self._key(
-            table, where, order_by, descending, limit, offset, columns, distinct
-        )
-        if key is None:
+        predicate = predicate_cache_key(where)
+        if predicate is None:
             self.bypasses += 1
             if OBS.enabled:
                 self._obs()["bypass"].inc()
@@ -136,134 +143,32 @@ class QueryCache:
                 table, where=where, order_by=order_by, descending=descending,
                 limit=limit, offset=offset, columns=columns, distinct=distinct,
             )
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            if OBS.enabled:
-                self._obs()["hit"].inc()
-            self._entries.move_to_end(key)
-            return [dict(row) for row in cached]
-        self.misses += 1
-        if OBS.enabled:
-            self._obs()["miss"].inc()
-        rows = db.select(
-            table, where=where, order_by=order_by, descending=descending,
-            limit=limit, offset=offset, columns=columns, distinct=distinct,
-        )
-        self._entries[key] = rows
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return [dict(row) for row in rows]
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/bypass counters and current residency."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bypasses": self.bypasses,
-            "entries": len(self._entries),
-        }
-
-    def _key(
-        self,
-        table: str,
-        where: Expr | None,
-        order_by: str | Sequence[str] | None,
-        descending: bool,
-        limit: int | None,
-        offset: int,
-        columns: Sequence[str] | None,
-        distinct: bool,
-    ) -> tuple | None:
-        version = self.versions.version(table)
-        if version is None:
-            return None
-        predicate = predicate_cache_key(where)
-        if predicate is None:
-            return None
         order = (order_by,) if isinstance(order_by, str) else (
             tuple(order_by) if order_by is not None else None
         )
         projection = tuple(columns) if columns is not None else None
-        return (
+        key = (
             table, predicate, projection, order, descending,
-            limit, offset, distinct, version,
+            limit, offset, distinct,
         )
-
-
-class StaleReadCache:
-    """Last-known-good replies for graceful degradation.
-
-    Unlike :class:`QueryCache` (whose version-in-key design makes stale
-    hits impossible), this cache *deliberately* serves stale data — but
-    only when the admission controller is shedding, and only within an
-    explicit staleness bound: each entry remembers the version of every
-    table it derived from, and a lookup whose version lag exceeds
-    ``max_version_lag`` writes misses instead of lying unboundedly.
-    The degraded reply is marked (``Response.degraded = "stale-cache"``)
-    so clients know they traded freshness for availability.
-    """
-
-    def __init__(
-        self,
-        versions: TableVersions,
-        *,
-        max_entries: int = 256,
-        max_version_lag: int = 8,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("cache needs room for at least one entry")
-        if max_version_lag < 0:
-            raise ValueError("max_version_lag must be >= 0")
-        self.versions = versions
-        self.max_entries = max_entries
-        self.max_version_lag = max_version_lag
-        #: key -> (reply data, {table: version at record time})
-        self._entries: OrderedDict[
-            tuple, tuple[Any, dict[str, int]]
-        ] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.too_stale = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(self, key: tuple, tables: Sequence[str], data: Any) -> None:
-        """Remember a fresh reply derived from ``tables``."""
-        stamps = {
-            table: version
-            for table in tables
-            if (version := self.versions.version(table)) is not None
-        }
-        self._entries[key] = (data, stamps)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def lookup(self, key: tuple) -> tuple[bool, Any]:
-        """``(hit, data)`` — a hit only within the staleness bound."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return False, None
-        data, stamps = entry
-        for table, recorded in stamps.items():
-            current = self.versions.version(table)
-            if current is not None and current - recorded > self.max_version_lag:
-                # Evict: nobody should serve this, now or later.
-                del self._entries[key]
-                self.too_stale += 1
-                self.misses += 1
-                return False, None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return True, data
+        hit, cached = self.lookup(key, 0)
+        if OBS.enabled:
+            self._obs()["hit" if hit else "miss"].inc()
+        if hit:
+            return [dict(row) for row in cached]
+        rows = db.select(
+            table, where=where, order_by=order_by, descending=descending,
+            limit=limit, offset=offset, columns=columns, distinct=distinct,
+        )
+        self.record(key, (table,), rows)
+        return [dict(row) for row in rows]
 
     def stats(self) -> dict[str, int]:
+        """Lookup outcome counters and current residency."""
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "bypasses": self.bypasses,
             "too_stale": self.too_stale,
             "entries": len(self._entries),
         }

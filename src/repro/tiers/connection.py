@@ -9,8 +9,8 @@ engine means re-implementing this one adapter, exactly the paper's
 "adaptive to open architecture / database standard" goal.
 
 A connection may carry a :class:`~repro.tiers.cache.QueryCache`; cursor
-selects then read through it, and the cache's per-table version keys
-make every write an implicit invalidation (no stale reads).
+selects then read through it, and the table version stamped on every
+entry makes any change to the table's rows an implicit invalidation.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from repro.rdb import (
     SyncPolicy,
     col,
 )
-from repro.tiers.cache import QueryCache, StaleReadCache, TableVersions
+from repro.tiers.cache import QueryCache, TableVersions
 from repro.tiers.connection import OpenDatabaseConnection
 from repro.tiers.protocol import (
     OPERATIONS,
@@ -66,6 +66,10 @@ _STALE_SERVABLE: dict[str, tuple[str, ...]] = {
     "roster": ("enrollments",),
     "search_library": ("catalog_docs",),
 }
+
+#: How many version bumps of those tables a degraded reply may trail by;
+#: past it the read sheds honestly instead of lying unboundedly.
+STALE_MAX_LAG = 8
 
 #: Param types whose values key the stale-read ledger as they are (no
 #: two of them compare equal across types, unlike ``1 == 1.0 == True``).
@@ -191,15 +195,7 @@ class ClassAdministrator:
                 admin_db.create_table(schema)
         else:
             admin_db = self._recover_admin_db()
-        self.admin_db = admin_db
-        # Read-through result cache: table versions bump on every write
-        # (via AFTER triggers), so repeated browser reads (rosters,
-        # transcripts, login lookups) hit memory and writes invalidate
-        # implicitly.
-        self.table_versions = TableVersions()
-        self.table_versions.attach(admin_db)
-        self.query_cache = QueryCache(self.table_versions, max_entries=512)
-        self.connection = OpenDatabaseConnection(admin_db, cache=self.query_cache)
+        self._serve_from(admin_db)
         self.wddb = wddb if wddb is not None else WebDocumentDatabase("server")
         self.library = library if library is not None else VirtualLibrary()
         self.desk = CirculationDesk(self.library)
@@ -214,10 +210,6 @@ class ClassAdministrator:
         self._session_counter = itertools.count(1)
         #: Optional overload defense; None preserves v1 behaviour.
         self.admission = admission
-        #: Last-known-good replies for degraded serving while shedding.
-        #: Written only beside a controller (nothing else can look an
-        #: entry up); one installed later starts from an empty ledger.
-        self.stale_reads = StaleReadCache(self.table_versions)
         self._obs_cache: tuple[Any, dict[tuple[str, str], tuple]] | None = None
         self.requests_served = 0
         self.clock = 0.0  # advanced by callers that care about loan times
@@ -329,18 +321,32 @@ class ClassAdministrator:
         ]
         return self.library.reload(entries)
 
+    def _serve_from(self, db: Database) -> None:
+        """Point the connection and fresh, empty caches at ``db``."""
+        self.admin_db = db
+        self.table_versions = TableVersions()
+        self.table_versions.attach(db)
+        # Repeated browser reads (rosters, transcripts, login lookups)
+        # hit memory; any change to a table's rows moves its version and
+        # so misses, whichever path made the change.
+        self.query_cache = QueryCache(self.table_versions, max_entries=512)
+        self.connection = OpenDatabaseConnection(db, cache=self.query_cache)
+        #: Last-known-good replies for degraded serving while shedding:
+        #: the same store, looked up with lag :data:`STALE_MAX_LAG`.
+        #: Written only beside a controller (nothing else can look an
+        #: entry up); one installed later starts from an empty ledger.
+        self.stale_reads = QueryCache(self.table_versions)
+
     def adopt_database(self, db: Database, *, read_only: bool = True) -> None:
         """Serve from an externally managed database (a read replica).
 
         The replication follower owns ``db`` and mutates it through the
-        replay path, which bypasses triggers — so the adopted connection
-        runs **without** the query cache (its invalidation rides on
-        triggers; caching here could serve stale rows forever).  The
-        library view is rebuilt immediately and again on every catalog
-        frame via :meth:`refresh_catalog`.
+        replay path; its tables' versions move with every applied frame,
+        so the adopted connection reads through a cache like any other.
+        The library view is rebuilt immediately and again on every
+        catalog frame via :meth:`refresh_catalog`.
         """
-        self.admin_db = db
-        self.connection = OpenDatabaseConnection(db, cache=None)
+        self._serve_from(db)
         self.read_only = read_only
         self.refresh_catalog()
 
@@ -419,7 +425,7 @@ class ClassAdministrator:
         """A degraded (stale-cache) reply while shedding, or None.
 
         Only replica-safe reads from live sessions qualify, only within
-        the cache's version-lag bound, and never for an already-expired
+        :data:`STALE_MAX_LAG` versions, and never for an already-expired
         caller (nobody is waiting for that answer).
         """
         if exc.reason == "deadline":
@@ -431,7 +437,7 @@ class ClassAdministrator:
         key = self._stale_key(request)
         if key is None:
             return None
-        hit, data = self.stale_reads.lookup(key)
+        hit, data = self.stale_reads.lookup(key, STALE_MAX_LAG)
         if not hit:
             return None
         if OBS.enabled and OBS.registry is not None:

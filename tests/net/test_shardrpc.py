@@ -14,6 +14,7 @@ from repro.net.shardrpc import (
     SHARD_REPLY,
     ShardCall,
     ShardClient,
+    ShardReply,
     ShardServer,
 )
 from repro.net.sim import Simulator
@@ -165,3 +166,51 @@ class TestBreaker:
                 client.status()
         # Shipped-back application errors mean the endpoint is alive.
         assert client.breaker.state == "closed"
+
+
+class TestGivenUpCalls:
+    """A call the client stopped waiting for leaves nothing behind."""
+
+    @staticmethod
+    def _pending(network) -> dict:
+        return network.station("coord").state["shard_rpc_pending"]
+
+    def test_timeout_to_a_downed_shard_forgets_the_call(self, rpc):
+        network, participant, _server, client = rpc
+        network.set_down("shard-0")
+        for _ in range(3):
+            with pytest.raises(TimeoutError):
+                client.status()
+        assert self._pending(network) == {}
+        network.set_down("shard-0", False)
+        # The revived station answering a call long given up on (any
+        # id nobody waits for) is dropped, not an error.
+        network.send("shard-0", "coord", SHARD_REPLY,
+                     ShardReply(1, True, {"alive": True}), 96)
+        network.sim.run()
+        assert self._pending(network) == {}
+        assert client.count("docs") == 7  # the proxy still works
+        assert self._pending(network) == {} and participant.calls == 1
+
+    def test_deadline_give_up_forgets_the_call(self, rpc):
+        network, _participant, _server, client = rpc
+        network.set_down("shard-0")
+        network.sim.schedule(0.4, lambda: None)
+        with deadline_scope(network.sim.now + 0.3):
+            with pytest.raises(DeadlineExceededError):
+                client.status()
+        assert self._pending(network) == {}
+
+    def test_reply_still_in_flight_at_give_up_is_ignored(self, rpc):
+        network, participant, server, client = rpc
+        # One way takes longer than the client is prepared to wait.
+        network.set_latency("coord", "shard-0", 4000.0)
+        with pytest.raises(TimeoutError):
+            client.status()
+        assert self._pending(network) == {}
+        assert server.calls_served == 1 and network.sim.pending == 1
+        network.sim.run()  # the reply lands at t=8000, long given up on
+        assert self._pending(network) == {}
+        network.set_latency("coord", "shard-0", 0.001)
+        assert client.count("docs") == 7
+        assert participant.calls == 2

@@ -1,6 +1,6 @@
 """Unit tests for compiled predicate execution (repro.rdb.compile).
 
-Covers the codegen / closure-fallback split, per-expression caching,
+Covers codegen (hoisted opaque callables included), per-expression caching,
 the restricted generated namespace, ``predicate_fn``, EXPLAIN's
 single-executor rendering, the LIKE-regex LRU cache, and the batched
 write paths the vectorized executor leans on.  Semantic equivalence
@@ -18,6 +18,7 @@ from repro.rdb import (
     Column,
     ColumnType,
     Database,
+    Expr,
     Schema,
     TriggerEvent,
     TriggerTiming,
@@ -26,7 +27,6 @@ from repro.rdb import (
 from repro.rdb.compile import (
     _SAFE_BUILTINS,
     batch_filter,
-    compile_mode,
     compiled_predicate,
     compiled_source,
     predicate_fn,
@@ -56,19 +56,33 @@ def _docs_db() -> Database:
     return db
 
 
-# -- codegen vs closure fallback -------------------------------------------
+# -- codegen ----------------------------------------------------------------
 def test_plain_tree_uses_codegen():
     expr = (col("a") > 1) & col("b").like("x%")
-    assert compile_mode(expr) == "codegen"
-    source = compiled_source(expr)
-    assert source is not None and source.startswith("def _compiled(r):")
+    assert compiled_source(expr).startswith("def _compiled(r):")
 
 
-def test_apply_tree_falls_back_to_closure():
+def test_apply_fn_is_a_hoisted_constant_of_the_generated_source():
     expr = col("b").apply(str.upper) == "X"
-    assert compile_mode(expr) == "closure"
-    assert compiled_source(expr) is None
-    assert [r["a"] for r in ROWS if compiled_predicate(expr)(r)] == [1]
+    fn = compiled_predicate(expr)
+    hoisted = [k for k, v in fn.__globals__.items() if v is str.upper]
+    assert len(hoisted) == 1
+    assert f"{hoisted[0]}(r['b'])" in compiled_source(expr)
+    assert [r["a"] for r in ROWS if fn(r)] == [1]
+    assert [r["a"] for r in batch_filter(expr)(ROWS)] == [1]
+
+
+def test_foreign_expr_subclass_runs_its_own_eval():
+    class LongB(Expr):
+        def eval(self, row):
+            return len(row["b"]) > 1
+
+        def columns(self):
+            return frozenset({"b"})
+
+    expr = LongB() & (col("a").is_null())
+    assert [r["b"] for r in ROWS if compiled_predicate(expr)(r)] == ["xx"]
+    assert [r["b"] for r in batch_filter(expr)(ROWS)] == ["xx"]
 
 
 def test_compiled_closure_is_cached_per_expression():

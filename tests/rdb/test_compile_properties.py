@@ -52,7 +52,7 @@ def _operand() -> st.SearchStrategy[Expr]:
     return st.one_of(
         st.sampled_from(COLUMNS).map(col),
         value_strategy.map(lit),
-        # Apply nodes force the closure-composition fallback.
+        # Apply nodes hoist an opaque callable into the generated source.
         st.sampled_from(COLUMNS).map(lambda c: col(c).apply(str, "str")),
     )
 

@@ -1,8 +1,15 @@
-"""Tests for the versioned read-through result cache."""
+"""Tests for the version-stamped result store and its read-through."""
 
 import pytest
 
-from repro.rdb import Column, ColumnType, Database, Schema, col
+from repro.rdb import (
+    Column,
+    ColumnType,
+    Database,
+    Schema,
+    UnknownTableError,
+    col,
+)
 from repro.tiers import (
     ClassAdministrator,
     OpenDatabaseConnection,
@@ -63,12 +70,48 @@ class TestTableVersions:
         v3 = versions.version("books")
         assert v0 < v1 < v2 < v3
 
-    def test_untracked_table_is_none(self, versions):
-        assert versions.version("ghost") is None
+    def test_unknown_table_raises_like_select(self, versions):
+        with pytest.raises(UnknownTableError):
+            versions.version("ghost")
 
-    def test_track_is_idempotent(self, db, versions):
-        versions.track(db, "books")  # second call must not re-register
-        db.insert("books", {"book_id": 11, "title": "x"})
+    def test_unattached_versions_refuse(self):
+        with pytest.raises(RuntimeError, match="attach"):
+            TableVersions().version("books")
+
+    def test_reads_the_table_and_registers_no_trigger(self, db, versions):
+        assert db.triggers_on("books") == []
+        assert versions.version("books") == db.table("books").version
+
+    def test_every_mutation_path_bumps(self, db, versions):
+        """Not only DML: undo, savepoint undo and replicated apply."""
+        seen = [versions.version("books")]
+
+        def moved():
+            seen.append(versions.version("books"))
+            return seen[-1] > seen[-2]
+
+        db.begin()
+        db.insert("books", {"book_id": 20, "title": "t"})
+        assert moved()
+        db.savepoint("sp")
+        db.delete_pk("books", (1,))
+        assert moved()
+        db.rollback_to("sp")  # the rowid-stable re-insert
+        assert moved()
+        db.rollback()
+        assert moved()
+        db.apply_replicated({"txn": 9, "ops": [
+            ["insert", "books", {"book_id": 21, "title": "r", "copies": 1}],
+        ]})
+        assert moved()
+
+    def test_dropped_and_recreated_name_never_repeats_a_version(
+        self, db, versions
+    ):
+        before = versions.version("books")
+        db.drop_table("books")
+        db.create_table(BOOKS)
+        assert versions.version("books") > before
 
 
 class TestQueryCache:
@@ -122,14 +165,66 @@ class TestQueryCache:
         assert [r["book_id"] for r in rows] == [1]
         assert cache.bypasses == 1 and len(cache) == 0
 
-    def test_untracked_table_bypasses(self, db, versions, cache):
+    def test_table_created_after_attach_is_cached(self, db, versions, cache):
         db.create_table(Schema(
             name="late",
             columns=(Column("id", T.INT, nullable=False),),
             primary_key=("id",),
         ))
-        cache.select(db, "late")
-        assert cache.bypasses == 1
+        assert cache.select(db, "late") == cache.select(db, "late") == []
+        assert cache.bypasses == 0 and cache.hits == 1
+        db.insert("late", {"id": 1})
+        assert cache.select(db, "late") == [{"id": 1}]
+
+    def test_unknown_table_raises_and_stores_nothing(self, db, cache):
+        with pytest.raises(UnknownTableError):
+            cache.select(db, "ghost")
+        assert len(cache) == 0
+
+    def test_write_replaces_the_dead_entry_in_place(self, db, cache):
+        """The version is a stamp, not part of the key: a stale entry's
+        slot is reused instead of ageing out of the LRU."""
+        for i in range(20):
+            cache.select(db, "books", where=col("book_id") == 1)
+            db.update_pk("books", (1,), {"copies": 100 + i})
+        assert len(cache) == 1
+        assert cache.stats()["too_stale"] == 19
+
+    # -- row changes that fire no trigger ---------------------------------
+    def test_rollback_is_never_served(self, db, cache):
+        where = col("book_id") == 70
+        db.begin()
+        db.insert("books", {"book_id": 70, "title": "ghost"})
+        assert len(cache.select(db, "books", where=where)) == 1
+        db.rollback()
+        assert cache.select(db, "books", where=where) == []
+
+    def test_rollback_to_savepoint_is_never_served(self, db, cache):
+        where = col("book_id") == 1
+        db.begin()
+        db.savepoint("sp")
+        db.delete_pk("books", (1,))
+        assert cache.select(db, "books", where=where) == []
+        db.rollback_to("sp")
+        assert cache.select(db, "books", where=where) == \
+            db.select("books", where=where) != []
+        db.commit()
+
+    def test_apply_replicated_invalidates(self, db, cache):
+        where = col("book_id") == 71
+        assert cache.select(db, "books", where=where) == []
+        db.apply_replicated({"txn": 5, "ops": [
+            ["insert", "books", {"book_id": 71, "title": "shipped",
+                                 "copies": 1}],
+        ]})
+        assert [r["title"] for r in cache.select(db, "books", where=where)] \
+            == ["shipped"]
+
+    def test_drop_and_recreate_invalidates(self, db, cache):
+        assert len(cache.select(db, "books")) == 5
+        db.drop_table("books")
+        db.create_table(BOOKS)
+        assert cache.select(db, "books") == []
 
     @pytest.mark.parametrize("bounds", BAD_BOUNDS.values(), ids=BAD_BOUNDS)
     def test_bad_bounds_raise_uncached(self, db, cache, bounds):
@@ -141,11 +236,70 @@ class TestQueryCache:
     def test_stats_shape(self, db, cache):
         cache.select(db, "books")
         stats = cache.stats()
-        assert stats == {"hits": 0, "misses": 1, "bypasses": 0, "entries": 1}
+        assert stats == {
+            "hits": 0, "misses": 1, "bypasses": 0, "too_stale": 0,
+            "entries": 1,
+        }
 
     def test_rejects_zero_capacity(self, versions):
         with pytest.raises(ValueError):
             QueryCache(versions, max_entries=0)
+
+
+class TestStampedStore:
+    """``record``/``lookup`` — the store under ``select`` and under the
+    server's stale ledger."""
+
+    def test_lookup_within_lag_hits_past_it_evicts(self, db, versions):
+        store = QueryCache(versions)
+        store.record(("k",), ("books",), "reply")
+        for i in range(3):
+            db.update_pk("books", (1,), {"copies": 50 + i})
+        assert store.lookup(("k",), 3) == (True, "reply")
+        assert store.lookup(("k",), 2) == (False, None)
+        # Evicted, not merely refused: a later, laxer lookup misses too.
+        assert store.lookup(("k",), 99) == (False, None)
+        assert store.stats() == {
+            "hits": 1, "misses": 2, "bypasses": 0, "too_stale": 1,
+            "entries": 0,
+        }
+
+    def test_any_stamped_table_past_the_lag_is_a_miss(self, db, versions):
+        db.create_table(Schema(
+            name="shelves",
+            columns=(Column("id", T.INT, nullable=False),),
+            primary_key=("id",),
+        ))
+        store = QueryCache(versions)
+        store.record(("k",), ("books", "shelves"), "reply")
+        db.insert("shelves", {"id": 1})
+        assert store.lookup(("k",), 1) == (True, "reply")
+        db.insert("shelves", {"id": 2})
+        assert store.lookup(("k",), 1) == (False, None)
+
+    def test_record_replaces_and_refreshes_recency(self, versions):
+        store = QueryCache(versions, max_entries=2)
+        store.record(("a",), ("books",), 1)
+        store.record(("b",), ("books",), 2)
+        store.record(("a",), ("books",), 3)  # replaced: now most recent
+        store.record(("c",), ("books",), 4)  # evicts b, the oldest
+        assert store.lookup(("b",), 0) == (False, None)
+        assert store.lookup(("a",), 0) == (True, 3)
+        assert store.lookup(("c",), 0) == (True, 4)
+
+    def test_hit_refreshes_recency(self, versions):
+        store = QueryCache(versions, max_entries=2)
+        store.record(("a",), ("books",), 1)
+        store.record(("b",), ("books",), 2)
+        assert store.lookup(("a",), 0)[0]
+        store.record(("c",), ("books",), 3)  # evicts b, not the just-hit a
+        assert store.lookup(("a",), 0)[0] and not store.lookup(("b",), 0)[0]
+
+    def test_recording_against_an_unknown_table_raises(self, versions):
+        store = QueryCache(versions)
+        with pytest.raises(UnknownTableError):
+            store.record(("k",), ("ghost",), "reply")
+        assert len(store) == 0
 
 
 class TestConnectionIntegration:

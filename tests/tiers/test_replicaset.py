@@ -289,6 +289,45 @@ class TestFollowerIntegration:
                      keywords="video").unwrap()
         assert [h["doc_id"] for h in hits] == ["d2"]
 
+    def test_follower_serves_from_cache_and_sees_the_next_shipped_write(
+        self, tmp_path
+    ):
+        network, shipper, rs, recoverer, replica, _ = self._cluster(tmp_path)
+        admin = _login(rs, "root", "administrator")
+
+        def write(op, **params):
+            _call(rs, admin, op, **params).unwrap()
+
+        def reads():
+            return (
+                _call(rs, admin, "roster", course_number="cs101").unwrap(),
+                _call(rs, admin, "transcript", student_id="s2").unwrap(),
+            )
+
+        write("register_course", course_number="cs101", title="Intro",
+              instructor="shih")
+        for student in ("s1", "s2"):
+            write("admit_student", student_id=student)
+        write("enroll", student_id="s1", course_number="cs101")
+        shipper.pump()
+        network.quiesce()
+        first = reads()
+        hits = replica.query_cache.hits
+        assert reads() == first == (["s1"], [])
+        assert replica.query_cache.hits == hits + 2
+        assert rs.stats()["reads_replica"] == 4
+        # The replay path fires no trigger; the table versions still move.
+        write("enroll", student_id="s2", course_number="cs101")
+        write("record_grade", student_id="s2", course_number="cs101",
+              grade=4.0)
+        shipper.pump()
+        network.quiesce()
+        assert reads() == (
+            ["s1", "s2"],
+            [{"student_id": "s2", "course_number": "cs101", "grade": 4.0}],
+        )
+        assert replica.query_cache.hits == hits + 2
+        assert rs.stats()["reads_replica"] == 6
 
 class TestDegradedRouting:
     """Graceful degradation: lagged replicas and the primary fallback."""

@@ -10,6 +10,7 @@ from repro.admission import (
     TenantQuotas,
 )
 from repro.tiers import ClassAdministrator, Request
+from repro.tiers.server import STALE_MAX_LAG
 
 
 @pytest.fixture
@@ -36,6 +37,18 @@ def roster(server, session, course="cs101", **extra) -> object:
         op="roster", session_id=session,
         params={"course_number": course}, **extra,
     ))
+
+
+def write_enrollments(server, count, course="zz900") -> None:
+    """``count`` committed writes to ``enrollments`` (one version each)."""
+    db = server.admin_db
+    db.upsert("courses", {"course_number": course, "title": "t",
+                          "instructor": "i"})
+    start = db.count("enrollments")
+    for i in range(start, start + count):
+        db.insert("students", {"student_id": f"z{i}", "name": "z"})
+        db.insert("enrollments", {"student_id": f"z{i}",
+                                  "course_number": course})
 
 
 class TestAdmissionGate:
@@ -109,11 +122,11 @@ class TestStaleServing:
         server = make_server(clock)
         session = login(server)
         roster(server, session, deadline=100.0)
-        # Age the entry past the version-lag bound (versions normally
-        # bump via write triggers; poke the counter directly).
-        server.table_versions._versions["enrollments"] += \
-            server.stale_reads.max_version_lag + 1
         server.admission.busy_until = clock.now + 50.0
+        write_enrollments(server, STALE_MAX_LAG)
+        at_the_bound = roster(server, session, deadline=clock.now + 0.5)
+        assert at_the_bound.degraded == "stale-cache"
+        write_enrollments(server, 1)
         response = roster(server, session, deadline=clock.now + 0.5)
         assert response.shed  # too stale to serve: shed honestly
 
@@ -220,8 +233,7 @@ class TestStaleLedger:
         # A different read of the same op has no entry: shed honestly.
         assert roster(server, session, course="cs999",
                       deadline=clock.now + 0.5).shed
-        server.table_versions._versions["enrollments"] += \
-            server.stale_reads.max_version_lag + 1
+        write_enrollments(server, STALE_MAX_LAG + 1)
         assert roster(server, session, deadline=clock.now + 0.5).shed
         stats = server.stale_reads.stats()
         assert stats["too_stale"] == 1 and stats["entries"] == 0
