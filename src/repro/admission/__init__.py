@@ -1,8 +1,8 @@
-"""Overload robustness: admission control, deadlines, breakers, budgets.
+"""Overload robustness: admission control, deadlines, breakers.
 
 The middle tier of the reproduction (paper §3's class administrators)
 originally assumed a polite client population.  This package supplies
-the four defenses a shared deployment needs when that assumption
+the three defenses a shared deployment needs when that assumption
 breaks:
 
 - :class:`AdmissionController` — per-tenant token-bucket quotas and a
@@ -12,10 +12,10 @@ breaks:
 - :mod:`~repro.admission.deadline` — absolute deadlines propagated
   through every fan-out via an ambient scope;
 - :class:`CircuitBreaker` — per-endpoint closed/open/half-open
-  fail-fast for dead shards and flapping followers;
-- :class:`RetryBudget` — bounding the population-wide retry
-  amplification factor (the backoff schedule and its deadline bound
-  are :class:`repro.fault.policy.RetryPolicy`).
+  fail-fast for dead shards and flapping followers.
+
+Retries are paced and bounded by :class:`repro.fault.policy.RetryPolicy`
+(the backoff schedule, and ``allows(now=, deadline=)`` as its bound).
 
 Everything takes an explicit or injectable clock, so simulated-time
 experiments (and the E21 saturation sweep in
@@ -38,7 +38,6 @@ from repro.admission.deadline import (
 )
 from repro.admission.errors import DeadlineExceededError, OverloadError
 from repro.admission.harness import ClockBox, LoadReport, find_knee, run_offered_load
-from repro.admission.retry import RetryBudget
 from repro.admission.tokens import TenantQuotas, TokenBucket
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "OverloadError",
     "PRIORITY_BULK",
     "PRIORITY_INTERACTIVE",
-    "RetryBudget",
     "TenantQuotas",
     "TokenBucket",
     "check_deadline",

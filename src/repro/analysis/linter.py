@@ -53,19 +53,6 @@ class LintResult:
     files_checked: int = 0
     unused_suppressions: list[Finding] = field(default_factory=list)
 
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 when clean; 1 when findings should gate.
-
-        Non-strict gates on errors only; strict also gates on warnings
-        and on unused suppressions.
-        """
-        if strict:
-            return 1 if (self.findings or self.unused_suppressions) else 0
-        return 1 if self.errors() else 0
-
 
 def _parse_suppressions(source: str) -> list[_Suppression]:
     """Collect suppression comments via tokenize.

@@ -3,11 +3,10 @@
 A retry loop that neither honours a deadline nor backs off is a retry
 storm waiting for a brown-out: it multiplies offered load exactly when
 capacity is scarcest, and it keeps retrying work whose caller gave up
-long ago.  Both disciplines exist — :class:`~repro.fault.policy
-.RetryPolicy` is the one backoff schedule (``timeout_for`` paces,
-``allows(now=, deadline=)`` bounds) and :class:`~repro.admission
-.RetryBudget` caps the fleet-wide amplification — so inside the
-configured ``retry_paths`` this rule flags loops that retry bare.
+long ago.  Both disciplines exist in one place — :class:`~repro.fault
+.policy.RetryPolicy` is the backoff schedule and its bound
+(``timeout_for`` paces, ``allows(now=, deadline=)`` bounds) — so inside
+the configured ``retry_paths`` this rule flags loops that retry bare.
 
 Heuristic: a ``while``/``for`` loop is a *retry loop* when its body
 contains a ``try`` whose exception handler ``continue``s (swallow the
@@ -16,8 +15,8 @@ discipline:
 
 * a deadline/budget bound — an identifier mentioning ``deadline``,
   ``timeout``, ``budget`` or ``attempts_left``, or a call to
-  ``allows``/``check_deadline``/``expired``/``remaining``/``try_retry``
-  anywhere in the loop (condition included);
+  ``allows``/``check_deadline``/``expired``/``remaining`` anywhere
+  in the loop (condition included);
 * backoff pacing — a call to ``sleep``/``schedule``/``timeout_for``/
   ``backoff``/``wait`` in the loop body.
 
@@ -37,9 +36,7 @@ from repro.analysis.rules._ast_util import attr_chain, walk_calls
 __all__ = ["RetryDisciplineRule"]
 
 _BOUND_NAME_HINTS = ("deadline", "timeout", "budget", "attempts_left")
-_BOUND_CALLS = frozenset({
-    "allows", "check_deadline", "expired", "remaining", "try_retry",
-})
+_BOUND_CALLS = frozenset({"allows", "check_deadline", "expired", "remaining"})
 _BACKOFF_CALLS = frozenset({
     "sleep", "schedule", "schedule_at", "timeout_for", "backoff",
     "wait", "wait_time",

@@ -504,11 +504,11 @@ class WebDocumentDatabase:
         Restores rows, files, the BLOB store (with per-implementation
         ownership) and the lock-tree hierarchy.
         """
-        from repro.rdb.wal import read_snapshot
+        from repro.rdb.wal import read_snapshot_info
 
         directory = Path(directory)
         db = cls(station, with_integrity=with_integrity)
-        snapshot = read_snapshot(directory / "tables.json")
+        snapshot, _last_lsn = read_snapshot_info(directory / "tables.json")
         # Apply rows mechanically, in dependency order (the snapshot was
         # consistent, so constraint re-checking is unnecessary).
         for table_schema in _schema.ALL_SCHEMAS:

@@ -65,10 +65,6 @@ class Message:
         if not self.size_bytes >= 0:
             check_non_negative(self.size_bytes, "size_bytes")
 
-    def reply_kind(self) -> str:
-        """Conventional kind tag for a response to this message."""
-        return f"{self.kind}.reply"
-
 
 def payload_size(data: Any) -> int:
     """Rough modeled byte count of a reply or RPC payload.

@@ -11,8 +11,8 @@ rest of the reproduction instruments into:
 * :mod:`repro.obs.trace` — nested spans on an injectable clock
   (deterministic under :mod:`repro.net.sim` virtual time);
 * :mod:`repro.obs.instrument` — the global switch (``REPRO_OBS=1`` or
-  :func:`enable`), the audited :data:`INSTRUMENT_POINTS` catalogue, and
-  the :func:`timed` / :func:`instrumented` profiling hooks;
+  :func:`enable`; sites read ``OBS.enabled`` / ``OBS.registry``) and
+  the audited :data:`INSTRUMENT_POINTS` catalogue;
 * :mod:`repro.obs.export` — text/JSON exporters and snapshot diffs;
 * :mod:`repro.obs.render` — the span→tree renderer for broadcast
   traces;
@@ -36,14 +36,9 @@ from repro.obs.instrument import (
     ENV_VAR,
     INSTRUMENT_POINTS,
     OBS,
-    active_registry,
-    active_tracer,
     disable,
     enable,
     enabled,
-    instrumented,
-    is_enabled,
-    timed,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -70,13 +65,9 @@ __all__ = [
     "MetricsSnapshot",
     "Span",
     "Tracer",
-    "active_registry",
-    "active_tracer",
     "disable",
     "enable",
     "enabled",
-    "instrumented",
-    "is_enabled",
     "read_snapshot",
     "render_diff",
     "render_span_tree",
@@ -85,6 +76,5 @@ __all__ = [
     "snapshot_to_json",
     "spans_from_json",
     "spans_to_json",
-    "timed",
     "write_snapshot",
 ]

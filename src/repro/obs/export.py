@@ -49,6 +49,7 @@ FORMAT = "repro.obs/1"
 # JSON
 # ---------------------------------------------------------------------------
 def snapshot_to_json(snapshot: MetricsSnapshot) -> dict[str, Any]:
+    """The ``repro.obs/1`` JSON document of a snapshot (keys sorted)."""
     return {
         "format": FORMAT,
         "counters": {
@@ -72,6 +73,7 @@ def snapshot_to_json(snapshot: MetricsSnapshot) -> dict[str, Any]:
 
 
 def snapshot_from_json(data: dict[str, Any]) -> MetricsSnapshot:
+    """Inverse of :func:`snapshot_to_json`; any other format is refused."""
     if data.get("format") != FORMAT:
         raise ValueError(
             f"not a {FORMAT} snapshot (format={data.get('format')!r})"
@@ -94,12 +96,14 @@ def snapshot_from_json(data: dict[str, Any]) -> MetricsSnapshot:
 
 
 def write_snapshot(path: str, snapshot: MetricsSnapshot) -> None:
+    """Write a snapshot to ``path`` as indented, diff-friendly JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot_to_json(snapshot), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_snapshot(path: str) -> MetricsSnapshot:
+    """Load a snapshot written by :func:`write_snapshot`."""
     with open(path, encoding="utf-8") as fh:
         return snapshot_from_json(json.load(fh))
 
@@ -173,6 +177,7 @@ def _signed(value: float) -> str:
 # Spans
 # ---------------------------------------------------------------------------
 def spans_to_json(spans: Iterable[Span]) -> list[dict[str, Any]]:
+    """Spans as plain dicts, one per span, in the given order."""
     return [
         {
             "span_id": s.span_id,
@@ -188,6 +193,7 @@ def spans_to_json(spans: Iterable[Span]) -> list[dict[str, Any]]:
 
 
 def spans_from_json(data: Iterable[dict[str, Any]]) -> list[Span]:
+    """Inverse of :func:`spans_to_json`."""
     return [
         Span(
             span_id=d["span_id"],

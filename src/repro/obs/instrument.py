@@ -1,4 +1,4 @@
-"""The global observability switch and the instrument-point helpers.
+"""The global observability switch and the instrument-point catalogue.
 
 Hot paths across the reproduction are pre-instrumented but **dark by
 default**: every instrument point is guarded by a single attribute read
@@ -21,10 +21,9 @@ series silently).
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import time
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -35,12 +34,7 @@ __all__ = [
     "OBS",
     "enable",
     "disable",
-    "is_enabled",
-    "active_registry",
-    "active_tracer",
     "enabled",
-    "timed",
-    "instrumented",
 ]
 
 ENV_VAR = "REPRO_OBS"
@@ -178,20 +172,6 @@ def disable() -> None:
     OBS.clock = time.perf_counter
 
 
-def is_enabled() -> bool:
-    return OBS.enabled
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The live registry, or None while disabled."""
-    return OBS.registry if OBS.enabled else None
-
-
-def active_tracer() -> Tracer | None:
-    """The live tracer, or None while disabled."""
-    return OBS.tracer if OBS.enabled else None
-
-
 @contextlib.contextmanager
 def enabled(
     *,
@@ -209,54 +189,6 @@ def enabled(
         yield enable(registry=registry, tracer=tracer, clock=clock)
     finally:
         OBS.enabled, OBS.registry, OBS.tracer, OBS.clock = previous
-
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-
-@contextlib.contextmanager
-def timed(name: str, **labels: Any) -> Iterator[None]:
-    """Time a block into histogram ``name`` (no-op while disabled)."""
-    if not OBS.enabled:
-        yield
-        return
-    clock = OBS.clock
-    start = clock()
-    try:
-        yield
-    finally:
-        registry = OBS.registry
-        if registry is not None:
-            registry.histogram(name, **labels).observe(clock() - start)
-
-
-def instrumented(name: str, **labels: Any) -> Callable[[F], F]:
-    """Decorator form of :func:`timed` for opt-in profiling hooks.
-
-    The wrapper's disabled-path cost is one attribute read and the
-    delegated call — cheap enough for warm paths, though the hottest
-    loops inline their own ``if OBS.enabled:`` guard instead.
-    """
-
-    def decorate(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not OBS.enabled:
-                return fn(*args, **kwargs)
-            clock = OBS.clock
-            start = clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                registry = OBS.registry
-                if registry is not None:
-                    registry.histogram(name, **labels).observe(
-                        clock() - start
-                    )
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
 
 
 if os.environ.get(ENV_VAR, "").strip().lower() in {"1", "on", "true"}:

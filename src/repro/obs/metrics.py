@@ -271,8 +271,10 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """Get-or-create home for every metric in one process/station.
 
-    Handles are stable for the registry's lifetime: instrumented code
-    may cache the returned objects and mutate them directly.
+    Handles live as long as the registry: instrumented code caches the
+    returned objects and mutates them directly, re-resolving only when
+    the active registry *object* changes — so a fresh registry, never an
+    emptied one, is how one starts over.
     """
 
     def __init__(self) -> None:
@@ -319,18 +321,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-    def clear(self) -> None:
-        """Drop every metric (a fresh registry without re-handing refs).
-
-        Cached handles in instrumented code become dangling after a
-        clear; the instrument layer re-resolves handles whenever the
-        active registry object changes, so prefer swapping registries
-        over clearing a live one.
-        """
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def snapshot(self) -> MetricsSnapshot:
         """An immutable, mergeable copy of the current state."""

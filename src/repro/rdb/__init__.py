@@ -50,7 +50,6 @@ from repro.rdb.errors import (
 )
 from repro.rdb.wal import (
     Journal,
-    JournalTailer,
     RecoveryStats,
     SyncPolicy,
     WalFrame,
@@ -81,7 +80,6 @@ __all__ = [
     "SchemaError",
     "JournalCorruptError",
     "Journal",
-    "JournalTailer",
     "RecoveryStats",
     "SyncPolicy",
     "WalFrame",

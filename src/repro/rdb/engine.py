@@ -37,7 +37,6 @@ from repro.rdb.query import (
     join_rows,
     matching_view,
     plan_select,
-    range_scan,
 )
 from repro.rdb.table import Table
 from repro.rdb.transaction import Transaction, TransactionManager, UndoRecord
@@ -385,26 +384,6 @@ class Database:
     def statistics(self, table_name: str):
         """Planner statistics snapshot for one table."""
         return self._catalog.get(table_name).statistics()
-
-    def range(
-        self,
-        table_name: str,
-        column: str,
-        low: Any = None,
-        high: Any = None,
-        *,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[dict[str, Any]]:
-        """Range query over one column (sorted-index accelerated)."""
-        return range_scan(
-            self._catalog.get(table_name),
-            column,
-            low,
-            high,
-            include_low=include_low,
-            include_high=include_high,
-        )
 
     def join(
         self,

@@ -258,15 +258,6 @@ class IndexSet:
                 return index
         return None
 
-    def best_hash_index(self, bound_columns: frozenset[str]) -> HashIndex | None:
-        """Pick the widest hash index fully covered by equality bindings."""
-        best: HashIndex | None = None
-        for index in self._hash.values():
-            if set(index.columns) <= bound_columns:
-                if best is None or len(index.columns) > len(best.columns):
-                    best = index
-        return best
-
     def candidate_hash_indexes(
         self, bound_columns: frozenset[str]
     ) -> list[HashIndex]:

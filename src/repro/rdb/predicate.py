@@ -5,7 +5,7 @@ Queries filter rows with expression trees built from :func:`col` and
 
     from repro.rdb import col
 
-    where = (col("author") == "shih") & col("version").ge(2)
+    where = (col("author") == "shih") & (col("version") >= 2)
     rows = db.select("scripts", where=where)
 
 Expressions support comparisons, boolean algebra (``&``, ``|``, ``~``),
@@ -74,26 +74,6 @@ class Expr:
 
     def __ge__(self, other: object) -> "Expr":
         return Compare(self, _as_expr(other), ">=")
-
-    # Named aliases keep call sites readable when operator overloading
-    # would be ambiguous (e.g. inside comprehensions).
-    def eq(self, other: object) -> "Expr":
-        return self == other
-
-    def ne(self, other: object) -> "Expr":
-        return self != other
-
-    def lt(self, other: object) -> "Expr":
-        return self < other
-
-    def le(self, other: object) -> "Expr":
-        return self <= other
-
-    def gt(self, other: object) -> "Expr":
-        return self > other
-
-    def ge(self, other: object) -> "Expr":
-        return self >= other
 
     # -- SQL-ish extras ----------------------------------------------------
     def is_null(self) -> "Expr":

@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.obs.instrument import OBS
 from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
-from repro.rdb.predicate import Expr, col, equality_bindings, range_bounds
+from repro.rdb.predicate import Expr, equality_bindings, range_bounds
 from repro.rdb.stats import TableStatistics
 from repro.rdb.table import Table
 
@@ -47,7 +47,6 @@ __all__ = [
     "SelectPlan",
     "check_limit_offset",
     "execute_select",
-    "range_scan",
     "join_rows",
     "aggregate",
     "aggregate_table",
@@ -420,41 +419,6 @@ def _hashable(value: Any) -> Any:
     if isinstance(value, dict):
         return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
     return value
-
-
-def range_scan(
-    table: Table,
-    column: str,
-    low: Any = None,
-    high: Any = None,
-    *,
-    include_low: bool = True,
-    include_high: bool = True,
-) -> list[dict[str, Any]]:
-    """Range query using a sorted index when available, else a scan."""
-    if not table.schema.has_column(column):
-        raise UnknownColumnError(table.schema.name, column)
-    index = table.indexes.sorted_index_on(column)
-    if index is not None:
-        return [
-            dict(table.get(rowid))  # type: ignore[arg-type]
-            for rowid in index.range(
-                low, high, include_low=include_low, include_high=include_high
-            )
-        ]
-    # No index: lower the bounds to a predicate tree and run it through
-    # the compiled batch filter (None keys excluded, unorderable values
-    # raise), one generated comparison chain per row.
-    where = col(column).not_null()
-    if low is not None:
-        where = where & (
-            col(column) >= low if include_low else col(column) > low
-        )
-    if high is not None:
-        where = where & (
-            col(column) <= high if include_high else col(column) < high
-        )
-    return [dict(row) for row in batch_filter(where)(table.rows_list())]
 
 
 def _join_key_fns(

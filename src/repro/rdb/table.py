@@ -79,15 +79,6 @@ class Table:
         for start in range(0, len(values), size):
             yield values[start:start + size]
 
-    def column_array(self, name: str) -> list[Any]:
-        """All values of one column, in heap (insertion) order.
-
-        The columnar view for scan-shaped analytics: one list the caller
-        can run C-speed reductions over instead of touching row dicts.
-        """
-        self.schema.column(name)  # raises on unknown column
-        return [row[name] for row in self._rows.values()]
-
     def get(self, rowid: int) -> dict[str, Any] | None:
         return self._rows.get(rowid)
 

@@ -66,10 +66,8 @@ __all__ = [
     "WalFrame",
     "read_frames",
     "parse_frame",
-    "JournalTailer",
     "Journal",
     "write_snapshot",
-    "read_snapshot",
     "read_snapshot_info",
 ]
 
@@ -312,19 +310,16 @@ def _scan_entries(
     salvage: bool,
     stats: RecoveryStats,
     path: object = "<journal>",
-    base: int = 0,
 ) -> Iterator[_Entry]:
     """Yield every readable record, classifying damage on the way.
 
-    ``data`` starts ``base`` bytes into the file (0 except for a
-    tailer's incremental read).  Torn tail (damage with no frame magic
-    after it): tolerated, counted, stop.  Mid-file corruption (a later
-    frame exists): :class:`JournalCorruptError` in strict mode; in
-    salvage mode the reader skips to that frame and keeps going.  A
-    file that opens with ``{`` is a retired v1 journal and is refused in
-    either mode.
+    Torn tail (damage with no frame magic after it): tolerated,
+    counted, stop.  Mid-file corruption (a later frame exists):
+    :class:`JournalCorruptError` in strict mode; in salvage mode the
+    reader skips to that frame and keeps going.  A file that opens with
+    ``{`` is a retired v1 journal and is refused in either mode.
     """
-    if base == 0 and data.startswith(b"{"):
+    if data.startswith(b"{"):
         raise JournalCorruptError(
             path, 0,
             "this is a v1 JSON-lines journal, a format retired in PR 13; "
@@ -348,7 +343,7 @@ def _scan_entries(
             return
         if not salvage:
             raise JournalCorruptError(
-                path, base + pos,
+                path, pos,
                 f"{problem}; valid records follow the damage "
                 f"(pass salvage=True to skip it)",
             )
@@ -433,67 +428,6 @@ def parse_frame(data: bytes) -> WalFrame:
     if entry is None:
         raise JournalCorruptError("<frame>", 0, problem or "unparseable")
     return _entry_frame(entry, data)
-
-
-class JournalTailer:
-    """Incrementally follow a live journal without whole-file replay.
-
-    Keeps the byte offset of the last complete frame consumed, so each
-    :meth:`poll` reads only the bytes appended since.  Two liveness
-    properties the replication layer depends on:
-
-    * **never a torn frame** — a frame still being appended (header or
-      payload short of its declared length, or CRC not yet valid) is
-      left for the next poll rather than yielded;
-    * **epoch restarts survive** — when the journal is checkpointed
-      (the file is atomically rewritten to a single checkpoint frame)
-      the tailer detects the rewrite, rescans from the top and resumes
-      above ``last_lsn``, so frames are never re-yielded or lost.
-
-    Mid-file corruption in newly appended bytes raises
-    :class:`~repro.rdb.errors.JournalCorruptError` — a shipping primary
-    must not stream damaged history.
-    """
-
-    #: bytes of the file head used to detect an atomic rewrite
-    _TOKEN_LEN = len(MAGIC) + _HEADER.size + _CRC.size
-
-    def __init__(
-        self, path: str | os.PathLike[str], *, from_lsn: int = 0
-    ) -> None:
-        self.path = Path(path)
-        self.last_lsn = from_lsn
-        self._pos = 0
-        self._head_token = b""
-
-    def poll(self) -> list[WalFrame]:
-        """All complete frames appended since the last poll."""
-        if not self.path.exists():
-            return []
-        size = self.path.stat().st_size
-        with self.path.open("rb") as fh:
-            head = fh.read(self._TOKEN_LEN)
-            if size < self._pos or head != self._head_token:
-                # The file was rewritten under us (checkpoint/compaction)
-                # or this is the first poll: rescan from the top.  The
-                # last_lsn filter below deduplicates anything re-read.
-                self._pos = 0
-                self._head_token = head
-            fh.seek(self._pos)
-            data = fh.read()
-        frames: list[WalFrame] = []
-        consumed = 0
-        # Strict scan: a torn tail (an append in flight) just ends it and
-        # is retried next poll; monotonicity within the new bytes is the
-        # scanner's, the last_lsn filter deduplicates a rescan.
-        for entry in _scan_entries(data, salvage=False, stats=RecoveryStats(),
-                                   path=self.path, base=self._pos):
-            consumed = entry.end
-            if entry.lsn > self.last_lsn:
-                frames.append(_entry_frame(entry, data))
-                self.last_lsn = entry.lsn
-        self._pos += consumed
-        return frames
 
 
 # ---------------------------------------------------------------------------
@@ -869,11 +803,3 @@ def read_snapshot_info(
         for name, rows in payload["tables"].items()
     }
     return tables, int(payload.get("last_lsn", 0))
-
-
-def read_snapshot(
-    path: str | os.PathLike[str],
-) -> dict[str, list[dict[str, Any]]]:
-    """Load just the tables of a snapshot written by
-    :func:`write_snapshot`."""
-    return read_snapshot_info(path)[0]

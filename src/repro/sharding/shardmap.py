@@ -193,28 +193,3 @@ class ShardMap:
     def describe(self, table: str) -> str:
         """One-line placement summary (surfaces in EXPLAIN)."""
         return f"{self.sharding(table).describe()}%{self.num_shards}"
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "num_shards": self.num_shards,
-            "tables": {
-                name: {
-                    "key": list(s.key),
-                    "strategy": s.strategy,
-                    "bounds": list(s.bounds),
-                }
-                for name, s in self.tables.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ShardMap":
-        tables = {
-            name: TableSharding(
-                key=tuple(spec["key"]),
-                strategy=spec.get("strategy", "hash"),
-                bounds=tuple(spec.get("bounds", ())),
-            )
-            for name, spec in payload["tables"].items()
-        }
-        return cls(int(payload["num_shards"]), tables)

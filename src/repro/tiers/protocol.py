@@ -12,8 +12,9 @@ carry an absolute ``deadline`` (on the caller's clock), a scheduling
 ``retry_after_s`` backoff hint (set when ``shed`` — the server refused
 to start the work) and a ``degraded`` marker naming the fallback that
 served it (e.g. ``"stale-cache"``).  All six are optional with v1
-defaults, so v1 peers interoperate unchanged —
-:meth:`Request.from_wire` accepts deadline-less v1 dicts forever.
+defaults, so a request that sets none of them is served exactly as a
+v1 request was.  The simulated wire carries the objects themselves;
+:attr:`Request.wire_size` is the only encoding fact it charges.
 """
 
 from __future__ import annotations
@@ -104,36 +105,6 @@ class Request:
             size += len(key) if type(key) is str else len(str(key))
             size += len(value) if type(value) is str else len(str(value))
         return size
-
-    def to_wire(self) -> dict[str, Any]:
-        """A plain-dict wire form; v2 fields omitted when unset so the
-        encoding of a v1-shaped request is byte-identical to v1."""
-        wire: dict[str, Any] = {
-            "op": self.op,
-            "session_id": self.session_id,
-            "params": dict(self.params),
-            "request_id": self.request_id,
-        }
-        if self.deadline is not None:
-            wire["deadline"] = self.deadline
-        if self.priority is not None:
-            wire["priority"] = self.priority
-        if self.tenant is not None:
-            wire["tenant"] = self.tenant
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "Request":
-        """Decode a v1 or v2 wire dict (missing v2 fields -> None)."""
-        return cls(
-            op=wire["op"],
-            session_id=wire.get("session_id"),
-            params=dict(wire.get("params") or {}),
-            request_id=wire.get("request_id", 0),
-            deadline=wire.get("deadline"),
-            priority=wire.get("priority"),
-            tenant=wire.get("tenant"),
-        )
 
 
 @dataclass(frozen=True, slots=True)

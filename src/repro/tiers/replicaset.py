@@ -26,7 +26,7 @@ convenience glue for wiring an actual follower lives in
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.obs.instrument import OBS
 from repro.tiers.protocol import REPLICA_SAFE_OPS, Request, Response, Role
@@ -274,10 +274,3 @@ class ReplicaSet:
             },
         }
 
-
-def route_table(ops: Sequence[str]) -> dict[str, str]:
-    """Where each op routes: ``"replica"`` or ``"primary"`` (docs/tests)."""
-    return {
-        op: "replica" if op in REPLICA_SAFE_OPS else "primary"
-        for op in ops
-    }

@@ -76,6 +76,11 @@ STALE_MAX_LAG = 8
 _PLAIN_KEYS = frozenset({str})
 _PLAIN_VALUES = frozenset({str, int, type(None)})
 
+#: What params of the wrong shape (a list for an id, ``None`` for a
+#: grade) raise inside an op: input from outside the program, so it is
+#: answered with a failure reply like any other rejected request.
+_BAD_PARAMS = (TypeError, AttributeError)
+
 T = ColumnType
 
 STUDENTS = Schema(
@@ -510,7 +515,10 @@ class ClassAdministrator:
                 f"read-only replica: {request.op!r} must go to the primary",
             )
         if request.op == "login":
-            return self._op_login(request)
+            try:
+                return self._op_login(request)
+            except _BAD_PARAMS as exc:
+                return Response.failure(request, f"{type(exc).__name__}: {exc}")
         session = (
             self._sessions.get(request.session_id)
             if request.session_id
@@ -537,7 +545,9 @@ class ClassAdministrator:
                 f"{type(exc).__name__}: {exc}",
                 retry_after_s=exc.retry_after_s,
             )
-        except (RdbError, LookupError, ValueError, RuntimeError) as exc:
+        except (
+            RdbError, LookupError, ValueError, RuntimeError, *_BAD_PARAMS
+        ) as exc:
             return Response.failure(request, f"{type(exc).__name__}: {exc}")
         if self.admission is not None:
             tables = _STALE_SERVABLE.get(request.op)
@@ -717,7 +727,7 @@ class ClassAdministrator:
                 "starting_url": entry.starting_url,
                 "size_bytes": entry.size_bytes,
             })
-        except RdbError:
+        except (RdbError, *_BAD_PARAMS):
             # Keep the derived view and the table in step.
             self.library.remove_document(user, entry.doc_id)
             raise

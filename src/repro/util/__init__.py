@@ -5,7 +5,7 @@ substrate package (:mod:`repro.rdb`, :mod:`repro.net`, ...) can use them
 without import cycles.
 """
 
-from repro.util.rng import SeedSequenceFactory, derive_seed, make_rng
+from repro.util.rng import derive_seed, make_rng
 from repro.util.units import (
     KIB,
     MIB,
@@ -27,7 +27,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "SeedSequenceFactory",
     "derive_seed",
     "make_rng",
     "KIB",

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "make_rng", "SeedSequenceFactory"]
+__all__ = ["derive_seed", "make_rng"]
 
 
 def derive_seed(base_seed: int, *labels: object) -> int:
@@ -42,27 +42,3 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
     """Build a :class:`numpy.random.Generator` for ``seed`` and labels."""
     return np.random.default_rng(derive_seed(seed, *labels))
 
-
-class SeedSequenceFactory:
-    """Hands out decorrelated child seeds from one root seed.
-
-    Useful when a component spawns an unknown number of children (e.g. one
-    RNG per simulated station) and wants each to be independent yet
-    reproducible regardless of creation order, as long as labels are
-    stable.
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self._root_seed = int(root_seed)
-
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
-    def seed_for(self, *labels: object) -> int:
-        """Return the child seed for a label path."""
-        return derive_seed(self._root_seed, *labels)
-
-    def rng_for(self, *labels: object) -> np.random.Generator:
-        """Return a generator seeded for a label path."""
-        return np.random.default_rng(self.seed_for(*labels))

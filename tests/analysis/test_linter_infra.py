@@ -94,8 +94,8 @@ class TestSuppressions:
         assert [f.rule for f in result.unused_suppressions] == [
             "unused-suppression"
         ]
-        assert result.exit_code(strict=False) == 0
-        assert result.exit_code(strict=True) == 1
+        assert cli_main(["lint", str(module)]) == 0
+        assert cli_main(["lint", str(module), "--strict"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,6 @@ class TestNetwork:
         message = net8.send("s1", "s2", "kind.x", {"a": 1}, 42)
         assert message.src == "s1" and message.dst == "s2"
         assert message.size_bytes == 42 and message.sent_at == 0.0
-        assert message.reply_kind() == "kind.x.reply"
 
     def test_negative_size_rejected(self, net8):
         with pytest.raises(ValueError):

@@ -135,8 +135,8 @@ def test_cli_demo_dump_diff_points(tmp_path, capsys):
 
 
 def test_cli_demo_leaves_instrumentation_disabled(capsys):
-    from repro.obs import is_enabled
+    from repro.obs import OBS
 
     assert main(["demo", "--stations", "3", "--m", "2"]) == 0
     capsys.readouterr()
-    assert not is_enabled()
+    assert not OBS.enabled

@@ -155,9 +155,3 @@ def test_empty_snapshot_and_default_buckets():
     assert empty.counter_total("anything") == 0
     assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
 
-
-def test_clear_drops_everything():
-    registry = _registry_with_data()
-    registry.clear()
-    assert len(registry) == 0
-    assert registry.snapshot().names() == set()

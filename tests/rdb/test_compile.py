@@ -173,7 +173,7 @@ def test_insert_many_maintains_indexes_and_triggers():
     ])
     assert keys == [(i,) for i in range(20)]
     assert fired == list(range(20))
-    got = db.range("docs", "size", 95, 99)
+    got = db.select("docs", where=col("size").between(95, 99))
     assert [r["size"] for r in got] == [95, 96, 97, 98, 99]
     # Point probe through the pk index still works after the bulk path.
     assert db.select("docs", where=col("doc_id") == 7)[0]["size"] == 93

@@ -118,11 +118,17 @@ class TestIndexSet:
         assert indexes.hash_index_on(("a", "b")).name == "h2"
         assert indexes.hash_index_on(("b",)) is None
 
-    def test_best_hash_index_prefers_widest(self):
+    def test_candidate_hash_indexes_are_the_fully_covered_ones(self):
         indexes = self._set()
-        assert indexes.best_hash_index(frozenset({"a", "b"})).name == "h2"
-        assert indexes.best_hash_index(frozenset({"a"})).name == "h1"
-        assert indexes.best_hash_index(frozenset({"z"})) is None
+
+        def names(bound):
+            return sorted(
+                i.name for i in indexes.candidate_hash_indexes(frozenset(bound))
+            )
+
+        assert names({"a", "b"}) == ["h1", "h2"]
+        assert names({"a"}) == ["h1"]
+        assert names({"z"}) == []
 
     def test_sorted_index_on(self):
         indexes = self._set()

@@ -24,14 +24,6 @@ class TestComparisons:
         assert (col("a") >= 5).eval(ROW)
         assert not (col("a") > 5).eval(ROW)
 
-    def test_named_aliases(self):
-        assert col("a").eq(5).eval(ROW)
-        assert col("a").ne(4).eval(ROW)
-        assert col("a").lt(9).eval(ROW)
-        assert col("a").le(5).eval(ROW)
-        assert col("a").gt(1).eval(ROW)
-        assert col("a").ge(5).eval(ROW)
-
     def test_null_compares_false(self):
         """SQL UNKNOWN: any comparison against NULL fails the filter."""
         assert not (col("c") == 5).eval(ROW)

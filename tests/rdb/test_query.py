@@ -85,22 +85,31 @@ class TestPlanner:
 
 class TestRange:
     def test_range_without_index(self, populated_db):
-        rows = populated_db.range("orders", "amount", 3.0, 8.0)
+        rows = populated_db.select(
+            "orders", where=col("amount").between(3.0, 8.0))
         assert sorted(r["order_id"] for r in rows) == [10, 11]
 
     def test_range_with_sorted_index(self, populated_db):
         populated_db.create_sorted_index("orders", "by_amount", "amount")
-        rows = populated_db.range("orders", "amount", 3.0, 8.0)
-        assert sorted(r["order_id"] for r in rows) == [10, 11]
+        where = col("amount").between(3.0, 8.0)
+        assert "index:by_amount" in populated_db.explain("orders", where)
+        rows = populated_db.select("orders", where=where)
+        # Straight off the index: ascending key order.
+        assert [r["order_id"] for r in rows] == [10, 11]
 
     def test_range_exclusive(self, populated_db):
-        rows = populated_db.range("orders", "amount", 5.0, 7.5,
-                                  include_low=False, include_high=False)
-        assert rows == []
+        where = (col("amount") > 5.0) & (col("amount") < 7.5)
+        assert populated_db.select("orders", where=where) == []
+        populated_db.create_sorted_index("orders", "by_amount", "amount")
+        assert populated_db.select("orders", where=where) == []
 
     def test_range_ignores_nulls(self, populated_db):
-        rows = populated_db.range("people", "age", 0, 200)
+        where = col("age").between(0, 200)
+        rows = populated_db.select("people", where=where)
         assert sorted(r["name"] for r in rows) == ["ada", "bob"]
+        populated_db.create_sorted_index("people", "by_age", "age")
+        rows = populated_db.select("people", where=where)
+        assert [r["name"] for r in rows] == ["bob", "ada"]
 
 
 class TestJoin:

@@ -11,7 +11,7 @@ from repro.rdb.wal import (
     RecoveryStats,
     decode_value,
     encode_value,
-    read_snapshot,
+    read_snapshot_info,
     write_snapshot,
 )
 
@@ -99,7 +99,7 @@ class TestSnapshot:
             ]
         }
         write_snapshot(path, tables)
-        assert read_snapshot(path) == tables
+        assert read_snapshot_info(path) == (tables, 0)
 
 
 def _make_db(journal: Journal | None = None) -> Database:
@@ -310,7 +310,7 @@ class TestRetiredV1:
                              ids=["strict", "salvage"])
     def test_v1_journal_refused_and_left_untouched(self, tmp_path, salvage):
         from repro.rdb import JournalCorruptError
-        from repro.rdb.wal import JournalTailer, read_frames
+        from repro.rdb.wal import read_frames
 
         path = self._v1_file(tmp_path)
         before = path.read_bytes()
@@ -319,7 +319,6 @@ class TestRetiredV1:
             lambda: list(Journal.read(path, salvage=salvage)),
             lambda: list(Journal.read_records(path, salvage=salvage)),
             lambda: list(read_frames(path)),
-            lambda: JournalTailer(path).poll(),
             lambda: Database.recover(
                 "r", [EVENTS], journal_path=str(path), salvage=salvage),
         ]

@@ -1,9 +1,8 @@
 """The resumable frame-streaming API replication is built on.
 
-Covers :func:`repro.rdb.wal.read_frames`, :func:`parse_frame`,
-:class:`JournalTailer` and :meth:`Journal.append_raw` — including the
-pinned regression that tailing a journal mid-append can never yield a
-torn frame.
+Covers :func:`repro.rdb.wal.read_frames`, :func:`parse_frame` and
+:meth:`Journal.append_raw` — including the pinned regression that
+reading a journal mid-append can never yield a torn frame.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 from repro.rdb import Database, JournalCorruptError, Schema, Column, ColumnType
 from repro.rdb.wal import (
     Journal,
-    JournalTailer,
     WalFrame,
     parse_frame,
     read_frames,
@@ -79,6 +77,33 @@ class TestReadFrames:
         (tmp_path / "bad.wal").write_bytes(bytes(data))
         with pytest.raises(JournalCorruptError):
             list(read_frames(tmp_path / "bad.wal"))
+
+    def test_resuming_mid_append_never_yields_torn_frame(self, tmp_path):
+        """Pinned regression: resume at EVERY byte prefix of an in-flight
+        append — a partially written frame must never surface, and once
+        the final byte lands exactly the full frames appear."""
+        journal = _journal_with(tmp_path / "whole.wal", 3)
+        journal.close()
+        whole = (tmp_path / "whole.wal").read_bytes()
+        frame_ends = []
+        pos = 0
+        for frame in read_frames(tmp_path / "whole.wal"):
+            pos += len(frame.data)
+            frame_ends.append(pos)
+
+        live = tmp_path / "live.wal"
+        yielded: list[int] = []
+        for cut in range(len(whole) + 1):
+            live.write_bytes(whole[:cut])  # the append in flight
+            last = yielded[-1] if yielded else 0
+            # must not raise, must not tear
+            yielded.extend(f.lsn for f in read_frames(live, from_lsn=last))
+            complete = sum(1 for end in frame_ends if end <= cut)
+            assert yielded == list(range(1, complete + 1)), (
+                f"at byte {cut}: yielded {yielded}, "
+                f"complete frames {complete}"
+            )
+        assert yielded == [1, 2, 3]
 
 
 class TestParseFrame:
@@ -150,69 +175,3 @@ class TestAppendRaw:
         lsn = dst.append(7, [["insert", "events", {"event_id": 7, "label": ""}]])
         assert lsn == 3  # adopted sequence continues
         dst.close()
-
-
-class TestJournalTailer:
-    def test_incremental_polling(self, tmp_path):
-        journal = _journal_with(tmp_path / "j.wal", 2)
-        tailer = JournalTailer(tmp_path / "j.wal")
-        assert [f.lsn for f in tailer.poll()] == [1, 2]
-        assert tailer.poll() == []
-        journal.append(3, [["insert", "events", {"event_id": 3, "label": ""}]])
-        assert [f.lsn for f in tailer.poll()] == [3]
-        journal.close()
-
-    def test_from_lsn_skips_consumed_history(self, tmp_path):
-        journal = _journal_with(tmp_path / "j.wal", 4)
-        journal.close()
-        tailer = JournalTailer(tmp_path / "j.wal", from_lsn=2)
-        assert [f.lsn for f in tailer.poll()] == [3, 4]
-
-    def test_survives_checkpoint_rewrite(self, tmp_path):
-        journal = _journal_with(tmp_path / "j.wal", 3)
-        tailer = JournalTailer(tmp_path / "j.wal")
-        assert [f.lsn for f in tailer.poll()] == [1, 2, 3]
-        journal.checkpoint(3)  # atomic rewrite: file now one ckpt frame
-        journal.append(4, [["insert", "events", {"event_id": 4, "label": ""}]])
-        journal.append(5, [["insert", "events", {"event_id": 5, "label": ""}]])
-        frames = tailer.poll()
-        # Nothing re-yielded, nothing lost across the epoch restart.
-        assert [f.lsn for f in frames if f.kind == "txn"] == [4, 5]
-        journal.close()
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        journal = _journal_with(tmp_path / "j.wal", 3)
-        journal.close()
-        data = bytearray((tmp_path / "j.wal").read_bytes())
-        data[len(data) // 3] ^= 0x40
-        (tmp_path / "j.wal").write_bytes(bytes(data))
-        tailer = JournalTailer(tmp_path / "j.wal")
-        with pytest.raises(JournalCorruptError):
-            tailer.poll()
-
-    def test_tailing_mid_append_never_yields_torn_frame(self, tmp_path):
-        """Pinned regression: poll at EVERY byte prefix of an in-flight
-        append — a partially written frame must never surface, and once
-        the final byte lands exactly the full frames appear."""
-        journal = _journal_with(tmp_path / "whole.wal", 3)
-        journal.close()
-        whole = (tmp_path / "whole.wal").read_bytes()
-        frame_ends = []
-        pos = 0
-        for frame in read_frames(tmp_path / "whole.wal"):
-            pos += len(frame.data)
-            frame_ends.append(pos)
-
-        live = tmp_path / "live.wal"
-        tailer = JournalTailer(live)
-        yielded: list[int] = []
-        for cut in range(len(whole) + 1):
-            live.write_bytes(whole[:cut])  # the append in flight
-            frames = tailer.poll()  # must not raise, must not tear
-            yielded.extend(f.lsn for f in frames)
-            complete = sum(1 for end in frame_ends if end <= cut)
-            assert yielded == list(range(1, complete + 1)), (
-                f"at byte {cut}: yielded {yielded}, "
-                f"complete frames {complete}"
-            )
-        assert yielded == [1, 2, 3]

@@ -131,9 +131,3 @@ class TestCatalog:
     def test_describe_names_strategy_key_and_fanout(self):
         assert hash_map().describe("docs") == "hash(doc_id)%4"
         assert range_map().describe("docs") == "range(doc_id)%3"
-
-    def test_dict_roundtrip_preserves_placement(self):
-        for smap in (hash_map(), range_map()):
-            again = ShardMap.from_dict(smap.as_dict())
-            assert again.num_shards == smap.num_shards
-            assert again.tables == smap.tables

@@ -20,6 +20,7 @@ PACKAGES = [
     "repro.fault",
     "repro.library",
     "repro.net",
+    "repro.obs",
     "repro.qa",
     "repro.rdb",
     "repro.replication",

@@ -61,59 +61,6 @@ class TestRequestResponse:
             request.op = "other"
 
 
-class TestWireFormat:
-    """Protocol v2: deadline/priority/tenant round-tripping + v1 compat."""
-
-    def test_v2_fields_round_trip(self):
-        request = Request(
-            "transcript", "sess-1", {"student_id": "alice"},
-            deadline=42.5, priority="bulk", tenant="cs101",
-        )
-        wire = request.to_wire()
-        back = Request.from_wire(wire)
-        assert back.op == "transcript"
-        assert back.session_id == "sess-1"
-        assert back.params == {"student_id": "alice"}
-        assert back.request_id == request.request_id
-        assert back.deadline == 42.5
-        assert back.priority == "bulk"
-        assert back.tenant == "cs101"
-
-    def test_unset_v2_fields_omitted_from_wire(self):
-        """A v1-shaped request encodes byte-identically to v1: no new
-        keys appear unless set, so v1 peers never see them."""
-        wire = Request("login", None, {"user": "x"}).to_wire()
-        assert set(wire) == {"op", "session_id", "params", "request_id"}
-
-    def test_v1_wire_dict_decodes(self):
-        """Deadline-less v1 dicts must decode forever."""
-        back = Request.from_wire({
-            "op": "roster", "session_id": "sess-9",
-            "params": {"course_number": "cs101"}, "request_id": 7,
-        })
-        assert back.deadline is None
-        assert back.priority is None
-        assert back.tenant is None
-        assert back.request_id == 7
-
-    def test_minimal_v1_wire_dict_decodes(self):
-        back = Request.from_wire({"op": "login"})
-        assert back.session_id is None and back.params == {}
-
-    def test_wire_params_are_copied(self):
-        request = Request("op", None, {"k": 1})
-        wire = request.to_wire()
-        wire["params"]["k"] = 2
-        assert request.params["k"] == 1
-
-    def test_partial_v2_round_trips(self):
-        request = Request("op", None, deadline=9.0)
-        wire = request.to_wire()
-        assert "priority" not in wire and "tenant" not in wire
-        back = Request.from_wire(wire)
-        assert back.deadline == 9.0 and back.priority is None
-
-
 class TestOverloadResponses:
     def test_overload_factory_marks_shed(self):
         request = Request("op", None)

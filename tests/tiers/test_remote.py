@@ -96,6 +96,26 @@ class TestRemoteCalls:
         assert cursor.fetchone()["student_id"] == "bob"
 
 
+class TestMalformedParamsOverTheWire:
+    def test_one_clients_bad_request_cannot_kill_anothers_call(self, world):
+        """Whoever drives the simulator runs everyone's requests: A's
+        malformed roster must come back to A as a failure reply, not
+        leave ``sim.step()`` as a TypeError inside B's ``call_sync``."""
+        net, _server = world
+        a = RemoteTierClient(net, "s2", "s1")
+        b = RemoteTierClient(net, "s3", "s1")
+        a.login("registrar", "administrator")
+        b.login("shih", "instructor")
+        a_replies = []
+        a.call("roster", {"course_number": ["c1"]},
+               on_response=a_replies.append)
+        assert b.call_sync("roster", course_number="c1").unwrap() == []
+        net.quiesce()
+        [reply] = a_replies
+        assert not reply.ok and reply.error.startswith("TypeError")
+        assert a._pending == {} and b._pending == {}
+
+
 class TestManyStubsOnOneStation:
     """A reply goes to whichever stub holds its request id, however many
     stubs share the workstation."""

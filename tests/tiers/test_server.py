@@ -92,6 +92,48 @@ class TestSessions:
         assert not response.ok and "unknown operation" in response.error
 
 
+class TestMalformedParams:
+    """Params are input from outside the program: a value of the wrong
+    shape is a failure reply, never an exception out of ``handle``."""
+
+    @pytest.mark.parametrize("op, params, error", [
+        ("record_grade",
+         {"student_id": "alice", "course_number": "c1", "grade": None},
+         "TypeError: float()"),
+        ("record_grade",
+         {"student_id": "alice", "course_number": "c1", "grade": [3]},
+         "TypeError: float()"),
+        ("admit_student", {"student_id": ["x"]},
+         "TypeError: column 'student_id' expects str"),
+        ("search_library", {"keywords": 5},
+         "AttributeError: 'int' object has no attribute 'lower'"),
+        ("roster", {"course_number": ["c1"]},
+         "TypeError: unhashable type: 'list'"),
+    ], ids=["grade-none", "grade-list", "student-id-list", "keywords-int",
+            "course-number-list"])
+    def test_op_handler_answers_with_a_failure(
+            self, server, admin_session, op, params, error):
+        _call(server, admin_session, "admit_student", student_id="alice")
+        _call(server, admin_session, "register_course",
+              course_number="c1", title="T", instructor="shih")
+        _call(server, admin_session, "enroll",
+              student_id="alice", course_number="c1")
+        response = _call(server, admin_session, op, **params)
+        assert not response.ok and not response.shed
+        assert response.error.startswith(error)
+        # ... and the server keeps serving.
+        assert _call(server, admin_session, "roster",
+                     course_number="c1").unwrap() == ["alice"]
+
+    def test_login_answers_with_a_failure(self, server):
+        response = server.handle(Request(
+            op="login", session_id=None,
+            params={"user": ["u"], "role": "student"},
+        ))
+        assert not response.ok
+        assert response.error == "TypeError: unhashable type: 'list'"
+
+
 class TestAuthorization:
     def test_student_cannot_admit(self, server, admin_session):
         _call(server, admin_session, "admit_student", student_id="alice")
@@ -202,15 +244,27 @@ class TestLibraryOps:
     def test_malformed_search_limit_is_a_failure_reply(
             self, server, instructor_session, limit):
         # Params arrive off the wire unvalidated: a bad limit must come
-        # back as a failure reply (ValueError is in _handle's except
-        # tuple; the TypeError a str limit would raise in a slice is
-        # not), and -1 must not be served as "all but the last hit".
+        # back as a failure reply naming the validation that refused it
+        # (not the TypeError a str limit would raise in a slice), and -1
+        # must not be served as "all but the last hit".
         _call(server, instructor_session, "publish_course_document",
               doc_id="d1", title="T", course_number="C")
         response = _call(server, instructor_session, "search_library",
                          course="C", limit=limit)
         assert not response.ok
         assert "ValueError" in response.error
+
+    def test_publish_refused_by_the_table_leaves_no_library_entry(
+            self, server, instructor_session):
+        # doc_id=5 passes the derived view (any hashable keys it) and is
+        # refused by the column check: the view must be rolled back.
+        response = _call(server, instructor_session,
+                         "publish_course_document",
+                         doc_id=5, title="T", course_number="C")
+        assert not response.ok and "TypeError" in response.error
+        assert 5 not in server.library
+        assert _call(server, instructor_session, "search_library",
+                     course="C").unwrap() == []
 
     def test_withdraw(self, server, instructor_session):
         _call(server, instructor_session, "publish_course_document",

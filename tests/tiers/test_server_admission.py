@@ -98,6 +98,18 @@ class TestAdmissionGate:
             assert roster(server, session, deadline=clock.now + 1.0).ok
         assert server.admission.depth == 0
 
+    def test_malformed_params_complete_the_ticket_once(self, clock):
+        server = make_server(clock)
+        session = login(server)
+        completed = []
+        complete = server.admission.complete
+        server.admission.complete = lambda ticket, **kw: (
+            completed.append(ticket), complete(ticket, **kw))
+        response = roster(server, session, course=["cs101"])
+        assert not response.ok and not response.shed
+        assert response.error.startswith("TypeError")
+        assert len(completed) == 1 and server.admission.depth == 0
+
     def test_without_controller_v1_behaviour(self):
         server = ClassAdministrator()
         session = login(server)
@@ -351,7 +363,7 @@ class TestDeadlineScopeAroundDispatch:
         assert not response.ok and "boom" in response.error
         assert seen == [7.0] and current_deadline() is None
         # ... and one that escapes handle() through the scope.
-        server._handlers["roster"] = failing(AttributeError)
-        with pytest.raises(AttributeError):
+        server._handlers["roster"] = failing(ArithmeticError)
+        with pytest.raises(ArithmeticError):
             roster(server, session, deadline=8.0)
         assert seen == [7.0, 8.0] and current_deadline() is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import SeedSequenceFactory, derive_seed, make_rng
+from repro.util.rng import derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -47,21 +47,3 @@ class TestMakeRng:
         b = make_rng(9, "s2").random(5)
         assert not np.array_equal(a, b)
 
-
-class TestSeedSequenceFactory:
-    def test_root_seed_exposed(self):
-        assert SeedSequenceFactory(11).root_seed == 11
-
-    def test_seed_for_matches_derive(self):
-        factory = SeedSequenceFactory(11)
-        assert factory.seed_for("net", 3) == derive_seed(11, "net", 3)
-
-    def test_rng_for_reproducible(self):
-        factory = SeedSequenceFactory(11)
-        a = factory.rng_for("x").integers(0, 100, 10)
-        b = factory.rng_for("x").integers(0, 100, 10)
-        np.testing.assert_array_equal(a, b)
-
-    def test_children_independent(self):
-        factory = SeedSequenceFactory(11)
-        assert factory.seed_for("a") != factory.seed_for("b")
