@@ -504,18 +504,11 @@ class WebDocumentDatabase:
         Restores rows, files, the BLOB store (with per-implementation
         ownership) and the lock-tree hierarchy.
         """
-        from repro.rdb.wal import read_snapshot_info
-
         directory = Path(directory)
         db = cls(station, with_integrity=with_integrity)
-        snapshot, _last_lsn = read_snapshot_info(directory / "tables.json")
-        # Apply rows mechanically, in dependency order (the snapshot was
-        # consistent, so constraint re-checking is unnecessary).
-        for table_schema in _schema.ALL_SCHEMAS:
-            table = db.engine.table(table_schema.name)
-            for row in snapshot.get(table_schema.name, ()):
-                # repro-analysis: ignore[mutation-outside-transaction] -- replaying a committed snapshot; no undo log exists to record into
-                table.apply_insert(table_schema.normalize_row(row))
+        # Rows are applied mechanically (the snapshot was consistent, so
+        # constraint re-checking is unnecessary).
+        db.engine.load_snapshot(directory / "tables.json")
         files_payload = json.loads(
             (directory / "files.json").read_text(encoding="utf-8")
         )

@@ -66,9 +66,13 @@ class ReplicationLog:
         if self.inner is not None:
             self.inner.append(txn_id, ops)
 
-    def truncate(self) -> None:
+    @property
+    def last_lsn(self) -> int:
+        return self.inner.last_lsn if self.inner is not None else 0
+
+    def checkpoint(self, last_lsn: int | None = None) -> None:
         if self.inner is not None:
-            self.inner.truncate()
+            self.inner.checkpoint(last_lsn)
 
     def take(self) -> list[list[Any]]:
         """Drain the captured operations."""

@@ -18,6 +18,7 @@ CASCADE delete either fully applies or fully rolls back).
 from __future__ import annotations
 
 import contextlib
+import os
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs.instrument import OBS
@@ -45,8 +46,10 @@ from repro.rdb.types import Schema
 from repro.rdb.wal import (
     Journal,
     RecoveryStats,
+    WalFrame,
     decode_row,
     encode_row,
+    read_frames,
     read_snapshot_info,
     write_snapshot,
 )
@@ -82,6 +85,11 @@ class Database:
         self._txn_began_at: float | None = None
         #: Filled in by :meth:`recover`; None for a fresh database.
         self.recovery_stats: RecoveryStats | None = None
+        #: What :meth:`apply_frame` has read of two-phase commit: the ops
+        #: of each PREPARE still awaiting its outcome (in doubt if the
+        #: journal ends there), and every journaled outcome by gtxn.
+        self.prepared_ops: dict[str, list[Any]] = {}
+        self.outcomes: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # DDL
@@ -519,15 +527,16 @@ class Database:
             )
 
     def apply_replicated(self, record: dict[str, Any]) -> None:
-        """Apply one journal record shipped from a replication primary.
+        """Apply one already-journaled ``{"txn": id, "ops": [...]}``
+        record that does not arrive as a frame (a shard settling an
+        in-doubt prepare once the coordinator answers).
 
-        The follower-side twin of journal replay during
-        :meth:`recover`: ops are applied verbatim with no constraint
-        re-checks and no trigger re-fires (the primary already did
-        both before journaling), and nothing is re-journaled here —
-        the replication layer persists the shipped frame bytes to the
-        follower's own journal before calling this, so crash recovery
-        and live apply see the identical history.
+        Like :meth:`apply_frame`, ops are applied verbatim with no
+        constraint re-checks and no trigger re-fires (both ran before
+        the ops were journaled), and nothing is re-journaled here —
+        the caller makes the record durable in its own journal before
+        calling this, so crash recovery and live apply see the
+        identical history.
         """
         if self.in_transaction:
             raise TransactionError(
@@ -538,14 +547,60 @@ class Database:
         if isinstance(record.get("txn"), int):
             self._txn.advance_past(record["txn"])
 
+    def apply_frame(self, frame: WalFrame) -> None:
+        """Apply one journal frame — the only journal→state step, shared
+        by :meth:`recover` and the replication follower's live stream.
+
+        A transaction frame replays its ops and advances the txn id (as
+        :meth:`apply_replicated` does, and as trustingly).  Two-phase
+        commit frames apply in journal order: a ``prepare`` only holds
+        its ops (:attr:`prepared_ops`), the matching ``commit`` applies
+        them *at the commit frame's position*, an ``abort`` drops them;
+        an outcome whose prepare was never seen (it lies below the
+        snapshot watermark) changes no row.  Checkpoint frames and a
+        coordinator's ``decision``/``end`` records carry no table state.
+        """
+        if self._txn.in_transaction:
+            raise TransactionError(
+                "cannot apply journal frames inside a transaction"
+            )
+        if frame.kind == "txn":
+            for op in frame.ops or ():
+                self._replay_op(op)
+            if isinstance(frame.txn_id, int):
+                self._txn.advance_past(frame.txn_id)
+        elif frame.kind == "2pc":
+            payload = frame.payload or {}
+            step, gtxn = payload.get("2pc"), payload.get("gtxn")
+            if step == "prepare":
+                self.prepared_ops[gtxn] = payload.get("ops") or []
+            elif step in ("commit", "abort"):
+                ops = self.prepared_ops.pop(gtxn, None)
+                if step == "commit":
+                    for op in ops or ():
+                        self._replay_op(op)
+                self.outcomes[gtxn] = step
+
+    def load_snapshot(self, path: str | os.PathLike[str]) -> int:
+        """Load the rows :meth:`snapshot` dumped to ``path`` into this
+        database's (empty) tables — the only snapshot→tables step.
+        Returns the snapshot's journal LSN watermark."""
+        tables, watermark = read_snapshot_info(path)
+        for table_name, rows in tables.items():
+            table = self._catalog.get(table_name)
+            normalize = table.schema.normalize_row
+            # repro-analysis: ignore[mutation-outside-transaction] -- snapshot rows were committed before being dumped; replay needs no undo log
+            table.apply_insert_many([normalize(row) for row in rows])
+        return watermark
+
     @classmethod
     def recover(
         cls,
         name: str,
         schemas: Sequence[Schema],
         *,
-        snapshot_path: str | None = None,
-        journal_path: str | None = None,
+        snapshot_path: str | os.PathLike[str] | None = None,
+        journal_path: str | os.PathLike[str] | None = None,
         salvage: bool = False,
     ) -> "Database":
         """Rebuild a database from a snapshot plus journal replay.
@@ -565,32 +620,18 @@ class Database:
         ``recovery_stats`` and mirrored into ``repro.obs`` counters
         when instrumentation is on.
         """
-        import os
-
         db = cls(name)
         for schema in schemas:
             db.create_table(schema)
         stats = RecoveryStats(salvaged=salvage)
-        watermark = 0
         if snapshot_path is not None and os.path.exists(snapshot_path):
-            tables, watermark = read_snapshot_info(snapshot_path)
-            for table_name, rows in tables.items():
-                table = db._catalog.get(table_name)
-                normalize = table.schema.normalize_row
-                # repro-analysis: ignore[mutation-outside-transaction] -- snapshot rows were committed before being dumped; replay needs no undo log
-                table.apply_insert_many([normalize(row) for row in rows])
-        stats.watermark = watermark
-        max_txn_id = 0
+            stats.watermark = db.load_snapshot(snapshot_path)
         if journal_path is not None:
-            for record in Journal.read(
-                journal_path, salvage=salvage, start_lsn=watermark,
+            for frame in read_frames(
+                journal_path, from_lsn=stats.watermark, salvage=salvage,
                 stats=stats,
             ):
-                for op in record["ops"]:
-                    db._replay_op(op)
-                if isinstance(record["txn"], int):
-                    max_txn_id = max(max_txn_id, record["txn"])
-        db._txn.advance_past(max_txn_id)
+                db.apply_frame(frame)
         db.recovery_stats = stats
         if OBS.enabled and OBS.registry is not None:
             registry = OBS.registry

@@ -27,8 +27,9 @@ Journal format v2 (framed)::
 * Besides committed-transaction and checkpoint payloads, a frame may
   carry a two-phase-commit protocol record (``{"2pc": ...}``) — the
   prepare/commit/abort votes of :mod:`repro.sharding`.  They share the
-  LSN sequence; :meth:`Journal.read` skips them (single-node recovery
-  is unchanged) while :meth:`Journal.read_records` yields all kinds.
+  LSN sequence and :func:`read_frames`, the one reader, yields every
+  kind; :meth:`repro.rdb.engine.Database.apply_frame`, the one replay,
+  holds a prepare's ops until its outcome frame.
 
 Checkpointing: :func:`write_snapshot` records the journal's last
 applied LSN as a watermark; recovery replays only records above it, so
@@ -211,7 +212,7 @@ class SyncPolicy:
 class RecoveryStats:
     """What one journal read / recovery pass observed.
 
-    Filled in by :meth:`Journal.read` (pass an instance via ``stats=``)
+    Filled in by :func:`read_frames` (pass an instance via ``stats=``)
     and attached to recovered databases as ``db.recovery_stats``.
     """
 
@@ -242,17 +243,31 @@ class RecoveryStats:
 # Frame-level reader
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
-class _Entry:
-    """One parsed journal record and its byte extent."""
+class WalFrame:
+    """One complete journal frame, parsed *and* in wire form.
+
+    ``source[start:end]`` is the exact frame bytes (:attr:`data` slices
+    them on demand, so scanning past a frame copies nothing); a frame
+    can be shipped to a follower and appended to its local journal
+    verbatim — the CRC travels with it end to end.
+    """
 
     kind: str  # "txn" | "ckpt" | "2pc"
     lsn: int
+    txn_id: int | None
+    ops: list[Any] | None
+    #: decoded 2PC protocol payload — prepare/commit/abort on a
+    #: participant, decision/end on a coordinator (``kind == "2pc"`` only)
+    payload: dict[str, Any] | None
+    #: the scanned bytes this frame was parsed out of, and its extent
+    source: bytes
     start: int
     end: int
-    txn_id: int | None = None
-    ops: list[Any] | None = None
-    #: decoded payload of a ``2pc`` record (prepare/commit/abort/decision)
-    payload: dict[str, Any] | None = None
+
+    @property
+    def data(self) -> bytes:
+        """The frame's own bytes, header and CRC included."""
+        return self.source[self.start:self.end]
 
 
 def _frame(lsn: int, payload: bytes) -> bytes:
@@ -264,8 +279,8 @@ def _frame(lsn: int, payload: bytes) -> bytes:
 
 def _parse_frame(
     data: bytes, pos: int, last_lsn: int
-) -> tuple[_Entry | None, int, str | None]:
-    """Parse a v2 frame at ``pos``; returns (entry, next_pos, problem)."""
+) -> tuple[WalFrame | None, int, str | None]:
+    """Parse a v2 frame at ``pos``; returns (frame, next_pos, problem)."""
     header_start = pos + len(MAGIC)
     crc_start = header_start + _HEADER.size
     payload_start = crc_start + _CRC.size
@@ -284,24 +299,28 @@ def _parse_frame(
         obj = json.loads(payload.decode("utf-8"))
     except ValueError:
         return None, pos, "checksummed payload is not valid JSON"
-    if isinstance(obj, dict) and set(obj) == {"ckpt"}:
+    if not isinstance(obj, dict):
+        return None, pos, "payload is not a transaction record"
+    if len(obj) == 1 and "ckpt" in obj:
         if lsn < last_lsn:
             return None, pos, f"checkpoint LSN went backwards ({lsn})"
-        entry = _Entry("ckpt", lsn, pos, payload_end)
-        return entry, payload_end, None
-    if isinstance(obj, dict) and "2pc" in obj:
+        frame = WalFrame("ckpt", lsn, None, None, None, data, pos, payload_end)
+        return frame, payload_end, None
+    if "2pc" in obj:
         # Two-phase-commit protocol record (prepare/commit/abort on a
         # participant, decision/end on a coordinator).
         if lsn <= last_lsn:
             return None, pos, f"LSN went backwards ({lsn} after {last_lsn})"
-        entry = _Entry("2pc", lsn, pos, payload_end, payload=obj)
-        return entry, payload_end, None
-    if not (isinstance(obj, dict) and "txn" in obj and "ops" in obj):
+        frame = WalFrame("2pc", lsn, None, None, obj, data, pos, payload_end)
+        return frame, payload_end, None
+    if not ("txn" in obj and "ops" in obj):
         return None, pos, "payload is not a transaction record"
     if lsn <= last_lsn:
         return None, pos, f"LSN went backwards ({lsn} after {last_lsn})"
-    entry = _Entry("txn", lsn, pos, payload_end, obj["txn"], obj["ops"])
-    return entry, payload_end, None
+    frame = WalFrame(
+        "txn", lsn, obj["txn"], obj["ops"], None, data, pos, payload_end
+    )
+    return frame, payload_end, None
 
 
 def _scan_entries(
@@ -310,8 +329,8 @@ def _scan_entries(
     salvage: bool,
     stats: RecoveryStats,
     path: object = "<journal>",
-) -> Iterator[_Entry]:
-    """Yield every readable record, classifying damage on the way.
+) -> Iterator[WalFrame]:
+    """Yield every readable frame, classifying damage on the way.
 
     Torn tail (damage with no frame magic after it): tolerated,
     counted, stop.  Mid-file corruption (a later frame exists):
@@ -329,12 +348,12 @@ def _scan_entries(
     last_lsn = 0
     size = len(data)
     while pos < size:
-        entry, problem = None, "missing frame magic"
+        frame, problem = None, "missing frame magic"
         if data.startswith(MAGIC, pos):
-            entry, pos, problem = _parse_frame(data, pos, last_lsn)
-        if entry is not None:
-            last_lsn = entry.lsn
-            yield entry
+            frame, pos, problem = _parse_frame(data, pos, last_lsn)
+        if frame is not None:
+            last_lsn = frame.lsn
+            yield frame
             continue
         later = data.find(MAGIC, pos + 1)
         if later == -1:
@@ -352,67 +371,44 @@ def _scan_entries(
         pos = later
 
 
-# ---------------------------------------------------------------------------
-# Frame streaming (replication substrate)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class WalFrame:
-    """One complete journal frame, parsed *and* in wire form.
-
-    ``data`` is the exact frame bytes, so a frame can be shipped to a
-    follower and appended to its local journal verbatim — the CRC
-    travels with it end to end.
-    """
-
-    kind: str  # "txn" | "ckpt" | "2pc"
-    lsn: int
-    txn_id: int | None
-    ops: list[Any] | None
-    data: bytes
-    #: decoded 2PC protocol payload (``kind == "2pc"`` only)
-    payload: dict[str, Any] | None = None
-
-    def record(self) -> dict[str, Any]:
-        """The replay-shaped dict (same shape :meth:`Journal.read` yields)."""
-        if self.kind == "2pc":
-            return {"2pc": self.payload, "lsn": self.lsn}
-        return {"txn": self.txn_id, "ops": self.ops, "lsn": self.lsn}
-
-
-def _entry_frame(entry: _Entry, data: bytes) -> WalFrame:
-    """Build a :class:`WalFrame` for ``entry`` parsed out of ``data``."""
-    return WalFrame(entry.kind, entry.lsn, entry.txn_id, entry.ops,
-                    data[entry.start:entry.end], entry.payload)
-
-
 def read_frames(
     path: str | os.PathLike[str],
     *,
     from_lsn: int = 0,
+    salvage: bool = False,
     stats: RecoveryStats | None = None,
 ) -> Iterator[WalFrame]:
     """Yield every complete frame with ``lsn > from_lsn``, in order.
 
-    The resumable form of :meth:`Journal.read`: callers remember the
-    last LSN they consumed and pass it back to continue where they
-    stopped.  Checkpoint frames are yielded too (their LSN is the
-    checkpoint watermark) so consumers can detect epoch boundaries.  A
-    torn final frame — the signature of reading concurrently with an
-    append — is never yielded; mid-file corruption raises
-    :class:`~repro.rdb.errors.JournalCorruptError`.
+    The one journal reader: recovery passes the snapshot watermark as
+    ``from_lsn``, a shipper the last LSN it sent.  Every kind is
+    yielded — a prepared transaction's ops must be applied at the
+    position of its commit record, so consumers need the interleaving —
+    checkpoint frames included (their LSN is the checkpoint watermark)
+    so consumers can detect epoch boundaries.  A torn final frame
+    (crash mid-append, or a read concurrent with one) is tolerated,
+    counted and never yielded; corruption before the final frame raises
+    :class:`~repro.rdb.errors.JournalCorruptError` unless ``salvage``
+    is set, in which case damaged records are skipped and counted in
+    ``stats``.
     """
     path = Path(path)
     if stats is None:
         stats = RecoveryStats()
+    stats.watermark = max(stats.watermark, from_lsn)
+    stats.salvaged = stats.salvaged or salvage
     if not path.exists():
         return
     data = path.read_bytes()
-    for entry in _scan_entries(data, salvage=False, stats=stats, path=path):
-        if entry.lsn <= from_lsn:
-            if entry.kind == "txn":
+    for frame in _scan_entries(data, salvage=salvage, stats=stats, path=path):
+        stats.last_lsn = frame.lsn
+        if frame.lsn <= from_lsn:
+            if frame.kind != "ckpt":
                 stats.records_skipped_watermark += 1
             continue
-        yield _entry_frame(entry, data)
+        if frame.kind != "ckpt":
+            stats.records_recovered += 1
+        yield frame
 
 
 def parse_frame(data: bytes) -> WalFrame:
@@ -424,10 +420,10 @@ def parse_frame(data: bytes) -> WalFrame:
     """
     if not data.startswith(MAGIC):
         raise JournalCorruptError("<frame>", 0, "missing frame magic")
-    entry, _end, problem = _parse_frame(data, 0, 0)
-    if entry is None:
+    frame, _end, problem = _parse_frame(data, 0, 0)
+    if frame is None:
         raise JournalCorruptError("<frame>", 0, problem or "unparseable")
-    return _entry_frame(entry, data)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +455,9 @@ class Journal:
         self._file_wrapper = file_wrapper
         self.records_written = 0
         self.last_lsn = 0
+        #: Lowest LSN the file can be streamed *from* (exclusive): its
+        #: checkpoint frame's watermark, else one below its first frame.
+        self.base_lsn = 0
         self._pending_sync = 0
         #: What the open-time scan of an existing file observed.
         self.open_stats = RecoveryStats(salvaged=salvage)
@@ -477,28 +476,32 @@ class Journal:
             self.last_lsn = watermark
         elif self.path.exists() and self.path.stat().st_size > 0:
             data = self.path.read_bytes()
-            entries = list(
+            frames = list(
                 _scan_entries(
                     data, salvage=salvage, stats=self.open_stats,
                     path=self.path,
                 )
             )
-            if entries:
-                self.last_lsn = entries[-1].lsn
+            if frames:
+                first = frames[0]
+                self.base_lsn = (
+                    first.lsn if first.kind == "ckpt" else first.lsn - 1
+                )
+                self.last_lsn = frames[-1].lsn
             if salvage and (self.open_stats.checksum_failures
                             or self.open_stats.torn_tails):
-                # Compact: rewrite only the surviving records (re-framed
-                # as v2) so the damage cannot resurface on a later read.
+                # Compact: rewrite only the surviving frames' own bytes
+                # so the damage cannot resurface on a later read.
                 base = 0
-                txn_entries = []
-                for entry in entries:
-                    if entry.kind == "ckpt":
-                        base = entry.lsn
+                survivors = []
+                for frame in frames:
+                    if frame.kind == "ckpt":
+                        base = frame.lsn
                     else:
-                        txn_entries.append(entry)
-                self._rewrite(base, txn_entries)
+                        survivors.append(frame)
+                self._rewrite(base, survivors)
             else:
-                valid_end = entries[-1].end if entries else 0
+                valid_end = frames[-1].end if frames else 0
                 if valid_end < len(data):
                     # Torn tail from a crash mid-append: trim it so the
                     # file ends on a record boundary again.
@@ -516,42 +519,41 @@ class Journal:
             fh = self._file_wrapper(fh)
         return fh
 
-    def _rewrite(self, base_lsn: int, entries: list[_Entry]) -> None:
-        """Replace the file with a checkpoint frame plus ``entries``."""
+    def _rewrite(self, base_lsn: int, frames: list[WalFrame]) -> None:
+        """Replace the file with a checkpoint frame plus ``frames``."""
         fh = self._open("wb")
         try:
             payload = json.dumps({"ckpt": base_lsn},
                                  separators=(",", ":")).encode("utf-8")
             fh.write(_frame(base_lsn, payload))
-            for entry in entries:
-                if entry.kind == "2pc":
-                    record: dict[str, Any] = entry.payload or {}
-                else:
-                    record = {"txn": entry.txn_id, "ops": entry.ops}
-                body = json.dumps(
-                    record, separators=(",", ":"),
-                ).encode("utf-8")
-                fh.write(_frame(entry.lsn, body))
+            for frame in frames:
+                fh.write(frame.data)
             fh.flush()
             os.fsync(fh.fileno())
         finally:
             fh.close()
+        self.base_lsn = base_lsn
 
-    # -- public API ----------------------------------------------------------
-    def append(self, txn_id: int, ops: list[list[Any]]) -> int:
-        """Append one committed transaction's ops; returns its LSN."""
+    def _write(self, lsn: int, data: bytes, *, force: bool = False) -> int:
+        """The one append tail: write the frame, flush, adopt its LSN,
+        fsync when forced or when the sync policy says a batch is due."""
         assert self._fh is not None
-        lsn = self.last_lsn + 1
-        payload = json.dumps({"txn": txn_id, "ops": ops},
-                             separators=(",", ":")).encode("utf-8")
-        self._fh.write(_frame(lsn, payload))
+        self._fh.write(data)
         self._fh.flush()
         self.last_lsn = lsn
         self.records_written += 1
         self._pending_sync += 1
-        if self.sync_policy.due(self._pending_sync):
+        if force or self.sync_policy.due(self._pending_sync):
             self.sync()
         return lsn
+
+    # -- public API ----------------------------------------------------------
+    def append(self, txn_id: int, ops: list[list[Any]]) -> int:
+        """Append one committed transaction's ops; returns its LSN."""
+        lsn = self.last_lsn + 1
+        payload = json.dumps({"txn": txn_id, "ops": ops},
+                             separators=(",", ":")).encode("utf-8")
+        return self._write(lsn, _frame(lsn, payload))
 
     def append_2pc(self, payload: dict[str, Any]) -> int:
         """Append one two-phase-commit protocol record; returns its LSN.
@@ -563,42 +565,29 @@ class Journal:
         coordinator's commit decision are only meaningful once durable,
         so 2PC records cannot ride a lazy group-commit window.
         """
-        assert self._fh is not None
         if "2pc" not in payload:
             raise ValueError("2pc record payload must carry the '2pc' key")
         lsn = self.last_lsn + 1
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        self._fh.write(_frame(lsn, body))
-        self._fh.flush()
-        self.last_lsn = lsn
-        self.records_written += 1
-        self._pending_sync += 1
-        self.sync()
-        return lsn
+        return self._write(lsn, _frame(lsn, body), force=True)
 
-    def append_raw(self, lsn: int, data: bytes) -> int:
+    def append_raw(self, frame: WalFrame) -> int:
         """Append one pre-built frame verbatim, adopting its LSN.
 
         The replication follower's append path: frames arrive from the
-        primary already framed and checksummed (:class:`WalFrame.data`)
+        primary already framed and checksummed (:attr:`WalFrame.data`)
         and are written byte-for-byte, so the follower's journal is a
         prefix-identical copy of the primary's and the same recovery
-        machinery applies after a follower crash.  The LSN must advance
-        the local sequence.
+        machinery applies after a follower crash.  The LSN adopted is
+        the one in the frame's own header, and it must advance the
+        local sequence.
         """
-        assert self._fh is not None
-        if lsn <= self.last_lsn:
+        if frame.lsn <= self.last_lsn:
             raise ValueError(
-                f"append_raw LSN {lsn} does not advance past {self.last_lsn}"
+                f"append_raw LSN {frame.lsn} does not advance past "
+                f"{self.last_lsn}"
             )
-        self._fh.write(data)
-        self._fh.flush()
-        self.last_lsn = lsn
-        self.records_written += 1
-        self._pending_sync += 1
-        if self.sync_policy.due(self._pending_sync):
-            self.sync()
-        return lsn
+        return self._write(frame.lsn, frame.data)
 
     def sync(self) -> None:
         """Force buffered records to stable storage (one fsync batch)."""
@@ -652,99 +641,11 @@ class Journal:
         self._pending_sync = 0
         self.last_lsn = max(self.last_lsn, last_lsn)
 
-    def truncate(self) -> None:
-        """Discard all journal contents (used after a snapshot).
-
-        Implemented as :meth:`checkpoint` at the current LSN, so the
-        sequence is atomic with respect to crashes and the LSN sequence
-        keeps increasing.
-        """
-        self.checkpoint(self.last_lsn)
-
     def __enter__(self) -> "Journal":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    @staticmethod
-    def read(
-        path: str | os.PathLike[str],
-        *,
-        salvage: bool = False,
-        start_lsn: int = 0,
-        stats: RecoveryStats | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Yield committed transaction records above ``start_lsn``.
-
-        Each yielded dict is ``{"txn": id, "ops": [...], "lsn": n}``.
-        A torn final record (crash mid-append) is tolerated and counted;
-        corruption before the final record raises
-        :class:`~repro.rdb.errors.JournalCorruptError` unless
-        ``salvage`` is set, in which case damaged records are skipped
-        and counted in ``stats``.
-        """
-        path = Path(path)
-        if stats is None:
-            stats = RecoveryStats()
-        stats.watermark = max(stats.watermark, start_lsn)
-        stats.salvaged = stats.salvaged or salvage
-        if not path.exists():
-            return
-        data = path.read_bytes()
-        for entry in _scan_entries(data, salvage=salvage, stats=stats,
-                                   path=path):
-            stats.last_lsn = entry.lsn
-            if entry.kind != "txn":
-                continue
-            if entry.lsn <= start_lsn:
-                stats.records_skipped_watermark += 1
-                continue
-            stats.records_recovered += 1
-            yield {"txn": entry.txn_id, "ops": entry.ops, "lsn": entry.lsn}
-
-    @staticmethod
-    def read_records(
-        path: str | os.PathLike[str],
-        *,
-        salvage: bool = False,
-        start_lsn: int = 0,
-        stats: RecoveryStats | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Yield *every* record kind above ``start_lsn``, in LSN order.
-
-        The 2PC-aware superset of :meth:`read`: transaction records
-        yield ``{"kind": "txn", "txn": id, "ops": [...], "lsn": n}`` and
-        protocol records yield ``{"kind": "2pc", "payload": {...},
-        "lsn": n}``.  Participant and coordinator recovery need the
-        interleaving — a prepared transaction's ops must be applied at
-        the position of its commit record, not at its prepare — which
-        the txn-only :meth:`read` view cannot express.  Damage handling
-        matches :meth:`read`.
-        """
-        path = Path(path)
-        if stats is None:
-            stats = RecoveryStats()
-        stats.watermark = max(stats.watermark, start_lsn)
-        stats.salvaged = stats.salvaged or salvage
-        if not path.exists():
-            return
-        data = path.read_bytes()
-        for entry in _scan_entries(data, salvage=salvage, stats=stats,
-                                   path=path):
-            stats.last_lsn = entry.lsn
-            if entry.kind == "ckpt":
-                continue
-            if entry.lsn <= start_lsn:
-                stats.records_skipped_watermark += 1
-                continue
-            stats.records_recovered += 1
-            if entry.kind == "2pc":
-                yield {"kind": "2pc", "payload": entry.payload,
-                       "lsn": entry.lsn}
-            else:
-                yield {"kind": "txn", "txn": entry.txn_id,
-                       "ops": entry.ops, "lsn": entry.lsn}
 
 
 # ---------------------------------------------------------------------------

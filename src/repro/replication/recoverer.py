@@ -47,6 +47,7 @@ from repro.net.station import Station
 from repro.net.transport import Network
 from repro.obs.instrument import OBS
 from repro.rdb import Database, Schema, SyncPolicy
+from repro.rdb.errors import JournalCorruptError
 from repro.rdb.wal import Journal, WalFrame, parse_frame
 
 __all__ = ["RecoveryStage", "Recoverer"]
@@ -353,10 +354,15 @@ class Recoverer:
                 self._subscribe()
                 return
             frame = parse_frame(bytes(data))
+            if frame.lsn != lsn:
+                raise JournalCorruptError(
+                    "<frame>", 0,
+                    f"shipped as LSN {lsn} but its header says {frame.lsn}",
+                )
             # WAL-first: the frame is durable locally before its effects
             # are visible, the same invariant the primary maintains.
-            self.journal.append_raw(lsn, frame.data)
-            self.db.apply_replicated(frame.record())
+            self.journal.append_raw(frame)
+            self.db.apply_frame(frame)
             self.applied_lsn = lsn
             self.frames_applied += 1
             if self.on_apply is not None:

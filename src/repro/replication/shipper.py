@@ -164,21 +164,13 @@ class WalShipper:
             sent += self._push_frames(progress)
         return sent
 
-    def _base_lsn(self) -> int:
-        """Lowest LSN the journal file can stream *from* (exclusive)."""
-        for frame in read_frames(self.journal.path):
-            if frame.kind == "ckpt":
-                return frame.lsn
-            return frame.lsn - 1
-        return self.journal.last_lsn
-
     def _push_frames(self, progress: FollowerProgress) -> int:
         if progress.syncing:
             return 0
         start = max(progress.shipped_lsn, progress.applied_lsn)
         if start >= self.journal.last_lsn:
             return 0
-        if progress.applied_lsn < self._base_lsn():
+        if progress.applied_lsn < self.journal.base_lsn:
             # The follower's position was checkpointed away *while it was
             # subscribed* (a checkpoint ran between its acks): the frames
             # it needs no longer exist, so switch it to a snapshot resync.
@@ -186,7 +178,10 @@ class WalShipper:
             return 0
         frames = []
         for frame in read_frames(self.journal.path, from_lsn=start):
-            if frame.kind != "txn":
+            if frame.kind == "ckpt":
+                # Epoch marker of *this* file; everything else ships — a
+                # dropped 2PC frame is an LSN hole the follower can only
+                # read as a lost batch.
                 continue
             frames.append((frame.lsn, frame.data))
             if len(frames) >= self.batch_frames:
@@ -282,7 +277,7 @@ class WalShipper:
         )
         progress.syncing = False
         diverged = sub.applied_lsn > self.journal.last_lsn
-        checkpointed_away = sub.applied_lsn < self._base_lsn()
+        checkpointed_away = sub.applied_lsn < self.journal.base_lsn
         if diverged or checkpointed_away:
             if self._serve_snapshot(progress):
                 return

@@ -19,7 +19,7 @@ from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.net.transport import Network
 from repro.rdb import Database, Schema
-from repro.rdb.wal import Journal
+from repro.rdb.wal import read_frames
 from repro.sharding.coordinator import TwoPhaseCoordinator
 from repro.sharding.participant import (
     ShardParticipant,
@@ -195,7 +195,7 @@ class ShardCluster:
         """Strict-read every journal end to end (teardown integrity
         check: no mid-file corruption anywhere)."""
         for path in self.journal_paths():
-            for _record in Journal.read_records(path):
+            for _frame in read_frames(path):
                 pass
 
     def close(self) -> None:

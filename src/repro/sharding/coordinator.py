@@ -37,7 +37,7 @@ import os
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.instrument import OBS
-from repro.rdb.wal import Journal, RecoveryStats
+from repro.rdb.wal import Journal, read_frames
 from repro.sharding.participant import TwoPhaseError
 
 __all__ = ["TwoPhaseAborted", "TwoPhaseCoordinator"]
@@ -220,7 +220,6 @@ class TwoPhaseCoordinator:
         participants: Mapping[int, Any],
         *,
         sync: str = "commit",
-        salvage: bool = False,
         file_wrapper: Callable[[Any], Any] | None = None,
     ) -> "TwoPhaseCoordinator":
         """Rebuild coordinator state from its journal.
@@ -229,13 +228,10 @@ class TwoPhaseCoordinator:
         the gtxn sequence resumes past every journaled id."""
         outstanding: dict[str, list[int]] = {}
         max_seq = 0
-        stats = RecoveryStats()
-        for record in Journal.read_records(
-            journal_path, salvage=salvage, stats=stats
-        ):
-            if record["kind"] != "2pc":
+        for frame in read_frames(journal_path):
+            if frame.kind != "2pc":
                 continue
-            payload = record["payload"] or {}
+            payload = frame.payload or {}
             gtxn = payload.get("gtxn", "")
             if gtxn.startswith("g-"):
                 try:
@@ -247,10 +243,7 @@ class TwoPhaseCoordinator:
                 outstanding[gtxn] = [int(s) for s in payload["shards"]]
             elif payload.get("2pc") == "end":
                 outstanding.pop(gtxn, None)
-        journal = Journal(
-            journal_path, sync=sync, salvage=salvage,
-            file_wrapper=file_wrapper,
-        )
+        journal = Journal(journal_path, sync=sync, file_wrapper=file_wrapper)
         coordinator = cls(
             journal, participants,
             outstanding=outstanding, next_seq=max_seq + 1,

@@ -20,10 +20,11 @@ here it is also a correctness lever: prepare/outcome record pairs are
 never interleaved with other writes on the same shard, and at most one
 transaction can be in doubt per shard after a crash.
 
-Recovery (:func:`recover_participant`) replays the journal **in LSN
-order** with :meth:`~repro.rdb.wal.Journal.read_records`: committed
-transactions apply as usual, a ``PREPARE`` is stashed, and its ops are
-applied only when the matching ``COMMIT`` record is reached (an
+Recovery (:func:`recover_participant`) is the engine's own
+:meth:`~repro.rdb.engine.Database.recover`, which replays the journal
+**in LSN order** through :meth:`~repro.rdb.engine.Database.apply_frame`:
+committed transactions apply as usual, a ``PREPARE`` is held, and its
+ops are applied only when the matching ``COMMIT`` record is reached (an
 ``ABORT`` drops them).  A prepare with no outcome on disk is
 **in doubt**: the participant refuses writes until
 :meth:`resolve_in_doubt` asks the coordinator — presumed abort: no
@@ -33,18 +34,12 @@ journaled decision means abort.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.obs.instrument import OBS
 from repro.rdb import Database, Schema
 from repro.rdb.errors import RdbError
-from repro.rdb.wal import (
-    Journal,
-    RecoveryStats,
-    encode_row,
-    read_snapshot_info,
-)
+from repro.rdb.wal import Journal
 
 __all__ = ["TwoPhaseError", "ShardParticipant", "recover_participant"]
 
@@ -84,16 +79,7 @@ def apply_statement(db: Database, stmt: Sequence[Any]) -> Any:
 class ShardParticipant:
     """One shard's engine, journal and 2PC state machine."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        db: Database,
-        journal: Journal,
-        *,
-        in_doubt: dict[str, list[Any]] | None = None,
-        committed: set[str] | None = None,
-        aborted: set[str] | None = None,
-    ) -> None:
+    def __init__(self, shard_id: int, db: Database, journal: Journal) -> None:
         self.shard_id = shard_id
         self.db = db
         self.journal = journal
@@ -101,11 +87,13 @@ class ShardParticipant:
             db.attach_journal(journal)
         #: gtxn currently prepared and awaiting its outcome (live)
         self._live_gtxn: str | None = None
-        #: prepared-but-unresolved transactions found by recovery
-        self.in_doubt: dict[str, list[Any]] = dict(in_doubt or {})
-        self.committed: set[str] = set(committed or ())
-        self.aborted: set[str] = set(aborted or ())
-        self.recovery_stats: RecoveryStats | None = None
+        #: prepared-but-unresolved transactions found by recovery: the
+        #: prepares ``db`` still holds, so settling one releases it there
+        self.in_doubt: dict[str, list[Any]] = db.prepared_ops
+        outcomes = db.outcomes.items()
+        self.committed = {g for g, how in outcomes if how == "commit"}
+        self.aborted = {g for g, how in outcomes if how == "abort"}
+        self.recovery_stats = db.recovery_stats
         self._observe_in_doubt()
 
     # ------------------------------------------------------------------
@@ -301,10 +289,8 @@ def recover_participant(
     *,
     snapshot_path: str | os.PathLike[str] | None = None,
     ddl_fn: Callable[[Database], None] | None = None,
-    salvage: bool = False,
     sync: str = "commit",
     file_wrapper: Callable[[Any], Any] | None = None,
-    name: str | None = None,
 ) -> ShardParticipant:
     """Cold-start one shard from its snapshot + journal.
 
@@ -312,57 +298,14 @@ def recover_participant(
     stream in LSN order, prepared ops apply only at their journaled
     outcome, and unresolved prepares surface as ``in_doubt`` on the
     returned participant (which then refuses writes until
-    :meth:`ShardParticipant.resolve_in_doubt` runs).
+    :meth:`ShardParticipant.resolve_in_doubt` runs).  Strict only: a
+    damaged vote cannot be skipped without breaking atomicity.
     """
-    db = Database(name or f"shard-{shard_id}")
-    for schema in schemas:
-        db.create_table(schema)
+    db = Database.recover(
+        f"shard-{shard_id}", schemas,
+        snapshot_path=snapshot_path, journal_path=journal_path,
+    )
     if ddl_fn is not None:
         ddl_fn(db)
-
-    watermark = 0
-    snapshot_path = Path(snapshot_path) if snapshot_path else None
-    if snapshot_path is not None and snapshot_path.exists():
-        tables, watermark = read_snapshot_info(snapshot_path)
-        for table, rows in tables.items():
-            if rows:
-                db.apply_replicated({
-                    "txn": None,
-                    "ops": [["insert", table, encode_row(r)] for r in rows],
-                })
-
-    stats = RecoveryStats()
-    pending: dict[str, list[Any]] = {}
-    committed: set[str] = set()
-    aborted: set[str] = set()
-    for record in Journal.read_records(
-        journal_path, salvage=salvage, start_lsn=watermark, stats=stats
-    ):
-        if record["kind"] == "txn":
-            db.apply_replicated(
-                {"txn": record["txn"], "ops": record["ops"]}
-            )
-            continue
-        payload = record["payload"] or {}
-        kind, gtxn = payload.get("2pc"), payload.get("gtxn")
-        if kind == "prepare":
-            pending[gtxn] = payload.get("ops") or []
-        elif kind == "commit":
-            ops = pending.pop(gtxn, None)
-            if ops is not None:
-                db.apply_replicated({"txn": None, "ops": ops})
-            committed.add(gtxn)
-        elif kind == "abort":
-            pending.pop(gtxn, None)
-            aborted.add(gtxn)
-
-    journal = Journal(
-        journal_path, sync=sync, salvage=salvage,
-        file_wrapper=file_wrapper,
-    )
-    participant = ShardParticipant(
-        shard_id, db, journal,
-        in_doubt=pending, committed=committed, aborted=aborted,
-    )
-    participant.recovery_stats = stats
-    return participant
+    journal = Journal(journal_path, sync=sync, file_wrapper=file_wrapper)
+    return ShardParticipant(shard_id, db, journal)

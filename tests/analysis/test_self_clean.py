@@ -26,9 +26,10 @@ def test_src_repro_lints_clean_with_repo_config():
 
 
 def test_known_suppressions_are_counted():
-    # The deliberate replay escapes (engine recover + replay, wddb
-    # load) stay visible as a count, so a silent drift in suppression
-    # handling shows up here.
+    # The deliberate replay escapes stay visible as a count, so a silent
+    # drift in suppression handling shows up here: the engine's
+    # snapshot load (1, shared by recover and WebDocumentDatabase.load)
+    # and the three raw mutators of _replay_op.
     config = load_config(REPO_ROOT / "pyproject.toml")
     result = lint_paths([REPO_ROOT / "src" / "repro"], config=config)
-    assert result.suppressed == 5
+    assert result.suppressed == 4

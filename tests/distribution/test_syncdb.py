@@ -6,7 +6,7 @@ import pytest
 
 from repro.distribution import MAryTree, MetadataReplicator
 from repro.rdb import Column, ColumnType, Database, Schema
-from repro.rdb.wal import Journal
+from repro.rdb.wal import Journal, read_frames
 
 from tests.conftest import build_network
 
@@ -136,11 +136,50 @@ class TestReplication:
         )
         master.insert("docs", {"name": "a"})
         replicator.flush(); net.quiesce()
-        assert len(list(Journal.read(tmp_path / "wal.jsonl"))) == 1
+        frames = list(read_frames(tmp_path / "wal.jsonl"))
+        assert [f.kind for f in frames] == ["txn"]
         # and recovery from that journal matches the master
         recovered = Database.recover("r", [DOCS],
                                      journal_path=str(tmp_path / "wal.jsonl"))
         assert recovered.count("docs") == 1
+
+    def test_replicating_master_can_checkpoint(self, tmp_path):
+        """Regression: ``ReplicationLog`` poses as the engine's journal
+        but lacked what ``Database.snapshot`` calls (``last_lsn``,
+        ``checkpoint``), so a metadata-replicating master could not
+        snapshot at all."""
+        net = build_network(3)
+        names = ["s1", "s2", "s3"]
+        tree = MAryTree(3, 2, names=names)
+        master = _engine("m")
+        replicas = {n: _engine(f"r{n}") for n in names[1:]}
+        replicator = MetadataReplicator(
+            net, tree, master, replicas,
+            inner_journal=Journal(tmp_path / "wal"),
+        )
+        master.insert("docs", {"name": "a"})
+        master.snapshot(str(tmp_path / "snap.json"))
+        master.insert("docs", {"name": "b"})
+        assert [(f.kind, f.lsn) for f in read_frames(tmp_path / "wal")] == \
+            [("ckpt", 1), ("txn", 2)]
+        recovered = Database.recover(
+            "r", [DOCS], snapshot_path=str(tmp_path / "snap.json"),
+            journal_path=str(tmp_path / "wal"),
+        )
+        assert sorted(r["name"] for r in recovered.select("docs")) == \
+            ["a", "b"]
+        replicator.flush(); net.quiesce()
+        assert replicator.converged()
+        for replica in replicas.values():
+            assert replica.count("docs") == 2
+        # Without an inner journal the log has nothing to checkpoint.
+        bare = _engine("bare")
+        MetadataReplicator(
+            build_network(3), tree, bare,
+            {n: _engine(f"b{n}") for n in names[1:]},
+        )
+        bare.insert("docs", {"name": "a"})
+        bare.snapshot(str(tmp_path / "bare.json"))
 
 
 class TestRepair:

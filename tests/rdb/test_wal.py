@@ -11,11 +11,18 @@ from repro.rdb.wal import (
     RecoveryStats,
     decode_value,
     encode_value,
+    read_frames,
     read_snapshot_info,
     write_snapshot,
 )
 
 T = ColumnType
+
+
+def txn_frames(path, **kwargs):
+    """The committed-transaction frames of a journal (the one reader
+    yields checkpoint and 2PC frames too)."""
+    return [f for f in read_frames(path, **kwargs) if f.kind == "txn"]
 
 EVENTS = Schema(
     name="events",
@@ -65,11 +72,11 @@ class TestJournal:
         with Journal(path) as journal:
             journal.append(1, [["insert", "events", {"k": 1}]])
             journal.append(2, [["delete", "events", [1]]])
-        records = list(Journal.read(path))
-        assert [r["txn"] for r in records] == [1, 2]
+        records = txn_frames(path)
+        assert [r.txn_id for r in records] == [1, 2]
 
     def test_read_missing_file(self, tmp_path):
-        assert list(Journal.read(tmp_path / "nope.jsonl")) == []
+        assert list(read_frames(tmp_path / "nope.jsonl")) == []
 
     def test_torn_tail_skipped(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -77,16 +84,17 @@ class TestJournal:
             journal.append(1, [["insert", "events", {"k": 1}]])
         with path.open("a") as fh:
             fh.write('{"txn": 2, "ops": [incomplete')
-        records = list(Journal.read(path))
+        records = txn_frames(path)
         assert len(records) == 1
 
     def test_truncate(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         journal = Journal(path)
         journal.append(1, [["insert", "events", {"k": 1}]])
-        journal.truncate()
+        journal.checkpoint()
         journal.close()
-        assert list(Journal.read(path)) == []
+        assert txn_frames(path) == []
+        assert [(f.kind, f.lsn) for f in read_frames(path)] == [("ckpt", 1)]
 
 
 class TestSnapshot:
@@ -168,7 +176,7 @@ class TestRecovery:
         db = _make_db(Journal(wal_path))
         db.insert("events", {"k": 1})
         db.snapshot(str(tmp_path / "snap.json"))
-        assert list(Journal.read(wal_path)) == []
+        assert txn_frames(wal_path) == []
 
     def test_snapshot_inside_transaction_rejected(self, tmp_path):
         from repro.rdb import TransactionError
@@ -200,8 +208,8 @@ class TestFramedFormat:
                 for i in range(1, 5)
             ]
         assert lsns == [1, 2, 3, 4]
-        records = list(Journal.read(path))
-        assert [r["lsn"] for r in records] == [1, 2, 3, 4]
+        records = txn_frames(path)
+        assert [r.lsn for r in records] == [1, 2, 3, 4]
 
     def test_reopen_resumes_lsn_sequence(self, tmp_path):
         path = tmp_path / "wal.v2"
@@ -210,7 +218,7 @@ class TestFramedFormat:
         with Journal(path) as journal:
             assert journal.last_lsn == 1
             assert journal.append(2, [["insert", "events", {"k": 2}]]) == 2
-        assert [r["lsn"] for r in Journal.read(path)] == [1, 2]
+        assert [r.lsn for r in txn_frames(path)] == [1, 2]
 
     def test_tell_reports_byte_extent(self, tmp_path):
         path = tmp_path / "wal.v2"
@@ -227,8 +235,8 @@ class TestFramedFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-7])  # crash mid-append of record 2
         stats = RecoveryStats()
-        records = list(Journal.read(path, stats=stats))
-        assert [r["txn"] for r in records] == [1]
+        records = txn_frames(path, stats=stats)
+        assert [r.txn_id for r in records] == [1]
         assert stats.torn_tails == 1
         assert stats.checksum_failures == 0
 
@@ -243,7 +251,7 @@ class TestFramedFormat:
         with Journal(path) as journal:
             assert path.stat().st_size == end  # tail trimmed on open
             journal.append(3, [["insert", "events", {"k": 3}]])
-        assert [r["txn"] for r in Journal.read(path)] == [1, 3]
+        assert [r.txn_id for r in txn_frames(path)] == [1, 3]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         from repro.rdb import JournalCorruptError
@@ -257,7 +265,7 @@ class TestFramedFormat:
         data[first_end // 2] ^= 0xFF  # damage record 1; record 2 intact
         path.write_bytes(bytes(data))
         with pytest.raises(JournalCorruptError) as excinfo:
-            list(Journal.read(path))
+            list(read_frames(path))
         assert "salvage" in str(excinfo.value)
         with pytest.raises(JournalCorruptError):
             Journal(path)  # strict open refuses the damage too
@@ -272,8 +280,8 @@ class TestFramedFormat:
         data[first_end // 2] ^= 0xFF
         path.write_bytes(bytes(data))
         stats = RecoveryStats()
-        records = list(Journal.read(path, salvage=True, stats=stats))
-        assert [r["txn"] for r in records] == [2]
+        records = txn_frames(path, salvage=True, stats=stats)
+        assert [r.txn_id for r in records] == [2]
         assert stats.checksum_failures >= 1
         assert stats.bytes_skipped > 0
 
@@ -289,7 +297,7 @@ class TestFramedFormat:
         with Journal(path, salvage=True) as journal:
             journal.append(3, [["insert", "events", {"k": 3}]])
         # After compaction a plain strict read succeeds: no damage left.
-        assert [r["txn"] for r in Journal.read(path)] == [2, 3]
+        assert [r.txn_id for r in txn_frames(path)] == [2, 3]
 
 
 class TestRetiredV1:
@@ -310,15 +318,12 @@ class TestRetiredV1:
                              ids=["strict", "salvage"])
     def test_v1_journal_refused_and_left_untouched(self, tmp_path, salvage):
         from repro.rdb import JournalCorruptError
-        from repro.rdb.wal import read_frames
 
         path = self._v1_file(tmp_path)
         before = path.read_bytes()
         attempts = [
             lambda: Journal(path, salvage=salvage),
-            lambda: list(Journal.read(path, salvage=salvage)),
-            lambda: list(Journal.read_records(path, salvage=salvage)),
-            lambda: list(read_frames(path)),
+            lambda: list(read_frames(path, salvage=salvage)),
             lambda: Database.recover(
                 "r", [EVENTS], journal_path=str(path), salvage=salvage),
         ]
@@ -338,7 +343,7 @@ class TestRetiredV1:
         with path.open("ab") as fh:
             fh.write(b'{"txn": 2, "ops": []}\n')
         stats = RecoveryStats()
-        assert [r["txn"] for r in Journal.read(path, stats=stats)] == [1]
+        assert [r.txn_id for r in txn_frames(path, stats=stats)] == [1]
         assert stats.torn_tails == 1
         Journal(path).close()
         assert path.stat().st_size == valid_end
@@ -468,9 +473,9 @@ class TestCheckpointWatermark:
             assert journal.last_lsn == 2  # sequence resumes above marker
             journal.append(3, [["insert", "events", {"k": 3}]])
         assert not marker.exists()
-        records = list(Journal.read(wal_path))
-        assert [r["txn"] for r in records] == [3]
-        assert records[0]["lsn"] == 3
+        records = txn_frames(wal_path)
+        assert [r.txn_id for r in records] == [3]
+        assert records[0].lsn == 3
 
     def test_lsn_monotonic_across_checkpoints(self, tmp_path):
         wal_path = tmp_path / "wal"
@@ -480,10 +485,10 @@ class TestCheckpointWatermark:
         lsn = journal.append(2, [["insert", "events", {"k": 2}]])
         journal.close()
         assert lsn == 2
-        records = list(Journal.read(wal_path))
-        assert [r["lsn"] for r in records] == [2]
+        records = txn_frames(wal_path)
+        assert [r.lsn for r in records] == [2]
         # And a reader honouring the watermark skips nothing new.
-        assert [r["txn"] for r in Journal.read(wal_path, start_lsn=1)] == [2]
+        assert [r.txn_id for r in txn_frames(wal_path, from_lsn=1)] == [2]
 
     def test_recovery_stats_attached_to_database(self, tmp_path):
         wal_path = tmp_path / "wal"
@@ -513,7 +518,7 @@ class TestCheckpointWatermark:
         recovered = Database.recover("r", [EVENTS], journal_path=str(wal_path))
         recovered.attach_journal(Journal(wal_path))
         recovered.insert("events", {"k": 3})
-        txn_ids = [r["txn"] for r in Journal.read(wal_path)]
+        txn_ids = [r.txn_id for r in txn_frames(wal_path)]
         assert len(txn_ids) == len(set(txn_ids))
 
 

@@ -118,16 +118,6 @@ class TestParseFrame:
                 frame.lsn, frame.txn_id, frame.ops,
             )
 
-    def test_record_shape_matches_journal_read(self, tmp_path):
-        journal = _journal_with(tmp_path / "j.wal", 1)
-        journal.close()
-        [frame] = read_frames(tmp_path / "j.wal")
-        record = frame.record()
-        assert record["txn"] == 1 and record["lsn"] == 1
-        assert record["ops"] == [
-            ["insert", "events", {"event_id": 1, "label": "e1"}]
-        ]
-
     def test_damage_is_detected(self, tmp_path):
         journal = _journal_with(tmp_path / "j.wal", 1)
         journal.close()
@@ -146,7 +136,7 @@ class TestAppendRaw:
         src.close()
         dst = Journal(tmp_path / "dst.wal", sync="commit")
         for frame in read_frames(tmp_path / "src.wal"):
-            dst.append_raw(frame.lsn, frame.data)
+            dst.append_raw(frame)
         dst.close()
         assert (tmp_path / "dst.wal").read_bytes() == (
             (tmp_path / "src.wal").read_bytes()
@@ -161,9 +151,9 @@ class TestAppendRaw:
         src.close()
         frames = list(read_frames(tmp_path / "src.wal"))
         dst = Journal(tmp_path / "dst.wal", sync="commit")
-        dst.append_raw(frames[0].lsn, frames[0].data)
+        dst.append_raw(frames[0])
         with pytest.raises(ValueError):
-            dst.append_raw(frames[0].lsn, frames[0].data)
+            dst.append_raw(frames[0])
         dst.close()
 
     def test_interleaves_with_native_appends(self, tmp_path):
@@ -171,7 +161,41 @@ class TestAppendRaw:
         src.close()
         dst = Journal(tmp_path / "dst.wal", sync="commit")
         for frame in read_frames(tmp_path / "src.wal"):
-            dst.append_raw(frame.lsn, frame.data)
+            dst.append_raw(frame)
         lsn = dst.append(7, [["insert", "events", {"event_id": 7, "label": ""}]])
         assert lsn == 3  # adopted sequence continues
         dst.close()
+
+    def test_adopts_the_lsn_in_the_frame_header(self, tmp_path):
+        """Regression: ``append_raw(lsn, data)`` believed its caller, so
+        ``append_raw(5, <frame 1>)`` left ``last_lsn == 5`` in memory and
+        1 after reopen.  It now takes the frame, so the two cannot
+        differ — whatever appends interleave."""
+        src = _journal_with(tmp_path / "src.wal", 1)
+        src.checkpoint(4)  # so the shipped frames carry LSNs 5 and 6
+        for k in (5, 6):
+            src.append(k, [["insert", "events", {"event_id": k, "label": ""}]])
+        src.close()
+        shipped = [f for f in read_frames(tmp_path / "src.wal")
+                   if f.kind == "txn"]
+        assert [f.lsn for f in shipped] == [5, 6]
+
+        dst = Journal(tmp_path / "dst.wal", sync="commit")
+        with pytest.raises(TypeError):
+            dst.append_raw(9, shipped[0].data)  # the old two-opinion call
+        seen = []
+        seen.append(dst.append(1, [["insert", "events", {"event_id": 1}]]))
+        seen.append(dst.append_2pc({"2pc": "prepare", "gtxn": "g-1", "ops": []}))
+        seen.append(dst.append_raw(shipped[0]))
+        seen.append(dst.append_2pc({"2pc": "abort", "gtxn": "g-1"}))
+        assert seen == [1, 2, 5, 6]
+        with pytest.raises(ValueError, match="does not advance"):
+            dst.append_raw(shipped[1])  # header says 6; 6 is taken
+        seen.append(dst.append(2, [["insert", "events", {"event_id": 2}]]))
+        assert dst.last_lsn == 7
+        dst.close()
+        reopened = Journal(tmp_path / "dst.wal")
+        assert reopened.last_lsn == 7
+        reopened.close()
+        assert [f.lsn for f in read_frames(tmp_path / "dst.wal")] == \
+            [1, 2, 5, 6, 7]

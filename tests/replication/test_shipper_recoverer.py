@@ -9,6 +9,9 @@ from repro.fault.crashsim import (
     database_state,
     verify_database,
 )
+from repro.net.messages import REPL_FRAMES, ReplFrameBatch
+from repro.rdb import JournalCorruptError
+from repro.rdb.wal import read_frames
 from repro.replication import Recoverer, RecoveryStage
 
 
@@ -167,6 +170,25 @@ class TestLagTracking:
         cluster.write(2)
         cluster.sync()  # epoch-1 batches must be ignored
         assert rec.applied_lsn == before
+
+    def test_shipped_lsn_must_match_the_frame_header(self, repl_cluster):
+        """A batch entry that claims one LSN for a frame whose header
+        says another is damage, not a second opinion: nothing is
+        appended, nothing applied."""
+        cluster = repl_cluster()
+        rec = cluster.recoverers["f1"]
+        rec.start()
+        cluster.sync()
+        cluster.write(2)
+        second = list(read_frames(cluster.journal.path))[1]
+        batch = ReplFrameBatch(
+            epoch=1, frames=[(1, second.data)], primary_lsn=2,
+        )
+        cluster.network.send("primary", "f1", REPL_FRAMES, batch, 64)
+        with pytest.raises(JournalCorruptError, match="header says 2"):
+            cluster.network.quiesce()
+        assert rec.applied_lsn == 0 and rec.journal.last_lsn == 0
+        assert rec.db.count("crash_docs") == 0
 
     def test_shipper_ignores_future_epoch_subscription(self, repl_cluster):
         cluster = repl_cluster()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fault.crashsim import FailpointFile, verify_database
-from repro.rdb.wal import Journal
+from repro.rdb.wal import read_frames
 from repro.sharding import TwoPhaseAborted, TwoPhaseError
 from repro.sharding.crash2pc import twopc_shard_map
 
@@ -36,9 +36,9 @@ def doc(doc_id):
 def journal_kinds(path):
     """The 2PC record kinds in one journal, in LSN order."""
     return [
-        record["payload"]["2pc"]
-        for record in Journal.read_records(path)
-        if record["kind"] == "2pc"
+        frame.payload["2pc"]
+        for frame in read_frames(path)
+        if frame.kind == "2pc"
     ]
 
 
