@@ -14,8 +14,10 @@ read path:
   (version-keyed entries make stale reads impossible).
 
 Run ``--smoke`` for the CI plan-regression guard: it fails (exit 1) if
-the indexed point-query path ever falls back to ``scan`` or the range
-path stops using the sorted index.
+a selective predicate — the indexed point query, a narrow range, an
+IN-list over a hashed column — ever plans as ``scan``, or if a range
+covering more than half the table is pushed through the sorted index
+(an index row costs about four heap rows; DESIGN §6).
 """
 
 from __future__ import annotations
@@ -234,22 +236,28 @@ def test_e15_bench_point_query(benchmark):
 def smoke() -> int:
     """CI plan-regression guard at small scale (fast, deterministic)."""
     db = build_catalog(1_000)
-    point = db.explain_plan("courses", col("course_number") == "c000042")
-    ranged = db.explain_plan(
-        "courses", (col("enrolled") >= 480) & (col("enrolled") < 495))
+    # (label, predicate, must plan through an index?)
+    shapes = [
+        ("point", col("course_number") == "c000042", True),
+        ("range", (col("enrolled") >= 480) & (col("enrolled") < 495), True),
+        ("in-list",
+         col("instructor").isin(["prof0007", "prof0042", "prof0099"]), True),
+        ("wide range", col("enrolled") >= 200, False),  # ~60 % of the table
+    ]
     failures = []
-    if not point.access_path.startswith("index:"):
-        failures.append(
-            f"point query fell back to {point.access_path!r}: "
-            f"{point.describe()}"
-        )
-    if not ranged.access_path.startswith("index:"):
-        failures.append(
-            f"range query fell back to {ranged.access_path!r}: "
-            f"{ranged.describe()}"
-        )
-    print(f"point plan: {point.describe()}")
-    print(f"range plan: {ranged.describe()}")
+    for label, where, indexed in shapes:
+        plan = db.explain_plan("courses", where)
+        print(f"{label} plan: {plan.describe()}")
+        if indexed and not plan.access_path.startswith("index:"):
+            failures.append(
+                f"{label} query fell back to {plan.access_path!r}: "
+                f"{plan.describe()}"
+            )
+        if not indexed and plan.access_path != "scan":
+            failures.append(
+                f"{label} query reads most of the table through "
+                f"{plan.access_path!r}: {plan.describe()}"
+            )
     for failure in failures:
         print(f"PLAN REGRESSION: {failure}", file=sys.stderr)
     print("plan guard:", "FAIL" if failures else "ok")

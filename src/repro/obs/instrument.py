@@ -44,6 +44,7 @@ ENV_VAR = "REPRO_OBS"
 INSTRUMENT_POINTS: dict[str, str] = {
     # rdb.engine / rdb.query — the relational substrate
     "rdb.batches": "row batches pulled by the vectorized executor",
+    "rdb.compile": "compiled WHERE filters by outcome (hit = shape reused)",
     "rdb.plan": "access-path choices by table and path kind",
     "rdb.rows_returned": "rows a select handed back, by table",
     "rdb.rows_scanned": "candidate rows examined by the access path",

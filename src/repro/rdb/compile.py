@@ -3,26 +3,27 @@
 ``Expr.eval`` walks an :class:`~repro.rdb.predicate.Expr` tree per row
 — five to ten Python method calls and dict hops for a two-term
 conjunction.  This module lowers a tree to a **single Python function**
-exactly once per statement:
+and pays :func:`compile` exactly once per statement *shape*:
 
-* the tree is rendered to the source of one function body
-  (``def _compiled(r): return ...``) and compiled with
-  :func:`compile`/``exec`` so the per-row cost collapses to one call
-  frame plus inline comparisons;
-* what has no source form — an :class:`~repro.rdb.predicate.Apply`
-  node's opaque callable, the bound ``eval`` of an ``Expr`` subclass
-  this module has never heard of — is hoisted into the generated
-  function's namespace as a constant and called from the source, the
-  same way frozensets and regex ``match`` methods are.
+* the tree is rendered to the source of one function
+  (``def _compiled(r): return ...``) in which every value is a
+  parameter ``_c<n>``: literals (all but ``None``/``True``/``False``,
+  which select the emitted form), frozensets, regex ``match`` methods,
+  an :class:`~repro.rdb.predicate.Apply` node's opaque callable, the
+  bound ``eval`` of an ``Expr`` subclass this module never heard of;
+* that text holds no value, so it *is* the shape — whatever the codegen
+  specialises on is in it by construction.  One bounded module-level
+  store maps it to a factory ``def _factory(_c0, ...)`` compiled once;
+  every later statement of the shape is emit, one dict hit and
+  ``factory(*consts)``.  Literal values never reach :func:`compile`.
 
-Compiled callables are cached on the expression instance, so repeated
-statements over the same predicate pay compilation once.  Semantics are
-bit-identical to ``Expr.eval`` — both operands of a comparison are
-evaluated before the SQL null check (a missing column raises KeyError
-from either side, exactly as the interpreter does), boolean connectives
-short-circuit exactly as the interpreter does, and hashability /
-type-mismatch errors surface identically.  A Hypothesis differential
-suite (``tests/rdb/test_compile_properties.py``) pins this equivalence.
+Semantics are bit-identical to ``Expr.eval`` — both operands of a
+comparison are evaluated before the SQL null check (a missing column
+raises KeyError from either side, exactly as the interpreter does),
+boolean connectives short-circuit exactly as the interpreter does, and
+hashability / type-mismatch errors surface identically.  A Hypothesis
+differential suite (``tests/rdb/test_compile_properties.py``) pins this
+equivalence, across literal assignments sharing one compiled shape.
 
 Generated code runs under a restricted ``__builtins__`` whitelist
 (:data:`_SAFE_BUILTINS`) so a compiled predicate can never capture I/O
@@ -37,8 +38,10 @@ oracle the test suites judge this module against, but nothing under
 
 from __future__ import annotations
 
+from textwrap import indent
 from typing import Any, Callable, Mapping
 
+from repro.obs.instrument import OBS
 from repro.rdb import predicate as _p
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "batch_filter",
     "predicate_fn",
     "compiled_source",
+    "cache_stats",
 ]
 
 #: Rows pulled (and filtered) per batch by the vectorized executor.
@@ -62,9 +66,23 @@ _SAFE_BUILTINS: dict[str, Any] = {
     "str": str,
 }
 
-_COMPILED_ATTR = "_rdb_compiled"
-_BATCH_ATTR = "_rdb_batch_filter"
-_SOURCE_ATTR = "_rdb_compile_source"
+#: Shapes the store holds before it is cleared and refilled.  A front end
+#: is a handful of shapes (each E22 workload compiles 3 to 6) and one
+#: costs a ~70 us ``compile()`` to get back, so the bound only has to
+#: stop machine-generated trees from growing the process without limit.
+_MAX_SHAPES = 256
+
+#: generated text -> ``_factory``; the text is the statement shape.
+_FACTORIES: dict[str, Callable[..., Callable]] = {}
+_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+
+#: (registry, {outcome: counter}), re-resolved when the registry changes.
+_OBS_COUNTERS: list = [None, {}]
+
+_ROW_FORM = "def _compiled(r):\n    return {}\n"
+#: Loop and predicate fused into one list comprehension: no call frame
+#: per row, no iterator adapters.  The form the scan path uses.
+_BATCH_FORM = "def _compiled_batch(rows):\n    return [r for r in rows if {}]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +134,19 @@ _PLAIN_LITERALS = (bool, int, float, str, bytes, tuple, list, dict, frozenset, s
 class _Codegen:
     """Renders one Expr tree to a Python expression string.
 
-    Non-inlinable values (frozensets, regex match methods, helper
-    functions, opaque callables, floats — ``repr(inf)`` is not valid
-    source) are hoisted into the namespace the generated function is
-    exec'd under.
+    Every value the tree carries — literals, frozensets, regex match
+    methods, helper functions, opaque callables — is hoisted into
+    ``consts`` and named ``_c<n>`` in the text, in emission order; the
+    generated function takes them as its factory's parameters.
     """
 
     def __init__(self) -> None:
-        self.consts: dict[str, Any] = {}
+        self.consts: list[Any] = []
         self._temps = 0
 
     def const(self, value: Any) -> str:
-        name = f"_c{len(self.consts)}"
-        self.consts[name] = value
-        return name
+        self.consts.append(value)
+        return f"_c{len(self.consts) - 1}"
 
     def temp(self) -> str:
         self._temps += 1
@@ -137,10 +154,11 @@ class _Codegen:
 
     # -- value rendering ---------------------------------------------------
     def value(self, value: Any) -> str:
-        """Literal source for ``value``: inline when repr round-trips."""
+        """Source for a literal: a parameter, so the text stays free of
+        values.  ``None``/``True``/``False`` alone are inlined — they
+        select the emitted form (``1`` and ``True`` are equal and hash
+        alike, but only one of them is a bool operand)."""
         if value is None or value is True or value is False:
-            return repr(value)
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
             return repr(value)
         return self.const(value)
 
@@ -148,14 +166,14 @@ class _Codegen:
     def emit(self, node: _p.Expr) -> str:
         if isinstance(node, _p.ColumnRef):
             return f"r[{node.name!r}]"
-        if isinstance(node, _p.Literal):
-            return f"({self.value(node.value)})"
         if isinstance(node, _p.Compare):
             return self._emit_compare(node)
         if isinstance(node, _p.And):
             return (
                 f"({self.emit_bool(node.left)} and {self.emit_bool(node.right)})"
             )
+        if isinstance(node, _p.Literal):
+            return f"({self.value(node.value)})"
         if isinstance(node, _p.Or):
             return (
                 f"({self.emit_bool(node.left)} or {self.emit_bool(node.right)})"
@@ -237,65 +255,62 @@ class _Codegen:
         )
 
 
-def _exec_generated(source: str, consts: dict[str, Any], name: str) -> Callable:
-    code = compile(source, "<rdb.compile>", "exec")
-    namespace: dict[str, Any] = {"__builtins__": _SAFE_BUILTINS}
-    namespace.update(consts)
-    exec(code, namespace)
-    return namespace[name]
-
-
-def _codegen(expr: _p.Expr) -> tuple[Callable[[Mapping[str, Any]], Any], str]:
-    gen = _Codegen()
-    body = gen.emit(expr)
-    source = f"def _compiled(r):\n    return {body}\n"
-    return _exec_generated(source, gen.consts, "_compiled"), source
-
-
-def _codegen_batch(expr: _p.Expr) -> tuple[Callable[[list], list], str]:
-    """A filter over a whole row batch, loop and predicate fused.
-
-    The predicate is inlined into one list comprehension, so the per-row
-    cost is the comparisons themselves — no call frame per row, no
-    iterator adapters.  This is the vectorized form the scan path uses.
-    """
-    gen = _Codegen()
-    body = gen.emit_bool(expr)
-    source = f"def _compiled_batch(rows):\n    return [r for r in rows if {body}]\n"
-    return _exec_generated(source, gen.consts, "_compiled_batch"), source
+def _instantiate(name: str, source: str, consts: list[Any]) -> Callable:
+    """The function ``name`` that ``source`` defines, closed over
+    ``consts``: ``compile()`` for the first statement of a shape, a dict
+    hit and one call of the shape's factory for every later one."""
+    factory = _FACTORIES.get(source)
+    if factory is not None:
+        outcome = "hit"
+        _STATS["hits"] += 1
+    else:
+        outcome = "miss"
+        _STATS["misses"] += 1
+        if len(_FACTORIES) >= _MAX_SHAPES:
+            _STATS["evictions"] += len(_FACTORIES)
+            _FACTORIES.clear()
+        params = ", ".join(f"_c{n}" for n in range(len(consts)))
+        code = compile(
+            f"def _factory({params}):\n{indent(source, '    ')}"
+            f"    return {name}\n",
+            "<rdb.compile>", "exec",
+        )
+        namespace: dict[str, Any] = {"__builtins__": _SAFE_BUILTINS}
+        exec(code, namespace)
+        factory = _FACTORIES[source] = namespace["_factory"]
+    if OBS.enabled:
+        registry = OBS.registry
+        if _OBS_COUNTERS[0] is not registry:
+            assert registry is not None
+            _OBS_COUNTERS[:] = registry, {
+                o: registry.counter("rdb.compile", outcome=o)
+                for o in ("hit", "miss")
+            }
+        _OBS_COUNTERS[1][outcome].inc()
+    return factory(*consts)
 
 
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 def compiled_predicate(expr: _p.Expr) -> Callable[[Mapping[str, Any]], Any]:
-    """The compiled closure for ``expr``, built once and cached on it.
+    """The compiled closure for ``expr``.
 
     Returns exactly what ``expr.eval(row)`` would for every row,
     including raised exceptions (missing columns, unorderable types).
     """
-    cached = getattr(expr, _COMPILED_ATTR, None)
-    if cached is not None:
-        return cached
-    fn, source = _codegen(expr)
-    # Expr subclasses declare __slots__ but the base class does not, so
-    # instances carry a __dict__ we can cache the closure in.
-    setattr(expr, _COMPILED_ATTR, fn)
-    setattr(expr, _SOURCE_ATTR, source)
-    return fn
+    gen = _Codegen()
+    return _instantiate(
+        "_compiled", _ROW_FORM.format(gen.emit(expr)), gen.consts
+    )
 
 
 def batch_filter(expr: _p.Expr) -> Callable[[list], list]:
-    """A compiled batch filter: ``fn(rows) -> [row for row in rows if expr]``.
-
-    Built once per expression and cached on it.
-    """
-    cached = getattr(expr, _BATCH_ATTR, None)
-    if cached is not None:
-        return cached
-    fn, _source = _codegen_batch(expr)
-    setattr(expr, _BATCH_ATTR, fn)
-    return fn
+    """A compiled batch filter: ``fn(rows) -> [row for row in rows if expr]``."""
+    gen = _Codegen()
+    return _instantiate(
+        "_compiled_batch", _BATCH_FORM.format(gen.emit_bool(expr)), gen.consts
+    )
 
 
 def predicate_fn(
@@ -307,6 +322,12 @@ def predicate_fn(
 
 
 def compiled_source(expr: _p.Expr) -> str:
-    """Generated source for ``expr``."""
-    compiled_predicate(expr)
-    return getattr(expr, _SOURCE_ATTR)
+    """Generated source for ``expr`` — the text its shape is stored under."""
+    return _ROW_FORM.format(_Codegen().emit(expr))
+
+
+def cache_stats() -> dict[str, int]:
+    """What the shape store did: shapes held, statements served by a
+    stored factory (hits), ``compile()`` calls (misses), shapes dropped
+    at the bound (evictions)."""
+    return {"shapes": len(_FACTORIES), **_STATS}

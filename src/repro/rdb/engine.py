@@ -30,7 +30,7 @@ from repro.rdb.errors import (
     SchemaError,
     TransactionError,
 )
-from repro.rdb.compile import batch_filter, predicate_fn
+from repro.rdb.compile import batch_filter, cache_stats, predicate_fn
 from repro.rdb.predicate import Expr
 from repro.rdb.query import (
     aggregate_table,
@@ -659,7 +659,8 @@ class Database:
         return self._txn.rollbacks
 
     def stats(self) -> dict[str, Any]:
-        """Engine counters and per-table row counts."""
+        """Engine counters, per-table row counts and what the compiled
+        filter store did (``compile``: shapes/hits/misses/evictions)."""
         return {
             "name": self.name,
             "tables": {
@@ -671,6 +672,7 @@ class Database:
             "journaled_records": (
                 self._journal.records_written if self._journal else 0
             ),
+            "compile": cache_stats(),  # process-wide: shared by shape
         }
 
     # ------------------------------------------------------------------

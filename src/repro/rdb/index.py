@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 __all__ = ["HashIndex", "SortedIndex", "IndexSet"]
@@ -187,10 +188,11 @@ class SortedIndex:
         include_low: bool = True,
         include_high: bool = True,
     ) -> Iterator[int]:
-        """Yield row ids whose key falls in [low, high] (bounds optional)."""
+        """Row ids whose key falls in [low, high] (bounds optional), in
+        key order — one C-level chain over the covered keys' row-id
+        sets, not a generator resumed per row."""
         start, stop = self._bounds(low, high, include_low, include_high)
-        for pos in range(start, stop):
-            yield from self._rowids[pos]
+        return chain.from_iterable(self._rowids[start:stop])
 
     def estimate_range(
         self,

@@ -26,8 +26,7 @@ __all__ = [
     "col",
     "lit",
     "RangeBound",
-    "equality_bindings",
-    "range_bounds",
+    "conjunct_bindings",
     "predicate_cache_key",
 ]
 
@@ -421,18 +420,26 @@ _RANGE_OPS = {
 _FLIPPED = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
 
 
-def range_bounds(expr: Expr) -> dict[str, RangeBound]:
-    """Extract per-column comparison bounds from the top-level AND chain.
+def conjunct_bindings(
+    expr: Expr,
+) -> tuple[dict[str, Any], list[tuple[str, frozenset]], dict[str, RangeBound]]:
+    """Everything the top-level AND chain pins down, in one walk:
+    ``(equalities, memberships, bounds)``.
 
-    Collects ``column <op> literal`` conjuncts for ``<``, ``<=``, ``>``,
-    ``>=`` (BETWEEN-shaped pairs tighten both ends of one bound).  Only
-    conjunctions are walked — an OR branch can't guarantee the bound
-    holds — and ``None`` literals are skipped (they compare false
-    everywhere, so they give the planner nothing usable).  Used for
-    range-predicate pushdown into sorted indexes; candidates from a
-    pushed-down bound are a superset of matching rows, so the residual
+    * ``equalities`` — ``column == literal`` bindings (either side);
+    * ``memberships`` — ``(column, values)`` per ``column.isin(values)``;
+    * ``bounds`` — per-column :class:`RangeBound` from ``column <op>
+      literal`` for ``<``, ``<=``, ``>``, ``>=`` (a BETWEEN-shaped pair
+      tightens both ends; ``None`` literals compare false everywhere
+      and are skipped).
+
+    Only conjunctions are walked — an OR branch can't guarantee that a
+    binding holds.  The planner turns each into an index candidate; a
+    candidate set is a superset of the matching rows, so the residual
     filter preserves exactness.
     """
+    equalities: dict[str, Any] = {}
+    memberships: list[tuple[str, frozenset]] = []
     bounds: dict[str, RangeBound] = {}
     stack = [expr]
     while stack:
@@ -440,26 +447,30 @@ def range_bounds(expr: Expr) -> dict[str, RangeBound]:
         if isinstance(node, And):
             stack.append(node.left)
             stack.append(node.right)
-            continue
-        if not isinstance(node, Compare) or node.op not in _RANGE_OPS:
-            continue
-        left, right = node.left, node.right
-        if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            column, value, op = left.name, right.value, node.op
-        elif isinstance(right, ColumnRef) and isinstance(left, Literal):
-            column, value, op = right.name, left.value, _FLIPPED[node.op]
-        else:
-            continue
-        if value is None:
-            continue
-        bound = bounds.setdefault(column, RangeBound(column))
-        is_lower, inclusive = _RANGE_OPS[op]
-        conjunct = f"{column} {op} {value!r}"
-        if is_lower:
-            bound.narrow_low(value, inclusive, conjunct)
-        else:
-            bound.narrow_high(value, inclusive, conjunct)
-    return bounds
+        elif isinstance(node, Compare):
+            left, right = node.left, node.right
+            if isinstance(left, ColumnRef) and isinstance(right, Literal):
+                column, value, op = left.name, right.value, node.op
+            elif isinstance(right, ColumnRef) and isinstance(left, Literal):
+                column, value = right.name, left.value
+                op = _FLIPPED.get(node.op, node.op)
+            else:
+                continue
+            if op == "==":
+                equalities[column] = value
+            elif op in _RANGE_OPS and value is not None:
+                bound = bounds.get(column)
+                if bound is None:
+                    bound = bounds[column] = RangeBound(column)
+                is_lower, inclusive = _RANGE_OPS[op]
+                conjunct = f"{column} {op} {value!r}"
+                if is_lower:
+                    bound.narrow_low(value, inclusive, conjunct)
+                else:
+                    bound.narrow_high(value, inclusive, conjunct)
+        elif isinstance(node, In) and isinstance(node.inner, ColumnRef):
+            memberships.append((node.inner.name, node.values))
+    return equalities, memberships, bounds
 
 
 def predicate_cache_key(expr: Expr | None) -> str | None:
@@ -482,26 +493,3 @@ def predicate_cache_key(expr: Expr | None) -> str | None:
             if isinstance(child, Expr):
                 stack.append(child)
     return repr(expr)
-
-
-def equality_bindings(expr: Expr) -> dict[str, Any]:
-    """Extract ``column == literal`` bindings from the top-level AND chain.
-
-    Used by the query planner to pick a hash index: walks conjunctions
-    only (an OR branch can't guarantee the binding holds) and collects
-    comparisons of a column against a literal.
-    """
-    bindings: dict[str, Any] = {}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Compare) and node.op == "==":
-            left, right = node.left, node.right
-            if isinstance(left, ColumnRef) and isinstance(right, Literal):
-                bindings[left.name] = right.value
-            elif isinstance(right, ColumnRef) and isinstance(left, Literal):
-                bindings[right.name] = left.value
-    return bindings

@@ -2,44 +2,53 @@
 
 The planner is cost-based over incrementally-maintained statistics
 (:mod:`repro.rdb.stats`).  For a WHERE clause it costs every access
-path whose preconditions hold and picks the cheapest:
+path whose preconditions hold, in heap-scan rows, and picks the
+cheapest:
 
 * **hash probe** — a hash index fully covered by top-level equality
   conjuncts; expected rows = ``entries / distinct_keys`` (selectivity),
   so among several candidate indexes the most selective wins;
+* **IN-list probe** — a top-level ``column.isin(values)`` conjunct over
+  a column with a single-column hash index chains one probe per member;
+  expected rows = the exact sum of the members' counts;
 * **sorted-range pushdown** — a top-level comparison conjunct (``<``,
   ``<=``, ``>``, ``>=``, or a BETWEEN-shaped pair) over a column with a
   sorted index probes :meth:`SortedIndex.range` instead of the heap;
 * **heap scan** — always available, cost = row count; candidates are
   yielded lazily so a LIMIT-bounded select stops early.
 
-The residual WHERE filter is always re-applied, so any access path
-yielding a superset of matching rows is correct.  ORDER BY + LIMIT
-streams through a bounded heap (:func:`heapq.nsmallest`/``nlargest``)
-instead of sorting every matching row.
+A candidate row reached through an index is costed at
+:data:`_INDEX_ROW_COST` heap rows — what the row-id hop measures — so a
+probe or range covering more than about a quarter of the table reads
+the heap sequentially instead.  The residual WHERE filter is always
+re-applied, so any access path yielding a superset of matching rows is
+correct.  ORDER BY + LIMIT selects through a bounded heap
+(:func:`heapq.nsmallest`/``nlargest``) instead of a full sort.
 
 Execution is **compiled and batched** (:mod:`repro.rdb.compile`): the
-WHERE tree is lowered to one generated filter function per statement and
-rows are pulled in batches of :data:`~repro.rdb.compile.DEFAULT_BATCH`,
-so the per-row cost is the comparisons themselves rather than tree
-interpretation plus generator hops.  Observability tallies per batch,
-not per row.  There is no second executor: the naive ``Expr.eval`` scan
-and the reference hash join the batched pipeline is judged against live
-in ``tests/rdb/``, not here.
+WHERE tree is lowered to one generated filter function, compiled once
+per statement *shape* and handed each statement's literals.  A consumer
+that reads every candidate anyway takes them as one batch — the heap
+snapshot, or one bulk :meth:`Table.get_many` of the index's row ids; a
+LIMIT without ORDER BY pulls batches of
+:data:`~repro.rdb.compile.DEFAULT_BATCH` and stops early.  Observability
+tallies per batch, not per row.  There is no second executor: the naive
+``Expr.eval`` scan and the reference hash join the batched pipeline is
+judged against live in ``tests/rdb/``, not here.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs.instrument import OBS
 from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
-from repro.rdb.predicate import Expr, equality_bindings, range_bounds
+from repro.rdb.predicate import Expr, conjunct_bindings
 from repro.rdb.stats import TableStatistics
 from repro.rdb.table import Table
 
@@ -58,11 +67,13 @@ __all__ = [
 class SelectPlan:
     """How a select will run — exposed for tests and EXPLAIN-style output.
 
-    ``access_path`` is ``"index:<name>"`` (hash probe or sorted-range
-    pushdown) or ``"scan"``.  ``estimated_cost`` is the planner's row
-    estimate for the chosen path; ``chosen_conjuncts`` are the WHERE
-    conjuncts the path consumed; ``pushdown`` describes a range pushed
-    into a sorted index (``None`` otherwise).
+    ``access_path`` is ``"index:<name>"`` (hash probe, IN-list probe or
+    sorted-range pushdown) or ``"scan"``.  ``estimated_cost`` is the
+    planner's row estimate for the chosen path in heap-scan rows (an
+    index candidate weighs ``_INDEX_ROW_COST`` of them);
+    ``chosen_conjuncts`` are the WHERE conjuncts the path consumed;
+    ``pushdown`` describes a range pushed into a sorted index (``None``
+    otherwise).
     """
 
     table: str
@@ -83,6 +94,17 @@ class SelectPlan:
         if self.pushdown:
             parts.append(f"pushdown {self.pushdown}")
         return " ".join(parts)
+
+
+#: What one candidate row reached through an index costs, in heap-scan
+#: rows: the scan filters one sequential snapshot, an index path pays a
+#: row-id hop per candidate and hands the filter rows scattered across
+#: the heap.  Measured on the E22 corpus (bulk fetch + fused filter per
+#: candidate vs fused filter per heap row; DESIGN §6) for ranges of a
+#: quarter to half of the table, where the choice is close: 112-145 vs
+#: 37-52 ns at 1,000 rows, 114-166 vs 41 at 10,000, 182-218 vs 42-46 at
+#: 40,000 (2.3-4.7x); 2.0-3.7x for 5 % ranges and IN-list probes.
+_INDEX_ROW_COST = 4.0
 
 
 @dataclass(slots=True)
@@ -139,7 +161,7 @@ def _index_candidates(
 ) -> Iterator[_Candidate]:
     """Cost every index-backed access path the WHERE clause enables."""
     row_count = stats.row_count
-    bindings = equality_bindings(where)
+    bindings, memberships, bounds = conjunct_bindings(where)
     if bindings:
         bound = frozenset(bindings)
         for index in table.indexes.candidate_hash_indexes(bound):
@@ -150,9 +172,14 @@ def _index_candidates(
             # selectivity figure still breaks ties among candidates that
             # happen to probe equally (and is what EXPLAIN reports when
             # the probe is empty).
-            exact = index.count(key)
+            try:
+                exact = index.count(key)
+            except TypeError:
+                continue  # unhashable literal: no row can equal it here
             yield _Candidate(
-                cost=min(expected, row_count) if exact else 0.0,
+                cost=(
+                    min(expected, row_count) * _INDEX_ROW_COST if exact else 0.0
+                ),
                 access_path=f"index:{index.name}",
                 rowids=lambda index=index, key=key: index.lookup(key),
                 estimated=exact,
@@ -160,7 +187,26 @@ def _index_candidates(
                     f"{c} == {bindings[c]!r}" for c in index.columns
                 ),
             )
-    for column, bound_spec in range_bounds(where).items():
+    for column, values in memberships:
+        index = table.indexes.hash_index_on((column,))
+        if index is None:
+            continue
+        try:
+            members = sorted(values)  # one candidate order on every run
+        except TypeError:
+            continue  # mixed-type members: leave it to another path
+        # A row holds one value per column, so the probes are disjoint.
+        estimated = sum(index.count((member,)) for member in members)
+        yield _Candidate(
+            cost=estimated * _INDEX_ROW_COST,
+            access_path=f"index:{index.name}",
+            rowids=lambda index=index, members=members: chain.from_iterable(
+                index.lookup((member,)) for member in members
+            ),
+            estimated=estimated,
+            conjuncts=(f"{column} in {members!r}",),
+        )
+    for column, bound_spec in bounds.items():
         index = table.indexes.sorted_index_on(column)
         if index is None:
             continue
@@ -173,7 +219,7 @@ def _index_candidates(
         low_bracket = "[" if bound_spec.include_low else "("
         high_bracket = "]" if bound_spec.include_high else ")"
         yield _Candidate(
-            cost=float(estimated),
+            cost=estimated * _INDEX_ROW_COST,
             access_path=f"index:{index.name}",
             rowids=lambda index=index, b=bound_spec: index.range(
                 b.low, b.high,
@@ -248,13 +294,14 @@ def execute_select(
             handles[2].inc(len(out))
             handles[3].inc(counts[1])
         return out
-    matching = _matching_rows(table, plan, rowids, where, counts)
     rows: Iterable[dict[str, Any]]
     if order_by is not None:
         keys = (order_by,) if isinstance(order_by, str) else tuple(order_by)
         for name in keys:
             if not table.schema.has_column(name):
                 raise UnknownColumnError(table.schema.name, name)
+        # A sort (or top-k) reads every matching row: one batch.
+        matching = _collect_matching(table, plan, rowids, where, counts, None)
 
         # None sorts first (ascending) via the (is-not-none, value) trick.
         def sort_key(r: dict[str, Any]) -> tuple:
@@ -272,11 +319,10 @@ def execute_select(
         else:
             rows = sorted(matching, key=sort_key, reverse=descending)
     elif descending:
-        reversed_rows = list(matching)
-        reversed_rows.reverse()
-        rows = reversed_rows
+        rows = _collect_matching(table, plan, rowids, where, counts, None)[::-1]
     else:
-        rows = matching  # DISTINCT only: lazy, LIMIT stops the batch pulls
+        # DISTINCT only: lazy, LIMIT stops the batch pulls
+        rows = _matching_rows(table, plan, rowids, where, counts)
     out: list[dict[str, Any]] = []
     seen: set[tuple] = set()
     needed = None if limit is None else limit + offset
@@ -329,28 +375,17 @@ def _obs_handles(table_name: str, access_path: str) -> tuple:
     return handles
 
 
-def _row_batches(
-    table: Table, rowids: Iterable[int], size: int
-) -> Iterator[list[dict[str, Any]]]:
-    """Materialize candidate rowids into row-list batches."""
-    get = table.get
-    it = iter(rowids)
-    while True:
-        chunk = list(islice(it, size))
-        if not chunk:
-            return
-        yield [row for rowid in chunk if (row := get(rowid)) is not None]
-
-
 def _candidate_batches(
     table: Table, plan: SelectPlan, rowids: Iterable[int]
 ) -> Iterator[list[dict[str, Any]]]:
     """Candidate rows for a planned access path, as row-list batches."""
     if plan.access_path == "scan":
-        # Scan straight off the heap snapshot: no per-row rowid hop,
-        # no per-row table.get().
-        return table.rows_batches(DEFAULT_BATCH)
-    return _row_batches(table, rowids, DEFAULT_BATCH)
+        # Straight off the heap snapshot: no per-row rowid hop.
+        yield from table.rows_batches(DEFAULT_BATCH)
+        return
+    it = iter(rowids)
+    while chunk := list(islice(it, DEFAULT_BATCH)):
+        yield table.get_many(chunk)
 
 
 def _collect_matching(
@@ -368,11 +403,15 @@ def _collect_matching(
     resumed per row.  Stops pulling batches once ``needed`` rows have
     matched (LIMIT+OFFSET bound; ``None`` collects everything).
 
-    An unbounded full scan reads every row regardless, so it takes the
-    heap snapshot as a single batch: one fused filter call, no slicing.
+    An unbounded consumer reads every candidate regardless, so it takes
+    the heap snapshot, or one bulk fetch of the index's row ids, as a
+    single batch: one fused filter call, no slicing.
     """
-    if needed is None and plan.access_path == "scan":
-        rows = table.rows_list()
+    if needed is None:
+        rows = (
+            table.rows_list() if plan.access_path == "scan"
+            else table.get_many(rowids)
+        )
         counts[0] += len(rows)
         counts[1] += 1
         return rows if where is None else batch_filter(where)(rows)
@@ -542,11 +581,20 @@ def aggregate(
             raise ValueError(f"unknown aggregate {fn_name!r} for {out_name!r}")
     groups: dict[tuple, list[dict[str, Any]]] = {}
     group_cols = tuple(group_by) if group_by else ()
-    for row in rows:
-        key = tuple(row[c] for c in group_cols)
-        groups.setdefault(key, []).append(row)
-    if not groups and not group_cols:
-        groups[()] = []
+    if not group_cols:
+        groups[()] = list(rows)
+    elif len(group_cols) == 1:
+        # The common report: bucket on the bare value and wrap it in
+        # its 1-tuple once per group — no generator frame per row.
+        column = group_cols[0]
+        by_value: dict[Any, list[dict[str, Any]]] = {}
+        for row in rows:
+            by_value.setdefault(row[column], []).append(row)
+        groups = {(value,): bucket for value, bucket in by_value.items()}
+    else:
+        for row in rows:
+            key = tuple(row[c] for c in group_cols)
+            groups.setdefault(key, []).append(row)
     out: list[dict[str, Any]] = []
     for key in sorted(groups, key=lambda k: tuple((v is not None, v) for v in k)):
         bucket = groups[key]

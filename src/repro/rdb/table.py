@@ -16,7 +16,7 @@ the whole invalidation protocol of :mod:`repro.tiers.cache`.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.rdb.index import HashIndex, IndexSet, SortedIndex
 from repro.rdb.stats import TableStatistics, collect_statistics
@@ -81,6 +81,12 @@ class Table:
 
     def get(self, rowid: int) -> dict[str, Any] | None:
         return self._rows.get(rowid)
+
+    def get_many(self, rowids: Iterable[int]) -> list[dict[str, Any]]:
+        """The rows behind ``rowids``, in order, in one C-level loop; a
+        row id whose row vanished since the index was probed is skipped.
+        Rows are live references; callers must not mutate them."""
+        return [row for row in map(self._rows.get, rowids) if row is not None]
 
     def statistics(self) -> TableStatistics:
         """Planner statistics snapshot (row count, per-index counters)."""

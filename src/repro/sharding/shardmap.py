@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.rdb.predicate import Expr, equality_bindings, range_bounds
+from repro.rdb.predicate import Expr, conjunct_bindings
 from repro.rdb.wal import encode_value
 
 __all__ = ["TableSharding", "ShardMap", "stable_shard_hash"]
@@ -149,12 +149,12 @@ class ShardMap:
         sharding = self.sharding(table)
         if where is None:
             return self.all_shards()
-        bindings = equality_bindings(where)
+        bindings, _memberships, bounds = conjunct_bindings(where)
         if all(c in bindings for c in sharding.key):
             key = tuple(bindings[c] for c in sharding.key)
             return (self.shard_for_key(table, key),)
         if sharding.strategy == "range":
-            bound = range_bounds(where).get(sharding.key[0])
+            bound = bounds.get(sharding.key[0])
             if bound is not None:
                 lo = 0 if bound.low is None else \
                     bisect.bisect_right(sharding.bounds, bound.low)

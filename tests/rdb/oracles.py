@@ -5,12 +5,18 @@ the tests, not behind a switch in ``src/``.  The naive scan oracle is a
 one-liner over ``Expr.eval`` and is written inline where it is used;
 the hash join below is the seed (pre-vectorization) ``join_rows``,
 moved here verbatim in PR 13.  ``bench_e19`` times the vectorized join
-against this same function.
+against this same function.  ``_reference_aggregate`` is ``aggregate``
+as it stood before PR 19 gave the one-column GROUP BY its own bucketing
+loop (a key tuple built by a generator for every row), and
+``_reference_range`` the per-rowid generator ``SortedIndex.range`` was
+before it became one ``chain`` over the covered keys — both verbatim.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+from repro.rdb.index import SortedIndex
 
 
 def _reference_join(
@@ -44,3 +50,54 @@ def _reference_join(
             merged.update({f"{right_prefix}.{k}": None for k in right_columns})
             out.append(merged)
     return out
+
+
+_AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
+    "count": len,
+    "sum": lambda values: sum(values) if values else 0,
+    "avg": lambda values: (sum(values) / len(values)) if values else None,
+    "min": lambda values: min(values) if values else None,
+    "max": lambda values: max(values) if values else None,
+}
+
+
+def _reference_aggregate(
+    rows: Iterable[dict[str, Any]],
+    spec: dict[str, tuple[str, str | None]],
+    group_by: Sequence[str] | None = None,
+) -> list[dict[str, Any]]:
+    for out_name, (fn_name, _column) in spec.items():
+        if fn_name not in _AGGREGATES:
+            raise ValueError(f"unknown aggregate {fn_name!r} for {out_name!r}")
+    groups: dict[tuple, list[dict[str, Any]]] = {}
+    group_cols = tuple(group_by) if group_by else ()
+    for row in rows:
+        key = tuple(row[c] for c in group_cols)
+        groups.setdefault(key, []).append(row)
+    if not groups and not group_cols:
+        groups[()] = []
+    out: list[dict[str, Any]] = []
+    for key in sorted(groups, key=lambda k: tuple((v is not None, v) for v in k)):
+        bucket = groups[key]
+        result: dict[str, Any] = dict(zip(group_cols, key))
+        for out_name, (fn_name, column) in spec.items():
+            if column is None:
+                values: list[Any] = bucket
+            else:
+                values = [row[column] for row in bucket if row[column] is not None]
+            result[out_name] = _AGGREGATES[fn_name](values)
+        out.append(result)
+    return out
+
+
+def _reference_range(
+    index: SortedIndex,
+    low: Any = None,
+    high: Any = None,
+    *,
+    include_low: bool = True,
+    include_high: bool = True,
+) -> Iterator[int]:
+    start, stop = index._bounds(low, high, include_low, include_high)
+    for pos in range(start, stop):
+        yield from index._rowids[pos]

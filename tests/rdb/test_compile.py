@@ -1,7 +1,7 @@
 """Unit tests for compiled predicate execution (repro.rdb.compile).
 
-Covers codegen (hoisted opaque callables included), per-expression caching,
-the restricted generated namespace, ``predicate_fn``, EXPLAIN's
+Covers codegen (hoisted opaque callables included), per-shape caching
+and its counters, the restricted generated namespace, ``predicate_fn``, EXPLAIN's
 single-executor rendering, the LIKE-regex LRU cache, and the batched
 write paths the vectorized executor leans on.  Semantic equivalence
 with ``Expr.eval`` is pinned separately by the Hypothesis suite in
@@ -11,6 +11,7 @@ with ``Expr.eval`` is pinned separately by the Hypothesis suite in
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.rdb import (
     TriggerTiming,
     col,
 )
+from repro.rdb import compile as rdb_compile
 from repro.rdb.compile import (
     _SAFE_BUILTINS,
     batch_filter,
@@ -65,9 +67,18 @@ def test_plain_tree_uses_codegen():
 def test_apply_fn_is_a_hoisted_constant_of_the_generated_source():
     expr = col("b").apply(str.upper) == "X"
     fn = compiled_predicate(expr)
-    hoisted = [k for k, v in fn.__globals__.items() if v is str.upper]
+    # The callable is an argument of the shape's factory — a closure
+    # cell of the generated function — not a global of its namespace,
+    # and neither it nor the literal appears in the text.
+    cells = dict(zip(
+        fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)
+    ))
+    hoisted = [k for k, v in cells.items() if v is str.upper]
     assert len(hoisted) == 1
-    assert f"{hoisted[0]}(r['b'])" in compiled_source(expr)
+    source = compiled_source(expr)
+    assert f"{hoisted[0]}(r['b'])" in source
+    assert "upper" not in source and "'X'" not in source
+    assert str.upper not in fn.__globals__.values()
     assert [r["a"] for r in ROWS if fn(r)] == [1]
     assert [r["a"] for r in batch_filter(expr)(ROWS)] == [1]
 
@@ -86,11 +97,52 @@ def test_foreign_expr_subclass_runs_its_own_eval():
 
 
 def test_compiled_closure_is_cached_per_expression():
+    # Cached per statement *shape*, not per Expr instance: equal-shaped
+    # trees share one compiled code object whatever their literals ...
     expr = col("a") == 1
-    assert compiled_predicate(expr) is compiled_predicate(expr)
-    assert batch_filter(expr) is batch_filter(expr)
-    # Distinct (if equal-shaped) trees compile independently.
-    assert compiled_predicate(col("a") == 1) is not compiled_predicate(expr)
+    assert compiled_predicate(expr).__code__ is compiled_predicate(expr).__code__
+    assert batch_filter(expr).__code__ is batch_filter(expr).__code__
+    other = compiled_predicate(col("a") == 2)
+    assert other.__code__ is compiled_predicate(expr).__code__
+    # ... each closed over its own: sharing the code shares no value.
+    assert [r["a"] for r in ROWS if other(r)] == [2]
+    assert [r["a"] for r in ROWS if compiled_predicate(expr)(r)] == [1]
+    # A different shape compiles independently.
+    assert compiled_predicate(col("a") > 1).__code__ is not other.__code__
+
+
+def test_compiled_source_shows_literals_as_parameters():
+    source = compiled_source(
+        (col("a") == 7) & col("b").like("x%") & (col("c") > "q'"))
+    assert source.startswith("def _compiled(r):")
+    for value in ("7", "x%", "q'"):
+        assert value not in source
+    assert "_c0" in source and "_c1" in source
+    # None/True/False select the emitted form, so they stay in the text
+    # (and 1 can never be served True's code, equal though they are).
+    assert "== True" in compiled_source(col("a") == True)  # noqa: E712
+    assert "and False" in compiled_source(col("a") == None)  # noqa: E711
+    assert compiled_source(col("a") == 1) == compiled_source(col("a") == "x")
+
+
+def test_compile_outcomes_are_counted_once_per_statement(metrics_registry):
+    db = _docs_db()
+    db.insert_many("docs", [
+        {"doc_id": i, "author": "a", "size": i} for i in range(600)
+    ])
+    with mock.patch.object(rdb_compile, "_FACTORIES", {}):
+        before = db.stats()["compile"]
+        assert len(db.select("docs", where=col("size") > 3)) == 596
+        assert len(db.select("docs", where=col("size") > 4)) == 595
+        assert db.count("docs", where=col("size") > 5) == 594
+        after = db.stats()["compile"]
+    assert set(after) == {"shapes", "hits", "misses", "evictions"}
+    assert after["shapes"] == 1
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] == 2
+    # Once per statement, never per row or per batch.
+    assert metrics_registry.counter("rdb.compile", outcome="miss").value == 1
+    assert metrics_registry.counter("rdb.compile", outcome="hit").value == 2
 
 
 def test_batch_filter_matches_per_row_closure():
@@ -119,7 +171,8 @@ def test_generated_namespace_is_restricted():
 def test_predicate_fn_is_none_or_the_compiled_closure():
     expr = col("a") == 1
     assert predicate_fn(None) is None
-    assert predicate_fn(expr) is compiled_predicate(expr)
+    assert predicate_fn(expr).__code__ is compiled_predicate(expr).__code__
+    assert [r["a"] for r in ROWS if predicate_fn(expr)(r)] == [1]
 
 
 def test_select_equals_naive_eval_scan():

@@ -3,27 +3,37 @@
 For random expression trees over random rows — None values, missing
 columns, unhashable values, type mismatches — the compiled closure and
 the fused batch filter must agree with the interpreter on *outcomes*:
-the same value back, or the same exception type raised.  Further
-properties pin the batched executor end to end against oracles that
-live here in the tests: ``execute_select`` / ``matching_view`` equal a
-naive evaluate-every-row scan (also over tables spanning several
-executor batches), and the vectorized ``join_rows`` equals the seed
-hash join kept as ``tests.rdb.oracles._reference_join``.
+the same value back, or the same exception type raised.  The compiled
+code is shared by statement *shape* with the literals passed in, so the
+same must hold for several literal assignments of one tree compiled
+back to back through the shared store — no assignment may see another's
+values — also with the store's bound patched down until it evicts.
+Further properties pin the batched executor end to end against oracles
+that live here in the tests: ``execute_select`` / ``matching_view``
+equal a naive evaluate-every-row scan (also over tables spanning
+several executor batches), the vectorized ``join_rows`` equals the seed
+hash join kept as ``tests.rdb.oracles._reference_join``, and
+``aggregate`` equals the per-row-key-tuple loop kept as
+``_reference_aggregate``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from contextlib import nullcontext
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.rdb import Column, ColumnType, Database, Schema, col, lit
+from repro.rdb import compile as rdb_compile
 from repro.rdb import query as rdb_query
-from repro.rdb.compile import batch_filter, compiled_predicate
+from repro.rdb.compile import batch_filter, cache_stats, compiled_predicate
 from repro.rdb.predicate import Expr
-from repro.rdb.query import join_rows, matching_view
-from tests.rdb.oracles import _reference_join
+from repro.rdb.query import aggregate, join_rows, matching_view
+from tests.rdb.oracles import _reference_aggregate, _reference_join
 
 T = ColumnType
 
@@ -130,6 +140,142 @@ def test_batch_filter_matches_per_row_eval(expr, rows):
         return [r for r in batch if expr.eval(r)]
 
     assert _outcome(batch_filter(expr), rows) == _outcome(reference, rows)
+
+
+# -- one shape, many literal assignments -------------------------------------
+# Literals chosen to collide wherever a value-keyed cache would let them:
+# 1 == True == 1.0 (and hash alike), nan is equal to nothing, strings
+# carry what would break out of a quoted source literal, None/True/False
+# change the emitted form, and unhashables cannot key anything.
+leak_literal = st.one_of(
+    st.sampled_from([1, True, 1.0, 0, False, 0.0, -1, 5]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.5]),
+    st.sampled_from(["x", "y", "it's", 'say "hi"', "line\nbreak", "\\",
+                     "') or True or ('", ""]),
+    st.none(),
+    st.sampled_from([[1, 2], [], {"k": 1}]),
+)
+leak_members = st.lists(
+    st.one_of(st.integers(-5, 5), st.sampled_from(["x", "y", "xx"]),
+              st.sampled_from([True, 1.0, None])),
+    max_size=4,
+)
+leak_pattern = st.sampled_from(["x%", "%x", "_", "%", "x_%", "y", "%'%"])
+leak_callable = st.sampled_from([str, repr, len, bool, lambda v: v])
+
+#: A tree shape: how to build the tree once every literal is drawn.
+#: Leaves name a column; what they compare it with comes from ``draw``.
+_LEAF_KINDS = ("cmp", "rcmp", "in", "like", "contains", "apply", "null", "lit")
+shape_strategy = st.recursive(
+    st.tuples(
+        st.sampled_from(_LEAF_KINDS),
+        st.sampled_from(COLUMNS),
+        st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.just("and"), children, children),
+        st.tuples(st.just("or"), children, children),
+        st.tuples(st.just("not"), children),
+    ),
+    max_leaves=5,
+)
+
+_COMPARE = {"==": "__eq__", "!=": "__ne__", "<": "__lt__", "<=": "__le__",
+            ">": "__gt__", ">=": "__ge__"}
+
+
+def _build_tree(shape, draw) -> Expr:
+    """``shape`` with a fresh draw for every literal it carries."""
+    kind = shape[0]
+    if kind == "and":
+        return _build_tree(shape[1], draw) & _build_tree(shape[2], draw)
+    if kind == "or":
+        return _build_tree(shape[1], draw) | _build_tree(shape[2], draw)
+    if kind == "not":
+        return ~_build_tree(shape[1], draw)
+    _, column, op = shape
+    if kind == "cmp":
+        return getattr(col(column), _COMPARE[op])(draw(leak_literal))
+    if kind == "rcmp":
+        return getattr(lit(draw(leak_literal)), _COMPARE[op])(col(column))
+    if kind == "in":
+        return col(column).isin(draw(leak_members))
+    if kind == "like":
+        return col(column).like(draw(leak_pattern))
+    if kind == "contains":
+        return col(column).contains(draw(leak_literal))
+    if kind == "apply":
+        applied = col(column).apply(draw(leak_callable))
+        return getattr(applied, _COMPARE[op])(draw(leak_literal))
+    if kind == "null":
+        return col(column).is_null()
+    return lit(draw(leak_literal))
+
+
+@pytest.mark.parametrize("bound", [None, 2], ids=["default-bound", "bound-2"])
+@settings(max_examples=200, deadline=None)
+@given(shape=shape_strategy, rows=rows_strategy, data=st.data(),
+       assignments=st.integers(2, 4))
+def test_same_shape_statements_never_see_each_others_literals(
+        bound, shape, rows, data, assignments):
+    """Compile several literal assignments of one tree in sequence
+    through the shared store — then run them all: each must still equal
+    its own ``Expr.eval``.  With the bound at 2 every other statement
+    evicts and re-compiles."""
+    with (mock.patch.object(rdb_compile, "_MAX_SHAPES", bound)
+          if bound is not None else nullcontext()):
+        exprs = [_build_tree(shape, data.draw) for _ in range(assignments)]
+        compiled = [(compiled_predicate(e), batch_filter(e)) for e in exprs]
+        for expr, (per_row, batch) in zip(exprs, compiled):
+            for row in rows:
+                assert _outcome(per_row, row) == _outcome(expr.eval, row)
+
+            def reference(batch_rows, expr=expr):
+                return [r for r in batch_rows if expr.eval(r)]
+
+            assert _outcome(batch, rows) == _outcome(reference, rows)
+
+
+def test_fresh_literals_of_one_shape_cost_one_compile():
+    """N statements of one shape cost exactly one ``compile()``; a
+    different shape one more — counted at the builtin and read off
+    ``cache_stats()``."""
+    with mock.patch.object(rdb_compile, "_FACTORIES", {}), \
+            mock.patch.object(rdb_compile, "compile", create=True,
+                              wraps=compile) as compile_spy:
+        before = cache_stats()
+        assert before["shapes"] == 0
+        for n in range(40):
+            where = (col("a") == n) & (col("b") > str(n)) & col("c").isin([n])
+            assert batch_filter(where)([{"a": n, "b": "~", "c": n}])
+        assert compile_spy.call_count == 1
+        batch_filter((col("a") == 1) & (col("b") >= "x") & col("c").isin([1]))
+        assert compile_spy.call_count == 2
+        # 1 and True are equal and hash alike, but not one shape.
+        batch_filter(col("a") == 1)
+        batch_filter(col("a") == 1.0)
+        batch_filter(col("a") == True)  # noqa: E712
+        assert compile_spy.call_count == 4
+        after = cache_stats()
+    assert after["shapes"] == 4
+    assert after["misses"] - before["misses"] == 4
+    assert after["hits"] - before["hits"] == 40
+    assert after["evictions"] == before["evictions"]
+    # No literal ever reached compile(): every source it saw is value-free.
+    for call in compile_spy.call_args_list:
+        assert "'~'" not in call.args[0] and "39" not in call.args[0]
+
+
+def test_store_is_bounded_and_counts_what_it_drops():
+    with mock.patch.object(rdb_compile, "_FACTORIES", {}), \
+            mock.patch.object(rdb_compile, "_MAX_SHAPES", 2):
+        before = cache_stats()
+        for column in ("a", "b", "c", "a", "b", "c"):
+            assert compiled_predicate(col(column) == 1)({column: 1})
+            assert cache_stats()["shapes"] <= 2
+        after = cache_stats()
+    assert after["misses"] - before["misses"] == 6
+    assert after["evictions"] - before["evictions"] == 4
 
 
 # -- executor end to end ----------------------------------------------------
@@ -306,3 +452,40 @@ def test_join_rows_matches_reference_join(left, right, on, kind):
                     kind=kind)
 
     assert _outcome(run, join_rows) == _outcome(run, _reference_join)
+
+
+# -- aggregate vs the per-row-key-tuple loop --------------------------------
+agg_value = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from(["x", "y"]),
+                      st.sampled_from([1.0, True]))
+agg_row = st.fixed_dictionaries(
+    {"g": agg_value, "h": agg_value,
+     "v": st.one_of(st.none(), st.integers(-9, 9))},
+    optional={"w": st.one_of(st.none(), st.integers(0, 3))},
+)
+AGG_SPEC = {"n": ("count", None), "vs": ("count", "v"), "total": ("sum", "v"),
+            "mean": ("avg", "v"), "low": ("min", "v"), "high": ("max", "v")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(agg_row, max_size=16),
+    group_by=st.sampled_from([None, [], ["g"], ["w"], ["g", "h"], ["h", "w"]]),
+)
+@example(rows=[], group_by=None)
+@example(rows=[], group_by=["g"])
+@example(rows=[{"g": None, "h": 1, "v": None}, {"g": 1, "h": 1, "v": 2},
+               {"g": True, "h": 1, "v": 3}, {"g": 1.0, "h": 1, "v": None}],
+         group_by=["g"])
+def test_aggregate_matches_reference_aggregate(rows, group_by):
+    """Bit-identical to the loop it replaced over 0/1/2 group columns:
+    group order (``None`` keys first), which of several equal keys names
+    a group (``1``/``True``/``1.0``: the first seen), null-excluding
+    aggregates — and the same exception for a missing group column or
+    keys of unorderable types."""
+    def run(fn):
+        return fn(iter(rows), AGG_SPEC, group_by=group_by)
+
+    got, expected = _outcome(run, aggregate), _outcome(run, _reference_aggregate)
+    assert got == expected
+    if got[0] == "return":  # == cannot tell 1 from True from 1.0
+        assert repr(got[1]) == repr(expected[1])

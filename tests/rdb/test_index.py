@@ -1,8 +1,10 @@
 """Tests for hash and sorted secondary indexes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdb.index import HashIndex, IndexSet, SortedIndex
+from tests.rdb.oracles import _reference_range
 
 
 class TestHashIndex:
@@ -95,6 +97,37 @@ class TestSortedIndex:
         index = self._index()
         index.remove(99, 1)  # no raise
         assert len(index) == 5
+
+    def test_inverted_range_is_empty(self):
+        assert list(self._index().range(5, 3)) == []
+        assert list(self._index().range(3, 3, include_low=False)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 40)),
+                       max_size=30),
+        low=st.one_of(st.none(), st.integers(-2, 14)),
+        high=st.one_of(st.none(), st.integers(-2, 14)),
+        include_low=st.booleans(),
+        include_high=st.booleans(),
+        bulk=st.booleans(),
+    )
+    def test_range_equals_the_per_rowid_generator(
+        self, pairs, low, high, include_low, include_high, bulk
+    ):
+        """The chained range yields exactly what the generator it
+        replaced did, in the same order — open ends, exclusive bounds
+        and ``low > high`` included."""
+        index = SortedIndex("s", "a")
+        if bulk:
+            index.bulk_load(pairs)
+        else:
+            for key, rowid in pairs:
+                index.insert(key, rowid)
+        bounds = dict(include_low=include_low, include_high=include_high)
+        assert list(index.range(low, high, **bounds)) == list(
+            _reference_range(index, low, high, **bounds)
+        )
 
 
 class TestIndexSet:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdb import Column, ColumnType, Database, Schema, col, lit
-from repro.rdb.query import plan_select
+from repro.rdb.query import _INDEX_ROW_COST, _collect_matching, plan_select
 
 T = ColumnType
 
@@ -54,13 +54,129 @@ class TestSelectivityChoice:
         selective = catalog_db.explain_plan("courses", col("code") == "c017")
         skewed = catalog_db.explain_plan("courses", col("dept") == "cs")
         assert selective.estimated_cost < skewed.estimated_cost
-        assert skewed.estimated_cost < 200  # still beats the scan
+        # Costs are in heap-scan rows, an index candidate weighing
+        # _INDEX_ROW_COST of them: 1 row per key and 50 rows per key.
+        assert selective.estimated_cost == 1 * _INDEX_ROW_COST
+        assert skewed.estimated_cost == 50 * _INDEX_ROW_COST
+        # A quarter of the table through the index costs what scanning
+        # all 200 rows costs — a tie, which the index path takes ...
+        assert skewed.estimated_cost == 200
+        assert skewed.access_path == "index:by_dept"
+        # ... and a probe returning more than that no longer "beats the
+        # scan": three departments left, each a third of the table.
+        catalog_db.delete("courses", where=col("dept") == "ed")
+        third = catalog_db.explain_plan("courses", col("dept") == "cs")
+        assert third.access_path == "scan"
+        assert third.estimated_cost == 150
 
     def test_empty_probe_costs_nothing(self, catalog_db):
         plan = catalog_db.explain_plan("courses", col("code") == "missing")
         assert plan.access_path == "index:by_code"
         assert plan.estimated_candidates == 0
         assert plan.estimated_cost == 0.0
+
+
+class TestUnhashableLiteral:
+    """``column == <list/dict>`` is false for every row.  The planner
+    used to hash the literal into every covering index — the ``__pk__``
+    index covers the primary key of *every* table — and raise."""
+
+    @pytest.mark.parametrize("literal", [[1], {"k": 1}, [[]], ({},)])
+    @pytest.mark.parametrize("column", ["course_id", "code", "credits"])
+    def test_matches_no_row_on_any_column(self, catalog_db, column, literal):
+        where = col(column) == literal
+        assert not any(where.eval(r) for r in catalog_db.table("courses").rows())
+        assert catalog_db.select("courses", where=where) == []
+        assert catalog_db.count("courses", where=where) == 0
+        plan = catalog_db.explain_plan("courses", where)
+        assert plan.access_path == "scan"
+        assert catalog_db.explain("courses", where) == plan.describe()
+
+    def test_another_conjunct_still_gets_its_index(self, catalog_db):
+        where = (col("code") == "c017") & (col("course_id") == [17])
+        assert catalog_db.explain_plan("courses", where).access_path == (
+            "index:by_code")
+        assert catalog_db.select("courses", where=where) == []
+
+    def test_composite_key_with_one_unhashable_part(self, catalog_db):
+        catalog_db.create_hash_index("courses", "by_both", ["dept", "code"])
+        where = (col("dept") == "cs") & (col("code") == ["c017"])
+        assert catalog_db.select("courses", where=where) == []
+        assert catalog_db.explain_plan("courses", where).access_path in (
+            "index:by_dept", "scan")
+
+
+class TestInListProbe:
+    def test_isin_over_a_hashed_column_probes_per_member(self, catalog_db):
+        where = col("code").isin(["c040", "c012", "c077", "nope"])
+        plan = catalog_db.explain_plan("courses", where)
+        assert plan.access_path == "index:by_code"
+        assert plan.estimated_candidates == 3
+        assert plan.estimated_cost == 3 * _INDEX_ROW_COST
+        assert plan.chosen_conjuncts == (
+            "code in ['c012', 'c040', 'c077', 'nope']",)
+        assert catalog_db.explain("courses", where) == (
+            "courses: index:by_code (~3 rows, cost 12) "
+            "using code in ['c012', 'c040', 'c077', 'nope']"
+        )
+        rows = catalog_db.select("courses", where=where)
+        # Members are probed in sorted order, on every run.
+        assert [r["code"] for r in rows] == ["c012", "c040", "c077"]
+
+    def test_residual_filter_still_applies(self, catalog_db):
+        where = col("code").isin(["c012", "c040"]) & (col("credits") > 1)
+        assert catalog_db.explain_plan("courses", where).access_path == (
+            "index:by_code")
+        rows = catalog_db.select("courses", where=where)
+        assert [r["code"] for r in rows] == ["c012"]
+
+    def test_wide_in_list_reads_the_heap(self, catalog_db):
+        # Half the table through the index costs twice the scan.
+        where = col("dept").isin(["cs", "ee"])
+        plan = catalog_db.explain_plan("courses", where)
+        assert plan.access_path == "scan"
+        assert len(catalog_db.select("courses", where=where)) == 100
+
+    def test_empty_in_list_costs_nothing(self, catalog_db):
+        plan = catalog_db.explain_plan("courses", col("code").isin([]))
+        assert plan.access_path == "index:by_code"
+        assert plan.estimated_cost == 0.0
+        assert catalog_db.select("courses", where=col("code").isin([])) == []
+
+    @pytest.mark.parametrize("members", [["c012", 12], ["c012", None]])
+    def test_unsortable_members_fall_to_another_path(self, catalog_db, members):
+        where = col("code").isin(members)
+        assert catalog_db.explain_plan("courses", where).access_path == "scan"
+        rows = catalog_db.select("courses", where=where)
+        assert [r["code"] for r in rows] == ["c012"]
+
+    def test_needs_a_single_column_hash_index(self, catalog_db):
+        # credits has a sorted index only; course_id's is the pk index.
+        assert catalog_db.explain_plan(
+            "courses", col("credits").isin([1, 2])).access_path == "scan"
+        assert catalog_db.explain_plan(
+            "courses", col("course_id").isin([1, 2])).access_path == (
+            "index:__pk__")
+
+    def test_isin_under_or_is_not_a_candidate(self, catalog_db):
+        where = col("code").isin(["c012"]) | (col("credits") == 3)
+        assert catalog_db.explain_plan("courses", where).access_path == "scan"
+
+
+class TestVanishedRows:
+    @pytest.mark.parametrize("where", [
+        col("code") == "c017",
+        col("code").isin(["c016", "c017"]),
+        col("credits").between(7, 7),
+    ])
+    def test_row_deleted_between_probe_and_fetch_is_skipped(
+            self, catalog_db, where):
+        table = catalog_db.table("courses")
+        plan, rowids = plan_select(table, where)
+        assert plan.access_path.startswith("index:")
+        catalog_db.delete("courses", where=col("code") == "c017")
+        rows = _collect_matching(table, plan, rowids, where, [0, 0], None)
+        assert "c017" not in [r["code"] for r in rows]
 
 
 class TestRangePushdown:

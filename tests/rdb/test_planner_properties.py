@@ -2,8 +2,11 @@
 
 For random schemas, data and predicates — including ORDER BY / LIMIT /
 OFFSET / DISTINCT combinations — ``execute_select`` (which may probe
-hash indexes, push ranges into sorted indexes, or stream top-k) must
-return exactly what a naive evaluate-every-row reference returns.
+hash indexes once or once per IN-list member, push ranges into sorted
+indexes, read the heap because the index would cost more, or select
+top-k) must return exactly what a naive evaluate-every-row reference
+returns — whichever path the cost model picks, and whatever the
+literals are (unhashable ones included).
 """
 
 from __future__ import annotations
@@ -25,10 +28,35 @@ rows_strategy = st.lists(row_strategy, max_size=40)
 
 
 # -- predicates ------------------------------------------------------------
+# Equality literals of every kind a caller can hand in: the column's own
+# type, another type, and unhashables (which no index can be probed with
+# and no row can equal).
+equality_literal = st.one_of(
+    st.integers(0, 5),
+    st.sampled_from(["x", "y", "z", "w"]),
+    st.sampled_from([[1], [], {"k": 1}, [[0]], 2.0, True]),
+)
+
+# IN-list members over the hashed columns: same-type sets (probed per
+# member), mixed-type and None-carrying ones (unsortable: no candidate),
+# and the empty set.
+member_sets = st.one_of(
+    st.lists(st.integers(0, 6), max_size=4),
+    st.lists(st.sampled_from(["x", "y", "z", "w", "q"]), max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(0, 5),
+                       st.sampled_from(["x", "y"]), st.just(1.0)),
+             max_size=4),
+)
+
+
 def _leaf() -> st.SearchStrategy[Expr]:
     return st.one_of(
-        st.integers(0, 5).map(lambda v: col("a") == v),
-        st.sampled_from(["x", "y", "z", "w"]).map(lambda v: col("c") == v),
+        equality_literal.map(lambda v: col("a") == v),
+        equality_literal.map(lambda v: col("c") == v),
+        equality_literal.map(lambda v: col("pk") == v),
+        member_sets.map(lambda vs: col("a").isin(vs)),
+        member_sets.map(lambda vs: col("c").isin(vs)),
+        member_sets.map(lambda vs: col("b").isin(vs)),
         st.integers(-10, 10).map(lambda v: col("b") < v),
         st.integers(-10, 10).map(lambda v: col("b") >= v),
         st.tuples(st.integers(-10, 10), st.integers(-10, 10)).map(
@@ -70,10 +98,18 @@ def _build(rows) -> Database:
     ))
     db.create_hash_index("t", "by_a", ["a"])
     db.create_hash_index("t", "by_c", ["c"])
+    # b is nullable: an IN probe for None finds the null rows, and the
+    # residual filter (null is in nothing) must drop them again.
+    db.create_hash_index("t", "by_b_eq", ["b"])
     db.create_sorted_index("t", "by_b", "b")
     for pk, row in enumerate(rows):
         db.insert("t", {"pk": pk, **row})
     return db
+
+
+def _bag(rows):
+    """Rows as a multiset of rendered rows (order follows the access path)."""
+    return sorted(tuple(sorted((k, repr(v)) for k, v in r.items())) for r in rows)
 
 
 def _naive(
@@ -140,11 +176,8 @@ def test_planner_equals_naive_scan(
     if order_by is None:
         # Without ORDER BY, row order follows the access path; compare
         # as multisets of rendered rows.
-        canon = lambda rs: sorted(
-            tuple(sorted((k, repr(v)) for k, v in r.items())) for r in rs
-        )
         if limit is None and not offset and not distinct:
-            assert canon(actual) == canon(expected)
+            assert _bag(actual) == _bag(expected)
         else:
             # Sliced unordered results: the *set* of returned rows may
             # legitimately differ, but the count must match and every
@@ -172,3 +205,63 @@ def test_explain_never_crashes_and_names_real_access_path(rows, where):
     plan = db.explain_plan("t", where)
     assert plan.access_path == "scan" or plan.access_path.startswith("index:")
     assert plan.estimated_cost >= 0
+
+
+# -- the cost model's two sides, on a table large enough to have them ------
+def _thousand() -> Database:
+    db = Database("k")
+    db.create_table(Schema(
+        name="t",
+        columns=(
+            Column("pk", T.INT, nullable=False),
+            Column("b", T.INT),
+            Column("c", T.TEXT, nullable=False),
+        ),
+        primary_key=("pk",),
+    ))
+    db.create_hash_index("t", "by_c", ["c"])
+    db.create_sorted_index("t", "by_b", "b")
+    db.insert_many("t", [
+        {"pk": i, "b": None if i % 50 == 0 else i % 100, "c": f"c{i % 40}"}
+        for i in range(1000)
+    ])
+    return db
+
+
+@given(low=st.integers(-5, 105), width=st.integers(0, 110))
+@settings(max_examples=60, deadline=None)
+def test_ranges_of_every_selectivity_equal_the_naive_scan(low, width):
+    db = _thousand()
+    where = col("b").between(low, low + width)
+    plan = db.explain_plan("t", where)
+    naive = [dict(r) for r in db.table("t").rows() if where.eval(r)]
+    assert _bag(db.select("t", where=where)) == _bag(naive)
+    # An index row costs ~4 heap rows: the index is taken up to about a
+    # quarter of the table and never for more than half of it.
+    if len(naive) <= 200:
+        assert plan.access_path == "index:by_b"
+    if len(naive) > 500:
+        assert plan.access_path == "scan"
+
+
+def test_selective_range_plans_index_and_wide_range_plans_scan():
+    db = _thousand()
+    selective = db.explain_plan("t", col("b") < 5)           # ~5 %
+    wide = db.explain_plan("t", col("b") >= 40)              # ~60 %
+    assert selective.access_path == "index:by_b"
+    assert selective.pushdown == "b in [None, 5)"
+    assert wide.access_path == "scan" and wide.pushdown is None
+    assert wide.estimated_cost == 1000
+    for where in (col("b") < 5, col("b") >= 40):
+        naive = [dict(r) for r in db.table("t").rows() if where.eval(r)]
+        assert _bag(db.select("t", where=where)) == _bag(naive)
+
+
+def test_in_list_over_a_hashed_column_plans_index():
+    db = _thousand()
+    where = col("c").isin(["c3", "c17", "c39"]) & (col("b") > 10)
+    plan = db.explain_plan("t", where)
+    assert plan.access_path == "index:by_c"
+    assert plan.estimated_candidates == 75
+    naive = [dict(r) for r in db.table("t").rows() if where.eval(r)]
+    assert _bag(db.select("t", where=where)) == _bag(naive) and naive

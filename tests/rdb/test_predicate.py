@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdb import col, lit
-from repro.rdb.predicate import equality_bindings
+from repro.rdb.predicate import conjunct_bindings
 
 
 ROW = {"a": 5, "b": "hello", "c": None, "tags": ["x", "y"], "f": 2.5}
@@ -121,7 +121,24 @@ class TestIntrospection:
         assert "col('a')" in text and "is_null" in text
 
 
+def equality_bindings(expr):
+    return conjunct_bindings(expr)[0]
+
+
 class TestEqualityBindings:
+    def test_one_walk_collects_equalities_memberships_and_bounds(self):
+        expr = ((col("a") == 5) & col("b").isin(["x", "y"]) & (col("f") > 1)
+                & (lit(9) >= col("f")) & (col("g") < None)
+                & (col("h").isin([1]) | (col("a") == 6)))
+        equalities, memberships, bounds = conjunct_bindings(expr)
+        assert equalities == {"a": 5}
+        assert memberships == [("b", frozenset({"x", "y"}))]
+        assert set(bounds) == {"f"}  # a None bound gives nothing usable
+        f = bounds["f"]
+        assert (f.low, f.include_low, f.high, f.include_high) == (
+            1, False, 9, True)
+        assert sorted(f.conjuncts) == ["f <= 9", "f > 1"]
+
     def test_single_binding(self):
         assert equality_bindings(col("a") == 5) == {"a": 5}
 

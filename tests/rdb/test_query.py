@@ -6,6 +6,18 @@ from repro.rdb import UnknownColumnError, col
 from repro.rdb.query import aggregate, join_rows
 
 
+def _crowd(db, extra=12):
+    """Grow the 3-row fixture until an index pays: a candidate reached
+    through an index costs about four heap rows (``query._INDEX_ROW_COST``),
+    so on three rows every honest plan is ``scan``.  The extra people
+    are old and their orders large, outside every range asked below."""
+    for i in range(extra):
+        db.insert("people", {"person_id": 100 + i, "name": f"p{i}",
+                             "age": 300 + i, "email": f"p{i}@mmu.edu"})
+        db.insert("orders", {"order_id": 100 + i, "person_id": 100 + i,
+                             "amount": 100.0 + i})
+
+
 class TestSelect:
     def test_select_all(self, populated_db):
         assert len(populated_db.select("people")) == 3
@@ -55,10 +67,12 @@ class TestSelect:
 
 class TestPlanner:
     def test_pk_equality_uses_index(self, populated_db):
+        _crowd(populated_db)
         plan = populated_db.explain("people", col("person_id") == 1)
         assert "index:" in plan
 
     def test_fk_equality_uses_index(self, populated_db):
+        _crowd(populated_db)
         plan = populated_db.explain("orders", col("person_id") == 1)
         assert "index:" in plan
 
@@ -78,6 +92,7 @@ class TestPlanner:
         assert [r["order_id"] for r in rows] == [11]
 
     def test_secondary_index_used_after_creation(self, populated_db):
+        _crowd(populated_db)
         populated_db.create_hash_index("people", "by_name", ["name"])
         plan = populated_db.explain("people", col("name") == "ada")
         assert "index:by_name" in plan
@@ -90,6 +105,7 @@ class TestRange:
         assert sorted(r["order_id"] for r in rows) == [10, 11]
 
     def test_range_with_sorted_index(self, populated_db):
+        _crowd(populated_db)
         populated_db.create_sorted_index("orders", "by_amount", "amount")
         where = col("amount").between(3.0, 8.0)
         assert "index:by_amount" in populated_db.explain("orders", where)
@@ -104,10 +120,12 @@ class TestRange:
         assert populated_db.select("orders", where=where) == []
 
     def test_range_ignores_nulls(self, populated_db):
+        _crowd(populated_db)
         where = col("age").between(0, 200)
         rows = populated_db.select("people", where=where)
         assert sorted(r["name"] for r in rows) == ["ada", "bob"]
         populated_db.create_sorted_index("people", "by_age", "age")
+        assert "index:by_age" in populated_db.explain("people", where)
         rows = populated_db.select("people", where=where)
         assert [r["name"] for r in rows] == ["bob", "ada"]
 

@@ -65,6 +65,14 @@ class TestMutations:
         assert table.get(rowid)["v"] == "a"
         assert table.get(999) is None
 
+    def test_get_many_keeps_order_and_skips_vanished_rows(self, table):
+        ids = [table.apply_insert({"k": k, "v": str(k), "g": "x"})
+               for k in (1, 2, 3)]
+        probed = iter([ids[2], 999, ids[0], ids[1]])  # any iterable
+        table.apply_delete(ids[0])  # gone between the probe and the fetch
+        assert [row["k"] for row in table.get_many(probed)] == [3, 2]
+        assert table.get_many([]) == []
+
     def test_pk_lookup(self, table):
         table.apply_insert({"k": 7, "v": "a", "g": "x"})
         assert table.row_for_pk((7,))["v"] == "a"

@@ -99,20 +99,20 @@ class TestRemoteCalls:
 class TestMalformedParamsOverTheWire:
     def test_one_clients_bad_request_cannot_kill_anothers_call(self, world):
         """Whoever drives the simulator runs everyone's requests: A's
-        malformed roster must come back to A as a failure reply, not
-        leave ``sim.step()`` as a TypeError inside B's ``call_sync``."""
+        malformed search must come back to A as a failure reply, not
+        leave ``sim.step()`` as an AttributeError inside B's ``call_sync``."""
         net, _server = world
         a = RemoteTierClient(net, "s2", "s1")
         b = RemoteTierClient(net, "s3", "s1")
         a.login("registrar", "administrator")
         b.login("shih", "instructor")
         a_replies = []
-        a.call("roster", {"course_number": ["c1"]},
+        a.call("search_library", {"keywords": 5},
                on_response=a_replies.append)
         assert b.call_sync("roster", course_number="c1").unwrap() == []
         net.quiesce()
         [reply] = a_replies
-        assert not reply.ok and reply.error.startswith("TypeError")
+        assert not reply.ok and reply.error.startswith("AttributeError")
         assert a._pending == {} and b._pending == {}
 
 

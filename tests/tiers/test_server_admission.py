@@ -105,9 +105,11 @@ class TestAdmissionGate:
         complete = server.admission.complete
         server.admission.complete = lambda ticket, **kw: (
             completed.append(ticket), complete(ticket, **kw))
-        response = roster(server, session, course=["cs101"])
+        response = server.handle(Request(
+            op="search_library", session_id=session, params={"keywords": 5},
+        ))
         assert not response.ok and not response.shed
-        assert response.error.startswith("TypeError")
+        assert response.error.startswith("AttributeError")
         assert len(completed) == 1 and server.admission.depth == 0
 
     def test_without_controller_v1_behaviour(self):
