@@ -8,22 +8,27 @@ read path:
 
 * in :mod:`repro.rdb` — the cost-based planner: selectivity-chosen hash
   probes for point queries, sorted-index range pushdown, and streaming
-  top-k for ORDER BY + LIMIT, each against the seed's full-scan path;
+  top-k for ORDER BY + LIMIT, each against the seed's full-scan path —
+  and the ordered walk that stops at the k-th key when the ORDER BY
+  column is the one the range was pushed down on;
 * in :mod:`repro.tiers` — the versioned LRU result cache: repeated
   reads served from memory, with every write an implicit invalidation
   (version-keyed entries make stale reads impossible).
 
 Run ``--smoke`` for the CI plan-regression guard: it fails (exit 1) if
 a selective predicate — the indexed point query, a narrow range, an
-IN-list over a hashed column — ever plans as ``scan``, or if a range
+IN-list over a hashed column — ever plans as ``scan``, if a range
 covering more than half the table is pushed through the sorted index
-(an index row costs about four heap rows; DESIGN §6).
+(an index row costs about four heap rows; DESIGN §6), or if a top-10
+ordered by the pushed-down column examines every row of its range.
 """
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 # Allow `python benchmarks/bench_*.py` directly from the repo root.
@@ -32,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 import pytest
 
 from benchmarks.common import print_table
+from repro.obs import MetricsRegistry, enabled
 from repro.rdb import Column, ColumnType, Database, Schema, col
 from repro.tiers import QueryCache, TableVersions
 
@@ -91,6 +97,13 @@ def _qps(fn, iters: int) -> float:
     return iters / elapsed if elapsed else float("inf")
 
 
+def rows_examined(db: Database, **select) -> int:
+    """``rdb.rows_scanned`` for one select over ``courses``."""
+    with enabled(registry=MetricsRegistry()) as (registry, _):
+        db.select("courses", **select)
+    return registry.snapshot().counter_total("rdb.rows_scanned")
+
+
 def planner_rows(rows: int, iters: int) -> list[list]:
     """Point / range / top-k / join throughput, indexed vs scan path."""
     db = build_catalog(rows)
@@ -126,6 +139,22 @@ def planner_rows(rows: int, iters: int) -> list[list]:
                 max(1, iters // 100))
     out.append(["top-k", "heap(k=10)", f"{topk:,.0f}",
                 f"{full:,.0f}", f"{topk / full:.1f}x"])
+
+    # ordered top-k: ORDER BY the pushed-down column + LIMIT walks the
+    # index in key order and stops at the k-th key, against fetching the
+    # whole range (a tenth of the table) and selecting the top outside.
+    band = (col("enrolled") >= 400) & (col("enrolled") < 450)
+    walked = _qps(lambda: db.select(
+        "courses", where=band, order_by="enrolled", limit=10),
+        max(1, iters // 5))
+    fetched = _qps(lambda: heapq.nsmallest(
+        10, db.select("courses", where=band), key=itemgetter("enrolled")),
+        max(1, iters // 20))
+    examined = rows_examined(db, where=band, order_by="enrolled", limit=10)
+    out.append(["ordered top-k",
+                f"walk, {examined} of {db.count('courses', band)} rows",
+                f"{walked:,.0f}", f"{fetched:,.0f}",
+                f"{walked / fetched:.1f}x"])
 
     # join: sections ⋈ courses (hash join over selected inputs).
     join = _qps(lambda: db.join(
@@ -258,6 +287,18 @@ def smoke() -> int:
                 f"{label} query reads most of the table through "
                 f"{plan.access_path!r}: {plan.describe()}"
             )
+    # Counts only, no timing floor: ordered by the pushed-down column,
+    # a top-10 stops at a key boundary short of the range's end.
+    narrow = shapes[1][1]
+    print("ordered top-10 plan:",
+          db.explain("courses", narrow, order_by="enrolled", limit=10))
+    examined = rows_examined(db, where=narrow, order_by="enrolled", limit=10)
+    held = db.count("courses", narrow)
+    print(f"ordered top-10 examined {examined} of the range's {held} rows")
+    if examined >= held:
+        failures.append(
+            f"ordered top-10 examined {examined} rows of a {held}-row range"
+        )
     for failure in failures:
         print(f"PLAN REGRESSION: {failure}", file=sys.stderr)
     print("plan guard:", "FAIL" if failures else "ok")

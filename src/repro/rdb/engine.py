@@ -30,7 +30,7 @@ from repro.rdb.errors import (
     SchemaError,
     TransactionError,
 )
-from repro.rdb.compile import batch_filter, cache_stats, predicate_fn
+from repro.rdb.compile import cache_stats, predicate_fn
 from repro.rdb.predicate import Expr
 from repro.rdb.query import (
     aggregate_table,
@@ -349,7 +349,7 @@ class Database:
         table = self._catalog.get(table_name)
         if where is None:
             return len(table)
-        return len(batch_filter(where)(table.rows_list()))
+        return len(matching_view(table, where))
 
     def select(
         self,
@@ -377,17 +377,22 @@ class Database:
             distinct=distinct,
         )
 
-    def explain(self, table_name: str, where: Expr | None = None) -> str:
+    def explain(
+        self, table_name: str, where: Expr | None = None,
+        order_by: str | Sequence[str] | None = None, limit: int | None = None,
+    ) -> str:
         """Describe the access path a select would use (cost, conjuncts,
-        range pushdown)."""
-        return self.explain_plan(table_name, where).describe()
+        range pushdown; given ``order_by`` and ``limit``, the top-k too)."""
+        return self.explain_plan(table_name, where, order_by, limit).describe()
 
-    def explain_plan(self, table_name: str, where: Expr | None = None):
+    def explain_plan(
+        self, table_name: str, where: Expr | None = None,
+        order_by: str | Sequence[str] | None = None, limit: int | None = None,
+    ):
         """The :class:`~repro.rdb.query.SelectPlan` a select would use
         (programmatic EXPLAIN for tests, benchmarks and plan guards)."""
         table = self._catalog.get(table_name)
-        plan, _ = plan_select(table, where)
-        return plan
+        return plan_select(table, where, order_by, top=limit)[0]
 
     def statistics(self, table_name: str):
         """Planner statistics snapshot for one table."""

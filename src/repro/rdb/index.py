@@ -194,6 +194,27 @@ class SortedIndex:
         start, stop = self._bounds(low, high, include_low, include_high)
         return chain.from_iterable(self._rowids[start:stop])
 
+    def range_steps(
+        self, low: Any = None, high: Any = None, *, include_low: bool = True,
+        include_high: bool = True, step: int, reverse: bool = False,
+    ) -> Iterator[Iterator[int]]:
+        """:meth:`range`, a run of whole keys at a time — ``step`` keys,
+        then twice as many each time — from the low end (the high end
+        when ``reverse``).  Inside a run the ids come in :meth:`range`
+        order either way, so the runs pulled so far are a prefix (laid
+        end to end backwards, a suffix) of what :meth:`range` yields."""
+        start, stop = self._bounds(low, high, include_low, include_high)
+        while start < stop:
+            if reverse:
+                cut = max(start, stop - step)
+                yield chain.from_iterable(self._rowids[cut:stop])
+                stop = cut
+            else:
+                cut = min(stop, start + step)
+                yield chain.from_iterable(self._rowids[start:cut])
+                start = cut
+            step *= 2
+
     def estimate_range(
         self,
         low: Any = None,

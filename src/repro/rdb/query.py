@@ -1,9 +1,9 @@
 """Query execution: cost-based access-path selection, joins, aggregates.
 
-The planner is cost-based over incrementally-maintained statistics
-(:mod:`repro.rdb.stats`).  For a WHERE clause it costs every access
-path whose preconditions hold, in heap-scan rows, and picks the
-cheapest:
+The planner is cost-based over the counters every index maintains on
+mutation (what :mod:`repro.rdb.stats` snapshots), read where a candidate
+is costed.  For a WHERE clause it costs every access path whose
+preconditions hold, in heap-scan rows, and picks the cheapest:
 
 * **hash probe** — a hash index fully covered by top-level equality
   conjuncts; expected rows = ``entries / distinct_keys`` (selectivity),
@@ -23,7 +23,13 @@ probe or range covering more than about a quarter of the table reads
 the heap sequentially instead.  The residual WHERE filter is always
 re-applied, so any access path yielding a superset of matching rows is
 correct.  ORDER BY + LIMIT selects through a bounded heap
-(:func:`heapq.nsmallest`/``nlargest``) instead of a full sort.
+(:func:`heapq.nsmallest`/``nlargest``) instead of a full sort; when the
+chosen path is the range pushed down on the *leading* ORDER BY column
+the heap is fed by an **ordered walk** — a few whole keys at a time in
+index order, stopping at the key boundary once LIMIT+OFFSET rows have
+matched — which hands it a prefix of the same list (DESIGN §6).  Sort
+keys are one C-level ``itemgetter`` whenever no matching row holds
+``None`` in an ORDER BY column.
 
 Execution is **compiled and batched** (:mod:`repro.rdb.compile`): the
 WHERE tree is lowered to one generated filter function, compiled once
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -49,7 +56,6 @@ from repro.obs.instrument import OBS
 from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
 from repro.rdb.predicate import Expr, conjunct_bindings
-from repro.rdb.stats import TableStatistics
 from repro.rdb.table import Table
 
 __all__ = [
@@ -73,7 +79,10 @@ class SelectPlan:
     index candidate weighs ``_INDEX_ROW_COST`` of them);
     ``chosen_conjuncts`` are the WHERE conjuncts the path consumed;
     ``pushdown`` describes a range pushed into a sorted index (``None``
-    otherwise).
+    otherwise).  ``order_by``/``top`` are an ordered statement's columns
+    and LIMIT+OFFSET; ``walk`` is ``"ascending"``/``"descending"`` when
+    the pushed-down range is read in key order up to the key boundary
+    past ``top`` (``None``: every matching row meets the bounded heap).
     """
 
     table: str
@@ -82,6 +91,9 @@ class SelectPlan:
     estimated_cost: float = 0.0
     chosen_conjuncts: tuple[str, ...] = ()
     pushdown: str | None = None
+    order_by: tuple[str, ...] = ()
+    top: int | None = None
+    walk: str | None = None
 
     def describe(self) -> str:
         """One-line EXPLAIN rendering."""
@@ -93,6 +105,10 @@ class SelectPlan:
             parts.append("using " + " AND ".join(self.chosen_conjuncts))
         if self.pushdown:
             parts.append(f"pushdown {self.pushdown}")
+        if self.walk:
+            parts.append(f"order {self.order_by[0]} via index, stops after {self.top}")
+        elif self.top is not None:
+            parts.append(f"top-{self.top} of ~{self.estimated_candidates} by heap")
         return " ".join(parts)
 
 
@@ -117,19 +133,40 @@ class _Candidate:
     estimated: int
     conjuncts: tuple[str, ...] = ()
     pushdown: str | None = None
+    #: A sorted range's (column, ``SortedIndex.range_steps`` over its bounds).
+    ordered: tuple[str, Callable[..., Iterable[Iterable[int]]]] | None = None
+
+
+#: Keys in the ordered walk's first run; each later run doubles.  Per
+#: ``range`` statement of the seeded E22 stream (top-10 of a ~136-row
+#: band, ~2.7 rows a key; parent 250-270 us), first runs of 2 / 4 / 6 /
+#: 8 / 16 / 32 keys read 91-94 / 85-96 / 91-95 / 103-105 / 122-130 /
+#: 150-160 us.  A top-10 over unique keys examines 4 + 8 = 12 rows.
+_WALK_KEYS = 4
 
 
 def plan_select(
-    table: Table, where: Expr | None
-) -> tuple[SelectPlan, Iterable[int]]:
+    table: Table, where: Expr | None = None,
+    order_by: str | Sequence[str] | None = None, descending: bool = False,
+    top: int | None = None,
+) -> tuple[SelectPlan, Iterable[Any]]:
     """Choose the cheapest access path; returns (plan, candidate rowids).
 
     Candidate row ids are produced lazily (index probes return their
     snapshot, scans yield from the heap), so callers that stop early —
     LIMIT without ORDER BY — never touch the rest of the table.
+
+    ``top`` is the LIMIT+OFFSET of an ORDER BY statement.  When the
+    chosen path is the range pushed down on the leading ``order_by``
+    column the plan is an ordered walk: the candidates come as
+    :meth:`SortedIndex.range_steps` runs of row ids instead (the index
+    holds no NULL, but NULL fails the range conjunct anyway).
     """
-    stats = table.statistics()
-    row_count = stats.row_count
+    keys: tuple[str, ...] = ()
+    if order_by is not None:
+        keys = (order_by,) if isinstance(order_by, str) else tuple(order_by)
+        _check_columns(table, keys)
+    row_count = len(table)
     best = _Candidate(
         cost=float(row_count),
         access_path="scan",
@@ -137,7 +174,7 @@ def plan_select(
         estimated=row_count,
     )
     if where is not None:
-        for candidate in _index_candidates(table, where, stats):
+        for candidate in _index_candidates(table, where, row_count):
             # Strictly cheaper wins; on a tie an index path beats the
             # scan (it can't be worse, and EXPLAIN output stays stable
             # for tiny tables).
@@ -145,6 +182,9 @@ def plan_select(
                 candidate.cost == best.cost and best.access_path == "scan"
             ):
                 best = candidate
+    walk = None
+    if keys and top is not None and best.ordered and best.ordered[0] == keys[0]:
+        walk = "descending" if descending else "ascending"
     plan = SelectPlan(
         table=table.schema.name,
         access_path=best.access_path,
@@ -152,33 +192,35 @@ def plan_select(
         estimated_cost=best.cost,
         chosen_conjuncts=best.conjuncts,
         pushdown=best.pushdown,
+        order_by=keys,
+        top=top if keys else None,
+        walk=walk,
     )
+    if walk:
+        return plan, best.ordered[1](step=_WALK_KEYS, reverse=descending)
     return plan, best.rowids()
 
 
 def _index_candidates(
-    table: Table, where: Expr, stats: "TableStatistics"
+    table: Table, where: Expr, row_count: int
 ) -> Iterator[_Candidate]:
     """Cost every index-backed access path the WHERE clause enables."""
-    row_count = stats.row_count
     bindings, memberships, bounds = conjunct_bindings(where)
     if bindings:
         bound = frozenset(bindings)
         for index in table.indexes.candidate_hash_indexes(bound):
             key = tuple(bindings[c] for c in index.columns)
-            index_stats = stats.index(index.name)
-            expected = index_stats.rows_per_key if index_stats else row_count
             # Exact probe counts are O(1), so sharpen the estimate; the
-            # selectivity figure still breaks ties among candidates that
-            # happen to probe equally (and is what EXPLAIN reports when
-            # the probe is empty).
+            # selectivity figure (the index's own entries / distinct
+            # keys) still breaks ties among equal probes.
             try:
                 exact = index.count(key)
             except TypeError:
                 continue  # unhashable literal: no row can equal it here
             yield _Candidate(
                 cost=(
-                    min(expected, row_count) * _INDEX_ROW_COST if exact else 0.0
+                    min(len(index) / index.distinct_keys(), row_count)
+                    * _INDEX_ROW_COST if exact else 0.0
                 ),
                 access_path=f"index:{index.name}",
                 rowids=lambda index=index, key=key: index.lookup(key),
@@ -210,28 +252,32 @@ def _index_candidates(
         index = table.indexes.sorted_index_on(column)
         if index is None:
             continue
-        estimated = index.estimate_range(
-            bound_spec.low,
-            bound_spec.high,
-            include_low=bound_spec.include_low,
-            include_high=bound_spec.include_high,
+        span = dict(
+            low=bound_spec.low, high=bound_spec.high,
+            include_low=bound_spec.include_low, include_high=bound_spec.include_high,
         )
+        estimated = index.estimate_range(**span)
         low_bracket = "[" if bound_spec.include_low else "("
         high_bracket = "]" if bound_spec.include_high else ")"
         yield _Candidate(
             cost=estimated * _INDEX_ROW_COST,
             access_path=f"index:{index.name}",
-            rowids=lambda index=index, b=bound_spec: index.range(
-                b.low, b.high,
-                include_low=b.include_low, include_high=b.include_high,
-            ),
+            rowids=partial(index.range, **span),
             estimated=estimated,
             conjuncts=tuple(bound_spec.conjuncts),
             pushdown=(
                 f"{column} in {low_bracket}{bound_spec.low!r}, "
                 f"{bound_spec.high!r}{high_bracket}"
             ),
+            ordered=(column, partial(index.range_steps, **span)),
         )
+
+
+def _check_columns(table: Table, names: Iterable[str]) -> None:
+    """Every name is a column of ``table``, or :class:`UnknownColumnError`."""
+    for name in names:
+        if not table.schema.has_column(name):
+            raise UnknownColumnError(table.schema.name, name)
 
 
 def check_limit_offset(limit: int | None, offset: int) -> None:
@@ -264,10 +310,10 @@ def execute_select(
     """
     check_limit_offset(limit, offset)
     if columns is not None:
-        for name in columns:
-            if not table.schema.has_column(name):
-                raise UnknownColumnError(table.schema.name, name)
-    plan, rowids = plan_select(table, where)
+        _check_columns(table, columns)
+    # DISTINCT dedups before slicing, so it must see every row.
+    top = limit + offset if limit is not None and not distinct else None
+    plan, rowids = plan_select(table, where, order_by, descending, top)
     handles: tuple | None = None
     counts = [0, 0]  # rows examined, batches pulled
     if OBS.enabled:
@@ -296,26 +342,22 @@ def execute_select(
         return out
     rows: Iterable[dict[str, Any]]
     if order_by is not None:
-        keys = (order_by,) if isinstance(order_by, str) else tuple(order_by)
-        for name in keys:
-            if not table.schema.has_column(name):
-                raise UnknownColumnError(table.schema.name, name)
-        # A sort (or top-k) reads every matching row: one batch.
-        matching = _collect_matching(table, plan, rowids, where, counts, None)
-
-        # None sorts first (ascending) via the (is-not-none, value) trick.
-        def sort_key(r: dict[str, Any]) -> tuple:
-            return tuple((r[k] is not None, r[k]) for k in keys)
-
-        if limit is not None and not distinct:
+        # A sort (or top-k) reads every matching row as one batch — on
+        # an ordered walk, up to the key boundary past ``plan.top``: a
+        # prefix (suffix) of the same list, every row left out strictly
+        # later in the leading key, so the stable selection cannot differ.
+        matching = _collect_matching(
+            table, plan, rowids, where, counts, plan.top if plan.walk else None
+        )
+        sort_key = _sort_key(plan.order_by, matching)
+        if plan.top is not None:
             # Streaming top-k: nsmallest/nlargest are documented as
             # sorted(...)[:k] (stable on ties), so results match a full
             # sort exactly while holding only limit+offset rows.
-            top = limit + offset
             if descending:
-                rows = heapq.nlargest(top, matching, key=sort_key)
+                rows = heapq.nlargest(plan.top, matching, key=sort_key)
             else:
-                rows = heapq.nsmallest(top, matching, key=sort_key)
+                rows = heapq.nsmallest(plan.top, matching, key=sort_key)
         else:
             rows = sorted(matching, key=sort_key, reverse=descending)
     elif descending:
@@ -350,6 +392,15 @@ def execute_select(
     return out
 
 
+def _sort_key(keys: tuple[str, ...], rows: list[dict[str, Any]]) -> Callable:
+    """ORDER BY key: None sorts first (ascending) via the ``(is-not-None,
+    value)`` trick.  When no row holds None in a key column every pair
+    is ``(True, v)`` and orders as the bare ``v``: one ``itemgetter``."""
+    if keys and not any(None in map(itemgetter(k), rows) for k in keys):
+        return itemgetter(*keys)
+    return lambda row: tuple((row[k] is not None, row[k]) for k in keys)
+
+
 #: (registry, {(table, path): (plan, rows_scanned, rows_returned,
 #: batches)}) — handles re-resolved whenever the active registry object
 #: changes, so the steady-state enabled cost per select is four dict hits.
@@ -379,13 +430,15 @@ def _candidate_batches(
     table: Table, plan: SelectPlan, rowids: Iterable[int]
 ) -> Iterator[list[dict[str, Any]]]:
     """Candidate rows for a planned access path, as row-list batches."""
-    if plan.access_path == "scan":
+    if plan.walk:  # candidates already come as runs of whole keys
+        yield from map(table.get_many, rowids)
+    elif plan.access_path == "scan":
         # Straight off the heap snapshot: no per-row rowid hop.
         yield from table.rows_batches(DEFAULT_BATCH)
-        return
-    it = iter(rowids)
-    while chunk := list(islice(it, DEFAULT_BATCH)):
-        yield table.get_many(chunk)
+    else:
+        it = iter(rowids)
+        while chunk := list(islice(it, DEFAULT_BATCH)):
+            yield table.get_many(chunk)
 
 
 def _collect_matching(
@@ -401,7 +454,9 @@ def _collect_matching(
     The list-wise twin of :func:`_matching_rows` for selects that
     consume every matching row in heap order — no generator frame is
     resumed per row.  Stops pulling batches once ``needed`` rows have
-    matched (LIMIT+OFFSET bound; ``None`` collects everything).
+    matched (LIMIT+OFFSET bound; ``None`` collects everything) — a key
+    boundary on an ordered walk, whose rows come back in index order
+    whichever end they were pulled from.
 
     An unbounded consumer reads every candidate regardless, so it takes
     the heap snapshot, or one bulk fetch of the index's row ids, as a
@@ -415,16 +470,20 @@ def _collect_matching(
         counts[0] += len(rows)
         counts[1] += 1
         return rows if where is None else batch_filter(where)(rows)
-    out: list[dict[str, Any]] = []
-    extend = out.extend
+    runs: list[list[dict[str, Any]]] = []
+    matched = 0
     matching = None if where is None else batch_filter(where)
     for batch in _candidate_batches(table, plan, rowids):
         counts[0] += len(batch)
         counts[1] += 1
-        extend(batch if matching is None else matching(batch))
-        if needed is not None and len(out) >= needed:
+        run = batch if matching is None else matching(batch)
+        runs.append(run)
+        matched += len(run)
+        if matched >= needed:
             break
-    return out
+    if plan.walk == "descending":
+        runs.reverse()  # pulled from the high end: back into index order
+    return list(chain.from_iterable(runs))
 
 
 def _matching_rows(
@@ -552,12 +611,15 @@ def join_rows(
     return out
 
 
+#: Each takes one group's non-null values as a list, in bucket order —
+#: ``sum()`` over the list, never a running ``+=``, which interpreters
+#: that compensate float summation (3.12+) do not answer bit for bit.
 _AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
     "count": len,
-    "sum": lambda values: sum(values) if values else 0,
+    "sum": sum,
     "avg": lambda values: (sum(values) / len(values)) if values else None,
-    "min": lambda values: min(values) if values else None,
-    "max": lambda values: max(values) if values else None,
+    "min": partial(min, default=None),
+    "max": partial(max, default=None),
 }
 
 
@@ -576,35 +638,47 @@ def aggregate(
     >>> aggregate([{"a": 1}, {"a": 3}], {"n": ("count", None), "m": ("max", "a")})
     [{'n': 2, 'm': 3}]
     """
-    for out_name, (fn_name, _column) in spec.items():
+    resolved = []  # once per call, not once per group
+    for out_name, (fn_name, column) in spec.items():
         if fn_name not in _AGGREGATES:
             raise ValueError(f"unknown aggregate {fn_name!r} for {out_name!r}")
-    groups: dict[tuple, list[dict[str, Any]]] = {}
+        getter = None if column is None else itemgetter(column)
+        resolved.append((out_name, _AGGREGATES[fn_name], getter))
     group_cols = tuple(group_by) if group_by else ()
-    if not group_cols:
-        groups[()] = list(rows)
-    elif len(group_cols) == 1:
-        # The common report: bucket on the bare value and wrap it in
-        # its 1-tuple once per group — no generator frame per row.
+    single = len(group_cols) == 1
+    groups: dict[Any, list[dict[str, Any]]] = {}
+    bucket_for = groups.setdefault
+    if single:
+        # The common report: the group key is the bare value.
         column = group_cols[0]
-        by_value: dict[Any, list[dict[str, Any]]] = {}
         for row in rows:
-            by_value.setdefault(row[column], []).append(row)
-        groups = {(value,): bucket for value, bucket in by_value.items()}
+            bucket_for(row[column], []).append(row)
+    elif group_cols:
+        key_of = itemgetter(*group_cols)
+        for row in rows:
+            bucket_for(key_of(row), []).append(row)
     else:
-        for row in rows:
-            key = tuple(row[c] for c in group_cols)
-            groups.setdefault(key, []).append(row)
+        groups[()] = list(rows)
+    # None groups sort first via the (is-not-None, value) trick; without
+    # one every pair is (True, v) and orders exactly as the bare key.
+    if single and None in groups:
+        ordered = sorted(groups, key=lambda v: (v is not None, v))
+    elif not single and any(None in key for key in groups):
+        ordered = sorted(groups, key=lambda k: tuple((v is not None, v) for v in k))
+    else:
+        ordered = sorted(groups)
     out: list[dict[str, Any]] = []
-    for key in sorted(groups, key=lambda k: tuple((v is not None, v) for v in k)):
+    for key in ordered:
         bucket = groups[key]
-        result: dict[str, Any] = dict(zip(group_cols, key))
-        for out_name, (fn_name, column) in spec.items():
-            if column is None:
+        result = {column: key} if single else dict(zip(group_cols, key))
+        for out_name, function, getter in resolved:
+            if getter is None:
                 values: list[Any] = bucket
             else:
-                values = [row[column] for row in bucket if row[column] is not None]
-            result[out_name] = _AGGREGATES[fn_name](values)
+                values = list(map(getter, bucket))
+                if None in values:
+                    values = [v for v in values if v is not None]
+            result[out_name] = function(values)
         out.append(result)
     return out
 
@@ -644,6 +718,9 @@ def aggregate_table(
 
     Equivalent to ``aggregate(execute_select(table, where), spec,
     group_by)`` but grouped over the no-copy :func:`matching_view` —
-    aggregation only reads column values, so live rows are safe.
+    aggregation only reads column values, so live rows are safe.  A
+    column the schema does not hold is refused before a row is touched.
     """
+    named = [column for _fn, column in spec.values() if column is not None]
+    _check_columns(table, (*named, *(group_by or ())))
     return aggregate(matching_view(table, where), spec, group_by=group_by)

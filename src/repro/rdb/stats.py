@@ -2,8 +2,8 @@
 
 Every index keeps O(1) counters (total entries, distinct keys) current
 on each mutation, so a statistics snapshot costs O(number of indexes)
-and never scans rows.  The planner turns these into selectivity
-estimates: a hash index with ``entries`` rows spread over
+and never scans rows.  The planner turns the same counters into
+selectivity estimates: a hash index with ``entries`` rows spread over
 ``distinct_keys`` keys is expected to return ``entries / distinct_keys``
 rows per probe.
 """
@@ -55,9 +55,9 @@ class TableStatistics:
 def collect_statistics(table: "Table") -> TableStatistics:
     """Snapshot ``table``'s statistics (O(number of indexes)).
 
-    Runs once per planned statement, so it builds the snapshot in two
-    comprehensions rather than an append loop — the only per-index work
-    is reading the incrementally-maintained counters.
+    What ``Database.statistics()`` / ``Table.statistics()`` return.  The
+    planner does not build one per statement: it reads ``len(table)``
+    and the counters of the one index it is costing.
     """
     hash_stats = (
         IndexStatistics(

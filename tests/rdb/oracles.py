@@ -10,6 +10,10 @@ as it stood before PR 19 gave the one-column GROUP BY its own bucketing
 loop (a key tuple built by a generator for every row), and
 ``_reference_range`` the per-rowid generator ``SortedIndex.range`` was
 before it became one ``chain`` over the covered keys — both verbatim.
+``_reference_order`` is ORDER BY [+ LIMIT/OFFSET] as a full stable sort
+on the ``(is-not-None, value)`` key, sliced afterwards — the key function
+verbatim from ``execute_select`` before PR 20 taught it to stop an
+ordered index walk early and to sort on bare values.
 """
 
 from __future__ import annotations
@@ -101,3 +105,19 @@ def _reference_range(
     start, stop = index._bounds(low, high, include_low, include_high)
     for pos in range(start, stop):
         yield from index._rowids[pos]
+
+
+def _reference_order(
+    rows: Iterable[dict[str, Any]],
+    order_by: Sequence[str],
+    descending: bool = False,
+    limit: int | None = None,
+    offset: int = 0,
+) -> list[dict[str, Any]]:
+    keys = tuple(order_by)
+
+    def sort_key(r: dict[str, Any]) -> tuple:
+        return tuple((r[k] is not None, r[k]) for k in keys)
+
+    ordered = sorted(rows, key=sort_key, reverse=descending)
+    return ordered[offset:] if limit is None else ordered[offset:offset + limit]

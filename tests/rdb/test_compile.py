@@ -193,7 +193,7 @@ def test_explain_has_one_executor_and_says_nothing_about_it():
     fields = {f.name for f in dataclasses.fields(plan)}
     assert fields == {
         "table", "access_path", "estimated_candidates", "estimated_cost",
-        "chosen_conjuncts", "pushdown",
+        "chosen_conjuncts", "pushdown", "order_by", "top", "walk",
     }
     assert plan.describe() == "docs: scan (~0 rows, cost 0)"
     assert db.explain("docs", col("size") > 4) == plan.describe()

@@ -14,7 +14,8 @@ equal a naive evaluate-every-row scan (also over tables spanning
 several executor batches), the vectorized ``join_rows`` equals the seed
 hash join kept as ``tests.rdb.oracles._reference_join``, and
 ``aggregate`` equals the per-row-key-tuple loop kept as
-``_reference_aggregate``.
+``_reference_aggregate`` — bare over row lists, and through
+``Database.aggregate`` over an indexed table, floats to the last bit.
 """
 
 from __future__ import annotations
@@ -489,3 +490,61 @@ def test_aggregate_matches_reference_aggregate(rows, group_by):
     assert got == expected
     if got[0] == "return":  # == cannot tell 1 from True from 1.0
         assert repr(got[1]) == repr(expected[1])
+
+
+# -- the same, one level up: Database.aggregate over an indexed table --------
+table_agg_row = st.fixed_dictionaries({
+    "g": st.one_of(st.none(), st.sampled_from(["x", "y", "z"])),
+    "h": st.integers(0, 2),
+    "v": st.one_of(st.none(), st.integers(-9, 9)),
+    "f": st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),
+})
+TABLE_AGG_SPEC = {**AGG_SPEC, "ftotal": ("sum", "f"), "fmean": ("avg", "f"),
+                  "flow": ("min", "f")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(table_agg_row, max_size=40),
+    where=st.one_of(
+        st.none(),
+        st.integers(0, 2).map(lambda v: col("h") == v),
+        st.lists(st.integers(0, 3), max_size=3).map(lambda vs: col("h").isin(vs)),
+        st.tuples(st.integers(-9, 9), st.integers(0, 6)).map(
+            lambda b: col("v").between(b[0], b[0] + b[1])),
+        st.integers(-9, 9).map(lambda v: (col("v") > v) & (col("g") == "x")),
+    ),
+    group_by=st.sampled_from([None, ["g"], ["h"], ["g", "h"]]),
+    cheap_index=st.booleans(),
+)
+def test_database_aggregate_matches_reference_aggregate(
+        rows, where, group_by, cheap_index):
+    """``Database.aggregate`` feeds ``aggregate`` from whichever access
+    path the planner picks (``cheap_index``: every probe, IN-list and
+    range the WHERE offers).  Floats are summed by ``sum()`` over each
+    group's values in candidate order, so against the reference loop
+    over the same candidates the answer is the same to the last bit
+    (``repr``); against a naive heap scan everything that does not
+    depend on float summation order is."""
+    db = Database("agg")
+    db.create_table(Schema(
+        name="t",
+        columns=(Column("pk", T.INT, nullable=False), Column("g", T.TEXT),
+                 Column("h", T.INT, nullable=False), Column("v", T.INT),
+                 Column("f", T.FLOAT)),
+        primary_key=("pk",),
+    ))
+    db.create_hash_index("t", "by_h", ["h"])
+    db.create_sorted_index("t", "by_v", "v")
+    db.insert_many("t", [{"pk": pk, **row} for pk, row in enumerate(rows)])
+    cost = 0.01 if cheap_index else rdb_query._INDEX_ROW_COST
+    with mock.patch.object(rdb_query, "_INDEX_ROW_COST", cost):
+        got = db.aggregate("t", TABLE_AGG_SPEC, where=where, group_by=group_by)
+        candidates = matching_view(db.table("t"), where)
+    expected = _reference_aggregate(candidates, TABLE_AGG_SPEC, group_by)
+    assert repr(got) == repr(expected)
+    naive = _reference_aggregate(
+        [r for r in db.table("t").rows() if where is None or where.eval(r)],
+        AGG_SPEC, group_by)
+    exact = [*(group_by or ()), *AGG_SPEC]
+    assert [{k: row[k] for k in exact} for row in got] == naive

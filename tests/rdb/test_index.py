@@ -111,13 +111,16 @@ class TestSortedIndex:
         include_low=st.booleans(),
         include_high=st.booleans(),
         bulk=st.booleans(),
+        step=st.integers(1, 5),
     )
     def test_range_equals_the_per_rowid_generator(
-        self, pairs, low, high, include_low, include_high, bulk
+        self, pairs, low, high, include_low, include_high, bulk, step
     ):
         """The chained range yields exactly what the generator it
         replaced did, in the same order — open ends, exclusive bounds
-        and ``low > high`` included."""
+        and ``low > high`` included.  ``range_steps`` is the same row
+        ids cut at key boundaries: ``step`` keys, then twice as many
+        each time, from either end."""
         index = SortedIndex("s", "a")
         if bulk:
             index.bulk_load(pairs)
@@ -125,9 +128,22 @@ class TestSortedIndex:
             for key, rowid in pairs:
                 index.insert(key, rowid)
         bounds = dict(include_low=include_low, include_high=include_high)
-        assert list(index.range(low, high, **bounds)) == list(
-            _reference_range(index, low, high, **bounds)
-        )
+        whole = list(_reference_range(index, low, high, **bounds))
+        assert list(index.range(low, high, **bounds)) == whole
+        start, stop = index._bounds(low, high, include_low, include_high)
+        per_key = [list(rowids) for rowids in index._rowids[start:stop]]
+        for reverse in (False, True):
+            left, size, expected = per_key[::-1] if reverse else per_key, step, []
+            while left:
+                run, left = left[:size], left[size:]
+                expected.append(sum(run[::-1] if reverse else run, []))
+                size *= 2
+            runs = [list(run) for run in index.range_steps(
+                low, high, **bounds, step=step, reverse=reverse)]
+            assert runs == expected
+            if reverse:
+                runs.reverse()
+            assert sum(runs, []) == whole
 
 
 class TestIndexSet:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.rdb import Column, ColumnType, Database, Schema, col, lit
+from repro.rdb import (
+    Column, ColumnType, Database, Schema, UnknownColumnError, col, lit,
+)
 from repro.rdb.query import _INDEX_ROW_COST, _collect_matching, plan_select
 
 T = ColumnType
@@ -288,3 +290,73 @@ class TestExplainSurface:
         by_dept = stats.index("by_dept")
         assert by_dept.distinct_keys == 4
         assert by_dept.rows_per_key == 50.0
+
+    def test_explain_shows_the_ordering_decision(self, catalog_db):
+        where = col("credits") > 7
+        assert catalog_db.explain("courses", where) == (
+            "courses: index:by_credits (~40 rows, cost 160) "
+            "using credits > 7 pushdown credits in (7, None]")
+        # ORDER BY the pushed-down column: the range is read in key
+        # order and stops at the key boundary past the tenth match.
+        plan = catalog_db.explain_plan(
+            "courses", where, ("credits", "course_id"), 10)
+        assert plan.walk == "ascending"
+        assert plan.describe() == (
+            catalog_db.explain("courses", where)
+            + " order credits via index, stops after 10")
+        assert catalog_db.explain("courses", where, "credits", 10) == (
+            plan.describe())
+        # Any other leading column: every candidate meets the heap.
+        plan = catalog_db.explain_plan("courses", where, "course_id", 10)
+        assert plan.walk is None
+        assert plan.describe().endswith(" top-10 of ~40 by heap")
+        assert catalog_db.explain("courses", None, "credits", 3).endswith(
+            "courses: scan (~200 rows, cost 200) top-3 of ~200 by heap")
+        # No LIMIT, nothing to decide; an unknown column is refused.
+        assert catalog_db.explain("courses", where, "credits") == (
+            catalog_db.explain("courses", where))
+        with pytest.raises(UnknownColumnError):
+            catalog_db.explain("courses", where, "ghost", 10)
+
+    def test_e15_shapes_explain_byte_for_byte(self):
+        """The planner reads ``len(table)`` and the costed index's own
+        two counters instead of a statistics snapshot of every index:
+        the text and every cost E15's plan guard prints stay put."""
+        db = Database("catalog")
+        db.create_table(Schema(
+            name="courses",
+            columns=(
+                Column("course_number", T.TEXT, nullable=False),
+                Column("instructor", T.TEXT, nullable=False),
+                Column("enrolled", T.INT, nullable=False),
+            ),
+            primary_key=("course_number",),
+        ))
+        db.create_hash_index("courses", "by_instructor", ["instructor"])
+        db.create_sorted_index("courses", "by_enrolled", "enrolled")
+        db.insert_many("courses", [
+            {"course_number": f"c{i:06d}", "instructor": f"prof{i % 100:04d}",
+             "enrolled": (i * 37) % 500}
+            for i in range(1000)
+        ])
+        shapes = [
+            (col("course_number") == "c000042",
+             "courses: index:__pk__ (~1 rows, cost 4) "
+             "using course_number == 'c000042'"),
+            ((col("enrolled") >= 480) & (col("enrolled") < 495),
+             "courses: index:by_enrolled (~30 rows, cost 120) using "
+             "enrolled < 495 AND enrolled >= 480 "
+             "pushdown enrolled in [480, 495)"),
+            (col("instructor").isin(["prof0007", "prof0042", "prof0099"]),
+             "courses: index:by_instructor (~30 rows, cost 120) using "
+             "instructor in ['prof0007', 'prof0042', 'prof0099']"),
+            (col("enrolled") >= 200, "courses: scan (~1000 rows, cost 1000)"),
+            (col("instructor") == "prof0007",
+             "courses: index:by_instructor (~10 rows, cost 40) "
+             "using instructor == 'prof0007'"),
+            (col("instructor") == "nobody",
+             "courses: index:by_instructor (~0 rows, cost 0) "
+             "using instructor == 'nobody'"),
+        ]
+        for where, text in shapes:
+            assert db.explain("courses", where) == text

@@ -11,9 +11,13 @@ literals are (unhashable ones included).
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import MetricsRegistry, enabled
 from repro.rdb import Column, ColumnType, Database, Schema, col
+from repro.rdb import query as rdb_query
 from repro.rdb.predicate import Expr
 
 T = ColumnType
@@ -191,11 +195,18 @@ def test_planner_equals_naive_scan(
         assert actual == expected
 
 
-@given(rows=rows_strategy, where=predicate_strategy)
+@given(rows=rows_strategy, where=predicate_strategy, cheap_index=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_count_consistent_with_select(rows, where):
+def test_count_consistent_with_select(rows, where, cheap_index):
     db = _build(rows)
-    assert db.count("t", where=where) == len(db.select("t", where=where))
+    # count(where=…) reads through the planner.  At four heap rows per
+    # index row a 40-row table mostly scans; at a hundredth of a row
+    # every probe, IN-list and range the predicate offers is taken.
+    cost = 0.01 if cheap_index else rdb_query._INDEX_ROW_COST
+    with mock.patch.object(rdb_query, "_INDEX_ROW_COST", cost):
+        counted = db.count("t", where=where)
+    assert counted == len(db.select("t", where=where))
+    assert counted == sum(1 for r in db.table("t").rows() if where.eval(r))
 
 
 @given(rows=rows_strategy, where=predicate_strategy)
@@ -255,6 +266,29 @@ def test_selective_range_plans_index_and_wide_range_plans_scan():
     for where in (col("b") < 5, col("b") >= 40):
         naive = [dict(r) for r in db.table("t").rows() if where.eval(r)]
         assert _bag(db.select("t", where=where)) == _bag(naive)
+
+
+@given(where=st.one_of(
+    st.integers(0, 45).map(lambda v: col("c") == f"c{v}"),
+    st.lists(st.integers(0, 45), max_size=5).map(
+        lambda vs: col("c").isin([f"c{v}" for v in vs])),
+    st.tuples(st.integers(-5, 105), st.integers(0, 110)).map(
+        lambda b: col("b").between(b[0], b[0] + b[1])),
+    st.integers(-5, 105).map(lambda v: col("b") < v),
+).flatmap(lambda leaf: st.sampled_from(
+    [leaf, leaf & (col("pk") >= 500), leaf & ~col("b").is_null()])))
+@settings(max_examples=120, deadline=None)
+def test_count_asks_the_planner_and_equals_the_naive_scan(where):
+    """``count(where=…)`` journals nothing, so it reads through whichever
+    path the planner picks — probe, IN-list, pushed-down range or heap,
+    all of which a 1,000-row table has — and counts the same rows."""
+    db = _thousand()
+    path = db.explain_plan("t", where).access_path
+    with enabled(registry=MetricsRegistry()) as (registry, _):
+        counted = db.count("t", where=where)
+    assert counted == sum(1 for r in db.table("t").rows() if where.eval(r))
+    assert registry.snapshot().counters[
+        ("rdb.plan", (("path", path), ("table", "t")))] == 1
 
 
 def test_in_list_over_a_hashed_column_plans_index():

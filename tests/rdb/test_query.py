@@ -195,6 +195,23 @@ class TestAggregate:
         assert out[0]["n"] == 3
         assert out[0]["mean_age"] == pytest.approx(28.0)
 
+    @pytest.mark.parametrize("where", [
+        col("amount") > 1e9,   # matches nothing: used to answer [{'s': 0}] / []
+        None,                  # matches rows: used to be a bare KeyError
+    ])
+    def test_unknown_column_is_refused_before_a_row_is_touched(
+            self, populated_db, where):
+        with pytest.raises(UnknownColumnError) as excinfo:
+            populated_db.aggregate(
+                "orders", {"s": ("sum", "nope")}, where=where)
+        assert "nope" in str(excinfo.value)
+        with pytest.raises(UnknownColumnError):
+            populated_db.aggregate(
+                "orders", {"n": ("count", None)}, where=where,
+                group_by=["zzz"])
+        # The schema-less form has nothing to check names against.
+        assert aggregate([], {"s": ("sum", "nope")}) == [{"s": 0}]
+
     def test_empty_input(self):
         assert aggregate([], {"n": ("count", None), "m": ("max", "x")}) == [
             {"n": 0, "m": None}
