@@ -27,8 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 if TYPE_CHECKING:  # protocol imports admission; keep runtime acyclic
     from repro.tiers.protocol import Request, Response
 
@@ -49,6 +47,14 @@ class ClockBox:
     def advance(self, dt: float) -> float:
         self.now += dt
         return self.now
+
+
+def _percentile(samples: list[float], q: float) -> float:
+    if not samples:
+        return 0.0
+    import numpy as np  # here: every server imports this package
+
+    return float(np.percentile(samples, q))
 
 
 @dataclass
@@ -84,17 +90,13 @@ class LoadReport:
 
     def percentile(self, q: float) -> float:
         """Latency percentile in seconds over completed requests."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q))
+        return _percentile(self.latencies_s, q)
 
     def shed_percentile(self, q: float) -> float:
         """Wall-clock shed-cost percentile in seconds.  Prefer this to
         ``max_shed_wall_s`` for assertions: the max over thousands of
         refusals measures the OS scheduler, not the policy."""
-        if not self.shed_walls_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.shed_walls_s), q))
+        return _percentile(self.shed_walls_s, q)
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -15,6 +15,7 @@ import functools
 import heapq
 import operator
 import re
+import sys
 from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
@@ -49,12 +50,18 @@ class SearchResult:
 
 @dataclass(slots=True)
 class _IndexedDoc:
-    """What :meth:`SearchIndex.remove` needs to find a doc's postings."""
+    """What :meth:`SearchIndex.remove` needs to find a doc's postings:
+    each axis's distinct terms, interned (one ``str`` per term indexed)."""
 
-    keyword_terms: set[str]
-    instructor_terms: set[str]
+    keyword_terms: tuple[str, ...]
+    instructor_terms: tuple[str, ...]
     course_number: str
-    title_terms: set[str]
+    title_terms: tuple[str, ...]
+
+
+def _terms(*sources: str) -> tuple[str, ...]:
+    """The distinct tokens of ``sources``, interned."""
+    return tuple({sys.intern(t) for s in sources for t in tokenize(s)})
 
 
 @dataclass
@@ -68,7 +75,7 @@ class SearchIndex:
     #: title word -> docs, plus the words in sorted order for prefix lookup
     _title_postings: dict[str, set[str]] = field(default_factory=dict)
     _title_terms_sorted: list[str] = field(default_factory=list)
-    #: per-doc term sets for targeted removal
+    #: per-doc terms for targeted removal
     _docs: dict[str, _IndexedDoc] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -83,19 +90,17 @@ class SearchIndex:
     ) -> None:
         if doc_id in self._docs:
             raise ValueError(f"document {doc_id!r} already indexed")
-        keyword_terms = set()
-        for source in (*keywords, title):
-            keyword_terms.update(tokenize(source))
+        keyword_terms = _terms(*keywords, title)
         for term in keyword_terms:
             self._keyword_postings.setdefault(term, set()).add(doc_id)
-        instructor_terms = set(tokenize(instructor))
+        instructor_terms = _terms(instructor)
         for term in instructor_terms:
             self._instructor_postings.setdefault(term, set()).add(doc_id)
         if course_number:
             self._course_postings.setdefault(
                 course_number.lower(), set()
             ).add(doc_id)
-        title_terms = set(tokenize(title))
+        title_terms = _terms(title)
         for term in title_terms:
             postings = self._title_postings.get(term)
             if postings is None:
@@ -108,7 +113,7 @@ class SearchIndex:
         )
 
     def remove(self, doc_id: str) -> None:
-        """Targeted posting removal using the doc's stored term sets —
+        """Targeted posting removal using the doc's stored terms —
         touches only the terms the document actually carries, not every
         posting list in the index."""
         doc = self._docs.pop(doc_id, None)

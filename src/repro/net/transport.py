@@ -20,6 +20,7 @@ passes in flight, simply never arrives: senders that wait for a reply
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from repro.admission import current_deadline
@@ -65,12 +66,17 @@ class Network:
         self._down: set[str] = set()
         self._partition: dict[str, int] | None = None
         self.drop_rate = drop_rate
-        self._drop_rng = make_rng(seed, "network-drops")
+        self._seed = seed
         self.total_bytes = 0
         self.total_messages = 0
         self.messages_dropped = 0
         self.messages_expired = 0
         self._obs_cache: dict[str, Any] | None = None
+
+    @cached_property
+    def _drop_rng(self) -> Any:
+        """Built on the first draw: a lossless network loads no numpy."""
+        return make_rng(self._seed, "network-drops")
 
     def _obs(self) -> dict[str, Any]:
         registry = OBS.registry

@@ -49,8 +49,8 @@ from repro.rdb.wal import (
     WalFrame,
     decode_row,
     encode_row,
+    parse_snapshot,
     read_frames,
-    read_snapshot_info,
     write_snapshot,
 )
 from repro.util.validation import check_identifier
@@ -518,8 +518,9 @@ class Database:
         if self.in_transaction:
             raise TransactionError("cannot snapshot inside a transaction")
         started = OBS.clock() if OBS.enabled else None
+        # Live row iterators: the writer encodes a chunk at a time.
         dump = {
-            name: [dict(row) for row in self._catalog.get(name).rows()]
+            name: self._catalog.get(name).rows()
             for name in self._catalog.names()
         }
         last_lsn = self._journal.last_lsn if self._journal is not None else 0
@@ -590,12 +591,16 @@ class Database:
         """Load the rows :meth:`snapshot` dumped to ``path`` into this
         database's (empty) tables — the only snapshot→tables step.
         Returns the snapshot's journal LSN watermark."""
-        tables, watermark = read_snapshot_info(path)
-        for table_name, rows in tables.items():
+        tables, watermark = parse_snapshot(path)
+        for table_name in list(tables):
             table = self._catalog.get(table_name)
             normalize = table.schema.normalize_row
+            # Popped back to front, a parsed row is freed as its stored
+            # form is built: one generation of rows stands, not three.
+            parsed = tables.pop(table_name)[::-1]
+            rows = [normalize(decode_row(parsed.pop())) for _ in range(len(parsed))]
             # repro-analysis: ignore[mutation-outside-transaction] -- snapshot rows were committed before being dumped; replay needs no undo log
-            table.apply_insert_many([normalize(row) for row in rows])
+            table.apply_insert_many(rows)
         return watermark
 
     @classmethod

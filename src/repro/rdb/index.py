@@ -28,58 +28,63 @@ class HashIndex:
     ``None`` components are allowed in keys (SQL would exclude them from
     unique enforcement; uniqueness is handled by the constraint layer,
     not here, so the index simply stores what it is given).
+
+    A key with one row id — every primary and unique key — holds that
+    id bare; the ``set`` (216 bytes before its first member) exists only
+    from a key's second id and goes again when it is back to one.
     """
 
-    __slots__ = ("name", "columns", "_map", "_frozen", "_entries")
+    __slots__ = ("name", "columns", "_map", "_entries")
 
     def __init__(self, name: str, columns: tuple[str, ...]) -> None:
         if not columns:
             raise ValueError("an index needs at least one column")
         self.name = name
         self.columns = columns
-        self._map: dict[tuple, set[int]] = {}
-        # Per-key frozenset cache so repeated probes of a hot key do not
-        # re-allocate; invalidated on any mutation of that key.
-        self._frozen: dict[tuple, frozenset[int]] = {}
+        self._map: dict[tuple, int | set[int]] = {}
         self._entries = 0
 
     def insert(self, key: tuple, rowid: int) -> None:
-        bucket = self._map.setdefault(key, set())
-        if rowid not in bucket:
-            bucket.add(rowid)
-            self._entries += 1
-        self._frozen.pop(key, None)
+        held = self._map.get(key)
+        if held is None:
+            self._map[key] = rowid
+        elif type(held) is set:
+            if rowid in held:
+                return
+            held.add(rowid)
+        elif held == rowid:
+            return
+        else:
+            self._map[key] = {held, rowid}
+        self._entries += 1
 
     def remove(self, key: tuple, rowid: int) -> None:
-        rowids = self._map.get(key)
-        if rowids is None:
-            return
-        if rowid in rowids:
-            rowids.discard(rowid)
-            self._entries -= 1
-            self._frozen.pop(key, None)
-        if not rowids:
+        held = self._map.get(key)
+        if type(held) is set:
+            if rowid not in held:
+                return
+            held.discard(rowid)
+            if len(held) == 1:
+                self._map[key] = held.pop()
+        elif held == rowid:  # never None: row ids are ints
             del self._map[key]
+        else:
+            return
+        self._entries -= 1
 
     def lookup(self, key: tuple) -> frozenset[int]:
-        """Row ids holding ``key`` as an immutable snapshot.
-
-        The snapshot is cached per key until the next mutation of that
-        key, so hot probes don't allocate; being a frozenset, the
-        returned value can never alias later mutations.
-        """
-        cached = self._frozen.get(key)
-        if cached is not None:
-            return cached
-        bucket = self._map.get(key)
-        if bucket is None:
+        """Row ids holding ``key`` as an immutable snapshot: a frozenset
+        built per probe, so it can never alias later mutations."""
+        held = self._map.get(key)
+        if held is None:
             return _EMPTY
-        frozen = frozenset(bucket)
-        self._frozen[key] = frozen
-        return frozen
+        return frozenset(held if type(held) is set else (held,))
 
     def count(self, key: tuple) -> int:
-        return len(self._map.get(key, ()))
+        held = self._map.get(key)
+        if held is None:
+            return 0
+        return len(held) if type(held) is set else 1
 
     def keys(self) -> Iterator[tuple]:
         return iter(self._map)

@@ -53,8 +53,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from repro.obs.instrument import OBS
 from repro.rdb.errors import JournalCorruptError
@@ -69,6 +70,7 @@ __all__ = [
     "parse_frame",
     "Journal",
     "write_snapshot",
+    "parse_snapshot",
     "read_snapshot_info",
 ]
 
@@ -651,43 +653,65 @@ class Journal:
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
+#: Rows encoded and written per piece of a streamed snapshot.
+_SNAPSHOT_CHUNK_ROWS = 1024
+
+
+def _snapshot_pieces(
+    tables: Mapping[str, Iterable[dict[str, Any]]], last_lsn: int
+) -> Iterator[str]:
+    """``json.dumps({"$snapshot": 2, "last_lsn": n, "tables": {name:
+    [row, ...]}}, separators=(",", ":"))`` a bounded piece at a time."""
+    yield f'{{"{_SNAPSHOT_KEY}":2,"last_lsn":{last_lsn},"tables":{{'
+    for position, (name, rows) in enumerate(tables.items()):
+        yield f'{"," if position else ""}{json.dumps(name)}:['
+        rows, separator = iter(rows), ""
+        while chunk := [
+            encode_row(row) for row in islice(rows, _SNAPSHOT_CHUNK_ROWS)
+        ]:
+            yield separator + json.dumps(chunk, separators=(",", ":"))[1:-1]
+            separator = ","
+        yield "]"
+    yield "}}"
+
+
 def write_snapshot(
     path: str | os.PathLike[str],
-    tables: dict[str, list[dict[str, Any]]],
+    tables: Mapping[str, Iterable[dict[str, Any]]],
     *,
     last_lsn: int = 0,
 ) -> None:
-    """Atomically dump ``{table: [row, ...]}`` plus the journal
-    watermark to ``path``.
+    """Atomically dump ``{table: rows}`` plus the journal watermark to
+    ``path``, a chunk of rows at a time (``rows`` may be live iterators).
 
     ``last_lsn`` records the last journal LSN whose effects the
     snapshot contains; recovery replays only records above it, which is
     what makes the snapshot→truncate sequence immune to double-apply.
     The temporary file is fsynced before the atomic rename so a crash
-    can never leave a half-written snapshot under the final name.
+    can never leave a half-written snapshot under the final name; a
+    failure (unencodable value, disk error) removes the temporary file
+    and re-raises, the previous snapshot still in place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        _SNAPSHOT_KEY: 2,
-        "last_lsn": int(last_lsn),
-        "tables": {
-            name: [encode_row(row) for row in rows]
-            for name, rows in tables.items()
-        },
-    }
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with tmp.open("wb") as fh:
+            for piece in _snapshot_pieces(tables, int(last_lsn)):
+                fh.write(piece.encode("ascii"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_snapshot_info(
+def parse_snapshot(
     path: str | os.PathLike[str],
 ) -> tuple[dict[str, list[dict[str, Any]]], int]:
-    """Load a snapshot; returns ``(tables, last_applied_lsn)``.
+    """``(tables, last_applied_lsn)`` as parsed: rows still encoded
+    (:func:`decode_row` each), so the watermark alone costs no decoding.
 
     A pre-watermark snapshot (a bare ``{table: rows}`` mapping, retired
     in PR 13) is refused: loading it with watermark 0 would replay the
@@ -699,8 +723,14 @@ def read_snapshot_info(
             f"snapshot {str(path)!r} is not a v2 snapshot: the "
             f"pre-watermark bare-mapping format was retired in PR 13"
         )
-    tables = {
-        name: [decode_row(row) for row in rows]
-        for name, rows in payload["tables"].items()
-    }
-    return tables, int(payload.get("last_lsn", 0))
+    return payload["tables"], int(payload.get("last_lsn", 0))
+
+
+def read_snapshot_info(
+    path: str | os.PathLike[str],
+) -> tuple[dict[str, list[dict[str, Any]]], int]:
+    """Load a whole snapshot, rows decoded: ``(tables, last_applied_lsn)``."""
+    tables, watermark = parse_snapshot(path)
+    for rows in tables.values():
+        rows[:] = map(decode_row, rows)
+    return tables, watermark

@@ -45,7 +45,7 @@ from repro.admission import CircuitBreaker
 from repro.net.station import Station
 from repro.net.transport import Network
 from repro.obs.instrument import OBS
-from repro.rdb.wal import Journal, read_frames, read_snapshot_info
+from repro.rdb.wal import Journal, parse_snapshot, read_frames
 
 __all__ = ["FollowerProgress", "WalShipper"]
 
@@ -229,7 +229,7 @@ class WalShipper:
         if self.snapshot_path is None or not self.snapshot_path.exists():
             return False
         data = self.snapshot_path.read_bytes()
-        _tables, snapshot_lsn = read_snapshot_info(self.snapshot_path)
+        snapshot_lsn = parse_snapshot(self.snapshot_path)[1]  # no row decoded
         chunks = [
             data[i:i + self.chunk_bytes]
             for i in range(0, len(data), self.chunk_bytes)

@@ -2,7 +2,8 @@
 
 These helpers are deliberately tiny and dependency-free so that every
 substrate package (:mod:`repro.rdb`, :mod:`repro.net`, ...) can use them
-without import cycles.
+without import cycles — importing them loads the standard library only;
+:func:`make_rng` brings numpy in when a generator is first asked for.
 """
 
 from repro.util.rng import derive_seed, make_rng

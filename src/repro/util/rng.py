@@ -11,8 +11,10 @@ guides (never the legacy ``RandomState``).
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["derive_seed", "make_rng"]
 
@@ -39,6 +41,10 @@ def derive_seed(base_seed: int, *labels: object) -> int:
 
 
 def make_rng(seed: int, *labels: object) -> np.random.Generator:
-    """Build a :class:`numpy.random.Generator` for ``seed`` and labels."""
+    """Build a :class:`numpy.random.Generator` for ``seed`` and labels
+    (numpy loads here: the serving path imports this module but draws
+    random numbers only when a fault is configured)."""
+    import numpy as np
+
     return np.random.default_rng(derive_seed(seed, *labels))
 

@@ -54,6 +54,15 @@ class TestJitter:
         p = RetryPolicy(initial_timeout_s=2.0)
         assert p.timeout_for(0) == 2.0
 
+    def test_jitter_values_are_pinned(self):
+        # Drawn by the parent of PR 21 (numpy imported at module top);
+        # ``make_rng`` importing it on first use must draw the same.
+        p = RetryPolicy(initial_timeout_s=1.0, multiplier=2.0,
+                        max_timeout_s=30.0, max_retries=4, jitter=0.5, seed=7)
+        assert [p.timeout_for(i) for i in range(3)] == [
+            1.1639977159136994, 2.749912485902612, 5.2376504788726255,
+        ]
+
 
 class TestValidation:
     def test_rejects_non_positive_timeout(self):

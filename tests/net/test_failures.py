@@ -82,6 +82,26 @@ class TestRandomLoss:
         second = self._lossy(0.3)[0].messages_dropped
         assert first == second
 
+    def test_drop_sequence_is_pinned(self):
+        # Which of 32 sends a ``Network(drop_rate=0.2, seed=1999)`` lost
+        # when the drop RNG was built in ``__init__`` (PR 21's parent);
+        # the RNG built on the first draw must lose the same ones, also
+        # when the rate is only raised after construction.
+        lost = [5, 9, 10, 15, 21, 31]
+        eager = Network(Simulator(), drop_rate=0.2, seed=1999)
+        late = Network(Simulator(), seed=1999)
+        assert "_drop_rng" not in vars(late)  # lossless: never built
+        late.set_drop_rate(0.2)
+        for net in (eager, late):
+            net.add(Station("a", DuplexLink.symmetric_mbps(100)))
+            net.add(Station("b", DuplexLink.symmetric_mbps(100)))
+            seen = []
+            net.station("b").on_default(lambda st, m, seen=seen: seen.append(m.payload))
+            for i in range(32):
+                net.send("a", "b", "k", i, 10)
+            net.quiesce()
+            assert sorted(set(range(32)) - set(seen)) == lost
+
     def test_set_drop_rate_validation(self, net8):
         with pytest.raises(ValueError):
             net8.set_drop_rate(1.5)

@@ -53,6 +53,40 @@ class TestHashIndex:
         with pytest.raises(ValueError):
             HashIndex("i", ())
 
+    # Few keys and few row ids, so a key's holders cross one <-> many
+    # (a bare id <-> a set) in both directions many times per example.
+    @given(st.lists(st.tuples(
+        st.sampled_from(["insert", "remove"]),
+        st.integers(0, 3), st.integers(0, 4),
+    ), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_dict_of_sets_model(self, ops):
+        index = HashIndex("i", ("a",))
+        model: dict[tuple, set[int]] = {}
+        taken: list[tuple[frozenset, frozenset]] = []
+        for op, k, rowid in ops:
+            key = (k,)
+            if op == "insert":
+                index.insert(key, rowid)
+                model.setdefault(key, set()).add(rowid)
+            else:
+                index.remove(key, rowid)
+                model.get(key, set()).discard(rowid)
+                if not model.get(key, True):
+                    del model[key]
+            snapshot = index.lookup(key)
+            assert type(snapshot) is frozenset
+            taken.append((snapshot, frozenset(model.get(key, ()))))
+            for probe in range(4):
+                held = model.get((probe,), set())
+                assert index.lookup((probe,)) == held
+                assert index.count((probe,)) == len(held)
+            assert len(index) == sum(map(len, model.values()))
+            assert index.distinct_keys() == len(model)
+            assert set(index.keys()) == set(model)
+        # No snapshot handed out earlier moved with a later mutation.
+        assert all(snapshot == then for snapshot, then in taken)
+
 
 class TestSortedIndex:
     def _index(self):

@@ -1,4 +1,4 @@
-"""Tests for incremental index statistics and the probe-snapshot cache."""
+"""Tests for incremental index statistics and hash-probe snapshots."""
 
 from repro.rdb import Column, ColumnType, Database, Schema
 from repro.rdb.index import HashIndex, SortedIndex
@@ -66,12 +66,18 @@ class TestIncrementalCounters:
 
 
 class TestHashLookupSnapshot:
-    def test_repeated_probe_reuses_snapshot(self):
+    def test_repeated_probe_returns_equal_snapshots(self):
+        # Was ``test_repeated_probe_reuses_snapshot`` (``first is
+        # second``): that pinned the per-key frozenset cache, an
+        # allocation detail PR 21 dropped for its bytes.  What the index
+        # promises is the value and its immutability, for one id held
+        # bare and for many held in a set alike.
         index = HashIndex("i", ("a",))
         index.insert((1,), 10)
-        first = index.lookup((1,))
-        second = index.lookup((1,))
-        assert first is second  # cached, no per-probe allocation
+        assert index.lookup((1,)) == index.lookup((1,)) == frozenset({10})
+        index.insert((1,), 11)
+        assert index.lookup((1,)) == index.lookup((1,)) == frozenset({10, 11})
+        assert type(index.lookup((1,))) is frozenset
 
     def test_mutation_after_lookup_does_not_alias(self):
         index = HashIndex("i", ("a",))

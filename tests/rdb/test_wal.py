@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.rdb import Column, ColumnType, Database, Schema
+from repro.rdb import Column, ColumnType, Database, Schema, wal
 from repro.rdb.wal import (
     Journal,
     RecoveryStats,
@@ -108,6 +108,169 @@ class TestSnapshot:
         }
         write_snapshot(path, tables)
         assert read_snapshot_info(path) == (tables, 0)
+
+    #: Every value shape the codec treats specially, chunk boundaries on
+    #: both sides of it (the tests cut chunks to 2 rows).
+    FIXTURE = {
+        "events": [
+            {"k": 1, "label": "a", "when": dt.datetime(1999, 1, 1, 12, 30),
+             "payload": b"\x00\xffxy", "meta": {"$dt": "not-a-date"}},
+            {"k": 2, "label": None, "when": None, "payload": None,
+             "meta": {"$b64": "look-alike"}},
+            {"k": 3, "label": "caf\u00e9 \u2603", "when": None, "payload": b"",
+             "meta": {"$esc": {"$dt": 1}}},
+            {"k": 4, "label": 'quote " and \\', "when": None, "payload": None,
+             "meta": [1, {"deep": [2.5, "z", None]}]},
+            {"k": 5, "label": "", "when": None, "payload": None, "meta": None},
+        ],
+        "empty": [],
+        # Not a shape a JSON column admits, but one the codec handles.
+        "one": [{"k": 9, "nested": [dt.datetime(2000, 2, 29), [b"z"]]}],
+    }
+
+    @staticmethod
+    def _one_shot(tables, last_lsn):
+        """The pre-streaming writer, verbatim."""
+        payload = {
+            "$snapshot": 2,
+            "last_lsn": int(last_lsn),
+            "tables": {
+                name: [
+                    {k: encode_value(v) for k, v in row.items()}
+                    for row in rows
+                ]
+                for name, rows in tables.items()
+            },
+        }
+        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5, 1024])
+    @pytest.mark.parametrize("tables", [FIXTURE, {}, {"empty": []}])
+    def test_streamed_bytes_equal_the_one_shot_dump(
+        self, tmp_path, monkeypatch, tables, chunk_rows
+    ):
+        monkeypatch.setattr(wal, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "snap.json"
+        # Iterators, as Database.snapshot passes them: consumed once.
+        write_snapshot(
+            path, {name: iter(rows) for name, rows in tables.items()},
+            last_lsn=7,
+        )
+        assert path.read_bytes() == self._one_shot(tables, 7)
+        assert read_snapshot_info(path) == (tables, 7)
+        assert wal.parse_snapshot(path)[1] == 7
+        assert not path.with_name("snap.json.tmp").exists()
+
+    def test_recover_from_streamed_snapshot_equals_source(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(wal, "_SNAPSHOT_CHUNK_ROWS", 2)
+        source = _make_db()
+        for row in self.FIXTURE["events"]:
+            source.insert("events", dict(row))
+        path = tmp_path / "snap.json"
+        source.snapshot(str(path))
+        assert path.read_bytes() == self._one_shot(
+            {"events": source.select("events")}, 0
+        )
+        recovered = Database.recover("r", [EVENTS], snapshot_path=str(path))
+        assert recovered.select("events") == source.select("events")
+        assert recovered.select("events") == self.FIXTURE["events"]
+        # Row ids restart in file order, and the indexes were rebuilt.
+        assert recovered.select("events", where=None)[2]["k"] == 3
+        assert recovered.get("events", (1,))["payload"] == b"\x00\xffxy"
+
+    def test_watermark_alone_decodes_no_row(self, tmp_path, monkeypatch):
+        path = tmp_path / "snap.json"
+        write_snapshot(path, self.FIXTURE, last_lsn=41)
+
+        def decoding(_row):
+            raise AssertionError("a row was decoded to read one integer")
+
+        monkeypatch.setattr(wal, "decode_row", decoding)
+        assert wal.parse_snapshot(path)[1] == 41
+        path.write_text(json.dumps({"events": [{"k": 1}]}))
+        with pytest.raises(ValueError, match="pre-watermark"):
+            wal.parse_snapshot(path)
+
+
+class TestSnapshotFailureLeavesNoDebris:
+    """A snapshot that fails mid-write removes its ``.tmp``, leaves the
+    previous snapshot and the journal as they were, and re-raises."""
+
+    def _db_with_snapshot(self, tmp_path):
+        journal = Journal(tmp_path / "wal")
+        db = _make_db(journal)
+        db.insert("events", {"k": 1, "meta": [1]})
+        snap = tmp_path / "snap.json"
+        db.snapshot(str(snap))
+        db.insert("events", {"k": 2, "meta": [2]})
+        return db, journal, snap
+
+    def _assert_untouched(self, tmp_path, db, journal, snap, before):
+        assert snap.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json", "wal"]
+        # No checkpoint ran: the write since the good snapshot is still
+        # in the journal, and snapshot + journal still recover it.
+        assert [f.lsn for f in txn_frames(tmp_path / "wal")] == [2]
+        journal.close()
+        recovered = Database.recover(
+            "r", [EVENTS],
+            snapshot_path=str(snap), journal_path=str(tmp_path / "wal"),
+        )
+        assert sorted(r["k"] for r in recovered.select("events")) == [1, 2]
+
+    def test_unencodable_value(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal, "_SNAPSHOT_CHUNK_ROWS", 1)  # fail mid-stream
+        db, journal, snap = self._db_with_snapshot(tmp_path)
+        before = snap.read_bytes()
+        # Validated as JSON on insert, made unencodable in place since.
+        db.get("events", (2,))["meta"].append({1, 2})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            db.snapshot(str(snap))
+        self._assert_untouched(tmp_path, db, journal, snap, before)
+
+    @pytest.mark.parametrize("failing", ["write", "fsync"])
+    def test_disk_error(self, tmp_path, monkeypatch, failing):
+        db, journal, snap = self._db_with_snapshot(tmp_path)
+        before = snap.read_bytes()
+        if failing == "fsync":
+            def broken_fsync(_fd):
+                raise OSError(5, "Input/output error")
+            monkeypatch.setattr(wal.os, "fsync", broken_fsync)
+        else:
+            real_open = wal.Path.open
+
+            class FullDisk:
+                """The real file until its second write."""
+
+                def __init__(self, fh):
+                    self._fh, self._writes = fh, 0
+
+                def write(self, data):
+                    self._writes += 1
+                    if self._writes > 1:
+                        raise OSError(28, "No space left on device")
+                    return self._fh.write(data)
+
+                def __getattr__(self, name):
+                    return getattr(self._fh, name)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return self._fh.__exit__(*exc)
+
+            def wrapped_open(path, mode="r", *args, **kwargs):
+                fh = real_open(path, mode, *args, **kwargs)
+                return FullDisk(fh) if path.name.endswith(".tmp") else fh
+
+            monkeypatch.setattr(wal.Path, "open", wrapped_open)
+        with pytest.raises(OSError):
+            db.snapshot(str(snap))
+        monkeypatch.undo()
+        self._assert_untouched(tmp_path, db, journal, snap, before)
 
 
 def _make_db(journal: Journal | None = None) -> Database:
