@@ -22,13 +22,18 @@ side scales too.  E18 measures the three promises the subsystem makes:
   *expected* casualties — that is the async-replication contract.
 
 A dense follower crash matrix (the E17 harness pointed at a follower
-killed mid-download and mid-replay) rounds it out.
+killed mid-download and mid-replay) rounds it out, and a wall-clock row
+checks that a follower catching up from nothing costs time *linear* in
+the records it is behind: the shipper hands ``read_frames`` the offset
+where its last batch ended, so the n-th batch does not re-read and
+re-decode the n-1 before it.
 """
 
 from __future__ import annotations
 
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # Allow `python benchmarks/bench_*.py` directly from the repo root.
@@ -295,6 +300,61 @@ def chaos_rows(txns: int, stride: int, snapshot_stride: int):
 
 
 # ---------------------------------------------------------------------------
+# E18e: follower catch-up is linear in the records behind (wall clock)
+# ---------------------------------------------------------------------------
+CATCHUP_SIZES = (2_000, 4_000, 8_000)
+#: t(8,000)/t(2,000) above this fails --smoke: 4 is linear, the full
+#: re-scan per batch measured 13
+CATCHUP_RATIO_LIMIT = 6.0
+
+
+def _catchup_seconds(records: int) -> float:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        network = Network(Simulator(), default_latency_s=0.002)
+        network.add(Station("primary"))
+        network.add(Station("follower"))
+        # Written straight to the journal: the primary's engine is not
+        # what this row times.
+        journal = Journal(workdir / "primary.wal", sync="none")
+        for txn in range(1, records + 1):
+            journal.append(txn, [["insert", "crash_docs", {
+                "doc_id": txn, "title": f"doc-{txn:05d}",
+                "version": 1, "body": "x" * (txn % 120),
+            }]])
+        WalShipper(network, "primary", journal)
+        recoverer = Recoverer(
+            network, "follower", "primary", CRASH_SCHEMAS,
+            workdir / "follower", sync_policy="none", ddl_fn=crash_ddl,
+        )
+        started = time.perf_counter()
+        recoverer.start()
+        network.quiesce()
+        elapsed = time.perf_counter() - started
+        assert recoverer.applied_lsn == journal.last_lsn == records
+        recoverer.stop()
+        journal.close()
+    return elapsed
+
+
+def catchup_rows(sizes=CATCHUP_SIZES, repeats: int = 3):
+    """A fresh follower streams a journal of n records in batches of 64;
+    wall seconds from subscribe to caught up (best of ``repeats``).
+    Journals sync lazily on both sides so the row times reading and
+    applying, not fsync.  Returns (rows, seconds per size)."""
+    seconds = [
+        min(_catchup_seconds(records) for _ in range(repeats))
+        for records in sizes
+    ]
+    rows = [
+        [records, f"{elapsed:.2f}", f"{elapsed / records * 1e6:.0f}",
+         f"{elapsed / seconds[0]:.1f}"]
+        for records, elapsed in zip(sizes, seconds)
+    ]
+    return rows, seconds
+
+
+# ---------------------------------------------------------------------------
 # pytest checks
 # ---------------------------------------------------------------------------
 def test_e18_reads_scale_with_replicas():
@@ -325,8 +385,10 @@ def test_e18_failover_loses_no_acked_commit():
 
 # ---------------------------------------------------------------------------
 def smoke() -> int:
-    """CI guard: scaled-down versions of all four sections, exit 1 on
-    any lost commit, unbounded lag, or failed crash recovery."""
+    """CI guard: scaled-down versions of the first four sections and
+    the catch-up row at full size; exit 1 on any lost commit, unbounded
+    lag, failed crash recovery, or catch-up time growing faster than
+    ``CATCHUP_RATIO_LIMIT`` for 4x the records."""
     ok = True
 
     _rows, tputs = read_scaling_rows(replica_counts=(0, 2), docs=8,
@@ -359,6 +421,14 @@ def smoke() -> int:
           f"{len(report.failures)} failures -> "
           f"{'ok' if report.ok else 'FAIL'}")
     ok &= report.ok
+
+    _rows, seconds = catchup_rows()
+    ratio = seconds[-1] / seconds[0]
+    linear = ratio <= CATCHUP_RATIO_LIMIT
+    print(f"follower catch-up t({CATCHUP_SIZES[-1]})/t({CATCHUP_SIZES[0]}): "
+          f"{ratio:.1f} (limit {CATCHUP_RATIO_LIMIT:.0f}) -> "
+          f"{'ok' if linear else 'FAIL'}")
+    ok &= linear
 
     print("E18 smoke:", "ok" if ok else "FAIL")
     return 0 if ok else 1
@@ -406,6 +476,13 @@ def main() -> int:
     if not report.ok:
         print(report.summary())
         return 1
+
+    rows, _seconds = catchup_rows()
+    print_table(
+        "E18e: fresh follower catching up in batches of 64 (wall clock)",
+        ["records", "seconds", "us_per_record", "vs_first"],
+        rows,
+    )
     return 0
 
 

@@ -32,7 +32,7 @@ from repro.distribution.vector import (
     ReferenceBroadcaster,
     VectorEntry,
 )
-from repro.distribution.syncdb import MetadataReplicator, ReplicationLog
+from repro.distribution.syncdb import MetadataReplicator
 from repro.distribution.coursepkg import (
     CoursePackage,
     CourseShipper,
@@ -46,7 +46,6 @@ __all__ = [
     "install_package",
     "package_course",
     "MetadataReplicator",
-    "ReplicationLog",
     "BroadcastVector",
     "ReferenceBroadcaster",
     "VectorEntry",

@@ -15,12 +15,13 @@ lecture-duration after each presentation, and maintains the broadcast
 vector of references ("References to the instance are broadcasted and
 stored in many remote stations").
 
-Not to be confused with the repo's two other replication layers: this
+Not to be confused with the repo's other replication layer: this
 module replicates *course-document BLOBs* onto stations;
-:mod:`repro.replication` replicates the class administrator's
-*relational database* by WAL shipping (read replicas + failover); and
-:mod:`repro.distribution.syncdb` replicates *document-layer metadata
-rows* via operation logs.  See DESIGN.md §11 for the comparison table.
+:mod:`repro.replication` replicates a *relational database* by WAL
+shipping — to a class administrator's read replicas and failover
+candidates, and (:mod:`repro.distribution.syncdb`, the same stream down
+the member tree) to every station's copy of the document-layer
+metadata.  See DESIGN.md §11.
 """
 
 from __future__ import annotations

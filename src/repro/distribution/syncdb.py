@@ -7,231 +7,194 @@ layer rows (scripts, implementations, test records — all small) are
 replicated to every member station, while BLOBs stay where they are and
 move only through the pre-broadcast / watermark machinery.
 
-:class:`MetadataReplicator` hooks the master engine's *commit* path (it
-poses as the engine's journal, so only committed operations ship —
-rolled-back transactions never leave the master), batches the logical
-operations, and fans each batch down the membership tree.  Replica
-stations apply the operations mechanically to their local engines, in
-order, exactly like WAL replay.
+:class:`MetadataReplicator` is a *topology*, not a protocol.  The
+stream is :mod:`repro.replication`'s: the master engine's own journal
+frames, shipped by a :class:`~repro.replication.shipper.WalShipper`,
+followed by a :class:`~repro.replication.recoverer.Recoverer` that
+appends each frame verbatim to its own journal before applying it.
+What this module adds is *who follows whom*: every non-root member of
+the :class:`~repro.distribution.mtree.MAryTree` follows its tree
+parent, and every interior member relays from its own follower journal
+— from that journal's base on a byte prefix of the master's (the bases
+differ only between members that did and did not resync by snapshot
+after a master checkpoint), so frames travel the whole tree unchanged,
+CRC included.  Only committed transactions are journaled, so
+rolled-back work never leaves the master.
 
-Replication is asynchronous: replicas converge once the network drains.
-:meth:`MetadataReplicator.divergence` measures how far a replica
-currently is from the master — the consistency metric experiment E11
-sweeps.
+Replication is asynchronous: members converge once the network drains.
+:meth:`MetadataReplicator.divergence` is how many journal records a
+member is behind the master — the consistency metric experiment E11
+sweeps.  A lost batch is an LSN gap the member refuses to apply past;
+it resubscribes from its own LSN, as :meth:`MetadataReplicator.repair`
+makes it do on demand.
 
-Not to be confused with the repo's two other replication layers: this
-module fans out *document-layer metadata rows* as logical op-logs;
-:mod:`repro.replication` ships the class administrator's physical WAL
-frames to byte-identical follower journals (read replicas + failover);
-and :mod:`repro.distribution.replication` replicates *course-document
-BLOBs*.  See DESIGN.md §11 for the comparison table.
+The repo's other replication layer, :mod:`repro.distribution.replication`,
+moves *course-document BLOBs*.  See DESIGN.md §11.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any
+import os
+from pathlib import Path
 
 from repro.distribution.mtree import MAryTree
-from repro.net.messages import Message
-from repro.net.station import Station
 from repro.net.transport import Network
 from repro.rdb import Database
-from repro.rdb.wal import Journal
+from repro.rdb.wal import WalFrame
+from repro.replication.recoverer import Recoverer
+from repro.replication.shipper import FollowerProgress, WalShipper
 
-__all__ = ["ReplicationLog", "MetadataReplicator"]
-
-SYNC_KIND = "syncdb.ops"
-#: rough wire bytes per logical operation (small metadata rows)
-BYTES_PER_OP = 300
-
-
-class ReplicationLog:
-    """Duck-typed journal capturing committed ops for shipment.
-
-    Attach with ``engine.attach_journal(log)``; an optional ``inner``
-    real :class:`~repro.rdb.wal.Journal` still receives everything for
-    durability.
-    """
-
-    def __init__(self, inner: Journal | None = None) -> None:
-        self.inner = inner
-        self.pending: list[list[Any]] = []
-        self.records_written = 0
-
-    def append(self, txn_id: int, ops: list[list[Any]]) -> None:
-        self.pending.extend(ops)
-        self.records_written += 1
-        if self.inner is not None:
-            self.inner.append(txn_id, ops)
-
-    @property
-    def last_lsn(self) -> int:
-        return self.inner.last_lsn if self.inner is not None else 0
-
-    def checkpoint(self, last_lsn: int | None = None) -> None:
-        if self.inner is not None:
-            self.inner.checkpoint(last_lsn)
-
-    def take(self) -> list[list[Any]]:
-        """Drain the captured operations."""
-        ops, self.pending = self.pending, []
-        return ops
-
-
-@dataclass(frozen=True, slots=True)
-class SyncBatch:
-    """One shipped batch of logical operations."""
-
-    batch_id: int
-    ops: tuple[tuple, ...]
-
-    @property
-    def wire_bytes(self) -> int:
-        return 64 + BYTES_PER_OP * len(self.ops)
+__all__ = ["MetadataReplicator"]
 
 
 class MetadataReplicator:
-    """Replicates one master engine's committed ops to member stations."""
+    """Fans one master engine's journal out to the member stations of a
+    tree: position 1 is the master's station, everyone else follows its
+    tree parent."""
 
     def __init__(
         self,
         network: Network,
         tree: MAryTree,
         master: Database,
-        replicas: dict[str, Database],
-        *,
-        inner_journal: Journal | None = None,
+        data_dir: str | os.PathLike[str],
     ) -> None:
-        """``tree`` names the member stations; position 1 is the master's
-        station.  ``replicas`` maps every non-root member station to its
-        local engine (same schemas, created empty)."""
+        """``master`` must already journal to a
+        :class:`~repro.rdb.wal.Journal` — that journal *is* the
+        replication stream, from its first frame.  Each member keeps its
+        own snapshot + journal under ``data_dir/<station>`` (with the
+        master journal's sync policy) and builds its engine from the
+        master's schemas.
+
+        The master's journal and snapshot stay its owner's: nothing
+        here appends to, checkpoints or snapshots the master.  A member
+        that falls below a checkpoint the owner took
+        (``master.snapshot(path)``) is served that very file."""
+        if master.journal is None:
+            raise ValueError(
+                "the master engine has no Journal attached: its journal "
+                "is the replication stream (attach_journal first)"
+            )
         self.network = network
         self.tree = tree
         self.master = master
-        self.replicas = dict(replicas)
-        self.log = ReplicationLog(inner=inner_journal)
-        master.attach_journal(self.log)
-        self._batch_counter = itertools.count(1)
-        self.batches_shipped = 0
-        self.ops_shipped = 0
-        #: station -> number of ops applied
-        self.applied: dict[str, int] = {name: 0 for name in self.replicas}
-        #: station -> sim time of the latest applied batch
-        self.last_applied_at: dict[str, float] = {}
+        self.data_dir = Path(data_dir)
+        self._schemas = master.schemas()
         root = tree.name_of(1)
-        for name in tree.names:
-            if name == root:
-                continue
-            if name not in self.replicas:
-                raise ValueError(f"no replica engine for station {name!r}")
-            station = network.station(name)
-            if not station.handles(SYNC_KIND):
-                station.on(SYNC_KIND, self._on_batch)
+        #: station -> the shipper serving its tree children
+        self.shippers: dict[str, WalShipper] = {
+            root: WalShipper(
+                network, root, master.journal,
+                snapshot_fn=self._find_master_snapshot,
+            )
+        }
+        #: station -> its follower (every member but the root)
+        self.members: dict[str, Recoverer] = {}
+        #: station -> sim time of the latest applied frame
+        self.last_applied_at: dict[str, float] = {}
+        self._relay_due: set[str] = set()
+        for name in tree.names[1:]:
+            self.restart(name)
 
     # ------------------------------------------------------------------
-    # Shipping
+    # Topology
     # ------------------------------------------------------------------
-    def flush(self) -> SyncBatch | None:
-        """Ship everything committed since the last flush; returns the
-        batch (or None when there was nothing to ship)."""
-        ops = self.log.take()
-        if not ops:
-            return None
-        batch = SyncBatch(
-            batch_id=next(self._batch_counter),
-            ops=tuple(tuple(op) for op in ops),
+    def _find_master_snapshot(self) -> None:
+        """Before the root serves a resync: point it at the file the
+        master's owner last checkpointed against, wherever that is —
+        its LSN is the master journal's base."""
+        path = self.master.snapshot_path
+        self.shippers[self.tree.name_of(1)].snapshot_path = (
+            Path(path) if path is not None else None
         )
-        self.batches_shipped += 1
-        self.ops_shipped += len(ops)
-        root = self.tree.name_of(1)
-        for child in self.tree.children_names(root):
-            self.network.send(
-                root, child, SYNC_KIND, batch, batch.wire_bytes
-            )
-        return batch
 
-    def _on_batch(self, station: Station, message: Message) -> None:
-        batch: SyncBatch = message.payload
-        replica = self.replicas[station.name]
-        for op in batch.ops:
-            replica._replay_op(list(op))
-        self.applied[station.name] += len(batch.ops)
-        self.last_applied_at[station.name] = self.network.sim.now
-        for child in self.tree.children_names(station.name):
-            self.network.send(
-                station.name, child, SYNC_KIND, batch, batch.wire_bytes
-            )
+    def restart(self, station: str) -> None:
+        """(Re)start ``station``'s follower process: a fresh
+        :class:`Recoverer` over the station's own directory replays what
+        is durable there, then subscribes to its tree parent from that
+        LSN.  A member that crashed rejoins this way."""
+        old = self.members.get(station)
+        if old is not None:
+            old.stop()
+        member = Recoverer(
+            self.network, station, self.tree.parent_name(station),
+            self._schemas, self.data_dir / station,
+            sync_policy=self.master.journal.sync_policy,
+            on_apply=lambda frame: self._on_apply(station, frame),
+            on_rebuild=lambda _db: self._serve_children(station),
+        )
+        self.members[station] = member
+        member.start()
 
-    # ------------------------------------------------------------------
-    # Anti-entropy repair
-    # ------------------------------------------------------------------
-    def repair(self, station: str) -> SyncBatch:
-        """Resynchronize one replica that missed batches (lossy network,
-        crashed station): ship a full-state batch directly to it.
+    def _serve_children(self, station: str) -> None:
+        """Open ``station``'s relay over the journal it has *now* and
+        make its tree children resubscribe.
 
-        The batch carries delete-then-insert ops for every master row,
-        plus deletes for replica rows the master no longer has, so
-        applying it is idempotent and converging regardless of what the
-        replica held.  The receiving station forwards it down its
-        subtree like any batch, healing descendants as a side effect.
+        A restart or a snapshot install replaces the member's journal
+        (and may move it past frames the children still need), so the
+        old shipper — its journal object, its idea of where each child
+        is — is discarded with it.  Children that fell behind the new
+        journal's base are served the member's own ``replica.snapshot``,
+        and cascade the same way to theirs.  A child *ahead* of a member
+        that lost its disk is on the same stream, not a deposed
+        primary's: it is left where it is and streamed to again once the
+        member has passed it.
         """
-        from repro.rdb.wal import encode_row
-
-        replica = self.replicas[station]
-        ops: list[list[Any]] = []
-        for table_name in self.master.table_names():
-            master_schema = self.master.schema(table_name)
-            master_keys = set()
-            for row in self.master.select(table_name):
-                pk = master_schema.primary_key_of(row)
-                master_keys.add(pk)
-                ops.append([
-                    "delete", table_name,
-                    [encode_row({"v": v})["v"] for v in pk],
-                ])
-                ops.append(["insert", table_name, encode_row(row)])
-            for row in replica.select(table_name):
-                pk = replica.schema(table_name).primary_key_of(row)
-                if pk not in master_keys:
-                    ops.append([
-                        "delete", table_name,
-                        [encode_row({"v": v})["v"] for v in pk],
-                    ])
-        batch = SyncBatch(
-            batch_id=next(self._batch_counter),
-            ops=tuple(tuple(op) for op in ops),
+        children = self.tree.children_names(station)
+        if not children:
+            return
+        old = self.shippers.pop(station, None)
+        if old is not None:
+            old.close()
+        member = self.members[station]
+        assert member.journal is not None
+        shipper = self.shippers[station] = WalShipper(
+            self.network, station, member.journal,
+            snapshot_path=member.snapshot_path,
         )
-        root = self.tree.name_of(1)
-        self.network.send(root, station, SYNC_KIND, batch, batch.wire_bytes)
-        self.batches_shipped += 1
-        return batch
+        for child in children:
+            follower = self.members.get(child)
+            if follower is None:
+                continue  # not started yet: it subscribes when it is
+            lsn = follower.applied_lsn
+            if lsn > member.applied_lsn:
+                shipper.followers[child] = FollowerProgress(
+                    child, shipped_lsn=lsn, applied_lsn=lsn
+                )
+            else:
+                follower.retarget(station)
+
+    def _on_apply(self, station: str, _frame: WalFrame) -> None:
+        self.last_applied_at[station] = self.network.sim.now
+        # Relay once per received batch, not once per frame: the event
+        # runs after the batch's last frame is journaled and applied.
+        if station in self.shippers and station not in self._relay_due:
+            self._relay_due.add(station)
+            self.network.sim.schedule(0.0, self._relay, station)
+
+    def _relay(self, station: str) -> None:
+        self._relay_due.discard(station)
+        self.shippers[station].pump()
 
     # ------------------------------------------------------------------
-    # Consistency measurement
+    # Shipping, repair, measurement
     # ------------------------------------------------------------------
+    def flush(self) -> int:
+        """Push everything committed since the last flush toward the
+        root's children; returns the frames put on the wire now (acks
+        keep the stream flowing until every member has the rest)."""
+        return self.shippers[self.tree.name_of(1)].pump()
+
+    def repair(self, station: str) -> None:
+        """Make ``station`` resubscribe to its parent from its own LSN —
+        what it does by itself on the next batch that shows the gap.
+        Frames it then applies flow on down its subtree."""
+        self.members[station].retarget(self.tree.parent_name(station))
+
     def divergence(self, station: str) -> int:
-        """Rows differing between the master and a replica (both ways)."""
-        replica = self.replicas[station]
-        total = 0
-        for table_name in self.master.table_names():
-            master_rows = {
-                self.master.schema(table_name).primary_key_of(row): row
-                for row in self.master.select(table_name)
-            }
-            replica_rows = {
-                replica.schema(table_name).primary_key_of(row): row
-                for row in replica.select(table_name)
-            }
-            keys = set(master_rows) | set(replica_rows)
-            total += sum(
-                1
-                for key in keys
-                if master_rows.get(key) != replica_rows.get(key)
-            )
-        return total
+        """Journal records ``station`` is behind the master."""
+        return self.master.journal.last_lsn - self.members[station].applied_lsn
 
     def converged(self) -> bool:
-        """True when every replica matches the master exactly."""
-        return all(self.divergence(name) == 0 for name in self.replicas)
+        """True when every member has applied the master's last LSN."""
+        return all(self.divergence(name) == 0 for name in self.members)

@@ -15,8 +15,8 @@ the order a real failure unfolds:
   from the broadcast vector and let the paper's closed-form
   child/parent formulas re-derive every parent for free;
 * :mod:`repro.fault.recovery` — redelivery of interrupted broadcasts
-  over the repaired tree, and crashed-station rejoin from WAL snapshot
-  replay plus a syncdb catch-up delta;
+  over the repaired tree, and crashed-station rejoin: the station's
+  syncdb follower restarts over its own WAL and resubscribes;
 * :mod:`repro.fault.policy` — the shared retry/timeout/backoff
   schedules the broadcast and on-demand layers also adopt;
 * :mod:`repro.fault.health` — per-station health reports folding the

@@ -12,13 +12,14 @@ Two recovery paths, matching the two kinds of state a crash loses:
   re-checks with backoff in case redelivery itself hits a lossy link.
 
 * **Document-layer metadata** (the replicated relational rows): a
-  station that crashed and restarted rebuilds its local engine from its
-  WAL snapshot + journal (:meth:`repro.rdb.Database.recover`) and then
-  asks the master for a :meth:`~repro.distribution.syncdb.MetadataReplicator.repair`
-  batch — the catch-up delta covering everything committed while it was
-  dark.  :class:`RecoveryManager.rejoin` drives the whole sequence and
-  re-enters the station into the broadcast vector at the tail (the
-  paper's linear join order).
+  station that crashed and restarted is a WAL follower restarting —
+  :meth:`~repro.distribution.syncdb.MetadataReplicator.restart` builds a
+  fresh :class:`~repro.replication.recoverer.Recoverer` over the
+  station's own directory, which replays its snapshot + journal and
+  resubscribes to its tree parent from that LSN for everything
+  committed while it was dark.  :class:`RecoveryManager.rejoin` revives
+  the station, drives that, and re-enters it into the broadcast vector
+  at the tail (the paper's linear join order).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.distribution.vector import BroadcastVector
 from repro.fault.policy import RetryPolicy
 from repro.net.transport import Network
 from repro.obs.instrument import OBS
-from repro.rdb import Database, Schema
 
 __all__ = ["RedeliveryReport", "RedeliveryService", "RejoinReport",
            "RecoveryManager"]
@@ -186,10 +186,11 @@ class RejoinReport:
     rejoined_at: float
     #: 1-based position re-assigned in the broadcast vector
     position: int
-    #: rows restored locally from the WAL snapshot + journal replay
+    #: rows restored locally from the station's own snapshot + journal
     restored_rows: int
-    #: operations in the syncdb catch-up delta shipped by the master
-    delta_ops: int
+    #: journal records it was still behind the master after that replay
+    #: (what the resubscription then streams)
+    frames_behind: int
 
 
 class RecoveryManager:
@@ -198,8 +199,8 @@ class RecoveryManager:
     Wires together the three layers a rejoin touches: the network (the
     station must be revived), the broadcast vector (membership, at the
     tail), and — when the deployment replicates document-layer metadata
-    — the station's local relational engine, rebuilt from its own WAL
-    and topped up with a catch-up delta from the master.
+    — the station's follower, restarted over its own WAL and caught up
+    from its tree parent.
     """
 
     def __init__(
@@ -214,21 +215,8 @@ class RecoveryManager:
         self.replicator = replicator
         self.rejoins: list[RejoinReport] = []
 
-    def rejoin(
-        self,
-        station: str,
-        *,
-        schemas: "list[Schema] | None" = None,
-        snapshot_path: str | None = None,
-        journal_path: str | None = None,
-    ) -> RejoinReport:
-        """Revive ``station`` and restore its membership and metadata.
-
-        With ``schemas`` (plus snapshot/journal paths) the station's
-        replica engine is rebuilt by WAL replay before the catch-up
-        delta ships; without them the existing replica object is reused
-        and only the delta ships.
-        """
+    def rejoin(self, station: str) -> RejoinReport:
+        """Revive ``station`` and restore its membership and metadata."""
         self.network.station(station)  # raise early on unknown
         if self.network.is_down(station):
             self.network.set_down(station, False)
@@ -238,28 +226,21 @@ class RecoveryManager:
             position = self.vector.join(station)
 
         restored_rows = 0
-        delta_ops = 0
+        frames_behind = 0
         if self.replicator is not None:
-            if schemas is not None:
-                rebuilt = Database.recover(
-                    station,
-                    schemas,
-                    snapshot_path=snapshot_path,
-                    journal_path=journal_path,
-                )
-                restored_rows = sum(
-                    rebuilt.count(name) for name in rebuilt.table_names()
-                )
-                self.replicator.replicas[station] = rebuilt
-            batch = self.replicator.repair(station)
-            delta_ops = len(batch.ops)
+            self.replicator.restart(station)
+            rebuilt = self.replicator.members[station].db
+            restored_rows = sum(
+                rebuilt.count(name) for name in rebuilt.table_names()
+            )
+            frames_behind = self.replicator.divergence(station)
 
         report = RejoinReport(
             station=station,
             rejoined_at=self.network.sim.now,
             position=position,
             restored_rows=restored_rows,
-            delta_ops=delta_ops,
+            frames_behind=frames_behind,
         )
         self.rejoins.append(report)
         if OBS.enabled:

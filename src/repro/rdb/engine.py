@@ -85,6 +85,9 @@ class Database:
         self._txn_began_at: float | None = None
         #: Filled in by :meth:`recover`; None for a fresh database.
         self.recovery_stats: RecoveryStats | None = None
+        #: The file the journal's checkpoint is staged against: where
+        #: :meth:`snapshot` last dumped (or :meth:`recover` loaded) it.
+        self.snapshot_path: str | os.PathLike[str] | None = None
         #: What :meth:`apply_frame` has read of two-phase commit: the ops
         #: of each PREPARE still awaiting its outcome (in doubt if the
         #: journal ends there), and every journaled outcome by gtxn.
@@ -105,6 +108,11 @@ class Database:
     def table_names(self) -> list[str]:
         """Sorted names of all tables."""
         return self._catalog.names()
+
+    def schemas(self) -> list[Schema]:
+        """Every table's schema in creation order — a foreign key's
+        parent before its child, the order :meth:`recover` wants."""
+        return [self._catalog.get(name).schema for name in self._catalog]
 
     def table(self, name: str) -> Table:
         """Access the underlying table object (tests, planners)."""
@@ -525,6 +533,7 @@ class Database:
         }
         last_lsn = self._journal.last_lsn if self._journal is not None else 0
         write_snapshot(path, dump, last_lsn=last_lsn)
+        self.snapshot_path = path
         if self._journal is not None:
             self._journal.checkpoint(last_lsn)
         if started is not None and OBS.enabled and OBS.registry is not None:
@@ -636,6 +645,7 @@ class Database:
         stats = RecoveryStats(salvaged=salvage)
         if snapshot_path is not None and os.path.exists(snapshot_path):
             stats.watermark = db.load_snapshot(snapshot_path)
+            db.snapshot_path = snapshot_path
         if journal_path is not None:
             for frame in read_frames(
                 journal_path, from_lsn=stats.watermark, salvage=salvage,

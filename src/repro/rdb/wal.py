@@ -331,8 +331,11 @@ def _scan_entries(
     salvage: bool,
     stats: RecoveryStats,
     path: object = "<journal>",
+    pos: int = 0,
+    last_lsn: int = 0,
 ) -> Iterator[WalFrame]:
-    """Yield every readable frame, classifying damage on the way.
+    """Yield every readable frame from ``pos`` on (``last_lsn`` being
+    the LSN just before it), classifying damage on the way.
 
     Torn tail (damage with no frame magic after it): tolerated,
     counted, stop.  Mid-file corruption (a later frame exists):
@@ -346,8 +349,6 @@ def _scan_entries(
             "this is a v1 JSON-lines journal, a format retired in PR 13; "
             "refusing to read, trim or salvage it",
         )
-    pos = 0
-    last_lsn = 0
     size = len(data)
     while pos < size:
         frame, problem = None, "missing frame magic"
@@ -377,6 +378,7 @@ def read_frames(
     path: str | os.PathLike[str],
     *,
     from_lsn: int = 0,
+    resume_at: int = 0,
     salvage: bool = False,
     stats: RecoveryStats | None = None,
 ) -> Iterator[WalFrame]:
@@ -393,6 +395,17 @@ def read_frames(
     :class:`~repro.rdb.errors.JournalCorruptError` unless ``salvage``
     is set, in which case damaged records are skipped and counted in
     ``stats``.
+
+    ``resume_at`` is a start *hint*: the :attr:`WalFrame.end` of the
+    frame with LSN ``from_lsn``, kept by a caller that read that far
+    before.  It is verified, never trusted — the scan starts there only
+    if the bytes at that offset are an intact frame carrying exactly LSN
+    ``from_lsn + 1`` (LSNs only grow along the file, so nothing wanted
+    lies before it).  Any other hint — stale after a checkpoint or a
+    compaction, past the end of the file, inside a frame — is ignored
+    and the scan starts at the top.  Damage is classified the same way
+    for the bytes that are scanned; frames the hint skipped are not
+    counted in ``stats.records_skipped_watermark``.
     """
     path = Path(path)
     if stats is None:
@@ -402,7 +415,15 @@ def read_frames(
     if not path.exists():
         return
     data = path.read_bytes()
-    for frame in _scan_entries(data, salvage=salvage, stats=stats, path=path):
+    pos = 0
+    if resume_at and data.startswith(MAGIC, resume_at):
+        first = _parse_frame(data, resume_at, from_lsn)[0]
+        if first is not None and first.lsn == from_lsn + 1:
+            pos = resume_at
+    for frame in _scan_entries(
+        data, salvage=salvage, stats=stats, path=path,
+        pos=pos, last_lsn=from_lsn if pos else 0,
+    ):
         stats.last_lsn = frame.lsn
         if frame.lsn <= from_lsn:
             if frame.kind != "ckpt":

@@ -29,17 +29,18 @@ Read routing lives one layer up, in
 and catalog reads to caught-up replicas while writes stay on the
 primary.
 
-Naming note — three kinds of "replication" coexist in this repo, one
+Naming note — two kinds of "replication" coexist in this repo, one
 per layer:
 
-* **this package** replicates the *relational database* of a class
-  administrator (WAL shipping; read scaling and failover);
+* **this package** replicates a *relational database* by WAL shipping.
+  A class administrator's followers subscribe to it directly (a star:
+  read scaling and failover); :mod:`repro.distribution.syncdb` wires
+  the same stream down the member tree — every station follows its
+  tree parent and relays from its own follower journal — for E11's
+  fleet-wide copies of the document-layer metadata;
 * :mod:`repro.distribution.replication` replicates *course-document
   BLOBs* onto stations (the paper's instance/reference forms and
-  buffer-space migration);
-* :mod:`repro.distribution.syncdb` replicates *document-layer
-  metadata rows* fleet-wide via operation logs with vector clocks
-  (E11's eventual consistency between stations).
+  buffer-space migration).
 
 See DESIGN.md §11 for the architecture and the failover protocol.
 """

@@ -106,8 +106,9 @@ class Recoverer:
         self.ddl_fn = ddl_fn
         self.on_apply = on_apply
         #: called with the new Database whenever local state is rebuilt
-        #: (startup recovery and snapshot installs) — the read-replica
-        #: tier re-adopts the fresh engine here
+        #: (startup recovery and snapshot installs), once the engine
+        #: *and* the journal behind it are live — the read-replica tier
+        #: re-adopts the fresh engine here, a relaying member its journal
         self.on_rebuild = on_rebuild
         self.db: Database | None = None
         self.journal: Journal | None = None
@@ -153,8 +154,6 @@ class Recoverer:
         )
         if self.ddl_fn is not None:
             self.ddl_fn(self.db)
-        if self.on_rebuild is not None:
-            self.on_rebuild(self.db)
         # Opening the journal trims any torn tail a crash left behind.
         self.journal = Journal(
             self.journal_path, sync=self.sync_policy,
@@ -164,6 +163,8 @@ class Recoverer:
         self.applied_lsn = max(
             self.journal.last_lsn, self.db.recovery_stats.watermark
         )
+        if self.on_rebuild is not None:
+            self.on_rebuild(self.db)
         station = self.network.station(self.station_name)
         for kind in (REPL_SNAPSHOT_META, REPL_SNAPSHOT_CHUNK, REPL_FRAMES):
             station.off(kind)
@@ -321,14 +322,14 @@ class Recoverer:
         )
         if self.ddl_fn is not None:
             self.ddl_fn(self.db)
-        if self.on_rebuild is not None:
-            self.on_rebuild(self.db)
         self.journal = Journal(
             self.journal_path, sync=self.sync_policy,
             file_wrapper=self.file_wrapper,
         )
         self.journal.checkpoint(snapshot_lsn)
         self.applied_lsn = snapshot_lsn
+        if self.on_rebuild is not None:
+            self.on_rebuild(self.db)
         self._enter(RecoveryStage.TAILING)
         self._subscribe()
 

@@ -24,7 +24,7 @@ histogram.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -57,6 +57,9 @@ class FollowerProgress:
     name: str
     #: highest LSN shipped to (not necessarily applied by) the follower
     shipped_lsn: int = 0
+    #: journal byte offset just past that frame — ``read_frames``'
+    #: resume hint, so the next batch does not re-read what was shipped
+    shipped_end: int = 0
     #: highest LSN the follower reported durably applied
     applied_lsn: int = 0
     stage: str = "subscribed"
@@ -64,12 +67,8 @@ class FollowerProgress:
     syncing: bool = False
     status_reports: int = 0
     resyncs: int = 0
-    lag_samples: list[int] = field(default_factory=list)
-
-    @property
-    def lag(self) -> int | None:
-        """Last observed LSN lag (None before the first status)."""
-        return self.lag_samples[-1] if self.lag_samples else None
+    #: last observed LSN lag (None before the first status)
+    lag: int | None = None
 
 
 class WalShipper:
@@ -177,13 +176,17 @@ class WalShipper:
             self._serve_snapshot(progress)
             return 0
         frames = []
-        for frame in read_frames(self.journal.path, from_lsn=start):
+        end = 0
+        for frame in read_frames(
+            self.journal.path, from_lsn=start, resume_at=progress.shipped_end
+        ):
             if frame.kind == "ckpt":
                 # Epoch marker of *this* file; everything else ships — a
                 # dropped 2PC frame is an LSN hole the follower can only
                 # read as a lost batch.
                 continue
             frames.append((frame.lsn, frame.data))
+            end = frame.end
             if len(frames) >= self.batch_frames:
                 break
         if not frames:
@@ -197,6 +200,7 @@ class WalShipper:
             self.station_name, progress.name, REPL_FRAMES, batch, size
         )
         progress.shipped_lsn = frames[-1][0]
+        progress.shipped_end = end
         self.frames_shipped += len(frames)
         self.bytes_shipped += size
         if OBS.enabled and OBS.registry is not None:
@@ -286,9 +290,12 @@ class WalShipper:
                 # reconciled; leave it subscribed but quiescent.
                 progress.stage = "diverged"
                 return
-        progress.shipped_lsn = min(sub.applied_lsn, self.journal.last_lsn)
-        progress.applied_lsn = min(
-            max(progress.applied_lsn, sub.applied_lsn), self.journal.last_lsn
+        # The subscriber's own durable position is authoritative, even
+        # when it is *below* what it once acknowledged (it lost its disk,
+        # or an unsynced tail): streaming from the old ack would ship a
+        # gap it can only answer by resubscribing, forever.
+        progress.shipped_lsn = progress.applied_lsn = min(
+            sub.applied_lsn, self.journal.last_lsn
         )
         if self._push_frames(progress) == 0:
             # Nothing to stream: answer with an empty batch anyway so the
@@ -313,7 +320,7 @@ class WalShipper:
         progress.stage = status.stage
         progress.status_reports += 1
         lag = max(0, self.journal.last_lsn - status.applied_lsn)
-        progress.lag_samples.append(lag)
+        progress.lag = lag
         if OBS.enabled and OBS.registry is not None:
             OBS.registry.gauge(
                 "replica.applied_lsn", follower=status.follower

@@ -1,5 +1,7 @@
 """Tests for broadcast redelivery and crashed-station rejoin."""
 
+import shutil
+
 import pytest
 
 from repro.distribution import MAryTree, MetadataReplicator, PreBroadcaster
@@ -13,7 +15,9 @@ from repro.fault import (
     RetryPolicy,
     TreeRepairer,
 )
+from repro.fault.crashsim import database_state
 from repro.rdb import Column, ColumnType, Database, Schema
+from repro.rdb.wal import Journal
 
 from tests.conftest import build_network
 
@@ -140,67 +144,71 @@ class TestRedelivery:
 
 
 class TestRejoin:
-    def _world(self, n=3, m=2):
+    def _world(self, tmp_path, n=3, m=2):
         network, vector, tree = _cluster(n, m)
         master = Database("master")
         master.create_table(DOCS)
-        replicas = {}
-        for name in tree.names[1:]:
-            replica = Database(f"replica_{name}")
-            replica.create_table(DOCS)
-            replicas[name] = replica
-        replicator = MetadataReplicator(network, tree, master, replicas)
-        return network, vector, master, replicas, replicator
+        master.attach_journal(Journal(tmp_path / "master.wal"))
+        replicator = MetadataReplicator(network, tree, master, tmp_path)
+        network.quiesce()
+        return network, vector, master, replicator
 
-    def test_rejoin_revives_and_keeps_position(self):
-        network, vector, *_ = self._world()
+    def test_rejoin_revives_and_keeps_position(self, tmp_path):
+        network, vector, *_ = self._world(tmp_path)
         network.set_down("s2", True)
         manager = RecoveryManager(network, vector)
         report = manager.rejoin("s2")
         assert not network.is_down("s2")
         assert report.position == 2
-        assert report.restored_rows == 0 and report.delta_ops == 0
+        assert report.restored_rows == 0 and report.frames_behind == 0
 
-    def test_rejoin_after_eviction_joins_at_tail(self):
-        network, vector, *_ = self._world()
+    def test_rejoin_after_eviction_joins_at_tail(self, tmp_path):
+        network, vector, *_ = self._world(tmp_path)
         vector.leave("s2")
         manager = RecoveryManager(network, vector)
         report = manager.rejoin("s2")
         assert report.position == 3
         assert vector.members() == ["s1", "s3", "s2"]
 
-    def test_rejoin_unknown_station_raises(self):
-        network, vector, *_ = self._world()
+    def test_rejoin_unknown_station_raises(self, tmp_path):
+        network, vector, *_ = self._world(tmp_path)
         manager = RecoveryManager(network, vector)
         with pytest.raises(LookupError):
             manager.rejoin("ghost")
 
     def test_wal_restore_plus_delta_converges(self, tmp_path):
-        network, vector, master, replicas, replicator = self._world()
+        """A crashed member restarts over its own directory: what its
+        journal held is back before a byte crosses the wire, the rest
+        streams from its tree parent."""
+        network, vector, master, replicator = self._world(tmp_path)
         master.insert("docs", {"name": "a"})
         master.insert("docs", {"name": "b"})
         replicator.flush()
         network.quiesce()
-        snap = tmp_path / "s2.snap"
-        replicas["s2"].snapshot(str(snap))
+        crashed = replicator.members["s2"]
 
         network.set_down("s2", True)
         master.insert("docs", {"name": "c"})
         master.update_pk("docs", "a", {"version": 2})
         replicator.flush()
         network.quiesce()
-        assert replicator.divergence("s2") > 0
+        assert replicator.divergence("s2") == 2
 
         manager = RecoveryManager(network, vector, replicator=replicator)
-        report = manager.rejoin("s2", schemas=[DOCS],
-                                snapshot_path=str(snap))
+        report = manager.rejoin("s2")
+        assert replicator.members["s2"] is not crashed
+        assert report.restored_rows == 2  # replayed from its own journal
+        assert report.frames_behind == 2
         network.quiesce()
-        assert report.restored_rows == 2  # the pre-crash snapshot
-        assert report.delta_ops > 0
         assert replicator.divergence("s2") == 0
+        assert database_state(replicator.members["s2"].db) == \
+            database_state(master)
+        assert replicator.members["s2"].frames_applied == 2  # the delta only
 
-    def test_delta_alone_heals_without_wal(self):
-        network, vector, master, replicas, replicator = self._world()
+    def test_delta_alone_heals_without_wal(self, tmp_path):
+        """A station that lost its disk rejoins empty and streams the
+        whole journal."""
+        network, vector, master, replicator = self._world(tmp_path)
         master.insert("docs", {"name": "a"})
         replicator.flush()
         network.quiesce()
@@ -208,15 +216,18 @@ class TestRejoin:
         master.insert("docs", {"name": "b"})
         replicator.flush()
         network.quiesce()
+        shutil.rmtree(tmp_path / "s3")
         manager = RecoveryManager(network, vector, replicator=replicator)
         report = manager.rejoin("s3")
-        network.quiesce()
         assert report.restored_rows == 0
-        assert report.delta_ops > 0
+        assert report.frames_behind == 2
+        network.quiesce()
         assert replicator.divergence("s3") == 0
+        assert database_state(replicator.members["s3"].db) == \
+            database_state(master)
 
-    def test_rejoins_are_recorded(self):
-        network, vector, *_ = self._world()
+    def test_rejoins_are_recorded(self, tmp_path):
+        network, vector, *_ = self._world(tmp_path)
         manager = RecoveryManager(network, vector)
         manager.rejoin("s2")
         manager.rejoin("s3")

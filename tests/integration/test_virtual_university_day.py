@@ -11,7 +11,6 @@ import pytest
 from repro.annotations import Line, LiveAnnotationSession, Point
 from repro.collab import DiscussionBoard, PresenceDaemon
 from repro.core import WebDocumentDatabase
-from repro.core.schema import ALL_SCHEMAS
 from repro.distribution import (
     MAryTree,
     MetadataReplicator,
@@ -20,7 +19,8 @@ from repro.distribution import (
 )
 from repro.library import CatalogEntry, CirculationDesk, VirtualLibrary, assess
 from repro.qa import QARunner
-from repro.rdb import Database
+from repro.fault.crashsim import database_state
+from repro.rdb.wal import Journal
 from repro.util.units import MIB
 from repro.workloads import CourseGenerator
 
@@ -29,13 +29,6 @@ from tests.conftest import build_network
 N_STATIONS = 9
 LECTURE_BYTES = 10 * MIB
 LECTURE_DURATION_S = 45 * 60.0
-
-
-def _course_engine(label):
-    engine = Database(label)
-    for schema in ALL_SCHEMAS:
-        engine.create_table(schema)
-    return engine
 
 
 @pytest.fixture
@@ -47,12 +40,13 @@ def day():
 
 
 class TestVirtualUniversityDay:
-    def test_full_day(self, day):
+    def test_full_day(self, day, tmp_path):
         net, names, tree = day
         sim = net.sim
 
         # -- morning: the instructor authors and QAs a course ----------
         wddb = WebDocumentDatabase("s1", with_integrity=True)
+        wddb.engine.attach_journal(Journal(tmp_path / "s1.wal"))
         wddb.create_document_database("mmu", author="shih")
         generator = CourseGenerator(seed=99, pages_per_course=5)
         course = generator.generate_course(wddb, "mmu", author="shih")
@@ -60,16 +54,15 @@ class TestVirtualUniversityDay:
         assert outcome.passed
 
         # -- metadata replicates to every student station --------------
-        replicas = {name: _course_engine(f"replica_{name}")
-                    for name in names[1:]}
-        replicator = MetadataReplicator(net, tree, wddb.engine, replicas)
-        # ops so far were not captured (replicator attached late), so
-        # author a second course to exercise the pipeline
-        generator.generate_course(wddb, "mmu", author="shih")
-        replicator.flush()
+        # (the journal is the stream, so the morning's work ships too)
+        replicator = MetadataReplicator(net, tree, wddb.engine, tmp_path)
         sim.run(until=sim.now + 30.0)
+        assert replicator.converged()
+        authored = database_state(wddb.engine)
+        assert authored["scripts"]
         assert all(
-            replicas[name].count("scripts") >= 1 for name in names[1:]
+            database_state(replicator.members[name].db) == authored
+            for name in names[1:]
         )
 
         # -- the lecture is pre-broadcast before class ------------------

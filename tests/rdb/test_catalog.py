@@ -30,6 +30,25 @@ class TestCreateDrop:
         db.create_table(_simple("b"))
         assert db.table_names() == ["a", "b"]
 
+    def test_schemas_come_in_creation_order_parents_first(self):
+        """``table_names`` sorts; ``schemas`` keeps the order the tables
+        were created in, which ``create_table`` forces to be parents
+        before children — what ``Database.recover`` needs."""
+        db = Database("x")
+        db.create_table(_simple("z_parent"))
+        child = Schema(
+            name="a_child",
+            columns=(Column("k", T.INT, nullable=False), Column("f", T.INT)),
+            primary_key=("k",),
+            foreign_keys=(ForeignKey(("f",), "z_parent", ("k",)),),
+        )
+        db.create_table(child)
+        assert db.table_names() == ["a_child", "z_parent"]
+        assert [s.name for s in db.schemas()] == ["z_parent", "a_child"]
+        rebuilt = Database("y")
+        for schema in db.schemas():
+            rebuilt.create_table(schema)
+
     def test_duplicate_table_rejected(self):
         db = Database("x")
         db.create_table(_simple("a"))

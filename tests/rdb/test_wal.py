@@ -334,6 +334,24 @@ class TestRecovery:
         labels = {r["k"]: r["label"] for r in recovered.select("events")}
         assert labels == {1: "pre-snapshot", 2: "post-snapshot"}
 
+    def test_database_remembers_its_checkpoint_snapshot(self, tmp_path):
+        """The file the journal's checkpoint is staged against is on the
+        engine, for whoever must serve it (the replication root)."""
+        wal_path = tmp_path / "wal.jsonl"
+        db = _make_db(Journal(wal_path))
+        assert db.snapshot_path is None
+        db.insert("events", {"k": 1})
+        db.snapshot(str(tmp_path / "one"))
+        db.snapshot(str(tmp_path / "two"))
+        assert db.snapshot_path == str(tmp_path / "two")
+        recovered = Database.recover(
+            "r", [EVENTS],
+            snapshot_path=str(tmp_path / "two"), journal_path=str(wal_path),
+        )
+        assert recovered.snapshot_path == str(tmp_path / "two")
+        bare = Database.recover("r", [EVENTS], journal_path=str(wal_path))
+        assert bare.snapshot_path is None
+
     def test_snapshot_truncates_journal(self, tmp_path):
         wal_path = tmp_path / "wal.jsonl"
         db = _make_db(Journal(wal_path))

@@ -12,6 +12,7 @@ import pytest
 from repro.rdb import Database, JournalCorruptError, Schema, Column, ColumnType
 from repro.rdb.wal import (
     Journal,
+    RecoveryStats,
     WalFrame,
     parse_frame,
     read_frames,
@@ -104,6 +105,118 @@ class TestReadFrames:
                 f"complete frames {complete}"
             )
         assert yielded == [1, 2, 3]
+
+
+class TestResumeHint:
+    """``read_frames(resume_at=…)``: a start offset that is verified,
+    never trusted — anything but "the frame with LSN from_lsn + 1 starts
+    here" falls back to the scan from the top."""
+
+    @staticmethod
+    def _lsns(path, **kwargs):
+        return [(f.kind, f.lsn) for f in read_frames(path, **kwargs)]
+
+    def test_hint_at_a_frame_boundary_yields_what_the_full_scan_yields(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.wal"
+        _journal_with(path, 8).close()
+        frames = list(read_frames(path))
+        for frame in frames[:-1]:
+            full = list(read_frames(path, from_lsn=frame.lsn))
+            hinted = list(
+                read_frames(path, from_lsn=frame.lsn, resume_at=frame.end)
+            )
+            assert hinted == full
+            assert [f.data for f in hinted] == [f.data for f in full]
+            # offsets stay file offsets, so the next hint chains
+            assert hinted[0].start == frame.end
+        # the hint past the last frame: nothing left, by either route
+        last = frames[-1]
+        assert self._lsns(path, from_lsn=last.lsn, resume_at=last.end) == []
+
+    def test_hint_skips_the_decode_of_what_was_already_read(self, tmp_path):
+        path = tmp_path / "j.wal"
+        _journal_with(path, 6).close()
+        frames = list(read_frames(path))
+        scanned, hinted = RecoveryStats(), RecoveryStats()
+        list(read_frames(path, from_lsn=4, stats=scanned))
+        list(read_frames(path, from_lsn=4, resume_at=frames[3].end,
+                         stats=hinted))
+        assert scanned.records_skipped_watermark == 4
+        assert hinted.records_skipped_watermark == 0
+        assert scanned.records_recovered == hinted.records_recovered == 2
+
+    def test_stale_hint_after_checkpoint_falls_back(self, tmp_path):
+        path = tmp_path / "j.wal"
+        journal = _journal_with(path, 5)
+        stale = list(read_frames(path))[2].end  # just past LSN 3
+        journal.checkpoint(5)
+        for k in (6, 7, 8):
+            journal.append(k, [["insert", "events",
+                                {"event_id": k, "label": f"e{k}"}]])
+        journal.close()
+        # The file was rewritten: whatever now sits at the old offset,
+        # the read is the full scan's.
+        for from_lsn in (3, 5, 6):
+            assert self._lsns(path, from_lsn=from_lsn, resume_at=stale) == \
+                self._lsns(path, from_lsn=from_lsn)
+        assert self._lsns(path, from_lsn=5, resume_at=stale) == \
+            [("txn", 6), ("txn", 7), ("txn", 8)]
+
+    def test_hint_at_a_later_frame_boundary_skips_nothing(self, tmp_path):
+        """A boundary, but of the wrong frame (what a stale offset can
+        land on by coincidence): frames 3 and 4 must not be lost."""
+        path = tmp_path / "j.wal"
+        _journal_with(path, 6).close()
+        frames = list(read_frames(path))
+        assert self._lsns(path, from_lsn=2, resume_at=frames[3].end) == \
+            [("txn", k) for k in (3, 4, 5, 6)]
+
+    def test_hint_past_eof_falls_back(self, tmp_path):
+        path = tmp_path / "j.wal"
+        _journal_with(path, 4).close()
+        size = path.stat().st_size
+        for hint in (size, size + 1, size * 10):
+            assert self._lsns(path, from_lsn=2, resume_at=hint) == \
+                [("txn", 3), ("txn", 4)]
+
+    def test_hint_mid_frame_falls_back(self, tmp_path):
+        path = tmp_path / "j.wal"
+        _journal_with(path, 4).close()
+        boundary = list(read_frames(path))[1].end
+        for hint in (boundary - 1, boundary + 1, boundary + 9):
+            assert self._lsns(path, from_lsn=2, resume_at=hint) == \
+                [("txn", 3), ("txn", 4)]
+
+    def test_torn_tail_after_the_hint_is_tolerated_and_counted(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.wal"
+        _journal_with(path, 5).close()
+        hint = list(read_frames(path))[1].end
+        path.write_bytes(path.read_bytes()[:-7])
+        stats = RecoveryStats()
+        assert self._lsns(path, from_lsn=2, resume_at=hint, stats=stats) == \
+            [("txn", 3), ("txn", 4)]
+        assert stats.torn_tails == 1
+        assert stats.bytes_skipped > 0
+
+    def test_damage_with_frames_after_it_still_raises(self, tmp_path):
+        path = tmp_path / "j.wal"
+        _journal_with(path, 6).close()
+        frames = list(read_frames(path))
+        data = bytearray(path.read_bytes())
+        data[frames[3].start + 20] ^= 0x40  # inside LSN 4; 5 and 6 follow
+        path.write_bytes(bytes(data))
+        reader = read_frames(path, from_lsn=2, resume_at=frames[1].end)
+        assert next(reader).lsn == 3
+        with pytest.raises(JournalCorruptError):
+            next(reader)
+        # and salvage mode skips it, hint or no hint
+        assert self._lsns(path, from_lsn=2, resume_at=frames[1].end,
+                          salvage=True) == \
+            [("txn", 3), ("txn", 5), ("txn", 6)]
 
 
 class TestParseFrame:

@@ -147,6 +147,45 @@ class TestLagTracking:
         assert progress.lag == 0
         assert progress.status_reports >= 1
 
+    def test_follower_that_lost_its_disk_resubscribes_below_its_ack(
+        self, tmp_path, repl_cluster
+    ):
+        """Regression: the shipper kept the *highest* LSN a follower had
+        ever acknowledged, so one that came back empty was streamed from
+        its old position — a gap it answered by resubscribing, which
+        was answered with the same gap, without end."""
+        import shutil
+
+        cluster = repl_cluster()
+        cluster.write(3)
+        rec = cluster.recoverers["f1"]
+        rec.start()
+        cluster.sync()
+        assert cluster.shipper.followers["f1"].applied_lsn == 3
+        rec.stop()
+        shutil.rmtree(tmp_path / "f1")
+        again = Recoverer(
+            cluster.network, "f1", "primary", CRASH_SCHEMAS,
+            tmp_path / "f1", sync_policy="commit", ddl_fn=cluster.ddl,
+        )
+        again.start()
+        cluster.network.sim.run(until=cluster.network.sim.now + 5.0)
+        assert cluster.network.sim.pending == 0
+        assert again.applied_lsn == 3
+        assert database_state(again.db) == database_state(cluster.db)
+
+    def test_lag_is_the_last_report_only(self, repl_cluster):
+        cluster = repl_cluster()
+        rec = cluster.recoverers["f1"]
+        rec.start()
+        for _ in range(3):
+            cluster.write(2)
+            cluster.sync()
+        progress = cluster.shipper.followers["f1"]
+        assert progress.status_reports >= 3
+        assert progress.lag == 0
+        assert not hasattr(progress, "lag_samples")
+
     def test_lag_metrics_are_emitted(self, metrics_registry, repl_cluster):
         cluster = repl_cluster()
         cluster.write(5)
@@ -201,12 +240,14 @@ class TestLagTracking:
 
 
 class TestPackageDocs:
-    def test_disambiguation_note_names_all_three_layers(self):
+    def test_note_names_blob_layer_and_tree(self):
         import repro.replication as replication
 
         doc = replication.__doc__
         assert "repro.distribution.replication" in doc
+        # not a third layer any more: a topology over this package
         assert "repro.distribution.syncdb" in doc
+        assert "same stream" in doc
 
     @pytest.mark.parametrize("module_name", [
         "repro.distribution.replication", "repro.distribution.syncdb",
