@@ -10,8 +10,8 @@ resolved here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.rdb.errors import (
     CheckError,
@@ -20,6 +20,7 @@ from repro.rdb.errors import (
     NotNullError,
     SchemaError,
 )
+from repro.rdb.types import key_getter
 
 if TYPE_CHECKING:
     from repro.rdb.table import Table
@@ -51,6 +52,13 @@ class ForeignKey:
     parent_columns: tuple[str, ...]
     on_delete: Action = Action.RESTRICT
     on_update: Action = Action.RESTRICT
+    #: ``row -> key tuple`` over the child / the parent columns
+    key_of: Callable[[dict[str, Any]], tuple] = field(
+        init=False, repr=False, compare=False
+    )
+    parent_key_of: Callable[[dict[str, Any]], tuple] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -60,6 +68,8 @@ class ForeignKey:
                 "foreign key column count mismatch: "
                 f"{self.columns!r} vs {self.parent_columns!r}"
             )
+        object.__setattr__(self, "key_of", key_getter(self.columns))
+        object.__setattr__(self, "parent_key_of", key_getter(self.parent_columns))
 
 
 class ConstraintChecker:
@@ -93,7 +103,9 @@ class ConstraintChecker:
     @staticmethod
     def _fk_key(fk: ForeignKey, row: dict[str, Any]) -> tuple | None:
         """The child key tuple, or ``None`` when exempt (all-null)."""
-        key = tuple(row[c] for c in fk.columns)
+        key = fk.key_of(row)
+        if None not in key:
+            return key
         nulls = sum(1 for v in key if v is None)
         if nulls == len(key):
             return None
@@ -105,15 +117,13 @@ class ConstraintChecker:
 
     # -- row-level checks ----------------------------------------------------
     def check_not_null(self, table: "Table", row: dict[str, Any]) -> None:
-        for column in table.schema.columns:
-            if not column.nullable and row[column.name] is None:
-                raise NotNullError(table.schema.name, column.name)
+        for name in table.schema.not_null:
+            if row[name] is None:
+                raise NotNullError(table.schema.name, name)
 
     def check_checks(self, table: "Table", row: dict[str, Any]) -> None:
         """Column CHECK constraints (null values are exempt, as in SQL)."""
-        for column in table.schema.columns:
-            if column.check is None:
-                continue
+        for column in table.schema.checked:
             value = row[column.name]
             if value is not None and not column.check(value):
                 raise CheckError(
@@ -127,17 +137,18 @@ class ConstraintChecker:
         """PK and unique-set enforcement (null components skip unique,
         mirroring SQL where NULL never equals NULL)."""
         schema = table.schema
-        groups = (schema.primary_key, *schema.unique)
-        for columns in groups:
-            key = tuple(row[c] for c in columns)
-            if columns != schema.primary_key and any(v is None for v in key):
-                continue
-            index = table.indexes.hash_index_on(columns)
+        hash_index_on = table.indexes.hash_index_on
+        for columns in (schema.primary_key, *schema.unique):
+            index = hash_index_on(columns)
             assert index is not None, f"missing key index on {columns!r}"
-            holders = index.lookup(key)
-            if ignore_rowid is not None:
-                holders -= {ignore_rowid}
-            if holders:
+            key = index.key_of(row)
+            if None in key and columns != schema.primary_key:
+                continue
+            if ignore_rowid is None:
+                taken = index.count(key)
+            else:
+                taken = index.lookup(key) - {ignore_rowid}
+            if taken:
                 raise DuplicateKeyError(schema.name, columns, key)
 
     def check_foreign_keys(self, table: "Table", row: dict[str, Any]) -> None:
@@ -176,7 +187,7 @@ class ConstraintChecker:
             for fk in child.schema.foreign_keys:
                 if fk.parent_table != parent_name:
                     continue
-                key = tuple(parent_row[c] for c in fk.parent_columns)
+                key = fk.parent_key_of(parent_row)
                 index = child.indexes.hash_index_on(fk.columns)
                 if index is not None:
                     rowids = index.lookup(key)

@@ -30,7 +30,7 @@ from repro.rdb.errors import (
     SchemaError,
     TransactionError,
 )
-from repro.rdb.compile import cache_stats, predicate_fn
+from repro.rdb.compile import cache_stats
 from repro.rdb.predicate import Expr
 from repro.rdb.query import (
     aggregate_table,
@@ -38,6 +38,7 @@ from repro.rdb.query import (
     join_rows,
     matching_view,
     plan_select,
+    target_rowids,
 )
 from repro.rdb.table import Table
 from repro.rdb.transaction import Transaction, TransactionManager, UndoRecord
@@ -47,7 +48,9 @@ from repro.rdb.wal import (
     Journal,
     RecoveryStats,
     WalFrame,
+    decode_key,
     decode_row,
+    encode_key,
     encode_row,
     parse_snapshot,
     read_frames,
@@ -65,6 +68,55 @@ def _as_pk(pk: Any) -> tuple:
     if isinstance(pk, list):
         return tuple(pk)
     return (pk,)
+
+
+class _Statement:
+    """One statement's scope: reuse the open transaction, or autocommit
+    a scratch one — either way the statement is atomic.  It marks the
+    undo log and the WAL buffer on entry; a statement that fails inside
+    a caller-owned transaction is undone back to the marks, so neither
+    its first rows nor their ops outlive it."""
+
+    __slots__ = ("db", "owned", "undo_mark", "wal_mark", "started_at")
+
+    def __init__(self, db: "Database") -> None:
+        self.db = db
+
+    def __enter__(self) -> None:
+        db = self.db
+        db.statements += 1
+        self.started_at = OBS.clock() if OBS.enabled else None
+        txn = db._txn.active
+        self.owned = txn is None
+        if txn is None:
+            txn = db._txn.begin()
+        self.undo_mark = len(txn.undo_log)
+        self.wal_mark = len(db._wal_buffer)
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        db = self.db
+        try:
+            if exc_type is None:
+                if self.owned:
+                    try:
+                        db._txn.commit()
+                    except BaseException:
+                        # A failed journal append leaves the scratch
+                        # transaction open (durability-first commit).
+                        db._txn.rollback()
+                        db._wal_buffer.clear()
+                        raise
+            elif self.owned:
+                db._txn.rollback()
+                db._wal_buffer.clear()
+            else:
+                db._txn.active.undo_to(self.undo_mark)
+                del db._wal_buffer[self.wal_mark:]
+        finally:
+            if self.started_at is not None and OBS.enabled:
+                db._obs()["statement_seconds"].observe(
+                    OBS.clock() - self.started_at
+                )
 
 
 class Database:
@@ -256,17 +308,8 @@ class Database:
         row = table.schema.normalize_row(values)
         if OBS.enabled:
             self._obs()["insert"].inc()
-        with self._statement():
-            self._triggers.fire(
-                table_name, TriggerEvent.INSERT, TriggerTiming.BEFORE, None, row
-            )
-            self._checker.check_insert(table, row)
-            rowid = table.apply_insert(row)
-            self._txn.record(UndoRecord("insert", table, rowid, None))
-            self._wal_buffer.append(["insert", table_name, encode_row(row)])
-            self._triggers.fire(
-                table_name, TriggerEvent.INSERT, TriggerTiming.AFTER, None, row
-            )
+        with _Statement(self):
+            self._insert_row(table, table_name, row)
         return table.schema.primary_key_of(row)
 
     def insert_many(
@@ -274,46 +317,37 @@ class Database:
     ) -> list[tuple]:
         """Insert several rows atomically; returns their PK tuples.
 
-        The batched twin of :meth:`insert`: rows are normalized up
-        front, trigger dispatchers and constraint/undo/journal handles
-        are resolved once, and the per-row loop only does the work that
-        must stay per-row — constraint checks consult the live indexes,
-        so each row must be checked after its predecessors landed.
+        :meth:`insert`'s own steps under one statement scope: rows are
+        normalized up front, then checked and applied one at a time —
+        constraint checks consult the live indexes, so each row must be
+        checked after its predecessors landed.
         """
         table = self._catalog.get(table_name)
-        normalize = table.schema.normalize_row
-        normalized = [normalize(values) for values in rows]
+        normalized = list(map(table.schema.normalize_row, rows))
         if OBS.enabled and normalized:
             self._obs()["insert"].inc(len(normalized))
-        before = self._triggers.dispatcher(
-            table_name, TriggerEvent.INSERT, TriggerTiming.BEFORE
-        )
-        after = self._triggers.dispatcher(
-            table_name, TriggerEvent.INSERT, TriggerTiming.AFTER
-        )
-        check_insert = self._checker.check_insert
-        apply_insert = table.apply_insert
-        record = self._txn.record
-        wal_append = self._wal_buffer.append
-        pk_of = table.schema.primary_key_of
-        pks: list[tuple] = []
-        append_pk = pks.append
-        with self._statement():
+        insert_row = self._insert_row
+        with _Statement(self):
             # One statement wrapper for the whole batch; the statement
             # counter still advances once per row plus the wrapper,
             # matching the per-row form this replaces.
             self.statements += len(normalized)
             for row in normalized:
-                if before is not None:
-                    before(None, row)
-                check_insert(table, row)
-                rowid = apply_insert(row)
-                record(UndoRecord("insert", table, rowid, None))
-                wal_append(["insert", table_name, encode_row(row)])
-                if after is not None:
-                    after(None, row)
-                append_pk(pk_of(row))
-        return pks
+                insert_row(table, table_name, row)
+        return list(map(table.schema.primary_key_of, normalized))
+
+    def _insert_row(
+        self, table: Table, table_name: str, row: dict[str, Any]
+    ) -> None:
+        """BEFORE triggers, constraints, heap + indexes, undo record,
+        journal op, AFTER triggers — for one normalized row."""
+        fire = self._triggers.fire
+        fire(table_name, TriggerEvent.INSERT, TriggerTiming.BEFORE, None, row)
+        self._checker.check_insert(table, row)
+        rowid = table.apply_insert(row)
+        self._txn.record(UndoRecord("insert", table, rowid, None))
+        self._wal_buffer.append(["insert", table_name, encode_row(row)])
+        fire(table_name, TriggerEvent.INSERT, TriggerTiming.AFTER, None, row)
 
     def upsert(self, table_name: str, values: dict[str, Any]) -> bool:
         """Insert, or update the existing row with the same primary key.
@@ -330,7 +364,7 @@ class Database:
                 f"upsert into {table_name!r} needs primary-key column "
                 f"{exc.args[0]!r}"
             ) from None
-        with self._statement():
+        with _Statement(self):
             if table.rowid_for_pk(pk) is None:
                 self.insert(table_name, values)
                 return True
@@ -456,35 +490,37 @@ class Database:
         action (RESTRICT / CASCADE / SET NULL).
         """
         table = self._catalog.get(table_name)
-        target_rowids = self._matching_rowids(table, where)
+        changes = table.schema.normalize_changes(changes)
+        rowids = target_rowids(table, where)
         if OBS.enabled:
             self._obs()["update"].inc()
-        with self._statement():
-            for rowid in target_rowids:
+        with _Statement(self):
+            for rowid in rowids:
                 self._update_rowid(table, rowid, changes)
-        return len(target_rowids)
+        return len(rowids)
 
     def update_pk(self, table_name: str, pk: Any, changes: dict[str, Any]) -> bool:
         """Update the row with primary key ``pk``; False if absent."""
         table = self._catalog.get(table_name)
+        changes = table.schema.normalize_changes(changes)
         rowid = table.rowid_for_pk(_as_pk(pk))
         if rowid is None:
             return False
         if OBS.enabled:
             self._obs()["update"].inc()
-        with self._statement():
+        with _Statement(self):
             self._update_rowid(table, rowid, changes)
         return True
 
     def delete(self, table_name: str, where: Expr | None = None) -> int:
         """Delete matching rows (honouring referential actions)."""
         table = self._catalog.get(table_name)
-        target_rowids = self._matching_rowids(table, where)
+        rowids = target_rowids(table, where)
         if OBS.enabled:
             self._obs()["delete"].inc()
-        with self._statement():
+        with _Statement(self):
             deleted = 0
-            for rowid in target_rowids:
+            for rowid in rowids:
                 if table.get(rowid) is not None:  # may be cascade-deleted
                     self._delete_rowid(table, rowid, _seen=set())
                     deleted += 1
@@ -498,7 +534,7 @@ class Database:
             return False
         if OBS.enabled:
             self._obs()["delete"].inc()
-        with self._statement():
+        with _Statement(self):
             self._delete_rowid(table, rowid, _seen=set())
         return True
 
@@ -732,91 +768,36 @@ class Database:
         if began is not None and OBS.enabled:
             self._obs()[outcome].observe(OBS.clock() - began)
 
-    @contextlib.contextmanager
-    def _statement(self) -> Iterator[None]:
-        """Wrap a statement: reuse the open transaction, or autocommit a
-        scratch one so multi-row statements stay atomic."""
-        self.statements += 1
-        started_at = OBS.clock() if OBS.enabled else None
-        try:
-            if self._txn.in_transaction:
-                yield
-                return
-            self._txn.begin()
-            try:
-                yield
-            except BaseException:
-                self._txn.rollback()
-                self._wal_buffer.clear()
-                raise
-            else:
-                try:
-                    self._txn.commit()
-                except BaseException:
-                    self._txn.rollback()
-                    self._wal_buffer.clear()
-                    raise
-        finally:
-            if started_at is not None and OBS.enabled:
-                self._obs()["statement_seconds"].observe(
-                    OBS.clock() - started_at
-                )
-
-    @staticmethod
-    def _matching_rowids(table: Table, where: Expr | None) -> list[int]:
-        """Rowids matching ``where``, snapshotted before mutation starts.
-
-        Uses the compiled predicate closure, so bulk UPDATE/DELETE
-        target selection runs at compiled-filter speed.
-        """
-        items = list(table.items())
-        predicate = predicate_fn(where)
-        if predicate is None:
-            return [rowid for rowid, _row in items]
-        return [rowid for rowid, row in items if predicate(row)]
-
     def _update_rowid(
         self, table: Table, rowid: int, changes: dict[str, Any]
     ) -> None:
+        """Apply ``changes`` — stored forms, as :meth:`Schema.
+        normalize_changes` returns them — to one row."""
         old_row = table.get(rowid)
         assert old_row is not None
-        new_row = dict(old_row)
-        for key, value in changes.items():
-            column = table.schema.column(key)  # raises on unknown column
-            if value is not None:
-                value = column.type.validate(value, column=key)
-            new_row[key] = value
-        table_name = table.schema.name
-        self._triggers.fire(
-            table_name, TriggerEvent.UPDATE, TriggerTiming.BEFORE, old_row, new_row
-        )
+        new_row = {**old_row, **changes}
+        schema = table.schema
+        table_name = schema.name
+        fire = self._triggers.fire
+        fire(table_name, TriggerEvent.UPDATE, TriggerTiming.BEFORE, old_row, new_row)
         self._checker.check_update(table, rowid, new_row)
-        old_pk = table.schema.primary_key_of(old_row)
-        key_changed = any(
-            old_row[c] != new_row[c]
-            for group in (table.schema.primary_key, *table.schema.unique)
-            for c in group
+        key_changed = not schema.key_columns.isdisjoint(changes) and any(
+            old_row[c] != new_row[c] for c in schema.key_columns
         )
         snapshot = dict(old_row)
         table.apply_update(rowid, new_row)
         self._txn.record(UndoRecord("update", table, rowid, snapshot))
-        self._wal_buffer.append(
-            [
-                "update",
-                table_name,
-                [encode_row({"v": v})["v"] for v in old_pk],
-                encode_row({k: new_row[k] for k in changes}),
-            ]
-        )
+        self._wal_buffer.append([
+            "update", table_name,
+            encode_key(schema.primary_key_of(old_row)), encode_row(changes),
+        ])
         # Referential ON UPDATE actions run after the parent row changed
         # so cascaded children validate against the *new* key; a RESTRICT
         # raise aborts the whole statement (the scratch transaction rolls
         # the parent change back).
         if key_changed:
             self._apply_on_update_actions(table, snapshot, new_row)
-        self._triggers.fire(
-            table_name, TriggerEvent.UPDATE, TriggerTiming.AFTER, snapshot, new_row
-        )
+        fire(table_name, TriggerEvent.UPDATE, TriggerTiming.AFTER, snapshot, new_row)
 
     def _apply_on_update_actions(
         self, parent: Table, old_row: dict[str, Any], new_row: dict[str, Any]
@@ -839,7 +820,9 @@ class Database:
                 }
             else:  # SET_NULL
                 child_changes = {cc: None for cc in fk.columns}
-            self._update_rowid(child, child_rowid, child_changes)
+            self._update_rowid(
+                child, child_rowid, child.schema.normalize_changes(child_changes)
+            )
 
     def _delete_rowid(
         self, table: Table, rowid: int, _seen: set[tuple[str, int]]
@@ -852,9 +835,8 @@ class Database:
         if row is None:
             return
         table_name = table.schema.name
-        self._triggers.fire(
-            table_name, TriggerEvent.DELETE, TriggerTiming.BEFORE, row, None
-        )
+        fire = self._triggers.fire
+        fire(table_name, TriggerEvent.DELETE, TriggerTiming.BEFORE, row, None)
         for child, fk, child_rowid in self._checker.referencing_children(
             table_name, row
         ):
@@ -871,16 +853,13 @@ class Database:
                 self._update_rowid(
                     child, child_rowid, {cc: None for cc in fk.columns}
                 )
-        pk = table.schema.primary_key_of(row)
         snapshot = dict(row)
         table.apply_delete(rowid)
         self._txn.record(UndoRecord("delete", table, rowid, snapshot))
         self._wal_buffer.append(
-            ["delete", table_name, [encode_row({"v": v})["v"] for v in pk]]
+            ["delete", table_name, encode_key(table.schema.primary_key_of(row))]
         )
-        self._triggers.fire(
-            table_name, TriggerEvent.DELETE, TriggerTiming.AFTER, snapshot, None
-        )
+        fire(table_name, TriggerEvent.DELETE, TriggerTiming.AFTER, snapshot, None)
 
     def _flush_wal(self, txn: Transaction) -> None:
         if self._journal is not None and self._wal_buffer:
@@ -896,8 +875,7 @@ class Database:
         if kind == "insert":
             table.apply_insert(table.schema.normalize_row(decode_row(op[2])))
         elif kind == "update":
-            pk = tuple(decode_row({"v": v})["v"] for v in op[2])
-            rowid = table.rowid_for_pk(pk)
+            rowid = table.rowid_for_pk(decode_key(op[2]))
             if rowid is not None:
                 old = table.get(rowid)
                 assert old is not None
@@ -905,8 +883,7 @@ class Database:
                 new_row.update(decode_row(op[3]))
                 table.apply_update(rowid, new_row)
         elif kind == "delete":
-            pk = tuple(decode_row({"v": v})["v"] for v in op[2])
-            rowid = table.rowid_for_pk(pk)
+            rowid = table.rowid_for_pk(decode_key(op[2]))
             if rowid is not None:
                 table.apply_delete(rowid)
         else:  # pragma: no cover - defensive

@@ -17,6 +17,8 @@ import math
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
+from repro.rdb.types import key_getter
+
 __all__ = ["HashIndex", "SortedIndex", "IndexSet"]
 
 _EMPTY: frozenset[int] = frozenset()
@@ -32,15 +34,17 @@ class HashIndex:
     A key with one row id — every primary and unique key — holds that
     id bare; the ``set`` (216 bytes before its first member) exists only
     from a key's second id and goes again when it is back to one.
+    ``key_of(row)`` is the key tuple a row files under.
     """
 
-    __slots__ = ("name", "columns", "_map", "_entries")
+    __slots__ = ("name", "columns", "key_of", "_map", "_entries")
 
     def __init__(self, name: str, columns: tuple[str, ...]) -> None:
         if not columns:
             raise ValueError("an index needs at least one column")
         self.name = name
         self.columns = columns
+        self.key_of = key_getter(columns)
         self._map: dict[tuple, int | set[int]] = {}
         self._entries = 0
 
@@ -85,6 +89,12 @@ class HashIndex:
         if held is None:
             return 0
         return len(held) if type(held) is set else 1
+
+    def any_rowid(self, key: tuple) -> int | None:
+        """One row id holding ``key`` (*the* one under a primary or
+        unique key), or None — no snapshot is built."""
+        held = self._map.get(key)
+        return next(iter(held)) if type(held) is set else held
 
     def keys(self) -> Iterator[tuple]:
         return iter(self._map)
@@ -259,12 +269,15 @@ class IndexSet:
     def __init__(self) -> None:
         self._hash: dict[str, HashIndex] = {}
         self._sorted: dict[str, SortedIndex] = {}
+        #: column tuple -> the first hash index registered on exactly it
+        self._by_columns: dict[tuple[str, ...], HashIndex] = {}
 
     # -- registration ------------------------------------------------------
     def add_hash(self, index: HashIndex) -> None:
         if index.name in self._hash or index.name in self._sorted:
             raise ValueError(f"duplicate index name {index.name!r}")
         self._hash[index.name] = index
+        self._by_columns.setdefault(index.columns, index)
 
     def add_sorted(self, index: SortedIndex) -> None:
         if index.name in self._hash or index.name in self._sorted:
@@ -281,10 +294,7 @@ class IndexSet:
 
     def hash_index_on(self, columns: tuple[str, ...]) -> HashIndex | None:
         """Find a hash index whose column tuple is exactly ``columns``."""
-        for index in self._hash.values():
-            if index.columns == columns:
-                return index
-        return None
+        return self._by_columns.get(columns)
 
     def candidate_hash_indexes(
         self, bound_columns: frozenset[str]
@@ -305,7 +315,7 @@ class IndexSet:
     # -- maintenance ---------------------------------------------------------
     def insert_row(self, row: dict[str, Any], rowid: int) -> None:
         for index in self._hash.values():
-            index.insert(tuple(row[c] for c in index.columns), rowid)
+            index.insert(index.key_of(row), rowid)
         for index in self._sorted.values():
             index.insert(row[index.column], rowid)
 
@@ -320,16 +330,15 @@ class IndexSet:
         """
         pairs = list(pairs)
         for index in self._hash.values():
-            columns = index.columns
-            insert = index.insert
+            key_of, insert = index.key_of, index.insert
             for row, rowid in pairs:
-                insert(tuple(row[c] for c in columns), rowid)
+                insert(key_of(row), rowid)
         for index in self._sorted.values():
             column = index.column
             index.bulk_load((row[column], rowid) for row, rowid in pairs)
 
     def remove_row(self, row: dict[str, Any], rowid: int) -> None:
         for index in self._hash.values():
-            index.remove(tuple(row[c] for c in index.columns), rowid)
+            index.remove(index.key_of(row), rowid)
         for index in self._sorted.values():
             index.remove(row[index.column], rowid)

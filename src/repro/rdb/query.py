@@ -66,6 +66,7 @@ __all__ = [
     "aggregate",
     "aggregate_table",
     "matching_view",
+    "target_rowids",
 ]
 
 
@@ -706,6 +707,17 @@ def matching_view(
         handles[2].inc(len(rows))
         handles[3].inc(counts[1])
     return rows
+
+
+def target_rowids(table: Table, where: Expr | None) -> list[int]:
+    """The row ids an UPDATE or DELETE visits, snapshotted before it
+    mutates anything: chosen by the planner and the fused filter like a
+    select's rows, then put in ascending row-id order — the order the
+    statement's ops reach the journal in, whichever path found them."""
+    plan, rowids = plan_select(table, where)
+    return table.rowids_of(
+        _collect_matching(table, plan, rowids, where, [0, 0], None)
+    )
 
 
 def aggregate_table(

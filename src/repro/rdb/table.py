@@ -38,7 +38,8 @@ class Table:
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_rowid = 1
         self.indexes = IndexSet()
-        self.indexes.add_hash(HashIndex(PK_INDEX_NAME, schema.primary_key))
+        self._pk_index = HashIndex(PK_INDEX_NAME, schema.primary_key)
+        self.indexes.add_hash(self._pk_index)
         for pos, columns in enumerate(schema.unique):
             if self.indexes.hash_index_on(columns) is None:
                 self.indexes.add_hash(HashIndex(f"__unique_{pos}__", columns))
@@ -88,19 +89,20 @@ class Table:
         Rows are live references; callers must not mutate them."""
         return [row for row in map(self._rows.get, rowids) if row is not None]
 
+    def rowids_of(self, rows: Iterable[dict[str, Any]]) -> list[int]:
+        """The row ids of live ``rows`` (each found again by its primary
+        key), ascending."""
+        pk = self._pk_index
+        return sorted(map(pk.any_rowid, map(pk.key_of, rows)))
+
     def statistics(self) -> TableStatistics:
         """Planner statistics snapshot (row count, per-index counters)."""
         return collect_statistics(self)
 
     def rowid_for_pk(self, key: tuple) -> int | None:
         """Row id holding primary key ``key``, or None."""
-        index = self.indexes.hash_index_on(self.schema.primary_key)
-        assert index is not None
-        holders = index.lookup(key)
-        if not holders:
-            return None
         # PK uniqueness is enforced before rows land, so at most one.
-        return next(iter(holders))
+        return self._pk_index.any_rowid(key)
 
     def row_for_pk(self, key: tuple) -> dict[str, Any] | None:
         rowid = self.rowid_for_pk(key)
@@ -112,9 +114,9 @@ class Table:
         for column in columns:
             self.schema.column(column)  # raises on unknown column
         index = HashIndex(name, columns)
-        insert = index.insert
+        key_of, insert = index.key_of, index.insert
         for rowid, row in self._rows.items():
-            insert(tuple(row[c] for c in columns), rowid)
+            insert(key_of(row), rowid)
         self.indexes.add_hash(index)
 
     def create_sorted_index(self, name: str, column: str) -> None:

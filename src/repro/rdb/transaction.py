@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 __all__ = ["UndoRecord", "Transaction", "TransactionManager"]
 
 
-@dataclass(frozen=True, slots=True)
 class UndoRecord:
     """One inverse operation.
 
@@ -29,10 +28,16 @@ class UndoRecord:
     ``delete`` -> reinsert ``old_row`` under the same rowid.
     """
 
-    kind: str  # "insert" | "update" | "delete"
-    table: "Table"
-    rowid: int
-    old_row: dict[str, Any] | None
+    __slots__ = ("kind", "table", "rowid", "old_row")
+
+    def __init__(
+        self, kind: str, table: "Table", rowid: int,
+        old_row: dict[str, Any] | None,
+    ) -> None:
+        self.kind = kind  # "insert" | "update" | "delete"
+        self.table = table
+        self.rowid = rowid
+        self.old_row = old_row
 
     def undo(self) -> None:
         if self.kind == "insert":
@@ -55,9 +60,6 @@ class Transaction:
     undo_log: list[UndoRecord] = field(default_factory=list)
     savepoints: dict[str, int] = field(default_factory=dict)
 
-    def record(self, record: UndoRecord) -> None:
-        self.undo_log.append(record)
-
     def savepoint(self, name: str) -> None:
         self.savepoints[name] = len(self.undo_log)
 
@@ -66,8 +68,7 @@ class Transaction:
             mark = self.savepoints[name]
         except KeyError:
             raise TransactionError(f"unknown savepoint {name!r}") from None
-        while len(self.undo_log) > mark:
-            self.undo_log.pop().undo()
+        self.undo_to(mark)
         # Later savepoints are invalidated by rolling back past them.
         self.savepoints = {
             sp_name: pos
@@ -75,9 +76,13 @@ class Transaction:
             if pos <= mark
         }
 
-    def rollback_all(self) -> None:
-        while self.undo_log:
+    def undo_to(self, mark: int) -> None:
+        """Undo, newest first, every record past position ``mark``."""
+        while len(self.undo_log) > mark:
             self.undo_log.pop().undo()
+
+    def rollback_all(self) -> None:
+        self.undo_to(0)
         self.savepoints.clear()
 
 
@@ -147,4 +152,4 @@ class TransactionManager:
         """Record an undo entry if a transaction is open (no-op otherwise:
         autocommitted statements manage their own scratch transaction)."""
         if self._active is not None:
-            self._active.record(record)
+            self._active.undo_log.append(record)

@@ -13,7 +13,6 @@ raising; AFTER triggers observe the applied change.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -57,8 +56,10 @@ class TriggerRegistry:
     """Registry and dispatcher for row-level triggers."""
 
     def __init__(self) -> None:
+        #: table -> (event, timing) -> [(name, fn)]; a table nobody
+        #: registered on costs :meth:`fire` one string-keyed miss.
         self._triggers: dict[
-            tuple[str, TriggerEvent, TriggerTiming], list[tuple[str, TriggerFn]]
+            str, dict[tuple[TriggerEvent, TriggerTiming], list[tuple[str, TriggerFn]]]
         ] = {}
 
     def register(
@@ -71,23 +72,24 @@ class TriggerRegistry:
     ) -> None:
         """Register ``fn``; trigger names must be unique per (table, event,
         timing) so they can be dropped."""
-        key = (table, event, timing)
-        existing = self._triggers.setdefault(key, [])
+        existing = self._triggers.setdefault(table, {}).setdefault(
+            (event, timing), []
+        )
         if any(existing_name == name for existing_name, _ in existing):
             raise ValueError(
-                f"trigger {name!r} already registered for {key!r}"
+                f"trigger {name!r} already registered for "
+                f"{(table, event, timing)!r}"
             )
         existing.append((name, fn))
 
     def drop(self, name: str, table: str) -> bool:
         """Remove trigger ``name`` from ``table``; returns True if found."""
         found = False
-        for key, entries in self._triggers.items():
-            if key[0] != table:
-                continue
+        slots = self._triggers.get(table, {})
+        for key, entries in slots.items():
             kept = [(n, f) for n, f in entries if n != name]
             if len(kept) != len(entries):
-                self._triggers[key] = kept
+                slots[key] = kept
                 found = True
         return found
 
@@ -99,7 +101,10 @@ class TriggerRegistry:
         old_row: dict[str, Any] | None,
         new_row: dict[str, Any] | None,
     ) -> None:
-        entries = self._triggers.get((table, event, timing))
+        slots = self._triggers.get(table)
+        if not slots:
+            return
+        entries = slots.get((event, timing))
         if not entries:
             return
         context = TriggerContext(
@@ -112,25 +117,10 @@ class TriggerRegistry:
         for _name, fn in entries:
             fn(context)
 
-    def dispatcher(
-        self, table: str, event: TriggerEvent, timing: TriggerTiming
-    ) -> Callable[[dict[str, Any] | None, dict[str, Any] | None], None] | None:
-        """A prebound ``fire(old_row, new_row)`` for a multi-row loop.
-
-        ``None`` when nothing is registered for the slot, so bulk
-        statements skip the registry lookup (and the call entirely) per
-        row.  Resolved per statement: registrations made while the
-        statement runs are picked up by the next statement, exactly as
-        the per-row :meth:`fire` lookups behaved for the slot.
-        """
-        if not self._triggers.get((table, event, timing)):
-            return None
-        return functools.partial(self.fire, table, event, timing)
-
     def names_for(self, table: str) -> list[str]:
         """All trigger names registered on ``table`` (for introspection)."""
-        names: list[str] = []
-        for (tbl, _event, _timing), entries in self._triggers.items():
-            if tbl == table:
-                names.extend(name for name, _fn in entries)
-        return sorted(set(names))
+        return sorted({
+            name
+            for entries in self._triggers.get(table, {}).values()
+            for name, _fn in entries
+        })

@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.rdb.errors import SchemaError
@@ -19,7 +20,16 @@ from repro.util.validation import check_identifier
 if TYPE_CHECKING:
     from repro.rdb.constraints import ForeignKey
 
-__all__ = ["ColumnType", "Column", "Schema"]
+__all__ = ["ColumnType", "Column", "Schema", "key_getter"]
+
+
+def key_getter(columns: tuple[str, ...]) -> Callable[[dict[str, Any]], tuple]:
+    """``row -> tuple(row[c] for c in columns)``, resolved once per key:
+    an ``itemgetter`` (which alone would hand a lone column back bare)."""
+    if len(columns) == 1:
+        (name,) = columns
+        return lambda row: (row[name],)
+    return itemgetter(*columns)
 
 
 class ColumnType(enum.Enum):
@@ -46,37 +56,31 @@ class ColumnType(enum.Enum):
         mismatch.  ``None`` is handled by the caller (nullability is a
         column property, not a type property).
         """
-        if self is ColumnType.INT:
-            # bool is an int subclass; reject it to avoid silent surprises.
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"column {column!r} expects int, got {value!r}")
-            return value
-        if self is ColumnType.FLOAT:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"column {column!r} expects float, got {value!r}")
-            return float(value)
-        if self is ColumnType.TEXT:
-            if not isinstance(value, str):
-                raise TypeError(f"column {column!r} expects str, got {value!r}")
-            return value
-        if self is ColumnType.BOOL:
-            if not isinstance(value, bool):
-                raise TypeError(f"column {column!r} expects bool, got {value!r}")
-            return value
-        if self is ColumnType.DATETIME:
-            if not isinstance(value, _dt.datetime):
-                raise TypeError(
-                    f"column {column!r} expects datetime, got {value!r}"
-                )
-            return value
         if self is ColumnType.JSON:
             _check_json(value, column)
             return value
-        if self is ColumnType.BYTES:
-            if not isinstance(value, (bytes, bytearray)):
-                raise TypeError(f"column {column!r} expects bytes, got {value!r}")
-            return bytes(value)
-        raise AssertionError(f"unhandled column type {self!r}")
+        label, accepted, stored, converts = _TYPE_SPECS[self]
+        # bool is an int subclass; reject it to avoid silent surprises.
+        if not isinstance(value, accepted) or (
+            stored is not bool and isinstance(value, bool)
+        ):
+            raise TypeError(f"column {column!r} expects {label}, got {value!r}")
+        return stored(value) if converts else value
+
+
+#: Per type: its name in error messages, the classes it accepts, the
+#: class a stored value has, and whether every accepted value is passed
+#: through that class (``int`` into FLOAT, ``bytearray`` into BYTES).  A
+#: value of *exactly* the stored class is its own stored form either
+#: way.  JSON has no entry: its values are checked in depth.
+_TYPE_SPECS: dict[ColumnType, tuple[str, Any, type, bool]] = {
+    ColumnType.INT: ("int", int, int, False),
+    ColumnType.FLOAT: ("float", (int, float), float, True),
+    ColumnType.TEXT: ("str", str, str, False),
+    ColumnType.BOOL: ("bool", bool, bool, False),
+    ColumnType.DATETIME: ("datetime", _dt.datetime, _dt.datetime, False),
+    ColumnType.BYTES: ("bytes", (bytes, bytearray), bytes, True),
+}
 
 
 def _check_json(value: Any, column: str, _depth: int = 0) -> None:
@@ -148,6 +152,19 @@ class Schema:
     _by_name: dict[str, Column] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    #: What a statement needs per row, resolved here once: the NOT NULL
+    #: column names, the columns carrying a CHECK, every column of the
+    #: primary key or a unique set, the primary-key extractor, and per
+    #: column (default, stored class, validator).
+    not_null: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    checked: tuple[Column, ...] = field(init=False, repr=False, compare=False)
+    key_columns: frozenset[str] = field(init=False, repr=False, compare=False)
+    primary_key_of: Callable[[dict[str, Any]], tuple] = field(
+        init=False, repr=False, compare=False
+    )
+    _plan: dict[str, tuple[Any, type | None, Callable[..., Any]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_identifier(self.name, "table name")
@@ -183,6 +200,22 @@ class Schema:
                         f"table {self.name!r}: foreign-key column "
                         f"{column_name!r} is not a column of the table"
                     )
+        derived = {
+            "not_null": tuple(c.name for c in self.columns if not c.nullable),
+            "checked": tuple(c for c in self.columns if c.check is not None),
+            "key_columns": frozenset(self.primary_key).union(*self.unique),
+            "primary_key_of": key_getter(self.primary_key),
+            "_plan": {
+                c.name: (
+                    c.default,
+                    _TYPE_SPECS[c.type][2] if c.type in _TYPE_SPECS else None,
+                    c.type.validate,
+                )
+                for c in self.columns
+            },
+        }
+        for attribute, value in derived.items():
+            object.__setattr__(self, attribute, value)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -208,26 +241,31 @@ class Schema:
         may be ``None``).  NOT NULL enforcement happens later in the
         constraint checker so it participates in the error hierarchy.
         """
-        for key in values:
-            if key not in self._by_name:
-                raise SchemaError(
-                    f"table {self.name!r} has no column {key!r}"
-                )
-        row: dict[str, Any] = {}
-        for column in self.columns:
-            if column.name in values:
-                value = values[column.name]
-            else:
-                value = column.default
-            if value is not None:
-                value = column.type.validate(value, column=column.name)
-            row[column.name] = value
-        return row
+        if not values.keys() <= self._plan.keys():
+            self.column(next(k for k in values if k not in self._plan))
+        get = values.get
+        # A value of exactly the column's stored class is its own stored
+        # form (bool is not an exact int; an int for FLOAT is converted).
+        return {
+            name: value
+            if (value := get(name, default)) is None or type(value) is stored
+            else validate(value, column=name)
+            for name, (default, stored, validate) in self._plan.items()
+        }
+
+    def normalize_changes(self, changes: dict[str, Any]) -> dict[str, Any]:
+        """Validate an UPDATE's ``{column: value}`` the way
+        :meth:`normalize_row` would; returns the stored forms."""
+        out: dict[str, Any] = {}
+        for name, value in changes.items():
+            if name not in self._plan:
+                self.column(name)  # raises: unknown column
+            _default, stored, validate = self._plan[name]
+            if value is not None and type(value) is not stored:
+                value = validate(value, column=name)
+            out[name] = value
+        return out
 
     def key_of(self, row: dict[str, Any], columns: tuple[str, ...]) -> tuple:
         """Extract the tuple key for ``columns`` from a normalized row."""
         return tuple(row[name] for name in columns)
-
-    def primary_key_of(self, row: dict[str, Any]) -> tuple:
-        """Extract the primary-key tuple from a normalized row."""
-        return self.key_of(row, self.primary_key)

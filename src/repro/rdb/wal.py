@@ -85,6 +85,13 @@ _SNAPSHOT_KEY = "$snapshot"
 #: Reserved single-key dict shapes the value codec must escape.
 _MARKER_KEYS = ({"$dt"}, {"$b64"}, {"$esc"})
 
+#: Classes whose instances are their own encoded (and decoded) form.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+#: ``json.dumps(obj, separators=(",", ":"))`` without a fresh encoder
+#: object per call — the journal's and the snapshot's one JSON spelling.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 # ---------------------------------------------------------------------------
 # Value codec
@@ -123,11 +130,24 @@ def decode_value(value: Any) -> Any:
 
 
 def encode_row(row: dict[str, Any]) -> dict[str, Any]:
-    return {k: encode_value(v) for k, v in row.items()}
+    return {
+        k: v if type(v) in _PLAIN else encode_value(v) for k, v in row.items()
+    }
 
 
 def decode_row(row: dict[str, Any]) -> dict[str, Any]:
-    return {k: decode_value(v) for k, v in row.items()}
+    return {
+        k: v if type(v) in _PLAIN else decode_value(v) for k, v in row.items()
+    }
+
+
+def encode_key(key: tuple) -> list[Any]:
+    """A primary-key tuple as a journal op carries it."""
+    return [v if type(v) in _PLAIN else encode_value(v) for v in key]
+
+
+def decode_key(key: list[Any]) -> tuple:
+    return tuple(v if type(v) in _PLAIN else decode_value(v) for v in key)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +566,7 @@ class Journal:
         """Replace the file with a checkpoint frame plus ``frames``."""
         fh = self._open("wb")
         try:
-            payload = json.dumps({"ckpt": base_lsn},
-                                 separators=(",", ":")).encode("utf-8")
+            payload = _compact({"ckpt": base_lsn}).encode("utf-8")
             fh.write(_frame(base_lsn, payload))
             for frame in frames:
                 fh.write(frame.data)
@@ -558,8 +577,10 @@ class Journal:
         self.base_lsn = base_lsn
 
     def _write(self, lsn: int, data: bytes, *, force: bool = False) -> int:
-        """The one append tail: write the frame, flush, adopt its LSN,
-        fsync when forced or when the sync policy says a batch is due."""
+        """The one append tail: write the frame, flush it to the OS —
+        the journal's one flush; :meth:`sync` only fsyncs — adopt its
+        LSN, fsync when forced or when the sync policy says a batch is
+        due."""
         assert self._fh is not None
         self._fh.write(data)
         self._fh.flush()
@@ -574,8 +595,7 @@ class Journal:
     def append(self, txn_id: int, ops: list[list[Any]]) -> int:
         """Append one committed transaction's ops; returns its LSN."""
         lsn = self.last_lsn + 1
-        payload = json.dumps({"txn": txn_id, "ops": ops},
-                             separators=(",", ":")).encode("utf-8")
+        payload = _compact({"txn": txn_id, "ops": ops}).encode("utf-8")
         return self._write(lsn, _frame(lsn, payload))
 
     def append_2pc(self, payload: dict[str, Any]) -> int:
@@ -591,7 +611,7 @@ class Journal:
         if "2pc" not in payload:
             raise ValueError("2pc record payload must carry the '2pc' key")
         lsn = self.last_lsn + 1
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = _compact(payload).encode("utf-8")
         return self._write(lsn, _frame(lsn, body), force=True)
 
     def append_raw(self, frame: WalFrame) -> int:
@@ -613,11 +633,11 @@ class Journal:
         return self._write(frame.lsn, frame.data)
 
     def sync(self) -> None:
-        """Force buffered records to stable storage (one fsync batch)."""
+        """Force appended records to stable storage (one fsync batch);
+        :meth:`_write` flushed each of them as it was appended."""
         assert self._fh is not None
         if self._pending_sync == 0:
             return
-        self._fh.flush()
         self.sync_policy.fsync(self._fh.fileno())
         self._pending_sync = 0
         if OBS.enabled and OBS.registry is not None:
@@ -690,7 +710,7 @@ def _snapshot_pieces(
         while chunk := [
             encode_row(row) for row in islice(rows, _SNAPSHOT_CHUNK_ROWS)
         ]:
-            yield separator + json.dumps(chunk, separators=(",", ":"))[1:-1]
+            yield separator + _compact(chunk)[1:-1]
             separator = ","
         yield "]"
     yield "}}"

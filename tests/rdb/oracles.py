@@ -14,6 +14,11 @@ before it became one ``chain`` over the covered keys — both verbatim.
 on the ``(is-not-None, value)`` key, sliced afterwards — the key function
 verbatim from ``execute_select`` before PR 20 taught it to stop an
 ordered index walk early and to sort on bare values.
+``_reference_matching_rowids`` is ``Database._matching_rowids`` — what
+``update``/``delete(where=…)`` selected their targets with before PR 23
+handed that to the planner: a copy of the heap and the predicate called
+per row — with ``Expr.eval`` for the compiled closure and the result in
+ascending row-id order, the visiting order PR 23 fixed.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.rdb.index import SortedIndex
+from repro.rdb.predicate import Expr
+from repro.rdb.table import Table
 
 
 def _reference_join(
@@ -121,3 +128,10 @@ def _reference_order(
 
     ordered = sorted(rows, key=sort_key, reverse=descending)
     return ordered[offset:] if limit is None else ordered[offset:offset + limit]
+
+
+def _reference_matching_rowids(table: Table, where: Expr | None) -> list[int]:
+    items = list(table.items())
+    if where is None:
+        return sorted(rowid for rowid, _row in items)
+    return sorted(rowid for rowid, row in items if where.eval(row))

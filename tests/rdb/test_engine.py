@@ -51,6 +51,27 @@ class TestUpdate:
         with pytest.raises(TypeError):
             populated_db.update_pk("people", 1, {"age": "old"})
 
+    @pytest.mark.parametrize("changes, error", [
+        ({"ghost": 1}, SchemaError), ({"age": "old"}, TypeError),
+        ({"age": True}, TypeError),
+    ])
+    def test_changes_are_validated_even_when_no_row_matches(
+        self, populated_db, changes, error
+    ):
+        """Once per statement, before targets are selected: a misspelt
+        column or a wrong-typed value is an error, not ``0``/``False``."""
+        before = populated_db.stats()["statements"]
+        with pytest.raises(error):
+            populated_db.update("people", changes, where=col("person_id") == 99)
+        with pytest.raises(error):
+            populated_db.update_pk("people", 99, changes)
+        assert populated_db.stats()["statements"] == before
+
+    def test_update_stores_changes_in_column_form(self, populated_db):
+        populated_db.update("orders", {"amount": 3}, where=col("order_id") == 10)
+        amount = populated_db.get("orders", 10)["amount"]
+        assert amount == 3.0 and type(amount) is float
+
 
 class TestDelete:
     def test_delete_where_returns_count(self, populated_db):

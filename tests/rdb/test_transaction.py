@@ -195,3 +195,97 @@ class TestSavepoints:
         db.insert("people", {"person_id": 2, "name": "b"})
         db.commit()
         assert [r["person_id"] for r in db.select("people")] == [2]
+
+
+class TestFailedStatementInsideTransaction:
+    """A statement is atomic inside a caller-owned transaction too: one
+    that fails part-way is undone back to where it began — rows, undo
+    log and WAL buffer — and the transaction carries on without it."""
+
+    def test_multi_row_update_failing_on_its_second_row(self, populated_db):
+        db = populated_db
+        db.begin()
+        db.update_pk("people", 3, {"age": 30})
+        before = db.select("people", order_by="person_id")
+        with pytest.raises(DuplicateKeyError):
+            db.update("people", {"email": "same@mmu.edu"},
+                      where=col("person_id") >= 0)
+        assert db.select("people", order_by="person_id") == before
+        assert db.pending_wal_ops() == [
+            ["update", "people", [3], {"age": 30}]
+        ]
+        db.commit()
+        assert db.get("people", 1)["email"] == "ada@mmu.edu"
+        assert db.get("people", 3)["age"] == 30
+
+    def test_cascade_delete_stopped_by_a_trigger(self, populated_db):
+        from repro.rdb import TriggerEvent, TriggerTiming
+
+        db = populated_db
+
+        def veto_order_11(ctx):
+            if ctx.old_row["order_id"] == 11:
+                raise ValueError("order 11 stays")
+
+        db.register_trigger("veto", "orders", TriggerEvent.DELETE,
+                            TriggerTiming.BEFORE, veto_order_11)
+        db.begin()
+        with pytest.raises(ValueError):
+            db.delete("people", where=col("person_id") == 1)
+        # Order 10 was cascade-deleted before the veto: it is back.
+        assert db.count("orders") == 3
+        assert db.get("orders", 10) is not None
+        assert db.pending_wal_ops() == []
+        db.commit()
+        assert db.count("people") == 3
+
+    def test_insert_many_failing_on_a_later_row(self, db):
+        db.begin()
+        db.insert("people", {"person_id": 1, "name": "kept"})
+        with pytest.raises(DuplicateKeyError):
+            db.insert_many("people", [
+                {"person_id": 2, "name": "b"},
+                {"person_id": 3, "name": "c"},
+                {"person_id": 2, "name": "again"},
+            ])
+        assert [r["person_id"] for r in db.select("people")] == [1]
+        assert len(db.pending_wal_ops()) == 1
+        db.insert("people", {"person_id": 2, "name": "b"})  # key is free again
+        db.commit()
+        assert db.count("people") == 2
+
+    def test_savepoint_taken_before_the_failure_still_works(self, populated_db):
+        db = populated_db
+        db.begin()
+        db.savepoint("sp")
+        db.update_pk("people", 2, {"age": 21})
+        with pytest.raises(DuplicateKeyError):
+            db.update("people", {"email": "x@mmu.edu"})
+        assert db.get("people", 2)["age"] == 21
+        db.rollback_to("sp")
+        assert db.get("people", 2)["age"] == 20
+        db.commit()
+
+    def test_failed_statement_is_not_journaled_at_commit(
+        self, tmp_path, people_schema
+    ):
+        from repro.rdb.wal import Journal, read_frames
+
+        db = Database("j")
+        db.create_table(people_schema)
+        db.attach_journal(Journal(tmp_path / "wal"))
+        db.insert_many("people", [
+            {"person_id": n, "name": f"p{n}", "email": f"p{n}@mmu.edu"}
+            for n in (1, 2)
+        ])
+        db.begin()
+        with pytest.raises(DuplicateKeyError):
+            db.update("people", {"email": "same@mmu.edu"})
+        db.update_pk("people", 2, {"name": "renamed"})
+        db.commit()
+        frames = [f for f in read_frames(tmp_path / "wal") if f.kind == "txn"]
+        assert frames[-1].ops == [["update", "people", [2], {"name": "renamed"}]]
+        recovered = Database.recover(
+            "r", [people_schema], journal_path=str(tmp_path / "wal")
+        )
+        assert recovered.select("people") == db.select("people")

@@ -1,11 +1,24 @@
 """Tests for the write-ahead journal, snapshots and recovery."""
 
 import datetime as dt
+import hashlib
 import json
 
 import pytest
 
-from repro.rdb import Column, ColumnType, Database, Schema, wal
+from repro.rdb import (
+    Action,
+    CheckError,
+    Column,
+    ColumnType,
+    Database,
+    DuplicateKeyError,
+    ForeignKey,
+    ForeignKeyError,
+    Schema,
+    col,
+    wal,
+)
 from repro.rdb.wal import (
     Journal,
     RecoveryStats,
@@ -726,6 +739,150 @@ class TestCommitDurabilityOrdering:
                 db.insert("events", {"k": 1})
         assert db.count("events") == 0
         assert not db.in_transaction
+
+
+# ---------------------------------------------------------------------------
+# Byte pins: the write path's journal and snapshot, to the byte
+# ---------------------------------------------------------------------------
+_PIN_OWNERS = Schema(
+    name="owners",
+    columns=(
+        Column("owner_id", T.INT, nullable=False),
+        Column("name", T.TEXT, nullable=False),
+        Column("email", T.TEXT),
+    ),
+    primary_key=("owner_id",),
+    unique=(("email",),),
+)
+
+_PIN_ITEMS = Schema(
+    name="items",
+    columns=(
+        Column("item_id", T.INT, nullable=False),
+        Column("owner_id", T.INT),
+        Column("reviewer_id", T.INT),
+        Column("title", T.TEXT, nullable=False, default="untitled"),
+        Column("score", T.FLOAT, check=lambda v: v >= 0, check_label="score_ge_0"),
+        Column("open", T.BOOL, default=True),
+        Column("when", T.DATETIME),
+        Column("blob", T.BYTES),
+        Column("meta", T.JSON),
+    ),
+    primary_key=("item_id",),
+    foreign_keys=(
+        ForeignKey(("owner_id",), "owners", ("owner_id",),
+                   on_delete=Action.CASCADE, on_update=Action.CASCADE),
+        ForeignKey(("reviewer_id",), "owners", ("owner_id",),
+                   on_delete=Action.SET_NULL, on_update=Action.SET_NULL),
+    ),
+)
+
+
+def _run_pinned_script(db: Database) -> None:
+    """Every column type, a CASCADE delete, SET NULL on delete and on
+    update, a key CASCADE, a savepoint rolled back, an ``insert_many``,
+    statements that fail and journal nothing."""
+    db.insert_many("owners", [
+        {"owner_id": n, "name": f"owner-{n}", "email": f"o{n}@mmu.example"}
+        for n in range(1, 7)
+    ])
+    db.insert("owners", {"owner_id": 7, "name": "no-mail"})
+    db.insert("items", {
+        "item_id": 1, "owner_id": 1, "reviewer_id": 2, "title": "lecture \u00e9",
+        "score": 3, "open": False,
+        "when": dt.datetime(1999, 9, 21, 8, 30, 15, 250),
+        "blob": b"\x00\xff\x10binary",
+        "meta": {"urls": ["a", "b"], "n": [1, 2.5, None, True],
+                 "$dt": "look-alike", "nested": {"$b64": "x"}},
+    })
+    db.insert("items", {"item_id": 2, "owner_id": 1, "meta": {"$dt": "alone"}})
+    db.insert_many("items", [
+        {"item_id": 10 + n, "owner_id": 1 + n % 3, "reviewer_id": 4 + n % 2,
+         "title": f"note {n}", "score": n / 4, "blob": bytearray([n, n + 1]),
+         "when": dt.datetime(2000, 1, 1 + n, tzinfo=dt.timezone.utc),
+         "meta": [n, {"k": "v"}]}
+        for n in range(8)
+    ])
+    with pytest.raises(DuplicateKeyError):
+        db.insert("owners", {"owner_id": 8, "name": "dup", "email": "o1@mmu.example"})
+    with pytest.raises(CheckError):
+        db.insert("items", {"item_id": 99, "score": -1.0})
+    with pytest.raises(ForeignKeyError):
+        db.insert("items", {"item_id": 99, "owner_id": 404})
+    db.update("items", {"open": False, "score": 2}, where=col("owner_id") == 2)
+    db.update_pk("items", 2, {"title": "renamed", "meta": None})
+    db.begin()
+    db.insert("owners", {"owner_id": 20, "name": "in-txn"})
+    db.savepoint("sp")
+    db.insert("owners", {"owner_id": 21, "name": "undone"})
+    db.update_pk("items", 1, {"title": "undone too"})
+    db.rollback_to("sp")
+    db.update_pk("items", 1, {"score": 4.5})
+    db.commit()
+    db.update_pk("owners", 4, {"owner_id": 40})   # reviewers of 4 -> NULL
+    db.update_pk("owners", 3, {"owner_id": 30})   # items of 3 follow to 30
+    db.delete_pk("owners", 5)                     # reviewers of 5 -> NULL
+    db.delete("owners", where=col("owner_id") == 1)  # cascades to its items
+    db.upsert("owners", {"owner_id": 7, "name": "now-with-mail", "email": "o7@mmu.example"})
+    db.delete("items", where=col("score") > 1.4)
+    db.update("items", {"open": True})
+
+
+class TestBytePins:
+    """sha256 literals computed on PR 23's parent commit (048d765),
+    before any write-path edit: the same statements must journal and
+    snapshot the same bytes."""
+
+    JOURNAL_SHA256 = "3ff71dededa9496db92b268cc46ef22f7d2bd4418cc292546c5963740654de25"
+    SNAPSHOT_SHA256 = "1ffaf11db554529cde34d87547313c7fbca226011fecfea1d3fb8fc0222e1b5c"
+    JOURNAL_AFTER_SHA256 = "c299c068510f661a9d29f09962946bc88c6d0bd84cb65706e1ed85ff11fff372"
+
+    def test_fixed_script_journals_and_snapshots_the_same_bytes(self, tmp_path):
+        db = Database("pin")
+        db.create_table(_PIN_OWNERS)
+        db.create_table(_PIN_ITEMS)
+        db.create_sorted_index("items", "by_score", "score")
+        db.attach_journal(Journal(tmp_path / "pin.wal", sync="commit"))
+        _run_pinned_script(db)
+        sha = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert sha("pin.wal") == self.JOURNAL_SHA256
+        db.snapshot(str(tmp_path / "pin.snapshot"))
+        assert sha("pin.snapshot") == self.SNAPSHOT_SHA256
+        db.insert("items", {"item_id": 3, "owner_id": 30, "score": 1})
+        db.journal.close()
+        assert sha("pin.wal") == self.JOURNAL_AFTER_SHA256
+        recovered = Database.recover(
+            "r", [_PIN_OWNERS, _PIN_ITEMS],
+            snapshot_path=str(tmp_path / "pin.snapshot"),
+            journal_path=str(tmp_path / "pin.wal"),
+        )
+        for name in ("owners", "items"):
+            assert recovered.select(name) == db.select(name)
+
+    @pytest.mark.parametrize("path", ["scan", "index:by_label"])
+    def test_multi_row_statement_journals_in_row_id_order(self, tmp_path, path):
+        """The one stream whose frames differ from the parent's: after an
+        undone delete put a row back at the *end* of the heap, a
+        multi-row statement's ops still reach the journal in ascending
+        row-id order (the parent: heap order, the restored row last) —
+        on the scan and on the index path alike."""
+        db = _make_db(Journal(tmp_path / "wal"))
+        db.insert_many("events", [
+            {"k": k, "label": "x" if k in (1, 20, 40) else f"l{k}"}
+            for k in range(1, 41)
+        ])
+        if path != "scan":
+            db.create_hash_index("events", "by_label", ("label",))
+        db.begin()
+        db.delete_pk("events", 1)
+        db.rollback()
+        assert [r["k"] for r in db.select("events")][-2:] == [40, 1]
+        assert db.explain_plan("events", col("label") == "x").access_path == path
+        db.update("events", {"meta": [1]}, where=col("label") == "x")
+        db.delete("events", where=col("label") == "x")
+        updated, deleted = txn_frames(tmp_path / "wal")[-2:]
+        assert [op[2] for op in updated.ops] == [[1], [20], [40]]
+        assert [op[2] for op in deleted.ops] == [[1], [20], [40]]
 
 
 # ---------------------------------------------------------------------------

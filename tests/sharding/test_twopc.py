@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault.crashsim import FailpointFile, verify_database
+from repro.fault.crashsim import FailpointFile, database_state, verify_database
+from repro.rdb import DuplicateKeyError
 from repro.rdb.wal import read_frames
 from repro.sharding import TwoPhaseAborted, TwoPhaseError
+from repro.sharding.participant import apply_statement
 from repro.sharding.crash2pc import twopc_shard_map
 
 
@@ -94,6 +96,33 @@ class TestCommitPath:
             participant = cluster2.participants[shard]
             assert participant.db.exists("crash_docs", doc_id)
             assert verify_database(participant.db) == []
+
+    def test_prepare_after_a_failed_statement_carries_none_of_it(
+        self, cluster2
+    ):
+        """A session that survives a statement error and goes on to
+        prepare votes on the surviving statements only: what the failed
+        multi-row update did to its first row is in neither the PREPARE
+        record nor the shard that replays it."""
+        a, b, c = ids_for(cluster2.shard_map, 0, 3)
+        p0 = cluster2.participants[0]
+        p0.execute([doc(a), doc(b)])
+        db = p0.db
+        db.begin()
+        with pytest.raises(DuplicateKeyError):
+            apply_statement(db, ["update", "crash_docs", {"title": "same"}, None])
+        apply_statement(db, doc(c))
+        ops = db.pending_wal_ops()
+        assert [op[:2] for op in ops] == [["insert", "crash_docs"]]
+        p0.journal.append_2pc({"2pc": "prepare", "gtxn": "g-1", "ops": ops})
+        p0.journal.append_2pc({"2pc": "commit", "gtxn": "g-1"})
+        db.commit_prepared()
+        live = database_state(db)
+        assert {row["title"] for row in db.select("crash_docs")} == {
+            doc(n)[2]["title"] for n in (a, b, c)
+        }
+        cluster2.recover_all()
+        assert database_state(cluster2.participants[0].db) == live
 
     def test_participant_commit_is_idempotent(self, cluster2):
         smap = cluster2.shard_map
