@@ -42,8 +42,10 @@ def tree_makespan(n: int, m: int, chunk: int | None = None) -> float:
 
 def flat_makespan(n: int) -> float:
     net = build_network(n)
-    report = PreBroadcaster(net).flat_broadcast(
-        "lec", LECTURE, "s1", names(n)[1:]
+    # The flat baseline is the tree with m >= N - 1: the root's
+    # children are everyone, and every copy queues on its one uplink.
+    report = PreBroadcaster(net).broadcast(
+        "lec", LECTURE, MAryTree(n, n - 1, names=names(n))
     )
     net.quiesce()
     return report.makespan

@@ -69,8 +69,9 @@ def main() -> None:
     net.quiesce()
 
     flat_net = build_network()
-    flat_report = PreBroadcaster(flat_net).flat_broadcast(
-        "lecture-1", LECTURE_BYTES, "s1", names[1:]
+    flat_report = PreBroadcaster(flat_net).broadcast(
+        "lecture-1", LECTURE_BYTES,
+        MAryTree(N_STATIONS, N_STATIONS - 1, names=names),
     )
     flat_net.quiesce()
 

@@ -11,8 +11,8 @@ Two refinements are measured as ablations:
 
 * ``chunk_size_bytes`` splits the lecture into chunks that are forwarded
   as they arrive (store-and-forward per chunk), pipelining the levels;
-* the flat baseline (root unicasts to everyone) is
-  :meth:`PreBroadcaster.flat_broadcast`.
+* the flat baseline (root unicasts to everyone) is the same broadcast
+  over a tree with ``m >= N - 1``.
 
 For lossy links a ``retry_policy`` (see :mod:`repro.fault.policy`) arms
 a completion check: stations still missing chunks after the policy's
@@ -107,7 +107,7 @@ class BroadcastReport:
 
 
 class PreBroadcaster:
-    """Runs tree (and baseline flat) pre-broadcasts over a network.
+    """Runs tree pre-broadcasts over a network.
 
     One broadcaster serves many runs; each run installs per-station
     bookkeeping under ``station.state["prebroadcast"]`` and stores the
@@ -119,7 +119,7 @@ class PreBroadcaster:
     def __init__(self, network: Network) -> None:
         self.network = network
         self._reports: dict[str, BroadcastReport] = {}
-        self._trees: dict[str, MAryTree | "_NoForwardTree"] = {}
+        self._trees: dict[str, MAryTree] = {}
         #: policy-driven completion checks that found stragglers
         self.redeliveries = 0
         #: bytes re-sent beyond the first delivery attempt
@@ -420,69 +420,6 @@ class PreBroadcaster:
             )
 
     # ------------------------------------------------------------------
-    # Flat baseline
-    # ------------------------------------------------------------------
-    def flat_broadcast(
-        self,
-        lecture_id: str,
-        size_bytes: int,
-        root_name: str,
-        receivers: list[str],
-        *,
-        kind: BlobKind = BlobKind.VIDEO,
-    ) -> BroadcastReport:
-        """Baseline: the root unicasts the lecture to every receiver.
-
-        Equivalent to ``m >= N - 1`` in the tree formulation: every copy
-        serializes through the instructor's single uplink.
-        """
-        check_positive(size_bytes, "size_bytes")
-        report = BroadcastReport(
-            lecture_id=lecture_id,
-            m=max(len(receivers), 1),
-            n_stations=len(receivers) + 1,
-            total_bytes=size_bytes,
-            n_chunks=1,
-            start_time=self.network.sim.now,
-            chunk_size_bytes=size_bytes,
-        )
-        self._reports[lecture_id] = report
-        self._trees[lecture_id] = _NO_FORWARD_TREE
-        if OBS.enabled and OBS.tracer is not None:
-            root_span = OBS.tracer.start_span(
-                "broadcast",
-                lecture=lecture_id, m=report.m, n=report.n_stations,
-                bytes=size_bytes, chunks=1,
-            )
-            self._obs_trace[lecture_id] = {
-                "root": root_span, "hops": {}, "first_at": {},
-            }
-        root = self.network.station(root_name)
-        if not self._store_lecture(root, lecture_id, size_bytes, kind):
-            report.reference_only.add(root_name)
-        report.arrival_times[root_name] = self.network.sim.now
-        self._station_state(root).setdefault(
-            lecture_id, {"chunks": set()}
-        )["chunks"].add(0)
-        payload = LecturePayload(
-            lecture_id=lecture_id,
-            chunk_index=0,
-            n_chunks=1,
-            chunk_bytes=size_bytes,
-            total_bytes=size_bytes,
-            kind=kind,
-        )
-        for name in receivers:
-            if name == root_name:
-                continue
-            self.network.send(root_name, name, PUSH_KIND, payload, size_bytes)
-            if OBS.enabled:
-                handles = self._obs()
-                handles["bytes_sent"].inc(size_bytes)
-                handles["chunks_sent"].inc()
-        return report
-
-    # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
@@ -530,19 +467,3 @@ class PreBroadcaster:
         the dead stations.
         """
         self._trees[lecture_id] = tree
-
-
-class _NoForwardTree:
-    """Sentinel tree with no children, used by flat broadcasts."""
-
-    m = 0
-
-    @staticmethod
-    def children_names(_name: str) -> list[str]:
-        return []
-
-    def __contains__(self, _name: str) -> bool:
-        return True
-
-
-_NO_FORWARD_TREE = _NoForwardTree()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from repro.obs.instrument import OBS
 from repro.rdb.catalog import Catalog
@@ -47,6 +47,7 @@ from repro.rdb.types import Schema
 from repro.rdb.wal import (
     Journal,
     RecoveryStats,
+    SyncPolicy,
     WalFrame,
     decode_key,
     decode_row,
@@ -135,10 +136,10 @@ class Database:
         self.statements = 0
         self._obs_cache: dict[str, Any] | None = None
         self._txn_began_at: float | None = None
-        #: Filled in by :meth:`recover`; None for a fresh database.
+        #: Filled in by :meth:`open` / :meth:`recover`; None when fresh.
         self.recovery_stats: RecoveryStats | None = None
         #: The file the journal's checkpoint is staged against: where
-        #: :meth:`snapshot` last dumped (or :meth:`recover` loaded) it.
+        #: :meth:`snapshot` last dumped (or :meth:`open` loaded) it.
         self.snapshot_path: str | os.PathLike[str] | None = None
         #: What :meth:`apply_frame` has read of two-phase commit: the ops
         #: of each PREPARE still awaiting its outcome (in doubt if the
@@ -163,7 +164,7 @@ class Database:
 
     def schemas(self) -> list[Schema]:
         """Every table's schema in creation order — a foreign key's
-        parent before its child, the order :meth:`recover` wants."""
+        parent before its child, the order :meth:`open` wants."""
         return [self._catalog.get(name).schema for name in self._catalog]
 
     def table(self, name: str) -> Table:
@@ -600,7 +601,7 @@ class Database:
 
     def apply_frame(self, frame: WalFrame) -> None:
         """Apply one journal frame — the only journal→state step, shared
-        by :meth:`recover` and the replication follower's live stream.
+        by :meth:`open`, :meth:`recover` and the follower's live stream.
 
         A transaction frame replays its ops and advances the txn id (as
         :meth:`apply_replicated` does, and as trustingly).  Two-phase
@@ -649,6 +650,65 @@ class Database:
         return watermark
 
     @classmethod
+    def _from_snapshot(
+        cls,
+        name: str,
+        schemas: Sequence[Schema],
+        snapshot_path: str | os.PathLike[str] | None,
+        salvage: bool,
+    ) -> "tuple[Database, RecoveryStats]":
+        """Empty tables plus the snapshot's rows; ``recovery_stats``
+        starts at its watermark, where journal replay begins."""
+        db = cls(name)
+        for schema in schemas:
+            db.create_table(schema)
+        db.recovery_stats = stats = RecoveryStats(salvaged=salvage)
+        if snapshot_path is not None and os.path.exists(snapshot_path):
+            stats.watermark = db.load_snapshot(snapshot_path)
+            db.snapshot_path = snapshot_path
+        return db, stats
+
+    @classmethod
+    def open(
+        cls,
+        name: str,
+        schemas: Sequence[Schema],
+        *,
+        snapshot_path: str | os.PathLike[str] | None = None,
+        journal_path: str | os.PathLike[str],
+        sync: "SyncPolicy | str" = "none",
+        salvage: bool = False,
+        file_wrapper: Callable[[BinaryIO], BinaryIO] | None = None,
+    ) -> "Database":
+        """Bring a durable database back, journaling to the same file:
+        what every restart runs.
+
+        ``schemas`` come in dependency order (parents first).  The
+        snapshot is loaded, then :meth:`Journal.open` replays every
+        frame above the snapshot's LSN watermark through
+        :meth:`apply_frame` *in the scan that opens the journal* — a
+        journal that outlived its snapshot's truncation cannot
+        double-apply, and the file is read and checked once.  Replay
+        trusts the log: constraints were checked before the ops were
+        journaled, and triggers do not re-fire.
+
+        A torn final record is tolerated and trimmed; earlier corruption
+        raises :class:`~repro.rdb.errors.JournalCorruptError` with the
+        file untouched unless ``salvage`` is set, which skips damaged
+        records and compacts the journal.  What happened is on the
+        returned database's ``recovery_stats`` (mirrored into
+        ``repro.obs`` counters when instrumentation is on).
+        """
+        db, stats = cls._from_snapshot(name, schemas, snapshot_path, salvage)
+        db._journal = Journal.open(
+            journal_path, db.apply_frame, from_lsn=stats.watermark,
+            stats=stats, sync=sync, salvage=salvage,
+            file_wrapper=file_wrapper,
+        )
+        cls._count_recovery(stats)
+        return db
+
+    @classmethod
     def recover(
         cls,
         name: str,
@@ -658,50 +718,26 @@ class Database:
         journal_path: str | os.PathLike[str] | None = None,
         salvage: bool = False,
     ) -> "Database":
-        """Rebuild a database from a snapshot plus journal replay.
-
-        Schemas must be supplied in dependency order (parents first), the
-        same order used to create the original database.  Replay trusts
-        the log: constraints were checked before the ops were journaled,
-        and triggers do not re-fire.
-
-        Only journal records above the snapshot's LSN watermark are
-        replayed, so a journal that survived a crash between snapshot
-        and truncation cannot double-apply transactions.  A torn final
-        journal record is tolerated; earlier corruption raises
-        :class:`~repro.rdb.errors.JournalCorruptError` unless
-        ``salvage`` is set, in which case damaged records are skipped.
-        What happened is recorded on the returned database as
-        ``recovery_stats`` and mirrored into ``repro.obs`` counters
-        when instrumentation is on.
-        """
-        db = cls(name)
-        for schema in schemas:
-            db.create_table(schema)
-        stats = RecoveryStats(salvaged=salvage)
-        if snapshot_path is not None and os.path.exists(snapshot_path):
-            stats.watermark = db.load_snapshot(snapshot_path)
-            db.snapshot_path = snapshot_path
+        """:meth:`open`'s read-only form, for audits: the same snapshot
+        load, watermark rule, replay and ``recovery_stats``, but the
+        journal file is never written (no trim, no compaction, no
+        completed checkpoint) and none is attached."""
+        db, stats = cls._from_snapshot(name, schemas, snapshot_path, salvage)
         if journal_path is not None:
             for frame in read_frames(
                 journal_path, from_lsn=stats.watermark, salvage=salvage,
                 stats=stats,
             ):
                 db.apply_frame(frame)
-        db.recovery_stats = stats
-        if OBS.enabled and OBS.registry is not None:
-            registry = OBS.registry
-            if stats.records_recovered:
-                registry.counter("wal.records_recovered").inc(
-                    stats.records_recovered
-                )
-            if stats.torn_tails:
-                registry.counter("wal.torn_tails").inc(stats.torn_tails)
-            if stats.checksum_failures:
-                registry.counter("wal.checksum_failures").inc(
-                    stats.checksum_failures
-                )
+        cls._count_recovery(stats)
         return db
+
+    @staticmethod
+    def _count_recovery(stats: RecoveryStats) -> None:
+        if OBS.enabled and OBS.registry is not None:
+            for tally in ("records_recovered", "torn_tails", "checksum_failures"):
+                if count := getattr(stats, tally):
+                    OBS.registry.counter(f"wal.{tally}").inc(count)
 
     # ------------------------------------------------------------------
     # Stats

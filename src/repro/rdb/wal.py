@@ -52,7 +52,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
@@ -234,8 +234,8 @@ class SyncPolicy:
 class RecoveryStats:
     """What one journal read / recovery pass observed.
 
-    Filled in by :func:`read_frames` (pass an instance via ``stats=``)
-    and attached to recovered databases as ``db.recovery_stats``.
+    Filled in by :func:`read_frames` and :meth:`Journal.open` (pass an
+    instance via ``stats=``); a database's is ``db.recovery_stats``.
     """
 
     records_recovered: int = 0
@@ -249,16 +249,7 @@ class RecoveryStats:
 
     def as_dict(self) -> dict[str, int | bool]:
         """Plain-dict view for reports and protocol responses."""
-        return {
-            "records_recovered": self.records_recovered,
-            "records_skipped_watermark": self.records_skipped_watermark,
-            "torn_tails": self.torn_tails,
-            "checksum_failures": self.checksum_failures,
-            "bytes_skipped": self.bytes_skipped,
-            "last_lsn": self.last_lsn,
-            "watermark": self.watermark,
-            "salvaged": self.salvaged,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +385,20 @@ def _scan_entries(
         pos = later
 
 
+def _above(frame: WalFrame, from_lsn: int, stats: RecoveryStats) -> bool:
+    """Tally one scanned frame; True when it lies above ``from_lsn`` —
+    the watermark rule :func:`read_frames` and :meth:`Journal.open`
+    share."""
+    stats.last_lsn = frame.lsn
+    wanted = frame.lsn > from_lsn
+    if frame.kind != "ckpt":
+        if wanted:
+            stats.records_recovered += 1
+        else:
+            stats.records_skipped_watermark += 1
+    return wanted
+
+
 def read_frames(
     path: str | os.PathLike[str],
     *,
@@ -444,14 +449,8 @@ def read_frames(
         data, salvage=salvage, stats=stats, path=path,
         pos=pos, last_lsn=from_lsn if pos else 0,
     ):
-        stats.last_lsn = frame.lsn
-        if frame.lsn <= from_lsn:
-            if frame.kind != "ckpt":
-                stats.records_skipped_watermark += 1
-            continue
-        if frame.kind != "ckpt":
-            stats.records_recovered += 1
-        yield frame
+        if _above(frame, from_lsn, stats):
+            yield frame
 
 
 def parse_frame(data: bytes) -> WalFrame:
@@ -479,9 +478,11 @@ class Journal:
     ``{"txn": id, "ops": [op, ...]}`` where an op is
     ``["insert", table, row]``, ``["update", table, pk, changes]`` or
     ``["delete", table, pk]`` with pk as a list.  Opening an existing
-    journal resumes its LSN sequence, completes any checkpoint that a
-    crash interrupted (via the ``.ckpt`` marker file), and trims a torn
-    tail so later appends never bury valid frames behind garbage.
+    journal scans it once — resuming its LSN sequence and, through
+    :meth:`open`, replaying it into a consumer — then completes any
+    checkpoint that a crash interrupted (via the ``.ckpt`` marker file)
+    and trims a torn tail, so later appends never bury valid frames
+    behind garbage.
     """
 
     def __init__(
@@ -491,6 +492,49 @@ class Journal:
         sync: "SyncPolicy | str" = "none",
         salvage: bool = False,
         file_wrapper: Callable[[BinaryIO], BinaryIO] | None = None,
+    ) -> None:
+        stats = RecoveryStats()
+        self._start(path, sync, file_wrapper, salvage, None, 0, stats)
+
+    @classmethod
+    def open(
+        cls,
+        path: str | os.PathLike[str],
+        apply: Callable[[WalFrame], None],
+        *,
+        from_lsn: int = 0,
+        stats: RecoveryStats | None = None,
+        sync: "SyncPolicy | str" = "none",
+        salvage: bool = False,
+        file_wrapper: Callable[[BinaryIO], BinaryIO] | None = None,
+    ) -> "Journal":
+        """``Journal(path, ...)``, calling ``apply`` with every frame
+        above ``from_lsn`` as the open-time scan validates it: the one
+        read and CRC + JSON pass that finds where the valid frames end
+        is also the replay, tallied into ``stats`` as
+        :func:`read_frames` tallies.  The file changes only after the
+        scan, so a strict open that raises on mid-file corruption
+        (``apply`` has by then seen the frames before the damage) leaves
+        every byte in place for a ``salvage`` retry.
+        """
+        stats = stats or RecoveryStats()
+        stats.watermark = max(stats.watermark, from_lsn)
+        stats.salvaged = stats.salvaged or salvage
+        journal = cls.__new__(cls)
+        journal._start(
+            path, sync, file_wrapper, salvage, apply, from_lsn, stats
+        )
+        return journal
+
+    def _start(
+        self,
+        path: str | os.PathLike[str],
+        sync: "SyncPolicy | str",
+        file_wrapper: Callable[[BinaryIO], BinaryIO] | None,
+        salvage: bool,
+        apply: Callable[[WalFrame], None] | None,
+        from_lsn: int,
+        stats: RecoveryStats,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -502,54 +546,54 @@ class Journal:
         #: checkpoint frame's watermark, else one below its first frame.
         self.base_lsn = 0
         self._pending_sync = 0
-        #: What the open-time scan of an existing file observed.
-        self.open_stats = RecoveryStats(salvaged=salvage)
         self._fh: BinaryIO | None = None
 
         marker = self._marker_path()
+        watermark = None
         if marker.exists():
-            # A crash interrupted snapshot→truncate after the marker was
-            # durably written: every record at or below the marker LSN is
-            # already in the snapshot, so finish the truncation now.
             watermark = int(
                 json.loads(marker.read_text(encoding="utf-8"))["last_lsn"]
             )
+        data = b""
+        # An interrupted checkpoint's file holds nothing the journal
+        # itself needs; it is read only for a consumer's sake.
+        if (apply is not None or watermark is None) and self.path.exists():
+            data = self.path.read_bytes()
+        damage = stats.checksum_failures + stats.torn_tails
+        valid_end = 0
+        # Salvage only: the last checkpoint frame's LSN, and every
+        # other surviving frame's own bytes.
+        base, survivors = 0, []
+        for frame in _scan_entries(
+            data, salvage=salvage, stats=stats, path=self.path
+        ):
+            if not valid_end:
+                self.base_lsn = (
+                    frame.lsn if frame.kind == "ckpt" else frame.lsn - 1
+                )
+            self.last_lsn, valid_end = frame.lsn, frame.end
+            if salvage and frame.kind == "ckpt":
+                base = frame.lsn
+            elif salvage:
+                survivors.append(frame.data)
+            if _above(frame, from_lsn, stats) and apply is not None:
+                apply(frame)
+        if watermark is not None:
+            # A crash interrupted snapshot→truncate after the marker was
+            # durably written: every record at or below the marker LSN is
+            # already in the snapshot, so finish the truncation now.
             self._rewrite(watermark, [])
             marker.unlink()
             self.last_lsn = watermark
-        elif self.path.exists() and self.path.stat().st_size > 0:
-            data = self.path.read_bytes()
-            frames = list(
-                _scan_entries(
-                    data, salvage=salvage, stats=self.open_stats,
-                    path=self.path,
-                )
-            )
-            if frames:
-                first = frames[0]
-                self.base_lsn = (
-                    first.lsn if first.kind == "ckpt" else first.lsn - 1
-                )
-                self.last_lsn = frames[-1].lsn
-            if salvage and (self.open_stats.checksum_failures
-                            or self.open_stats.torn_tails):
-                # Compact: rewrite only the surviving frames' own bytes
-                # so the damage cannot resurface on a later read.
-                base = 0
-                survivors = []
-                for frame in frames:
-                    if frame.kind == "ckpt":
-                        base = frame.lsn
-                    else:
-                        survivors.append(frame)
-                self._rewrite(base, survivors)
-            else:
-                valid_end = frames[-1].end if frames else 0
-                if valid_end < len(data):
-                    # Torn tail from a crash mid-append: trim it so the
-                    # file ends on a record boundary again.
-                    with self.path.open("r+b") as fh:
-                        fh.truncate(valid_end)
+        elif salvage and stats.checksum_failures + stats.torn_tails > damage:
+            # Compact: rewrite only the surviving frames so the damage
+            # cannot resurface on a later read.
+            self._rewrite(base, survivors)
+        elif valid_end < len(data):
+            # Torn tail from a crash mid-append: trim it so the file
+            # ends on a record boundary again.
+            with self.path.open("r+b") as fh:
+                fh.truncate(valid_end)
         self._fh = self._open("ab")
 
     # -- byte-level helpers --------------------------------------------------
@@ -562,14 +606,15 @@ class Journal:
             fh = self._file_wrapper(fh)
         return fh
 
-    def _rewrite(self, base_lsn: int, frames: list[WalFrame]) -> None:
-        """Replace the file with a checkpoint frame plus ``frames``."""
+    def _rewrite(self, base_lsn: int, frames: list[bytes]) -> None:
+        """Replace the file with a checkpoint frame plus ``frames``
+        (whole frames' own bytes)."""
         fh = self._open("wb")
         try:
             payload = _compact({"ckpt": base_lsn}).encode("utf-8")
             fh.write(_frame(base_lsn, payload))
             for frame in frames:
-                fh.write(frame.data)
+                fh.write(frame)
             fh.flush()
             os.fsync(fh.fileno())
         finally:

@@ -145,24 +145,8 @@ class Recoverer:
         """Recover local state, register handlers, subscribe."""
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._enter(RecoveryStage.REPLAYING_JOURNAL)
-        snapshot = (
-            str(self.snapshot_path) if self.snapshot_path.exists() else None
-        )
-        self.db = Database.recover(
-            self.station_name.replace("-", "_"), self.schemas,
-            snapshot_path=snapshot, journal_path=str(self.journal_path),
-        )
-        if self.ddl_fn is not None:
-            self.ddl_fn(self.db)
-        # Opening the journal trims any torn tail a crash left behind.
-        self.journal = Journal(
-            self.journal_path, sync=self.sync_policy,
-            file_wrapper=self.file_wrapper,
-        )
-        assert self.db.recovery_stats is not None
-        self.applied_lsn = max(
-            self.journal.last_lsn, self.db.recovery_stats.watermark
-        )
+        self._open_local()
+        self.applied_lsn = max(self.journal.last_lsn, self.db.recovery_stats.watermark)
         if self.on_rebuild is not None:
             self.on_rebuild(self.db)
         station = self.network.station(self.station_name)
@@ -173,6 +157,22 @@ class Recoverer:
         station.on(REPL_FRAMES, self._on_frames)
         self._enter(RecoveryStage.TAILING)
         self._subscribe()
+
+    def _open_local(self) -> None:
+        """Open this follower's own snapshot + journal (committed-prefix
+        recovery, torn tail trimmed).  The engine comes back journaling
+        to that file, but a follower's rows change only through
+        ``apply_frame``, which never re-journals: :meth:`_on_frames`
+        appends each shipped frame itself, verbatim."""
+        self.db = Database.open(
+            self.station_name.replace("-", "_"), self.schemas,
+            snapshot_path=str(self.snapshot_path),
+            journal_path=str(self.journal_path),
+            sync=self.sync_policy, file_wrapper=self.file_wrapper,
+        )
+        if self.ddl_fn is not None:
+            self.ddl_fn(self.db)
+        self.journal = self.db.journal
 
     def stop(self) -> None:
         """Detach from the stream (promotion, shutdown)."""
@@ -187,9 +187,10 @@ class Recoverer:
         """Detach from the stream and hand over (db, journal) for
         primary duty.
 
-        Unlike :meth:`stop` the journal stays open: the caller attaches
-        it to the database so new commits journal locally, snapshots to
-        open the new WAL epoch, and wraps the pair in a fresh
+        Unlike :meth:`stop` the journal stays open — the database
+        already journals to it, so the new primary's commits continue
+        the same file: the caller snapshots to open the new WAL epoch
+        and wraps the pair in a fresh
         :class:`~repro.replication.shipper.WalShipper`.
         """
         assert self.db is not None and self.journal is not None
@@ -197,7 +198,6 @@ class Recoverer:
         for kind in (REPL_SNAPSHOT_META, REPL_SNAPSHOT_CHUNK, REPL_FRAMES):
             station.off(kind)
         self._abort_download()
-        self.db.attach_journal(self.journal)
         self._enter(RecoveryStage.CAUGHT_UP)
         return self.db, self.journal
 
@@ -316,16 +316,7 @@ class Recoverer:
         if marker.exists():
             marker.unlink()
         os.replace(self._snapshot_tmp(), self.snapshot_path)
-        self.db = Database.recover(
-            self.station_name.replace("-", "_"), self.schemas,
-            snapshot_path=str(self.snapshot_path),
-        )
-        if self.ddl_fn is not None:
-            self.ddl_fn(self.db)
-        self.journal = Journal(
-            self.journal_path, sync=self.sync_policy,
-            file_wrapper=self.file_wrapper,
-        )
+        self._open_local()
         self.journal.checkpoint(snapshot_lsn)
         self.applied_lsn = snapshot_lsn
         if self.on_rebuild is not None:

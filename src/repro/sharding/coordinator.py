@@ -37,7 +37,7 @@ import os
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.instrument import OBS
-from repro.rdb.wal import Journal, read_frames
+from repro.rdb.wal import Journal, WalFrame
 from repro.sharding.participant import TwoPhaseError
 
 __all__ = ["TwoPhaseAborted", "TwoPhaseCoordinator"]
@@ -190,9 +190,6 @@ class TwoPhaseCoordinator:
         forgotten transaction was acked by every participant."""
         return "commit" if gtxn in self.outstanding else "abort"
 
-    def resolver(self) -> Callable[[str], str]:
-        return self.resolve
-
     def close(self) -> None:
         self.journal.close()
 
@@ -222,15 +219,18 @@ class TwoPhaseCoordinator:
         sync: str = "commit",
         file_wrapper: Callable[[Any], Any] | None = None,
     ) -> "TwoPhaseCoordinator":
-        """Rebuild coordinator state from its journal.
+        """Rebuild coordinator state from its journal, in the one scan
+        that opens it (:meth:`~repro.rdb.wal.Journal.open`).
 
         Decisions without an END are outstanding (redeliver them);
         the gtxn sequence resumes past every journaled id."""
         outstanding: dict[str, list[int]] = {}
         max_seq = 0
-        for frame in read_frames(journal_path):
+
+        def note(frame: WalFrame) -> None:
+            nonlocal max_seq
             if frame.kind != "2pc":
-                continue
+                return
             payload = frame.payload or {}
             gtxn = payload.get("gtxn", "")
             if gtxn.startswith("g-"):
@@ -243,9 +243,11 @@ class TwoPhaseCoordinator:
                 outstanding[gtxn] = [int(s) for s in payload["shards"]]
             elif payload.get("2pc") == "end":
                 outstanding.pop(gtxn, None)
-        journal = Journal(journal_path, sync=sync, file_wrapper=file_wrapper)
-        coordinator = cls(
+
+        journal = Journal.open(
+            journal_path, note, sync=sync, file_wrapper=file_wrapper
+        )
+        return cls(
             journal, participants,
             outstanding=outstanding, next_seq=max_seq + 1,
         )
-        return coordinator

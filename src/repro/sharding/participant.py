@@ -21,7 +21,7 @@ never interleaved with other writes on the same shard, and at most one
 transaction can be in doubt per shard after a crash.
 
 Recovery (:func:`recover_participant`) is the engine's own
-:meth:`~repro.rdb.engine.Database.recover`, which replays the journal
+:meth:`~repro.rdb.engine.Database.open`, which replays the journal
 **in LSN order** through :meth:`~repro.rdb.engine.Database.apply_frame`:
 committed transactions apply as usual, a ``PREPARE`` is held, and its
 ops are applied only when the matching ``COMMIT`` record is reached (an
@@ -42,6 +42,11 @@ from repro.rdb.errors import RdbError
 from repro.rdb.wal import Journal
 
 __all__ = ["TwoPhaseError", "ShardParticipant", "recover_participant"]
+
+#: What a routed statement of the wrong shape raises (a wrong-typed
+#: value, ``None`` for a row, a non-``Expr`` where): input from outside
+#: the shard, answered with a no vote like any constraint violation.
+_BAD_STATEMENT = (RdbError, TypeError, AttributeError, ValueError, LookupError)
 
 
 class TwoPhaseError(RdbError):
@@ -79,12 +84,12 @@ def apply_statement(db: Database, stmt: Sequence[Any]) -> Any:
 class ShardParticipant:
     """One shard's engine, journal and 2PC state machine."""
 
-    def __init__(self, shard_id: int, db: Database, journal: Journal) -> None:
+    def __init__(self, shard_id: int, db: Database) -> None:
+        if db.journal is None:
+            raise ValueError("a shard's database must be journaling")
         self.shard_id = shard_id
         self.db = db
-        self.journal = journal
-        if db.journal is not journal:
-            db.attach_journal(journal)
+        self.journal: Journal = db.journal
         #: gtxn currently prepared and awaiting its outcome (live)
         self._live_gtxn: str | None = None
         #: prepared-but-unresolved transactions found by recovery: the
@@ -137,8 +142,10 @@ class ShardParticipant:
         try:
             results = [apply_statement(self.db, s) for s in stmts]
             ops = self.db.pending_wal_ops()
-        except RdbError as exc:
-            self.db.rollback()
+        except BaseException as exc:
+            self.db.rollback()  # whatever it was, the shard is not left blocked
+            if not isinstance(exc, _BAD_STATEMENT):
+                raise
             return {"vote": False, "error": str(exc)}
         # The vote is a promise: the PREPARE record (ops included) is
         # forced to disk before "yes" leaves this shard.
@@ -301,11 +308,11 @@ def recover_participant(
     :meth:`ShardParticipant.resolve_in_doubt` runs).  Strict only: a
     damaged vote cannot be skipped without breaking atomicity.
     """
-    db = Database.recover(
+    db = Database.open(
         f"shard-{shard_id}", schemas,
         snapshot_path=snapshot_path, journal_path=journal_path,
+        sync=sync, file_wrapper=file_wrapper,
     )
     if ddl_fn is not None:
         ddl_fn(db)
-    journal = Journal(journal_path, sync=sync, file_wrapper=file_wrapper)
-    return ShardParticipant(shard_id, db, journal)
+    return ShardParticipant(shard_id, db)

@@ -174,11 +174,11 @@ class ClassAdministrator:
     """The middle tier: sessions, administration, routing.
 
     Pass ``data_dir`` to run durably: the administration tables are
-    recovered from ``<data_dir>/class_admin.snapshot`` plus journal
-    replay on startup, and every committed write is journaled under the
-    given ``sync_policy`` (``"commit"`` by default — an acknowledged
-    request survives a crash).  Without ``data_dir`` the server is
-    purely in-memory, exactly as before.
+    opened from ``<data_dir>/class_admin.snapshot`` plus
+    ``class_admin.wal`` on startup, and every committed write is
+    journaled under the given ``sync_policy`` (``"commit"`` by default
+    — an acknowledged request survives a crash).  Without ``data_dir``
+    the server is purely in-memory, exactly as before.
     """
 
     def __init__(
@@ -248,35 +248,30 @@ class ClassAdministrator:
         return self._data_dir / "class_admin.wal"
 
     def _recover_admin_db(self) -> Database:
-        """Rebuild the administration database from the data directory.
+        """Open the administration database in the data directory
+        (:meth:`repro.rdb.Database.open`; DESIGN §10.5).
 
-        Strict recovery first: a torn journal tail (crash mid-append) is
-        tolerated, but corruption *before* the final record raises.  On
-        :class:`~repro.rdb.JournalCorruptError` the server falls back to
-        salvage mode — damaged records are skipped, the journal is
-        compacted, and the server still comes up serving the surviving
-        data; :meth:`recovery_report` says exactly what was lost.
+        The tier's own policy is strict first: corruption *before* the
+        final record raises with the file untouched, and only then does
+        the server reopen in salvage mode — still coming up, serving the
+        surviving data; :meth:`recovery_report` says exactly what was
+        lost.
         """
         assert self._data_dir is not None
         self._data_dir.mkdir(parents=True, exist_ok=True)
-        snapshot = str(self._snapshot_path)
-        wal = str(self._journal_path)
-        salvaged = False
+
+        def open_db(salvage: bool) -> Database:
+            return Database.open(
+                "class_admin", ADMIN_SCHEMAS,
+                snapshot_path=str(self._snapshot_path),
+                journal_path=str(self._journal_path),
+                sync=self._sync_policy, salvage=salvage,
+            )
+
         try:
-            db = Database.recover(
-                "class_admin", ADMIN_SCHEMAS,
-                snapshot_path=snapshot, journal_path=wal,
-            )
+            db = open_db(salvage=False)
         except JournalCorruptError:
-            salvaged = True
-            db = Database.recover(
-                "class_admin", ADMIN_SCHEMAS,
-                snapshot_path=snapshot, journal_path=wal, salvage=True,
-            )
-        # Opening the journal in salvage mode compacts it so the damage
-        # cannot resurface on the next restart.
-        journal = Journal(wal, sync=self._sync_policy, salvage=salvaged)
-        db.attach_journal(journal)
+            db = open_db(salvage=True)
         self.recovery_stats = db.recovery_stats
         return db
 

@@ -118,20 +118,23 @@ class TestTreeBroadcast:
         assert 0 < report.mean_arrival <= report.makespan
 
 
+def _flat_tree(n):
+    """The flat baseline: every receiver is a child of the root."""
+    return MAryTree(n, n - 1, names=_names(n))
+
+
 class TestFlatBroadcast:
     def test_all_receivers_get_lecture(self):
         net = build_network(8)
-        report = PreBroadcaster(net).flat_broadcast(
-            "lec", MIB, "s1", _names(8)[1:]
-        )
+        report = PreBroadcaster(net).broadcast("lec", MIB, _flat_tree(8))
         net.quiesce()
         assert len(report.arrival_times) == 8
 
     def test_flat_slower_than_tree_at_scale(self):
         n = 32
         flat_net = build_network(n)
-        flat = PreBroadcaster(flat_net).flat_broadcast(
-            "lec", 4 * MIB, "s1", _names(n)[1:]
+        flat = PreBroadcaster(flat_net).broadcast(
+            "lec", 4 * MIB, _flat_tree(n)
         )
         flat_net.quiesce()
 
@@ -143,8 +146,8 @@ class TestFlatBroadcast:
 
     def test_flat_arrivals_linear_in_receiver_count(self):
         net = build_network(5, mbit=8.0, latency=0.0)
-        report = PreBroadcaster(net).flat_broadcast(
-            "lec", 1_000_000, "s1", _names(5)[1:]
+        report = PreBroadcaster(net).broadcast(
+            "lec", 1_000_000, _flat_tree(5)
         )
         net.quiesce()
         arrivals = sorted(

@@ -71,8 +71,8 @@ class TestLectureLifecycle:
         net.quiesce()
 
         flat_net = build_network(n)
-        flat = PreBroadcaster(flat_net).flat_broadcast(
-            "lec", 10 * MIB, "s1", _names(n)[1:]
+        flat = PreBroadcaster(flat_net).broadcast(
+            "lec", 10 * MIB, MAryTree(n, n - 1, names=_names(n))
         )
         flat_net.quiesce()
         assert report.makespan < flat.makespan / 2

@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault.crashsim import FailpointFile, database_state, verify_database
-from repro.rdb import DuplicateKeyError
+from repro.fault.crashsim import (
+    FailpointFile,
+    SimulatedCrashError,
+    database_state,
+    verify_database,
+)
+from repro.rdb import DuplicateKeyError, TriggerEvent, TriggerTiming
 from repro.rdb.wal import read_frames
 from repro.sharding import TwoPhaseAborted, TwoPhaseError
 from repro.sharding.participant import apply_statement
@@ -164,6 +169,46 @@ class TestAbortPath:
             cluster2.sharded.transact([doc(c), doc(b)])
         p0.abort("g-held")
         cluster2.sharded.transact([doc(c), doc(b)])  # unblocked now
+
+    @pytest.mark.parametrize("stmt, error", [
+        (["insert", "crash_docs", {"doc_id": 1, "title": "t",
+                                   "version": "not-an-int"}], "version"),
+        (["insert", "crash_docs", None], "NoneType"),
+        (["delete", "crash_docs", "doc_id = 1"], "str"),
+    ], ids=["wrong-typed value", "None row", "non-Expr where"])
+    def test_malformed_statement_votes_no_and_unblocks(
+        self, cluster2, stmt, error
+    ):
+        """A statement of the wrong shape is input, not a crash: the
+        vote is no, the engine transaction is rolled back, and the
+        shard takes the next prepare (it used to vote "blocked" for
+        ever, the transaction left open behind the escaped error)."""
+        (a,) = ids_for(cluster2.shard_map, 0, 1)
+        p0 = cluster2.participants[0]
+        ballot = p0.prepare("g-1", [doc(a), stmt])
+        assert ballot["vote"] is False and error in ballot["error"]
+        assert not p0.db.in_transaction
+        assert p0.db.count("crash_docs") == 0
+        assert journal_kinds(cluster2.shard_journal_path(0)) == []
+        assert p0.prepare("g-2", [doc(a)])["vote"] is True
+        assert p0.commit("g-2") and p0.db.count("crash_docs") == 1
+
+    def test_crash_inside_a_statement_propagates_but_rolls_back(
+        self, cluster2
+    ):
+        (a,) = ids_for(cluster2.shard_map, 0, 1)
+        p0 = cluster2.participants[0]
+
+        def die(_ctx):
+            raise SimulatedCrashError("mid-statement")
+
+        p0.db.register_trigger(
+            "die", "crash_docs", TriggerEvent.INSERT, TriggerTiming.AFTER, die
+        )
+        with pytest.raises(SimulatedCrashError):
+            p0.prepare("g-1", [doc(a)])
+        assert not p0.db.in_transaction
+        assert p0.db.count("crash_docs") == 0
 
     def test_commit_after_abort_is_a_protocol_error(self, cluster2):
         (a,) = ids_for(cluster2.shard_map, 0, 1)

@@ -364,6 +364,25 @@ class TestDurableServer:
         students = second.connection.cursor().select("students").fetchall()
         assert [r["student_id"] for r in students] == ["alice"]
 
+    def test_torn_tail_is_tallied_once(self, tmp_path, metrics_registry):
+        """One scan opens the journal, so there is one tally of what it
+        found — and the trim it ends with leaves nothing to find next
+        time."""
+        first = ClassAdministrator(data_dir=tmp_path)
+        self._populate(first)
+        self._crash(first)
+        wal = tmp_path / "class_admin.wal"
+        wal.write_bytes(wal.read_bytes() + b"WJ2\x00torn")
+        second = ClassAdministrator(data_dir=tmp_path)
+        report = second.recovery_report()
+        assert (report["torn_tails"], report["bytes_skipped"]) == (1, 8)
+        assert report["records_recovered"] == 3
+        snap = metrics_registry.snapshot()
+        assert snap.counter_total("wal.torn_tails") == 1
+        self._crash(second)
+        third = ClassAdministrator(data_dir=tmp_path).recovery_report()
+        assert (third["torn_tails"], third["bytes_skipped"]) == (0, 0)
+
     def test_checksum_corrupt_journal_salvaged_and_served(self, tmp_path):
         first = ClassAdministrator(data_dir=tmp_path)
         self._populate(first)
