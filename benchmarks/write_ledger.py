@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """What a written row costs: the write-path ledger behind DESIGN §6.
 
-Builds the tier's administration tables (``repro.tiers.server``'s own
-schemas: students, courses, enrollments, stations) and takes the three
-single-row statements E22's tier issues apart, per op kind:
+Loads an in-memory class administrator's own tables (students,
+courses, enrollments, stations) and takes the single-row statements apart
+per op kind, then the two write ops E22's tier sends by primary key:
 
 * ``insert`` — ``enroll``: a two-column primary key and two foreign keys;
-* ``update`` — ``register_station``: ``update(where=user_id == …)``;
-* ``delete`` — an enrollment dropped by ``delete(where=…)``.
+* ``update`` — a station changed by ``update(where=user_id == …)``;
+* ``delete`` — an enrollment dropped by ``delete(where=…)``;
+* ``update_pk`` — ``register_station`` on a user who has a station: the
+  tier op, whose one statement is ``update_pk``;
+* ``record_grade`` — the tier op: two keyed probes (``get`` on the
+  course, then on the enrollment) and the transcript ``insert``.
 
 **µs per stage** calls each piece the statement is made of directly,
 over the same rows, in the order the engine runs them (validate →
@@ -15,15 +19,16 @@ not-null/CHECK → unique probe → FK probe → triggers → heap + index
 maintenance → undo record → journal encode → ``_write``); the statement
 itself is then timed whole, through ``Database``, against a journal
 whose fsync hook does nothing, and what the stages do not add up to is
-the statement scope and the glue between them.  The modelled flush is
-E22's constant.  Timings are reported, never gated.
+the statement scope and the glue between them (for a tier op, the op's
+own code too).  The modelled flush is E22's constant.  Timings are
+reported, never gated.
 
 **Calls per statement** counts Python-level function calls (``call``
 events under ``sys.setprofile``; generator resumptions count, C
-functions do not) for one single-row statement.  The count repeats
-exactly, so ``--check`` (the CI ``benchmark-smoke`` step, with
+functions do not) for one single-row statement or tier op.  The count
+repeats exactly, so ``--check`` (the CI ``benchmark-smoke`` step, with
 ``--smoke``) fails when a kind exceeds :data:`COMMITTED_CALLS` by more
-than 10 %.
+than 10 % — a tier op that went back to a planned select would.
 
 Usage:  python benchmarks/write_ledger.py [--smoke] [--json PATH] [--check]
 """
@@ -40,13 +45,23 @@ from typing import Any, Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # for benchmarks.e22, which adds src/ itself
-#: ``--check`` ceiling: Python-level calls per single-row statement at
-#: PR 23, any table size (its parent at ``--smoke``: insert 80, update
-#: 390, delete 984 — the last two grew with the table).  Lower it when a
-#: PR takes calls off the write path.
-COMMITTED_CALLS = {"insert": 51, "update": 89, "delete": 115}
+#: ``--check`` ceiling: Python-level calls per single-row statement or
+#: tier op, any table size.  With its probes as cached selects
+#: ``record_grade`` made 112 calls when both hit the result cache, 226
+#: when both missed (181 at full size: the course hits, the enrollment
+#: misses); ``register_station`` (a select, then ``update(where=…)``)
+#: 153-156.  A planner that checks every WHERE column and describes
+#: only the path it chose moved ``update`` 89 → 92 and ``delete`` 115 →
+#: 113.  Lower a figure when a change takes calls off.
+COMMITTED_CALLS = {
+    "insert": 51, "update": 92, "delete": 113, "update_pk": 55,
+    "record_grade": 77,
+}
 CHECK_SLACK = 0.10
 ROUNDS = 5
+#: The kinds that run a tier op's handler, and the op.
+TIER_OPS = {"update_pk": "register_station", "record_grade": "record_grade"}
+KINDS = ("insert", "update", "delete", *TIER_OPS)
 
 
 def _per_call_us(run: Callable[[], None], calls: int) -> float:
@@ -67,20 +82,27 @@ def _best(stage: Callable[[], None], calls: int,
     return min(readings)
 
 
+def over(items: list[Any], fn: Callable[..., Any]) -> Callable[[], None]:
+    """A pass calling ``fn(*item)`` for every item."""
+    def run() -> None:
+        for item in items:
+            fn(*item)
+    return run
+
+
 class Fixture:
     """The loaded tables, a journal that never reaches a device, and the
     statements of each kind (fresh keys for inserts, loaded ones for
     updates and deletes)."""
 
     def __init__(self, students: int, scratch: Path) -> None:
-        from repro.rdb import Database, col
+        from repro.rdb import col
         from repro.rdb.wal import Journal, SyncPolicy
-        from repro.tiers.server import COURSES, ENROLLMENTS, STATIONS, STUDENTS
+        from repro.tiers import ClassAdministrator, Request, Role
 
         self.col = col
-        self.db = db = Database("ledger")
-        for schema in (STUDENTS, COURSES, ENROLLMENTS, STATIONS):
-            db.create_table(schema)
+        self.admin = ClassAdministrator()
+        self.db = db = self.admin.admin_db
         ids = [f"s{n:05d}" for n in range(students)]
         courses = [f"c{n:03d}" for n in range(40)]
         db.insert_many("students", [{"student_id": s, "name": s} for s in ids])
@@ -111,6 +133,18 @@ class Fixture:
             {"student_id": s, "course_number": courses[n % 40]}
             for n, s in enumerate(ids)
         ]
+        # The tier ops' arguments, as dispatch hands them to a handler.
+        self.requests = {
+            "update_pk": [
+                (Request("register_station", None, c), u, Role.STUDENT)
+                for u, c in self.station_changes
+            ],
+            "record_grade": [
+                (Request("record_grade", None, {**v, "grade": 3.0}), "shih",
+                 Role.INSTRUCTOR)
+                for v in self.loaded
+            ],
+        }
 
     def statements(self, kind: str) -> list[Callable[[], Any]]:
         db, col = self.db, self.col
@@ -121,6 +155,9 @@ class Fixture:
                 lambda u=u, c=c: db.update("stations", c, where=col("user_id") == u)
                 for u, c in self.station_changes
             ]
+        if kind in TIER_OPS:
+            op = self.admin._handlers[TIER_OPS[kind]]
+            return [lambda r=r: op(*r) for r in self.requests[kind]]
         return [
             lambda v=v: db.delete(
                 "enrollments",
@@ -136,8 +173,10 @@ class Fixture:
         if kind == "insert":
             for v in self.fresh:
                 db.delete_pk("enrollments", (v["student_id"], v["course_number"]))
-        elif kind == "update":
+        elif kind in ("update", "update_pk"):
             db.update("stations", {"station": "ws-0", "address": "10.0.0.1"})
+        elif kind == "record_grade":
+            db.delete("transcripts")
         else:
             db.insert_many("enrollments", [
                 v for v in self.loaded
@@ -146,7 +185,10 @@ class Fixture:
 
 
 def stage_table(fx: Fixture, kind: str) -> list[tuple[str, float]]:
-    """``(stage, µs per row)`` for one op kind, engine order."""
+    """``(stage, µs per row)`` for one op kind, engine order; the
+    ``update_pk`` op finds its row by key, then runs an update's stages."""
+    if kind == "record_grade":
+        return grade_stages(fx)
     from repro.rdb.query import target_rowids
     from repro.rdb.transaction import UndoRecord
     from repro.rdb.triggers import TriggerEvent, TriggerTiming
@@ -154,6 +196,7 @@ def stage_table(fx: Fixture, kind: str) -> list[tuple[str, float]]:
 
     db, col = fx.db, fx.col
     checker, triggers, txn = db._checker, db._triggers, db._txn
+    keyed, kind = kind == "update_pk", "update" if kind == "update_pk" else kind
     event = TriggerEvent(kind)
     name = "stations" if kind == "update" else "enrollments"
     table = db.table(name)
@@ -164,17 +207,16 @@ def stage_table(fx: Fixture, kind: str) -> list[tuple[str, float]]:
             reset: Callable[[], None] | None = None) -> None:
         out.append((label, _best(stage, calls, reset)))
 
-    def over(items: list[Any], fn: Callable[..., Any]) -> Callable[[], None]:
-        def run() -> None:
-            for item in items:
-                fn(*item)
-        return run
-
     if kind == "insert":
         values = [(v,) for v in fx.fresh]
         rows = [(table, schema.normalize_row(v)) for v in fx.fresh]
         old_new = [(None, row) for _t, row in rows]
         add("validate (normalize_row)", over(values, schema.normalize_row), len(rows))
+    elif keyed:
+        keys = [((u,),) for u, _c in fx.station_changes]
+        add("find target (primary key)", over(keys, table.rowid_for_pk), len(keys))
+        rowids = [table.rowid_for_pk(*k) for k in keys]
+        olds = [table.get(rid) for rid in rowids]
     else:
         if kind == "update":
             wheres = [(table, col("user_id") == u) for u, _c in fx.station_changes]
@@ -262,6 +304,24 @@ def stage_table(fx: Fixture, kind: str) -> list[tuple[str, float]]:
     return out
 
 
+def grade_stages(fx: Fixture) -> list[tuple[str, float]]:
+    """``record_grade``'s three statements, each timed whole."""
+    db = fx.db
+    grades = [r[0].params for r in fx.requests["record_grade"]]
+    return [
+        ("get course (instructor check)", _best(over(
+            [("courses", (g["course_number"],)) for g in grades], db.get
+        ), len(grades))),
+        ("get enrollment", _best(over(
+            [("enrollments", (g["student_id"], g["course_number"]))
+             for g in grades], db.get
+        ), len(grades))),
+        ("insert transcript (statement)", _best(over(
+            [("transcripts", g) for g in grades], db.insert
+        ), len(grades), lambda: db.delete("transcripts"))),
+    ]
+
+
 def statement_us(fx: Fixture, kind: str) -> float:
     statements = fx.statements(kind)
 
@@ -327,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="write-ledger-") as scratch:
         fx = Fixture(ledger["students"], Path(scratch))
-        for kind in ("insert", "update", "delete"):
+        for kind in KINDS:
             stages = stage_table(fx, kind)
             whole = statement_us(fx, kind)
             ledger["kinds"][kind] = {

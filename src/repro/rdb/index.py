@@ -303,7 +303,7 @@ class IndexSet:
         return [
             index
             for index in self._hash.values()
-            if set(index.columns) <= bound_columns
+            if bound_columns.issuperset(index.columns)
         ]
 
     def sorted_index_on(self, column: str) -> SortedIndex | None:

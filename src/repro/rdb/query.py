@@ -55,7 +55,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.obs.instrument import OBS
 from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
-from repro.rdb.predicate import Expr, conjunct_bindings
+from repro.rdb.index import HashIndex, SortedIndex
+from repro.rdb.predicate import Expr, RangeBound, conjunct_bindings
 from repro.rdb.table import Table
 
 __all__ = [
@@ -125,13 +126,13 @@ _INDEX_ROW_COST = 4.0
 
 
 @dataclass(slots=True)
-class _Candidate:
-    """One costed access path under consideration."""
+class _Path:
+    """The chosen access path: its EXPLAIN text and where its row ids
+    come from.  Only the winner is described; a rejected index costs the
+    planner its arithmetic and nothing else."""
 
-    cost: float
     access_path: str
     rowids: Callable[[], Iterable[int]]
-    estimated: int
     conjuncts: tuple[str, ...] = ()
     pushdown: str | None = None
     #: A sorted range's (column, ``SortedIndex.range_steps`` over its bounds).
@@ -162,35 +163,38 @@ def plan_select(
     column the plan is an ordered walk: the candidates come as
     :meth:`SortedIndex.range_steps` runs of row ids instead (the index
     holds no NULL, but NULL fails the range conjunct anyway).
+
+    A column the table does not hold, named in ``where`` or
+    ``order_by``, is refused with :class:`UnknownColumnError` before any
+    path is costed — whichever path would have been chosen.
     """
     keys: tuple[str, ...] = ()
     if order_by is not None:
         keys = (order_by,) if isinstance(order_by, str) else tuple(order_by)
         _check_columns(table, keys)
     row_count = len(table)
-    best = _Candidate(
-        cost=float(row_count),
-        access_path="scan",
-        rowids=lambda: (rowid for rowid, _ in table.items()),
-        estimated=row_count,
-    )
+    cost, estimated, chosen = float(row_count), row_count, None
     if where is not None:
-        for candidate in _index_candidates(table, where, row_count):
+        _check_columns(table, where.columns())
+        candidates = _index_candidates(table, where, row_count)
+        for option_cost, option_rows, describe, args in candidates:
             # Strictly cheaper wins; on a tie an index path beats the
             # scan (it can't be worse, and EXPLAIN output stays stable
             # for tiny tables).
-            if candidate.cost < best.cost or (
-                candidate.cost == best.cost and best.access_path == "scan"
-            ):
-                best = candidate
+            if option_cost < cost or (option_cost == cost and chosen is None):
+                cost, estimated, chosen = option_cost, option_rows, (describe, args)
+    if chosen is None:
+        best = _Path("scan", lambda: (rowid for rowid, _ in table.items()))
+    else:
+        best = chosen[0](*chosen[1])
     walk = None
     if keys and top is not None and best.ordered and best.ordered[0] == keys[0]:
         walk = "descending" if descending else "ascending"
     plan = SelectPlan(
         table=table.schema.name,
         access_path=best.access_path,
-        estimated_candidates=best.estimated,
-        estimated_cost=best.cost,
+        estimated_candidates=estimated,
+        estimated_cost=cost,
         chosen_conjuncts=best.conjuncts,
         pushdown=best.pushdown,
         order_by=keys,
@@ -204,13 +208,14 @@ def plan_select(
 
 def _index_candidates(
     table: Table, where: Expr, row_count: int
-) -> Iterator[_Candidate]:
-    """Cost every index-backed access path the WHERE clause enables."""
+) -> Iterator[tuple[float, int, Callable[..., _Path], tuple]]:
+    """Cost every index-backed access path the WHERE clause enables:
+    ``(cost, estimated rows, describe, args)``, where ``describe(*args)``
+    is the :class:`_Path` — called for the winner alone."""
     bindings, memberships, bounds = conjunct_bindings(where)
     if bindings:
-        bound = frozenset(bindings)
-        for index in table.indexes.candidate_hash_indexes(bound):
-            key = tuple(bindings[c] for c in index.columns)
+        for index in table.indexes.candidate_hash_indexes(frozenset(bindings)):
+            key = index.key_of(bindings)
             # Exact probe counts are O(1), so sharpen the estimate; the
             # selectivity figure (the index's own entries / distinct
             # keys) still breaks ties among equal probes.
@@ -218,18 +223,11 @@ def _index_candidates(
                 exact = index.count(key)
             except TypeError:
                 continue  # unhashable literal: no row can equal it here
-            yield _Candidate(
-                cost=(
-                    min(len(index) / index.distinct_keys(), row_count)
-                    * _INDEX_ROW_COST if exact else 0.0
-                ),
-                access_path=f"index:{index.name}",
-                rowids=lambda index=index, key=key: index.lookup(key),
-                estimated=exact,
-                conjuncts=tuple(
-                    f"{c} == {bindings[c]!r}" for c in index.columns
-                ),
+            cost = (
+                min(len(index) / index.distinct_keys(), row_count)
+                * _INDEX_ROW_COST if exact else 0.0
             )
+            yield cost, exact, _probe_path, (index, key, bindings)
     for column, values in memberships:
         index = table.indexes.hash_index_on((column,))
         if index is None:
@@ -240,14 +238,9 @@ def _index_candidates(
             continue  # mixed-type members: leave it to another path
         # A row holds one value per column, so the probes are disjoint.
         estimated = sum(index.count((member,)) for member in members)
-        yield _Candidate(
-            cost=estimated * _INDEX_ROW_COST,
-            access_path=f"index:{index.name}",
-            rowids=lambda index=index, members=members: chain.from_iterable(
-                index.lookup((member,)) for member in members
-            ),
-            estimated=estimated,
-            conjuncts=(f"{column} in {members!r}",),
+        yield (
+            estimated * _INDEX_ROW_COST, estimated,
+            _in_list_path, (index, column, members),
         )
     for column, bound_spec in bounds.items():
         index = table.indexes.sorted_index_on(column)
@@ -258,20 +251,39 @@ def _index_candidates(
             include_low=bound_spec.include_low, include_high=bound_spec.include_high,
         )
         estimated = index.estimate_range(**span)
-        low_bracket = "[" if bound_spec.include_low else "("
-        high_bracket = "]" if bound_spec.include_high else ")"
-        yield _Candidate(
-            cost=estimated * _INDEX_ROW_COST,
-            access_path=f"index:{index.name}",
-            rowids=partial(index.range, **span),
-            estimated=estimated,
-            conjuncts=tuple(bound_spec.conjuncts),
-            pushdown=(
-                f"{column} in {low_bracket}{bound_spec.low!r}, "
-                f"{bound_spec.high!r}{high_bracket}"
-            ),
-            ordered=(column, partial(index.range_steps, **span)),
+        yield (
+            estimated * _INDEX_ROW_COST, estimated,
+            _range_path, (index, bound_spec, span),
         )
+
+
+def _probe_path(index: HashIndex, key: tuple, bindings: dict[str, Any]) -> _Path:
+    return _Path(
+        f"index:{index.name}", partial(index.lookup, key),
+        tuple(f"{c} == {bindings[c]!r}" for c in index.columns),
+    )
+
+
+def _in_list_path(index: HashIndex, column: str, members: list[Any]) -> _Path:
+    return _Path(
+        f"index:{index.name}",
+        lambda: chain.from_iterable(index.lookup((m,)) for m in members),
+        (f"{column} in {members!r}",),
+    )
+
+
+def _range_path(
+    index: SortedIndex, bound_spec: RangeBound, span: dict[str, Any]
+) -> _Path:
+    low_bracket = "[" if bound_spec.include_low else "("
+    high_bracket = "]" if bound_spec.include_high else ")"
+    return _Path(
+        f"index:{index.name}", partial(index.range, **span),
+        tuple(bound_spec.conjuncts),
+        f"{index.column} in {low_bracket}{bound_spec.low!r}, "
+        f"{bound_spec.high!r}{high_bracket}",
+        (index.column, partial(index.range_steps, **span)),
+    )
 
 
 def _check_columns(table: Table, names: Iterable[str]) -> None:

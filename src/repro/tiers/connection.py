@@ -11,6 +11,8 @@ engine means re-implementing this one adapter, exactly the paper's
 A connection may carry a :class:`~repro.tiers.cache.QueryCache`; cursor
 selects then read through it, and the table version stamped on every
 entry makes any change to the table's rows an implicit invalidation.
+A row addressed by its primary key (``get``, ``update_pk``,
+``delete_pk``) is one index probe, never planned and never cached.
 """
 
 from __future__ import annotations
@@ -45,38 +47,51 @@ class Cursor:
         columns: Sequence[str] | None = None,
     ) -> "Cursor":
         if self._cache is not None:
-            self._results = self._cache.select(
+            rows = self._cache.select(
                 self._db, table, where=where, order_by=order_by,
                 limit=limit, columns=columns,
             )
         else:
-            self._results = self._db.select(
+            rows = self._db.select(
                 table, where=where, order_by=order_by, limit=limit,
                 columns=columns,
             )
-        self._pos = 0
-        self.rowcount = len(self._results)
-        return self
+        return self._answer(rows, len(rows))
 
     def insert(self, table: str, values: dict[str, Any]) -> "Cursor":
         self._db.insert(table, values)
-        self._results = []
-        self._pos = 0
-        self.rowcount = 1
-        return self
+        return self._answer([], 1)
 
     def update(
         self, table: str, changes: dict[str, Any], where: Expr | None = None
     ) -> "Cursor":
-        self.rowcount = self._db.update(table, changes, where=where)
-        self._results = []
-        self._pos = 0
-        return self
+        return self._answer([], self._db.update(table, changes, where=where))
 
     def delete(self, table: str, where: Expr | None = None) -> "Cursor":
-        self.rowcount = self._db.delete(table, where=where)
-        self._results = []
+        return self._answer([], self._db.delete(table, where=where))
+
+    # -- by primary key ----------------------------------------------------
+    # ``pk`` is the key tuple; a key no row can hold (an unhashable value)
+    # finds nothing, as a WHERE on it would.
+    def get(self, table: str, pk: tuple) -> "Cursor":
+        row = self._db.get(table, pk) if _holdable(pk) else None
+        rows = [] if row is None else [row]
+        return self._answer(rows, len(rows))
+
+    def update_pk(
+        self, table: str, pk: tuple, changes: dict[str, Any]
+    ) -> "Cursor":
+        found = _holdable(pk) and self._db.update_pk(table, pk, changes)
+        return self._answer([], int(found))
+
+    def delete_pk(self, table: str, pk: tuple) -> "Cursor":
+        found = _holdable(pk) and self._db.delete_pk(table, pk)
+        return self._answer([], int(found))
+
+    def _answer(self, rows: list[dict[str, Any]], rowcount: int) -> "Cursor":
+        self._results = rows
         self._pos = 0
+        self.rowcount = rowcount
         return self
 
     # -- fetching ----------------------------------------------------------
@@ -96,6 +111,15 @@ class Cursor:
         rows = self._results[self._pos : self._pos + size]
         self._pos += len(rows)
         return rows
+
+
+def _holdable(pk: tuple) -> bool:
+    """False for a key no stored row can hold: an unhashable one."""
+    try:
+        hash(pk)
+    except TypeError:
+        return False
+    return True
 
 
 class OpenDatabaseConnection:

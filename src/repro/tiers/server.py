@@ -326,9 +326,10 @@ class ClassAdministrator:
         self.admin_db = db
         self.table_versions = TableVersions()
         self.table_versions.attach(db)
-        # Repeated browser reads (rosters, transcripts, login lookups)
-        # hit memory; any change to a table's rows moves its version and
-        # so misses, whichever path made the change.
+        # Repeated browser reads (rosters, transcripts) hit memory; any
+        # change to a table's rows moves its version and so misses,
+        # whichever path made the change.  What an op checks or writes
+        # by primary key is one index probe and never enters the cache.
         self.query_cache = QueryCache(self.table_versions, max_entries=512)
         self.connection = OpenDatabaseConnection(db, cache=self.query_cache)
         #: Last-known-good replies for degraded serving while shedding:
@@ -565,10 +566,7 @@ class ClassAdministrator:
         except ValueError:
             return Response.failure(request, f"unknown role {role_name!r}")
         if role is Role.STUDENT:
-            cursor = self.connection.cursor().select(
-                "students", where=col("student_id") == user
-            )
-            row = cursor.fetchone()
+            row = self.connection.cursor().get("students", (user,)).fetchone()
             if row is None or not row["admitted"]:
                 return Response.failure(
                     request, f"student {user!r} is not admitted"
@@ -623,32 +621,21 @@ class ClassAdministrator:
     def _op_record_grade(self, request: Request, user: str, role: Role) -> Any:
         params = request.params
         course = params["course_number"]
+        cursor = self.connection.cursor()
         if role is Role.INSTRUCTOR:
-            cursor = self.connection.cursor().select(
-                "courses", where=col("course_number") == course
-            )
-            row = cursor.fetchone()
+            row = cursor.get("courses", (course,)).fetchone()
             if row is None or row["instructor"] != user:
                 raise ValueError(
                     f"{user} does not teach {course}; grade denied"
                 )
-        enrolled = self.connection.cursor().select(
-            "enrollments",
-            where=(col("student_id") == params["student_id"])
-            & (col("course_number") == course),
-        )
-        if enrolled.fetchone() is None:
-            raise ValueError(
-                f"student {params['student_id']!r} is not enrolled in {course}"
-            )
-        self.connection.cursor().insert(
-            "transcripts",
-            {
-                "student_id": params["student_id"],
-                "course_number": course,
-                "grade": float(params["grade"]),
-            },
-        )
+        student = params["student_id"]
+        if not cursor.get("enrollments", (student, course)).rowcount:
+            raise ValueError(f"student {student!r} is not enrolled in {course}")
+        cursor.insert("transcripts", {
+            "student_id": student,
+            "course_number": course,
+            "grade": float(params["grade"]),
+        })
         return True
 
     def _op_transcript(self, request: Request, user: str, role: Role) -> Any:
@@ -664,28 +651,13 @@ class ClassAdministrator:
 
     def _op_register_station(self, request: Request, user: str, _role: Role) -> Any:
         params = request.params
+        station = {
+            "station": params["station"],
+            "address": params.get("address", ""),
+        }
         cursor = self.connection.cursor()
-        existing = cursor.select(
-            "stations", where=col("user_id") == user
-        ).fetchone()
-        if existing is None:
-            cursor.insert(
-                "stations",
-                {
-                    "user_id": user,
-                    "station": params["station"],
-                    "address": params.get("address", ""),
-                },
-            )
-        else:
-            cursor.update(
-                "stations",
-                {
-                    "station": params["station"],
-                    "address": params.get("address", ""),
-                },
-                where=col("user_id") == user,
-            )
+        if not cursor.update_pk("stations", (user,), station).rowcount:
+            cursor.insert("stations", {"user_id": user, **station})
         return {"station": params["station"]}
 
     def _op_roster(self, request: Request, _user: str, _role: Role) -> Any:
@@ -732,9 +704,7 @@ class ClassAdministrator:
         doc_id = request.params["doc_id"]
         removed = self.library.remove_document(user, doc_id)
         if removed:
-            self.connection.cursor().delete(
-                "catalog_docs", where=col("doc_id") == doc_id
-            )
+            self.connection.cursor().delete_pk("catalog_docs", (doc_id,))
         return removed
 
     def _op_search(self, request: Request, _user: str, _role: Role) -> Any:

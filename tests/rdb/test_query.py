@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdb import UnknownColumnError, col
+from repro.rdb import Database, UnknownColumnError, col
 from repro.rdb.query import aggregate, join_rows
 
 
@@ -58,6 +58,37 @@ class TestSelect:
     def test_order_by_unknown_column(self, populated_db):
         with pytest.raises(UnknownColumnError):
             populated_db.select("people", order_by="ghost")
+
+    @pytest.mark.parametrize("path", ["scan", "hash probe", "empty table"])
+    @pytest.mark.parametrize("statement", ["select", "count", "update", "delete"])
+    def test_where_naming_an_unknown_column_is_refused_on_every_path(
+            self, populated_db, path, statement):
+        """Once answered ``[]``/``0`` through a probe or on an empty
+        table and raised a bare KeyError on a scan; now refused at plan
+        time whatever the path, before a row is touched."""
+        where = col("ghost") == 1
+        target = populated_db
+        if path == "hash probe":
+            probe = col("person_id") == 99
+            assert target.explain_plan("people", probe).access_path \
+                == "index:__pk__"
+            where = probe & where
+        elif path == "scan":
+            assert target.explain_plan("people", None).access_path == "scan"
+        else:
+            target = Database("empty")
+            target.create_table(populated_db.schema("people"))
+        before = target.select("people")
+        run = {
+            "select": lambda: target.select("people", where=where),
+            "count": lambda: target.count("people", where=where),
+            "update": lambda: target.update("people", {"name": "x"}, where=where),
+            "delete": lambda: target.delete("people", where=where),
+        }[statement]
+        with pytest.raises(UnknownColumnError) as excinfo:
+            run()
+        assert excinfo.value.column == "ghost"
+        assert target.select("people") == before
 
     def test_rows_are_copies(self, populated_db):
         row = populated_db.select("people", where=col("person_id") == 1)[0]

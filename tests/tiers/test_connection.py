@@ -51,6 +51,27 @@ class TestCursor:
         )
         assert cursor.fetchall() == [{"name": "ada"}]
 
+    def test_keyed_calls(self, conn, populated_db):
+        cursor = conn.cursor()
+        assert cursor.get("people", (1,)).fetchone()["name"] == "ada"
+        assert cursor.get("people", (99,)).rowcount == 0
+        assert cursor.update_pk("people", (2,), {"age": 21}).rowcount == 1
+        assert populated_db.get("people", 2)["age"] == 21
+        assert cursor.update_pk("people", (99,), {"age": 1}).rowcount == 0
+        assert cursor.delete_pk("orders", (12,)).rowcount == 1
+        assert cursor.delete_pk("orders", (12,)).rowcount == 0
+
+    def test_a_key_no_row_can_hold_finds_nothing(self, conn, populated_db):
+        """An unhashable key gets the answer a WHERE on it gets, not the
+        ``TypeError`` of hashing it."""
+        cursor = conn.cursor()
+        before = populated_db.select("people")
+        assert cursor.get("people", ([1],)).fetchone() is None
+        assert cursor.select("people", where=col("person_id") == [1]).rowcount == 0
+        assert cursor.update_pk("people", ([1],), {"age": 1}).rowcount == 0
+        assert cursor.delete_pk("people", ({"id": 1},)).rowcount == 0
+        assert populated_db.select("people") == before
+
 
 class TestConnectionLifecycle:
     def test_transaction_demarcation(self, conn, populated_db):
