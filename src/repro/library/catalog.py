@@ -56,14 +56,7 @@ class VirtualLibrary:
         self._require_instructor(user)
         if entry.doc_id in self._entries:
             raise ValueError(f"document {entry.doc_id!r} already published")
-        self._entries[entry.doc_id] = entry
-        self._index.add(
-            entry.doc_id,
-            keywords=entry.keywords,
-            instructor=entry.instructor,
-            course_number=entry.course_number,
-            title=entry.title,
-        )
+        self._store(entry)
         return entry
 
     def remove_document(self, user: str, doc_id: str) -> bool:
@@ -89,16 +82,21 @@ class VirtualLibrary:
         self._entries.clear()
         self._index = SearchIndex()
         for entry in entries:
-            self._entries[entry.doc_id] = entry
+            self._store(entry)
             self.instructors.add(entry.instructor)
-            self._index.add(
-                entry.doc_id,
-                keywords=entry.keywords,
-                instructor=entry.instructor,
-                course_number=entry.course_number,
-                title=entry.title,
-            )
         return len(self._entries)
+
+    def _store(self, entry: CatalogEntry) -> None:
+        """Index ``entry``, then keep it: an entry the index refuses (a
+        keyword that is not a string, say) is never stored."""
+        self._index.add(
+            entry.doc_id,
+            keywords=entry.keywords,
+            instructor=entry.instructor,
+            course_number=entry.course_number,
+            title=entry.title,
+        )
+        self._entries[entry.doc_id] = entry
 
     def _require_instructor(self, user: str) -> None:
         if user not in self.instructors:

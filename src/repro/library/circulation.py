@@ -68,15 +68,17 @@ class CirculationDesk:
         return loan
 
     def check_in(self, student: str, doc_id: str, time: float) -> float:
-        """Return a loan; gives back the held duration."""
+        """Return a loan; gives back the held duration.  A refused
+        check-in leaves the loan open."""
         key = (student, doc_id)
-        loan = self._open.pop(key, None)
+        loan = self._open.get(key)
         if loan is None:
             raise LookupError(
                 f"{student} has no open loan for {doc_id!r}"
             )
         if time < loan.checked_out_at:
             raise ValueError("check-in before check-out")
+        del self._open[key]
         self.log.append(
             CirculationEvent(time, student, doc_id, CirculationAction.CHECK_IN)
         )

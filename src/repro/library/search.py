@@ -6,6 +6,8 @@ course number or title words.  The index maintains one posting map per
 axis; queries intersect the axes they use.  The course axis serves
 title matches from a sorted title-token list (word-prefix lookup via
 :mod:`bisect`) instead of scanning every stored document per query.
+A posting keeps its ids in doc-id order once a query has needed them,
+so a top-k over one posting is a slice of that order.
 """
 
 from __future__ import annotations
@@ -48,6 +50,16 @@ class SearchResult:
     score: float
 
 
+class _Posting(set):
+    """One term's doc ids, plus ``order``: the same ids sorted, built by
+    the first query that reads them and dropped (``None``) by every
+    :meth:`SearchIndex.add` / :meth:`SearchIndex.remove` of the term.
+    Only ``SearchIndex._post`` makes postings (and sets ``order``)."""
+
+    __slots__ = ("order",)
+    order: list[str] | None
+
+
 @dataclass(slots=True)
 class _IndexedDoc:
     """What :meth:`SearchIndex.remove` needs to find a doc's postings:
@@ -68,12 +80,12 @@ def _terms(*sources: str) -> tuple[str, ...]:
 class SearchIndex:
     """Postings per axis: term -> set of doc ids."""
 
-    _keyword_postings: dict[str, set[str]] = field(default_factory=dict)
-    _instructor_postings: dict[str, set[str]] = field(default_factory=dict)
+    _keyword_postings: dict[str, _Posting] = field(default_factory=dict)
+    _instructor_postings: dict[str, _Posting] = field(default_factory=dict)
     #: course number (exact, lowered) -> docs
-    _course_postings: dict[str, set[str]] = field(default_factory=dict)
+    _course_postings: dict[str, _Posting] = field(default_factory=dict)
     #: title word -> docs, plus the words in sorted order for prefix lookup
-    _title_postings: dict[str, set[str]] = field(default_factory=dict)
+    _title_postings: dict[str, _Posting] = field(default_factory=dict)
     _title_terms_sorted: list[str] = field(default_factory=list)
     #: per-doc terms for targeted removal
     _docs: dict[str, _IndexedDoc] = field(default_factory=dict)
@@ -88,29 +100,24 @@ class SearchIndex:
         course_number: str = "",
         title: str = "",
     ) -> None:
+        """Index ``doc_id``.  Every term is derived before any posting
+        changes, so an input that cannot be tokenized raises with the
+        index untouched."""
         if doc_id in self._docs:
             raise ValueError(f"document {doc_id!r} already indexed")
-        keyword_terms = _terms(*keywords, title)
-        for term in keyword_terms:
-            self._keyword_postings.setdefault(term, set()).add(doc_id)
-        instructor_terms = _terms(instructor)
-        for term in instructor_terms:
-            self._instructor_postings.setdefault(term, set()).add(doc_id)
-        if course_number:
-            self._course_postings.setdefault(
-                course_number.lower(), set()
-            ).add(doc_id)
-        title_terms = _terms(title)
-        for term in title_terms:
-            postings = self._title_postings.get(term)
-            if postings is None:
-                self._title_postings[term] = {doc_id}
-                bisect.insort(self._title_terms_sorted, term)
-            else:
-                postings.add(doc_id)
-        self._docs[doc_id] = _IndexedDoc(
-            keyword_terms, instructor_terms, course_number, title_terms
+        doc = _IndexedDoc(
+            _terms(*keywords, title), _terms(instructor),
+            course_number, _terms(title),
         )
+        course_terms = (course_number.lower(),) if course_number else ()
+        for term in doc.title_terms:
+            if term not in self._title_postings:
+                bisect.insort(self._title_terms_sorted, term)
+        self._post(self._keyword_postings, doc.keyword_terms, doc_id)
+        self._post(self._instructor_postings, doc.instructor_terms, doc_id)
+        self._post(self._course_postings, course_terms, doc_id)
+        self._post(self._title_postings, doc.title_terms, doc_id)
+        self._docs[doc_id] = doc
 
     def remove(self, doc_id: str) -> None:
         """Targeted posting removal using the doc's stored terms —
@@ -125,13 +132,9 @@ class SearchIndex:
             self._discard(
                 self._course_postings, (doc.course_number.lower(),), doc_id
             )
+        self._discard(self._title_postings, doc.title_terms, doc_id)
         for term in doc.title_terms:
-            postings = self._title_postings.get(term)
-            if postings is None:
-                continue
-            postings.discard(doc_id)
-            if not postings:
-                del self._title_postings[term]
+            if term not in self._title_postings:
                 pos = bisect.bisect_left(self._title_terms_sorted, term)
                 if (
                     pos < len(self._title_terms_sorted)
@@ -140,14 +143,24 @@ class SearchIndex:
                     del self._title_terms_sorted[pos]
 
     @staticmethod
+    def _post(postings: dict[str, _Posting], terms, doc_id: str) -> None:
+        for term in terms:
+            ids = postings.get(term)
+            if ids is None:
+                ids = postings[term] = _Posting()
+            ids.add(doc_id)
+            ids.order = None
+
+    @staticmethod
     def _discard(
-        postings: dict[str, set[str]], terms, doc_id: str
+        postings: dict[str, _Posting], terms, doc_id: str
     ) -> None:
         for term in terms:
             ids = postings.get(term)
             if ids is None:
                 continue
             ids.discard(doc_id)
+            ids.order = None
             if not ids:
                 del postings[term]
 
@@ -174,7 +187,9 @@ class SearchIndex:
         intersected smallest-first), scoring (term-at-a-time hit
         counts; skipped when at most one term makes every score 1.0)
         and selection of the ``limit`` best by ``(-score, doc_id)`` —
-        cost ``O(postings + n log limit)`` for ``n`` candidates.
+        cost ``O(postings + n log limit)`` for ``n`` candidates.  When
+        the candidates are one posting in place and every score is 1.0
+        the selection is ``order[:limit]`` of that posting's kept order.
         """
         if limit is not None and (type(limit) is not int or limit < 0):
             raise ValueError(
@@ -204,14 +219,21 @@ class SearchIndex:
         candidates = _intersect(axes) if axes else self._docs.keys()
         # Without per-doc hit counts every candidate scores 1.0, so the
         # rank is doc-id order and the ids themselves are the sort keys.
-        ranked: Iterable = (
-            candidates if hits is None
-            else [(-hits[doc_id], doc_id) for doc_id in candidates]
-        )
-        if limit is None or limit * _HEAP_RATIO >= len(candidates):
-            top = sorted(ranked)[:limit]
+        if hits is None and type(candidates) is _Posting:
+            # One posting in place: the top-k is a prefix of its order.
+            order = candidates.order
+            if order is None:
+                order = candidates.order = sorted(candidates)
+            top = order[:limit]
         else:
-            top = heapq.nsmallest(limit, ranked)
+            ranked: Iterable = (
+                candidates if hits is None
+                else [(-hits[doc_id], doc_id) for doc_id in candidates]
+            )
+            if limit is None or limit * _HEAP_RATIO >= len(candidates):
+                top = sorted(ranked)[:limit]
+            else:
+                top = heapq.nsmallest(limit, ranked)
         if OBS.enabled and OBS.registry is not None:
             registry = OBS.registry
             registry.counter("library.searches").inc()

@@ -50,6 +50,23 @@ class TestCatalogOperations:
                 instructor="shih",
             ))
 
+    @pytest.mark.parametrize("bad", [
+        {"keywords": (1,)}, {"course_number": 101}, {"title": None},
+    ], ids=["keyword-int", "course-number-int", "title-none"])
+    def test_entry_the_index_refuses_is_not_stored(self, library, bad):
+        fields = dict(doc_id="x", title="Video notes", course_number="MM1",
+                      instructor="shih", keywords=("video",))
+        with pytest.raises((AttributeError, TypeError)):
+            library.add_document("shih", CatalogEntry(**{**fields, **bad}))
+        assert "x" not in library and len(library) == 1
+        # No posting kept the id either.
+        assert library.search(keywords="video") == []
+        assert [h.doc_id for h in library.search(instructor="shih")] == [
+            "cs101-l1"
+        ]
+        library.add_document("shih", CatalogEntry(**fields))
+        assert [h.doc_id for h in library.search(keywords="video")] == ["x"]
+
     def test_remove_returns_flag(self, library):
         assert library.remove_document("shih", "cs101-l1") is True
         assert library.remove_document("shih", "cs101-l1") is False

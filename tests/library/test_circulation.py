@@ -58,6 +58,11 @@ class TestCheckIn:
         desk.check_out("alice", "l1", time=10.0)
         with pytest.raises(ValueError):
             desk.check_in("alice", "l1", time=5.0)
+        # The refusal leaves the loan open and logs nothing.
+        assert desk.has_out("alice", "l1")
+        assert len(desk.log) == 1
+        assert desk.check_in("alice", "l1", time=25.0) == 15.0
+        assert not desk.has_out("alice", "l1")
 
     def test_re_checkout_after_checkin(self, desk):
         desk.check_out("alice", "l1", time=0.0)

@@ -15,6 +15,7 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.library import CatalogEntry, VirtualLibrary
 from repro.library import search as search_module
 from repro.library.search import SearchIndex, SearchResult, tokenize
 
@@ -107,14 +108,24 @@ TITLE_WORDS = ["draw", "drawing", "drawings", "data", "database", "intro"]
 INSTRUCTORS = ["Timothy Shih", "Timothy Ma", "Runhe Huang", "Ma"]
 COURSES = ["CS101", "MM201", "ED150", "data"]
 
-doc_specs = st.lists(
-    st.tuples(
-        st.lists(st.sampled_from(KEYWORDS), max_size=3),
-        st.lists(st.sampled_from(TITLE_WORDS), min_size=1, max_size=3),
-        st.sampled_from(INSTRUCTORS),
-        st.sampled_from(COURSES),
+doc_spec = st.tuples(
+    st.lists(st.sampled_from(KEYWORDS), max_size=3),
+    st.lists(st.sampled_from(TITLE_WORDS), min_size=1, max_size=3),
+    st.sampled_from(INSTRUCTORS),
+    st.sampled_from(COURSES),
+)
+doc_specs = st.lists(doc_spec, max_size=40)
+#: What happens between two rounds of queries: withdraw ``d<n>``,
+#: publish a document whose id sorts before every ``d<n>`` ("a", "c"),
+#: among them ("d" + a number past 39) or after them ("z"), or reload
+#: the catalog into a fresh index.
+catalog_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("remove"), st.integers(0, 39)),
+        st.tuples(st.just("add"), st.sampled_from("acdz"), doc_spec),
+        st.just(("reload",)),
     ),
-    max_size=40,
+    max_size=10,
 )
 keyword_queries = st.lists(
     st.sampled_from(KEYWORDS + TITLE_WORDS[:2] + ["quantum", "zed"]),
@@ -128,18 +139,23 @@ course_queries = st.sampled_from(
 )
 
 
-def _index(specs) -> SearchIndex:
-    index = SearchIndex()
+def _entry(doc_id: str, spec) -> CatalogEntry:
+    keywords, title_words, instructor, course = spec
+    return CatalogEntry(
+        doc_id=doc_id,
+        title=" ".join(title_words),
+        course_number=course,
+        instructor=instructor,
+        keywords=tuple(keywords),
+    )
+
+
+def _library(specs) -> VirtualLibrary:
+    library = VirtualLibrary(instructors={"gen"})
     # "d10" sorts before "d9": id order differs from insertion order.
-    for number, (keywords, title_words, instructor, course) in enumerate(specs):
-        index.add(
-            f"d{number}",
-            keywords=tuple(keywords),
-            instructor=instructor,
-            course_number=course,
-            title=" ".join(title_words),
-        )
-    return index
+    for number, spec in enumerate(specs):
+        library.add_document("gen", _entry(f"d{number}", spec))
+    return library
 
 
 def _assert_matches_reference(index: SearchIndex, axes: dict) -> None:
@@ -158,14 +174,16 @@ def _assert_matches_reference(index: SearchIndex, axes: dict) -> None:
     keywords=keyword_queries,
     instructor=instructor_queries,
     course=course_queries,
-    removals=st.lists(st.integers(0, 39), max_size=10),
+    steps=catalog_steps,
 )
 @settings(max_examples=60, deadline=None)
 def test_pipeline_equals_score_everything_reference(
-    mask, specs, keywords, instructor, course, removals
+    mask, specs, keywords, instructor, course, steps
 ):
-    """Every axis combination (``mask``) × limit, before and after
-    interleaved removals."""
+    """Every axis combination (``mask``) × limit, before and after each
+    of interleaved removals, additions and reloads — the queries in
+    between build kept orders that each later step must not leave
+    stale."""
     axes = {
         name: value
         for bit, (name, value) in enumerate(
@@ -174,11 +192,17 @@ def test_pipeline_equals_score_everything_reference(
         )
         if mask >> bit & 1
     }
-    index = _index(specs)
-    _assert_matches_reference(index, axes)
-    for number in removals:
-        index.remove(f"d{number}")
-        _assert_matches_reference(index, axes)
+    library = _library(specs)
+    _assert_matches_reference(library._index, axes)
+    for number, step in enumerate(steps):
+        if step[0] == "remove":
+            library.remove_document("gen", f"d{step[1]}")
+        elif step[0] == "add":
+            prefix, spec = step[1:]
+            library.add_document("gen", _entry(f"{prefix}{40 + number}", spec))
+        else:
+            library.reload(list(library.entries()))
+        _assert_matches_reference(library._index, axes)
 
 
 def test_ties_rank_by_doc_id_not_insertion_or_set_order():
@@ -199,28 +223,52 @@ def test_ties_rank_by_doc_id_not_insertion_or_set_order():
 def test_results_identical_across_the_heap_sort_crossover(
     monkeypatch, keywords
 ):
-    """``limit * _HEAP_RATIO`` candidates are sorted, one more goes
-    through the bounded heap; both equal the reference."""
+    """Several terms: ``limit * _HEAP_RATIO`` candidates are sorted, one
+    more goes through the bounded heap.  One term: the candidates are
+    one posting, sorted once into its kept order (again after an ``add``
+    drops it), and a repeated top-3 runs neither ``heapq.nsmallest`` nor
+    ``sorted`` over the posting, on either side of the crossover.  Every
+    answer equals the reference."""
     heap_calls = []
+    sort_sizes = []
     real_nsmallest = heapq.nsmallest
 
     def recording_nsmallest(n, iterable):
         heap_calls.append(n)
         return real_nsmallest(n, iterable)
 
+    def recording_sorted(iterable, **kwargs):
+        sort_sizes.append(len(iterable))
+        return sorted(iterable, **kwargs)
+
     monkeypatch.setattr(
         search_module.heapq, "nsmallest", recording_nsmallest
     )
+    monkeypatch.setattr(search_module, "sorted", recording_sorted,
+                        raising=False)
+
+    def top3() -> None:
+        heap_calls.clear()
+        sort_sizes.clear()
+        expected = _reference_search(index, keywords, limit=limit)
+        assert index.search(keywords, limit=limit) == expected
+
     limit = 3
     boundary = limit * search_module._HEAP_RATIO
     index = SearchIndex()
     for number in range(boundary):
         extra = ("audio",) if number % 3 == 0 else ()
         index.add(f"d{number}", keywords=("video", *extra))
-    expected = _reference_search(index, keywords, limit=limit)
-    assert index.search(keywords, limit=limit) == expected
-    assert heap_calls == []
-    index.add(f"d{boundary}", keywords=("video", "audio"))
-    expected = _reference_search(index, keywords, limit=limit)
-    assert index.search(keywords, limit=limit) == expected
-    assert heap_calls == [limit]
+    for grown in (False, True):
+        if grown:
+            index.add(f"d{boundary}", keywords=("video", "audio"))
+        top3()
+        if len(tokenize(keywords)) > 1:
+            assert heap_calls == ([limit] if grown else [])
+            continue
+        posting_size = len(index._keyword_postings["video"])
+        assert heap_calls == [] and max(sort_sizes) == posting_size
+        for _ in range(2):
+            top3()
+            assert heap_calls == []
+            assert max(sort_sizes, default=0) < posting_size

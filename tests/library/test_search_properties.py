@@ -7,18 +7,17 @@ from hypothesis import given, settings, strategies as st
 from repro.library import CatalogEntry, VirtualLibrary
 from repro.library.search import SearchIndex, tokenize
 
-words = st.sampled_from(
-    ["multimedia", "network", "database", "drawing", "intro", "systems"]
+WORDS = ["multimedia", "network", "database", "drawing", "intro", "systems"]
+INSTRUCTORS = ["shih", "ma", "huang"]
+COURSES = ["CS101", "MM201", "ED150"]
+words = st.sampled_from(WORDS)
+doc_spec = st.tuples(
+    words,  # keyword
+    words,  # title word
+    st.sampled_from(INSTRUCTORS),
+    st.sampled_from(COURSES),
 )
-doc_specs = st.lists(
-    st.tuples(
-        words,  # keyword
-        words,  # title word
-        st.sampled_from(["shih", "ma", "huang"]),
-        st.sampled_from(["CS101", "MM201", "ED150"]),
-    ),
-    max_size=25,
-)
+doc_specs = st.lists(doc_spec, max_size=25)
 
 
 def _library(specs) -> tuple[VirtualLibrary, list[str]]:
@@ -59,7 +58,7 @@ def test_no_axes_returns_catalog(specs):
     assert {r.doc_id for r in library.search()} == set(ids)
 
 
-@given(doc_specs, words, st.sampled_from(["shih", "ma", "huang"]))
+@given(doc_specs, words, st.sampled_from(INSTRUCTORS))
 @settings(max_examples=60, deadline=None)
 def test_combined_search_is_intersection(specs, query, instructor):
     library, _ids = _library(specs)
@@ -82,6 +81,32 @@ def test_remove_makes_docs_unfindable(specs):
     assert {r.doc_id for r in library.search()} == survivors
     for query in ("multimedia", "network", "database"):
         assert {r.doc_id for r in library.search(keywords=query)} <= survivors
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 11), doc_spec),
+                max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_every_kept_order_is_the_sorted_posting(ops):
+    """After any add/remove sequence, every order a query can read is
+    its posting in doc-id order: each step first queries every term of
+    every axis (building each order), then adds or removes one doc."""
+    index = SearchIndex()
+    queries = [{"keywords": w} for w in WORDS + ["to"]] + [
+        {"instructor": who} for who in INSTRUCTORS
+    ] + [{"course": c} for c in COURSES + WORDS + ["to"]]
+    for add, number, (keyword, title_word, instructor, course) in ops:
+        for query in queries:
+            index.search(**query, limit=3)
+        doc_id = f"d{number}"  # "d10" and "d11" sort before "d2"
+        if add and doc_id not in index._docs:
+            index.add(doc_id, keywords=(keyword,), instructor=instructor,
+                      course_number=course, title=f"Intro to {title_word}")
+        elif not add:
+            index.remove(doc_id)
+        for postings in (index._keyword_postings, index._instructor_postings,
+                         index._course_postings, index._title_postings):
+            for posting in postings.values():
+                assert posting.order in (None, sorted(posting))
 
 
 @given(doc_specs)

@@ -249,6 +249,37 @@ class TestLibraryOps:
                      doc_id="d1", time=30.0).unwrap()
         assert held["held_seconds"] == 30.0
 
+    def test_refused_check_in_keeps_the_loan(self, server, admin_session,
+                                             instructor_session):
+        _call(server, admin_session, "admit_student", student_id="alice")
+        _call(server, instructor_session, "publish_course_document",
+              doc_id="d1", title="T", course_number="C")
+        alice = _login(server, "alice", "student")
+        _call(server, alice, "check_out", doc_id="d1", time=10.0)
+        early = _call(server, alice, "check_in", doc_id="d1", time=5.0)
+        assert not early.ok and "check-in before check-out" in early.error
+        assert server.desk.has_out("alice", "d1")
+        held = _call(server, alice, "check_in", doc_id="d1", time=40.0)
+        assert held.unwrap() == {"held_seconds": 30.0}
+
+    def test_publish_refused_by_the_index_leaves_no_catalog_entry(
+            self, server, instructor_session):
+        # keywords=[1] fails tokenizing inside the search index: the
+        # catalog must not keep the entry, so the corrected retry is a
+        # first publish, not "already published".
+        refused = _call(server, instructor_session, "publish_course_document",
+                        doc_id="d1", title="T", course_number="C",
+                        keywords=[1])
+        assert not refused.ok and "AttributeError" in refused.error
+        assert "d1" not in server.library
+        retry = _call(server, instructor_session, "publish_course_document",
+                      doc_id="d1", title="T", course_number="C",
+                      keywords=["video"])
+        assert retry.unwrap() == {"doc_id": "d1"}
+        hits = _call(server, instructor_session, "search_library",
+                     keywords="video").unwrap()
+        assert [h["doc_id"] for h in hits] == ["d1"]
+
     @pytest.mark.parametrize("limit", [-1, "10"])
     def test_malformed_search_limit_is_a_failure_reply(
             self, server, instructor_session, limit):
