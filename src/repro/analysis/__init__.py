@@ -3,13 +3,18 @@
 The paper's collaborative-authoring story rests on hierarchical locking
 and referential-integrity triggers being correct *under concurrency*.
 This package verifies those invariants mechanically, in two halves that
-share one findings model (:mod:`repro.analysis.findings`), one
-baseline/suppression mechanism and the same text/JSON reporters:
+share one findings model (:mod:`repro.analysis.findings`) and the same
+text/JSON reporters:
 
-* a **static AST lint framework** (:mod:`repro.analysis.linter`) with a
-  pluggable rule registry and domain-specific rules — transaction
-  discipline, trigger-recursion, nondeterminism, index invariants and
-  exception hygiene — run as ``python -m repro.analysis lint``;
+* a **static AST lint** (:mod:`repro.analysis.linter`) running the
+  domain rules of :func:`repro.analysis.rules.standard_rules` —
+  transaction discipline, trigger-recursion, nondeterminism, index
+  invariants and exception hygiene — as ``python -m repro.analysis
+  lint``.  Its settings are the defaults of
+  :class:`~repro.analysis.config.AnalysisConfig`, and the one way to
+  accept a finding is an inline, rule-scoped
+  ``# repro-analysis: ignore[rule] -- why`` comment, which strict mode
+  reports once it stops matching;
 
 * a **dynamic lock-order race detector**
   (:mod:`repro.analysis.lockorder`) that observes
@@ -22,8 +27,7 @@ baseline/suppression mechanism and the same text/JSON reporters:
 
 from __future__ import annotations
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.config import AnalysisConfig, load_config
+from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.linter import LintResult, lint_paths, lint_source
 from repro.analysis.lockorder import (
@@ -32,7 +36,7 @@ from repro.analysis.lockorder import (
     detach_detector,
     detector_for,
 )
-from repro.analysis.registry import Rule, RuleRegistry, default_registry
+from repro.analysis.registry import Rule
 from repro.analysis.reporters import render_json, render_text
 
 __all__ = [
@@ -41,18 +45,12 @@ __all__ = [
     "LintResult",
     "LockOrderDetector",
     "Rule",
-    "RuleRegistry",
     "Severity",
-    "apply_baseline",
     "attach_detector",
-    "default_registry",
     "detach_detector",
     "detector_for",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "load_config",
     "render_json",
     "render_text",
-    "write_baseline",
 ]

@@ -3,12 +3,12 @@
 Commands::
 
     python -m repro.analysis lint [paths...] [--strict] [--format json]
-                                  [--baseline FILE] [--write-baseline]
-                                  [--rule ID ...] [--config PYPROJECT]
+                                  [--rule ID ...]
     python -m repro.analysis rules
 
-Exit codes: 0 clean, 1 findings (in strict mode also unused
-suppressions/baseline entries), 2 usage or configuration error.
+With no paths, ``lint`` scans ``src/repro`` under the current
+directory.  Exit codes: 0 clean, 1 findings (in strict mode also
+warnings and unused suppressions), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.config import load_config
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.config import AnalysisConfig
+from repro.analysis.findings import Severity
 from repro.analysis.linter import lint_paths
-from repro.analysis.registry import default_registry
 from repro.analysis.reporters import render_json, render_text
+from repro.analysis.rules import standard_rules
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,21 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--strict",
         action="store_true",
-        help="gate on warnings, unused suppressions and stale baseline "
-        "entries as well as errors",
+        help="gate on warnings and unused suppressions as well as errors",
     )
     lint.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: [tool.repro-analysis].baseline)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
     )
     lint.add_argument(
         "--rule",
@@ -60,67 +48,23 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="run only this rule (repeatable)",
     )
-    lint.add_argument(
-        "--config",
-        default=None,
-        metavar="PYPROJECT",
-        help="pyproject.toml to read [tool.repro-analysis] from",
-    )
 
     commands.add_parser("rules", help="list the rule catalogue")
     return parser
 
 
 def _cmd_rules() -> int:
-    for rule_id, severity, summary in default_registry().catalogue():
-        print(f"{rule_id:32} {severity:8} {summary}")
+    for rule in sorted(standard_rules(), key=lambda rule: rule.id):
+        print(f"{rule.id:32} {rule.severity.value:8} {rule.summary}")
     return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    paths = args.paths or list(config.paths)
-    result = lint_paths(paths, config=config, only=args.rules)
-
-    baseline_path = (
-        args.baseline if args.baseline is not None else config.baseline
-    )
-    baselined = 0
-    unused_baseline: list[str] = []
-    findings = result.findings
-    if baseline_path:
-        baseline = load_baseline(baseline_path)
-        findings, baselined, unused_baseline = apply_baseline(
-            findings, baseline
-        )
-
-    if args.write_baseline:
-        if not baseline_path:
-            print("error: --write-baseline needs a baseline path",
-                  file=sys.stderr)
-            return 2
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    display = list(findings)
+    paths = args.paths or list(AnalysisConfig().paths)
+    result = lint_paths(paths, only=args.rules)
+    display = list(result.findings)
     if args.strict:
         display.extend(result.unused_suppressions)
-        for fingerprint in unused_baseline:
-            display.append(
-                Finding(
-                    rule="stale-baseline-entry",
-                    message=(
-                        f"baseline entry {fingerprint} no longer matches any "
-                        "finding; remove it (or regenerate with "
-                        "--write-baseline)"
-                    ),
-                    path=baseline_path,
-                    severity=Severity.WARNING,
-                )
-            )
 
     render = render_json if args.fmt == "json" else render_text
     print(
@@ -128,12 +72,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             display,
             files_checked=result.files_checked,
             suppressed=result.suppressed,
-            baselined=baselined,
         )
     )
     if args.strict:
         return 1 if display else 0
-    return 1 if [f for f in findings if f.severity is Severity.ERROR] else 0
+    errors = [f for f in result.findings if f.severity is Severity.ERROR]
+    return 1 if errors else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,34 +1,28 @@
 """Configuration for the analysis subsystem.
 
-Defaults live here; a ``[tool.repro-analysis]`` block in
-``pyproject.toml`` overrides them.  All path-shaped options are matched
-against a file's *module-relative* path — the path from the ``repro``
-package root down, e.g. ``repro/rdb/table.py`` — so the configuration is
-independent of where the checkout lives.
+The defaults below are the configuration: nothing is read from disk, so
+a lint of explicit paths gives the same verdict from any directory.
+Tests that need another scope construct ``AnalysisConfig(...)``.  All
+path-shaped options are matched against a file's *module-relative*
+path — the path from the ``repro`` package root down, e.g.
+``repro/rdb/table.py`` — so the configuration is independent of where
+the checkout lives.
 """
 
 from __future__ import annotations
 
-import tomllib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
-__all__ = ["AnalysisConfig", "load_config", "module_relpath"]
+__all__ = ["AnalysisConfig", "module_relpath"]
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Tunables for the lint rules and CLI defaults."""
+    """Path scopes for the lint rules and the CLI's default scan root."""
 
     #: Default scan roots when the CLI gets no path arguments.
     paths: tuple[str, ...] = ("src/repro",)
-
-    #: Baseline file of accepted historical findings ("" disables).
-    baseline: str = "analysis-baseline.json"
-
-    #: Rule ids disabled outright.
-    disable: tuple[str, ...] = ()
 
     #: Module-relative prefixes that count as simulation/experiment code
     #: for the nondeterminism guard.
@@ -77,13 +71,6 @@ class AnalysisConfig:
         "repro/distribution/",
     )
 
-    #: Extra rule modules to import (plugin hook): dotted module names
-    #: whose import registers rules against the default registry.
-    plugins: tuple[str, ...] = field(default_factory=tuple)
-
-    def is_disabled(self, rule_id: str) -> bool:
-        return rule_id in self.disable
-
     def in_simulation_path(self, relpath: str) -> bool:
         return relpath.startswith(tuple(self.simulation_paths))
 
@@ -92,37 +79,6 @@ class AnalysisConfig:
 
     def in_retry_path(self, relpath: str) -> bool:
         return relpath.startswith(tuple(self.retry_paths))
-
-
-def load_config(pyproject: str | Path | None = None) -> AnalysisConfig:
-    """Read ``[tool.repro-analysis]`` from ``pyproject.toml``.
-
-    Missing file or missing block yields the defaults.  Unknown keys
-    raise — a typo in CI config should fail loudly, not silently lint
-    with defaults.
-    """
-    config = AnalysisConfig()
-    path = Path(pyproject) if pyproject is not None else Path("pyproject.toml")
-    if not path.is_file():
-        return config
-    with path.open("rb") as handle:
-        data = tomllib.load(handle)
-    block: dict[str, Any] = data.get("tool", {}).get("repro-analysis", {})
-    if not block:
-        return config
-    known = {f.name for f in fields(AnalysisConfig)}
-    unknown = set(block) - known
-    if unknown:
-        raise ValueError(
-            f"unknown [tool.repro-analysis] keys: {sorted(unknown)!r}"
-        )
-    updates: dict[str, Any] = {}
-    for key, value in block.items():
-        if isinstance(value, list):
-            updates[key] = tuple(str(item) for item in value)
-        else:
-            updates[key] = value
-    return replace(config, **updates)
 
 
 def module_relpath(path: str | Path) -> str:

@@ -4,15 +4,14 @@ A :class:`Finding` is one verified-or-suspected defect: which rule
 produced it, where it is (file/line for lint findings, a logical
 location such as ``"<lock-order>"`` for runtime findings), how severe,
 and an optional structured ``detail`` payload (e.g. the cycle a deadlock
-report refers to).  Findings are value objects — reporters, baselines
-and tests all consume the same type regardless of which half of the
-subsystem produced it.
+report refers to).  Findings are value objects — reporters and tests
+all consume the same type regardless of which half of the subsystem
+produced it.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,18 +46,6 @@ class Finding:
     source: str = "lint"  # "lint" | "detector"
     detail: dict[str, Any] | None = field(default=None, hash=False)
 
-    def fingerprint(self) -> str:
-        """Stable identity for baselines.
-
-        Deliberately excludes the line number so a finding survives in
-        the baseline when unrelated edits shift the file.
-        """
-        digest = hashlib.blake2b(digest_size=8)
-        for part in (self.rule, self.path, self.message):
-            digest.update(part.encode("utf-8"))
-            digest.update(b"\x1f")
-        return digest.hexdigest()
-
     def location(self) -> str:
         """``path:line:col`` for lint findings, ``path`` for runtime ones."""
         if self.source == "lint":
@@ -74,7 +61,6 @@ class Finding:
             "col": self.col,
             "severity": self.severity.value,
             "source": self.source,
-            "fingerprint": self.fingerprint(),
         }
         if self.detail is not None:
             payload["detail"] = self.detail

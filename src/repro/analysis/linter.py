@@ -6,11 +6,12 @@ Suppression syntax (inline, always rule-scoped)::
 
 A suppression comment covers findings on its own line and on the line
 directly below it (comment-above style).  When the comment sits on a
-``def`` line — or the line directly above one — it covers the whole
-function body, which keeps replay-style functions from needing one
-comment per statement.  Unused suppressions are themselves reported in
-strict mode (rule id ``unused-suppression``), so stale escapes cannot
-accumulate.
+``def`` line, on its first decorator, or on the line directly above the
+function, it covers the whole function, which keeps replay-style
+functions from needing one comment per statement.  Unused suppressions
+are themselves reported in strict mode (rule id ``unused-suppression``),
+so stale escapes cannot accumulate.  This is the one way to accept a
+finding.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Iterable, Sequence
 
 from repro.analysis.config import AnalysisConfig, module_relpath
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.registry import ModuleContext, Rule, RuleRegistry, default_registry
+from repro.analysis.registry import ModuleContext, Rule
+from repro.analysis.rules import standard_rules
 
 __all__ = ["LintResult", "lint_paths", "lint_source"]
 
@@ -80,19 +82,25 @@ def _parse_suppressions(source: str) -> list[_Suppression]:
     return suppressions
 
 
-def _function_spans(tree: ast.Module) -> list[tuple[int, int]]:
-    """(def_line, end_line) for every function, for scope suppressions."""
+def _function_spans(tree: ast.Module) -> list[tuple[int, int, int]]:
+    """(first_line, def_line, end_line) for every function.
+
+    A decorated function starts at its first decorator, as
+    ``co_firstlineno`` does, so a comment above the decorators scopes
+    the whole function.
+    """
     spans = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            spans.append((node.lineno, node.end_lineno or node.lineno))
+            first = min(n.lineno for n in [node, *node.decorator_list])
+            spans.append((first, node.lineno, node.end_lineno or node.lineno))
     return spans
 
 
 def _is_suppressed(
     finding: Finding,
     suppressions: list[_Suppression],
-    spans: list[tuple[int, int]],
+    spans: list[tuple[int, int, int]],
 ) -> bool:
     for suppression in suppressions:
         if not suppression.matches(finding.rule):
@@ -101,11 +109,11 @@ def _is_suppressed(
         if finding.line in (suppression.line, suppression.line + 1):
             suppression.used = True
             return True
-        # Function-scope: comment on (or directly above) the def line
-        # covers the whole body.
-        for def_line, end_line in spans:
-            if suppression.line in (def_line, def_line - 1) and (
-                def_line <= finding.line <= end_line
+        # Function-scope: a comment on the def line, on the function's
+        # first line or directly above it covers the whole function.
+        for first_line, def_line, end_line in spans:
+            if suppression.line in (first_line - 1, first_line, def_line) and (
+                first_line <= finding.line <= end_line
             ):
                 suppression.used = True
                 return True
@@ -129,7 +137,7 @@ def lint_source(
     config = config or AnalysisConfig()
     own_rules = rules is None
     if rules is None:
-        rules = default_registry().create_rules(config)
+        rules = _create_rules(config)
     findings, _suppressed, _unused = _lint_one(
         source, path or relpath, relpath, config, rules
     )
@@ -189,23 +197,44 @@ def _lint_one(
 
 
 def _discover(paths: Iterable[str | Path]) -> list[Path]:
-    files: list[Path] = []
+    """Every ``.py`` file under ``paths`` once, in first-seen order.
+
+    A file named twice, or reached through overlapping roots, is keyed
+    by its resolved path, so neither the counts nor the cross-module
+    rules see it twice.
+    """
+    files: dict[Path, Path] = {}
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
+            found = sorted(path.rglob("*.py"))
         elif path.is_file():
-            files.append(path)
+            found = [path]
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
-    return files
+        for file_path in found:
+            files.setdefault(file_path.resolve(), file_path)
+    return list(files.values())
+
+
+def _create_rules(
+    config: AnalysisConfig, only: Iterable[str] | None = None
+) -> list[Rule]:
+    """Fresh instances of :func:`standard_rules` (or its ``only`` subset)."""
+    classes = standard_rules()
+    if only is not None:
+        wanted = set(only)
+        unknown = wanted - {cls.id for cls in classes}
+        if unknown:
+            raise ValueError(f"unknown rule ids: {sorted(unknown)!r}")
+        classes = [cls for cls in classes if cls.id in wanted]
+    return [cls(config) for cls in classes]
 
 
 def lint_paths(
     paths: Sequence[str | Path],
     *,
     config: AnalysisConfig | None = None,
-    registry: RuleRegistry | None = None,
     only: Sequence[str] | None = None,
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths`` with one shared rule set.
@@ -214,8 +243,7 @@ def lint_paths(
     checks (the trigger graph) span the whole scan.
     """
     config = config or AnalysisConfig()
-    registry = registry or default_registry()
-    rules = registry.create_rules(config, only=only)
+    rules = _create_rules(config, only)
     result = LintResult()
     for file_path in _discover(paths):
         source = file_path.read_text(encoding="utf-8")

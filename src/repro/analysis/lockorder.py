@@ -21,7 +21,7 @@ Two properties are checked *at acquire time*:
   granted; otherwise a finding is recorded and execution continues.
 
 Findings reuse the shared :class:`repro.analysis.findings.Finding`
-model, so the text/JSON reporters and baselines work unchanged.  Edges
+model, so the lint's text/JSON reporters render them unchanged.  Edges
 persist across releases on purpose — ordering discipline is a global
 property of the program, not of one moment's lock table.
 

@@ -1,23 +1,11 @@
-"""The pluggable lint-rule registry.
+"""The lint-rule base class and what a rule sees of one module.
 
 A rule is a class with a stable ``id``, a one-line ``summary`` and a
 ``check_module`` method; rules that need whole-program state (e.g. the
 trigger graph, which spans modules) accumulate it across calls and emit
-the cross-module findings from ``finalize``.  Rules register themselves
-with a :class:`RuleRegistry`; :func:`default_registry` returns the
-standard WDDB rule set, and external code may register more::
-
-    registry = default_registry()
-
-    @registry.register
-    class NoPrintRule(Rule):
-        id = "no-print"
-        summary = "print() in library code"
-        def check_module(self, ctx):
-            ...
-
-Registries hand out *fresh rule instances* per lint run, so rule state
-never leaks between runs.
+the cross-module findings from ``finalize``.  The rule set is
+:func:`repro.analysis.rules.standard_rules`; the linter instantiates it
+afresh per run, so rule state never leaks between runs.
 """
 
 from __future__ import annotations
@@ -31,7 +19,7 @@ from repro.analysis.findings import Finding, Severity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.config import AnalysisConfig
 
-__all__ = ["ModuleContext", "Rule", "RuleRegistry", "default_registry"]
+__all__ = ["ModuleContext", "Rule"]
 
 
 @dataclass(frozen=True)
@@ -82,58 +70,3 @@ class Rule:
     def finalize(self) -> Iterable[Finding]:
         """Cross-module findings, emitted after every module was checked."""
         return ()
-
-
-class RuleRegistry:
-    """Holds rule classes; instantiates a fresh set per lint run."""
-
-    def __init__(self) -> None:
-        self._rules: dict[str, type[Rule]] = {}
-
-    def register(self, rule_cls: type[Rule]) -> type[Rule]:
-        """Register a rule class (usable as a decorator)."""
-        rule_id = rule_cls.id
-        if not rule_id or rule_id == "abstract":
-            raise ValueError(f"rule {rule_cls.__name__} needs a stable id")
-        if rule_id in self._rules:
-            raise ValueError(f"duplicate rule id {rule_id!r}")
-        self._rules[rule_id] = rule_cls
-        return rule_cls
-
-    def ids(self) -> list[str]:
-        return sorted(self._rules)
-
-    def catalogue(self) -> list[tuple[str, str, str]]:
-        """(id, severity, summary) rows for ``python -m repro.analysis rules``."""
-        return [
-            (rule_id, cls.severity.value, cls.summary)
-            for rule_id, cls in sorted(self._rules.items())
-        ]
-
-    def create_rules(
-        self, config: "AnalysisConfig", only: Iterable[str] | None = None
-    ) -> list[Rule]:
-        """Fresh instances of every enabled rule for one run."""
-        wanted = set(only) if only is not None else None
-        if wanted is not None:
-            unknown = wanted - set(self._rules)
-            if unknown:
-                raise ValueError(f"unknown rule ids: {sorted(unknown)!r}")
-        instances = []
-        for rule_id, cls in sorted(self._rules.items()):
-            if wanted is not None and rule_id not in wanted:
-                continue
-            if wanted is None and config.is_disabled(rule_id):
-                continue
-            instances.append(cls(config))
-        return instances
-
-
-def default_registry() -> RuleRegistry:
-    """The standard WDDB rule set (importing the rules registers them)."""
-    from repro.analysis.rules import standard_rules
-
-    registry = RuleRegistry()
-    for rule_cls in standard_rules():
-        registry.register(rule_cls)
-    return registry

@@ -15,7 +15,6 @@ def render_text(
     *,
     files_checked: int | None = None,
     suppressed: int = 0,
-    baselined: int = 0,
 ) -> str:
     """One ``location: severity: rule: message`` line per finding."""
     lines = []
@@ -33,8 +32,6 @@ def render_text(
         extras.append(f"{files_checked} files checked")
     if suppressed:
         extras.append(f"{suppressed} suppressed")
-    if baselined:
-        extras.append(f"{baselined} baselined")
     if extras:
         tail += f" ({', '.join(extras)})"
     lines.append(tail)
@@ -46,17 +43,12 @@ def render_json(
     *,
     files_checked: int | None = None,
     suppressed: int = 0,
-    baselined: int = 0,
 ) -> str:
     """Machine-readable report (stable ordering, versioned envelope)."""
     payload: dict[str, Any] = {
-        "version": 1,
+        "version": 2,
         "findings": [f.to_dict() for f in sort_findings(findings)],
-        "summary": {
-            "total": len(findings),
-            "suppressed": suppressed,
-            "baselined": baselined,
-        },
+        "summary": {"total": len(findings), "suppressed": suppressed},
     }
     if files_checked is not None:
         payload["summary"]["files_checked"] = files_checked

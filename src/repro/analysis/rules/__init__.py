@@ -1,7 +1,7 @@
 """The standard WDDB rule set.
 
-Each module holds one rule family; :func:`standard_rules` is what
-:func:`repro.analysis.registry.default_registry` installs.
+Each module holds one rule family; :func:`standard_rules` is the one
+list the linter and the ``rules`` command read.
 """
 
 from __future__ import annotations

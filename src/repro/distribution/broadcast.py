@@ -14,17 +14,16 @@ Two refinements are measured as ablations:
 * the flat baseline (root unicasts to everyone) is the same broadcast
   over a tree with ``m >= N - 1``.
 
-For lossy links a ``retry_policy`` (see :mod:`repro.fault.policy`) arms
-a completion check: stations still missing chunks after the policy's
-timeout get the missing chunks re-pushed from the root, with backoff,
-until complete or the policy gives up.  Without a policy the send path
-is exactly the fire-and-forget mechanism above — zero overhead.
+The send path is fire-and-forget.  Lost or crashed-away chunks are
+healed from outside: :class:`repro.fault.recovery.RedeliveryService`
+asks :meth:`PreBroadcaster.missing_chunks` who is incomplete and sends
+exactly those chunks with :meth:`PreBroadcaster.resend_chunks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.distribution.mtree import MAryTree
 from repro.obs.instrument import OBS
@@ -33,9 +32,6 @@ from repro.net.station import Station
 from repro.net.transport import Network
 from repro.storage.blob import BlobKind
 from repro.util.validation import check_positive
-
-if TYPE_CHECKING:
-    from repro.fault.policy import RetryPolicy
 
 __all__ = ["LecturePayload", "BroadcastReport", "PreBroadcaster"]
 
@@ -120,8 +116,6 @@ class PreBroadcaster:
         self.network = network
         self._reports: dict[str, BroadcastReport] = {}
         self._trees: dict[str, MAryTree] = {}
-        #: policy-driven completion checks that found stragglers
-        self.redeliveries = 0
         #: bytes re-sent beyond the first delivery attempt
         self.bytes_redelivered = 0
         self._obs_cache: dict[str, Any] | None = None
@@ -164,14 +158,11 @@ class PreBroadcaster:
         *,
         chunk_size_bytes: int | None = None,
         kind: BlobKind = BlobKind.VIDEO,
-        retry_policy: "RetryPolicy | None" = None,
     ) -> BroadcastReport:
         """Push ``lecture_id`` from the tree root to every station.
 
         Returns the (live) report; run the simulator to completion
-        (``network.quiesce()``) before reading arrival times.  With a
-        ``retry_policy`` the root re-pushes missing chunks to stations
-        still incomplete after each policy timeout (lossy-link mode).
+        (``network.quiesce()``) before reading arrival times.
         """
         check_positive(size_bytes, "size_bytes")
         if chunk_size_bytes is None:
@@ -226,11 +217,6 @@ class PreBroadcaster:
                     handles = self._obs()
                     handles["bytes_sent"].inc(chunk)
                     handles["chunks_sent"].inc()
-        if retry_policy is not None and retry_policy.allows(0):
-            self.network.sim.schedule(
-                retry_policy.timeout_for(0),
-                self._check_completion, lecture_id, retry_policy, 0, kind,
-            )
         return report
 
     def _on_push(self, station: Station, message: Message) -> None:
@@ -338,7 +324,7 @@ class PreBroadcaster:
         tracer.extend(trace["root"], now)
 
     # ------------------------------------------------------------------
-    # Completion tracking and policy-driven redelivery
+    # Completion tracking and targeted redelivery
     # ------------------------------------------------------------------
     def chunks_received(self, station_name: str, lecture_id: str) -> set[int]:
         """Chunk indices ``station_name`` holds for ``lecture_id``."""
@@ -391,33 +377,6 @@ class PreBroadcaster:
         if OBS.enabled:
             self._obs()["bytes_redelivered"].inc(sent)
         return sent
-
-    def _check_completion(
-        self,
-        lecture_id: str,
-        policy: "RetryPolicy",
-        attempt: int,
-        kind: BlobKind,
-    ) -> None:
-        """Re-push missing chunks from the root to incomplete stations."""
-        tree = self._trees[lecture_id]
-        root_name = tree.name_of(1)
-        incomplete = False
-        for name in tree.names:
-            if self.network.is_down(name) or name == root_name:
-                continue
-            missing = self.missing_chunks(name, lecture_id)
-            if not missing:
-                continue
-            incomplete = True
-            self.redeliveries += 1
-            self.resend_chunks(root_name, name, lecture_id, missing,
-                               kind=kind)
-        if incomplete and policy.allows(attempt + 1):
-            self.network.sim.schedule(
-                policy.timeout_for(attempt + 1),
-                self._check_completion, lecture_id, policy, attempt + 1, kind,
-            )
 
     # ------------------------------------------------------------------
     # Helpers

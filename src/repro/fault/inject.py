@@ -185,6 +185,9 @@ class FaultInjector:
         self.fired: list[tuple[float, FaultEvent]] = []
         #: station -> [(crash_time, restart_time_or_None), ...]
         self.outages: dict[str, list[list[float | None]]] = {}
+        #: unordered pair -> (latency before its first standing spike,
+        #: standing spikes in start order)
+        self._spikes: dict[frozenset[str], tuple[float, list[FaultEvent]]] = {}
 
     def arm(self, schedule: FaultSchedule) -> int:
         """Schedule every event; returns how many were armed."""
@@ -212,11 +215,14 @@ class FaultInjector:
             self.network.set_drop_rate(event.param("rate"))
         elif event.kind == LATENCY_SPIKE:
             a, b = event.target, event.param("peer")
-            previous = self.network.latency(a, b)
+            pair = frozenset((a, b))
+            _before, standing = self._spikes.setdefault(
+                pair, (self.network.latency(a, b), [])
+            )
+            standing.append(event)
             self.network.set_latency(a, b, event.param("latency_s"))
             self.network.sim.schedule(
-                event.param("duration_s"),
-                self.network.set_latency, a, b, previous,
+                event.param("duration_s"), self._end_spike, pair, event
             )
         elif event.kind == LINK_RATE:
             station = self.network.station(event.target)
@@ -227,6 +233,19 @@ class FaultInjector:
             self.network.set_partition(None)
         else:
             raise ValueError(f"unknown fault kind {event.kind!r}")
+
+    def _end_spike(self, pair: frozenset[str], event: FaultEvent) -> None:
+        """Retire one spike: the latest-started standing spike's latency
+        holds the path; after the last one, the latency before the first.
+        """
+        before, standing = self._spikes[pair]
+        standing.remove(event)
+        a, b = event.target, event.param("peer")
+        if standing:
+            self.network.set_latency(a, b, standing[-1].param("latency_s"))
+        else:
+            del self._spikes[pair]
+            self.network.set_latency(a, b, before)
 
     # -- accounting --------------------------------------------------------
     def downtime_s(self, station: str, horizon: float | None = None) -> float:

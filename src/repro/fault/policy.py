@@ -5,8 +5,9 @@ how long to wait before concluding a message died, how that wait grows
 across attempts, and when to give up.  Before this module each layer
 hard-coded its own (``ondemand`` carried an ad-hoc fixed-interval
 retry); :class:`RetryPolicy` centralizes the schedule so the on-demand
-fetcher, the pre-broadcast redelivery path and the fault-recovery
-machinery all back off the same way and experiments can sweep one knob.
+fetcher and the fault-recovery machinery (the broadcast healer
+:class:`~repro.fault.recovery.RedeliveryService` among it) back off the
+same way and experiments can sweep one knob.
 
 Policies are value objects: deterministic, hashable, and safe to share
 between subsystems.  Optional jitter is derived from a seed with

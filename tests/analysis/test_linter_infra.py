@@ -1,26 +1,14 @@
-"""Framework behaviour: suppressions, baselines, reporters, config, CLI."""
+"""Framework behaviour: suppressions, discovery, reporters, rules, CLI."""
 
 from __future__ import annotations
 
 import json
-import textwrap
 
 import pytest
 
-from repro.analysis import (
-    AnalysisConfig,
-    Finding,
-    apply_baseline,
-    default_registry,
-    lint_paths,
-    load_baseline,
-    load_config,
-    render_json,
-    render_text,
-    write_baseline,
-)
+from repro.analysis import AnalysisConfig, lint_paths, render_json, render_text
 from repro.analysis.__main__ import main as cli_main
-from repro.analysis.registry import Rule, RuleRegistry
+from repro.analysis.rules import standard_rules
 
 MUTATION = """\
 def load(table, rows):
@@ -64,6 +52,22 @@ class TestSuppressions:
         )
         assert findings == []
 
+    def test_comment_above_decorators_covers_the_function(self, tmp_path):
+        module = tmp_path / "decorated.py"
+        module.write_text(
+            "class Loader:\n"
+            "    # repro-analysis: ignore[mutation-outside-transaction] -- replay\n"
+            "    @staticmethod\n"
+            "    def load(table, rows):\n"
+            "        for row in rows:\n"
+            "            table.apply_insert(row)\n",
+            encoding="utf-8",
+        )
+        result = lint_paths([module])
+        assert result.findings == []
+        assert result.suppressed == 1
+        assert result.unused_suppressions == []
+
     def test_wrong_rule_id_does_not_suppress(self, lint):
         findings = lint(
             """\
@@ -99,31 +103,34 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# discovery
 # ---------------------------------------------------------------------------
-class TestBaseline:
-    def test_roundtrip_and_subtraction(self, tmp_path, lint):
-        findings = lint(MUTATION)
-        assert len(findings) == 1
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        baseline = load_baseline(path)
-        fresh, baselined, unused = apply_baseline(findings, baseline)
-        assert fresh == [] and baselined == 1 and unused == []
+class TestDiscovery:
+    def test_each_file_is_linted_once(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        bad = pkg / "bad.py"
+        bad.write_text(MUTATION, encoding="utf-8")
+        (tmp_path / "top.py").write_text("x = 1\n", encoding="utf-8")
+        respelled = pkg / ".." / "pkg" / "bad.py"
+        for paths, files in (
+            ([bad, bad], 1),
+            ([bad, respelled], 1),
+            ([tmp_path, pkg], 2),
+            ([pkg, tmp_path, bad], 2),
+        ):
+            result = lint_paths(paths)
+            assert result.files_checked == files, paths
+            assert [f.rule for f in result.findings] == [
+                "mutation-outside-transaction"
+            ], paths
 
-    def test_unused_entries_surface(self, tmp_path, lint):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, lint(MUTATION))
-        fresh, baselined, unused = apply_baseline([], load_baseline(path))
-        assert fresh == [] and baselined == 0 and len(unused) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(load_baseline(tmp_path / "nope.json")) == 0
-
-    def test_fingerprint_is_line_independent(self):
-        a = Finding(rule="r", message="m", path="p.py", line=3)
-        b = Finding(rule="r", message="m", path="p.py", line=30)
-        assert a.fingerprint() == b.fingerprint()
+    def test_first_spelling_is_reported(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(MUTATION, encoding="utf-8")
+        respelled = tmp_path / "." / "bad.py"
+        (finding,) = lint_paths([respelled, bad]).findings
+        assert finding.path == str(respelled)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +147,9 @@ class TestReporters:
         payload = json.loads(
             render_json(lint(MUTATION), files_checked=1, suppressed=2)
         )
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["summary"] == {
-            "total": 1, "suppressed": 2, "baselined": 0, "files_checked": 1,
+            "total": 1, "suppressed": 2, "files_checked": 1,
         }
         (finding,) = payload["findings"]
         assert finding["rule"] == "mutation-outside-transaction"
@@ -151,43 +158,13 @@ class TestReporters:
 
 
 # ---------------------------------------------------------------------------
-# registry + config
+# rules + config
 # ---------------------------------------------------------------------------
 class TestRegistryAndConfig:
-    def test_plugin_rule_registration(self, tmp_path):
-        registry = default_registry()
-
-        @registry.register
-        class NoTodoRule(Rule):
-            id = "no-todo"
-            summary = "TODO left in source"
-
-            def check_module(self, ctx):
-                for lineno, line in enumerate(
-                    ctx.source.splitlines(), start=1
-                ):
-                    if "TODO" in line:
-                        yield Finding(
-                            rule=self.id, message="TODO", path=ctx.path,
-                            line=lineno,
-                        )
-
-        module = tmp_path / "m.py"
-        module.write_text("x = 1  # TODO\n", encoding="utf-8")
-        result = lint_paths([tmp_path], registry=registry)
-        assert [f.rule for f in result.findings] == ["no-todo"]
-
-    def test_duplicate_rule_id_rejected(self):
-        registry = RuleRegistry()
-
-        class A(Rule):
-            id = "dup"
-            def check_module(self, ctx):
-                return ()
-
-        registry.register(A)
-        with pytest.raises(ValueError, match="duplicate"):
-            registry.register(A)
+    def test_standard_rule_ids_are_unique(self):
+        ids = [cls.id for cls in standard_rules()]
+        assert all(ids) and "abstract" not in ids
+        assert len(set(ids)) == len(ids)
 
     def test_only_selects_rules(self, tmp_path):
         module = tmp_path / "m.py"
@@ -204,33 +181,6 @@ class TestRegistryAndConfig:
         assert [f.rule for f in result.findings] == ["bare-except"]
         with pytest.raises(ValueError, match="unknown rule ids"):
             lint_paths([tmp_path], only=["nope"])
-
-    def test_config_block_parsed(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            textwrap.dedent(
-                """\
-                [tool.repro-analysis]
-                paths = ["lib"]
-                disable = ["bare-except"]
-                simulation_paths = ["repro/x/"]
-                """
-            ),
-            encoding="utf-8",
-        )
-        config = load_config(pyproject)
-        assert config.paths == ("lib",)
-        assert config.is_disabled("bare-except")
-        assert config.in_simulation_path("repro/x/a.py")
-        assert not config.in_simulation_path("repro/net/sim.py")
-
-    def test_unknown_config_key_raises(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro-analysis]\ntypo_key = 1\n", encoding="utf-8"
-        )
-        with pytest.raises(ValueError, match="typo_key"):
-            load_config(pyproject)
 
     def test_repo_config_matches_defaults(self):
         config = AnalysisConfig()
@@ -255,51 +205,32 @@ class TestCli:
         good.write_text("x = 1\n", encoding="utf-8")
         assert cli_main(["lint", str(good)]) == 0
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(MUTATION, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(
-            ["lint", str(bad), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        assert cli_main(
-            ["lint", str(bad), "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        # Strict still passes: every baseline entry is in use.
-        assert cli_main(
-            ["lint", str(bad), "--baseline", str(baseline), "--strict"]
-        ) == 0
-
-    def test_stale_baseline_fails_strict_only(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(MUTATION, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        cli_main(
-            ["lint", str(bad), "--baseline", str(baseline), "--write-baseline"]
-        )
-        bad.write_text("x = 1\n", encoding="utf-8")  # finding fixed
-        capsys.readouterr()
-        assert cli_main(
-            ["lint", str(bad), "--baseline", str(baseline)]
-        ) == 0
-        assert cli_main(
-            ["lint", str(bad), "--baseline", str(baseline), "--strict"]
-        ) == 1
-        assert "stale-baseline-entry" in capsys.readouterr().out
-
     def test_rules_command_lists_catalogue(self, capsys):
         assert cli_main(["rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "mutation-outside-transaction",
-            "trigger-recursion",
-            "nondeterminism-guard",
-            "index-invariant",
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [
             "bare-except",
+            "codegen-namespace",
+            "index-invariant",
+            "mutation-outside-transaction",
+            "nondeterminism-guard",
+            "retry-discipline",
             "swallowed-lock-conflict",
-        ):
-            assert rule_id in out
+            "trigger-recursion",
+        ]
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["lint", str(tmp_path / "gone.py")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag", [["--baseline", "b.json"], ["--write-baseline"],
+                 ["--config", "pyproject.toml"]],
+    )
+    def test_retired_flags_are_refused(self, tmp_path, capsys, flag):
+        good = tmp_path / "good.py"
+        good.write_text("x = 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["lint", str(good), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

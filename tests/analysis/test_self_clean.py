@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import lint_paths, load_config
+from repro.analysis import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_src_repro_lints_clean_with_repo_config():
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    result = lint_paths([REPO_ROOT / "src" / "repro"], config=config)
+    # The repo's configuration is AnalysisConfig's defaults.
+    result = lint_paths([REPO_ROOT / "src" / "repro"])
     assert result.findings == [], "\n".join(
         f"{f.location()}: {f.rule}: {f.message}" for f in result.findings
     )
@@ -30,6 +30,5 @@ def test_known_suppressions_are_counted():
     # drift in suppression handling shows up here: the engine's
     # snapshot load (1, shared by recover and WebDocumentDatabase.load)
     # and the three raw mutators of _replay_op.
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    result = lint_paths([REPO_ROOT / "src" / "repro"], config=config)
+    result = lint_paths([REPO_ROOT / "src" / "repro"])
     assert result.suppressed == 4

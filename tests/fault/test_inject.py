@@ -85,6 +85,26 @@ class TestInjector:
         net8.sim.run(until=5.0)
         assert net8.latency("s1", "s2") == net8.default_latency_s
 
+    def test_overlapping_spikes_end(self, net8):
+        # The second spike names the pair the other way round; the path
+        # holds the latest-started standing spike, then the latency in
+        # force before the first.
+        injector = FaultInjector(net8)
+        injector.arm(
+            FaultSchedule()
+            .latency_spike(0.0, "s1", "s2", latency_s=0.5, duration_s=10.0)
+            .latency_spike(5.0, "s2", "s1", latency_s=0.9, duration_s=10.0)
+        )
+        net8.sim.run(until=2.0)
+        assert net8.latency("s1", "s2") == 0.5
+        net8.sim.run(until=7.0)
+        assert net8.latency("s1", "s2") == 0.9
+        net8.sim.run(until=12.0)
+        assert net8.latency("s1", "s2") == 0.9
+        net8.sim.run(until=30.0)
+        assert net8.latency("s1", "s2") == net8.default_latency_s
+        assert net8.latency("s2", "s1") == net8.default_latency_s
+
     def test_link_rate_event(self, net8):
         injector = FaultInjector(net8)
         injector.arm(FaultSchedule().link_rate(1.0, "s2", 1.0))
