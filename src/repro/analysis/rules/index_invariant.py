@@ -1,7 +1,7 @@
 """Rule: index-invariant.
 
-Every index (and therefore every planner statistic from
-:mod:`repro.rdb.stats`) is maintained incrementally by
+Every index (and therefore every counter the planner reads) is
+maintained incrementally by
 ``Table.apply_*`` / ``IndexSet.insert_row`` / ``remove_row``.  Code that
 writes ``table._rows`` or ``table._next_rowid`` directly bypasses that
 maintenance and silently corrupts both index lookups and the cost-based

@@ -10,7 +10,7 @@ transfers between workstations, so this package models:
   (:mod:`repro.net.station`, :mod:`repro.net.link`),
 * typed message envelopes (:mod:`repro.net.messages`), and
 * a transport facade with mpi4py-flavoured ``send``/``bcast`` verbs
-  (:mod:`repro.net.transport`).
+  and the one request/reply call path (:mod:`repro.net.transport`).
 
 The model is store-and-forward per message: a transfer occupies the
 sender's uplink and the receiver's downlink for ``size / min(up, down)``
@@ -36,7 +36,6 @@ from repro.net.messages import (
 from repro.net.link import DuplexLink
 from repro.net.station import Station
 from repro.net.transport import Network
-from repro.net.shardrpc import SHARD_CALL, SHARD_REPLY, ShardClient, ShardServer
 
 __all__ = [
     "Simulator",
@@ -44,10 +43,6 @@ __all__ = [
     "DuplexLink",
     "Station",
     "Network",
-    "SHARD_CALL",
-    "SHARD_REPLY",
-    "ShardClient",
-    "ShardServer",
     "REPL_FRAMES",
     "REPL_SNAPSHOT_CHUNK",
     "REPL_SNAPSHOT_META",

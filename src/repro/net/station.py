@@ -75,7 +75,9 @@ class Station:
         self._default_handler = handler
 
     def handles(self, kind: str) -> bool:
-        return kind in self._handlers or self._default_handler is not None
+        """True when a handler is registered for ``kind`` itself; the
+        default handler is only the fallback of :meth:`deliver`."""
+        return kind in self._handlers
 
     # -- delivery (called by the transport) --------------------------------
     def deliver(self, message: Message) -> None:

@@ -14,25 +14,44 @@ What ``send`` computes is the contract: the arrival instant, the link
 horizons and the byte and message counters of a run are bit-identical
 however fast the Python around them gets (``tests/tiers/test_remote.py``
 pins a script of them).  A message that is dropped, or whose deadline
-passes in flight, simply never arrives: senders that wait for a reply
-(``tiers.remote``, ``net.shardrpc``) bound the wait and forget it.
+passes in flight, simply never arrives.
+
+Beside ``send`` sits the one request/reply path both wire protocols
+ride, client → tier (``tiers.remote``) and coordinator → shard
+(``sharding.cluster``): ``serve``, ``call`` and ``call_sync``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.admission import current_deadline
+from repro.admission import DeadlineExceededError, current_deadline
 from repro.net.link import schedule_transfer
 from repro.obs.instrument import OBS
-from repro.net.messages import Message
+from repro.net.messages import Message, payload_size
 from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_probability
 
-__all__ = ["Network"]
+__all__ = ["CALL_TIMEOUT_S", "CallKind", "Network"]
+
+#: longest ``call_sync`` waits (virtual seconds) when no deadline binds
+CALL_TIMEOUT_S = 3600.0
+
+
+@dataclass(frozen=True, slots=True)
+class CallKind:
+    """A request/reply protocol.  Calls carry ``request_id`` and
+    ``deadline``; a reply, its call's ``request_id`` and ``data``, costs
+    ``reply_bytes + payload_size(data)``.  ``site`` labels refusals."""
+
+    call: str
+    reply: str
+    reply_bytes: int
+    site: str
 
 
 class Network:
@@ -296,6 +315,99 @@ class Network:
             for dst in dsts
             if dst != src
         ]
+
+    # -- request/reply -------------------------------------------------------
+    def serve(
+        self, station_name: str, kind: CallKind,
+        answer: Callable[[Any], Any], refuse: Callable[[Any], Any],
+    ) -> None:
+        """Reply to each ``kind`` call reaching ``station_name`` with
+        ``answer(call)`` — or with ``refuse(call)``, before any work, when
+        its deadline passed in flight.  Serving again replaces the
+        handler: a restarted server takes over its old station."""
+        sim = self.sim
+
+        def on_call(_station: Station, message: Message) -> None:
+            call = message.payload
+            if call.deadline is not None and sim.now >= call.deadline:
+                if OBS.enabled and OBS.registry is not None:
+                    OBS.registry.counter(
+                        "admission.deadline_expired", site=kind.site
+                    ).inc()
+                reply = refuse(call)
+            else:
+                reply = answer(call)
+            self.send(station_name, message.src, kind.reply, reply,
+                      kind.reply_bytes + payload_size(reply.data))
+
+        station = self.station(station_name)
+        station.off(kind.call)
+        station.on(kind.call, on_call)
+
+    def pending(self, station_name: str, kind: CallKind) -> dict[int, Any]:
+        """``request_id -> on_reply`` of the ``kind`` calls awaited at
+        ``station_name``: one table for all its callers, made (with the
+        route their replies take) on first use."""
+        station = self.station(station_name)
+        pending = station.state.get(kind.reply)
+        if pending is None:
+            pending = station.state[kind.reply] = {}
+
+            def route(_station: Station, message: Message) -> None:
+                on_reply = pending.pop(message.payload.request_id, None)
+                if on_reply is not None:  # else: a call given up on
+                    on_reply(message.payload)
+
+            station.on(kind.reply, route)
+        return pending
+
+    def call(
+        self, src: str, dst: str, kind: CallKind, call: Any, size_bytes: int,
+        on_reply: Callable[[Any], None] | None = None,
+    ) -> None:
+        """Send ``call``; ``on_reply`` gets its reply on arrival (without
+        one the call is fire-and-forget and the reply is dropped)."""
+        pending = self.pending(src, kind)
+        if on_reply is not None:
+            pending[call.request_id] = on_reply
+        self.send(src, dst, kind.call, call, size_bytes)
+
+    def call_sync(
+        self, src: str, dst: str, kind: CallKind, call: Any, size_bytes: int,
+        what: str,
+    ) -> Any:
+        """Send ``call`` and step the simulator until its reply lands.
+
+        Gives up at ``call.deadline`` (:class:`DeadlineExceededError`) or
+        after :data:`CALL_TIMEOUT_S` (:class:`TimeoutError`; ``what``
+        names the call) and forgets the call: a late reply is dropped.
+        """
+        box: list[Any] = []
+        self.call(src, dst, kind, call, size_bytes, box.append)
+        sim, deadline = self.sim, call.deadline
+        give_up_at = sim.now + CALL_TIMEOUT_S
+        if deadline is not None and deadline < give_up_at:
+            give_up_at = deadline
+        while not box and sim.now < give_up_at:
+            if not sim.step():
+                break
+        if box:
+            return box[0]
+        self.pending(src, kind).pop(call.request_id, None)
+        if deadline is not None and sim.now >= deadline:
+            raise DeadlineExceededError(
+                f"deadline passed awaiting {what!r} from {dst!r}"
+            )
+        raise TimeoutError(f"no reply to {what!r} from {dst!r}")
+
+    def call_deadline(self, deadline_s: float | None = None) -> float | None:
+        """A call's deadline: the ambient one, or ``deadline_s`` from now
+        when sooner — the minimum rule nested deadline scopes follow."""
+        deadline = current_deadline()
+        if deadline_s is None:
+            return deadline
+        own = self.sim.now + deadline_s
+        return own if deadline is None or own < deadline else deadline
 
     # -- introspection -----------------------------------------------------
     def quiesce(self) -> float:

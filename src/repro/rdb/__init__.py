@@ -32,7 +32,6 @@ from repro.rdb.compile import (
 )
 from repro.rdb.predicate import Expr, col, lit, predicate_cache_key
 from repro.rdb.query import SelectPlan
-from repro.rdb.stats import IndexStatistics, TableStatistics
 from repro.rdb.constraints import Action, ForeignKey
 from repro.rdb.engine import Database
 from repro.rdb.errors import (
@@ -71,8 +70,6 @@ __all__ = [
     "compiled_source",
     "predicate_fn",
     "SelectPlan",
-    "IndexStatistics",
-    "TableStatistics",
     "Action",
     "ForeignKey",
     "Database",

@@ -437,10 +437,6 @@ class Database:
         table = self._catalog.get(table_name)
         return plan_select(table, where, order_by, top=limit)[0]
 
-    def statistics(self, table_name: str):
-        """Planner statistics snapshot for one table."""
-        return self._catalog.get(table_name).statistics()
-
     def join(
         self,
         left_table: str,

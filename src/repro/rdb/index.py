@@ -6,8 +6,8 @@ the query planner consults them through :class:`IndexSet`.
 
 Both index kinds keep two O(1) statistics counters up to date on every
 mutation — total entries and distinct keys — so the cost-based planner
-(:mod:`repro.rdb.stats`, :mod:`repro.rdb.query`) can estimate
-selectivity without touching the data.
+(:mod:`repro.rdb.query`) can estimate selectivity without touching the
+data.
 """
 
 from __future__ import annotations

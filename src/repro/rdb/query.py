@@ -1,9 +1,9 @@
 """Query execution: cost-based access-path selection, joins, aggregates.
 
 The planner is cost-based over the counters every index maintains on
-mutation (what :mod:`repro.rdb.stats` snapshots), read where a candidate
-is costed.  For a WHERE clause it costs every access path whose
-preconditions hold, in heap-scan rows, and picks the cheapest:
+mutation, read where a candidate is costed.  For a WHERE clause it
+costs every access path whose preconditions hold, in heap-scan rows,
+and picks the cheapest:
 
 * **hash probe** — a hash index fully covered by top-level equality
   conjuncts; expected rows = ``entries / distinct_keys`` (selectivity),

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.rdb.index import HashIndex, IndexSet, SortedIndex
-from repro.rdb.stats import TableStatistics, collect_statistics
 from repro.rdb.types import Schema
 
 __all__ = ["Table"]
@@ -94,10 +93,6 @@ class Table:
         key), ascending."""
         pk = self._pk_index
         return sorted(map(pk.any_rowid, map(pk.key_of, rows)))
-
-    def statistics(self) -> TableStatistics:
-        """Planner statistics snapshot (row count, per-index counters)."""
-        return collect_statistics(self)
 
     def rowid_for_pk(self, key: tuple) -> int | None:
         """Row id holding primary key ``key``, or None."""

@@ -5,19 +5,29 @@ need — build from a work directory, crash-restart single nodes from
 their on-disk state, resolve in-doubt transactions, and strict-read
 every journal at teardown.  Nodes talk either **in-process** (handles
 are the participants themselves) or **over the simulated network**
-(one station per shard plus a coordinator station, proxied through
-:mod:`repro.net.shardrpc`), selected by ``use_net``.
+(one station per shard plus a coordinator station, a
+:class:`ShardClient` proxying each :class:`ShardServer` on the
+network's one call path), selected by ``use_net``.  Arguments and
+results cross as live objects, charged only modeled bytes.  An
+application error is shipped back and re-raised at the caller; a
+:class:`~repro.fault.crashsim.SimulatedCrashError` escapes the
+simulator drain — the shard died mid-call and no reply leaves.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.net.shardrpc import ShardClient, ShardServer
+from repro.admission import CircuitBreaker, DeadlineExceededError
+from repro.fault.crashsim import SimulatedCrashError
+from repro.net.messages import payload_size
 from repro.net.sim import Simulator
 from repro.net.station import Station
-from repro.net.transport import Network
+from repro.net.transport import CallKind, Network
 from repro.rdb import Database, Schema
 from repro.rdb.wal import read_frames
 from repro.sharding.coordinator import TwoPhaseCoordinator
@@ -26,10 +36,141 @@ from repro.sharding.participant import (
     recover_participant,
 )
 
-__all__ = ["ShardCluster"]
+__all__ = ["ShardCluster", "ShardClient", "ShardServer"]
 
 #: failpoint-wrapper key for the coordinator's journal
 COORD = "coord"
+
+SHARD_CALL = "shard.call"
+SHARD_REPLY = "shard.reply"
+_BASE_BYTES = 96
+#: the shard protocol: a call or reply costs 96 bytes plus its data
+SHARD = CallKind(SHARD_CALL, SHARD_REPLY, _BASE_BYTES, site="shardrpc-server")
+
+_call_ids = itertools.count(1)
+
+
+@dataclass(frozen=True, slots=True)
+class ShardCall:
+    """One proxied method invocation."""
+
+    request_id: int
+    method: str
+    args: tuple[Any, ...] = ()
+    kwargs: dict[str, Any] = field(default_factory=dict)
+    #: absolute deadline (simulated seconds); the server refuses to
+    #: start work for a call whose deadline already passed
+    deadline: float | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class ShardReply:
+    request_id: int
+    ok: bool
+    data: Any = None
+    error: Exception | None = None
+
+
+class ShardServer:
+    """Hosts one shard participant behind a network station."""
+
+    def __init__(
+        self, network: Network, station_name: str, participant: Any
+    ) -> None:
+        self.station_name = station_name
+        self.participant = participant
+        self.calls_served = 0
+        network.serve(station_name, SHARD, self._answer, self._refuse)
+
+    def _refuse(self, call: ShardCall) -> ShardReply:
+        return ShardReply(call.request_id, False, error=DeadlineExceededError(
+            f"deadline {call.deadline:.6f} passed before {call.method!r} "
+            f"started at {self.station_name!r}"
+        ))
+
+    def _answer(self, call: ShardCall) -> ShardReply:
+        self.calls_served += 1
+        try:
+            value = getattr(self.participant, call.method)(
+                *call.args, **call.kwargs
+            )
+        except SimulatedCrashError:
+            raise  # the shard process died mid-call: no reply leaves
+        except Exception as exc:
+            return ShardReply(call.request_id, False, error=exc)
+        return ShardReply(call.request_id, True, value)
+
+
+class ShardClient:
+    """Coordinator-side proxy for one remote shard.
+
+    Quacks like a :class:`~repro.sharding.participant.ShardParticipant`
+    for every whitelisted method, so :class:`~repro.sharding
+    .coordinator.TwoPhaseCoordinator` and the query tier work
+    identically in-process and over the wire.
+    """
+
+    #: participant methods the proxy exposes
+    METHODS = frozenset({
+        "execute", "prepare", "commit", "abort",
+        "select", "count", "get", "exists", "aggregate", "join",
+        "explain_plan", "status", "last_lsn",
+    })
+
+    def __init__(
+        self,
+        network: Network,
+        station_name: str,
+        server_station: str,
+        *,
+        shard_id: int | None = None,
+        breaker: CircuitBreaker | None = None,
+    ) -> None:
+        self.network = network
+        self.station_name = station_name
+        self.server_station = server_station
+        self.shard_id = shard_id
+        #: Per-endpoint circuit breaker: timeouts count as failures, so
+        #: a dead shard fails calls fast instead of absorbing full
+        #: waits.  Pass an explicitly-tuned breaker to share one across
+        #: clients of the same endpoint.
+        self.breaker = breaker if breaker is not None else CircuitBreaker(
+            f"shard:{server_station}"
+        )
+        network.pending(station_name, SHARD)  # the station's reply route
+
+    def _call(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        network = self.network
+        now = network.sim.now
+        deadline = network.call_deadline()
+        if deadline is not None and now >= deadline:
+            raise DeadlineExceededError(
+                f"deadline passed before sending {method!r} to "
+                f"{self.server_station!r}"
+            )
+        self.breaker.check(now)
+        call = ShardCall(next(_call_ids), method, args, kwargs, deadline)
+        try:
+            reply = network.call_sync(
+                self.station_name, self.server_station, SHARD, call,
+                _BASE_BYTES + payload_size(args) + payload_size(kwargs),
+                method,
+            )
+        except (TimeoutError, DeadlineExceededError):
+            self.breaker.record_failure(network.sim.now)
+            raise
+        # Any reply — success or shipped-back application error — means
+        # the endpoint is alive; only silence counts against it.
+        self.breaker.record_success(network.sim.now)
+        if not reply.ok:
+            assert reply.error is not None
+            raise reply.error
+        return reply.data
+
+    def __getattr__(self, name: str) -> Callable[..., Any]:
+        if name in self.METHODS:
+            return partial(self._call, name)
+        raise AttributeError(name)
 
 
 class ShardCluster:

@@ -62,7 +62,7 @@ class TwoPhaseCoordinator:
     ``participants`` maps shard id to anything with ``prepare(gtxn,
     stmts)``, ``commit(gtxn)`` and ``abort(gtxn)`` — an in-process
     :class:`~repro.sharding.participant.ShardParticipant` or an RPC
-    proxy (:class:`~repro.net.shardrpc.ShardClient`).
+    proxy (:class:`~repro.sharding.cluster.ShardClient`).
     """
 
     def __init__(

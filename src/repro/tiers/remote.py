@@ -10,30 +10,26 @@ are charged to the link model, so tier traffic competes with lecture
 distribution for bandwidth — the contention the paper's pre-broadcast
 design is careful about.
 
-Any number of :class:`RemoteTierClient` stubs may share a workstation
-(one per browser window, say): a reply is routed to whichever stub
-still holds its ``request_id``.  A reply that never arrives — dropped,
-server down, expired in flight — is forgotten, not awaited for ever:
-``call_sync`` gives up with :class:`TimeoutError` and drops its entry,
-and a reply to a request nobody remembers is ignored.
+The calls ride the network's one request/reply path
+(:meth:`~repro.net.transport.Network.call`): any number of stubs may
+share a workstation, a reply that never arrives is forgotten rather
+than awaited for ever, and a request carries the earlier of its own
+``deadline_s`` and the caller's ambient deadline.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
-from repro.net.messages import Message, payload_size
-from repro.net.station import Station
-from repro.net.transport import Network
-from repro.obs.instrument import OBS
+from repro.net.transport import CallKind, Network
 from repro.tiers.protocol import Request, Response
 from repro.tiers.server import ClassAdministrator
 
 __all__ = ["RemoteTierServer", "RemoteTierClient"]
 
-REQUEST_KIND = "tier.request"
-RESPONSE_KIND = "tier.response"
-RESPONSE_BYTES = 512
+#: the tier protocol: a reply costs 512 bytes plus its data
+TIER = CallKind("tier.request", "tier.response", 512, site="remote-tier")
 
 
 class RemoteTierServer:
@@ -45,37 +41,20 @@ class RemoteTierServer:
         station_name: str,
         administrator: ClassAdministrator | None = None,
     ) -> None:
-        self.network = network
-        self.station_name = station_name
         self.administrator = (
             administrator if administrator is not None else ClassAdministrator()
         )
         self.requests_received = 0
-        network.station(station_name).on(REQUEST_KIND, self._on_request)
+        network.serve(station_name, TIER, self._answer, self._refuse)
 
-    def _on_request(self, _station: Station, message: Message) -> None:
-        request: Request = message.payload
+    def _answer(self, request: Request) -> Response:
         self.requests_received += 1
-        now = self.network.sim.now
-        if request.deadline is not None and now >= request.deadline:
-            # Expired in flight: refuse at dispatch, before the
-            # administrator does any work for it.
-            if OBS.enabled and OBS.registry is not None:
-                OBS.registry.counter(
-                    "admission.deadline_expired", site="remote-tier"
-                ).inc()
-            response = Response.overload(
-                request,
-                f"deadline passed before {request.op!r} was dispatched",
-            )
-        else:
-            response = self.administrator.handle(request)
-        self.network.send(
-            self.station_name,
-            message.src,
-            RESPONSE_KIND,
-            response,
-            RESPONSE_BYTES + payload_size(response.data),
+        return self.administrator.handle(request)
+
+    def _refuse(self, request: Request) -> Response:
+        self.requests_received += 1
+        return Response.overload(
+            request, f"deadline passed before {request.op!r} was dispatched"
         )
 
 
@@ -85,8 +64,7 @@ class RemoteTierClient:
     ``call`` is asynchronous: it sends the request and invokes the
     callback with the response when it arrives.  ``call_sync`` drives
     the simulator until the response lands — convenient in scripts where
-    the client is the only actor.  Stubs on one station share its reply
-    handler; each keeps its own ``request_id -> callback`` table.
+    the client is the only actor.
     """
 
     def __init__(
@@ -96,29 +74,14 @@ class RemoteTierClient:
         self.station_name = station_name
         self.server_station = server_station
         self.session_id: str | None = None
-        self._pending: dict[int, Callable[[Response], None]] = {}
         self.responses_received = 0
-        station = network.station(station_name)
-        if not station.handles(RESPONSE_KIND):
-            station.on(RESPONSE_KIND, self._on_response)
-        #: every stub on this station; the one registered handler routes
-        #: a reply to whichever of them holds its request id
-        station.state.setdefault("tier_clients", []).append(self)
+        network.pending(station_name, TIER)  # the station's reply route
 
-    def _on_response(self, station: Station, message: Message) -> None:
-        response: Response = message.payload
-        request_id = response.request_id
-        client = self
-        callback = self._pending.pop(request_id, None)
-        if callback is None:
-            for client in station.state["tier_clients"]:
-                callback = client._pending.pop(request_id, None)
-                if callback is not None:
-                    break
-            else:
-                return  # late reply to a request its caller gave up on
-        client.responses_received += 1
-        callback(response)
+    def _received(
+        self, on_response: Callable[[Response], None], response: Response
+    ) -> None:
+        self.responses_received += 1
+        on_response(response)
 
     # ------------------------------------------------------------------
     def call(
@@ -135,47 +98,34 @@ class RemoteTierClient:
         one the call is fire-and-forget and its reply is ignored).
 
         ``deadline_s`` is relative to the simulator clock now and
-        travels as an absolute deadline: the transport discards the
-        request if it expires in flight, the server refuses it at
-        dispatch, and the admission controller (if installed) budgets
-        queueing against it.
+        travels as an absolute deadline: the server refuses the request
+        at dispatch once it has passed, and the admission controller (if
+        installed) budgets queueing against it.
         """
-        deadline = (
-            self.network.sim.now + deadline_s
-            if deadline_s is not None else None
-        )
         request = Request(
             op=op, session_id=self.session_id, params=params or {},
-            deadline=deadline, priority=priority, tenant=tenant,
+            deadline=self.network.call_deadline(deadline_s),
+            priority=priority, tenant=tenant,
         )
-        if on_response is not None:
-            self._pending[request.request_id] = on_response
-        self.network.send(
-            self.station_name,
-            self.server_station,
-            REQUEST_KIND,
-            request,
+        self.network.call(
+            self.station_name, self.server_station, TIER, request,
             request.wire_size,
+            None if on_response is None
+            else partial(self._received, on_response),
         )
         return request
 
     def call_sync(self, op: str, **params: Any) -> Response:
         """Send and run the simulator until the response arrives."""
-        box: list[Response] = []
-        request = self.call(op, params, on_response=box.append)
-        # Drive the clock forward until our response lands (bounded so a
-        # lost response cannot hang the caller).
-        sim = self.network.sim
-        give_up_at = sim.now + 3600.0
-        while not box and sim.now < give_up_at:
-            if not sim.step():
-                break
-        if not box:
-            self._pending.pop(request.request_id, None)
-            raise TimeoutError(
-                f"no response to {op!r} from {self.server_station!r}"
-            )
-        return box[0]
+        request = Request(
+            op, self.session_id, params, deadline=self.network.call_deadline()
+        )
+        response = self.network.call_sync(
+            self.station_name, self.server_station, TIER, request,
+            request.wire_size, op,
+        )
+        self.responses_received += 1
+        return response
 
     def login(self, user: str, role: str) -> str:
         response = self.call_sync("login", user=user, role=role)

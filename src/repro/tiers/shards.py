@@ -1,7 +1,7 @@
 """The shard-aware middle-tier coordinator: routing + scatter-gather.
 
 :class:`ShardedDatabase` fronts N shard handles (in-process
-participants or :class:`~repro.net.shardrpc.ShardClient` proxies) with
+participants or :class:`~repro.sharding.cluster.ShardClient` proxies) with
 the same DML/query surface as a single :class:`~repro.rdb.engine
 .Database`, the paper's middle tier playing distributed query
 processor:

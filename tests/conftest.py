@@ -80,6 +80,16 @@ def populated_db(db: Database) -> Database:
     return db
 
 
+def index_named(db: Database, table: str, name: str):
+    """One of ``table``'s secondary indexes, by name — the live counters
+    (``len(index)``, ``index.distinct_keys()``) the planner reads."""
+    indexes = db.table(table).indexes
+    return {
+        index.name: index
+        for index in (*indexes.hash_indexes, *indexes.sorted_indexes)
+    }[name]
+
+
 # ---------------------------------------------------------------------------
 # Network fixtures
 # ---------------------------------------------------------------------------

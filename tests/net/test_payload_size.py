@@ -1,10 +1,11 @@
 """Differential tests for ``repro.net.messages.payload_size``.
 
 The function feeds the link model, so its counts are part of the
-simulator's virtual time: the two recursive functions it replaced —
-``tiers.remote._payload_size`` and ``net.shardrpc._wire_size`` — are kept
-here verbatim as oracles, and the one-pass version must agree with them
-byte for byte.
+simulator's virtual time: the two recursive functions it replaced — the
+tier protocol's reply sizer ``_payload_size`` and the shard protocol's
+call sizer ``_wire_size``, before both protocols moved onto one call
+path — are kept here verbatim as oracles, and the one-pass version must
+agree with them byte for byte.
 """
 
 from __future__ import annotations

@@ -29,6 +29,37 @@ class TestStation:
         net8.quiesce()
         assert seen == ["anything"]
 
+    def test_default_handler_does_not_hide_registered_kinds(self, net8):
+        """Subsystems register their kind only where no station handler
+        exists; a catch-all sink must not count as one."""
+        from repro.distribution.vector import (
+            BroadcastVector, ReferenceBroadcaster,
+        )
+        from repro.sharding.cluster import ShardClient, ShardServer
+        from repro.tiers.remote import RemoteTierClient, RemoteTierServer
+
+        sunk = []
+        net8.station("s2").on_default(lambda st, m: sunk.append(m.kind))
+        RemoteTierServer(net8, "s1")
+        tier = RemoteTierClient(net8, "s2", "s1")
+        assert tier.login("registrar", "administrator").startswith("sess-")
+
+        class Status:
+            def status(self):
+                return "up"
+
+        ShardServer(net8, "s3", Status())
+        assert ShardClient(net8, "s2", "s3").status() == "up"
+        vector = BroadcastVector(net8)
+        for name in ("s1", "s2", "s3", "s4"):
+            vector.join(name)
+        ReferenceBroadcaster(vector, m=2).announce("doc-1", "s1")
+        net8.quiesce()
+        for name in ("s2", "s4"):  # s4 hears it through s2
+            assert ReferenceBroadcaster.references_at(
+                net8.station(name)) == {"doc-1": "s1"}
+        assert sunk == []
+
     def test_unhandled_kind_raises(self, net8):
         net8.send("s1", "s2", "mystery", None, 0)
         with pytest.raises(LookupError, match="no handler"):

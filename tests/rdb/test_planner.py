@@ -7,6 +7,8 @@ from repro.rdb import (
 )
 from repro.rdb.query import _INDEX_ROW_COST, _collect_matching, plan_select
 
+from tests.conftest import index_named
+
 T = ColumnType
 
 
@@ -281,15 +283,15 @@ class TestExplainSurface:
         assert "pushdown" in text
 
     def test_statistics_snapshot(self, catalog_db):
-        stats = catalog_db.statistics("courses")
-        assert stats.row_count == 200
-        by_code = stats.index("by_code")
-        assert by_code.entries == 200
-        assert by_code.distinct_keys == 200
-        assert by_code.rows_per_key == 1.0
-        by_dept = stats.index("by_dept")
-        assert by_dept.distinct_keys == 4
-        assert by_dept.rows_per_key == 50.0
+        """The counters the planner costs a probe with: rows per key is
+        ``len(index) / index.distinct_keys()``."""
+        by_code = index_named(catalog_db, "courses", "by_code")
+        by_dept = index_named(catalog_db, "courses", "by_dept")
+        assert len(catalog_db.table("courses")) == 200
+        assert len(by_code) == by_code.distinct_keys() == 200
+        assert len(by_code) / by_code.distinct_keys() == 1.0
+        assert by_dept.distinct_keys() == 4
+        assert len(by_dept) / by_dept.distinct_keys() == 50.0
 
     def test_explain_shows_the_ordering_decision(self, catalog_db):
         where = col("credits") > 7

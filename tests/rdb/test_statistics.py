@@ -1,7 +1,14 @@
-"""Tests for incremental index statistics and hash-probe snapshots."""
+"""Tests for the incremental index counters and hash-probe snapshots.
+
+The planner reads ``len(table)`` and each costed index's own two
+counters — ``len(index)`` and ``index.distinct_keys()`` — so those are
+what these tests pin, through ``db.table(name).indexes``.
+"""
 
 from repro.rdb import Column, ColumnType, Database, Schema
 from repro.rdb.index import HashIndex, SortedIndex
+
+from tests.conftest import index_named
 
 T = ColumnType
 
@@ -27,12 +34,11 @@ class TestIncrementalCounters:
         db = _db()
         for i in range(10):
             db.insert("t", {"id": i, "grp": "ab"[i % 2], "rank": i})
-        stats = db.statistics("t")
-        assert stats.row_count == 10
-        assert stats.index("by_grp").entries == 10
-        assert stats.index("by_grp").distinct_keys == 2
-        assert stats.index("by_rank").entries == 10
-        assert stats.index("by_rank").distinct_keys == 10
+        by_grp = index_named(db, "t", "by_grp")
+        by_rank = index_named(db, "t", "by_rank")
+        assert len(db.table("t")) == 10
+        assert len(by_grp) == 10 and by_grp.distinct_keys() == 2
+        assert len(by_rank) == 10 and by_rank.distinct_keys() == 10
 
     def test_counters_track_updates_and_deletes(self):
         db = _db()
@@ -40,18 +46,16 @@ class TestIncrementalCounters:
             db.insert("t", {"id": i, "grp": "a", "rank": i})
         db.update_pk("t", (0,), {"grp": "b"})
         db.delete_pk("t", (5,))
-        stats = db.statistics("t")
-        assert stats.row_count == 5
-        assert stats.index("by_grp").entries == 5
-        assert stats.index("by_grp").distinct_keys == 2
+        by_grp = index_named(db, "t", "by_grp")
+        assert len(db.table("t")) == 5
+        assert len(by_grp) == 5 and by_grp.distinct_keys() == 2
 
     def test_null_sorted_keys_not_counted(self):
         db = _db()
         db.insert("t", {"id": 1, "grp": "a", "rank": None})
         db.insert("t", {"id": 2, "grp": "a", "rank": 3})
-        stats = db.statistics("t")
-        assert stats.index("by_rank").entries == 1
-        assert stats.index("by_rank").distinct_keys == 1
+        by_rank = index_named(db, "t", "by_rank")
+        assert len(by_rank) == 1 and by_rank.distinct_keys() == 1
 
     def test_rollback_restores_counters(self):
         db = _db()
@@ -59,10 +63,9 @@ class TestIncrementalCounters:
         db.begin()
         db.insert("t", {"id": 2, "grp": "b", "rank": 2})
         db.rollback()
-        stats = db.statistics("t")
-        assert stats.row_count == 1
-        assert stats.index("by_grp").entries == 1
-        assert stats.index("by_grp").distinct_keys == 1
+        by_grp = index_named(db, "t", "by_grp")
+        assert len(db.table("t")) == 1
+        assert len(by_grp) == 1 and by_grp.distinct_keys() == 1
 
 
 class TestHashLookupSnapshot:

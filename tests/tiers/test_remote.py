@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.admission import DeadlineExceededError, deadline_scope
 from repro.tiers import RemoteTierClient, RemoteTierServer, Request
+from repro.tiers.remote import TIER
 
 from tests.conftest import build_network
 
@@ -113,7 +115,7 @@ class TestMalformedParamsOverTheWire:
         net.quiesce()
         [reply] = a_replies
         assert not reply.ok and reply.error.startswith("AttributeError")
-        assert a._pending == {} and b._pending == {}
+        assert net.pending("s2", TIER) == {} == net.pending("s3", TIER)
 
 
 class TestManyStubsOnOneStation:
@@ -136,7 +138,7 @@ class TestManyStubsOnOneStation:
         refused = b.call_sync("admit_student", student_id="bob")
         assert not refused.ok and "instructor" in refused.error
         assert (a.responses_received, b.responses_received) == (3, 4)
-        assert a._pending == {} and b._pending == {}
+        assert net.pending("s2", TIER) == {}
         assert server.requests_received == 7
 
     def test_three_stubs_with_replies_in_flight_together(self, world):
@@ -154,38 +156,34 @@ class TestManyStubsOnOneStation:
 
 
 class TestLostReplies:
-    """A reply that never arrives is forgotten, not awaited for ever."""
+    """A reply that never arrives is forgotten, not awaited for ever (the
+    contract both wire protocols share: ``tests/net/test_call_path.py``)."""
 
     def test_timeout_on_a_lossy_path_forgets_the_request(self, world):
         net, _server = world
         client = RemoteTierClient(net, "s2", "s1")
         net.set_drop_rate(1.0)
-        with pytest.raises(TimeoutError, match="no response to 'login'"):
+        with pytest.raises(TimeoutError, match="no reply to 'login'"):
             client.call_sync("login", user="x", role="administrator")
-        assert client._pending == {}
+        assert net.pending("s2", TIER) == {}
         net.set_drop_rate(0.0)
         client.login("registrar", "administrator")  # the stub still works
-        assert client._pending == {}
-
-    def test_timeout_with_the_server_down_forgets_the_request(self, world):
-        net, _server = world
-        client = RemoteTierClient(net, "s2", "s1")
-        net.set_down("s1")
-        with pytest.raises(TimeoutError):
-            client.call_sync("login", user="x", role="administrator")
-        assert client._pending == {}
+        assert net.pending("s2", TIER) == {}
 
     def test_request_expired_in_flight_forgets_the_request(self, world):
-        from repro.admission import deadline_scope
-
         net, server = world
         client = RemoteTierClient(net, "s2", "s1")
+        for at in (5.0, 50.0, 500.0):  # unrelated background events
+            net.sim.schedule(at, lambda: None)
         # Sent from inside a caller's scope, the request message itself
-        # carries the deadline and the transport discards it.
+        # carries the deadline and the transport discards it (t=0.04);
+        # the wait stops there instead of running the simulator dry.
         with deadline_scope(net.sim.now + 0.001):
-            with pytest.raises(TimeoutError):
+            with pytest.raises(DeadlineExceededError):
                 client.call_sync("login", user="x", role="administrator")
-        assert client._pending == {} and server.requests_received == 0
+        assert net.sim.now < 5.0 and net.sim.pending == 3
+        assert net.pending("s2", TIER) == {}
+        assert server.requests_received == 0
         assert net.stats()["expired"] == 1
 
     def test_deadline_passed_at_dispatch_is_refused_not_lost(self, world):
@@ -199,29 +197,31 @@ class TestLostReplies:
         assert response.shed and "deadline passed" in response.error
         assert server.requests_received == 1
         assert server.administrator.requests_served == 0
-        assert client._pending == {}
+        assert net.pending("s2", TIER) == {}
 
-    def test_fire_and_forget_registers_nothing(self, world):
+
+class TestCallerDeadline:
+    def test_request_carries_the_scope_deadline(self, world):
         net, server = world
         client = RemoteTierClient(net, "s2", "s1")
-        client.call("login", {"user": "x", "role": "administrator"})
-        assert client._pending == {}
-        net.quiesce()  # the reply arrives and is ignored, not an error
-        assert server.requests_received == 1
-        assert client.responses_received == 0 and client._pending == {}
-
-    def test_late_reply_to_a_forgotten_request_is_ignored(self, world):
-        net, server = world
-        client = RemoteTierClient(net, "s2", "s1")
-        other = RemoteTierClient(net, "s2", "s1")
-        # One way takes longer than call_sync is prepared to wait.
-        net.set_latency("s1", "s2", 4000.0)
-        with pytest.raises(TimeoutError):
-            client.call_sync("login", user="x", role="administrator")
-        assert client._pending == {} and net.sim.pending == 1
-        net.quiesce()  # the reply lands at t=8000, long given up on
-        assert server.requests_received == 1
-        assert client.responses_received == 0 == other.responses_received
+        seen = []
+        handle = server.administrator.handle
+        server.administrator.handle = lambda request: (
+            seen.append(request.deadline) or handle(request)
+        )
+        deadline = net.sim.now + 30.0
+        with deadline_scope(deadline):
+            client.login("registrar", "administrator")
+            # A later deadline_s of its own cannot extend the caller's.
+            client.call("transcript", {"student_id": "x"},
+                        on_response=lambda _r: None, deadline_s=60.0)
+        net.quiesce()
+        assert seen == [deadline, deadline]
+        sent_at = net.sim.now  # outside any scope its own deadline rides
+        client.call("transcript", {"student_id": "x"},
+                    on_response=lambda _r: None, deadline_s=60.0)
+        net.quiesce()
+        assert seen[2] == sent_at + 60.0
 
 
 class TestVirtualTimeIsPinned:
