@@ -10,8 +10,9 @@ the front end of the virtual course DBMS"), and the DBMS reached
 * :mod:`repro.tiers.connection` — the ODBC-style connection adapter
   over :mod:`repro.rdb`.
 * :mod:`repro.tiers.cache` — the version-stamped result store the
-  class administrator puts in front of the DBMS (read-through selects,
-  and the last-known-good ledger it degrades to under overload).
+  class administrator puts in front of the DBMS (its stored
+  transcript and roster replies, read-through selects, and the
+  last-known-good ledger it degrades to under overload).
 * :mod:`repro.tiers.server` — the class administrator: sessions, roles,
   admission records, registrations, transcripts, network bookkeeping,
   and routing into the Web document DB and the virtual library.

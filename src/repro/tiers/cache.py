@@ -14,22 +14,39 @@ that tier:
   its old number.
 * :class:`QueryCache` is **one LRU store** whose entries carry the
   ``{table: version}`` stamps they were computed at.  A lookup names
-  the version lag it tolerates: ``select`` reads through with lag 0
-  (any change to the table since the entry was stored is a miss, and
-  the fresh result replaces the dead entry in its slot), and the
-  server's degraded-mode ledger looks the same kind of store up with a
-  small positive lag while it sheds load.
+  the version lag it tolerates.  ``read_through`` looks up with lag 0
+  (any change to a stamped table since the entry was stored is a miss,
+  and the fresh value replaces the dead entry in its slot) and hands
+  out a copy; ``select`` is that read-through keyed by query shape, and
+  the server keys it by request, storing its finished ``transcript``
+  and ``roster`` replies.  The server's degraded-mode ledger looks the
+  same kind of store up with a small positive lag while it sheds load.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs.instrument import OBS
 from repro.rdb import Database, Expr, predicate_cache_key
 
-__all__ = ["TableVersions", "QueryCache"]
+__all__ = ["TableVersions", "QueryCache", "copy_reply"]
+
+
+def copy_reply(value: Any) -> Any:
+    """A copy of a stored value at the depth an uncached select gives.
+
+    A stored list holds row dicts or scalars, never both (select rows,
+    transcripts, rosters of names): a list of dicts copies as a fresh
+    list of fresh dicts, any other list as a fresh list.  Anything else
+    is returned as it is.
+    """
+    if type(value) is not list:
+        return value
+    if value and type(value[0]) is dict:
+        return [dict(row) for row in value]
+    return value.copy()
 
 
 class TableVersions:
@@ -53,12 +70,12 @@ class TableVersions:
 class QueryCache:
     """LRU store of values stamped with the table versions they saw.
 
-    ``record``/``lookup`` are the store; ``select`` is the read-through
-    over it with the same contract as ``db.select``.  Hits return
-    copies of the stored rows (the same copy depth an uncached select
-    provides), so callers mutating result rows can never poison the
-    cache.  Predicates embedding opaque callables cannot be keyed and
-    bypass the cache entirely.
+    ``record``/``lookup`` are the store; ``read_through`` is the one
+    read path over it, and ``select`` keys it with the same contract as
+    ``db.select``.  What a read-through hands out is always a copy
+    (:func:`copy_reply`), on a miss as on a hit, so callers mutating a
+    result can never poison the store.  Predicates embedding opaque
+    callables cannot be keyed and bypass the store entirely.
     """
 
     def __init__(self, versions: TableVersions, max_entries: int = 256) -> None:
@@ -104,9 +121,14 @@ class QueryCache:
     def lookup(self, key: tuple, max_lag: int) -> tuple[bool, Any]:
         """``(hit, value)`` — a hit only while no stamped table has
         moved more than ``max_lag`` versions past its stamp."""
+        hit, value = self._probe(key, max_lag)
+        self._count(hit)
+        return hit, value
+
+    def _probe(self, key: tuple, max_lag: int) -> tuple[bool, Any]:
+        """``lookup`` without counting the outcome."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return False, None
         value, stamps = entry
         version = self.versions.version
@@ -115,11 +137,15 @@ class QueryCache:
                 # Evict: nobody should serve this, now or later.
                 del self._entries[key]
                 self.too_stale += 1
-                self.misses += 1
                 return False, None
-        self.hits += 1
         self._entries.move_to_end(key)
         return True, value
+
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
 
     def select(
         self,
@@ -151,17 +177,26 @@ class QueryCache:
             table, predicate, projection, order, descending,
             limit, offset, distinct,
         )
-        hit, cached = self.lookup(key, 0)
-        if OBS.enabled:
-            self._obs()["hit" if hit else "miss"].inc()
-        if hit:
-            return [dict(row) for row in cached]
-        rows = db.select(
+        return self.read_through(key, (table,), lambda: db.select(
             table, where=where, order_by=order_by, descending=descending,
             limit=limit, offset=offset, columns=columns, distinct=distinct,
-        )
-        self.record(key, (table,), rows)
-        return [dict(row) for row in rows]
+        ))
+
+    def read_through(
+        self, key: tuple, tables: Sequence[str], compute: Callable[[], Any]
+    ) -> Any:
+        """A copy of the value under ``key`` while none of ``tables`` has
+        changed since it was stored; else of ``compute()``'s, stored in
+        its place.  When ``compute`` raises (a refused read), nothing is
+        stored and the lookup is not counted."""
+        hit, value = self._probe(key, 0)
+        if not hit:
+            value = compute()
+            self.record(key, tables, value)
+        self._count(hit)
+        if OBS.enabled:
+            self._obs()["hit" if hit else "miss"].inc()
+        return copy_reply(value)
 
     def stats(self) -> dict[str, int]:
         """Lookup outcome counters and current residency."""

@@ -46,7 +46,7 @@ from repro.rdb import (
     SyncPolicy,
     col,
 )
-from repro.tiers.cache import QueryCache, TableVersions
+from repro.tiers.cache import QueryCache, TableVersions, copy_reply
 from repro.tiers.connection import OpenDatabaseConnection
 from repro.tiers.protocol import (
     OPERATIONS,
@@ -58,12 +58,20 @@ from repro.tiers.protocol import (
 
 __all__ = ["ClassAdministrator"]
 
+#: The reads whose finished reply the tier stores, and the table each
+#: derives from: a repeat is one lookup and one copy, and the handler
+#: does not run.  A library search is not stored: the library view
+#: keeps no version of its own.
+_STORED_REPLIES: dict[str, tuple[str, ...]] = {
+    "transcript": ("transcripts",),
+    "roster": ("enrollments",),
+}
+
 #: Replica-safe reads eligible for degraded (stale-cache) serving while
 #: the admission controller sheds, and the tables each derives from —
 #: the staleness bound is measured in version bumps of these tables.
 _STALE_SERVABLE: dict[str, tuple[str, ...]] = {
-    "transcript": ("transcripts",),
-    "roster": ("enrollments",),
+    **_STORED_REPLIES,
     "search_library": ("catalog_docs",),
 }
 
@@ -326,12 +334,13 @@ class ClassAdministrator:
         self.admin_db = db
         self.table_versions = TableVersions()
         self.table_versions.attach(db)
-        # Repeated browser reads (rosters, transcripts) hit memory; any
-        # change to a table's rows moves its version and so misses,
-        # whichever path made the change.  What an op checks or writes
-        # by primary key is one index probe and never enters the cache.
+        # Repeated browser reads (rosters, transcripts) are answered with
+        # the reply stored the first time; any change to the table it
+        # derives from moves that table's version and so misses,
+        # whichever path made the change.  The connection itself reads
+        # and writes uncached.
         self.query_cache = QueryCache(self.table_versions, max_entries=512)
-        self.connection = OpenDatabaseConnection(db, cache=self.query_cache)
+        self.connection = OpenDatabaseConnection(db)
         #: Last-known-good replies for degraded serving while shedding:
         #: the same store, looked up with lag :data:`STALE_MAX_LAG`.
         #: Written only beside a controller (nothing else can look an
@@ -433,9 +442,14 @@ class ClassAdministrator:
             return None
         if request.op not in _STALE_SERVABLE:
             return None
-        if not request.session_id or request.session_id not in self._sessions:
+        session = (
+            self._sessions.get(request.session_id)
+            if request.session_id
+            else None
+        )
+        if session is None:
             return None
-        key = self._stale_key(request)
+        key = self._read_key(request, session)
         if key is None:
             return None
         hit, data = self.stale_reads.lookup(key, STALE_MAX_LAG)
@@ -445,11 +459,16 @@ class ClassAdministrator:
             OBS.registry.counter(
                 "admission.stale_served", op=request.op
             ).inc()
-        return Response.success(request, data, degraded="stale-cache")
+        return Response.success(
+            request, copy_reply(data), degraded="stale-cache"
+        )
 
     @staticmethod
-    def _stale_key(request: Request) -> tuple | None:
-        """Ledger key of a read: op, session and its params in any order.
+    def _read_key(
+        request: Request, session: tuple[str, Role]
+    ) -> tuple | None:
+        """Key of a stored read: op, the session's ``(user, role)`` and
+        its params in any order — everything the reply depends on.
 
         Params that are plain strings, ints and ``None`` under string
         names — what browsers send — key as the set of their items;
@@ -467,7 +486,7 @@ class ClassAdministrator:
                 )
         except Exception:
             return None
-        return (request.op, request.session_id, keyed)
+        return (request.op, session, keyed)
 
     def _timed_handle(self, request: Request) -> Response:
         """Authorize and execute one request (timed when obs is on)."""
@@ -530,8 +549,21 @@ class ClassAdministrator:
         if request.op == "logout":
             del self._sessions[request.session_id]  # type: ignore[arg-type]
             return Response.success(request, True)
+        handler = self._handlers[request.op]
+        stored = _STORED_REPLIES.get(request.op)
+        ledger = (
+            _STALE_SERVABLE.get(request.op)
+            if self.admission is not None
+            else None
+        )
+        key = self._read_key(request, session) if stored or ledger else None
         try:
-            data = self._handlers[request.op](request, user, role)
+            if stored is not None and key is not None:
+                data = self.query_cache.read_through(
+                    key, stored, lambda: handler(request, user, role)
+                )
+            else:
+                data = handler(request, user, role)
         except OverloadError as exc:
             # A nested fan-out (shard RPC, replica route, scatter
             # fragment) shed or hit its deadline: surface it as a shed
@@ -545,12 +577,9 @@ class ClassAdministrator:
             RdbError, LookupError, ValueError, RuntimeError, *_BAD_PARAMS
         ) as exc:
             return Response.failure(request, f"{type(exc).__name__}: {exc}")
-        if self.admission is not None:
-            tables = _STALE_SERVABLE.get(request.op)
-            if tables is not None:
-                key = self._stale_key(request)
-                if key is not None:
-                    self.stale_reads.record(key, tables, data)
+        if ledger is not None and key is not None:
+            # The ledger's entry is never the object handed out.
+            self.stale_reads.record(key, ledger, copy_reply(data))
         return Response.success(request, data)
 
     # ------------------------------------------------------------------

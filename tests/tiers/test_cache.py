@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.admission import AdmissionController, ClockBox
 from repro.rdb import (
     Column,
     ColumnType,
@@ -15,6 +16,7 @@ from repro.tiers import (
     OpenDatabaseConnection,
     QueryCache,
     Request,
+    Role,
     TableVersions,
 )
 
@@ -147,6 +149,17 @@ class TestQueryCache:
         again = cache.select(db, "books", where=col("book_id") == 1)
         assert again[0]["title"] == "b1"
         assert cache.hits == 1
+
+    def test_a_raising_compute_is_neither_stored_nor_counted(self, cache):
+        def refuse():
+            raise ValueError("refused")
+
+        before = cache.stats()
+        with pytest.raises(ValueError):
+            cache.read_through(("op",), ("books",), refuse)
+        assert cache.stats() == before
+        assert cache.read_through(("op",), ("books",), lambda: ["a"]) == ["a"]
+        assert cache.stats()["misses"] == before["misses"] + 1
 
     def test_distinct_queries_are_distinct_entries(self, db, cache):
         cache.select(db, "books", where=col("copies") >= 2)
@@ -372,3 +385,106 @@ class TestServerIntegration:
                                        params={"course_number": "cs101"}))
         assert first.data == ["s1"]
         assert second.data == ["s1", "s2"]
+
+
+class TestReplyStore:
+    """The tier stores its finished ``transcript`` and ``roster`` replies
+    in ``query_cache``, keyed by op, session user and role, and params."""
+
+    def _server(self, admission=None):
+        server = ClassAdministrator(admission=admission)
+
+        def call(session, op, **params):
+            return server.handle(Request(op, session, params, deadline=1e9))
+
+        admin = call(None, "login", user="registrar",
+                     role="administrator").data["session_id"]
+        call(admin, "register_course", course_number="cs101", title="Intro",
+             instructor="shih")
+        for student in ("alice", "bob"):
+            call(admin, "admit_student", student_id=student)
+            call(admin, "enroll", student_id=student, course_number="cs101")
+        call(admin, "record_grade", student_id="alice",
+             course_number="cs101", grade=3.5)
+        return server, call, admin
+
+    def test_a_hit_runs_no_handler(self):
+        server, call, admin = self._server()
+        first = call(admin, "roster", course_number="cs101")
+        server._handlers["roster"] = None  # a hit never reaches it
+        second = call(admin, "roster", course_number="cs101")
+        assert first.data == second.data == ["alice", "bob"]
+        assert server.query_cache.stats()["hits"] == 1
+
+    def test_mutating_any_reply_never_changes_a_later_one(self):
+        clock = ClockBox(0.0)
+        server, call, admin = self._server(
+            AdmissionController(clock=clock, default_deadline_s=1.0)
+        )
+        reads = [("roster", {"course_number": "cs101"}),
+                 ("transcript", {"student_id": "alice"})]
+        expected = [call(admin, op, **params).data for op, params in reads]
+
+        def poison(data):
+            if data and isinstance(data[0], dict):
+                data[0]["grade"] = 0.0
+            data.append("mallory")
+
+        for (op, params), want in zip(reads, expected):
+            fresh = call(admin, op, **params)  # a hit
+            poison(fresh.data)
+            assert call(admin, op, **params).data == want
+            server.admission.busy_until = clock.now + 50.0
+            for _ in range(2):  # degraded, then degraded again
+                degraded = server.handle(Request(
+                    op, admin, params, deadline=clock.now + 0.5,
+                ))
+                assert degraded.degraded == "stale-cache"
+                assert degraded.data == want
+                poison(degraded.data)
+            server.admission.busy_until = 0.0
+            assert call(admin, op, **params).data == want
+
+    def test_a_refused_read_is_not_recorded(self):
+        server, call, admin = self._server()
+        alice = call(None, "login", user="alice",
+                     role="student").data["session_id"]
+        before = server.query_cache.stats()
+        for _ in range(2):
+            assert not call(alice, "transcript", student_id="bob").ok
+            assert not call(admin, "roster").ok  # no course_number
+            assert not call(alice, "roster", course_number="cs101").ok
+        # Not stored, and not counted as a lookup either.
+        assert server.query_cache.stats() == before
+
+    def test_session_role_and_read_only_checks_precede_the_lookup(
+        self, monkeypatch
+    ):
+        server, call, admin = self._server()
+        assert call(admin, "roster", course_number="cs101").ok  # stored
+        # Read-only: were roster not replica-safe, an entry would not
+        # let it through.
+        monkeypatch.setattr("repro.tiers.server.REPLICA_SAFE_OPS",
+                            frozenset())
+        server.read_only = True
+        refused = call(admin, "roster", course_number="cs101")
+        assert "read-only" in refused.error
+        monkeypatch.undo()
+        server.read_only = False
+        # Role: the same session id, now bound to a student.
+        server.install_session(admin, "registrar", Role.STUDENT)
+        refused = call(admin, "roster", course_number="cs101")
+        assert "may not call" in refused.error
+        # Session: gone after logout.
+        call(admin, "logout")
+        assert call(admin, "roster", course_number="cs101").error \
+            == "not logged in"
+
+    def test_a_session_bound_to_another_user_reads_its_own_transcript(self):
+        server, call, _admin = self._server()
+        alice = call(None, "login", user="alice",
+                     role="student").data["session_id"]
+        assert [r["student_id"] for r in call(alice, "transcript").data] \
+            == ["alice"]
+        server.install_session(alice, "bob", Role.STUDENT)
+        assert call(alice, "transcript").data == []

@@ -19,8 +19,14 @@ from typing import Any
 import pytest
 
 from repro.fault.crashsim import database_state
-from repro.rdb import col
-from repro.tiers import ClassAdministrator, Request, Response, Role
+from repro.rdb import Database, col
+from repro.tiers import (
+    ClassAdministrator,
+    OpenDatabaseConnection,
+    Request,
+    Response,
+    Role,
+)
 from repro.tiers.protocol import OPERATIONS
 
 #: The reads a browser repeats: the only ops that go through the cache.
@@ -30,6 +36,10 @@ CACHED_READS = frozenset({"transcript", "roster"})
 class SelectRecipes(ClassAdministrator):
     """The four ops as a planned select on the key, read through the
     result cache, then ``update``/``delete(where=…)``."""
+
+    def _serve_from(self, db: Database) -> None:
+        super()._serve_from(db)
+        self.connection = OpenDatabaseConnection(db, cache=self.query_cache)
 
     def _op_login(self, request: Request) -> Response:
         user = request.params.get("user")

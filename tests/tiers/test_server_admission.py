@@ -313,6 +313,33 @@ class TestStaleLedger:
         assert response.ok and len(server.stale_reads) == 0
 
 
+class TestLedgerCopies:
+    """The ledger's entry is never the object a caller holds."""
+
+    def test_mutating_the_fresh_reply_cannot_reach_a_degraded_one(
+        self, clock
+    ):
+        server = make_server(clock)
+        session = login(server)
+        server.admin_db.insert("courses", {
+            "course_number": "cs101", "title": "t", "instructor": "i",
+        })
+        server.admin_db.insert("students", {"student_id": "alice",
+                                            "name": "alice"})
+        server.admin_db.insert("enrollments", {"student_id": "alice",
+                                               "course_number": "cs101"})
+        fresh = roster(server, session, deadline=100.0)
+        assert fresh.data == ["alice"]
+        fresh.data.append("mallory")
+        server.admission.busy_until = clock.now + 50.0
+        degraded = roster(server, session, deadline=clock.now + 0.5)
+        assert degraded.degraded == "stale-cache"
+        assert degraded.data == ["alice"]
+        degraded.data.append("mallory")
+        again = roster(server, session, deadline=clock.now + 0.5)
+        assert again.degraded == "stale-cache" and again.data == ["alice"]
+
+
 class TestDeadlineScopeAroundDispatch:
     @staticmethod
     def _sending_server(admission=None):
@@ -333,7 +360,10 @@ class TestDeadlineScopeAroundDispatch:
         server, sent = self._sending_server()
         session = login(server)
         assert roster(server, session, deadline=7.5).ok
-        assert roster(server, session).ok  # no deadline: no scope, no stamp
+        # Another course each time: a repeated roster is answered with
+        # the stored reply, and the handler does not run.
+        # No deadline: no scope, no stamp.
+        assert roster(server, session, course="cs102").ok
         assert [m.deadline for m in sent] == [7.5, None]
 
     def test_send_inside_handle_carries_the_ticket_deadline(self, clock):
@@ -343,7 +373,8 @@ class TestDeadlineScopeAroundDispatch:
         session = login(server)
         assert roster(server, session, deadline=7.5).ok
         clock.now = 2.0
-        assert roster(server, session).ok  # the controller's default
+        # The controller's default.
+        assert roster(server, session, course="cs102").ok
         assert [m.deadline for m in sent] == [7.5, 3.0]
 
     def test_scope_is_gone_after_dispatch_even_when_the_op_raises(self):
