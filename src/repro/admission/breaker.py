@@ -20,9 +20,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.admission.errors import OverloadError
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
+
+TRANSITIONS = Instrument("counter", "breaker.transitions", "endpoint", "to")
+REJECTED = Instrument("counter", "breaker.rejected", "endpoint")
 
 CLOSED = "closed"
 OPEN = "open"
@@ -68,10 +71,8 @@ class CircuitBreaker:
         if to == self.state:
             return
         self.transitions.append((now, self.state, to))
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter(
-                "breaker.transitions", endpoint=self.name, to=to
-            ).inc()
+        if OBS.enabled:
+            TRANSITIONS[self.name, to].inc()
         self.state = to
         if to == CLOSED:
             self._failures.clear()
@@ -102,10 +103,8 @@ class CircuitBreaker:
         with a retry hint instead of returning False."""
         if not self.allow(now):
             self.rejected += 1
-            if OBS.enabled and OBS.registry is not None:
-                OBS.registry.counter(
-                    "breaker.rejected", endpoint=self.name
-                ).inc()
+            if OBS.enabled:
+                REJECTED[self.name].inc()
             raise OverloadError(
                 f"circuit breaker {self.name!r} is {self.state}",
                 reason="breaker",

@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 from repro.admission.errors import DeadlineExceededError, OverloadError
 from repro.admission.tokens import TenantQuotas
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 
 __all__ = [
     "PRIORITY_INTERACTIVE",
@@ -43,6 +43,11 @@ __all__ = [
 
 PRIORITY_INTERACTIVE = "interactive"
 PRIORITY_BULK = "bulk"
+
+ADMITTED = Instrument("counter", "admission.admitted", "priority")
+SHED = Instrument("counter", "admission.shed", "reason")
+QUEUE_DEPTH = Instrument("gauge", "admission.queue_depth")
+DEADLINE_EXPIRED = Instrument("counter", "admission.deadline_expired", "site")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,36 +100,22 @@ class AdmissionController:
         self._last_shed_at: float | None = None
         self.admitted = 0
         self.shed: dict[str, int] = {}
-        self._obs_cache: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # Observability plumbing
     # ------------------------------------------------------------------
-    def _obs(self) -> dict[str, Any] | None:
-        if not OBS.enabled or OBS.registry is None:
-            return None
-        registry = OBS.registry
-        cache = self._obs_cache
-        if cache is None or cache["registry"] is not registry:
-            cache = self._obs_cache = {"registry": registry}
-        return cache
-
     def _count_shed(self, now: float, reason: str) -> None:
         self.shed[reason] = self.shed.get(reason, 0) + 1
         self._last_shed_at = now
-        obs = self._obs()
-        if obs is not None:
-            point = "admission.deadline_expired" if reason == "deadline" \
-                else "admission.shed"
+        if OBS.enabled:
             if reason == "deadline":
-                obs["registry"].counter(point, site="server").inc()
+                DEADLINE_EXPIRED["server"].inc()
             else:
-                obs["registry"].counter(point, reason=reason).inc()
+                SHED[reason].inc()
 
     def _gauge_depth(self) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs["registry"].gauge("admission.queue_depth").set(self.depth)
+        if OBS.enabled:
+            QUEUE_DEPTH[()].set(self.depth)
 
     # ------------------------------------------------------------------
     # Estimates
@@ -179,7 +170,9 @@ class AdmissionController:
         deadline = getattr(request, "deadline", None)
         if deadline is None:
             deadline = now + self.default_deadline_s
-        priority = getattr(request, "priority", None) or PRIORITY_INTERACTIVE
+        # Anything but bulk is served, and labelled, as interactive.
+        bulk = getattr(request, "priority", None) == PRIORITY_BULK
+        priority = PRIORITY_BULK if bulk else PRIORITY_INTERACTIVE
         tenant = getattr(request, "tenant", None) or "default"
 
         if now >= deadline:
@@ -221,11 +214,8 @@ class AdmissionController:
         self.depth += 1
         self.busy_until = max(self.busy_until, now) + estimate
         self.admitted += 1
-        obs = self._obs()
-        if obs is not None:
-            obs["registry"].counter(
-                "admission.admitted", priority=priority
-            ).inc()
+        if OBS.enabled:
+            ADMITTED[priority].inc()
         self._gauge_depth()
         return AdmissionTicket(
             op=op,

@@ -37,9 +37,9 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Protocol
+from typing import Iterator, Protocol
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument, family
 
 __all__ = [
     "LockMode",
@@ -56,6 +56,13 @@ __all__ = [
 #: lock-order detector ("1"/"on" records findings; "strict" also raises
 #: LockHierarchyError at the violating acquire).
 DETECTOR_ENV_VAR = "REPRO_LOCK_DETECTOR"
+
+ACQUIRED = Instrument("counter", "lock.acquired")
+CONFLICTS = Instrument("counter", "lock.conflicts")
+RELEASED = Instrument("counter", "lock.released")
+UPGRADES = Instrument("counter", "lock.upgrades")
+ACQUIRE_SECONDS = Instrument("histogram", "lock.acquire_seconds")
+family(ACQUIRED, CONFLICTS, RELEASED, UPGRADES, ACQUIRE_SECONDS)
 
 
 class LockMode(enum.Enum):
@@ -235,7 +242,6 @@ class LockManager:
         # acquisition order (what the lock-order detector reasons over)
         self._observers: list[LockObserver] = []
         self.stats = LockStats()
-        self._obs_cache: dict[str, Any] | None = None
         detector_mode = os.environ.get(DETECTOR_ENV_VAR, "").strip().lower()
         if detector_mode in {"1", "on", "true", "strict"}:
             # Imported lazily: core must not depend on the analysis
@@ -263,21 +269,6 @@ class LockManager:
         except LockConflictError:
             return False
 
-    def _obs(self) -> dict[str, Any]:
-        registry = OBS.registry
-        cache = self._obs_cache
-        if cache is None or cache["registry"] is not registry:
-            assert registry is not None
-            cache = self._obs_cache = {
-                "registry": registry,
-                "acquired": registry.counter("lock.acquired"),
-                "conflicts": registry.counter("lock.conflicts"),
-                "released": registry.counter("lock.released"),
-                "upgrades": registry.counter("lock.upgrades"),
-                "acquire_seconds": registry.histogram("lock.acquire_seconds"),
-            }
-        return cache
-
     def acquire(self, user: str, object_id: str, mode: LockMode) -> HeldLock:
         """Acquire or raise :class:`LockConflictError`.
 
@@ -286,19 +277,18 @@ class LockManager:
         """
         if not OBS.enabled:
             return self._acquire(user, object_id, mode)
-        handles = self._obs()
         upgrades_before = self.stats.upgrades
         start = OBS.clock()
         try:
             held = self._acquire(user, object_id, mode)
         except LockConflictError:
-            handles["conflicts"].inc()
+            CONFLICTS[()].inc()
             raise
         finally:
-            handles["acquire_seconds"].observe(OBS.clock() - start)
-        handles["acquired"].inc()
+            ACQUIRE_SECONDS[()].observe(OBS.clock() - start)
+        ACQUIRED[()].inc()
         if self.stats.upgrades != upgrades_before:
-            handles["upgrades"].inc()
+            UPGRADES[()].inc()
         return held
 
     def _acquire(self, user: str, object_id: str, mode: LockMode) -> HeldLock:
@@ -343,7 +333,7 @@ class LockManager:
                 del self._held_order[user]
         self.stats.released += 1
         if OBS.enabled:
-            self._obs()["released"].inc()
+            RELEASED[()].inc()
         for observer in list(self._observers):
             observer.on_release(user, object_id)
         return True

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.distribution.mtree import MAryTree
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument, family
 from repro.net.messages import Message
 from repro.net.station import Station
 from repro.net.transport import Network
@@ -37,6 +37,12 @@ __all__ = ["LecturePayload", "BroadcastReport", "PreBroadcaster"]
 
 PUSH_KIND = "lecture.push"
 _STATE_KEY = "prebroadcast"
+
+BYTES_SENT = Instrument("counter", "broadcast.bytes_sent")
+CHUNKS_SENT = Instrument("counter", "broadcast.chunks_sent")
+BYTES_REDELIVERED = Instrument("counter", "broadcast.bytes_redelivered")
+STATIONS_COMPLETED = Instrument("counter", "broadcast.stations_completed")
+family(BYTES_SENT, CHUNKS_SENT, BYTES_REDELIVERED, STATIONS_COMPLETED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,30 +124,11 @@ class PreBroadcaster:
         self._trees: dict[str, MAryTree] = {}
         #: bytes re-sent beyond the first delivery attempt
         self.bytes_redelivered = 0
-        self._obs_cache: dict[str, Any] | None = None
         #: lecture_id -> {"root": Span, "hops": {name: Span},
         #:                "first_at": {name: float}} while traced
         self._obs_trace: dict[str, dict[str, Any]] = {}
         for station in network.stations():
             self._install(station)
-
-    def _obs(self) -> dict[str, Any]:
-        registry = OBS.registry
-        cache = self._obs_cache
-        if cache is None or cache["registry"] is not registry:
-            assert registry is not None
-            cache = self._obs_cache = {
-                "registry": registry,
-                "bytes_sent": registry.counter("broadcast.bytes_sent"),
-                "chunks_sent": registry.counter("broadcast.chunks_sent"),
-                "bytes_redelivered": registry.counter(
-                    "broadcast.bytes_redelivered"
-                ),
-                "stations_completed": registry.counter(
-                    "broadcast.stations_completed"
-                ),
-            }
-        return cache
 
     def _install(self, station: Station) -> None:
         if not station.handles(PUSH_KIND):
@@ -214,9 +201,8 @@ class PreBroadcaster:
             for child in tree.children_names(root_name):
                 self.network.send(root_name, child, PUSH_KIND, payload, chunk)
                 if OBS.enabled:
-                    handles = self._obs()
-                    handles["bytes_sent"].inc(chunk)
-                    handles["chunks_sent"].inc()
+                    BYTES_SENT[()].inc(chunk)
+                    CHUNKS_SENT[()].inc()
         return report
 
     def _on_push(self, station: Station, message: Message) -> None:
@@ -238,9 +224,8 @@ class PreBroadcaster:
                 station.name, child, PUSH_KIND, payload, payload.chunk_bytes
             )
             if OBS.enabled:
-                handles = self._obs()
-                handles["bytes_sent"].inc(payload.chunk_bytes)
-                handles["chunks_sent"].inc()
+                BYTES_SENT[()].inc(payload.chunk_bytes)
+                CHUNKS_SENT[()].inc()
 
     def receive_chunk(
         self,
@@ -273,7 +258,7 @@ class PreBroadcaster:
         if not stored:
             report.reference_only.add(station.name)
         if OBS.enabled:
-            self._obs()["stations_completed"].inc()
+            STATIONS_COMPLETED[()].inc()
             self._trace_completion(lecture_id, station.name)
         return True
 
@@ -375,7 +360,7 @@ class PreBroadcaster:
             sent += chunk
         self.bytes_redelivered += sent
         if OBS.enabled:
-            self._obs()["bytes_redelivered"].inc(sent)
+            BYTES_REDELIVERED[()].inc(sent)
         return sent
 
     # ------------------------------------------------------------------

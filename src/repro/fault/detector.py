@@ -31,10 +31,12 @@ from typing import Callable, Sequence
 
 from repro.collab.presence import PresenceDaemon
 from repro.net.transport import Network
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.util.validation import check_positive
 
 __all__ = ["DetectionEvent", "FailureDetector"]
+
+EVENTS = Instrument("counter", "fault.detector_events", "kind")
 
 CLUSTER_COURSE = "__cluster__"
 
@@ -211,7 +213,7 @@ class FailureDetector:
         self.events.append(DetectionEvent(time=time, kind=kind,
                                           station=station))
         if OBS.enabled:
-            OBS.registry.counter("fault.detector_events", kind=kind).inc()
+            EVENTS[kind].inc()
         for listener in self._listeners[kind]:
             listener(station, time)
 

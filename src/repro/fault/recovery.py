@@ -32,10 +32,14 @@ from repro.distribution.syncdb import MetadataReplicator
 from repro.distribution.vector import BroadcastVector
 from repro.fault.policy import RetryPolicy
 from repro.net.transport import Network
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 
 __all__ = ["RedeliveryReport", "RedeliveryService", "RejoinReport",
            "RecoveryManager"]
+
+REDELIVERIES = Instrument("counter", "fault.redeliveries")
+CHUNKS_REDELIVERED = Instrument("counter", "fault.chunks_redelivered")
+REJOINS = Instrument("counter", "fault.rejoins")
 
 
 @dataclass
@@ -127,10 +131,8 @@ class RedeliveryService:
             report.bytes_redelivered += sent
             report.chunks_redelivered += len(missing)
             if OBS.enabled:
-                OBS.registry.counter("fault.redeliveries").inc()
-                OBS.registry.counter(
-                    "fault.chunks_redelivered"
-                ).inc(len(missing))
+                REDELIVERIES[()].inc()
+                CHUNKS_REDELIVERED[()].inc(len(missing))
             report.chunks_by_station[name] = (
                 report.chunks_by_station.get(name, 0) + len(missing)
             )
@@ -244,5 +246,5 @@ class RecoveryManager:
         )
         self.rejoins.append(report)
         if OBS.enabled:
-            OBS.registry.counter("fault.rejoins").inc()
+            REJOINS[()].inc()
         return report

@@ -19,10 +19,12 @@ from typing import Iterable
 
 from repro.distribution.mtree import MAryTree
 from repro.distribution.vector import BroadcastVector
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.util.validation import check_positive
 
 __all__ = ["Reparenting", "RepairReport", "TreeRepairer"]
+
+REPAIRS = Instrument("counter", "fault.repairs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +116,7 @@ class TreeRepairer:
                     ))
         self.repairs.append(report)
         if OBS.enabled:
-            OBS.registry.counter("fault.repairs").inc()
+            REPAIRS[()].inc()
         return report
 
     # ------------------------------------------------------------------

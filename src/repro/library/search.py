@@ -22,9 +22,13 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 
 __all__ = ["tokenize", "SearchResult", "SearchIndex"]
+
+SEARCHES = Instrument("counter", "library.searches")
+CANDIDATES = Instrument("counter", "library.search.candidates")
+RETURNED = Instrument("counter", "library.search.returned")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NO_DOCS: frozenset[str] = frozenset()
@@ -234,11 +238,10 @@ class SearchIndex:
                 top = sorted(ranked)[:limit]
             else:
                 top = heapq.nsmallest(limit, ranked)
-        if OBS.enabled and OBS.registry is not None:
-            registry = OBS.registry
-            registry.counter("library.searches").inc()
-            registry.counter("library.search.candidates").inc(len(candidates))
-            registry.counter("library.search.returned").inc(len(top))
+        if OBS.enabled:
+            SEARCHES[()].inc()
+            CANDIDATES[()].inc(len(candidates))
+            RETURNED[()].inc(len(top))
         if hits is None:
             return [SearchResult(doc_id, 1.0) for doc_id in top]
         n_terms = len(query_terms)

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.admission import DeadlineExceededError, current_deadline
 from repro.net.link import schedule_transfer
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument, family
 from repro.net.messages import Message, payload_size
 from repro.net.sim import Simulator
 from repro.net.station import Station
@@ -40,6 +40,14 @@ __all__ = ["CALL_TIMEOUT_S", "CallKind", "Network"]
 
 #: longest ``call_sync`` waits (virtual seconds) when no deadline binds
 CALL_TIMEOUT_S = 3600.0
+
+MESSAGES = Instrument("counter", "net.messages")
+BYTES = Instrument("counter", "net.bytes")
+DROPPED = Instrument("counter", "net.dropped")
+EXPIRED = Instrument("counter", "net.expired")
+family(MESSAGES, BYTES, DROPPED, EXPIRED)
+#: calls refused on arrival because their deadline passed in flight
+DEADLINE_EXPIRED = Instrument("counter", "admission.deadline_expired", "site")
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,26 +98,11 @@ class Network:
         self.total_messages = 0
         self.messages_dropped = 0
         self.messages_expired = 0
-        self._obs_cache: dict[str, Any] | None = None
 
     @cached_property
     def _drop_rng(self) -> Any:
         """Built on the first draw: a lossless network loads no numpy."""
         return make_rng(self._seed, "network-drops")
-
-    def _obs(self) -> dict[str, Any]:
-        registry = OBS.registry
-        cache = self._obs_cache
-        if cache is None or cache["registry"] is not registry:
-            assert registry is not None
-            cache = self._obs_cache = {
-                "registry": registry,
-                "messages": registry.counter("net.messages"),
-                "bytes": registry.counter("net.bytes"),
-                "dropped": registry.counter("net.dropped"),
-                "expired": registry.counter("net.expired"),
-            }
-        return cache
 
     # -- membership ----------------------------------------------------------
     def add(self, station: Station) -> Station:
@@ -252,7 +245,7 @@ class Network:
         sender.messages_sent += 1
         self.total_messages += 1
         if OBS.enabled:
-            self._obs()["messages"].inc()
+            MESSAGES[()].inc()
         # Failure injection is consulted only while some is configured;
         # with none, _should_drop would say no without drawing from the
         # drop RNG, so skipping it leaves the seeded sequence as it was.
@@ -263,7 +256,7 @@ class Network:
             # sender nothing observable (fire-and-forget datagrams).
             self.messages_dropped += 1
             if OBS.enabled:
-                self._obs()["dropped"].inc()
+                DROPPED[()].inc()
             return message
         arrival = schedule_transfer(
             now,
@@ -275,7 +268,7 @@ class Network:
         ).arrival
         self.total_bytes += size_bytes
         if OBS.enabled:
-            self._obs()["bytes"].inc(size_bytes)
+            BYTES[()].inc(size_bytes)
         # A station may crash while the message is in flight; check
         # again at delivery time.
         sim.schedule_at(arrival, self._deliver, receiver, message)
@@ -285,7 +278,7 @@ class Network:
         if self._down and receiver.name in self._down:
             self.messages_dropped += 1
             if OBS.enabled:
-                self._obs()["dropped"].inc()
+                DROPPED[()].inc()
             return
         if message.deadline is not None and self.sim.now >= message.deadline:
             # Expired in flight: delivering would start work nobody is
@@ -293,7 +286,7 @@ class Network:
             # messages that expire *after* delivery begins.
             self.messages_expired += 1
             if OBS.enabled:
-                self._obs()["expired"].inc()
+                EXPIRED[()].inc()
             return
         receiver.deliver(message)
 
@@ -330,10 +323,8 @@ class Network:
         def on_call(_station: Station, message: Message) -> None:
             call = message.payload
             if call.deadline is not None and sim.now >= call.deadline:
-                if OBS.enabled and OBS.registry is not None:
-                    OBS.registry.counter(
-                        "admission.deadline_expired", site=kind.site
-                    ).inc()
+                if OBS.enabled:
+                    DEADLINE_EXPIRED[kind.site].inc()
                 reply = refuse(call)
             else:
                 reply = answer(call)

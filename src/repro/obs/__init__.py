@@ -11,8 +11,9 @@ rest of the reproduction instruments into:
 * :mod:`repro.obs.trace` — nested spans on an injectable clock
   (deterministic under :mod:`repro.net.sim` virtual time);
 * :mod:`repro.obs.instrument` — the global switch (``REPRO_OBS=1`` or
-  :func:`enable`; sites read ``OBS.enabled`` / ``OBS.registry``) and
-  the audited :data:`INSTRUMENT_POINTS` catalogue;
+  :func:`enable`; sites read ``OBS.enabled``), the audited
+  :data:`INSTRUMENT_POINTS` catalogue and the declared ``Instrument``
+  every site emits through;
 * :mod:`repro.obs.export` — text/JSON exporters and snapshot diffs;
 * :mod:`repro.obs.render` — the span→tree renderer for broadcast
   traces;

@@ -13,9 +13,9 @@ components running on :mod:`repro.net.sim` virtual time produce
 deterministic traces.
 
 :data:`INSTRUMENT_POINTS` is the audited catalogue of every metric name
-the subsystems emit; the test suite asserts no instrumented code path
-invents names outside it (typos in metric names would otherwise split
-series silently).
+the subsystems emit; an :class:`Instrument` — the one way code emits a
+metric — refuses a name outside it at import, so a typo'd name cannot
+split a series silently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -32,9 +32,11 @@ __all__ = [
     "ENV_VAR",
     "INSTRUMENT_POINTS",
     "OBS",
+    "Instrument",
     "enable",
     "disable",
     "enabled",
+    "family",
 ]
 
 ENV_VAR = "REPRO_OBS"
@@ -117,19 +119,94 @@ INSTRUMENT_POINTS: dict[str, str] = {
 }
 
 
+#: every instrument declared so far, in declaration order
+_INSTRUMENTS: list[Instrument] = []
+
+
 class _ObsState:
     """The process-wide switch; mutated only by enable()/disable()."""
 
-    __slots__ = ("enabled", "registry", "tracer", "clock")
+    __slots__ = ("enabled", "_registry", "tracer", "clock")
 
     def __init__(self) -> None:
         self.enabled = False
-        self.registry: MetricsRegistry | None = None
+        self._registry: MetricsRegistry | None = None
         self.tracer: Tracer | None = None
         self.clock: Callable[[], float] = time.perf_counter
 
+    @property
+    def registry(self) -> MetricsRegistry | None:
+        return self._registry
+
+    @registry.setter
+    def registry(self, registry: MetricsRegistry | None) -> None:
+        """Installing another registry object drops every memoised handle."""
+        if registry is not self._registry:
+            self._registry = registry
+            for instrument in _INSTRUMENTS:
+                instrument.clear()
+
 
 OBS = _ObsState()
+
+
+class Instrument(dict):
+    """One declared metric, and the memo of its handles.
+
+    Declared at import with its label names, and indexed behind the
+    site's ``if OBS.enabled:`` with the label values::
+
+        STATEMENTS = Instrument("counter", "rdb.statements", "kind")
+        PLANS = Instrument("counter", "rdb.plan", "table", "path")
+        MESSAGES = Instrument("counter", "net.messages")
+        STATEMENTS["insert"].inc(); PLANS[table, path].inc()
+        MESSAGES[()].inc()
+
+    An item is the active registry's handle: resolved on first use and
+    dropped when another registry object is installed, so a hit is one
+    C-level dict lookup.  The first use against a registry also creates
+    the ``values`` series (the one series of an unlabelled instrument)
+    of every member of its :func:`family`, so a dump lists a subsystem's
+    zero counts from its first event on.
+    """
+
+    __slots__ = ("kind", "name", "labels", "series", "family")
+
+    def __init__(
+        self, kind: str, name: str, *labels: str, values: tuple = ()
+    ) -> None:
+        super().__init__()
+        if name not in INSTRUMENT_POINTS:
+            raise ValueError(f"metric {name!r} is not in INSTRUMENT_POINTS")
+        if kind not in ("counter", "gauge", "histogram"):
+            raise ValueError(f"unknown metric kind {kind!r}")
+        self.kind = kind
+        self.name = name
+        self.labels = labels
+        self.series = values if labels else ((),)
+        self.family: tuple[Instrument, ...] = (self,)
+        _INSTRUMENTS.append(self)
+
+    def __missing__(self, key: Any) -> Any:
+        if not self:  # the first use since the registry changed
+            for member in self.family:
+                for declared in member.series:
+                    member._resolve(declared)
+        return self._resolve(key)
+
+    def _resolve(self, key: Any) -> Any:
+        values = (key,) if len(self.labels) == 1 else key
+        handle = self[key] = getattr(OBS.registry, self.kind)(
+            self.name, **dict(zip(self.labels, values, strict=True))
+        )
+        return handle
+
+
+def family(*instruments: Instrument) -> None:
+    """Declare ``instruments`` together: the first use of any of them
+    against a registry creates the declared series of all of them."""
+    for instrument in instruments:
+        instrument.family = instruments
 
 
 def enable(

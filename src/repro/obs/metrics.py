@@ -6,9 +6,10 @@ times requests, the broadcast layer accounts bytes per lecture, the
 failure detector counts its transitions.  Design constraints, in order:
 
 * **cheap on the hot path** — a metric handle (`Counter`, `Gauge`,
-  `Histogram`) is looked up once and then mutated with plain attribute
-  arithmetic; instrumented code caches handles so steady-state cost is
-  one integer add;
+  `Histogram`) is mutated with plain attribute arithmetic; code reaches
+  it through a declared :class:`~repro.obs.instrument.Instrument`, which
+  resolves each label set once per registry, so the steady-state cost
+  is one dict hit and one add;
 * **mergeable** — :meth:`MetricsRegistry.snapshot` produces an
   immutable :class:`MetricsSnapshot`; snapshots from different stations
   (or different runs) merge associatively and commutatively, which is
@@ -22,6 +23,7 @@ never silently lost or re-binned.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
@@ -55,26 +57,36 @@ def metric_key(name: str, labels: Mapping[str, Any]) -> MetricKey:
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
+#: Label text characters :func:`format_key` escapes with a backslash.
+_ESCAPE = str.maketrans({c: "\\" + c for c in "\\,={}"})
+_LABEL = re.compile(r"((?:[^\\=]|\\.)*)=((?:[^\\,]|\\.)*),?", re.S)
+_ESCAPED = re.compile(r"\\(.)", re.S)
+
+
 def format_key(key: MetricKey) -> str:
-    """Render ``("a.b", (("x","1"),))`` as ``a.b{x=1}`` (JSON/export form)."""
+    """Render ``("a.b", (("x","1"),))`` as ``a.b{x=1}`` (JSON/export form).
+
+    A ``\\``, ``,``, ``=``, ``{`` or ``}`` inside a label name or value
+    is escaped with a backslash, so any label text reads back intact.
+    """
     name, labels = key
     if not labels:
         return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
+    inner = ",".join(
+        f"{k.translate(_ESCAPE)}={v.translate(_ESCAPE)}" for k, v in labels
+    )
     return f"{name}{{{inner}}}"
 
 
 def parse_key(text: str) -> MetricKey:
     """Inverse of :func:`format_key`."""
-    if "{" not in text:
+    name, brace, rest = text.partition("{")
+    if not brace:
         return (text, ())
-    name, _, rest = text.partition("{")
-    body = rest.rstrip("}")
-    labels = []
-    if body:
-        for part in body.split(","):
-            k, _, v = part.partition("=")
-            labels.append((k, v))
+    labels = (
+        (_ESCAPED.sub(r"\1", k), _ESCAPED.sub(r"\1", v))
+        for k, v in _LABEL.findall(rest[:-1])
+    )
     return (name, tuple(sorted(labels)))
 
 
@@ -271,10 +283,10 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """Get-or-create home for every metric in one process/station.
 
-    Handles live as long as the registry: instrumented code caches the
-    returned objects and mutates them directly, re-resolving only when
-    the active registry *object* changes — so a fresh registry, never an
-    emptied one, is how one starts over.
+    Handles live as long as the registry: an
+    :class:`~repro.obs.instrument.Instrument` keeps the returned objects
+    and drops them only when another registry *object* is installed — so
+    a fresh registry, never an emptied one, is how one starts over.
     """
 
     def __init__(self) -> None:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from textwrap import indent
 from typing import Any, Callable, Mapping
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb import predicate as _p
 
 __all__ = [
@@ -76,8 +76,7 @@ _MAX_SHAPES = 256
 _FACTORIES: dict[str, Callable[..., Callable]] = {}
 _STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
-#: (registry, {outcome: counter}), re-resolved when the registry changes.
-_OBS_COUNTERS: list = [None, {}]
+COMPILES = Instrument("counter", "rdb.compile", "outcome", values=("hit", "miss"))
 
 _ROW_FORM = "def _compiled(r):\n    return {}\n"
 #: Loop and predicate fused into one list comprehension: no call frame
@@ -279,14 +278,7 @@ def _instantiate(name: str, source: str, consts: list[Any]) -> Callable:
         exec(code, namespace)
         factory = _FACTORIES[source] = namespace["_factory"]
     if OBS.enabled:
-        registry = OBS.registry
-        if _OBS_COUNTERS[0] is not registry:
-            assert registry is not None
-            _OBS_COUNTERS[:] = registry, {
-                o: registry.counter("rdb.compile", outcome=o)
-                for o in ("hit", "miss")
-            }
-        _OBS_COUNTERS[1][outcome].inc()
+        COMPILES[outcome].inc()
     return factory(*consts)
 
 

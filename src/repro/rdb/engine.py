@@ -21,7 +21,7 @@ import contextlib
 import os
 from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument, family
 from repro.rdb.catalog import Catalog
 from repro.rdb.constraints import Action, ConstraintChecker, ForeignKey
 from repro.rdb.errors import (
@@ -60,6 +60,22 @@ from repro.rdb.wal import (
 from repro.util.validation import check_identifier
 
 __all__ = ["Database"]
+
+STATEMENTS = Instrument(
+    "counter", "rdb.statements", "kind",
+    values=("insert", "update", "delete", "select"),
+)
+STATEMENT_SECONDS = Instrument("histogram", "rdb.statement_seconds")
+TXN_SECONDS = Instrument(
+    "histogram", "rdb.txn_seconds", "outcome", values=("commit", "rollback")
+)
+family(STATEMENTS, STATEMENT_SECONDS, TXN_SECONDS)
+CHECKPOINT_SECONDS = Instrument("histogram", "wal.checkpoint_seconds")
+#: what a recovery counts, by the :class:`RecoveryStats` field it reads
+RECOVERY_TALLIES = {
+    tally: Instrument("counter", f"wal.{tally}")
+    for tally in ("records_recovered", "torn_tails", "checksum_failures")
+}
 
 
 def _as_pk(pk: Any) -> tuple:
@@ -115,9 +131,7 @@ class _Statement:
                 del db._wal_buffer[self.wal_mark:]
         finally:
             if self.started_at is not None and OBS.enabled:
-                db._obs()["statement_seconds"].observe(
-                    OBS.clock() - self.started_at
-                )
+                STATEMENT_SECONDS[()].observe(OBS.clock() - self.started_at)
 
 
 class Database:
@@ -134,7 +148,6 @@ class Database:
         self._wal_buffer: list[list[Any]] = []
         self._wal_savepoints: dict[str, int] = {}
         self.statements = 0
-        self._obs_cache: dict[str, Any] | None = None
         self._txn_began_at: float | None = None
         #: Filled in by :meth:`open` / :meth:`recover`; None when fresh.
         self.recovery_stats: RecoveryStats | None = None
@@ -308,7 +321,7 @@ class Database:
         table = self._catalog.get(table_name)
         row = table.schema.normalize_row(values)
         if OBS.enabled:
-            self._obs()["insert"].inc()
+            STATEMENTS["insert"].inc()
         with _Statement(self):
             self._insert_row(table, table_name, row)
         return table.schema.primary_key_of(row)
@@ -326,7 +339,7 @@ class Database:
         table = self._catalog.get(table_name)
         normalized = list(map(table.schema.normalize_row, rows))
         if OBS.enabled and normalized:
-            self._obs()["insert"].inc(len(normalized))
+            STATEMENTS["insert"].inc(len(normalized))
         insert_row = self._insert_row
         with _Statement(self):
             # One statement wrapper for the whole batch; the statement
@@ -408,7 +421,7 @@ class Database:
         """Select rows; see :func:`repro.rdb.query.execute_select`."""
         table = self._catalog.get(table_name)
         if OBS.enabled:
-            self._obs()["select"].inc()
+            STATEMENTS["select"].inc()
         return execute_select(
             table,
             where=where,
@@ -454,7 +467,7 @@ class Database:
         left = self._catalog.get(left_table)
         right = self._catalog.get(right_table)
         if OBS.enabled:
-            self._obs()["select"].inc(2)
+            STATEMENTS["select"].inc(2)
         return join_rows(
             matching_view(left, where_left),
             matching_view(right, where_right),
@@ -472,7 +485,7 @@ class Database:
         """Grouped aggregation; see :func:`repro.rdb.query.aggregate`."""
         table = self._catalog.get(table_name)
         if OBS.enabled:
-            self._obs()["select"].inc()
+            STATEMENTS["select"].inc()
         return aggregate_table(table, spec, where=where, group_by=group_by)
 
     def update(
@@ -490,7 +503,7 @@ class Database:
         changes = table.schema.normalize_changes(changes)
         rowids = target_rowids(table, where)
         if OBS.enabled:
-            self._obs()["update"].inc()
+            STATEMENTS["update"].inc()
         with _Statement(self):
             for rowid in rowids:
                 self._update_rowid(table, rowid, changes)
@@ -504,7 +517,7 @@ class Database:
         if rowid is None:
             return False
         if OBS.enabled:
-            self._obs()["update"].inc()
+            STATEMENTS["update"].inc()
         with _Statement(self):
             self._update_rowid(table, rowid, changes)
         return True
@@ -514,7 +527,7 @@ class Database:
         table = self._catalog.get(table_name)
         rowids = target_rowids(table, where)
         if OBS.enabled:
-            self._obs()["delete"].inc()
+            STATEMENTS["delete"].inc()
         with _Statement(self):
             deleted = 0
             for rowid in rowids:
@@ -530,7 +543,7 @@ class Database:
         if rowid is None:
             return False
         if OBS.enabled:
-            self._obs()["delete"].inc()
+            STATEMENTS["delete"].inc()
         with _Statement(self):
             self._delete_rowid(table, rowid, _seen=set())
         return True
@@ -569,10 +582,8 @@ class Database:
         self.snapshot_path = path
         if self._journal is not None:
             self._journal.checkpoint(last_lsn)
-        if started is not None and OBS.enabled and OBS.registry is not None:
-            OBS.registry.histogram("wal.checkpoint_seconds").observe(
-                OBS.clock() - started
-            )
+        if started is not None and OBS.enabled:
+            CHECKPOINT_SECONDS[()].observe(OBS.clock() - started)
 
     def apply_replicated(self, record: dict[str, Any]) -> None:
         """Apply one already-journaled ``{"txn": id, "ops": [...]}``
@@ -730,10 +741,10 @@ class Database:
 
     @staticmethod
     def _count_recovery(stats: RecoveryStats) -> None:
-        if OBS.enabled and OBS.registry is not None:
-            for tally in ("records_recovered", "torn_tails", "checksum_failures"):
+        if OBS.enabled:
+            for tally, instrument in RECOVERY_TALLIES.items():
                 if count := getattr(stats, tally):
-                    OBS.registry.counter(f"wal.{tally}").inc(count)
+                    instrument[()].inc(count)
 
     # ------------------------------------------------------------------
     # Stats
@@ -766,39 +777,11 @@ class Database:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _obs(self) -> dict[str, Any]:
-        """Cached metric handles, re-resolved when the registry changes.
-
-        Steady-state instrumented cost is one dict hit plus an integer
-        add; only the first statement after enable() pays the lookups.
-        """
-        registry = OBS.registry
-        cache = self._obs_cache
-        if cache is None or cache["registry"] is not registry:
-            assert registry is not None
-            cache = self._obs_cache = {
-                "registry": registry,
-                "insert": registry.counter("rdb.statements", kind="insert"),
-                "update": registry.counter("rdb.statements", kind="update"),
-                "delete": registry.counter("rdb.statements", kind="delete"),
-                "select": registry.counter("rdb.statements", kind="select"),
-                "statement_seconds": registry.histogram(
-                    "rdb.statement_seconds"
-                ),
-                "commit": registry.histogram(
-                    "rdb.txn_seconds", outcome="commit"
-                ),
-                "rollback": registry.histogram(
-                    "rdb.txn_seconds", outcome="rollback"
-                ),
-            }
-        return cache
-
     def _observe_txn(self, outcome: str) -> None:
         began = self._txn_began_at
         self._txn_began_at = None
         if began is not None and OBS.enabled:
-            self._obs()[outcome].observe(OBS.clock() - began)
+            TXN_SECONDS[outcome].observe(OBS.clock() - began)
 
     def _update_rowid(
         self, table: Table, rowid: int, changes: dict[str, Any]

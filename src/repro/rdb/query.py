@@ -52,7 +52,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
 from repro.rdb.index import HashIndex, SortedIndex
@@ -69,6 +69,11 @@ __all__ = [
     "matching_view",
     "target_rowids",
 ]
+
+PLANS = Instrument("counter", "rdb.plan", "table", "path")
+ROWS_SCANNED = Instrument("counter", "rdb.rows_scanned", "table")
+ROWS_RETURNED = Instrument("counter", "rdb.rows_returned", "table")
+BATCHES = Instrument("counter", "rdb.batches", "table")
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,11 +332,9 @@ def execute_select(
     # DISTINCT dedups before slicing, so it must see every row.
     top = limit + offset if limit is not None and not distinct else None
     plan, rowids = plan_select(table, where, order_by, descending, top)
-    handles: tuple | None = None
     counts = [0, 0]  # rows examined, batches pulled
     if OBS.enabled:
-        handles = _obs_handles(table.schema.name, plan.access_path)
-        handles[0].inc()
+        PLANS[table.schema.name, plan.access_path].inc()
     if order_by is None and not descending and not distinct:
         # Hot path (no reorder, no dedup): batches extend the result
         # list directly and projection is one comprehension — no
@@ -348,10 +351,8 @@ def execute_select(
             out = out[offset:]
         if limit is not None:
             out = out[:limit]
-        if handles is not None and OBS.enabled:
-            handles[1].inc(counts[0])
-            handles[2].inc(len(out))
-            handles[3].inc(counts[1])
+        if OBS.enabled:
+            _count_rows(table, counts, len(out))
         return out
     rows: Iterable[dict[str, Any]]
     if order_by is not None:
@@ -398,10 +399,8 @@ def execute_select(
         out = out[offset:]
     if limit is not None:
         out = out[:limit]
-    if handles is not None and OBS.enabled:
-        handles[1].inc(counts[0])
-        handles[2].inc(len(out))
-        handles[3].inc(counts[1])
+    if OBS.enabled:
+        _count_rows(table, counts, len(out))
     return out
 
 
@@ -414,29 +413,12 @@ def _sort_key(keys: tuple[str, ...], rows: list[dict[str, Any]]) -> Callable:
     return lambda row: tuple((row[k] is not None, row[k]) for k in keys)
 
 
-#: (registry, {(table, path): (plan, rows_scanned, rows_returned,
-#: batches)}) — handles re-resolved whenever the active registry object
-#: changes, so the steady-state enabled cost per select is four dict hits.
-_OBS_HANDLES: list = [None, {}]
-
-
-def _obs_handles(table_name: str, access_path: str) -> tuple:
-    registry = OBS.registry
-    if _OBS_HANDLES[0] is not registry:
-        _OBS_HANDLES[0] = registry
-        _OBS_HANDLES[1] = {}
-    cache = _OBS_HANDLES[1]
-    key = (table_name, access_path)
-    handles = cache.get(key)
-    if handles is None:
-        assert registry is not None
-        handles = cache[key] = (
-            registry.counter("rdb.plan", table=table_name, path=access_path),
-            registry.counter("rdb.rows_scanned", table=table_name),
-            registry.counter("rdb.rows_returned", table=table_name),
-            registry.counter("rdb.batches", table=table_name),
-        )
-    return handles
+def _count_rows(table: Table, counts: list[int], returned: int) -> None:
+    """Emit what one statement examined (``counts``) and handed back."""
+    name = table.schema.name
+    ROWS_SCANNED[name].inc(counts[0])
+    ROWS_RETURNED[name].inc(returned)
+    BATCHES[name].inc(counts[1])
 
 
 def _candidate_batches(
@@ -708,16 +690,12 @@ def matching_view(
     :func:`execute_select`.
     """
     plan, rowids = plan_select(table, where)
-    handles: tuple | None = None
     counts = [0, 0]
     if OBS.enabled:
-        handles = _obs_handles(table.schema.name, plan.access_path)
-        handles[0].inc()
+        PLANS[table.schema.name, plan.access_path].inc()
     rows = _collect_matching(table, plan, rowids, where, counts, None)
-    if handles is not None and OBS.enabled:
-        handles[1].inc(counts[0])
-        handles[2].inc(len(rows))
-        handles[3].inc(counts[1])
+    if OBS.enabled:
+        _count_rows(table, counts, len(rows))
     return rows
 
 

@@ -57,7 +57,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb.errors import JournalCorruptError
 
 __all__ = [
@@ -73,6 +73,8 @@ __all__ = [
     "parse_snapshot",
     "read_snapshot_info",
 ]
+
+SYNC_BATCHES = Instrument("counter", "wal.sync_batches", "policy")
 
 #: Frame magic for journal format v2.
 MAGIC = b"WJ2\x00"
@@ -685,10 +687,8 @@ class Journal:
             return
         self.sync_policy.fsync(self._fh.fileno())
         self._pending_sync = 0
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter(
-                "wal.sync_batches", policy=self.sync_policy.name
-            ).inc()
+        if OBS.enabled:
+            SYNC_BATCHES[self.sync_policy.name].inc()
 
     def tell(self) -> int:
         """Current end offset of the journal file in bytes."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.transport import Network
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.replication.recoverer import Recoverer, RecoveryStage
 from repro.replication.shipper import WalShipper
 
@@ -43,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fault.recovery import RecoveryManager
 
 __all__ = ["FailoverCoordinator", "FailoverReport"]
+
+PROMOTIONS = Instrument("counter", "replication.promotions")
 
 
 @dataclass
@@ -143,8 +145,8 @@ class FailoverCoordinator:
             survivor.retarget(winner.station_name, epoch=new_epoch)
             report.retargeted.append(survivor.station_name)
         self.reports.append(report)
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("replication.promotions").inc()
+        if OBS.enabled:
+            PROMOTIONS[()].inc()
         return report
 
     # ------------------------------------------------------------------

@@ -45,12 +45,14 @@ from repro.net.messages import (
 )
 from repro.net.station import Station
 from repro.net.transport import Network
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb import Database, Schema, SyncPolicy
 from repro.rdb.errors import JournalCorruptError
 from repro.rdb.wal import Journal, WalFrame, parse_frame
 
 __all__ = ["RecoveryStage", "Recoverer"]
+
+STAGE_TRANSITIONS = Instrument("counter", "replication.stage_transitions", "stage")
 
 
 class RecoveryStage(enum.Enum):
@@ -225,10 +227,8 @@ class Recoverer:
             return
         self.stage = stage
         self.stage_history.append(stage)
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter(
-                "replication.stage_transitions", stage=stage.value
-            ).inc()
+        if OBS.enabled:
+            STAGE_TRANSITIONS[stage.value].inc()
 
     def _report_status(self) -> None:
         self.network.send(

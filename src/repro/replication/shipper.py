@@ -42,12 +42,20 @@ from repro.net.messages import (
     ReplSubscribe,
 )
 from repro.admission import CircuitBreaker
+from repro.admission.breaker import REJECTED as BREAKER_REJECTED
 from repro.net.station import Station
 from repro.net.transport import Network
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb.wal import Journal, parse_snapshot, read_frames
 
 __all__ = ["FollowerProgress", "WalShipper"]
+
+FRAMES_SHIPPED = Instrument("counter", "replication.frames_shipped")
+BYTES_SHIPPED = Instrument("counter", "replication.bytes_shipped")
+SNAPSHOT_CHUNKS = Instrument("counter", "replication.snapshot_chunks")
+RESYNCS = Instrument("counter", "replication.resyncs")
+APPLIED_LSN = Instrument("gauge", "replica.applied_lsn", "follower")
+LAG_RECORDS = Instrument("histogram", "replica.lag_records")
 
 
 @dataclass
@@ -203,9 +211,9 @@ class WalShipper:
         progress.shipped_end = end
         self.frames_shipped += len(frames)
         self.bytes_shipped += size
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("replication.frames_shipped").inc(len(frames))
-            OBS.registry.counter("replication.bytes_shipped").inc(size)
+        if OBS.enabled:
+            FRAMES_SHIPPED[()].inc(len(frames))
+            BYTES_SHIPPED[()].inc(size)
         return len(frames)
 
     # ------------------------------------------------------------------
@@ -220,10 +228,8 @@ class WalShipper:
             self.network.sim.now
         ):
             self.resyncs_refused += 1
-            if OBS.enabled and OBS.registry is not None:
-                OBS.registry.counter(
-                    "breaker.rejected", endpoint=self.resync_breaker.name
-                ).inc()
+            if OBS.enabled:
+                BREAKER_REJECTED[self.resync_breaker.name].inc()
             return False
         if self.snapshot_fn is not None:
             # Produce a fresh snapshot at the current horizon; this also
@@ -262,9 +268,9 @@ class WalShipper:
         if self.resync_breaker is not None:
             # Each served resync spends breaker budget (see __init__).
             self.resync_breaker.record_failure(self.network.sim.now)
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("replication.snapshot_chunks").inc(len(chunks))
-            OBS.registry.counter("replication.resyncs").inc()
+        if OBS.enabled:
+            SNAPSHOT_CHUNKS[()].inc(len(chunks))
+            RESYNCS[()].inc()
         return True
 
     # ------------------------------------------------------------------
@@ -321,11 +327,9 @@ class WalShipper:
         progress.status_reports += 1
         lag = max(0, self.journal.last_lsn - status.applied_lsn)
         progress.lag = lag
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.gauge(
-                "replica.applied_lsn", follower=status.follower
-            ).set(status.applied_lsn)
-            OBS.registry.histogram("replica.lag_records").observe(lag)
+        if OBS.enabled:
+            APPLIED_LSN[status.follower].set(status.applied_lsn)
+            LAG_RECORDS[()].observe(lag)
         # Ack-driven flow: keep streaming while the follower is behind.
         self._push_frames(progress)
 

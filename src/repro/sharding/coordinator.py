@@ -36,11 +36,14 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb.wal import Journal, WalFrame
 from repro.sharding.participant import TwoPhaseError
 
 __all__ = ["TwoPhaseAborted", "TwoPhaseCoordinator"]
+
+TWO_PC = Instrument("counter", "shard.2pc", "outcome")
+TWO_PC_SECONDS = Instrument("histogram", "shard.2pc_seconds", "outcome")
 
 
 class TwoPhaseAborted(TwoPhaseError):
@@ -199,15 +202,13 @@ class TwoPhaseCoordinator:
             self.commits += 1
         else:
             self.aborts += 1
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("shard.2pc", outcome=outcome).inc()
+        if OBS.enabled:
+            TWO_PC[outcome].inc()
 
     def _observe(self, outcome: str, started: float | None) -> None:
         self._count_outcome(outcome)
-        if started is not None and OBS.enabled and OBS.registry is not None:
-            OBS.registry.histogram(
-                "shard.2pc_seconds", outcome=outcome
-            ).observe(OBS.clock() - started)
+        if started is not None and OBS.enabled:
+            TWO_PC_SECONDS[outcome].observe(OBS.clock() - started)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -36,12 +36,14 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Sequence
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb import Database, Schema
 from repro.rdb.errors import RdbError
 from repro.rdb.wal import Journal
 
 __all__ = ["TwoPhaseError", "ShardParticipant", "recover_participant"]
+
+IN_DOUBT = Instrument("gauge", "shard.in_doubt", "shard")
 
 #: What a routed statement of the wrong shape raises (a wrong-typed
 #: value, ``None`` for a row, a non-``Expr`` where): input from outside
@@ -283,10 +285,8 @@ class ShardParticipant:
 
     # ------------------------------------------------------------------
     def _observe_in_doubt(self) -> None:
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.gauge(
-                "shard.in_doubt", shard=str(self.shard_id)
-            ).set(len(self.in_doubt))
+        if OBS.enabled:
+            IN_DOUBT[str(self.shard_id)].set(len(self.in_doubt))
 
 
 def recover_participant(

@@ -28,10 +28,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Sequence
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb import Database, Expr, predicate_cache_key
 
 __all__ = ["TableVersions", "QueryCache", "copy_reply"]
+
+LOOKUPS = Instrument(
+    "counter", "tiers.cache", "outcome", values=("hit", "miss", "bypass")
+)
 
 
 def copy_reply(value: Any) -> Any:
@@ -91,23 +95,9 @@ class QueryCache:
         self.misses = 0
         self.bypasses = 0
         self.too_stale = 0
-        self._obs_cache: dict[str, Any] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _obs(self) -> dict[str, Any]:
-        registry = OBS.registry
-        cache = self._obs_cache
-        if cache is None or cache["registry"] is not registry:
-            assert registry is not None
-            cache = self._obs_cache = {
-                "registry": registry,
-                "hit": registry.counter("tiers.cache", outcome="hit"),
-                "miss": registry.counter("tiers.cache", outcome="miss"),
-                "bypass": registry.counter("tiers.cache", outcome="bypass"),
-            }
-        return cache
 
     def record(self, key: tuple, tables: Sequence[str], value: Any) -> None:
         """Store ``value``, derived from ``tables`` as they are now."""
@@ -164,7 +154,7 @@ class QueryCache:
         if predicate is None:
             self.bypasses += 1
             if OBS.enabled:
-                self._obs()["bypass"].inc()
+                LOOKUPS["bypass"].inc()
             return db.select(
                 table, where=where, order_by=order_by, descending=descending,
                 limit=limit, offset=offset, columns=columns, distinct=distinct,
@@ -195,7 +185,7 @@ class QueryCache:
             self.record(key, tables, value)
         self._count(hit)
         if OBS.enabled:
-            self._obs()["hit" if hit else "miss"].inc()
+            LOOKUPS["hit" if hit else "miss"].inc()
         return copy_reply(value)
 
     def stats(self) -> dict[str, int]:

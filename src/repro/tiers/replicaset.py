@@ -28,11 +28,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable
 
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.tiers.protocol import REPLICA_SAFE_OPS, Request, Response, Role
 from repro.tiers.server import ClassAdministrator
 
 __all__ = ["ReplicaSet", "catalog_refresher"]
+
+READS = Instrument("counter", "replica.reads", "target")
+FALLBACKS = Instrument("counter", "replica.fallback", "target")
 
 
 def catalog_refresher(admin: ClassAdministrator) -> Callable[[Any], None]:
@@ -236,12 +239,12 @@ class ReplicaSet:
         return best
 
     def _count_read(self, target: str) -> None:
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("replica.reads", target=target).inc()
+        if OBS.enabled:
+            READS[target].inc()
 
     def _count_fallback(self, target: str) -> None:
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("replica.fallback", target=target).inc()
+        if OBS.enabled:
+            FALLBACKS[target].inc()
 
     # ------------------------------------------------------------------
     def promote_replica(self, name: str) -> ClassAdministrator:

@@ -29,7 +29,7 @@ from repro.admission import (
     deadline_scope,
 )
 from repro.core.wddb import WebDocumentDatabase
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.library.assessment import assess
 from repro.library.catalog import CatalogEntry, VirtualLibrary
 from repro.library.circulation import CirculationDesk
@@ -57,6 +57,10 @@ from repro.tiers.protocol import (
 )
 
 __all__ = ["ClassAdministrator"]
+
+REQUEST_SECONDS = Instrument("histogram", "tiers.request_seconds", "op")
+REQUESTS = Instrument("counter", "tiers.requests", "op", "status")
+STALE_SERVED = Instrument("counter", "admission.stale_served", "op")
 
 #: The reads whose finished reply the tier stores, and the table each
 #: derives from: a repeat is one lookup and one copy, and the handler
@@ -223,7 +227,6 @@ class ClassAdministrator:
         self._session_counter = itertools.count(1)
         #: Optional overload defense; None preserves v1 behaviour.
         self.admission = admission
-        self._obs_cache: tuple[Any, dict[tuple[str, str], tuple]] | None = None
         self.requests_served = 0
         self.clock = 0.0  # advanced by callers that care about loan times
         self._handlers: dict[str, Callable[[Request, str, Role], Any]] = {
@@ -403,9 +406,11 @@ class ClassAdministrator:
         (shard RPC, scatter-gather, replica routing) can refuse to work
         for an expired caller.  Without a controller, v1 behaviour —
         except that a request-carried deadline still propagates (a
-        request that carries none enters no scope at all).
+        request that carries none enters no scope at all).  An op the
+        tier does not serve is refused the same way, before admission:
+        it spends no queue slot and seeds no service estimate.
         """
-        if self.admission is None:
+        if self.admission is None or request.op not in OPERATIONS:
             if request.deadline is None:
                 return self._timed_handle(request)
             with deadline_scope(request.deadline):
@@ -455,10 +460,8 @@ class ClassAdministrator:
         hit, data = self.stale_reads.lookup(key, STALE_MAX_LAG)
         if not hit:
             return None
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter(
-                "admission.stale_served", op=request.op
-            ).inc()
+        if OBS.enabled:
+            STALE_SERVED[request.op].inc()
         return Response.success(
             request, copy_reply(data), degraded="stale-cache"
         )
@@ -495,28 +498,10 @@ class ClassAdministrator:
         clock = OBS.clock
         start = clock()
         response = self._handle(request)
-        registry = OBS.registry
-        if registry is not None:
-            seconds, requests = self._obs(
-                registry, request.op, "ok" if response.ok else "error"
-            )
-            seconds.observe(clock() - start)
-            requests.inc()
+        op = request.op if request.op in OPERATIONS else "unknown"
+        REQUEST_SECONDS[op].observe(clock() - start)
+        REQUESTS[op, "ok" if response.ok else "error"].inc()
         return response
-
-    def _obs(self, registry: Any, op: str, status: str) -> tuple[Any, Any]:
-        """The request histogram and counter for ``(op, status)``,
-        resolved through the label-keyed registry once per registry."""
-        cache = self._obs_cache
-        if cache is None or cache[0] is not registry:
-            cache = self._obs_cache = (registry, {})
-        instruments = cache[1].get((op, status))
-        if instruments is None:
-            instruments = cache[1][(op, status)] = (
-                registry.histogram("tiers.request_seconds", op=op),
-                registry.counter("tiers.requests", op=op, status=status),
-            )
-        return instruments
 
     def _handle(self, request: Request) -> Response:
         """Authorize and execute one request."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.admission import check_deadline, current_deadline
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, Instrument
 from repro.rdb import Schema
 from repro.rdb.predicate import Expr
 from repro.rdb.query import check_limit_offset, join_rows
@@ -35,6 +35,9 @@ from repro.sharding.coordinator import TwoPhaseCoordinator
 from repro.sharding.shardmap import ShardMap
 
 __all__ = ["ShardedDatabase"]
+
+FANOUT = Instrument("histogram", "shard.fanout")
+STATEMENTS = Instrument("counter", "shard.statements", "route")
 
 
 def _sort_key(keys: Sequence[str]):
@@ -89,8 +92,8 @@ class ShardedDatabase:
     # ------------------------------------------------------------------
     def _prune(self, table: str, where: Expr | None) -> tuple[int, ...]:
         shards = self.shard_map.shards_for_where(table, where)
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.histogram("shard.fanout").observe(len(shards))
+        if OBS.enabled:
+            FANOUT[()].observe(len(shards))
         return shards
 
     def _pk_shard(self, table: str, pk: Any) -> int | None:
@@ -116,8 +119,8 @@ class ShardedDatabase:
             self.direct_writes += 1
         else:
             self.twopc_writes += 1
-        if OBS.enabled and OBS.registry is not None:
-            OBS.registry.counter("shard.statements", route=route).inc()
+        if OBS.enabled:
+            STATEMENTS[route].inc()
 
     def _write(
         self, stmts_by_shard: Mapping[int, list[Any]]

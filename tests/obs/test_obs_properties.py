@@ -1,10 +1,17 @@
-"""Hypothesis properties: snapshot algebra and span well-nesting."""
+"""Hypothesis properties: snapshot algebra, metric-key text and span
+well-nesting."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, metric_key
+from repro.obs.metrics import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    format_key,
+    metric_key,
+    parse_key,
+)
 from repro.obs.trace import Tracer
 
 BOUNDS = (0.001, 0.01, 0.1, 1.0)
@@ -95,6 +102,28 @@ def test_counter_snapshot_sequence_is_monotone(steps):
             seen.append(registry.snapshot().counters[key])
     assert all(a <= b for a, b in zip(seen, seen[1:]))
     assert registry.snapshot().counters[key] == sum(a for a, _ in steps)
+
+
+@given(st.dictionaries(st.text(), st.text(), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_metric_key_text_round_trips_any_label_text(labels):
+    """``dump`` -> ``diff`` reads back exactly the keys a run wrote, even
+    when a label holds the separators of the text form."""
+    key = metric_key("m", labels)
+    assert parse_key(format_key(key)) == key
+
+
+@given(st.dictionaries(
+    st.from_regex(r"[a-z_]+", fullmatch=True),
+    st.from_regex(r"[a-z0-9_.:-]*", fullmatch=True),
+    max_size=3,
+))
+@settings(max_examples=60, deadline=None)
+def test_ordinary_keys_encode_as_before(labels):
+    """Escaping touches only the separators: ordinary keys keep their text."""
+    key = metric_key("m", labels)
+    plain = ",".join(f"{k}={v}" for k, v in key[1])
+    assert format_key(key) == (f"m{{{plain}}}" if labels else "m")
 
 
 @given(st.lists(st.booleans(), max_size=60))

@@ -10,7 +10,7 @@ from repro.admission import (
     TenantQuotas,
 )
 from repro.tiers import ClassAdministrator, Request
-from repro.tiers.server import STALE_MAX_LAG
+from repro.tiers.server import REQUEST_SECONDS, REQUESTS, STALE_MAX_LAG
 
 
 @pytest.fixture
@@ -117,6 +117,43 @@ class TestAdmissionGate:
         session = login(server)
         assert roster(server, session).ok
         assert server.admission is None
+
+    def test_unknown_ops_are_refused_before_admission(
+        self, clock, metrics_registry
+    ):
+        """Ops and priorities straight off the wire must not grow the
+        controller's estimates, the registry or any instrument memo."""
+        server = make_server(clock)
+        for index in range(1_000):
+            response = server.handle(Request(
+                op=f"bogus{index}", session_id=None, priority=f"p{index}",
+            ))
+            assert response.error == f"unknown operation 'bogus{index}'"
+        stats = server.admission.stats()
+        assert stats["admitted"] == 0 and stats["estimates"] == {}
+        assert server.admission.depth == 0
+        snap = metrics_registry.snapshot()
+        unknown = ("tiers.requests", (("op", "unknown"), ("status", "error")))
+        assert snap.counters == {unknown: 1_000}
+        assert len(metrics_registry) == 2  # + tiers.request_seconds{op=unknown}
+        assert len(REQUESTS) == len(REQUEST_SECONDS) == 1
+
+    def test_admitted_is_labelled_with_the_applied_priority(
+        self, clock, metrics_registry
+    ):
+        server = make_server(clock)
+        session = login(server)
+        for priority in ("interactive", "bulk", "urgent", None):
+            assert roster(server, session, priority=priority).ok
+        admitted = {
+            labels: count
+            for (name, labels), count in metrics_registry.snapshot()
+            .counters.items() if name == "admission.admitted"
+        }
+        assert admitted == {
+            (("priority", "interactive"),): 4,  # login, and all but bulk
+            (("priority", "bulk"),): 1,
+        }
 
 
 class TestStaleServing:
