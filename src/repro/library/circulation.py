@@ -3,14 +3,16 @@
 "Students can check out and check in these Web pages.  However, in
 general, there is no limitation of the number of Web pages to be
 checked out."  The desk therefore never refuses a loan for quota
-reasons; it validates only that the document exists in the catalog and
-that check-ins match open loans.  Every event is logged — the log is
-the raw material for :mod:`repro.library.assessment`.
+reasons; it validates only that the document exists in the catalog,
+that check-ins match open loans and that every time is finite.  Every
+event is logged — the log is the raw material for
+:mod:`repro.library.assessment`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.library.catalog import VirtualLibrary
@@ -53,6 +55,7 @@ class CirculationDesk:
     # ------------------------------------------------------------------
     def check_out(self, student: str, doc_id: str, time: float) -> Loan:
         """Lend ``doc_id`` to ``student`` (no quota, per the paper)."""
+        _check_time(time)
         if doc_id not in self.library:
             raise LookupError(f"document {doc_id!r} is not in the library")
         key = (student, doc_id)
@@ -70,6 +73,7 @@ class CirculationDesk:
     def check_in(self, student: str, doc_id: str, time: float) -> float:
         """Return a loan; gives back the held duration.  A refused
         check-in leaves the loan open."""
+        _check_time(time)
         key = (student, doc_id)
         loan = self._open.get(key)
         if loan is None:
@@ -101,3 +105,11 @@ class CirculationDesk:
             for event in self.log
             if event.action is CirculationAction.CHECK_OUT
         )
+
+
+def _check_time(time: float) -> None:
+    """A loan time is a finite number: NaN would slip past every
+    comparison and infinity would poison the held durations that
+    assessment reads from the log."""
+    if not math.isfinite(time):
+        raise ValueError(f"circulation time must be finite, got {time!r}")

@@ -36,6 +36,7 @@ from repro.rdb.query import (
     aggregate_table,
     execute_select,
     join_rows,
+    key_rows,
     matching_view,
     plan_select,
     target_rowids,
@@ -432,6 +433,16 @@ class Database:
             columns=columns,
             distinct=distinct,
         )
+
+    def rows_by_key(
+        self, table_name: str, columns: Sequence[str], key: tuple
+    ) -> list[dict[str, Any]]:
+        """Copies of the rows whose ``columns`` hold ``key``, by row id;
+        see :func:`repro.rdb.query.key_rows`."""
+        table = self._catalog.get(table_name)
+        if OBS.enabled:
+            STATEMENTS["select"].inc()
+        return key_rows(table, tuple(columns), key)
 
     def explain(
         self, table_name: str, where: Expr | None = None,

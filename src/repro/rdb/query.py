@@ -41,6 +41,10 @@ LIMIT without ORDER BY pulls batches of
 tallies per batch, not per row.  There is no second executor: the naive
 ``Expr.eval`` scan and the reference hash join the batched pipeline is
 judged against live in ``tests/rdb/``, not here.
+
+A read of the rows under one key of a hash index (:func:`key_rows`) is
+not a query: it probes that index and copies the rows, with none of the
+planning, filtering or sorting above.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "check_limit_offset",
     "execute_select",
     "join_rows",
+    "key_rows",
     "aggregate",
     "aggregate_table",
     "matching_view",
@@ -708,6 +713,40 @@ def target_rowids(table: Table, where: Expr | None) -> list[int]:
     return table.rowids_of(
         _collect_matching(table, plan, rowids, where, [0, 0], None)
     )
+
+
+def key_rows(
+    table: Table, columns: tuple[str, ...], key: tuple
+) -> list[dict[str, Any]]:
+    """Copies of the rows whose ``columns`` hold ``key``, in ascending
+    row id: one probe of the hash index on exactly those columns (every
+    primary key, unique set and foreign key's child columns has one) —
+    no plan, no compiled filter, no sort.
+
+    With no such index it raises :class:`LookupError`, so a keyed read
+    never turns into a scan; a key of another arity is a
+    :class:`ValueError`.  A key with a ``None`` component finds nothing,
+    as ``col == None`` does, and so does an unhashable one.  Observed
+    as the probe it is: ``rdb.plan`` counts it under ``index:<name>``.
+    """
+    index = table.indexes.hash_index_on(columns)
+    if index is None:
+        raise LookupError(
+            f"table {table.schema.name!r} has no hash index on {columns!r}"
+        )
+    if len(key) != len(columns):
+        raise ValueError(f"key {key!r} does not fit columns {columns!r}")
+    try:
+        rowids = () if None in key else sorted(index.lookup(key))
+    except TypeError:
+        rowids = ()  # unhashable: no stored row can hold it
+    rows = [dict(row) for row in table.get_many(rowids)]
+    if OBS.enabled:
+        name = table.schema.name
+        PLANS[name, f"index:{index.name}"].inc()
+        ROWS_SCANNED[name].inc(len(rows))
+        ROWS_RETURNED[name].inc(len(rows))
+    return rows
 
 
 def aggregate_table(

@@ -12,7 +12,9 @@ A connection may carry a :class:`~repro.tiers.cache.QueryCache`; cursor
 selects then read through it, and the table version stamped on every
 entry makes any change to the table's rows an implicit invalidation.
 A row addressed by its primary key (``get``, ``update_pk``,
-``delete_pk``) is one index probe, never planned and never cached.
+``delete_pk``), and the rows under one key of a foreign key or other
+hash index (``rows_by_key``), are one index probe, never planned and
+never cached.
 """
 
 from __future__ import annotations
@@ -87,6 +89,15 @@ class Cursor:
     def delete_pk(self, table: str, pk: tuple) -> "Cursor":
         found = _holdable(pk) and self._db.delete_pk(table, pk)
         return self._answer([], int(found))
+
+    # -- by a hash index's key ----------------------------------------------
+    def rows_by_key(
+        self, table: str, columns: tuple[str, ...], key: tuple
+    ) -> "Cursor":
+        """The rows whose ``columns`` hold ``key``, in row-id order: one
+        probe of the table's hash index on exactly those columns."""
+        rows = self._db.rows_by_key(table, columns, key)
+        return self._answer(rows, len(rows))
 
     def _answer(self, rows: list[dict[str, Any]], rowcount: int) -> "Cursor":
         self._results = rows

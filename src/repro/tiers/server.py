@@ -44,8 +44,8 @@ from repro.rdb import (
     RdbError,
     Schema,
     SyncPolicy,
-    col,
 )
+from repro.rdb.query import _sort_key
 from repro.tiers.cache import QueryCache, TableVersions, copy_reply
 from repro.tiers.connection import OpenDatabaseConnection
 from repro.tiers.protocol import (
@@ -89,9 +89,10 @@ _PLAIN_KEYS = frozenset({str})
 _PLAIN_VALUES = frozenset({str, int, type(None)})
 
 #: What params of the wrong shape (a list for an id, ``None`` for a
-#: grade) raise inside an op: input from outside the program, so it is
-#: answered with a failure reply like any other rejected request.
-_BAD_PARAMS = (TypeError, AttributeError)
+#: grade) or out of range (an int too large for a float) raise inside an
+#: op: input from outside the program, so it is answered with a failure
+#: reply like any other rejected request.
+_BAD_PARAMS = (TypeError, AttributeError, OverflowError)
 
 T = ColumnType
 
@@ -656,12 +657,11 @@ class ClassAdministrator:
         student = request.params.get("student_id", user)
         if role is Role.STUDENT and student != user:
             raise ValueError("students may only view their own transcript")
-        cursor = self.connection.cursor().select(
-            "transcripts",
-            where=col("student_id") == student,
-            order_by="course_number",
-        )
-        return cursor.fetchall()
+        rows = self.connection.cursor().rows_by_key(
+            "transcripts", ("student_id",), (student,)
+        ).fetchall()
+        rows.sort(key=_sort_key(("course_number",), rows))
+        return rows
 
     def _op_register_station(self, request: Request, user: str, _role: Role) -> Any:
         params = request.params
@@ -676,18 +676,22 @@ class ClassAdministrator:
 
     def _op_roster(self, request: Request, _user: str, _role: Role) -> Any:
         course = request.params["course_number"]
-        cursor = self.connection.cursor().select(
-            "enrollments",
-            where=col("course_number") == course,
-            order_by="student_id",
-        )
-        return [row["student_id"] for row in cursor.fetchall()]
+        rows = self.connection.cursor().rows_by_key(
+            "enrollments", ("course_number",), (course,)
+        ).fetchall()
+        rows.sort(key=_sort_key(("student_id",), rows))
+        return [row["student_id"] for row in rows]
 
     # ------------------------------------------------------------------
     # Library ops
     # ------------------------------------------------------------------
     def _op_publish(self, request: Request, user: str, _role: Role) -> Any:
         params = request.params
+        size = params.get("size_bytes", 0)
+        if type(size) is not int or size < 0:
+            raise ValueError(
+                f"size_bytes must be a non-negative int, got {size!r}"
+            )
         entry = CatalogEntry(
             doc_id=params["doc_id"],
             title=params["title"],
@@ -695,7 +699,7 @@ class ClassAdministrator:
             instructor=user,
             keywords=tuple(params.get("keywords", ())),
             starting_url=params.get("starting_url"),
-            size_bytes=int(params.get("size_bytes", 0)),
+            size_bytes=size,
         )
         self.library.add_document(user, entry)
         try:

@@ -64,6 +64,20 @@ class TestCheckIn:
         assert desk.check_in("alice", "l1", time=25.0) == 15.0
         assert not desk.has_out("alice", "l1")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_times_refused(self, desk, bad):
+        # NaN compares false, so it would slip past "check-in before
+        # check-out" and log a NaN hold; infinities poison assessment.
+        with pytest.raises(ValueError, match="must be finite"):
+            desk.check_out("alice", "l1", time=bad)
+        assert not desk.has_out("alice", "l1") and desk.log == []
+        desk.check_out("alice", "l1", time=10.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            desk.check_in("alice", "l1", time=bad)
+        assert desk.has_out("alice", "l1") and len(desk.log) == 1
+        assert desk.check_in("alice", "l1", time=25.0) == 15.0
+
     def test_re_checkout_after_checkin(self, desk):
         desk.check_out("alice", "l1", time=0.0)
         desk.check_in("alice", "l1", time=10.0)

@@ -98,3 +98,63 @@ class TestInsertMany:
         db.insert_many("people", [{"person_id": 1, "name": "a"}])
         db.rollback()
         assert db.count("people") == 0
+
+
+class TestRowsByKey:
+    """``rows_by_key``: one probe of the hash index on exactly the named
+    columns, answering what a select on the key answers in row-id order."""
+
+    def test_rows_in_row_id_order(self, populated_db):
+        # Re-inserting order 10 gives it a row id past order 11's.
+        populated_db.delete_pk("orders", 10)
+        populated_db.insert(
+            "orders", {"order_id": 10, "person_id": 1, "amount": 5.0}
+        )
+        rows = populated_db.rows_by_key("orders", ("person_id",), (1,))
+        assert [row["order_id"] for row in rows] == [11, 10]
+
+    def test_same_rows_as_a_select_on_the_key(self, populated_db):
+        for key in (1, 2, 3, 99, "1", 1.0):
+            expected = sorted(
+                populated_db.select("orders", where=col("person_id") == key),
+                key=lambda row: row["order_id"],
+            )
+            found = populated_db.rows_by_key("orders", ["person_id"], (key,))
+            assert found == expected, key
+
+    def test_primary_and_unique_keys_have_indexes_too(self, populated_db):
+        assert populated_db.rows_by_key("people", ("person_id",), (2,)) \
+            == [populated_db.get("people", 2)]
+        (ada,) = populated_db.rows_by_key("people", ("email",), ("ada@mmu.edu",))
+        assert ada["name"] == "ada"
+
+    def test_null_component_finds_nothing(self, populated_db):
+        populated_db.insert("orders", {"order_id": 13, "person_id": None})
+        equals_null = col("person_id") == None  # noqa: E711 - SQL's, not Python's
+        assert populated_db.select("orders", where=equals_null) == []
+        assert populated_db.rows_by_key("orders", ("person_id",), (None,)) == []
+
+    def test_unhashable_key_finds_nothing(self, populated_db):
+        assert populated_db.rows_by_key("orders", ("person_id",), ([1],)) == []
+        assert populated_db.rows_by_key("people", ("email",), ({"a": 1},)) == []
+
+    def test_wrong_arity_is_refused(self, populated_db):
+        with pytest.raises(ValueError, match="does not fit"):
+            populated_db.rows_by_key("orders", ("person_id",), (1, 2))
+        with pytest.raises(ValueError, match="does not fit"):
+            populated_db.rows_by_key("orders", ("person_id",), ())
+
+    def test_no_index_is_a_lookup_error_not_a_scan(self, populated_db):
+        with pytest.raises(LookupError, match="no hash index"):
+            populated_db.rows_by_key("orders", ("amount",), (5.0,))
+        with pytest.raises(LookupError, match="no hash index"):
+            populated_db.rows_by_key(
+                "orders", ("order_id", "person_id"), (10, 1)
+            )
+
+    def test_returns_copies(self, populated_db):
+        rows = populated_db.rows_by_key("orders", ("person_id",), (1,))
+        rows[0]["amount"] = -1.0
+        assert populated_db.get("orders", 10)["amount"] == 5.0
+        (first, _) = populated_db.rows_by_key("orders", ("person_id",), (1,))
+        assert first["amount"] == 5.0

@@ -2,13 +2,18 @@
 
 ``record_grade``, ``register_station``, ``login`` and
 ``withdraw_course_document`` check and write rows by primary key
-(``Cursor.get`` / ``update_pk`` / ``delete_pk``).  :class:`SelectRecipes`
-keeps the form they replaced — a planned, cached ``select`` on the key,
-then ``update``/``delete(where=…)`` — as the reference, and a seeded op
+(``Cursor.get`` / ``update_pk`` / ``delete_pk``); ``transcript`` and
+``roster`` read the rows under one foreign key (``Cursor.rows_by_key``)
+and sort them.  :class:`SelectRecipes` keeps the form they replaced — a
+planned, cached ``select`` on the key, ordered by the select, then
+``update``/``delete(where=…)`` — as the reference, and a seeded op
 stream that walks every failure path (not enrolled, wrong instructor,
 first vs repeat station, malformed params, unknown documents) must get
 the same replies, leave the same rows and write the same journal and
-snapshot bytes through both.
+snapshot bytes through both.  Hypothesis interleaves admits,
+enrollments, grades, rollbacks and replicated apply with transcript and
+roster reads whose params are well-formed, null, of the wrong type,
+unhashable or empty, and the two must answer every read alike.
 """
 
 from __future__ import annotations
@@ -17,24 +22,33 @@ import random
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
 
 from repro.fault.crashsim import database_state
-from repro.rdb import Database, col
+from repro.rdb import Database, RdbError, col
 from repro.tiers import (
     ClassAdministrator,
     OpenDatabaseConnection,
+    QueryCache,
     Request,
     Response,
     Role,
 )
 from repro.tiers.protocol import OPERATIONS
 
+from tests.tiers.test_cache_properties import (
+    COURSE_IDS,
+    STUDENT_IDS,
+    TIER_ACTIONS,
+    _tier_apply,
+)
+
 #: The reads a browser repeats: the only ops that go through the cache.
 CACHED_READS = frozenset({"transcript", "roster"})
 
 
 class SelectRecipes(ClassAdministrator):
-    """The four ops as a planned select on the key, read through the
+    """The six ops as a planned select on the key, read through the
     result cache, then ``update``/``delete(where=…)``."""
 
     def _serve_from(self, db: Database) -> None:
@@ -96,6 +110,26 @@ class SelectRecipes(ClassAdministrator):
         )
         return True
 
+    def _op_transcript(self, request: Request, user: str, role: Role) -> Any:
+        student = request.params.get("student_id", user)
+        if role is Role.STUDENT and student != user:
+            raise ValueError("students may only view their own transcript")
+        cursor = self.connection.cursor().select(
+            "transcripts",
+            where=col("student_id") == student,
+            order_by="course_number",
+        )
+        return cursor.fetchall()
+
+    def _op_roster(self, request: Request, _user: str, _role: Role) -> Any:
+        course = request.params["course_number"]
+        cursor = self.connection.cursor().select(
+            "enrollments",
+            where=col("course_number") == course,
+            order_by="student_id",
+        )
+        return [row["student_id"] for row in cursor.fetchall()]
+
     def _op_register_station(self, request: Request, user: str, _role: Role) -> Any:
         params = request.params
         cursor = self.connection.cursor()
@@ -138,6 +172,8 @@ INSTRUCTORS = ["shih", "ma", "lee", "kim"]
 DOCS = [f"d{n}" for n in range(4)]
 #: Malformed values for any param: wrong type, unhashable, null.
 ODD = [None, 5, ["c0"], {"k": "c0"}, True]
+#: ... and for the key of a read, also the empty string.
+ODD_KEYS = [*ODD, ""]
 #: ``register_station`` params, refused and accepted, from a user with
 #: no station yet and then from one with a station.
 FIRST_THEN_REPEAT = [
@@ -155,8 +191,8 @@ def op_stream(seed: int, count: int) -> list[tuple[Role | None, str, dict]]:
     successful login of ``role`` opened (``None`` for a login)."""
     rng = random.Random(seed)
 
-    def maybe_odd(value: Any, share: float = 0.08) -> Any:
-        return rng.choice(ODD) if rng.random() < share else value
+    def maybe_odd(value: Any, share: float = 0.08, odd: list = ODD) -> Any:
+        return rng.choice(odd) if rng.random() < share else value
 
     def params_of(op: str) -> dict[str, Any]:
         if op == "login":
@@ -194,8 +230,9 @@ def op_stream(seed: int, count: int) -> list[tuple[Role | None, str, dict]]:
         if op == "withdraw_course_document":
             return {"doc_id": maybe_odd(rng.choice([*DOCS, "d9"]))}
         if op == "transcript":
-            return {"student_id": rng.choice(STUDENTS)}
-        return {"course_number": rng.choice(COURSES)}  # roster
+            return {"student_id": maybe_odd(rng.choice(STUDENTS), 0.2, ODD_KEYS)}
+        # roster
+        return {"course_number": maybe_odd(rng.choice(COURSES), 0.2, ODD_KEYS)}
 
     ops = [
         "admit_student", "register_course", "enroll", "record_grade",
@@ -296,3 +333,51 @@ def test_keyed_ops_answer_and_write_what_the_select_recipes_did(tmp_path, seed):
     # The reference pays a cache lookup per probe; the keyed server none.
     assert reference.query_cache.stats()["misses"] \
         > keyed.query_cache.stats()["misses"]
+
+
+#: Every read key a browser could send: well-formed, absent, null, of
+#: the wrong type, unhashable, empty.
+READ_KEYS = [*STUDENT_IDS, *COURSE_IDS, "ghost", *ODD_KEYS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions=TIER_ACTIONS)
+def test_keyed_reads_answer_what_the_select_recipes_did(actions):
+    servers = [ClassAdministrator(), SelectRecipes()]
+    for server in servers:
+        # One slot: a read of another key than the last runs its handler.
+        server.query_cache = QueryCache(server.table_versions, max_entries=1)
+
+    def call(session, op, **params):
+        return [server.handle(Request(op, session, params))
+                for server in servers]
+
+    def same(replies):
+        keyed, reference = ((r.ok, r.data, r.error) for r in replies)
+        assert keyed == reference
+        return replies[0]
+
+    admin = same(call(None, "login", user="registrar",
+                      role="administrator")).data["session_id"]
+    for course in COURSE_IDS:
+        same(call(admin, "register_course", course_number=course,
+                  title="T", instructor="shih"))
+    same(call(admin, "admit_student", student_id="s0"))
+    student = same(call(None, "login", user="s0",
+                        role="student")).data["session_id"]
+    answered = 0
+    for action in actions:
+        for server in servers:
+            try:
+                _tier_apply(server, admin, action)
+            except RdbError:
+                pass  # no open transaction, apply inside one, ...
+        assert database_state(servers[0].admin_db) \
+            == database_state(servers[1].admin_db)
+        for key in READ_KEYS:
+            answered += same(call(admin, "transcript", student_id=key)).ok
+            answered += same(call(admin, "roster", course_number=key)).ok
+            same(call(student, "transcript", student_id=key))
+        same(call(admin, "roster"))  # a missing param
+        answered += same(call(student, "transcript")).ok
+    assert answered >= len(actions) * len(READ_KEYS)

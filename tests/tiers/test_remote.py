@@ -7,6 +7,11 @@ from repro.tiers import RemoteTierClient, RemoteTierServer, Request
 from repro.tiers.remote import TIER
 
 from tests.conftest import build_network
+from tests.tiers.test_server import (
+    OUT_OF_RANGE,
+    OUT_OF_RANGE_IDS,
+    seed_out_of_range,
+)
 
 
 @pytest.fixture
@@ -317,3 +322,30 @@ class TestVirtualTimeIsPinned:
         assert s1.link.down_busy_until == s2.link.up_busy_until == float.fromhex(
             "0x1.c81908e581cfap-2"
         )
+
+
+class TestOutOfRangeParamsOverTheWire:
+    """A numeric param past what a float holds comes back as a failure
+    reply: an exception out of the server would surface in the client's
+    ``call_sync`` and leave the request unanswered."""
+
+    @pytest.mark.parametrize("op, params, error", OUT_OF_RANGE,
+                             ids=OUT_OF_RANGE_IDS)
+    def test_answered_with_a_failure(self, world, op, params, error):
+        net, server = world
+        client = RemoteTierClient(net, "s2", "s1")
+
+        def call(session, op, **params):
+            client.session_id = session
+            return client.call_sync(op, **params)
+
+        sessions = seed_out_of_range(call)
+        if op == "check_out":
+            call(sessions[op], "check_in", doc_id="d1", time=1.0)
+        received = server.requests_received
+        response = call(sessions[op], op, **params)
+        assert not response.ok and not response.shed
+        assert response.error.startswith(error), response.error
+        assert server.requests_received == received + 1
+        # ... and the server keeps answering.
+        assert call(sessions[op], "search_library", course="c1").ok

@@ -48,6 +48,41 @@ class TestRequestMetrics:
         assert snap.histograms[latency].count == 2
 
 
+    def test_a_transcript_miss_is_observed_as_its_index_probe(
+            self, server, admin_session, metrics_registry):
+        shih = _login(server, "shih", "instructor")
+        _call(server, admin_session, "admit_student", student_id="alice")
+        for course in ("c2", "c1"):
+            _call(server, shih, "register_course", course_number=course,
+                  title="T")
+            _call(server, admin_session, "enroll", student_id="alice",
+                  course_number=course)
+            _call(server, shih, "record_grade", student_id="alice",
+                  course_number=course, grade=3.0).unwrap()
+        table = (("table", "transcripts"),)
+        points = {
+            "returned": ("rdb.rows_returned", table),
+            "scanned": ("rdb.rows_scanned", table),
+            "planned": ("rdb.plan", (("path", "index:__fk_0__"), *table)),
+        }
+
+        def counts():
+            counters = metrics_registry.snapshot().counters
+            return {name: counters.get(key, 0) for name, key in points.items()}
+
+        before = counts()
+        rows = _call(server, admin_session, "transcript",
+                     student_id="alice").unwrap()
+        assert [row["course_number"] for row in rows] == ["c1", "c2"]
+        missed = counts()
+        assert missed == {"returned": before["returned"] + 2,
+                          "scanned": before["scanned"] + 2,
+                          "planned": before["planned"] + 1}
+        # The repeat is the stored reply: no rows are read.
+        _call(server, admin_session, "transcript", student_id="alice")
+        assert counts() == missed
+
+
 class TestSessions:
     def test_login_creates_session(self, server):
         session = _login(server, "registrar", "administrator")
@@ -141,6 +176,77 @@ class TestMalformedParams:
         response = _call(server, admin_session, "roster",
                          course_number=["c1"])
         assert response.ok and response.data == []
+
+
+#: Numeric params past what a float holds: each op must answer them
+#: with a failure reply, not raise out of ``handle`` (``float(10**400)``
+#: and ``int(float("inf"))`` raise ``OverflowError``).
+OUT_OF_RANGE = [
+    ("check_out", {"doc_id": "d1", "time": 10**400}, "OverflowError"),
+    ("check_in", {"doc_id": "d1", "time": 10**400}, "OverflowError"),
+    ("record_grade",
+     {"student_id": "alice", "course_number": "c1", "grade": 10**400},
+     "OverflowError"),
+    ("publish_course_document",
+     {"doc_id": "d2", "title": "T", "course_number": "c1",
+      "size_bytes": float("inf")},
+     "ValueError: size_bytes must be a non-negative int"),
+]
+OUT_OF_RANGE_IDS = ["check-out", "check-in", "record-grade", "publish"]
+
+
+def seed_out_of_range(call):
+    """Admit and enroll alice, publish d1 and lend it to her; returns
+    the session each :data:`OUT_OF_RANGE` op is sent from.  ``call(session,
+    op, **params)`` sends one request and returns its reply."""
+    admin = call(None, "login", user="registrar",
+                 role="administrator").data["session_id"]
+    shih = call(None, "login", user="shih",
+                role="instructor").data["session_id"]
+    call(admin, "admit_student", student_id="alice")
+    call(shih, "register_course", course_number="c1", title="T")
+    call(admin, "enroll", student_id="alice", course_number="c1")
+    call(shih, "publish_course_document", doc_id="d1", title="T",
+         course_number="c1")
+    alice = call(None, "login", user="alice",
+                 role="student").data["session_id"]
+    assert call(alice, "check_out", doc_id="d1", time=0.0).ok
+    return {"check_out": alice, "check_in": alice, "record_grade": shih,
+            "publish_course_document": shih}
+
+
+class TestOutOfRangeParams:
+    @pytest.mark.parametrize("op, params, error", OUT_OF_RANGE,
+                             ids=OUT_OF_RANGE_IDS)
+    def test_answered_with_a_failure(self, server, op, params, error):
+        def call(session, op, **params):
+            return server.handle(Request(op, session, params))
+
+        sessions = seed_out_of_range(call)
+        if op == "check_out":
+            call(sessions[op], "check_in", doc_id="d1", time=1.0)
+        response = call(sessions[op], op, **params)
+        assert not response.ok and not response.shed
+        assert response.error.startswith(error), response.error
+        assert len(server.desk.log) == (2 if op == "check_out" else 1)
+        assert server.connection.cursor().select("transcripts").rowcount == 0
+        assert "d2" not in server.library
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_times_are_refused(self, server, time):
+        def call(session, op, **params):
+            return server.handle(Request(op, session, params))
+
+        alice = seed_out_of_range(call)["check_in"]
+        refused = call(alice, "check_in", doc_id="d1", time=time)
+        assert not refused.ok and "must be finite" in refused.error
+        assert call(alice, "check_in", doc_id="d1",
+                    time=5.0).unwrap() == {"held_seconds": 5.0}
+        refused = call(alice, "check_out", doc_id="d1", time=time)
+        assert not refused.ok and "must be finite" in refused.error
+        assert not server.desk.has_out("alice", "d1")
+        assert [event.time for event in server.desk.log] == [0.0, 5.0]
 
 
 class TestAuthorization:
@@ -305,6 +411,29 @@ class TestLibraryOps:
         assert 5 not in server.library
         assert _call(server, instructor_session, "search_library",
                      course="C").unwrap() == []
+
+    @pytest.mark.parametrize("size", [3.9, True, -5, "10", None,
+                                      float("inf"), float("nan")])
+    def test_publish_refuses_a_size_that_is_not_a_byte_count(
+            self, server, instructor_session, size):
+        response = _call(server, instructor_session,
+                         "publish_course_document", doc_id="d1", title="T",
+                         course_number="C", size_bytes=size)
+        assert not response.ok
+        assert "size_bytes must be a non-negative int" in response.error
+        assert "d1" not in server.library
+        assert server.connection.cursor().select("catalog_docs").rowcount == 0
+
+    @pytest.mark.parametrize("params, stored", [
+        ({}, 0), ({"size_bytes": 0}, 0), ({"size_bytes": 4096}, 4096),
+    ])
+    def test_publish_stores_a_byte_count_as_given(
+            self, server, instructor_session, params, stored):
+        _call(server, instructor_session, "publish_course_document",
+              doc_id="d1", title="T", course_number="C", **params).unwrap()
+        (row,) = server.connection.cursor().select("catalog_docs").fetchall()
+        assert row["size_bytes"] == stored
+        assert server.library.get("d1").size_bytes == stored
 
     def test_withdraw(self, server, instructor_session):
         _call(server, instructor_session, "publish_course_document",
