@@ -55,7 +55,12 @@ class deadline_scope:
     __slots__ = ("_deadline",)
 
     def __init__(self, deadline: float | None) -> None:
-        self._deadline = None if deadline is None else float(deadline)
+        if deadline is not None:
+            deadline = float(deadline)
+            if deadline != deadline:
+                # min() over a stack holding NaN depends on its order.
+                raise ValueError("a deadline cannot be NaN")
+        self._deadline = deadline
 
     def __enter__(self) -> None:
         if self._deadline is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.library.catalog import VirtualLibrary
 
@@ -25,8 +25,7 @@ class CirculationAction(enum.Enum):
     CHECK_IN = "check_in"
 
 
-@dataclass(frozen=True, slots=True)
-class CirculationEvent:
+class CirculationEvent(NamedTuple):
     """One logged circulation action."""
 
     time: float
@@ -35,8 +34,7 @@ class CirculationEvent:
     action: CirculationAction
 
 
-@dataclass(frozen=True, slots=True)
-class Loan:
+class Loan(NamedTuple):
     """An open check-out."""
 
     student: str

@@ -21,6 +21,7 @@ import sys
 from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.obs.instrument import OBS, Instrument
 
@@ -48,8 +49,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, slots=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     doc_id: str
     score: float
 

@@ -17,13 +17,12 @@ importing the replication subsystem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
-
-from repro.util.validation import check_non_negative
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 __all__ = [
     "Message",
+    "next_msg_id",
     "payload_size",
     "REPL_SUBSCRIBE",
     "REPL_SNAPSHOT_META",
@@ -37,16 +36,19 @@ __all__ = [
     "ReplStatus",
 ]
 
-_msg_counter = itertools.count(1)
+#: mints ``Message.msg_id``: one sequence for every message of a process
+next_msg_id = itertools.count(1).__next__
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One network message.
+class Message(NamedTuple):
+    """One network message: an immutable tuple-backed record.
 
     ``size_bytes`` is the simulated wire size (payload is metadata, so a
     50 MB lecture transfer is a tiny Python object with
-    ``size_bytes=50_000_000``).  ``sent_at`` is stamped by the transport.
+    ``size_bytes=50_000_000``).  :meth:`Network.send
+    <repro.net.transport.Network.send>`, the one place messages are
+    made, checks it, numbers the message from :func:`next_msg_id` and
+    stamps ``sent_at``.
     """
 
     src: str
@@ -54,16 +56,12 @@ class Message:
     kind: str
     payload: Any
     size_bytes: int
-    msg_id: int = field(default_factory=_msg_counter.__next__)
+    msg_id: int
     sent_at: float = 0.0
     #: absolute deadline (simulated seconds); the transport discards a
     #: message still in flight past its deadline instead of delivering
     #: work nobody awaits.  None = no deadline (v1 messages).
     deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.size_bytes >= 0:
-            check_non_negative(self.size_bytes, "size_bytes")
 
 
 def payload_size(data: Any) -> int:
@@ -76,7 +74,9 @@ def payload_size(data: Any) -> int:
     with ``isinstance`` behind it for subclasses; the counts feed the
     link model, so they are part of the simulator's virtual time.  Sets
     are flattened rather than printed because the length of a printed
-    set of strings follows the per-process hash order.
+    set of strings follows the per-process hash order.  A tuple-backed
+    record (:class:`Message`, a protocol reply) is a tuple here, sized
+    member by member, so no reply's data carries one.
     """
     total = 0
     stack = [data]

@@ -15,6 +15,10 @@ from repro.util.validation import check_non_negative
 
 __all__ = ["Simulator"]
 
+#: No event runs at infinity or NaN: either would become ``now``, and
+#: past a NaN ``now`` every "is it in the past?" check passes.
+_INF = float("inf")
+
 
 class Simulator:
     """A virtual clock with an event queue.
@@ -39,8 +43,9 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> int:
         """Schedule ``callback(*args)`` at ``now + delay``; returns an id."""
-        if not delay >= 0:
+        if not 0 <= delay < _INF:
             check_non_negative(delay, "delay")
+            raise ValueError(f"delay must be finite, got {delay!r}")
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self.now + delay, seq, callback, args))
         return seq
@@ -49,10 +54,12 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> int:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self.now}"
-            )
+        if not self.now <= time < _INF:
+            if time < self.now:
+                raise ValueError(
+                    f"cannot schedule in the past: {time} < now {self.now}"
+                )
+            raise ValueError(f"time must be finite, got {time!r}")
         self._seq = seq = self._seq + 1
         heappush(self._queue, (float(time), seq, callback, args))
         return seq

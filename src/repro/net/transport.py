@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.admission import DeadlineExceededError, current_deadline
 from repro.net.link import schedule_transfer
 from repro.obs.instrument import OBS, Instrument, family
-from repro.net.messages import Message, payload_size
+from repro.net.messages import Message, next_msg_id, payload_size
 from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.util.rng import make_rng
@@ -228,19 +228,16 @@ class Network:
             self.station(dst)  # the source first
         if src == dst:
             raise ValueError(f"station {src!r} cannot send to itself")
+        if not size_bytes >= 0:
+            check_non_negative(size_bytes, "size_bytes")
         sim = self.sim
         now = sim.now
+        # The ambient caller deadline rides every message sent from
+        # inside a deadline scope; background traffic (replication
+        # streams, broadcasts) carries none and is never expired.
         message = Message(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=now,
-            # The ambient caller deadline rides every message sent from
-            # inside a deadline scope; background traffic (replication
-            # streams, broadcasts) carries none and is never expired.
-            deadline=current_deadline(),
+            src, dst, kind, payload, size_bytes, next_msg_id(), now,
+            current_deadline(),
         )
         sender.messages_sent += 1
         self.total_messages += 1
@@ -322,7 +319,11 @@ class Network:
 
         def on_call(_station: Station, message: Message) -> None:
             call = message.payload
-            if call.deadline is not None and sim.now >= call.deadline:
+            try:
+                expired = call.deadline is not None and sim.now >= call.deadline
+            except TypeError:  # not a time: ``answer`` refuses it
+                expired = False
+            if expired:
                 if OBS.enabled:
                     DEADLINE_EXPIRED[kind.site].inc()
                 reply = refuse(call)
@@ -397,6 +398,8 @@ class Network:
         deadline = current_deadline()
         if deadline_s is None:
             return deadline
+        if deadline_s != deadline_s:
+            raise ValueError("deadline_s is NaN: a deadline must be a time")
         own = self.sim.now + deadline_s
         return own if deadline is None or own < deadline else deadline
 

@@ -17,10 +17,9 @@ simulator drain — the shard died mid-call and no reply leaves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.admission import CircuitBreaker, DeadlineExceededError
 from repro.fault.crashsim import SimulatedCrashError
@@ -50,21 +49,40 @@ SHARD = CallKind(SHARD_CALL, SHARD_REPLY, _BASE_BYTES, site="shardrpc-server")
 _call_ids = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class ShardCall:
-    """One proxied method invocation."""
-
+class _ShardCallFields(NamedTuple):
     request_id: int
     method: str
-    args: tuple[Any, ...] = ()
-    kwargs: dict[str, Any] = field(default_factory=dict)
+    args: tuple[Any, ...]
+    kwargs: dict[str, Any]
     #: absolute deadline (simulated seconds); the server refuses to
     #: start work for a call whose deadline already passed
     deadline: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ShardReply:
+_new_call = _ShardCallFields.__new__
+
+
+class ShardCall(_ShardCallFields):
+    """One proxied method invocation: an immutable tuple-backed record
+    (omitted ``kwargs`` is a fresh empty dict)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        request_id: int,
+        method: str,
+        args: tuple[Any, ...] = (),
+        kwargs: dict[str, Any] | None = None,
+        deadline: float | None = None,
+    ) -> "ShardCall":
+        return _new_call(
+            cls, request_id, method, args,
+            {} if kwargs is None else kwargs, deadline,
+        )
+
+
+class ShardReply(NamedTuple):
     request_id: int
     ok: bool
     data: Any = None

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.admission.controller import PRIORITY_BULK, PRIORITY_INTERACTIVE
 
@@ -82,20 +81,49 @@ REPLICA_SAFE_OPS: frozenset[str] = frozenset({
 _request_ids = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
-    """One client -> middle-tier call."""
-
+class _RequestFields(NamedTuple):
     op: str
     session_id: str | None
-    params: dict[str, Any] = field(default_factory=dict)
-    request_id: int = field(default_factory=_request_ids.__next__)
+    params: dict[str, Any]
+    request_id: int
     #: absolute deadline on the caller's clock; None = v1 (unbounded)
     deadline: float | None = None
     #: admission priority; None defaults to interactive at the server
     priority: str | None = None
     #: quota tenant (course/department); None -> the shared default
     tenant: str | None = None
+
+
+_new_request = _RequestFields.__new__
+
+
+class Request(_RequestFields):
+    """One client -> middle-tier call: an immutable tuple-backed record.
+
+    Omitted ``params`` is a fresh empty dict and an omitted
+    ``request_id`` the next of one process-wide sequence.  A field added
+    to :class:`_RequestFields` with a default needs nothing here: it
+    rides ``**more``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        op: str,
+        session_id: str | None,
+        params: dict[str, Any] | None = None,
+        request_id: int | None = None,
+        deadline: float | None = None,
+        priority: str | None = None,
+        tenant: str | None = None,
+        **more: Any,
+    ) -> "Request":
+        return _new_request(
+            cls, op, session_id, {} if params is None else params,
+            next(_request_ids) if request_id is None else request_id,
+            deadline, priority, tenant, **more,
+        )
 
     @property
     def wire_size(self) -> int:
@@ -107,9 +135,8 @@ class Request:
         return size
 
 
-@dataclass(frozen=True, slots=True)
-class Response:
-    """One middle-tier -> client reply."""
+class Response(NamedTuple):
+    """One middle-tier -> client reply: an immutable tuple-backed record."""
 
     request_id: int
     ok: bool
@@ -129,13 +156,11 @@ class Response:
     def success(
         cls, request: Request, data: Any = None, *, degraded: str | None = None
     ) -> "Response":
-        return cls(
-            request_id=request.request_id, ok=True, data=data, degraded=degraded
-        )
+        return cls(request.request_id, True, data, degraded=degraded)
 
     @classmethod
     def failure(cls, request: Request, error: str) -> "Response":
-        return cls(request_id=request.request_id, ok=False, error=error)
+        return cls(request.request_id, False, error=error)
 
     @classmethod
     def overload(
@@ -147,10 +172,7 @@ class Response:
     ) -> "Response":
         """A shed reply: no work started, retry after ``retry_after_s``."""
         return cls(
-            request_id=request.request_id,
-            ok=False,
-            error=error,
-            shed=True,
+            request.request_id, False, error=error, shed=True,
             retry_after_s=retry_after_s,
         )
 

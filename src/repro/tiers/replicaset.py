@@ -25,7 +25,6 @@ convenience glue for wiring an actual follower lives in
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable
 
 from repro.obs.instrument import OBS, Instrument
@@ -208,9 +207,7 @@ class ReplicaSet:
                 self._count_fallback("lagged-replica")
                 response = lagged.admin.handle(request)
                 if response.ok and response.degraded is None:
-                    response = dataclasses.replace(
-                        response, degraded="lagged-replica"
-                    )
+                    response = response._replace(degraded="lagged-replica")
                 return response
         if self.replicas:
             # All replicas lagged and no degraded route: the primary

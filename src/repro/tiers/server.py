@@ -94,6 +94,17 @@ _PLAIN_VALUES = frozenset({str, int, type(None)})
 #: reply like any other rejected request.
 _BAD_PARAMS = (TypeError, AttributeError, OverflowError)
 
+
+def _is_time(deadline: Any) -> bool:
+    """A request deadline is an ``int`` or ``float`` — not a ``bool``,
+    not NaN, which would pass every deadline gate and never be shed."""
+    return (
+        isinstance(deadline, (int, float))
+        and not isinstance(deadline, bool)
+        and deadline == deadline
+    )
+
+
 T = ColumnType
 
 STUDENTS = Schema(
@@ -409,12 +420,18 @@ class ClassAdministrator:
         except that a request-carried deadline still propagates (a
         request that carries none enters no scope at all).  An op the
         tier does not serve is refused the same way, before admission:
-        it spends no queue slot and seeds no service estimate.
+        it spends no queue slot and seeds no service estimate.  So is a
+        ``deadline`` that is not a time (see :func:`_is_time`).
         """
+        deadline = request.deadline
+        if deadline is not None and not _is_time(deadline):
+            return Response.failure(
+                request, f"deadline must be a number, got {deadline!r}"
+            )
         if self.admission is None or request.op not in OPERATIONS:
-            if request.deadline is None:
+            if deadline is None:
                 return self._timed_handle(request)
-            with deadline_scope(request.deadline):
+            with deadline_scope(deadline):
                 return self._timed_handle(request)
         try:
             ticket = self.admission.admit(request)
@@ -734,8 +751,7 @@ class ClassAdministrator:
             limit=params.get("limit"),
         )
         return [
-            {"doc_id": r.doc_id, "score": r.score}
-            for r in results
+            {"doc_id": doc_id, "score": score} for doc_id, score in results
         ]
 
     def _op_check_out(self, request: Request, user: str, _role: Role) -> Any:

@@ -36,6 +36,18 @@ class TestScopeStack:
             with deadline_scope(None):
                 assert current_deadline() == 7.0
 
+    def test_nan_scope_is_refused(self):
+        """min() over a stack holding NaN answers by stack order, so an
+        inner scope could loosen the deadline; NaN never enters it."""
+        with pytest.raises(ValueError, match="NaN"):
+            deadline_scope(float("nan"))
+        with deadline_scope(5.0):
+            with pytest.raises(ValueError, match="NaN"):
+                with deadline_scope(float("nan")):
+                    pass
+            assert current_deadline() == 5.0
+        assert current_deadline() is None
+
     def test_scope_pops_on_exception(self):
         with pytest.raises(RuntimeError):
             with deadline_scope(5.0):

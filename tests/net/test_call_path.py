@@ -97,3 +97,21 @@ class TestLostReplies:
                 hop.call_sync()
         assert hop.net.sim.now == 0.4 and hop.net.sim.pending == 1
         assert hop.pending() == {}
+
+
+class TestCallDeadline:
+    def test_the_sooner_of_own_and_ambient(self):
+        net = build_network(2)
+        assert net.call_deadline() is None
+        assert net.call_deadline(2.0) == 2.0
+        with deadline_scope(1.0):
+            assert net.call_deadline(2.0) == 1.0
+            assert net.call_deadline(0.5) == 0.5
+
+    def test_nan_is_refused(self):
+        net = build_network(2)
+        with pytest.raises(ValueError, match="NaN"):
+            net.call_deadline(float("nan"))
+        with deadline_scope(1.0):
+            with pytest.raises(ValueError, match="NaN"):
+                net.call_deadline(float("nan"))

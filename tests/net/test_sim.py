@@ -48,6 +48,23 @@ class TestScheduling:
         with pytest.raises(ValueError):
             Simulator().schedule(-1, lambda: None)
 
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_times_rejected(self, when):
+        """A NaN or infinite event would become ``now``; past a NaN
+        ``now`` every "in the past?" check passes."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="finite|>= 0"):
+            sim.schedule(when, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule_at(when, lambda: None)
+        assert sim.pending == 1
+        sim.run()
+        assert sim.now == 1.0
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_at(0.5, lambda: None)
+
     def test_events_can_schedule_events(self):
         sim = Simulator()
         hits = []

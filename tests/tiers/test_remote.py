@@ -2,11 +2,24 @@
 
 import pytest
 
-from repro.admission import DeadlineExceededError, deadline_scope
-from repro.tiers import RemoteTierClient, RemoteTierServer, Request
+from repro.admission import (
+    AdmissionController,
+    DeadlineExceededError,
+    deadline_scope,
+)
+from repro.tiers import (
+    ClassAdministrator,
+    RemoteTierClient,
+    RemoteTierServer,
+    Request,
+)
 from repro.tiers.remote import TIER
 
 from tests.conftest import build_network
+from tests.tiers.test_server_admission import (
+    MALFORMED_DEADLINE_IDS,
+    MALFORMED_DEADLINES,
+)
 from tests.tiers.test_server import (
     OUT_OF_RANGE,
     OUT_OF_RANGE_IDS,
@@ -349,3 +362,36 @@ class TestOutOfRangeParamsOverTheWire:
         assert server.requests_received == received + 1
         # ... and the server keeps answering.
         assert call(sessions[op], "search_library", course="c1").ok
+
+
+class TestMalformedDeadline:
+    @pytest.mark.parametrize("with_controller", [False, True],
+                             ids=["plain", "admission"])
+    @pytest.mark.parametrize("deadline", MALFORMED_DEADLINES,
+                             ids=MALFORMED_DEADLINE_IDS)
+    def test_answered_with_a_failure(self, deadline, with_controller):
+        """The serving station's in-flight check and the tier's gate both
+        meet the deadline: neither may raise into the simulator."""
+        net = build_network(2)
+        admission = (
+            AdmissionController(clock=lambda: net.sim.now)
+            if with_controller else None
+        )
+        server = RemoteTierServer(
+            net, "s1", ClassAdministrator(admission=admission)
+        )
+        client = RemoteTierClient(net, "s2", "s1")
+        client.login("registrar", "administrator")
+        request = Request("roster", client.session_id,
+                          {"course_number": "c1"}, deadline=deadline)
+        replies = []
+        net.call("s2", "s1", TIER, request, request.wire_size,
+                 replies.append)
+        net.quiesce()
+        [response] = replies
+        assert not response.ok and not response.shed
+        assert response.error == f"deadline must be a number, got {deadline!r}"
+        assert server.requests_received == 2
+        if admission is not None:
+            assert admission.depth == 0
+        assert client.call_sync("roster", course_number="c1").ok

@@ -437,3 +437,35 @@ class TestDeadlineScopeAroundDispatch:
         with pytest.raises(ArithmeticError):
             roster(server, session, deadline=8.0)
         assert seen == [7.0, 8.0] and current_deadline() is None
+
+
+#: Deadlines off the wire that are not a time: each must be answered
+#: with a failure reply before admission, never raised out of handle.
+MALFORMED_DEADLINES = ["soon", [1], float("nan"), True]
+MALFORMED_DEADLINE_IDS = ["str", "list", "nan", "bool"]
+
+
+class TestMalformedDeadline:
+    @pytest.mark.parametrize("with_controller", [False, True],
+                             ids=["plain", "admission"])
+    @pytest.mark.parametrize("deadline", MALFORMED_DEADLINES,
+                             ids=MALFORMED_DEADLINE_IDS)
+    def test_refused_before_admission(self, clock, deadline, with_controller):
+        server = make_server(clock) if with_controller else ClassAdministrator()
+        session = login(server)
+        served = server.requests_served
+        response = roster(server, session, deadline=deadline)
+        assert not response.ok and not response.shed
+        assert response.error == f"deadline must be a number, got {deadline!r}"
+        assert server.requests_served == served  # the op never ran
+        if with_controller:
+            stats = server.admission.stats()
+            assert stats["admitted"] == 1  # the login
+            assert server.admission.depth == 0
+        assert roster(server, session).ok
+
+    @pytest.mark.parametrize("deadline", [7, 7.5, float("inf")],
+                             ids=["int", "float", "inf"])
+    def test_numbers_are_deadlines(self, clock, deadline):
+        server = make_server(clock)
+        assert roster(server, login(server), deadline=deadline).ok
