@@ -155,7 +155,7 @@ class Database:
         #: The file the journal's checkpoint is staged against: where
         #: :meth:`snapshot` last dumped (or :meth:`open` loaded) it.
         self.snapshot_path: str | os.PathLike[str] | None = None
-        #: What :meth:`apply_frame` has read of two-phase commit: the ops
+        #: What :meth:`apply_2pc` has read of two-phase commit: the ops
         #: of each PREPARE still awaiting its outcome (in doubt if the
         #: journal ends there), and every journaled outcome by gtxn.
         self.prepared_ops: dict[str, list[Any]] = {}
@@ -266,30 +266,14 @@ class Database:
 
         The two-phase-commit prepare hook: a sharding participant runs
         the transaction's statements (constraints checked, triggers
-        fired), then journals this op list inside its PREPARE record —
-        the exact bytes a normal commit would have appended — so a
-        post-crash commit decision can replay the prepared effects.
+        fired), rolls the transaction back and journals this op list
+        inside its PREPARE record — the exact bytes a normal commit
+        would have appended — for :meth:`apply_2pc` to hold until the
+        outcome record replays them.
         """
         if not self._txn.in_transaction:
             raise TransactionError("pending_wal_ops outside a transaction")
         return [list(op) for op in self._wal_buffer]
-
-    def commit_prepared(self) -> None:
-        """Commit the open transaction *without* journaling its ops.
-
-        The counterpart of :meth:`pending_wal_ops`: by the time a 2PC
-        participant learns the commit decision, the transaction's ops
-        are already durable inside its journaled PREPARE record, and
-        the decision itself is journaled as a COMMIT record.  Appending
-        a regular transaction frame too would double-apply on replay,
-        so the WAL buffer is discarded before the engine commit.
-        """
-        if not self._txn.in_transaction:
-            raise TransactionError("commit_prepared outside a transaction")
-        self._wal_buffer.clear()
-        self._wal_savepoints.clear()
-        self._txn.commit()
-        self._observe_txn("commit")
 
     @property
     def in_transaction(self) -> bool:
@@ -596,40 +580,19 @@ class Database:
         if started is not None and OBS.enabled:
             CHECKPOINT_SECONDS[()].observe(OBS.clock() - started)
 
-    def apply_replicated(self, record: dict[str, Any]) -> None:
-        """Apply one already-journaled ``{"txn": id, "ops": [...]}``
-        record that does not arrive as a frame (a shard settling an
-        in-doubt prepare once the coordinator answers).
-
-        Like :meth:`apply_frame`, ops are applied verbatim with no
-        constraint re-checks and no trigger re-fires (both ran before
-        the ops were journaled), and nothing is re-journaled here —
-        the caller makes the record durable in its own journal before
-        calling this, so crash recovery and live apply see the
-        identical history.
-        """
-        if self.in_transaction:
-            raise TransactionError(
-                "cannot apply replicated records inside a transaction"
-            )
-        for op in record["ops"]:
-            self._replay_op(op)
-        if isinstance(record.get("txn"), int):
-            self._txn.advance_past(record["txn"])
-
     def apply_frame(self, frame: WalFrame) -> None:
         """Apply one journal frame — the only journal→state step, shared
         by :meth:`open`, :meth:`recover` and the follower's live stream.
 
-        A transaction frame replays its ops and advances the txn id (as
-        :meth:`apply_replicated` does, and as trustingly).  Two-phase
-        commit frames apply in journal order: a ``prepare`` only holds
-        its ops (:attr:`prepared_ops`), the matching ``commit`` applies
-        them *at the commit frame's position*, an ``abort`` drops them;
-        an outcome whose prepare was never seen (it lies below the
-        snapshot watermark) changes no row.  Checkpoint frames and a
-        coordinator's ``decision``/``end`` records carry no table state.
+        A transaction frame replays its ops and advances the txn id,
+        trusting the log: no constraint re-checks, no trigger re-fires
+        (both ran before the ops were journaled).  A two-phase-commit
+        frame goes to :meth:`apply_2pc`.  Checkpoint frames carry no
+        table state.
         """
+        if frame.kind == "2pc":
+            self.apply_2pc(frame.payload or {})
+            return
         if self._txn.in_transaction:
             raise TransactionError(
                 "cannot apply journal frames inside a transaction"
@@ -639,17 +602,32 @@ class Database:
                 self._replay_op(op)
             if isinstance(frame.txn_id, int):
                 self._txn.advance_past(frame.txn_id)
-        elif frame.kind == "2pc":
-            payload = frame.payload or {}
-            step, gtxn = payload.get("2pc"), payload.get("gtxn")
-            if step == "prepare":
-                self.prepared_ops[gtxn] = payload.get("ops") or []
-            elif step in ("commit", "abort"):
-                ops = self.prepared_ops.pop(gtxn, None)
-                if step == "commit":
-                    for op in ops or ():
-                        self._replay_op(op)
-                self.outcomes[gtxn] = step
+
+    def apply_2pc(self, record: dict[str, Any]) -> None:
+        """Apply one two-phase-commit record, in journal order.
+
+        A ``prepare`` only holds its ops (:attr:`prepared_ops`), the
+        matching ``commit`` applies them *at the commit record's
+        position*, an ``abort`` drops them; an outcome whose prepare was
+        never seen (it lies below the snapshot watermark) changes no
+        row.  A coordinator's ``decision``/``end`` records carry no
+        table state.  Recovery reaches this through :meth:`apply_frame`;
+        a live shard calls it with the record it has just journaled, so
+        its state is always the replay of its own journal.
+        """
+        if self._txn.in_transaction:
+            raise TransactionError(
+                "cannot apply journal frames inside a transaction"
+            )
+        step, gtxn = record.get("2pc"), record.get("gtxn")
+        if step == "prepare":
+            self.prepared_ops[gtxn] = record.get("ops") or []
+        elif step in ("commit", "abort"):
+            ops = self.prepared_ops.pop(gtxn, None)
+            if step == "commit":
+                for op in ops or ():
+                    self._replay_op(op)
+            self.outcomes[gtxn] = step
 
     def load_snapshot(self, path: str | os.PathLike[str]) -> int:
         """Load the rows :meth:`snapshot` dumped to ``path`` into this

@@ -306,11 +306,7 @@ class ShardCluster:
         else:
             self.file_wrappers[shard_id] = file_wrapper
         participant = self._start_shard(shard_id)
-        if self.use_net:
-            self.coordinator.participants[shard_id] = \
-                self.handles[shard_id]
-        else:
-            self.coordinator.participants[shard_id] = participant
+        self.coordinator.participants[shard_id] = self.handles[shard_id]
         return participant
 
     def restart_coordinator(

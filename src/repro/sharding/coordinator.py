@@ -68,19 +68,14 @@ class TwoPhaseCoordinator:
     proxy (:class:`~repro.sharding.cluster.ShardClient`).
     """
 
-    def __init__(
-        self,
-        journal: Journal,
-        participants: Mapping[int, Any],
-        *,
-        outstanding: dict[str, list[int]] | None = None,
-        next_seq: int = 1,
-    ) -> None:
-        self.journal = journal
+    def __init__(self, participants: Mapping[int, Any]) -> None:
+        """The state before any journal record; :meth:`recover` builds
+        a coordinator by replaying its journal into it."""
         self.participants = dict(participants)
+        self.journal: Journal
         #: committed decisions not yet acked by every participant
-        self.outstanding: dict[str, list[int]] = dict(outstanding or {})
-        self._seq = next_seq
+        self.outstanding: dict[str, list[int]] = {}
+        self._seq = 1
         self.commits = 0
         self.aborts = 0
 
@@ -138,11 +133,10 @@ class TwoPhaseCoordinator:
         # Unanimous yes: force the decision — THE commit point.  The
         # caller is acked once this append returns, before any
         # participant has seen the outcome.
-        self.journal.append_2pc({
+        self._log({
             "2pc": "decision", "gtxn": gtxn,
             "outcome": "commit", "shards": shards,
         })
-        self.outstanding[gtxn] = list(shards)
         self._deliver(gtxn)
         self._observe("commit", started)
         return results
@@ -157,20 +151,19 @@ class TwoPhaseCoordinator:
                 pass
 
     def _deliver(self, gtxn: str) -> None:
-        """Fan the commit decision out; journal END once all acked."""
-        remaining = []
-        for sid in self.outstanding.get(gtxn, []):
+        """Fan the commit decision out; journal END once all acked.
+        Until then every shard of the decision gets it again on
+        redelivery — a commit is idempotent at the participant."""
+        acked = True
+        for sid in self.outstanding[gtxn]:
             try:
                 self.participants[sid].commit(gtxn)
             except Exception:
-                remaining.append(sid)
-        if remaining:
-            self.outstanding[gtxn] = remaining
-        else:
+                acked = False
+        if acked:
             # Lazy: END is bookkeeping, not correctness — losing it
             # only costs a redundant (idempotent) redelivery.
-            self.journal.append_2pc({"2pc": "end", "gtxn": gtxn})
-            self.outstanding.pop(gtxn, None)
+            self._log({"2pc": "end", "gtxn": gtxn})
 
     def redeliver(self) -> list[str]:
         """Re-send the commit decision of every outstanding transaction
@@ -211,6 +204,27 @@ class TwoPhaseCoordinator:
             TWO_PC_SECONDS[outcome].observe(OBS.clock() - started)
 
     # ------------------------------------------------------------------
+    def _log(self, record: dict[str, Any]) -> None:
+        """Journal one protocol record (forced), then apply that same
+        record the way :meth:`recover` replays it."""
+        self.journal.append_2pc(record)
+        self._apply(record)
+
+    def _apply(self, record: dict[str, Any]) -> None:
+        """A commit decision is outstanding until its END; the gtxn
+        sequence resumes past every id seen."""
+        gtxn = record.get("gtxn", "")
+        if gtxn.startswith("g-"):
+            try:
+                self._seq = max(self._seq, int(gtxn[2:]) + 1)
+            except ValueError:
+                pass
+        if record.get("2pc") == "decision" and \
+                record.get("outcome") == "commit":
+            self.outstanding[gtxn] = [int(s) for s in record["shards"]]
+        elif record.get("2pc") == "end":
+            self.outstanding.pop(gtxn, None)
+
     @classmethod
     def recover(
         cls,
@@ -221,34 +235,17 @@ class TwoPhaseCoordinator:
         file_wrapper: Callable[[Any], Any] | None = None,
     ) -> "TwoPhaseCoordinator":
         """Rebuild coordinator state from its journal, in the one scan
-        that opens it (:meth:`~repro.rdb.wal.Journal.open`).
+        that opens it (:meth:`~repro.rdb.wal.Journal.open`): every
+        protocol record goes through :meth:`_apply`, as it did live.
+        Decisions without an END come back outstanding (redeliver
+        them)."""
+        coordinator = cls(participants)
 
-        Decisions without an END are outstanding (redeliver them);
-        the gtxn sequence resumes past every journaled id."""
-        outstanding: dict[str, list[int]] = {}
-        max_seq = 0
+        def replay(frame: WalFrame) -> None:
+            if frame.kind == "2pc":
+                coordinator._apply(frame.payload or {})
 
-        def note(frame: WalFrame) -> None:
-            nonlocal max_seq
-            if frame.kind != "2pc":
-                return
-            payload = frame.payload or {}
-            gtxn = payload.get("gtxn", "")
-            if gtxn.startswith("g-"):
-                try:
-                    max_seq = max(max_seq, int(gtxn[2:]))
-                except ValueError:
-                    pass
-            if payload.get("2pc") == "decision" and \
-                    payload.get("outcome") == "commit":
-                outstanding[gtxn] = [int(s) for s in payload["shards"]]
-            elif payload.get("2pc") == "end":
-                outstanding.pop(gtxn, None)
-
-        journal = Journal.open(
-            journal_path, note, sync=sync, file_wrapper=file_wrapper
+        coordinator.journal = Journal.open(
+            journal_path, replay, sync=sync, file_wrapper=file_wrapper
         )
-        return cls(
-            journal, participants,
-            outstanding=outstanding, next_seq=max_seq + 1,
-        )
+        return coordinator

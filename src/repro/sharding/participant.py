@@ -7,11 +7,20 @@ A :class:`ShardParticipant` wraps one :class:`~repro.rdb.engine
   transactions (:meth:`ShardParticipant.execute`); durability is the
   engine's usual commit-time journal append;
 * **two-phase** — for a cross-shard transaction the coordinator first
-  calls :meth:`prepare`, which runs the statements inside an open
-  engine transaction (constraints checked, triggers fired), journals a
-  ``PREPARE`` record carrying the transaction's replay ops (forced to
-  disk — the yes vote is a promise), and holds the engine transaction
-  open until :meth:`commit` or :meth:`abort` journals the outcome.
+  calls :meth:`prepare`, which runs the statements inside an engine
+  transaction (constraints checked, triggers fired), captures the
+  transaction's replay ops and rolls it back, then journals a
+  ``PREPARE`` record carrying those ops (forced to disk — the yes vote
+  is a promise).  :meth:`commit` or :meth:`abort` journals the outcome.
+
+Every protocol record moves the shard's state one way: it is journaled,
+then applied through :meth:`~repro.rdb.engine.Database.apply_2pc` — the
+step recovery's :meth:`~repro.rdb.engine.Database.apply_frame` takes
+for the same record.  A ``PREPARE`` only holds its ops
+(:attr:`ShardParticipant.in_doubt`), the matching ``COMMIT`` applies
+them at its own position, an ``ABORT`` drops them.  The live shard is
+therefore always the replay of its own journal, and until its outcome
+applies a prepared transaction's rows are visible to no reader.
 
 While a transaction is prepared the participant **blocks**: every
 other write is refused until the outcome arrives.  That is the
@@ -22,13 +31,10 @@ transaction can be in doubt per shard after a crash.
 
 Recovery (:func:`recover_participant`) is the engine's own
 :meth:`~repro.rdb.engine.Database.open`, which replays the journal
-**in LSN order** through :meth:`~repro.rdb.engine.Database.apply_frame`:
-committed transactions apply as usual, a ``PREPARE`` is held, and its
-ops are applied only when the matching ``COMMIT`` record is reached (an
-``ABORT`` drops them).  A prepare with no outcome on disk is
-**in doubt**: the participant refuses writes until
-:meth:`resolve_in_doubt` asks the coordinator — presumed abort: no
-journaled decision means abort.
+**in LSN order**.  A prepare with no outcome on disk stays **in
+doubt**: the participant refuses writes until :meth:`resolve_in_doubt`
+asks the coordinator — presumed abort: no journaled decision means
+abort.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ IN_DOUBT = Instrument("gauge", "shard.in_doubt", "shard")
 #: value, ``None`` for a row, a non-``Expr`` where): input from outside
 #: the shard, answered with a no vote like any constraint violation.
 _BAD_STATEMENT = (RdbError, TypeError, AttributeError, ValueError, LookupError)
+
+
+#: each outcome record's past tense, for the error a contrary one raises
+_SETTLED = {"commit": "committed", "abort": "aborted"}
 
 
 class TwoPhaseError(RdbError):
@@ -92,14 +102,9 @@ class ShardParticipant:
         self.shard_id = shard_id
         self.db = db
         self.journal: Journal = db.journal
-        #: gtxn currently prepared and awaiting its outcome (live)
-        self._live_gtxn: str | None = None
-        #: prepared-but-unresolved transactions found by recovery: the
-        #: prepares ``db`` still holds, so settling one releases it there
+        #: every prepare still awaiting its outcome, live or found by
+        #: recovery: the ops ``db`` holds, so settling one releases it
         self.in_doubt: dict[str, list[Any]] = db.prepared_ops
-        outcomes = db.outcomes.items()
-        self.committed = {g for g, how in outcomes if how == "commit"}
-        self.aborted = {g for g, how in outcomes if how == "abort"}
         self.recovery_stats = db.recovery_stats
         self._observe_in_doubt()
 
@@ -109,14 +114,17 @@ class ShardParticipant:
     def _require_writable(self) -> None:
         if self.in_doubt:
             raise TwoPhaseError(
-                f"shard {self.shard_id} has {len(self.in_doubt)} "
-                "in-doubt transaction(s); resolve before writing"
+                f"shard {self.shard_id} is blocked by in-doubt "
+                f"transaction(s) {sorted(self.in_doubt)}; resolve "
+                "before writing"
             )
-        if self._live_gtxn is not None:
-            raise TwoPhaseError(
-                f"shard {self.shard_id} is blocked by prepared "
-                f"transaction {self._live_gtxn}"
-            )
+
+    def _log(self, record: dict[str, Any]) -> None:
+        """Journal one protocol record (forced), then apply that same
+        record the way recovery replays it."""
+        self.journal.append_2pc(record)
+        self.db.apply_2pc(record)
+        self._observe_in_doubt()
 
     def execute(self, stmts: Sequence[Sequence[Any]]) -> list[Any]:
         """Run statements as one ordinary local transaction (the
@@ -128,14 +136,15 @@ class ShardParticipant:
     def prepare(self, gtxn: str, stmts: Sequence[Sequence[Any]]) -> dict:
         """Phase one: execute, journal PREPARE, vote.
 
-        Returns ``{"vote": True, "results": [...]}`` with the engine
-        transaction left open, or ``{"vote": False, "error": ...}``
-        with every effect rolled back.  A participant that is blocked
-        (already prepared, or in doubt) votes no rather than waiting —
-        the single-transaction engine cannot queue behind the lock.
+        Returns ``{"vote": True, "results": [...]}`` with the ops held
+        for the outcome, or ``{"vote": False, "error": ...}``.  Either
+        way the engine transaction is rolled back before anything is
+        journaled, so the shard serves its committed state until an
+        outcome record applies.  A participant that is blocked (already
+        prepared, or in doubt) votes no rather than waiting — the
+        single-transaction engine cannot queue behind the lock.
         """
-        if self.in_doubt or self._live_gtxn is not None \
-                or self.db.in_transaction:
+        if self.in_doubt or self.db.in_transaction:
             return {
                 "vote": False,
                 "error": f"shard {self.shard_id} is blocked",
@@ -144,60 +153,39 @@ class ShardParticipant:
         try:
             results = [apply_statement(self.db, s) for s in stmts]
             ops = self.db.pending_wal_ops()
-        except BaseException as exc:
-            self.db.rollback()  # whatever it was, the shard is not left blocked
-            if not isinstance(exc, _BAD_STATEMENT):
-                raise
+        except _BAD_STATEMENT as exc:
             return {"vote": False, "error": str(exc)}
+        finally:
+            # Yes or no, the shard keeps its committed state: a crash in
+            # the append below leaves nothing half applied.
+            self.db.rollback()
         # The vote is a promise: the PREPARE record (ops included) is
         # forced to disk before "yes" leaves this shard.
-        self.journal.append_2pc(
-            {"2pc": "prepare", "gtxn": gtxn, "ops": ops}
-        )
-        self._live_gtxn = gtxn
+        self._log({"2pc": "prepare", "gtxn": gtxn, "ops": ops})
         return {"vote": True, "results": results}
 
     def commit(self, gtxn: str) -> bool:
         """Phase two, commit outcome.  Idempotent: redelivery after the
         outcome was journaled (or after a checkpoint dropped the whole
         exchange) acknowledges without re-applying."""
-        if self._live_gtxn == gtxn:
-            # Outcome record first: if we die right after this append,
-            # recovery replays the prepared ops at this exact position.
-            self.journal.append_2pc({"2pc": "commit", "gtxn": gtxn})
-            self._live_gtxn = None
-            self.db.commit_prepared()
-            self.committed.add(gtxn)
-            return True
-        if gtxn in self.in_doubt:
-            # Redelivered outcome beat resolve_in_doubt to a recovered
-            # prepare: settle it now, exactly as resolution would.
-            self.journal.append_2pc({"2pc": "commit", "gtxn": gtxn})
-            ops = self.in_doubt.pop(gtxn)
-            self.db.apply_replicated({"txn": None, "ops": ops})
-            self.committed.add(gtxn)
-            self._observe_in_doubt()
-            return True
-        if gtxn in self.aborted:
-            raise TwoPhaseError(
-                f"commit for {gtxn} after it was aborted on shard "
-                f"{self.shard_id}"
-            )
-        # Already committed, or forgotten after a checkpoint: ack.
-        return True
+        return self._settle(gtxn, "commit")
 
     def abort(self, gtxn: str) -> bool:
         """Phase two, abort outcome (also the vote-no cleanup path)."""
-        if self._live_gtxn == gtxn:
-            self.journal.append_2pc({"2pc": "abort", "gtxn": gtxn})
-            self._live_gtxn = None
-            self.db.rollback()
-            self.aborted.add(gtxn)
-        elif gtxn in self.in_doubt:
-            self.journal.append_2pc({"2pc": "abort", "gtxn": gtxn})
-            self.in_doubt.pop(gtxn)
-            self.aborted.add(gtxn)
-            self._observe_in_doubt()
+        return self._settle(gtxn, "abort")
+
+    def _settle(self, gtxn: str, outcome: str) -> bool:
+        if gtxn in self.in_doubt:
+            self._log({"2pc": outcome, "gtxn": gtxn})
+            return True
+        # Settled already (a redelivery), or forgotten after a
+        # checkpoint: acknowledge — unless the journal says otherwise.
+        settled = self.db.outcomes.get(gtxn, outcome)
+        if settled != outcome:
+            raise TwoPhaseError(
+                f"{outcome} for {gtxn} after it was {_SETTLED[settled]} "
+                f"on shard {self.shard_id}"
+            )
         return True
 
     # ------------------------------------------------------------------
@@ -214,29 +202,22 @@ class ShardParticipant:
         Each outcome is journaled here before it is applied, so a crash
         mid-resolution just re-enters recovery with fewer doubts.
         """
-        outcomes: dict[str, str] = {}
+        resolved: dict[str, str] = {}
         for gtxn in list(self.in_doubt):
             outcome = resolver(gtxn)
-            if outcome not in ("commit", "abort"):
+            if outcome not in _SETTLED:
                 raise TwoPhaseError(
                     f"resolver returned {outcome!r} for {gtxn}"
                 )
-            self.journal.append_2pc({"2pc": outcome, "gtxn": gtxn})
-            ops = self.in_doubt.pop(gtxn)
-            if outcome == "commit":
-                self.db.apply_replicated({"txn": None, "ops": ops})
-                self.committed.add(gtxn)
-            else:
-                self.aborted.add(gtxn)
-            outcomes[gtxn] = outcome
-        self._observe_in_doubt()
-        return outcomes
+            self._log({"2pc": outcome, "gtxn": gtxn})
+            resolved[gtxn] = outcome
+        return resolved
 
     def checkpoint(self, snapshot_path: str | os.PathLike[str]) -> None:
         """Snapshot + journal truncation, refused while any transaction
         is prepared or in doubt — a checkpoint must never separate a
         PREPARE record from its outcome."""
-        if self._live_gtxn is not None or self.in_doubt:
+        if self.in_doubt:
             raise TwoPhaseError(
                 "cannot checkpoint with prepared transactions outstanding"
             )
@@ -275,7 +256,6 @@ class ShardParticipant:
         """Protocol-visible state (fixtures and tests poke at this)."""
         return {
             "shard": self.shard_id,
-            "prepared": self._live_gtxn,
             "in_doubt": sorted(self.in_doubt),
             "last_lsn": self.journal.last_lsn,
         }

@@ -30,7 +30,7 @@ from repro.admission import check_deadline, current_deadline
 from repro.obs.instrument import OBS, Instrument
 from repro.rdb import Schema
 from repro.rdb.predicate import Expr
-from repro.rdb.query import check_limit_offset, join_rows
+from repro.rdb.query import _hashable, _sort_key, check_limit_offset, join_rows
 from repro.sharding.coordinator import TwoPhaseCoordinator
 from repro.sharding.shardmap import ShardMap
 
@@ -38,14 +38,6 @@ __all__ = ["ShardedDatabase"]
 
 FANOUT = Instrument("histogram", "shard.fanout")
 STATEMENTS = Instrument("counter", "shard.statements", "route")
-
-
-def _sort_key(keys: Sequence[str]):
-    """The executor's None-first ORDER BY key, reused for the gather
-    merge so sharded ordering is bit-identical to single-node."""
-    def key(row: dict[str, Any]) -> tuple:
-        return tuple((row[k] is not None, row[k]) for k in keys)
-    return key
 
 
 class ShardedDatabase:
@@ -298,14 +290,12 @@ class ShardedDatabase:
         if order_by is not None:
             keys = (order_by,) if isinstance(order_by, str) \
                 else tuple(order_by)
-            gathered.sort(key=_sort_key(keys), reverse=descending)
+            gathered.sort(key=_sort_key(keys, gathered), reverse=descending)
         if distinct:
             seen: set[tuple] = set()
             unique: list[dict[str, Any]] = []
             for row in gathered:
-                key = tuple(
-                    (name, _hashable(row[name])) for name in sorted(row)
-                )
+                key = tuple(_hashable(row[name]) for name in sorted(row))
                 if key not in seen:
                     seen.add(key)
                     unique.append(row)
@@ -453,11 +443,3 @@ class ShardedDatabase:
             "twopc_commits": self.coordinator.commits,
             "twopc_aborts": self.coordinator.aborts,
         }
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
-    return value

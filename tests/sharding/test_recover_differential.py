@@ -4,8 +4,9 @@ loop it replaced.
 :func:`~repro.sharding.participant.recover_participant` used to carry
 its own snapshot load and its own journal→state loop; it is now
 :meth:`Database.recover` (``load_snapshot`` + ``apply_frame`` per
-frame).  The old body is kept here **verbatim** as the oracle —
-``_reference_recover`` — and Hypothesis drives one live participant
+frame).  The old body is kept here as the oracle — ``_reference_recover``,
+verbatim but for applying each shipped transaction as a txn frame, with
+its own 2PC bookkeeping — and Hypothesis drives one live participant
 through random sequences of direct transactions, two-phase commits and
 aborts, prepares left in doubt by a crash, and checkpoints.  At every
 crash point and at the end both recoveries run over the same files and
@@ -31,6 +32,7 @@ from repro.rdb import Database
 from repro.rdb.errors import RdbError
 from repro.rdb.wal import (
     RecoveryStats,
+    WalFrame,
     encode_row,
     read_frames,
     read_snapshot_info,
@@ -47,6 +49,11 @@ def _read_records(path, *, start_lsn, stats):
         elif frame.kind == "txn":
             yield {"kind": "txn", "txn": frame.txn_id, "ops": frame.ops,
                    "lsn": frame.lsn}
+
+
+def _shipped(ops, txn=None):
+    """One txn frame carrying ``ops``, as a primary ships them."""
+    return WalFrame("txn", 0, txn, ops, None, b"", 0, 0)
 
 
 def _reference_recover(shard_id, schemas, journal_path, *,
@@ -66,10 +73,9 @@ def _reference_recover(shard_id, schemas, journal_path, *,
         tables, watermark = read_snapshot_info(snapshot_path)
         for table, rows in tables.items():
             if rows:
-                db.apply_replicated({
-                    "txn": None,
-                    "ops": [["insert", table, encode_row(r)] for r in rows],
-                })
+                db.apply_frame(_shipped(
+                    [["insert", table, encode_row(r)] for r in rows]
+                ))
 
     stats = RecoveryStats()
     pending: dict = {}
@@ -79,9 +85,7 @@ def _reference_recover(shard_id, schemas, journal_path, *,
         journal_path, start_lsn=watermark, stats=stats
     ):
         if record["kind"] == "txn":
-            db.apply_replicated(
-                {"txn": record["txn"], "ops": record["ops"]}
-            )
+            db.apply_frame(_shipped(record["ops"], record["txn"]))
             continue
         payload = record["payload"] or {}
         kind, gtxn = payload.get("2pc"), payload.get("gtxn")
@@ -90,7 +94,7 @@ def _reference_recover(shard_id, schemas, journal_path, *,
         elif kind == "commit":
             ops = pending.pop(gtxn, None)
             if ops is not None:
-                db.apply_replicated({"txn": None, "ops": ops})
+                db.apply_frame(_shipped(ops))
             committed.add(gtxn)
         elif kind == "abort":
             pending.pop(gtxn, None)
@@ -152,8 +156,10 @@ def test_shard_recovery_matches_the_replaced_loop(steps):
         )
         assert database_state(participant.db) == database_state(ref_db)
         assert participant.in_doubt == pending
-        assert participant.committed == committed
-        assert participant.aborted == aborted
+        assert participant.db.outcomes == {
+            **dict.fromkeys(committed, "commit"),
+            **dict.fromkeys(aborted, "abort"),
+        }
         assert participant.last_lsn() == ref_stats.last_lsn
         stats = participant.recovery_stats
         assert stats.records_recovered == ref_stats.records_recovered

@@ -119,9 +119,11 @@ class TestCommitPath:
         apply_statement(db, doc(c))
         ops = db.pending_wal_ops()
         assert [op[:2] for op in ops] == [["insert", "crash_docs"]]
-        p0.journal.append_2pc({"2pc": "prepare", "gtxn": "g-1", "ops": ops})
-        p0.journal.append_2pc({"2pc": "commit", "gtxn": "g-1"})
-        db.commit_prepared()
+        db.rollback()
+        for record in ({"2pc": "prepare", "gtxn": "g-1", "ops": ops},
+                       {"2pc": "commit", "gtxn": "g-1"}):
+            p0.journal.append_2pc(record)
+            db.apply_2pc(record)
         live = database_state(db)
         assert {row["title"] for row in db.select("crash_docs")} == {
             doc(n)[2]["title"] for n in (a, b, c)
@@ -134,7 +136,7 @@ class TestCommitPath:
         (a,), (b,) = ids_for(smap, 0, 1), ids_for(smap, 1, 1)
         cluster2.sharded.transact([doc(a), doc(b)])
         p0 = cluster2.participants[0]
-        gtxn = next(iter(p0.committed))
+        (gtxn,) = p0.db.outcomes
         assert p0.commit(gtxn) is True  # redelivery after the fact
         assert p0.db.count("crash_docs") == 1
 
@@ -218,6 +220,36 @@ class TestAbortPath:
         with pytest.raises(TwoPhaseError, match="aborted"):
             p0.commit("g-1")
 
+    def test_abort_after_commit_is_a_protocol_error(self, cluster2):
+        """The mirror case: an abort for a committed transaction is not
+        acknowledged, and the committed row stays."""
+        (a,) = ids_for(cluster2.shard_map, 0, 1)
+        p0 = cluster2.participants[0]
+        p0.prepare("g-2", [doc(a)])
+        p0.commit("g-2")
+        with pytest.raises(TwoPhaseError, match="committed"):
+            p0.abort("g-2")
+        assert p0.db.exists("crash_docs", a)
+        assert journal_kinds(cluster2.shard_journal_path(0)) == \
+            ["prepare", "commit"]
+
+    def test_a_prepared_row_is_invisible_until_its_outcome(self, cluster2):
+        """No dirty read: between its prepare and its outcome a shard
+        serves its committed state, so a row that is then aborted was
+        never seen."""
+        (a,) = ids_for(cluster2.shard_map, 0, 1)
+        p0 = cluster2.participants[0]
+        assert p0.prepare("g-1", [doc(a)])["vote"] is True
+        assert p0.count("crash_docs") == 0
+        assert p0.get("crash_docs", a) is None
+        assert not p0.db.in_transaction
+        p0.abort("g-1")
+        assert p0.count("crash_docs") == 0
+        assert p0.prepare("g-2", [doc(a)])["vote"] is True
+        assert p0.select("crash_docs") == []
+        p0.commit("g-2")
+        assert p0.get("crash_docs", a)["doc_id"] == a
+
 
 class TestRecovery:
     def test_in_doubt_until_resolved_commit(self, cluster2):
@@ -296,9 +328,9 @@ class TestRecovery:
         cluster2.coordinator.participants[1] = DropFirstCommit(p1)
         cluster2.sharded.transact([doc(a), doc(b)])  # acked regardless
         assert len(cluster2.coordinator.outstanding) == 1
-        assert p1.status()["prepared"] is not None  # still holding locks
+        assert p1.status()["in_doubt"] != []  # still holding locks
         assert cluster2.coordinator.redeliver()
-        assert p1.status()["prepared"] is None
+        assert p1.status()["in_doubt"] == []
         assert p1.db.exists("crash_docs", b)
         assert not cluster2.coordinator.outstanding
 
@@ -308,7 +340,7 @@ class TestRecovery:
         smap = cluster2.shard_map
         (a,), (b,) = ids_for(smap, 0, 1), ids_for(smap, 1, 1)
         cluster2.sharded.transact([doc(a), doc(b)])
-        gtxn = next(iter(cluster2.participants[0].committed))
+        (gtxn,) = cluster2.participants[0].db.outcomes
         # END was journaled, the coordinator forgot the exchange; only
         # in-doubt participants ask, and none can exist for it.
         assert cluster2.coordinator.resolve(gtxn) == "abort"

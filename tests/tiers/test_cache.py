@@ -11,6 +11,7 @@ from repro.rdb import (
     UnknownTableError,
     col,
 )
+from repro.rdb.wal import WalFrame
 from repro.tiers import (
     ClassAdministrator,
     OpenDatabaseConnection,
@@ -102,9 +103,9 @@ class TestTableVersions:
         assert moved()
         db.rollback()
         assert moved()
-        db.apply_replicated({"txn": 9, "ops": [
+        db.apply_frame(WalFrame("txn", 0, 9, [
             ["insert", "books", {"book_id": 21, "title": "r", "copies": 1}],
-        ]})
+        ], None, b"", 0, 0))
         assert moved()
 
     def test_dropped_and_recreated_name_never_repeats_a_version(
@@ -223,13 +224,13 @@ class TestQueryCache:
             db.select("books", where=where) != []
         db.commit()
 
-    def test_apply_replicated_invalidates(self, db, cache):
+    def test_applied_frame_invalidates(self, db, cache):
         where = col("book_id") == 71
         assert cache.select(db, "books", where=where) == []
-        db.apply_replicated({"txn": 5, "ops": [
+        db.apply_frame(WalFrame("txn", 0, 5, [
             ["insert", "books", {"book_id": 71, "title": "shipped",
                                  "copies": 1}],
-        ]})
+        ], None, b"", 0, 0))
         assert [r["title"] for r in cache.select(db, "books", where=where)] \
             == ["shipped"]
 

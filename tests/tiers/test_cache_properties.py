@@ -29,6 +29,7 @@ from repro.rdb import (
     Schema,
     col,
 )
+from repro.rdb.wal import WalFrame
 from repro.tiers import ClassAdministrator, QueryCache, Request, TableVersions
 
 T = ColumnType
@@ -79,6 +80,11 @@ QUERIES = [
 ] + [("books", dict(where=col("book_id") == key)) for key in range(6)]
 
 
+def shipped(ops: list) -> WalFrame:
+    """One txn frame carrying ``ops``, as a primary ships them."""
+    return WalFrame("txn", 0, None, ops, None, b"", 0, 0)
+
+
 def _apply(db: Database, action: tuple) -> None:
     kind, *args = action
     if kind == "insert":
@@ -102,11 +108,9 @@ def _apply(db: Database, action: tuple) -> None:
             ops.append(["update", "books", [row["book_id"]], row])
         else:
             ops.append(["insert", "books", row])
-        db.apply_replicated({"txn": None, "ops": ops})
+        db.apply_frame(shipped(ops))
     elif kind == "replicate_delete":
-        db.apply_replicated(
-            {"txn": None, "ops": [["delete", "books", [args[0]]]]}
-        )
+        db.apply_frame(shipped([["delete", "books", [args[0]]]]))
     else:  # begin / commit / rollback / savepoint / rollback_to
         getattr(db, kind)(*args)
 
@@ -192,7 +196,7 @@ def _tier_apply(server: ClassAdministrator, admin: str, action: tuple) -> None:
             ops.append(["update", "transcripts", [student, course], row])
         else:
             ops.append(["insert", "transcripts", row])
-        db.apply_replicated({"txn": None, "ops": ops})
+        db.apply_frame(shipped(ops))
     else:  # begin / commit / rollback
         getattr(db, kind)()
 
