@@ -41,8 +41,7 @@ def run_day(migrate: bool) -> dict:
     tree = MAryTree(N_STATIONS, 3, names=station_names)
     broadcaster = PreBroadcaster(net)
     managers = {
-        name: ReplicaManager(net.station(name), net.sim)
-        for name in station_names
+        name: ReplicaManager.of(net.station(name)) for name in station_names
     }
     samples: list[tuple[float, int, int]] = []
 
@@ -60,18 +59,13 @@ def run_day(migrate: bool) -> dict:
         broadcaster.broadcast(
             lecture_id, LECTURE_BYTES, tree, chunk_size_bytes=MIB
         )
-        # let the push finish, then register holdings
+        # let the push finish; the instructor keeps the lecture, each
+        # student's buffered copy lives for the lecture
         net.sim.run(until=start + LECTURE_GAP_S * 0.25)
-        for name in station_names:
-            managers[name].adopt_broadcast(
-                lecture_id,
-                LECTURE_BYTES,
-                instance_station="s1",
-                persistent=(name == "s1"),
-                lifetime_s=(
-                    None if name == "s1"
-                    else (LECTURE_DURATION_S if migrate else 10 * 86400.0)
-                ),
+        managers["s1"].hold_persistent(lecture_id, LECTURE_BYTES)
+        for name in station_names[1:]:
+            managers[name].touch(
+                lecture_id, LECTURE_DURATION_S if migrate else 10 * 86400.0
             )
         sample()
     net.sim.run(until=N_LECTURES * LECTURE_GAP_S + 2 * LECTURE_DURATION_S)

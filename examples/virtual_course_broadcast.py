@@ -103,21 +103,12 @@ def main() -> None:
     # 4. Instance -> reference migration after the lecture.
     # ------------------------------------------------------------------
     sim = net.sim
-    managers: dict[str, ReplicaManager] = {}
-    for name in names:
-        station = net.station(name)
-        manager = ReplicaManager(station, sim)
-        # Each station adopts the lecture the pre-broadcaster delivered:
-        # buffered (lecture-duration lifetime) on student stations,
-        # persistent on the instructor's.
-        manager.adopt_broadcast(
-            "lecture-1",
-            LECTURE_BYTES,
-            instance_station="s1",
-            persistent=(name == "s1"),
-            lifetime_s=None if name == "s1" else LECTURE_DURATION_S,
-        )
-        managers[name] = manager
+    managers = {name: ReplicaManager.of(net.station(name)) for name in names}
+    # The pre-broadcast buffered the lecture on every station: the
+    # instructor keeps it persistent, students for the lecture's duration.
+    managers["s1"].hold_persistent("lecture-1", LECTURE_BYTES)
+    for name in names[1:]:
+        managers[name].touch("lecture-1", LECTURE_DURATION_S)
 
     buffered_before = sum(m.buffer_bytes for m in managers.values())
     sim.run()  # lecture ends; migrations fire

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.distribution.mtree import MAryTree
+from repro.distribution.replication import HoldingForm, ReplicaManager
 from repro.obs.instrument import OBS, Instrument, family
 from repro.net.messages import Message
 from repro.net.station import Station
@@ -112,10 +113,10 @@ class PreBroadcaster:
     """Runs tree pre-broadcasts over a network.
 
     One broadcaster serves many runs; each run installs per-station
-    bookkeeping under ``station.state["prebroadcast"]`` and stores the
-    received lecture as a synthetic BLOB charged to the ``"buffer"``
-    disk category (the paper: duplicates are buffer space, not
-    persistent storage).
+    chunk receipts under ``station.state["prebroadcast"]`` and holds the
+    received lecture as a buffered instance through the station's
+    :class:`~repro.distribution.replication.ReplicaManager` (the paper:
+    duplicates are buffer space, not persistent storage).
     """
 
     def __init__(self, network: Network) -> None:
@@ -179,9 +180,7 @@ class PreBroadcaster:
 
         root_name = tree.name_of(1)
         root = self.network.station(root_name)
-        if not self._store_lecture(root, lecture_id, size_bytes, kind):
-            report.reference_only.add(root_name)
-        report.arrival_times[root_name] = self.network.sim.now
+        self._hold(root, report, kind)
         root_entry = self._station_state(root).setdefault(
             lecture_id, {"chunks": set()}
         )
@@ -251,12 +250,7 @@ class PreBroadcaster:
         entry["chunks"].add(chunk_index)
         if was_complete or len(entry["chunks"]) < report.n_chunks:
             return False
-        stored = self._store_lecture(
-            station, lecture_id, report.total_bytes, kind
-        )
-        report.arrival_times[station.name] = self.network.sim.now
-        if not stored:
-            report.reference_only.add(station.name)
+        self._hold(station, report, kind)
         if OBS.enabled:
             STATIONS_COMPLETED[()].inc()
             self._trace_completion(lecture_id, station.name)
@@ -370,30 +364,24 @@ class PreBroadcaster:
     def _station_state(station: Station) -> dict:
         return station.state.setdefault(_STATE_KEY, {})
 
-    @staticmethod
-    def _store_lecture(
-        station: Station, lecture_id: str, size_bytes: int, kind: BlobKind
-    ) -> bool:
-        """Buffer the lecture locally; False when the disk is full.
+    def _hold(
+        self, station: Station, report: BroadcastReport, kind: BlobKind
+    ) -> None:
+        """Buffer the lecture ``station`` just completed.
 
         A full station degrades to the paper's reference behaviour: it
-        keeps a pointer instead of the physical instance (and, in the
-        tree, it has already forwarded the chunks downstream).
+        keeps a pointer to the tree root's instance (and, in the tree,
+        it has already forwarded the chunks downstream).
         """
-        from repro.storage.accounting import DiskFullError
-
-        try:
-            station.disk.allocate(size_bytes, category="buffer")
-        except DiskFullError:
-            station.state.setdefault("lecture_references", {})[
-                lecture_id
-            ] = "instructor"
-            return False
-        digest = station.blobs.put_synthetic(
-            lecture_id, size_bytes, kind, owner=f"lecture:{lecture_id}"
+        holding = ReplicaManager.of(station).hold_buffered(
+            report.lecture_id,
+            report.total_bytes,
+            instance_station=self._trees[report.lecture_id].name_of(1),
+            kind=kind,
         )
-        station.state.setdefault("lectures", {})[lecture_id] = digest
-        return True
+        report.arrival_times[station.name] = self.network.sim.now
+        if holding.form is HoldingForm.REFERENCE:
+            report.reference_only.add(station.name)
 
     def report(self, lecture_id: str) -> BroadcastReport:
         return self._reports[lecture_id]

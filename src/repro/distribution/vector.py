@@ -15,8 +15,9 @@ formulas make free).
 
 :class:`ReferenceBroadcaster` pushes *document references* (small
 control records, not BLOBs) down the current tree, so every member
-learns where each instance physically lives — the mirror pointers the
-on-demand layer resolves.
+learns where each instance physically lives — the mirror pointers each
+station's :class:`~repro.distribution.replication.ReplicaManager`
+records.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.distribution.mtree import MAryTree
+from repro.distribution.replication import ReplicaManager
 from repro.net.messages import Message
 from repro.net.station import Station
 from repro.net.transport import Network
@@ -33,7 +35,6 @@ __all__ = ["VectorEntry", "BroadcastVector", "ReferenceBroadcaster"]
 
 REFERENCE_KIND = "reference.announce"
 REFERENCE_BYTES = 256
-_STATE_KEY = "references"
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,9 +123,9 @@ class BroadcastVector:
 class ReferenceBroadcaster:
     """Fans document references down the membership tree.
 
-    Each member station accumulates the references it has heard under
-    ``station.state["references"]`` — ``{doc_id: instance_station}`` —
-    which the on-demand layer uses to resolve mirrors.
+    Each member station records the references it hears with
+    :meth:`~repro.distribution.replication.ReplicaManager.hold_reference`;
+    a station that holds the instance keeps it.
     """
 
     def __init__(self, vector: BroadcastVector, m: int = 3) -> None:
@@ -151,7 +152,9 @@ class ReferenceBroadcaster:
             "tree_names": tree.names,
             "m": self.m,
         }
-        self._store(self.network.station(root), doc_id, instance_station)
+        ReplicaManager.of(self.network.station(root)).hold_reference(
+            doc_id, instance_station
+        )
         for child in tree.children_names(root):
             self.network.send(
                 root, child, REFERENCE_KIND, payload, REFERENCE_BYTES
@@ -161,7 +164,9 @@ class ReferenceBroadcaster:
 
     def _on_reference(self, station: Station, message: Message) -> None:
         payload = message.payload
-        self._store(station, payload["doc_id"], payload["instance_station"])
+        ReplicaManager.of(station).hold_reference(
+            payload["doc_id"], payload["instance_station"]
+        )
         # Forward using the tree snapshot the announcement was built
         # with (membership may have changed since; the snapshot keeps
         # one announcement internally consistent).
@@ -176,12 +181,3 @@ class ReferenceBroadcaster:
                 station.name, child, REFERENCE_KIND, payload, REFERENCE_BYTES
             )
             self.references_sent += 1
-
-    @staticmethod
-    def _store(station: Station, doc_id: str, instance_station: str) -> None:
-        station.state.setdefault(_STATE_KEY, {})[doc_id] = instance_station
-
-    @staticmethod
-    def references_at(station: Station) -> dict[str, str]:
-        """The references a station has accumulated."""
-        return dict(station.state.get(_STATE_KEY, {}))

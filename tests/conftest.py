@@ -94,14 +94,22 @@ def index_named(db: Database, table: str, name: str):
 # Network fixtures
 # ---------------------------------------------------------------------------
 def build_network(
-    n: int, mbit: float = 10.0, latency: float = 0.02
+    n: int,
+    mbit: float = 10.0,
+    latency: float = 0.02,
+    *,
+    disk_capacity: dict[str, int] | None = None,
 ) -> Network:
-    """N stations named s1..sN with symmetric links."""
+    """N stations named s1..sN with symmetric links; ``disk_capacity``
+    caps the named stations' disks."""
     sim = Simulator()
     network = Network(sim, default_latency_s=latency)
+    capacities = disk_capacity or {}
     for position in range(1, n + 1):
+        name = f"s{position}"
         network.add(
-            Station(f"s{position}", DuplexLink.symmetric_mbps(mbit))
+            Station(name, DuplexLink.symmetric_mbps(mbit),
+                    disk_capacity=capacities.get(name))
         )
     return network
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distribution import MAryTree, PreBroadcaster
+from repro.distribution import MAryTree, PreBroadcaster, ReplicaManager
 from repro.util.units import MIB
 
 from tests.conftest import build_network
@@ -32,7 +32,7 @@ class TestTreeBroadcast:
         net.quiesce()
         for name in _names(4):
             station = net.station(name)
-            assert "lec" in station.state["lectures"]
+            assert ReplicaManager.of(station).holds("lec")
             assert station.disk.used_in("buffer") == MIB
 
     def test_children_receive_after_parents(self, metrics_registry,

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.distribution import MAryTree, PreBroadcaster
+from repro.distribution import (
+    HoldingForm,
+    MAryTree,
+    PreBroadcaster,
+    ReplicaManager,
+)
 from repro.net import Network, Simulator, Station
 from repro.net.link import DuplexLink
 from repro.util.units import MIB
@@ -28,8 +33,9 @@ class TestCapacityDegradation:
         assert report.reference_only == {"s2"}
         assert "s2" in report.arrival_times  # it still received
         station = net.station("s2")
-        assert "lec" in station.state.get("lecture_references", {})
-        assert "lec" not in station.state.get("lectures", {})
+        holding = ReplicaManager.of(station).holding("lec")
+        assert holding.form is HoldingForm.REFERENCE
+        assert holding.instance_station == "s1"  # the tree root
         assert station.disk.used_bytes == 0
 
     def test_full_interior_node_still_forwards(self):
@@ -43,8 +49,8 @@ class TestCapacityDegradation:
         report = PreBroadcaster(net).broadcast("lec", 5 * MIB, tree)
         net.quiesce()
         # s4 and s5 are s2's children; both must hold the lecture
-        assert "lec" in net.station("s4").state["lectures"]
-        assert "lec" in net.station("s5").state["lectures"]
+        assert ReplicaManager.of(net.station("s4")).holds("lec")
+        assert ReplicaManager.of(net.station("s5")).holds("lec")
         assert report.reference_only == {"s2"}
 
     def test_sufficient_capacity_stores_normally(self):
@@ -67,7 +73,7 @@ class TestCapacityDegradation:
         )
         net.quiesce()
         assert report.reference_only == {"s2"}
-        assert "lec" in net.station("s3").state["lectures"]
+        assert ReplicaManager.of(net.station("s3")).holds("lec")
 
     def test_second_lecture_fills_remaining_space(self):
         net = _network_with_capacities({

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distribution import MAryTree, PreBroadcaster, predict_makespan
+from repro.distribution import (
+    MAryTree,
+    PreBroadcaster,
+    ReplicaManager,
+    predict_makespan,
+)
 from repro.net import Network, Simulator, Station
 from repro.net.link import DuplexLink
 from repro.util.units import MIB, Bandwidth
@@ -34,7 +39,8 @@ def test_everyone_receives_exactly_once(n, m, size):
     # exactly one stored copy per station
     for name in tree.names:
         station = net.station(name)
-        assert list(station.state["lectures"]) == ["lec"]
+        holdings = ReplicaManager.of(station).holdings()
+        assert [h.doc_id for h in holdings] == ["lec"]
         assert station.disk.used_in("buffer") == size
 
 

@@ -2,9 +2,19 @@
 
 import pytest
 
-from repro.distribution import BroadcastVector, ReferenceBroadcaster
+from repro.distribution import (
+    BroadcastVector,
+    ReferenceBroadcaster,
+    ReplicaManager,
+)
 
 from tests.conftest import build_network
+
+
+def _references(station):
+    """``{doc_id: instance_station}`` for what ``station`` has heard."""
+    holdings = ReplicaManager.of(station).holdings()
+    return {h.doc_id: h.instance_station for h in holdings}
 
 
 @pytest.fixture
@@ -92,7 +102,7 @@ class TestReferenceBroadcast:
         broadcaster.announce("doc-1", "s1")
         net.quiesce()
         for name in v.members():
-            refs = ReferenceBroadcaster.references_at(net.station(name))
+            refs = _references(net.station(name))
             assert refs == {"doc-1": "s1"}
 
     def test_nonmembers_do_not_receive(self, vector):
@@ -101,7 +111,7 @@ class TestReferenceBroadcast:
         broadcaster.announce("doc-1", "s1")
         net.quiesce()
         # s7/s8 exist in the network but never joined the vector
-        assert ReferenceBroadcaster.references_at(net.station("s7")) == {}
+        assert _references(net.station("s7")) == {}
 
     def test_multiple_references_accumulate(self, vector):
         net, v = vector
@@ -109,7 +119,7 @@ class TestReferenceBroadcast:
         broadcaster.announce("doc-1", "s1")
         broadcaster.announce("doc-2", "s4")
         net.quiesce()
-        refs = ReferenceBroadcaster.references_at(net.station("s6"))
+        refs = _references(net.station("s6"))
         assert refs == {"doc-1": "s1", "doc-2": "s4"}
 
     def test_message_count_is_n_minus_one(self, vector):
@@ -131,5 +141,5 @@ class TestReferenceBroadcast:
         # everyone in the snapshot still receives (s2's handler still
         # runs; it only checks membership of the *snapshot*)
         for name in tree.names:
-            refs = ReferenceBroadcaster.references_at(net.station(name))
+            refs = _references(net.station(name))
             assert "doc-1" in refs

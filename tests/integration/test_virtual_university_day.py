@@ -73,15 +73,11 @@ class TestVirtualUniversityDay:
         sim.run(until=sim.now + 600.0)
         assert len(report.arrival_times) == N_STATIONS
 
-        managers = {}
-        for name in names:
-            manager = ReplicaManager(net.station(name), sim)
-            manager.adopt_broadcast(
-                "lecture-1", LECTURE_BYTES, instance_station="s1",
-                persistent=(name == "s1"),
-                lifetime_s=None if name == "s1" else LECTURE_DURATION_S,
-            )
-            managers[name] = manager
+        managers = {name: ReplicaManager.of(net.station(name))
+                    for name in names}
+        managers["s1"].hold_persistent("lecture-1", LECTURE_BYTES)
+        for name in names[1:]:
+            managers[name].touch("lecture-1", LECTURE_DURATION_S)
 
         # -- class begins: presence, live annotations, discussion -------
         presence = PresenceDaemon(net, "s1", heartbeat_interval_s=60.0,

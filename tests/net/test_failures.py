@@ -214,18 +214,22 @@ class TestOnDemandRetry:
     def test_fetch_succeeds_despite_loss(self):
         """A 25%-lossy path over 3 hops still completes with retries
         (intermediate caching makes per-attempt progress monotone)."""
+        from repro.distribution import ReplicaManager
+
         net, fetcher = self._world(drop_rate=0.25)
         fetcher.request("s8", "doc")
         net.quiesce()
         assert any(r.station == "s8" for r in fetcher.reports)
-        assert fetcher.holds("s8", "doc")
+        assert ReplicaManager.of(net.station("s8")).holds("doc")
 
     def test_retries_counted(self):
+        from repro.distribution import ReplicaManager
+
         net, fetcher = self._world(drop_rate=0.5)
         fetcher.request("s8", "doc")
         net.quiesce()
         # with 50% loss the first attempt almost surely failed somewhere
-        assert fetcher.retries >= 1 or fetcher.holds("s8", "doc")
+        assert fetcher.retries >= 1 or ReplicaManager.of(net.station("s8")).holds("doc")
 
     def test_no_retry_without_timeout_config(self):
         from repro.distribution import MAryTree, OnDemandFetcher
@@ -277,13 +281,14 @@ class TestOnDemandRetryPolicy:
         return net, fetcher
 
     def test_exponential_backoff_still_completes(self):
+        from repro.distribution import ReplicaManager
         from repro.fault import RetryPolicy
 
         policy = RetryPolicy.exponential(1.0, max_retries=30)
         net, fetcher = self._world(0.25, policy)
         fetcher.request("s8", "doc")
         net.quiesce()
-        assert fetcher.holds("s8", "doc")
+        assert ReplicaManager.of(net.station("s8")).holds("doc")
 
     def test_fixed_policy_is_the_constant_schedule(self):
         """``RetryPolicy.fixed`` is the one spelling of the schedule the

@@ -32,6 +32,7 @@ class TestStation:
     def test_default_handler_does_not_hide_registered_kinds(self, net8):
         """Subsystems register their kind only where no station handler
         exists; a catch-all sink must not count as one."""
+        from repro.distribution.replication import ReplicaManager
         from repro.distribution.vector import (
             BroadcastVector, ReferenceBroadcaster,
         )
@@ -56,8 +57,8 @@ class TestStation:
         ReferenceBroadcaster(vector, m=2).announce("doc-1", "s1")
         net8.quiesce()
         for name in ("s2", "s4"):  # s4 hears it through s2
-            assert ReferenceBroadcaster.references_at(
-                net8.station(name)) == {"doc-1": "s1"}
+            holding = ReplicaManager.of(net8.station(name)).holding("doc-1")
+            assert holding.instance_station == "s1"
         assert sunk == []
 
     def test_unhandled_kind_raises(self, net8):
