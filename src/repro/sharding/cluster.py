@@ -131,7 +131,7 @@ class ShardClient:
     #: participant methods the proxy exposes
     METHODS = frozenset({
         "execute", "prepare", "commit", "abort",
-        "select", "count", "get", "exists", "aggregate", "join",
+        "select", "count", "get", "aggregate", "join",
         "explain_plan", "status", "last_lsn",
     })
 

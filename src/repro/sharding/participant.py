@@ -235,9 +235,6 @@ class ShardParticipant:
     def get(self, table: str, pk: Any) -> dict[str, Any] | None:
         return self.db.get(table, pk)
 
-    def exists(self, table: str, pk: Any) -> bool:
-        return self.db.exists(table, pk)
-
     def aggregate(self, table: str, spec: dict, where: Any = None,
                   group_by: Sequence[str] | None = None) -> list[dict]:
         return self.db.aggregate(table, spec, where, group_by)

@@ -6,9 +6,14 @@ the same DML/query surface as a single :class:`~repro.rdb.engine
 .Database`, the paper's middle tier playing distributed query
 processor:
 
-* **writes** route by shard key — a statement whose rows or predicate
-  pin one shard commits directly on it; anything spanning shards runs
-  through :class:`~repro.sharding.coordinator.TwoPhaseCoordinator`;
+* **writes** have one router, :meth:`ShardedDatabase.transact`:
+  ``insert``, ``insert_many``, ``update`` and ``delete`` are each a
+  one-statement transaction, and keyed writes are ``update_pk`` /
+  ``delete_pk`` statements.  It routes every statement by row,
+  predicate or primary key and refuses one that changes a shard-key
+  column, whichever way it arrives; a transaction that pins one shard
+  commits directly on it, anything spanning shards runs through
+  :class:`~repro.sharding.coordinator.TwoPhaseCoordinator`;
 * **reads** scatter to the pruned shard set with the predicate (and
   order/limit) pushed down, then gather: merge-sort for ordered
   queries, partial-aggregate recombination for aggregates (``avg``
@@ -106,30 +111,12 @@ class ShardedDatabase:
         if self.clock is not None and current_deadline() is not None:
             check_deadline(self.clock(), site=site)
 
-    def _count_write(self, route: str) -> None:
-        if route == "direct":
-            self.direct_writes += 1
-        else:
-            self.twopc_writes += 1
-        if OBS.enabled:
-            STATEMENTS[route].inc()
-
-    def _write(
-        self, stmts_by_shard: Mapping[int, list[Any]]
-    ) -> dict[int, list[Any]]:
-        """Dispatch a routed write: direct for one shard, 2PC beyond."""
-        self._count_write(
-            "direct" if len(stmts_by_shard) <= 1 else "twopc"
-        )
-        return self.coordinator.run(stmts_by_shard)
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def insert(self, table: str, values: dict[str, Any]) -> tuple:
-        shard = self.shard_map.shard_for_row(table, values)
-        results = self._write({shard: [["insert", table, values]]})
-        return results[shard][0]
+        (results,) = self.transact([["insert", table, values]]).values()
+        return results[0]
 
     def insert_many(
         self, table: str, rows: Iterable[dict[str, Any]]
@@ -137,13 +124,7 @@ class ShardedDatabase:
         """Batched insert; returns PK tuples in input-row order (the
         single-node contract), stitched back from per-shard batches."""
         rows = list(rows)
-        groups = self.shard_map.group_rows(table, rows)
-        if not groups:
-            return []
-        results = self._write({
-            shard: [["insert_many", table, group]]
-            for shard, group in groups.items()
-        })
+        results = self.transact([["insert_many", table, rows]])
         pks = {shard: iter(result[0]) for shard, result in results.items()}
         return [
             next(pks[self.shard_map.shard_for_row(table, row)])
@@ -153,52 +134,27 @@ class ShardedDatabase:
     def update(
         self, table: str, changes: dict[str, Any], where: Expr | None
     ) -> int:
-        for column in changes:
-            if column in self.shard_map.sharding(table).key:
-                raise ValueError(
-                    f"cannot update shard key column {column!r} of "
-                    f"{table!r} (rows would migrate between shards)"
-                )
-        shards = self._prune(table, where)
-        results = self._write({
-            shard: [["update", table, changes, where]] for shard in shards
-        })
+        results = self.transact([["update", table, changes, where]])
         return sum(r[0] for r in results.values())
 
     def delete(self, table: str, where: Expr | None) -> int:
-        shards = self._prune(table, where)
-        results = self._write({
-            shard: [["delete", table, where]] for shard in shards
-        })
+        results = self.transact([["delete", table, where]])
         return sum(r[0] for r in results.values())
-
-    def update_pk(
-        self, table: str, pk: Any, changes: dict[str, Any]
-    ) -> bool:
-        shard = self._pk_shard(table, pk)
-        shards = self.shard_map.all_shards() if shard is None else (shard,)
-        results = self._write({
-            s: [["update_pk", table, pk, changes]] for s in shards
-        })
-        return any(r[0] for r in results.values())
-
-    def delete_pk(self, table: str, pk: Any) -> bool:
-        shard = self._pk_shard(table, pk)
-        shards = self.shard_map.all_shards() if shard is None else (shard,)
-        results = self._write({
-            s: [["delete_pk", table, pk]] for s in shards
-        })
-        return any(r[0] for r in results.values())
 
     def transact(
         self, statements: Sequence[Sequence[Any]]
     ) -> dict[int, list[Any]]:
-        """Run a multi-statement transaction atomically across shards.
+        """Run statements as one transaction across shards — the one
+        place a write statement is mapped to shards.
 
-        Each statement routes by its own rule (inserts by row, updates
-        and deletes by predicate pruning); the union of routed shards
-        decides direct commit vs two-phase commit.  This is the general
-        cross-shard write path the property and crash tests drive.
+        Inserts, upserts and ``insert_many`` groups route by row;
+        ``update`` and ``delete`` by predicate pruning; ``update_pk``
+        and ``delete_pk`` by key when the table shards on its primary
+        key, else to every shard.  A statement that changes a shard-key
+        column is refused before any shard runs anything (the row would
+        sit on a shard its key no longer routes to).  One routed shard
+        commits directly, several run two-phase commit, none writes and
+        counts nothing.
         """
         stmts_by_shard: dict[int, list[Any]] = {}
 
@@ -207,6 +163,15 @@ class ShardedDatabase:
 
         for stmt in statements:
             op, table = stmt[0], stmt[1]
+            if op == "update" or op == "update_pk":
+                key = self.shard_map.sharding(table).key
+                for column in stmt[2] if op == "update" else stmt[3]:
+                    if column in key:
+                        raise ValueError(
+                            f"cannot update shard key column {column!r} "
+                            f"of {table!r} (rows would migrate between "
+                            f"shards)"
+                        )
             if op == "insert" or op == "upsert":
                 put(self.shard_map.shard_for_row(table, stmt[2]), stmt)
             elif op == "insert_many":
@@ -225,7 +190,16 @@ class ShardedDatabase:
                     put(s, stmt)
             else:
                 raise ValueError(f"unknown statement {op!r}")
-        return self._write(stmts_by_shard)
+        if not stmts_by_shard:
+            return {}
+        route = "direct" if len(stmts_by_shard) == 1 else "twopc"
+        if route == "direct":
+            self.direct_writes += 1
+        else:
+            self.twopc_writes += 1
+        if OBS.enabled:
+            STATEMENTS[route].inc()
+        return self.coordinator.run(stmts_by_shard)
 
     # ------------------------------------------------------------------
     # Reads

@@ -68,11 +68,48 @@ class TestRouting:
         # crash_refs shards on doc_id but its pk is ref_id.
         assert loaded.sharded.get("crash_refs", 5)["ref_id"] == 5
 
-    def test_update_of_shard_key_column_is_refused(self, loaded):
+    @pytest.mark.parametrize("form", [
+        "update", "transact-update", "transact-update_pk",
+        "transact-insert-then-update",
+    ])
+    def test_update_of_shard_key_column_is_refused(self, loaded, form):
+        """Every write form refuses a shard-key change before any shard
+        or the coordinator journals a byte, so the refusal is atomic."""
+        sharded = loaded.sharded
+        bad = ["update", "crash_docs", {"doc_id": 999}, col("version") == 1]
+        legal = ["insert", "crash_docs", {
+            "doc_id": 41, "title": "doc-00041", "version": 1, "body": "",
+        }]
+        write = {
+            "update": lambda: sharded.update(*bad[1:]),
+            "transact-update": lambda: sharded.transact([bad]),
+            "transact-update_pk": lambda: sharded.transact([
+                ["update_pk", "crash_docs", 7, {"doc_id": 999}],
+            ]),
+            "transact-insert-then-update":
+                lambda: sharded.transact([legal, bad]),
+        }[form]
+        sizes = [path.stat().st_size for path in loaded.journal_paths()]
         with pytest.raises(ValueError, match="shard key"):
-            loaded.sharded.update(
-                "crash_docs", {"doc_id": 999}, col("version") == 1
-            )
+            write()
+        assert [path.stat().st_size
+                for path in loaded.journal_paths()] == sizes
+        assert sharded.get("crash_docs", 7)["doc_id"] == 7
+        assert sharded.get("crash_docs", 41) is None
+
+    def test_an_empty_write_counts_nothing(self, loaded, metrics_registry):
+        sharded = loaded.sharded
+        before = sharded.stats()
+        routed = metrics_registry.snapshot().counter_total(
+            "shard.statements"
+        )
+        assert sharded.transact([]) == {}
+        assert sharded.transact([["insert_many", "crash_docs", []]]) == {}
+        assert sharded.insert_many("crash_docs", []) == []
+        assert sharded.stats() == before
+        assert metrics_registry.snapshot().counter_total(
+            "shard.statements"
+        ) == routed
 
     def test_predicate_update_and_delete_fan_out(self, loaded):
         changed = loaded.sharded.update(

@@ -14,6 +14,12 @@ invariant, checked at every recovery point and at the end:
   in-doubt shard) left no rows anywhere;
 * every shard passes the full constraint/index audit and holds no
   unresolved doubt.
+
+A second property drives the write router itself: streams of
+transactions over all seven statement forms, shard-key changes
+included, on 2-4 shards.  A shard-key change is refused with nothing
+written; after every statement list each row sits on the shard its
+shard key routes to, and a keyed read finds it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fault.crashsim import (
@@ -30,10 +37,13 @@ from repro.fault.crashsim import (
     SimulatedCrashError,
     verify_database,
 )
+from repro.rdb import Column, ColumnType, Schema
 from repro.rdb.errors import RdbError
+from repro.rdb.predicate import col
 from repro.sharding import TwoPhaseError
 from repro.sharding.cluster import COORD, ShardCluster
 from repro.sharding.crash2pc import twopc_shard_map
+from repro.sharding.shardmap import ShardMap, TableSharding
 from repro.tiers.shards import ShardedDatabase
 
 NUM_SHARDS = 2
@@ -181,6 +191,134 @@ def test_cross_shard_atomicity_under_arbitrary_crashes(actions):
 
         cluster.recover_all()
         check_after_recovery()
+        cluster.close()
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+# ----------------------------------------------------------------------
+# Rows stay where they route
+# ----------------------------------------------------------------------
+T = ColumnType
+
+#: ``p`` shards on its primary key, ``t`` on ``grp`` (pk ``id``); a
+#: ``t`` row's ``grp`` is ``id % 3`` whenever it is written whole, so
+#: one ``id`` never routes to two shards.
+ROUTER_SCHEMAS = (
+    Schema(
+        name="p",
+        columns=(Column("id", T.INT, nullable=False), Column("val", T.INT)),
+        primary_key=("id",),
+    ),
+    Schema(
+        name="t",
+        columns=(
+            Column("id", T.INT, nullable=False),
+            Column("grp", T.INT, nullable=False),
+            Column("val", T.INT),
+        ),
+        primary_key=("id",),
+    ),
+)
+SHARD_KEY = {"p": "id", "t": "grp"}
+
+IDS = st.integers(0, 9)
+VALS = st.integers(0, 3)
+
+
+def router_row(table, pk, val):
+    row = {"id": pk, "val": val}
+    if table == "t":
+        row["grp"] = pk % 3
+    return row
+
+
+@st.composite
+def router_statement(draw):
+    table = draw(st.sampled_from(sorted(SHARD_KEY)))
+    op = draw(st.sampled_from((
+        "insert", "upsert", "insert_many", "update", "delete",
+        "update_pk", "delete_pk",
+    )))
+    if op in ("insert", "upsert"):
+        return [op, table, router_row(table, draw(IDS), draw(VALS))]
+    if op == "insert_many":
+        pks = draw(st.lists(IDS, max_size=3, unique=True))
+        return [op, table, [router_row(table, pk, draw(VALS)) for pk in pks]]
+    if op == "delete_pk":
+        return [op, table, draw(IDS)]
+    columns = draw(st.lists(
+        st.sampled_from(("val", SHARD_KEY[table])),
+        min_size=1, max_size=2, unique=True,
+    ))
+    changes = {column: draw(IDS) for column in columns}
+    if op == "update_pk":
+        return [op, table, draw(IDS), changes]
+    where = draw(st.one_of(
+        st.none(),
+        IDS.map(lambda pk: col("id") == pk),
+        VALS.map(lambda val: col("val") == val),
+        IDS.map(lambda grp: col(SHARD_KEY[table]) == grp),
+    ))
+    if op == "delete":
+        return [op, table, where]
+    return [op, table, changes, where]
+
+
+def changes_shard_key(stmts):
+    return any(
+        SHARD_KEY[stmt[1]] in stmt[2 if stmt[0] == "update" else 3]
+        for stmt in stmts if stmt[0] in ("update", "update_pk")
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_shards=st.integers(2, 4),
+    stream=st.lists(
+        st.lists(router_statement(), min_size=1, max_size=3),
+        min_size=1, max_size=8,
+    ),
+)
+def test_rows_stay_on_the_shard_their_key_routes_to(num_shards, stream):
+    workdir = Path(tempfile.mkdtemp(prefix="shard-router-"))
+    try:
+        shard_map = ShardMap(num_shards, {
+            table: TableSharding(key=(key,))
+            for table, key in SHARD_KEY.items()
+        })
+        cluster = ShardCluster(
+            workdir, ROUTER_SCHEMAS, num_shards, sync="none", use_net=False,
+        )
+        sharded = ShardedDatabase(
+            shard_map, cluster.handles, lambda: cluster.coordinator,
+            schemas=ROUTER_SCHEMAS,
+        )
+
+        def placement():
+            return {
+                (shard, table): participant.db.select(
+                    table, order_by="id"
+                )
+                for shard, participant in cluster.participants.items()
+                for table in SHARD_KEY
+            }
+
+        for stmts in stream:
+            before = placement()
+            if changes_shard_key(stmts):
+                with pytest.raises(ValueError, match="shard key"):
+                    sharded.transact(stmts)
+                assert placement() == before
+            else:
+                try:
+                    sharded.transact(stmts)
+                except (RdbError, TwoPhaseError):
+                    assert placement() == before
+            for (shard, table), rows in placement().items():
+                for row in rows:
+                    assert shard_map.shard_for_row(table, row) == shard
+                    assert sharded.get(table, row["id"]) == row
         cluster.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
