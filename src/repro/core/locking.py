@@ -161,48 +161,44 @@ class LockObserver(Protocol):
 
 
 class ObjectTree:
-    """The container hierarchy the locking rules quantify over."""
+    """The container hierarchy the locking rules quantify over.
+
+    Membership and ancestry go through :meth:`parent`, so a subclass
+    that answers ``parent`` from elsewhere answers them too.
+    """
 
     def __init__(self, root: str = "root") -> None:
         self.root = root
         self._parent: dict[str, str] = {}
-        self._children: dict[str, list[str]] = {root: []}
 
     def add(self, object_id: str, parent: str) -> None:
         """Insert ``object_id`` under ``parent`` (which must exist)."""
-        if object_id in self._children:
+        if object_id in self:
             raise ValueError(f"object {object_id!r} already in the tree")
-        if parent not in self._children:
+        if parent not in self:
             raise LookupError(f"unknown parent {parent!r}")
         self._parent[object_id] = parent
-        self._children[parent].append(object_id)
-        self._children[object_id] = []
 
     def remove(self, object_id: str) -> None:
         """Remove a leaf object from the tree."""
         if object_id == self.root:
             raise ValueError("cannot remove the root")
-        if self._children.get(object_id):
+        if object_id in self._parent.values():
             raise ValueError(f"object {object_id!r} still has children")
-        parent = self._parent.pop(object_id)
-        self._children[parent].remove(object_id)
-        del self._children[object_id]
+        del self._parent[object_id]
 
     def __contains__(self, object_id: str) -> bool:
-        return object_id in self._children
+        return object_id == self.root or self.parent(object_id) is not None
 
     def parent(self, object_id: str) -> str | None:
         return self._parent.get(object_id)
 
-    def children(self, object_id: str) -> list[str]:
-        return list(self._children.get(object_id, ()))
-
     def ancestors(self, object_id: str) -> Iterator[str]:
         """Ancestors from the immediate parent up to the root."""
-        current = self._parent.get(object_id)
+        current = self.parent(object_id)
         while current is not None:
             yield current
-            current = self._parent.get(current)
+            current = self.parent(current)
 
     def relation(self, held: str, requested: str) -> str:
         """Relation of ``requested`` to ``held``: self / descendant /

@@ -12,10 +12,17 @@ Object identifiers in the lock tree are namespaced:
 its scripts, a script its implementations, an implementation its files,
 test records and annotations, matching the container hierarchy the
 locking compatibility table (§3) quantifies over.
+
+The lock tree is read off the rows: an object is in it while its row
+is, and its container is the one its row's parent column names
+(``_CONTAINERS``), so a rename, a cascade or a reload leaves nothing to
+rebuild.  Only the configuration manager's ``cm:`` components are added
+to it by hand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 from pathlib import Path
@@ -36,11 +43,47 @@ from repro.core.reuse import ReuseManager
 from repro.core.scm import ConfigurationManager
 from repro.rdb import Database, col
 from repro.storage.blob import BlobKind, BlobStore
-from repro.storage.files import DocumentFile, FileKind, FileStore
+from repro.storage.files import (
+    DocumentFile,
+    FileDescriptor,
+    FileKind,
+    FileStore,
+)
 
 __all__ = ["WebDocumentDatabase"]
 
 _EPOCH = _dt.datetime(1999, 1, 1)
+
+#: Lock-tree prefix -> (tables holding such objects, the parent column,
+#: the parent's prefix); a database sits under the tree's root.
+_CONTAINERS: dict[str, tuple[tuple[str, ...], str, str | None]] = {
+    "db": (("doc_databases",), "db_name", None),
+    "script": (("scripts",), "db_name", "db"),
+    "impl": (("implementations",), "script_name", "script"),
+    "file": (("html_files", "program_files"), "starting_url", "impl"),
+    "test": (("test_records",), "starting_url", "impl"),
+    "bug": (("bug_reports",), "test_record_name", "test"),
+    "ann": (("annotations",), "starting_url", "impl"),
+}
+_FILE_TABLES = ("html_files", "program_files", "annotation_files")
+
+
+class _RowTree(ObjectTree):
+    """A station's lock tree: each object's container read off its row."""
+
+    def __init__(self, engine: Database) -> None:
+        super().__init__(root="wddb")
+        self._engine = engine
+
+    def parent(self, object_id: str) -> str | None:
+        prefix, _, key = object_id.partition(":")
+        tables, column, above = _CONTAINERS.get(prefix, ((), "", None))
+        for table in tables:
+            row = self._engine.get(table, key)
+            if row is not None and row[column] is not None:
+                return f"{above}:{row[column]}" if above else self.root
+        up = super().parent(object_id)  # a cm: node, added by hand
+        return up if up is not None and up in self else None
 
 
 class WebDocumentDatabase:
@@ -51,16 +94,14 @@ class WebDocumentDatabase:
         station: str = "local",
         *,
         with_integrity: bool = True,
-        blobs: BlobStore | None = None,
-        files: FileStore | None = None,
     ) -> None:
         self.station = station
         self.engine = Database(f"wddb_{station}")
         for table_schema in _schema.ALL_SCHEMAS:
             self.engine.create_table(table_schema)
-        self.blobs = blobs if blobs is not None else BlobStore(station=station)
-        self.files = files if files is not None else FileStore(station=station)
-        self.tree = ObjectTree(root="wddb")
+        self.blobs = BlobStore(station=station)
+        self.files = FileStore(station=station)
+        self.tree = _RowTree(self.engine)
         self.locks = LockManager(self.tree)
         self.scm = ConfigurationManager(self.locks)
         self.reuse = ReuseManager(self.blobs, self.files)
@@ -89,7 +130,6 @@ class WebDocumentDatabase:
             created_at=created_at or _EPOCH,
         )
         self.engine.insert("doc_databases", info.to_row())
-        self.tree.add(f"db:{db_name}", self.tree.root)
         return info
 
     def document_databases(self) -> list[DocumentDatabaseInfo]:
@@ -107,15 +147,17 @@ class WebDocumentDatabase:
         label: str,
         size_bytes: int,
         kind: BlobKind = BlobKind.OTHER,
-        *,
-        owner: str = "library",
     ) -> str:
-        """Register a multimedia resource; returns its digest.
+        """Store a multimedia resource on the station; returns its digest.
 
         Registering the same (label, size) twice shares storage — the
-        paper's in-station BLOB sharing.
+        paper's in-station BLOB sharing.  A digest registered before
+        without its bytes (a metadata-only check-out) becomes held, and
+        every implementation naming it takes its reference.
         """
-        digest = self.blobs.put_synthetic(label, size_bytes, kind, owner=owner)
+        digest = self.blobs.put_synthetic(
+            label, size_bytes, kind, owner="library"
+        )
         if self.engine.get("blobs", digest) is None:
             self.engine.insert(
                 "blobs",
@@ -126,6 +168,11 @@ class WebDocumentDatabase:
                     "label": label,
                 },
             )
+            return digest
+        for row in self.engine.select(
+            "implementations", where=col("multimedia").contains(digest)
+        ):
+            self.blobs.acquire(digest, f"impl:{row['starting_url']}")
         return digest
 
     def blob_info(self, digest: str) -> dict[str, Any] | None:
@@ -138,7 +185,6 @@ class WebDocumentDatabase:
     def add_script(self, script: ScriptSCI) -> ScriptSCI:
         """Insert a script SCI (its database must exist)."""
         self.engine.insert("scripts", script.to_row())
-        self.tree.add(f"script:{script.script_name}", f"db:{script.db_name}")
         return script
 
     def script(self, script_name: str) -> ScriptSCI | None:
@@ -171,8 +217,7 @@ class WebDocumentDatabase:
         deleted = self.engine.delete_pk("scripts", script_name)
         if deleted:
             for impl in impls:
-                self._forget_impl_tree(impl)
-            self._tree_discard(f"script:{script_name}")
+                self.blobs.release_owner(f"impl:{impl.starting_url}")
         return deleted
 
     def search_scripts(
@@ -205,9 +250,13 @@ class WebDocumentDatabase:
     ) -> ImplementationSCI:
         """Record one implementation try with its files.
 
-        Writes the files into the station file store, registers them in
-        the file tables, and enforces the paper's rule that "each
-        implementation contains at least one HTML file".
+        Enforces the paper's rule that "each implementation contains at
+        least one HTML file" and refuses, before writing anything, a
+        file of the wrong kind, an unregistered multimedia digest, a
+        path listed twice or one registered to an implementation.  Then
+        the row goes in, the files are written and registered, and the
+        implementation takes a reference on each BLOB it names that the
+        station holds.
         """
         if not html_files:
             raise ValueError(
@@ -218,40 +267,28 @@ class WebDocumentDatabase:
                 raise ValueError(
                     f"{document_file.path!r} is not an HTML file"
                 )
-        impl = ImplementationSCI(
-            starting_url=impl.starting_url,
-            script_name=impl.script_name,
-            author=impl.author,
-            html_files=[self.files.write(f) for f in html_files],
-            program_files=[self.files.write(f) for f in program_files],
-            multimedia=list(impl.multimedia),
-            created_at=impl.created_at,
-        )
-        self.engine.insert("implementations", impl.to_row())
-        impl_node = f"impl:{impl.starting_url}"
-        self.tree.add(impl_node, f"script:{impl.script_name}")
-        for document_file, table in (
-            *((f, "html_files") for f in html_files),
-            *((f, "program_files") for f in program_files),
-        ):
-            if self.engine.get(table, document_file.path) is None:
-                self.engine.insert(
-                    table,
-                    {
-                        "path": document_file.path,
-                        "station": self.station,
-                        "starting_url": impl.starting_url,
-                        "size_bytes": document_file.size,
-                        "checksum": document_file.checksum,
-                    },
-                )
-            self.tree.add(f"file:{document_file.path}", impl_node)
         for digest in impl.multimedia:
             if self.engine.get("blobs", digest) is None:
                 raise LookupError(
                     f"multimedia digest {digest!r} is not registered"
                 )
-            self.blobs.acquire(digest, owner=f"impl:{impl.starting_url}")
+        self._refuse_taken([*html_files, *program_files])
+        impl = dataclasses.replace(
+            impl,
+            html_files=[
+                FileDescriptor(self.station, f.path) for f in html_files
+            ],
+            program_files=[
+                FileDescriptor(self.station, f.path) for f in program_files
+            ],
+            multimedia=list(impl.multimedia),
+        )
+        self.engine.insert("implementations", impl.to_row())
+        self._store_files(html_files, "html_files", impl.starting_url)
+        self._store_files(program_files, "program_files", impl.starting_url)
+        for digest in impl.multimedia:
+            if digest in self.blobs:
+                self.blobs.acquire(digest, f"impl:{impl.starting_url}")
         return impl
 
     def implementation(self, starting_url: str) -> ImplementationSCI | None:
@@ -278,12 +315,28 @@ class WebDocumentDatabase:
 
     def delete_implementation(self, starting_url: str) -> bool:
         """Delete one implementation (dependents cascade; BLOB refs released)."""
-        impl = self.implementation(starting_url)
         deleted = self.engine.delete_pk("implementations", starting_url)
-        if deleted and impl is not None:
-            self._forget_impl_tree(impl)
+        if deleted:
             self.blobs.release_owner(f"impl:{starting_url}")
         return deleted
+
+    def check_course(
+        self,
+        script_name: str,
+        implementations: Iterable[
+            tuple[ImplementationSCI, list[DocumentFile], list[DocumentFile]]
+        ],
+    ) -> None:
+        """Raise what adding a script with these implementations (each
+        with its HTML and program files) would refuse; writes nothing."""
+        if self.script(script_name) is not None:
+            raise ValueError(f"script {script_name!r} already exists")
+        for impl, html_files, program_files in implementations:
+            if self.implementation(impl.starting_url) is not None:
+                raise ValueError(
+                    f"implementation {impl.starting_url!r} already exists"
+                )
+            self._refuse_taken([*html_files, *program_files])
 
     # ------------------------------------------------------------------
     # Test records / bug reports / annotations
@@ -291,9 +344,6 @@ class WebDocumentDatabase:
     def add_test_record(self, record: TestRecordSCI) -> TestRecordSCI:
         """File a test record against an existing implementation."""
         self.engine.insert("test_records", record.to_row())
-        self.tree.add(
-            f"test:{record.test_record_name}", f"impl:{record.starting_url}"
-        )
         return record
 
     def test_records_of(self, starting_url: str) -> list[TestRecordSCI]:
@@ -310,9 +360,6 @@ class WebDocumentDatabase:
     def add_bug_report(self, report: BugReportSCI) -> BugReportSCI:
         """File a bug report against an existing test record."""
         self.engine.insert("bug_reports", report.to_row())
-        self.tree.add(
-            f"bug:{report.bug_report_name}", f"test:{report.test_record_name}"
-        )
         return report
 
     def bug_reports_of(self, test_record_name: str) -> list[BugReportSCI]:
@@ -329,36 +376,23 @@ class WebDocumentDatabase:
     def add_annotation(
         self, annotation: AnnotationSCI, annotation_file: DocumentFile
     ) -> AnnotationSCI:
-        """Store an instructor's annotation overlay and its file."""
+        """Store an instructor's annotation overlay and its file.
+
+        Refuses, before writing anything, a file of the wrong kind or a
+        path registered to an implementation.
+        """
         if annotation_file.kind is not FileKind.ANNOTATION:
             raise ValueError(
                 f"{annotation_file.path!r} is not an annotation file"
             )
-        descriptor = self.files.write(annotation_file)
-        annotation = AnnotationSCI(
-            annotation_name=annotation.annotation_name,
-            author=annotation.author,
-            script_name=annotation.script_name,
-            starting_url=annotation.starting_url,
-            annotation_file=descriptor,
-            version=annotation.version,
-            created_at=annotation.created_at,
+        self._refuse_taken([annotation_file])
+        annotation = dataclasses.replace(
+            annotation,
+            annotation_file=FileDescriptor(self.station, annotation_file.path),
         )
         self.engine.insert("annotations", annotation.to_row())
-        if self.engine.get("annotation_files", annotation_file.path) is None:
-            self.engine.insert(
-                "annotation_files",
-                {
-                    "path": annotation_file.path,
-                    "station": self.station,
-                    "starting_url": annotation.starting_url,
-                    "size_bytes": annotation_file.size,
-                    "checksum": annotation_file.checksum,
-                },
-            )
-        self.tree.add(
-            f"ann:{annotation.annotation_name}",
-            f"impl:{annotation.starting_url}",
+        self._store_files(
+            [annotation_file], "annotation_files", annotation.starting_url
         )
         return annotation
 
@@ -410,25 +444,18 @@ class WebDocumentDatabase:
         source = self.script(script_name)
         if source is None:
             raise LookupError(f"unknown script {script_name!r}")
-        if self.script(new_script_name) is not None:
-            raise ValueError(f"script {new_script_name!r} already exists")
-        new_script = ScriptSCI(
+        new_script = dataclasses.replace(
+            source,
             script_name=new_script_name,
-            db_name=source.db_name,
             author=author if author is not None else source.author,
-            description=source.description,
             keywords=list(source.keywords),
             version=1,
-            created_at=source.created_at,
-            verbal_description=source.verbal_description,
-            expected_completion=source.expected_completion,
-            percent_complete=source.percent_complete,
             multimedia=list(source.multimedia),
         )
         for key, value in (modifications or {}).items():
             setattr(new_script, key, value)
-        self.add_script(new_script)
         prefix = f"{new_script_name}/"
+        copies = []
         for impl in self.implementations_of(script_name):
             # Rewrite paths (and the links between them) under the new
             # prefix so the duplicate is self-contained.
@@ -445,14 +472,12 @@ class WebDocumentDatabase:
                     DocumentFile(mapping[fd.path], original.kind, content)
                 )
             new_programs = [
-                DocumentFile(
-                    f"{prefix}{fd.path}",
-                    self.files.read(fd.path).kind,
-                    self.files.read(fd.path).content,
+                dataclasses.replace(
+                    self.files.read(fd.path), path=f"{prefix}{fd.path}"
                 )
                 for fd in impl.program_files
             ]
-            self.add_implementation(
+            copies.append((
                 ImplementationSCI(
                     starting_url=f"{impl.starting_url}{new_script_name}/",
                     script_name=new_script_name,
@@ -460,9 +485,13 @@ class WebDocumentDatabase:
                     multimedia=list(impl.multimedia),  # shared BLOBs
                     created_at=impl.created_at,
                 ),
-                html_files=new_html,
-                program_files=new_programs,
-            )
+                new_html,
+                new_programs,
+            ))
+        self.check_course(new_script_name, copies)
+        self.add_script(new_script)
+        for copy in copies:
+            self.add_implementation(*copy)
         return new_script
 
     # ------------------------------------------------------------------
@@ -471,10 +500,10 @@ class WebDocumentDatabase:
     def save(self, directory: str | Path) -> None:
         """Persist the whole station database to ``directory``.
 
-        Writes the relational snapshot plus the document files.  BLOB
-        bytes are synthetic in this reproduction, so the blobs table is
-        sufficient to rebuild the store; ownership is reconstructed from
-        the implementation rows on load.
+        Writes the relational snapshot, the document files and which
+        registered BLOBs the station holds.  BLOB bytes are synthetic in
+        this reproduction, so the blobs table is enough to put the held
+        ones back; their references follow from the implementation rows.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -486,10 +515,14 @@ class WebDocumentDatabase:
             }
             for document in self.files.files()
         }
-        (directory / "files.json").write_text(
-            json.dumps(files_payload, separators=(",", ":")),
-            encoding="utf-8",
-        )
+        held = sorted(blob.digest for blob in self.blobs.blobs()
+                      if self.blob_info(blob.digest) is not None)
+        for name, payload in (
+            ("files.json", files_payload), ("blobs.json", held),
+        ):
+            (directory / name).write_text(
+                json.dumps(payload, separators=(",", ":")), encoding="utf-8"
+            )
 
     @classmethod
     def load(
@@ -501,8 +534,8 @@ class WebDocumentDatabase:
     ) -> "WebDocumentDatabase":
         """Rebuild a station database saved by :meth:`save`.
 
-        Restores rows, files, the BLOB store (with per-implementation
-        ownership) and the lock-tree hierarchy.
+        Restores rows, files and the held BLOBs, each referenced by the
+        implementations that name it; the lock tree is the rows.
         """
         directory = Path(directory)
         db = cls(station, with_integrity=with_integrity)
@@ -516,34 +549,12 @@ class WebDocumentDatabase:
             db.files.write(
                 DocumentFile(path, FileKind(entry["kind"]), entry["content"])
             )
-        # Rebuild the BLOB store from the registry + implementations.
-        for row in db.engine.select("blobs"):
-            db.blobs.put_synthetic(
-                row["label"], row["size_bytes"],
-                BlobKind(row["kind"]), owner="library",
+        held = (directory / "blobs.json").read_text(encoding="utf-8")
+        for digest in json.loads(held):
+            row = db.engine.get("blobs", digest)
+            db.register_blob(
+                row["label"], row["size_bytes"], BlobKind(row["kind"])
             )
-        # Rebuild the lock tree, then re-acquire per-impl BLOB ownership.
-        for row in db.engine.select("doc_databases"):
-            db.tree.add(f"db:{row['db_name']}", db.tree.root)
-        for row in db.engine.select("scripts"):
-            db.tree.add(f"script:{row['script_name']}",
-                        f"db:{row['db_name']}")
-        for row in db.engine.select("implementations"):
-            node = f"impl:{row['starting_url']}"
-            db.tree.add(node, f"script:{row['script_name']}")
-            for descriptor in (*row["html_files"], *row["program_files"]):
-                db.tree.add(f"file:{descriptor['path']}", node)
-            for digest in row["multimedia"] or []:
-                db.blobs.acquire(digest, f"impl:{row['starting_url']}")
-        for row in db.engine.select("test_records"):
-            db.tree.add(f"test:{row['test_record_name']}",
-                        f"impl:{row['starting_url']}")
-        for row in db.engine.select("bug_reports"):
-            db.tree.add(f"bug:{row['bug_report_name']}",
-                        f"test:{row['test_record_name']}")
-        for row in db.engine.select("annotations"):
-            db.tree.add(f"ann:{row['annotation_name']}",
-                        f"impl:{row['starting_url']}")
         return db
 
     # ------------------------------------------------------------------
@@ -564,21 +575,33 @@ class WebDocumentDatabase:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _forget_impl_tree(self, impl: ImplementationSCI) -> None:
-        """Remove an implementation's lock-tree subtree after cascade."""
-        impl_node = f"impl:{impl.starting_url}"
-        if impl_node not in self.tree:
-            return
-        # Delete leaves first (tree.remove refuses non-leaves).
-        stack = [impl_node]
-        order: list[str] = []
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(self.tree.children(node))
-        for node in reversed(order):
-            self._tree_discard(node)
+    def _refuse_taken(self, files: Iterable[DocumentFile]) -> None:
+        """Refuse a path listed twice or registered to an implementation."""
+        paths = [document_file.path for document_file in files]
+        for index, path in enumerate(paths):
+            if path in paths[:index]:
+                raise ValueError(f"{path!r} is listed twice")
+            for table in _FILE_TABLES:
+                row = self.engine.get(table, path)
+                if row is not None and row["starting_url"] is not None:
+                    raise ValueError(
+                        f"{path!r} already belongs to {row['starting_url']!r}"
+                    )
 
-    def _tree_discard(self, node: str) -> None:
-        if node in self.tree and not self.tree.children(node):
-            self.tree.remove(node)
+    def _store_files(
+        self, files: Iterable[DocumentFile], table: str, starting_url: str
+    ) -> None:
+        """Write ``files``; their ``table`` rows name ``starting_url``."""
+        for document_file in files:
+            self.files.write(document_file)
+            entry = {
+                "path": document_file.path,
+                "station": self.station,
+                "starting_url": starting_url,
+                "size_bytes": document_file.size,
+                "checksum": document_file.checksum,
+            }
+            if self.engine.get(table, document_file.path) is None:
+                self.engine.insert(table, entry)
+            else:
+                self.engine.update_pk(table, document_file.path, entry)

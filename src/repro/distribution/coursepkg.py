@@ -33,7 +33,7 @@ from repro.net.station import Station
 from repro.net.transport import Network
 from repro.rdb import col
 from repro.storage.blob import BlobKind
-from repro.storage.files import DocumentFile, FileKind
+from repro.storage.files import DocumentFile, FileDescriptor, FileKind
 
 __all__ = ["CoursePackage", "package_course", "install_package", "CourseShipper"]
 
@@ -116,65 +116,44 @@ def install_package(
 ) -> ScriptSCI:
     """Install a package into a (different) station database.
 
-    Creates the parent document database if absent, registers BLOBs
-    (physically when the package carried them, as registry-only
-    references otherwise), writes files and inserts the rows.
+    Refuses, before writing anything, what
+    :meth:`~repro.core.wddb.WebDocumentDatabase.check_course` refuses.  Then
+    creates the parent document database if absent, registers BLOBs
+    (stored on the station when the package carried them, registry-only
+    references otherwise) and adds the script and its implementations.
     """
-    script_row = dict(package.script_row)
-    db_name = script_row["db_name"]
-    if db.engine.get("doc_databases", db_name) is None:
+    script = ScriptSCI.from_row(package.script_row)
+    if db.engine.get("scripts", script.script_name) is not None:
+        raise ValueError(f"script {script.script_name!r} already installed")
+
+    def documents(descriptors: list[FileDescriptor]) -> list[DocumentFile]:
+        return [
+            DocumentFile(fd.path, FileKind(package.files[fd.path][0]),
+                         package.files[fd.path][1])
+            for fd in descriptors
+        ]
+
+    implementations = [
+        (impl, documents(impl.html_files), documents(impl.program_files))
+        for impl in map(ImplementationSCI.from_row, package.implementation_rows)
+    ]
+    db.check_course(script.script_name, implementations)
+    if db.engine.get("doc_databases", script.db_name) is None:
         db.create_document_database(
-            db_name, author=script_row["author"],
-            created_at=script_row["created_at"],
-        )
-    if db.engine.get("scripts", script_row["script_name"]) is not None:
-        raise ValueError(
-            f"script {script_row['script_name']!r} already installed"
+            script.db_name, author=script.author, created_at=script.created_at,
         )
     for blob_row in package.blob_rows:
-        # Registry entry always lands; bytes (synthetic) only arrive
-        # with a full package — a metadata check-out keeps them remote.
-        if db.engine.get("blobs", blob_row["digest"]) is None:
-            db.engine.insert("blobs", dict(blob_row))
+        # A metadata check-out registers the BLOB but keeps it remote.
         if package.include_blobs:
-            db.blobs.put_synthetic(
+            db.register_blob(
                 blob_row["label"], blob_row["size_bytes"],
-                BlobKind(blob_row["kind"]), owner="library",
+                BlobKind(blob_row["kind"]),
             )
-    script = ScriptSCI.from_row(script_row)
-    db.engine.insert("scripts", script.to_row())
-    db.tree.add(f"script:{script.script_name}", f"db:{db_name}")
-    for row in package.implementation_rows:
-        impl = ImplementationSCI.from_row(row)
-        html_files = [
-            DocumentFile(fd.path, FileKind(package.files[fd.path][0]),
-                         package.files[fd.path][1])
-            for fd in impl.html_files
-        ]
-        program_files = [
-            DocumentFile(fd.path, FileKind(package.files[fd.path][0]),
-                         package.files[fd.path][1])
-            for fd in impl.program_files
-        ]
-        if package.include_blobs:
-            db.add_implementation(impl, html_files, program_files)
-        else:
-            # Without the BLOB bytes the facade's acquire would fail, so
-            # strip the references down to the registry level.
-            stripped = ImplementationSCI(
-                starting_url=impl.starting_url,
-                script_name=impl.script_name,
-                author=impl.author,
-                multimedia=[],
-                created_at=impl.created_at,
-            )
-            installed = db.add_implementation(
-                stripped, html_files, program_files
-            )
-            db.engine.update_pk(
-                "implementations", installed.starting_url,
-                {"multimedia": list(impl.multimedia)},
-            )
+        elif db.engine.get("blobs", blob_row["digest"]) is None:
+            db.engine.insert("blobs", dict(blob_row))
+    db.add_script(script)
+    for impl, html_files, program_files in implementations:
+        db.add_implementation(impl, html_files, program_files)
     return script
 
 

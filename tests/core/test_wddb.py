@@ -6,6 +6,7 @@ from repro.core import (
     AnnotationSCI,
     BugReportSCI,
     ImplementationSCI,
+    LockMode,
     ScriptSCI,
     TestRecordSCI,
     WebDocumentDatabase,
@@ -93,6 +94,52 @@ class TestImplementations:
                 html_files=[DocumentFile("a.html", FileKind.HTML, "x")],
             )
 
+    def test_unknown_blob_writes_nothing(self, wddb):
+        wddb.add_script(ScriptSCI("cs1", "mmu", author="shih"))
+        with pytest.raises(LookupError, match="not registered"):
+            wddb.add_implementation(
+                ImplementationSCI("http://x/", "cs1", author="shih",
+                                  multimedia=["nodigest"]),
+                html_files=[DocumentFile("a.html", FileKind.HTML, "x")],
+            )
+        assert wddb.implementation("http://x/") is None
+        assert wddb.engine.count("html_files") == 0
+        assert not wddb.files.exists("a.html")
+        assert "impl:http://x/" not in wddb.tree
+        assert "file:a.html" not in wddb.tree
+
+    def test_path_of_another_implementation_refused(self, wddb, course):
+        before = wddb.files.read("cs101/p1.html").content
+        with pytest.raises(ValueError, match="already belongs"):
+            wddb.add_implementation(
+                ImplementationSCI("http://mmu/cs101/v2/", "cs101",
+                                  author="shih"),
+                html_files=[
+                    DocumentFile("cs101/p1.html", FileKind.HTML, "B")
+                ],
+            )
+        assert wddb.files.read("cs101/p1.html").content == before
+        assert wddb.implementation("http://mmu/cs101/v2/") is None
+        assert "impl:http://mmu/cs101/v2/" not in wddb.tree
+        row = wddb.engine.get("html_files", "cs101/p1.html")
+        assert row["starting_url"] == course.starting_url
+
+    def test_path_freed_by_a_delete_is_taken_over(self, wddb, course):
+        wddb.delete_implementation(course.starting_url)
+        assert "file:cs101/p1.html" not in wddb.tree
+        wddb.add_implementation(
+            ImplementationSCI("http://mmu/cs101/v2/", "cs101", author="shih"),
+            html_files=[DocumentFile("cs101/p1.html", FileKind.HTML, "B")],
+        )
+        row = wddb.engine.get("html_files", "cs101/p1.html")
+        assert row["starting_url"] == "http://mmu/cs101/v2/"
+        assert row["checksum"] == DocumentFile(
+            "cs101/p1.html", FileKind.HTML, "B"
+        ).checksum
+        assert wddb.tree.parent("file:cs101/p1.html") == (
+            "impl:http://mmu/cs101/v2/"
+        )
+
     def test_implementations_of(self, wddb, course):
         impls = wddb.implementations_of("cs101")
         assert [i.starting_url for i in impls] == ["http://mmu/cs101/"]
@@ -138,6 +185,36 @@ class TestDependentObjects:
                 DocumentFile("a.html", FileKind.HTML, "x"),
             )
 
+    def test_refused_annotation_writes_nothing(self, wddb, course):
+        wddb.add_annotation(
+            AnnotationSCI("ann1", "huang", "cs101", course.starting_url,
+                          annotation_file=None),
+            DocumentFile("notes.json", FileKind.ANNOTATION, "first"),
+        )
+        with pytest.raises(ValueError, match="already belongs"):
+            wddb.add_annotation(
+                AnnotationSCI("ann1", "ma", "cs101", course.starting_url,
+                              annotation_file=None),
+                DocumentFile("notes.json", FileKind.ANNOTATION, "second"),
+            )
+        assert wddb.files.read("notes.json").content == "first"
+        with pytest.raises(ConstraintError):
+            wddb.add_annotation(
+                AnnotationSCI("ann1", "ma", "cs101", course.starting_url,
+                              annotation_file=None),
+                DocumentFile("other.json", FileKind.ANNOTATION, "second"),
+            )
+        assert not wddb.files.exists("other.json")
+        with pytest.raises(ForeignKeyError):
+            wddb.add_annotation(
+                AnnotationSCI("ann2", "ma", "cs101", "http://ghost/",
+                              annotation_file=None),
+                DocumentFile("ghost.json", FileKind.ANNOTATION, "x"),
+            )
+        assert not wddb.files.exists("ghost.json")
+        assert wddb.engine.get("annotation_files", "ghost.json") is None
+        assert "ann:ann2" not in wddb.tree
+
     def test_annotations_by_author(self, wddb, course):
         for author in ("huang", "ma"):
             wddb.add_annotation(
@@ -168,6 +245,17 @@ class TestCascadingDeletes:
     def test_delete_script_missing_returns_false(self, wddb):
         assert wddb.delete_script("ghost") is False
 
+    def test_delete_script_releases_blob_references(self, wddb, course):
+        digest = course.multimedia[0]
+        wddb.delete_script("cs101")
+        assert wddb.blobs.owners_of(digest) == {"library"}
+
+    def test_component_leaves_the_tree_with_its_container(self, wddb, course):
+        wddb.scm.add_component("cm:page", "file:cs101/index.html", "v1", "shih")
+        assert list(wddb.tree.ancestors("cm:page"))[-1] == wddb.tree.root
+        wddb.delete_implementation(course.starting_url)
+        assert "cm:page" not in wddb.tree
+
     def test_lock_tree_pruned_after_delete(self, wddb, course):
         assert f"impl:{course.starting_url}" in wddb.tree
         wddb.delete_script("cs101")
@@ -182,6 +270,21 @@ class TestRenameCascade:
         assert wddb.implementation(course.starting_url).script_name == "cs101v2"
         records = wddb.test_records_of(course.starting_url)
         assert records[0].script_name == "cs101v2"
+
+    def test_renamed_script_keeps_its_lock_tree(self, wddb, course):
+        wddb.update_script("cs101", {"script_name": "renamed"})
+        wddb.locks.acquire("shih", "script:renamed", LockMode.WRITE)
+        assert "script:cs101" not in wddb.tree
+        assert wddb.tree.parent(f"impl:{course.starting_url}") == (
+            "script:renamed"
+        )
+        assert not wddb.locks.can_acquire(
+            "huang", "file:cs101/index.html", LockMode.READ
+        )
+        wddb.locks.release("shih", "script:renamed")
+        wddb.delete_script("renamed")
+        assert "script:renamed" not in wddb.tree
+        assert "script:cs101" not in wddb.tree
 
 
 class TestStats:

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core import LockMode, ScriptSCI, TestRecordSCI, WebDocumentDatabase
+from repro.core import (
+    ImplementationSCI,
+    LockMode,
+    ScriptSCI,
+    TestRecordSCI,
+    WebDocumentDatabase,
+)
 from repro.qa import QARunner
+from repro.storage.files import DocumentFile, FileKind
 
 
 class TestDuplicateCourse:
@@ -56,6 +63,26 @@ class TestDuplicateCourse:
         with pytest.raises(LookupError):
             wddb.duplicate_course("ghost", "copy")
 
+    @pytest.mark.parametrize("taken", ["url", "path"])
+    def test_refused_duplicate_writes_nothing(self, wddb, course, taken):
+        wddb.add_script(ScriptSCI("other", "mmu", author="ma"))
+        wddb.add_implementation(
+            ImplementationSCI(
+                f"{course.starting_url}copy/" if taken == "url" else "u",
+                "other", author="ma",
+            ),
+            html_files=[DocumentFile(
+                "x.html" if taken == "url" else "copy/cs101/p1.html",
+                FileKind.HTML, "mine",
+            )],
+        )
+        before = wddb.engine.stats()["statements"]
+        with pytest.raises(ValueError, match="already"):
+            wddb.duplicate_course("cs101", "copy")
+        assert wddb.engine.stats()["statements"] == before
+        assert wddb.script("copy") is None
+        assert not wddb.files.exists("copy/cs101/index.html")
+
     def test_existing_target_rejected(self, wddb, course):
         with pytest.raises(ValueError, match="already exists"):
             wddb.duplicate_course("cs101", "cs101")
@@ -93,6 +120,20 @@ class TestSaveLoad:
         assert digest in loaded.blobs
         assert f"impl:{course.starting_url}" in loaded.blobs.owners_of(digest)
         assert loaded.blobs.physical_bytes == wddb.blobs.physical_bytes
+
+    def test_roundtrip_loads_only_held_blobs(self, wddb, course, tmp_path):
+        # A registry row whose bytes stay on another station.
+        wddb.engine.insert("blobs", {"digest": "remote", "kind": "video",
+                                     "size_bytes": 5_000_000,
+                                     "label": "remote.mpg"})
+        wddb.save(tmp_path / "state")
+        loaded = WebDocumentDatabase.load(tmp_path / "state")
+        assert "remote" not in loaded.blobs
+        assert loaded.blob_info("remote") is not None
+        assert loaded.blobs.physical_bytes == wddb.blobs.physical_bytes
+        assert sorted(b.digest for b in loaded.blobs.blobs()) == sorted(
+            b.digest for b in wddb.blobs.blobs()
+        )
 
     def test_roundtrip_rebuilds_lock_tree(self, wddb, course, tmp_path):
         self._populate(wddb, course)

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core import WebDocumentDatabase
+from repro.core import ImplementationSCI, ScriptSCI, WebDocumentDatabase
 from repro.distribution import (
     CourseShipper,
     install_package,
     package_course,
 )
 from repro.qa import QARunner
+from repro.storage.files import DocumentFile, FileKind
 from repro.workloads import CourseGenerator
 
 from tests.conftest import build_network
@@ -62,6 +63,36 @@ class TestInstall:
         assert impl.multimedia == course.implementation.multimedia
         assert student.blobs.physical_bytes == 0
         assert student.engine.count("blobs") == len(package.blob_rows)
+
+    def test_metadata_only_station_survives_save_load(self, source, tmp_path):
+        db, course = source
+        student = WebDocumentDatabase("student")
+        install_package(student, package_course(db, course.script.script_name))
+        student.save(tmp_path / "state")
+        loaded = WebDocumentDatabase.load(tmp_path / "state", "student")
+        assert len(loaded.blobs) == 0
+        assert loaded.blobs.physical_bytes == 0
+        assert loaded.engine.count("blobs") == student.engine.count("blobs")
+
+    def test_metadata_only_install_refuses_a_taken_path(self, source):
+        db, course = source
+        package = package_course(db, course.script.script_name)
+        student = WebDocumentDatabase("student")
+        student.create_document_database("mmu", author="shih")
+        student.add_script(ScriptSCI("mine", "mmu", author="ma"))
+        taken = course.implementation.html_files[0].path
+        student.add_implementation(
+            ImplementationSCI("http://mine/", "mine", author="ma"),
+            html_files=[DocumentFile(taken, FileKind.HTML, "mine")],
+        )
+        with pytest.raises(ValueError, match="already belongs"):
+            install_package(student, package)
+        assert student.files.read(taken).content == "mine"
+        assert student.script(course.script.script_name) is None
+        assert student.engine.count("blobs") == 0
+        assert student.implementation(
+            course.implementation.starting_url
+        ) is None
 
     def test_roundtrip_full_copy(self, source):
         db, course = source
