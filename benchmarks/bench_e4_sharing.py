@@ -8,7 +8,7 @@ different instances instantiated from the class."
 The table sweeps the cross-course reuse probability for a 200-course
 corpus and reports physical vs logical (copy-per-reference) bytes —
 the saving the content-addressed store realizes — plus the
-class/instance sharing measured directly on the reuse manager.
+class/instance sharing of one template course duplicated per section.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 import pytest
 
 from benchmarks.common import print_table
-from repro.core import ReuseManager, WebDocumentDatabase
-from repro.storage.blob import BlobKind, BlobStore
-from repro.storage.files import DocumentFile, FileKind, FileStore
+from repro.core import ImplementationSCI, ScriptSCI, WebDocumentDatabase
+from repro.storage.blob import BlobKind
+from repro.storage.files import DocumentFile, FileKind
 from repro.util.units import MIB, format_bytes
 from repro.workloads import CourseGenerator
 
@@ -45,17 +45,21 @@ def corpus_stats(reuse: float) -> dict:
 
 def class_instance_sharing(n_instances: int) -> dict:
     """The class/instance half of the claim: one 40 MiB course template
-    instantiated for n sections shares its BLOBs."""
-    manager = ReuseManager(BlobStore("st"), FileStore("st"))
-    manager.create_instance(
-        "master",
+    duplicated for n sections shares its BLOBs."""
+    db = WebDocumentDatabase("st")
+    db.create_document_database("mmu", author="gen")
+    db.add_script(ScriptSCI("template", "mmu", author="gen"))
+    lecture = db.register_blob("lecture.mpg", 40 * MIB, BlobKind.VIDEO)
+    db.add_implementation(
+        ImplementationSCI(
+            "http://mmu/template/", "template", author="gen",
+            multimedia=[lecture],
+        ),
         [DocumentFile("index.html", FileKind.HTML, "<html>x</html>")],
-        [("lecture.mpg", 40 * MIB, BlobKind.VIDEO)],
     )
-    manager.declare_class("master", "template")
     for index in range(n_instances):
-        manager.instantiate("template", f"section{index}")
-    return manager.sharing_report()
+        db.duplicate_course("template", f"section{index}")
+    return db.blobs.stats()
 
 
 def experiment_rows() -> list[list]:

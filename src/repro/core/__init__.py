@@ -8,13 +8,13 @@ The package implements §3 and the station-local half of §4:
 * :mod:`repro.core.objects` — typed SCI objects (Script, Implementation,
   TestRecord, BugReport, Annotation) that load/store those rows.
 * :mod:`repro.core.wddb` — :class:`WebDocumentDatabase`, the DBMS facade
-  the tools program against.
+  the tools program against.  Its rows are the station's document
+  classes (template courses naming shared BLOBs) and instances
+  (:meth:`~repro.core.wddb.WebDocumentDatabase.duplicate_course` copies).
 * :mod:`repro.core.integrity` — the referential-integrity diagram with
   labeled ``+``/``*`` links and update-alert propagation.
 * :mod:`repro.core.locking` — the object-locking compatibility table for
   collaborative course editing.
-* :mod:`repro.core.reuse` — document classes, instances and references;
-  BLOB sharing between them.
 * :mod:`repro.core.scm` — software-configuration management: check-in /
   check-out and version chains of course components.
 """
@@ -37,7 +37,6 @@ from repro.core.locking import (
     LockMode,
     ObjectTree,
 )
-from repro.core.reuse import DocumentClass, DocumentInstance, DocumentReference, ReuseManager
 from repro.core.scm import CheckoutError, ConfigurationManager, VersionRecord
 from repro.core.complexity import CourseComplexity, measure_complexity
 
@@ -60,10 +59,6 @@ __all__ = [
     "LockConflictError",
     "LockHierarchyError",
     "ObjectTree",
-    "DocumentClass",
-    "DocumentInstance",
-    "DocumentReference",
-    "ReuseManager",
     "CheckoutError",
     "ConfigurationManager",
     "VersionRecord",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.core.objects import ImplementationSCI
 from repro.core.wddb import WebDocumentDatabase
-from repro.qa.traversal import extract_links
+from repro.storage.files import LINK_PATTERNS
 
 __all__ = ["CourseComplexity", "measure_complexity"]
 
@@ -77,8 +77,8 @@ def measure_complexity(
     for path in page_paths:
         if not db.files.exists(path):
             continue
-        links = extract_links(db.files.read(path).content)
-        for href in links.hrefs:
+        content = db.files.read(path).content
+        for href in LINK_PATTERNS["href"].findall(content):
             if href in page_set:
                 edges.append((path, href))
 

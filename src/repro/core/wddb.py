@@ -18,6 +18,14 @@ is, and its container is the one its row's parent column names
 (``_CONTAINERS``), so a rename, a cascade or a reload leaves nothing to
 rebuild.  Only the configuration manager's ``cm:`` components are added
 to it by hand.
+
+A station's document classes and instances (§4) are its rows too: a
+class is a template course whose implementations name registered BLOBs,
+each held once in the station's BLOB store; an instance is a
+:meth:`~WebDocumentDatabase.duplicate_course` copy, with its own HTML
+and program files and references to the template's BLOBs.  A reference
+to a remote instance is a broadcast holding
+(:mod:`repro.distribution.replication`).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as _dt
 import json
+import re
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -39,7 +48,6 @@ from repro.core.objects import (
     ScriptSCI,
     TestRecordSCI,
 )
-from repro.core.reuse import ReuseManager
 from repro.core.scm import ConfigurationManager
 from repro.rdb import Database, col
 from repro.storage.blob import BlobKind, BlobStore
@@ -48,6 +56,7 @@ from repro.storage.files import (
     FileDescriptor,
     FileKind,
     FileStore,
+    LINK_PATTERNS,
 )
 
 __all__ = ["WebDocumentDatabase"]
@@ -86,6 +95,23 @@ class _RowTree(ObjectTree):
         return up if up is not None and up in self else None
 
 
+def _relink(html: str, moved: dict[str, str]) -> str:
+    """``html`` with each link value that is a key of ``moved`` renamed
+    to its value; every other value is left as it is."""
+
+    def rename(match: re.Match[str]) -> str:
+        target = moved.get(match[1])
+        if target is None:
+            return match[0]
+        # The value runs up to the closing quote, the match's last char.
+        head = match[0][: match.start(1) - match.start()]
+        return f"{head}{target}{match[0][-1]}"
+
+    for pattern in LINK_PATTERNS.values():
+        html = pattern.sub(rename, html)
+    return html
+
+
 class WebDocumentDatabase:
     """The Web document DBMS on one station."""
 
@@ -104,7 +130,6 @@ class WebDocumentDatabase:
         self.tree = _RowTree(self.engine)
         self.locks = LockManager(self.tree)
         self.scm = ConfigurationManager(self.locks)
-        self.reuse = ReuseManager(self.blobs, self.files)
         self.alerts: AlertEngine | None = None
         if with_integrity:
             self.alerts = AlertEngine(
@@ -435,12 +460,23 @@ class WebDocumentDatabase:
     ) -> ScriptSCI:
         """Duplicate a script and its implementations as a new compound.
 
-        Small objects (the script row, implementation rows, HTML and
-        program files) are physically copied under a ``<new name>/``
-        path prefix; BLOB digests are re-referenced, not re-stored —
-        exactly the paper's size-based split.  ``modifications`` patches
-        the new script row (description, keywords, ...).
+        The source is a class (a template course whose implementations
+        name registered BLOBs); the copy is an instance of it.  Small
+        objects (the script row, implementation rows, HTML and program
+        files) are physically copied under a ``<new name>/`` path
+        prefix, and each ``href``/``src``/``code`` value naming a copied
+        file is rewritten to the copy, so the duplicate is
+        self-contained; BLOB digests are re-referenced, not re-stored —
+        exactly the paper's size-based split.  ``modifications``
+        patches the new script row (description, keywords, ...; its
+        name is ``new_script_name``).  A refused duplicate writes
+        nothing.
         """
+        modifications = modifications or {}
+        if "script_name" in modifications:
+            raise ValueError(
+                "a duplicate is named by new_script_name, not a modification"
+            )
         source = self.script(script_name)
         if source is None:
             raise LookupError(f"unknown script {script_name!r}")
@@ -452,28 +488,25 @@ class WebDocumentDatabase:
             version=1,
             multimedia=list(source.multimedia),
         )
-        for key, value in (modifications or {}).items():
+        for key, value in modifications.items():
             setattr(new_script, key, value)
         prefix = f"{new_script_name}/"
         copies = []
         for impl in self.implementations_of(script_name):
-            # Rewrite paths (and the links between them) under the new
-            # prefix so the duplicate is self-contained.
-            mapping = {
-                fd.path: f"{prefix}{fd.path}" for fd in impl.html_files
+            moved = {
+                fd.path: f"{prefix}{fd.path}"
+                for fd in (*impl.html_files, *impl.program_files)
             }
-            new_html = []
-            for fd in impl.html_files:
-                original = self.files.read(fd.path)
-                content = original.content
-                for old_path, new_path in mapping.items():
-                    content = content.replace(old_path, new_path)
-                new_html.append(
-                    DocumentFile(mapping[fd.path], original.kind, content)
+            new_html = [
+                DocumentFile(
+                    moved[fd.path], FileKind.HTML,
+                    _relink(self.files.read(fd.path).content, moved),
                 )
+                for fd in impl.html_files
+            ]
             new_programs = [
                 dataclasses.replace(
-                    self.files.read(fd.path), path=f"{prefix}{fd.path}"
+                    self.files.read(fd.path), path=moved[fd.path]
                 )
                 for fd in impl.program_files
             ]

@@ -7,6 +7,9 @@ duplicated instances temporary: "After a lecture is presented,
 duplicated document instances migrate to document references.
 Essentially, buffer spaces are used only.  However, the instructor
 workstation has document instances and classes as persistence objects."
+A station's classes and the instances duplicated from them are its
+document rows (:meth:`repro.core.WebDocumentDatabase.duplicate_course`);
+what is broadcast is held here as an instance or a reference.
 
 :class:`ReplicaManager` is a station's one record of what it holds, by
 form.  It is the only code that puts a document BLOB on a station,
@@ -51,9 +54,8 @@ _STATE_KEY = "replicas"
 
 
 class HoldingForm(enum.Enum):
-    """The three on-station forms of a Web document."""
+    """The forms in which a station holds a broadcast Web document."""
 
-    CLASS = "class"  # reusable template; holds the physical BLOBs
     INSTANCE = "instance"  # physical element of a Web document
     REFERENCE = "reference"  # mirror pointer to a remote instance
 
@@ -84,7 +86,7 @@ class StationHolding:
 class ReplicaManager:
     """Manages one station's document holdings and their lifecycle."""
 
-    #: disk category for persistent class/instance objects
+    #: disk category for persistent instances
     PERSISTENT = "persistent"
     #: disk category for lecture-duration duplicates
     BUFFER = "buffer"
@@ -115,20 +117,17 @@ class ReplicaManager:
         self,
         doc_id: str,
         size_bytes: int,
-        form: HoldingForm = HoldingForm.INSTANCE,
         kind: BlobKind = BlobKind.OTHER,
     ) -> StationHolding:
-        """Install a persistent class or instance (instructor station).
+        """Install a persistent instance (instructor station).
 
         Idempotent: a persistent holding is returned as it is, and a
         buffered instance becomes persistent in place.
         """
-        if form is HoldingForm.REFERENCE:
-            raise ValueError("a reference cannot be persistent data")
         check_positive(size_bytes, "size_bytes")
-        holding = self._held(doc_id, size_bytes, form)
+        holding = self._held(doc_id, size_bytes)
         if holding is None:
-            return self._install(doc_id, size_bytes, form, kind, self.PERSISTENT)
+            return self._install(doc_id, size_bytes, kind, self.PERSISTENT)
         if not holding.persistent:
             self.station.disk.transfer(
                 holding.size_bytes, self.BUFFER, self.PERSISTENT
@@ -152,13 +151,11 @@ class ReplicaManager:
         duplicate never expires until :meth:`touch` gives it a lifetime.
         """
         check_positive(size_bytes, "size_bytes")
-        holding = self._held(doc_id, size_bytes, HoldingForm.INSTANCE)
+        holding = self._held(doc_id, size_bytes)
         if holding is not None:
             return holding
         try:
-            holding = self._install(
-                doc_id, size_bytes, HoldingForm.INSTANCE, kind, self.BUFFER
-            )
+            holding = self._install(doc_id, size_bytes, kind, self.BUFFER)
         except DiskFullError:
             return self.hold_reference(doc_id, instance_station)
         holding.instance_station = instance_station
@@ -179,18 +176,16 @@ class ReplicaManager:
         self._holdings[doc_id] = holding
         return holding
 
-    def _held(
-        self, doc_id: str, size_bytes: int, form: HoldingForm
-    ) -> StationHolding | None:
-        """The class or instance of ``doc_id`` the station holds, if any;
-        a request that disagrees with it on size or form is refused."""
+    def _held(self, doc_id: str, size_bytes: int) -> StationHolding | None:
+        """The instance of ``doc_id`` the station holds, if any; a request
+        that disagrees with it on size is refused."""
         if not self.holds(doc_id):
             return None
         holding = self._holdings[doc_id]
-        if (holding.size_bytes, holding.form) != (size_bytes, form):
+        if holding.size_bytes != size_bytes:
             raise ValueError(
                 f"station {self.station.name!r} already holds {doc_id!r} "
-                f"as a {holding.size_bytes}-byte {holding.form.value}"
+                f"as a {holding.size_bytes}-byte instance"
             )
         return holding
 
@@ -198,14 +193,13 @@ class ReplicaManager:
         self,
         doc_id: str,
         size_bytes: int,
-        form: HoldingForm,
         kind: BlobKind,
         category: str,
     ) -> StationHolding:
         self.station.disk.allocate(size_bytes, category=category)
         holding = StationHolding(
             doc_id=doc_id,
-            form=form,
+            form=HoldingForm.INSTANCE,
             size_bytes=size_bytes,
             persistent=category == self.PERSISTENT,
             digest=self.station.blobs.put_synthetic(

@@ -14,17 +14,12 @@ links that leave it (other documents, external URLs).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.core.objects import ImplementationSCI, TestScope
-from repro.storage.files import FileStore
+from repro.storage.files import LINK_PATTERNS, FileStore
 
 __all__ = ["extract_links", "PageLinks", "TraversalResult", "WebTraverser"]
-
-_HREF_RE = re.compile(r"""href\s*=\s*["']([^"']+)["']""", re.IGNORECASE)
-_SRC_RE = re.compile(r"""src\s*=\s*["']([^"']+)["']""", re.IGNORECASE)
-_CODE_RE = re.compile(r"""code\s*=\s*["']([^"']+)["']""", re.IGNORECASE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,9 +39,9 @@ def extract_links(html: str) -> PageLinks:
     (('p2.html',), ('x.gif',))
     """
     return PageLinks(
-        hrefs=tuple(_HREF_RE.findall(html)),
-        resources=tuple(_SRC_RE.findall(html)),
-        programs=tuple(_CODE_RE.findall(html)),
+        hrefs=tuple(LINK_PATTERNS["href"].findall(html)),
+        resources=tuple(LINK_PATTERNS["src"].findall(html)),
+        programs=tuple(LINK_PATTERNS["code"].findall(html)),
     )
 
 

@@ -12,10 +12,23 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["FileKind", "DocumentFile", "FileDescriptor", "FileStore"]
+__all__ = [
+    "FileKind", "DocumentFile", "FileDescriptor", "FileStore", "LINK_PATTERNS",
+]
+
+#: How an HTML page names another file, by attribute: a link (``href``),
+#: an embedded resource (``src``) or an invoked program (``code``); the
+#: first group of a match is the named path.
+LINK_PATTERNS = {
+    attribute: re.compile(
+        rf"""{attribute}\s*=\s*["']([^"']+)["']""", re.IGNORECASE
+    )
+    for attribute in ("href", "src", "code")
+}
 
 
 class FileKind(enum.Enum):

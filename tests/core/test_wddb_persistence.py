@@ -87,6 +87,65 @@ class TestDuplicateCourse:
         with pytest.raises(ValueError, match="already exists"):
             wddb.duplicate_course("cs101", "cs101")
 
+    def _course_with_links(self, wddb, index_html):
+        wddb.add_script(ScriptSCI("c", "mmu", author="ma"))
+        wddb.add_implementation(
+            ImplementationSCI("http://mmu/c/", "c", author="ma"),
+            html_files=[
+                DocumentFile("index.html", FileKind.HTML, index_html),
+                DocumentFile("sub/index.html", FileKind.HTML, "<html/>"),
+            ],
+            program_files=[
+                DocumentFile("c/ctl.class", FileKind.PROGRAM, "ctl")
+            ],
+        )
+        wddb.duplicate_course("c", "d")
+        return wddb.files.read("d/index.html").content
+
+    def test_links_rewritten_by_exact_target(self, wddb):
+        copied = self._course_with_links(
+            wddb,
+            '<a href="sub/index.html">s</a><a href="../index.html">up</a>'
+            '<img src="cs101/lec.mpg">',
+        )
+        assert copied == (
+            '<a href="d/sub/index.html">s</a><a href="../index.html">up</a>'
+            '<img src="cs101/lec.mpg">'
+        )
+
+    def test_program_invocations_rewritten_to_the_copy(self, wddb):
+        copied = self._course_with_links(
+            wddb, '<applet code="c/ctl.class"></applet>'
+        )
+        assert copied == '<applet code="d/c/ctl.class"></applet>'
+        assert wddb.files.read("d/c/ctl.class").content == "ctl"
+
+    def test_renaming_modification_refused_before_writing(self, wddb, course):
+        before = wddb.engine.stats()["statements"]
+        with pytest.raises(ValueError, match="new_script_name"):
+            wddb.duplicate_course(
+                "cs101", "copy", modifications={"script_name": "zz"}
+            )
+        assert wddb.engine.stats()["statements"] == before
+        assert wddb.script("zz") is None and wddb.script("copy") is None
+
+    def test_template_blob_kept_once_across_save_load(
+        self, wddb, course, tmp_path
+    ):
+        n = 4
+        for index in range(n):
+            wddb.duplicate_course("cs101", f"section{index}")
+        video = course.multimedia[0]
+
+        def assert_shared(db):
+            # the library, the template and each section own it
+            assert len(db.blobs.owners_of(video)) == n + 2
+            assert db.blobs.physical_bytes == 1_000_000
+
+        assert_shared(wddb)
+        wddb.save(tmp_path / "st")
+        assert_shared(WebDocumentDatabase.load(tmp_path / "st", "teststation"))
+
 
 class TestSaveLoad:
     def _populate(self, wddb, course):

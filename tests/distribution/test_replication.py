@@ -1,4 +1,4 @@
-"""Tests for the class/instance/reference replica manager."""
+"""Tests for the instance/reference replica manager."""
 
 import pytest
 
@@ -24,16 +24,6 @@ class TestPersistentHoldings:
         assert mgr.persistent_bytes == MIB
         assert mgr.buffer_bytes == 0
 
-    def test_hold_persistent_class(self, manager):
-        mgr, _sim = manager
-        holding = mgr.hold_persistent("cls", MIB, form=HoldingForm.CLASS)
-        assert holding.form is HoldingForm.CLASS
-
-    def test_reference_cannot_be_persistent(self, manager):
-        mgr, _sim = manager
-        with pytest.raises(ValueError):
-            mgr.hold_persistent("doc", MIB, form=HoldingForm.REFERENCE)
-
     def test_persistent_never_migrates(self, manager):
         mgr, sim = manager
         mgr.hold_persistent("doc", MIB)
@@ -54,8 +44,6 @@ class TestPersistentHoldings:
         mgr.hold_persistent("doc", MIB)
         with pytest.raises(ValueError, match="already holds 'doc'"):
             mgr.hold_persistent("doc", 20 * MIB)
-        with pytest.raises(ValueError, match="already holds 'doc'"):
-            mgr.hold_persistent("doc", MIB, form=HoldingForm.CLASS)
         assert mgr.persistent_bytes == MIB
 
     def test_buffered_instance_becomes_persistent_in_place(self, manager):

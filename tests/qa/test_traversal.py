@@ -1,5 +1,9 @@
 """Tests for Web document traversal."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import ImplementationSCI, ScriptSCI, TestScope
@@ -25,6 +29,17 @@ class TestExtractLinks:
     def test_no_links(self):
         links = extract_links("<html><body>plain</body></html>")
         assert links.hrefs == () and links.resources == ()
+
+    def test_qa_imports_first_in_a_fresh_interpreter(self):
+        # repro.core reads links through repro.storage.files, not qa,
+        # so importing qa before core meets no half-built module.
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import repro.qa"],
+            env={"PYTHONPATH": str(src), "PATH": ""},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def _make_impl(wddb, pages, name="cs2", url="http://mmu/cs2/"):
