@@ -156,7 +156,7 @@ class Fixture:
                 for u, c in self.station_changes
             ]
         if kind in TIER_OPS:
-            op = self.admin._handlers[TIER_OPS[kind]]
+            op = getattr(self.admin, self.admin._HANDLERS[TIER_OPS[kind]])
             return [lambda r=r: op(*r) for r in self.requests[kind]]
         return [
             lambda v=v: db.delete(

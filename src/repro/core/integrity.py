@@ -19,6 +19,7 @@ engine's AFTER UPDATE triggers.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -204,6 +205,16 @@ class AlertEngine:
         self.cascades: list[int] = []  # alert count per triggering update
         self.resolved = 0
         self._installed: set[str] = set()
+        # The engine keeps its triggers as long as it lives, and this
+        # object keeps the engine: the trigger reaches it weakly, so the
+        # two form no reference cycle and are freed when dropped.
+        on_update = weakref.WeakMethod(self._on_update)
+
+        def trigger(ctx) -> None:
+            method = on_update()
+            if method is not None:
+                method(ctx)
+
         for table in sorted(diagram.tables()):
             if table in db.table_names():
                 db.register_trigger(
@@ -211,7 +222,7 @@ class AlertEngine:
                     table,
                     TriggerEvent.UPDATE,
                     TriggerTiming.AFTER,
-                    self._on_update,
+                    trigger,
                 )
                 self._installed.add(table)
 

@@ -117,7 +117,7 @@ class _Statement:
             if exc_type is None:
                 if self.owned:
                     try:
-                        db._txn.commit()
+                        db._txn.commit(db._flush_wal)
                     except BaseException:
                         # A failed journal append leaves the scratch
                         # transaction open (durability-first commit).
@@ -144,7 +144,7 @@ class Database:
         self._catalog = Catalog()
         self._checker = ConstraintChecker(self._catalog.tables)
         self._triggers = TriggerRegistry()
-        self._txn = TransactionManager(on_commit=self._flush_wal)
+        self._txn = TransactionManager()
         self._journal: Journal | None = None
         self._wal_buffer: list[list[Any]] = []
         self._wal_savepoints: dict[str, int] = {}
@@ -231,7 +231,7 @@ class Database:
 
     def commit(self) -> None:
         """Commit the explicit transaction (journals its ops)."""
-        self._txn.commit()
+        self._txn.commit(self._flush_wal)
         self._observe_txn("commit")
 
     def rollback(self) -> None:
@@ -634,13 +634,18 @@ class Database:
         database's (empty) tables — the only snapshot→tables step.
         Returns the snapshot's journal LSN watermark."""
         tables, watermark = parse_snapshot(path)
+        # One object per distinct string across every table it loads.
+        strings: dict[str, str] = {}
         for table_name in list(tables):
             table = self._catalog.get(table_name)
             normalize = table.schema.normalize_row
             # Popped back to front, a parsed row is freed as its stored
             # form is built: one generation of rows stands, not three.
             parsed = tables.pop(table_name)[::-1]
-            rows = [normalize(decode_row(parsed.pop())) for _ in range(len(parsed))]
+            rows = [
+                normalize(decode_row(parsed.pop(), strings))
+                for _ in range(len(parsed))
+            ]
             # repro-analysis: ignore[mutation-outside-transaction] -- snapshot rows were committed before being dumped; replay needs no undo log
             table.apply_insert_many(rows)
         return watermark

@@ -94,10 +94,9 @@ class TransactionManager:
     not by the storage engine — so one active transaction suffices.
     """
 
-    def __init__(self, on_commit: Callable[[Transaction], None] | None = None) -> None:
+    def __init__(self) -> None:
         self._active: Transaction | None = None
         self._next_id = 1
-        self._on_commit = on_commit
         self.commits = 0
         self.rollbacks = 0
 
@@ -118,7 +117,7 @@ class TransactionManager:
         self._next_id += 1
         return self._active
 
-    def commit(self) -> None:
+    def commit(self, on_commit: Callable[[Transaction], None]) -> None:
         if self._active is None:
             raise TransactionError("commit without begin")
         txn = self._active
@@ -126,8 +125,9 @@ class TransactionManager:
         # a journal-append failure (disk full, simulated crash) must leave
         # the transaction open so the caller can still roll it back —
         # nothing may become "committed" that was never made durable.
-        if self._on_commit is not None:
-            self._on_commit(txn)
+        # The hook is passed per call, not stored: a stored bound method
+        # of the engine would tie the engine into a reference cycle.
+        on_commit(txn)
         self._active = None
         self.commits += 1
 

@@ -137,9 +137,22 @@ def encode_row(row: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def decode_row(row: dict[str, Any]) -> dict[str, Any]:
+def decode_row(
+    row: dict[str, Any], strings: dict[str, str] | None = None
+) -> dict[str, Any]:
+    """Inverse of :func:`encode_row`.  With ``strings`` (a memo kept for
+    one snapshot load) each ``str`` value is the first equal one the
+    memo saw: JSON decodes every occurrence to a new object."""
+    if strings is None:
+        return {
+            k: v if type(v) in _PLAIN else decode_value(v)
+            for k, v in row.items()
+        }
+    share = strings.setdefault
     return {
-        k: v if type(v) in _PLAIN else decode_value(v) for k, v in row.items()
+        k: share(v, v) if type(v) is str
+        else v if type(v) in _PLAIN else decode_value(v)
+        for k, v in row.items()
     }
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.admission import (
     AdmissionController,
@@ -205,6 +205,25 @@ class ClassAdministrator:
     the server is purely in-memory, exactly as before.
     """
 
+    #: Each request op's handler method, looked up per request: a table
+    #: of bound methods stored on the server would tie it into a
+    #: reference cycle, outliving its last reference.
+    _HANDLERS: dict[str, str] = {
+        "admit_student": "_op_admit_student",
+        "register_course": "_op_register_course",
+        "enroll": "_op_enroll",
+        "record_grade": "_op_record_grade",
+        "transcript": "_op_transcript",
+        "register_station": "_op_register_station",
+        "roster": "_op_roster",
+        "publish_course_document": "_op_publish",
+        "withdraw_course_document": "_op_withdraw",
+        "search_library": "_op_search",
+        "check_out": "_op_check_out",
+        "check_in": "_op_check_in",
+        "assessment_report": "_op_assessment",
+    }
+
     def __init__(
         self,
         wddb: WebDocumentDatabase | None = None,
@@ -241,21 +260,6 @@ class ClassAdministrator:
         self.admission = admission
         self.requests_served = 0
         self.clock = 0.0  # advanced by callers that care about loan times
-        self._handlers: dict[str, Callable[[Request, str, Role], Any]] = {
-            "admit_student": self._op_admit_student,
-            "register_course": self._op_register_course,
-            "enroll": self._op_enroll,
-            "record_grade": self._op_record_grade,
-            "transcript": self._op_transcript,
-            "register_station": self._op_register_station,
-            "roster": self._op_roster,
-            "publish_course_document": self._op_publish,
-            "withdraw_course_document": self._op_withdraw,
-            "search_library": self._op_search,
-            "check_out": self._op_check_out,
-            "check_in": self._op_check_in,
-            "assessment_report": self._op_assessment,
-        }
 
     # ------------------------------------------------------------------
     # Durability
@@ -552,7 +556,7 @@ class ClassAdministrator:
         if request.op == "logout":
             del self._sessions[request.session_id]  # type: ignore[arg-type]
             return Response.success(request, True)
-        handler = self._handlers[request.op]
+        handler = getattr(self, self._HANDLERS[request.op])
         stored = _STORED_REPLIES.get(request.op)
         ledger = (
             _STALE_SERVABLE.get(request.op)

@@ -1,0 +1,144 @@
+"""A dropped server or database is freed when its last reference goes.
+
+Reference counting alone must free each of these: with the cyclic
+collector switched off, a weak reference to the object is dead right
+after ``del``.  A long-lived engine or tier object therefore stores no
+bound method of itself (the server dispatches through a class-level
+table, the engine is handed its commit hook per call), and a hook it
+keeps for another object reaches that object weakly (the integrity
+alert trigger).  A restart that drops its loading server then holds
+one image, not two.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.admission import AdmissionController
+from repro.core import WebDocumentDatabase
+from repro.rdb import (
+    Column,
+    ColumnType,
+    Database,
+    Schema,
+    TriggerEvent,
+    TriggerTiming,
+)
+from repro.tiers import ClassAdministrator, Request
+
+
+@pytest.fixture
+def no_collector():
+    """Only reference counting frees objects inside the test."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def drive(server: ClassAdministrator) -> None:
+    """One request of most kinds, reads twice (the second is a stored
+    reply), as a bulk load and a browsing client would send them."""
+
+    def call(session, op, **params):
+        return server.handle(Request(op, session, params)).unwrap()
+
+    admin = call(None, "login", user="registrar",
+                 role="administrator")["session_id"]
+    teacher = call(None, "login", user="shih",
+                   role="instructor")["session_id"]
+    call(admin, "admit_student", student_id="s00001", name="Ada")
+    call(admin, "register_course", course_number="c001", title="Intro",
+         instructor="shih")
+    call(teacher, "publish_course_document", doc_id="d1", title="Notes",
+         course_number="c001", keywords=["intro"], size_bytes=10)
+    call(admin, "enroll", student_id="s00001", course_number="c001")
+    call(admin, "record_grade", student_id="s00001", course_number="c001",
+         grade=3.5)
+    student = call(None, "login", user="s00001",
+                   role="student")["session_id"]
+    for _ in range(2):
+        call(admin, "roster", course_number="c001")
+        call(student, "transcript", student_id="s00001")
+        call(student, "search_library", keywords="intro")
+    call(student, "check_out", doc_id="d1")
+    call(student, "check_in", doc_id="d1")
+
+
+def assert_freed_on_del(make, *parts):
+    """``make()``'s object and each named attribute of it are freed as
+    soon as the object is dropped."""
+    obj = make()
+    refs = {name: weakref.ref(getattr(obj, name)) for name in parts}
+    refs["itself"] = weakref.ref(obj)
+    del obj
+    alive = sorted(name for name, ref in refs.items() if ref() is not None)
+    assert not alive, (
+        f"outlived the dropped object: {alive} (a reference cycle)"
+    )
+
+
+@pytest.mark.usefixtures("no_collector")
+class TestFreedWithoutTheCollector:
+    def test_in_memory_class_administrator(self):
+        def make():
+            server = ClassAdministrator(
+                admission=AdmissionController(clock=lambda: 0.0)
+            )
+            drive(server)
+            return server
+
+        assert_freed_on_del(make, "admin_db", "wddb", "library")
+
+    def test_durable_class_administrator_after_a_bulk_load(self, tmp_path):
+        """The benchmark's restart: load, checkpoint, close, drop."""
+
+        def make():
+            loader = ClassAdministrator(data_dir=tmp_path, sync_policy="none")
+            drive(loader)
+            loader.checkpoint()
+            loader.journal.close()
+            return loader
+
+        assert_freed_on_del(make, "admin_db", "wddb", "library")
+        reopened = ClassAdministrator(data_dir=tmp_path)
+        assert reopened.admin_db.get("students", ("s00001",)) is not None
+        reopened.journal.close()
+
+    def test_journaled_database_with_a_trigger(self, tmp_path):
+        fired = []
+
+        def make():
+            db = Database.open(
+                "lifetime",
+                (Schema(
+                    name="t",
+                    columns=(Column("k", ColumnType.INT, nullable=False),
+                             Column("v", ColumnType.TEXT)),
+                    primary_key=("k",),
+                ),),
+                journal_path=tmp_path / "t.wal",
+            )
+            db.register_trigger("seen", "t", TriggerEvent.INSERT,
+                                TriggerTiming.AFTER, fired.append)
+            db.begin()
+            db.insert("t", {"k": 1, "v": "a"})
+            db.commit()
+            db.insert("t", {"k": 2, "v": "b"})
+            return db
+
+        assert_freed_on_del(make)
+        assert len(fired) == 2
+
+    def test_web_document_database(self):
+        def make():
+            wddb = WebDocumentDatabase("lifetime")
+            assert wddb.alerts is not None
+            return wddb
+
+        assert_freed_on_del(make, "engine", "alerts")

@@ -388,7 +388,7 @@ class TestDeadlineScopeAroundDispatch:
         net.station("s2").on_default(lambda st, m: None)
         server = ClassAdministrator(admission=admission)
         sent = []
-        server._handlers["roster"] = lambda request, user, role: sent.append(
+        server._op_roster = lambda request, user, role: sent.append(
             net.send("s1", "s2", "fanout", None, 10)
         )
         return server, sent
@@ -428,12 +428,12 @@ class TestDeadlineScopeAroundDispatch:
             return handler
 
         # An error the dispatcher turns into a failure reply ...
-        server._handlers["roster"] = failing(RuntimeError)
+        server._op_roster = failing(RuntimeError)
         response = roster(server, session, deadline=7.0)
         assert not response.ok and "boom" in response.error
         assert seen == [7.0] and current_deadline() is None
         # ... and one that escapes handle() through the scope.
-        server._handlers["roster"] = failing(ArithmeticError)
+        server._op_roster = failing(ArithmeticError)
         with pytest.raises(ArithmeticError):
             roster(server, session, deadline=8.0)
         assert seen == [7.0, 8.0] and current_deadline() is None
