@@ -10,7 +10,7 @@ course number and title.  Only instructors may add or delete entries
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.library.search import SearchIndex, SearchResult
 
@@ -32,6 +32,17 @@ class CatalogEntry:
     keywords: tuple[str, ...] = ()
     starting_url: str | None = None
     size_bytes: int = 0
+
+
+def _indexed_fields(entry: CatalogEntry) -> dict[str, Any]:
+    """What the search index derives an entry's terms from, both when it
+    is added and when it is removed."""
+    return {
+        "keywords": entry.keywords,
+        "instructor": entry.instructor,
+        "course_number": entry.course_number,
+        "title": entry.title,
+    }
 
 
 @dataclass
@@ -65,7 +76,7 @@ class VirtualLibrary:
         entry = self._entries.pop(doc_id, None)
         if entry is None:
             return False
-        self._index.remove(doc_id)
+        self._index.remove(doc_id, **_indexed_fields(entry))
         return True
 
     def reload(self, entries: "Iterable[CatalogEntry]") -> int:
@@ -89,13 +100,7 @@ class VirtualLibrary:
     def _store(self, entry: CatalogEntry) -> None:
         """Index ``entry``, then keep it: an entry the index refuses (a
         keyword that is not a string, say) is never stored."""
-        self._index.add(
-            entry.doc_id,
-            keywords=entry.keywords,
-            instructor=entry.instructor,
-            course_number=entry.course_number,
-            title=entry.title,
-        )
+        self._index.add(entry.doc_id, **_indexed_fields(entry))
         self._entries[entry.doc_id] = entry
 
     def _require_instructor(self, user: str) -> None:

@@ -10,6 +10,7 @@ to a workstation.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.link import DuplexLink
@@ -45,11 +46,23 @@ class Station:
         self.disk = DiskAccountant(station=name, capacity=disk_capacity)
         self._handlers: dict[str, Handler] = {}
         self._default_handler: Handler | None = None
-        self.network: "Network | None" = None  # set on Network.add
+        self._network: "weakref.ref[Network] | None" = None
         self.messages_received = 0
         self.messages_sent = 0
         #: free-form per-daemon state, keyed by subsystem name
         self.state: dict[str, Any] = {}
+
+    @property
+    def network(self) -> "Network | None":
+        """The network this station was added to, or None.  Held weakly:
+        the network holds its stations, so a dropped network (and every
+        server whose handlers its stations keep) is freed by reference
+        counting."""
+        return None if self._network is None else self._network()
+
+    @network.setter
+    def network(self, network: "Network") -> None:
+        self._network = weakref.ref(network)
 
     # -- handler registration -----------------------------------------------
     def on(self, kind: str, handler: Handler) -> None:
@@ -95,11 +108,12 @@ class Station:
         self, dst: str, kind: str, payload: Any = None, size_bytes: int = 0
     ) -> Message:
         """Send through the attached network (must be registered first)."""
-        if self.network is None:
+        network = self.network
+        if network is None:
             raise RuntimeError(
                 f"station {self.name!r} is not attached to a network"
             )
-        return self.network.send(self.name, dst, kind, payload, size_bytes)
+        return network.send(self.name, dst, kind, payload, size_bytes)
 
     def __repr__(self) -> str:
         return f"Station({self.name!r})"

@@ -314,10 +314,12 @@ class Network:
         """Reply to each ``kind`` call reaching ``station_name`` with
         ``answer(call)`` — or with ``refuse(call)``, before any work, when
         its deadline passed in flight.  Serving again replaces the
-        handler: a restarted server takes over its old station."""
+        handler: a restarted server takes over its old station.  The
+        handler replies through its station and keeps no reference to
+        the network, which holds the station."""
         sim = self.sim
 
-        def on_call(_station: Station, message: Message) -> None:
+        def on_call(at: Station, message: Message) -> None:
             call = message.payload
             try:
                 expired = call.deadline is not None and sim.now >= call.deadline
@@ -329,8 +331,8 @@ class Network:
                 reply = refuse(call)
             else:
                 reply = answer(call)
-            self.send(station_name, message.src, kind.reply, reply,
-                      kind.reply_bytes + payload_size(reply.data))
+            at.send(message.src, kind.reply, reply,
+                    kind.reply_bytes + payload_size(reply.data))
 
         station = self.station(station_name)
         station.off(kind.call)

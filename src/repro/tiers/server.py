@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -331,6 +332,7 @@ class ClassAdministrator:
 
         Called after startup recovery and, on read replicas, whenever a
         replicated frame touches the catalog; returns the entry count.
+        Keywords are interned: each distinct keyword is one ``str``.
         """
         entries = [
             CatalogEntry(
@@ -339,7 +341,7 @@ class ClassAdministrator:
                 course_number=row["course_number"],
                 instructor=row["instructor"],
                 keywords=tuple(
-                    k for k in row["keywords"].split(",") if k
+                    sys.intern(k) for k in row["keywords"].split(",") if k
                 ),
                 starting_url=row["starting_url"],
                 size_bytes=row["size_bytes"],

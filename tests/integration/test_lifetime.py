@@ -7,7 +7,9 @@ bound method of itself (the server dispatches through a class-level
 table, the engine is handed its commit hook per call), and a hook it
 keeps for another object reaches that object weakly (the integrity
 alert trigger).  A restart that drops its loading server then holds
-one image, not two.
+one image, not two.  Served over :mod:`repro.net`, the same holds: a
+station reaches its network weakly and a call handler replies through
+its station, so a dropped network frees every server behind it.
 """
 
 import gc
@@ -17,6 +19,8 @@ import pytest
 
 from repro.admission import AdmissionController
 from repro.core import WebDocumentDatabase
+from repro.fault.crashsim import CRASH_SCHEMAS
+from repro.net import Network, Simulator, Station
 from repro.rdb import (
     Column,
     ColumnType,
@@ -25,7 +29,9 @@ from repro.rdb import (
     TriggerEvent,
     TriggerTiming,
 )
+from repro.sharding import ShardCluster
 from repro.tiers import ClassAdministrator, Request
+from repro.tiers.remote import RemoteTierClient, RemoteTierServer
 
 
 @pytest.fixture
@@ -142,3 +148,43 @@ class TestFreedWithoutTheCollector:
             return wddb
 
         assert_freed_on_del(make, "engine", "alerts")
+
+    def test_class_administrator_behind_a_remote_tier_server(self):
+        """Served over the wire, then the network and server dropped."""
+
+        def make():
+            network = Network(Simulator())
+            network.add(Station("server"))
+            network.add(Station("browser"))
+            server = RemoteTierServer(network, "server")
+            client = RemoteTierClient(network, "browser", "server")
+            client.login("registrar", "administrator")
+            client.call_sync("admit_student", student_id="s00001", name="Ada")
+            client.call_sync("search_library", keywords="intro")
+            network.quiesce()
+            return server.administrator
+
+        assert_freed_on_del(make, "admin_db", "wddb", "library")
+
+    def test_closed_shard_cluster_on_the_wire(self, tmp_path):
+        """After ``close()`` and ``del``, each shard's ``Database`` and
+        the network the cluster made are freed."""
+
+        def make():
+            cluster = ShardCluster(
+                tmp_path, CRASH_SCHEMAS, 2, use_net=True, sync="none",
+            )
+            for shard_id, handle in cluster.handles.items():
+                handle.execute([["insert", "crash_docs", {
+                    "doc_id": shard_id, "title": f"t{shard_id}",
+                }]])
+            cluster.close()
+            return cluster
+
+        cluster = make()
+        refs = [
+            weakref.ref(participant.db)
+            for participant in cluster.participants.values()
+        ] + [weakref.ref(cluster.network)]
+        del cluster
+        assert [ref() for ref in refs] == [None] * len(refs)

@@ -1,5 +1,7 @@
 """Tests for the inverted-index search."""
 
+import copy
+
 import pytest
 
 from repro.library import SearchIndex
@@ -14,15 +16,23 @@ class TestTokenize:
         assert tokenize("") == []
 
 
+#: The fields each fixture document is added with (and removed with:
+#: the index keeps no copy of a document's terms).
+DOCS = {
+    "d1": dict(keywords=("multimedia", "video"), instructor="Timothy Shih",
+               course_number="CS101", title="Intro to Multimedia"),
+    "d2": dict(keywords=("drawing",), instructor="Runhe Huang",
+               course_number="ED150", title="Engineering Drawing"),
+    "d3": dict(keywords=("multimedia", "audio"), instructor="Jianhua Ma",
+               course_number="MM201", title="Advanced Multimedia"),
+}
+
+
 @pytest.fixture
 def index() -> SearchIndex:
     idx = SearchIndex()
-    idx.add("d1", keywords=("multimedia", "video"), instructor="Timothy Shih",
-            course_number="CS101", title="Intro to Multimedia")
-    idx.add("d2", keywords=("drawing",), instructor="Runhe Huang",
-            course_number="ED150", title="Engineering Drawing")
-    idx.add("d3", keywords=("multimedia", "audio"), instructor="Jianhua Ma",
-            course_number="MM201", title="Advanced Multimedia")
+    for doc_id, fields in DOCS.items():
+        idx.add(doc_id, **fields)
     return idx
 
 
@@ -122,36 +132,55 @@ class TestSearchMetrics:
 
 class TestMaintenance:
     def test_remove_document(self, index):
-        index.remove("d1")
+        index.remove("d1", **DOCS["d1"])
         assert index.search(course="cs101") == []
         assert len(index) == 2
 
     def test_remove_unknown_is_noop(self, index):
-        index.remove("ghost")
+        index.remove("ghost", **DOCS["d1"])
         assert len(index) == 3
+        assert [h.doc_id for h in index.search(course="CS101")] == ["d1"]
+
+    def test_remove_without_fields_raises_and_changes_nothing(self, index):
+        # The index keeps no copy of a document's terms: a removal that
+        # did not name them would leave the id in every posting.
+        postings = copy.deepcopy((
+            index._keyword_postings, index._instructor_postings,
+            index._course_postings, index._title_postings,
+            index._title_terms_sorted, index._docs,
+        ))
+        with pytest.raises(TypeError):
+            index.remove("d1")
+        with pytest.raises(TypeError):
+            index.remove("d1", keywords=DOCS["d1"]["keywords"])
+        assert (
+            index._keyword_postings, index._instructor_postings,
+            index._course_postings, index._title_postings,
+            index._title_terms_sorted, index._docs,
+        ) == postings
+        assert [h.doc_id for h in index.search(keywords="video")] == ["d1"]
 
     def test_duplicate_add_rejected(self, index):
         with pytest.raises(ValueError):
             index.add("d1", title="again")
 
     def test_postings_cleaned_after_remove(self, index):
-        index.remove("d2")
+        index.remove("d2", **DOCS["d2"])
         assert index.search(keywords="drawing") == []
 
     def test_title_postings_cleaned_after_remove(self, index):
-        index.remove("d2")
+        index.remove("d2", **DOCS["d2"])
         assert index.search(course="Drawing") == []
         assert index.search(course="Draw") == []
 
     def test_remove_keeps_shared_terms_for_survivors(self, index):
         # d1 and d3 share the "multimedia" title word; removing one must
         # not disturb the other's postings.
-        index.remove("d1")
+        index.remove("d1", **DOCS["d1"])
         assert [h.doc_id for h in index.search(course="Multimedia")] == ["d3"]
         assert {h.doc_id for h in index.search(keywords="multimedia")} == {"d3"}
 
     def test_add_after_remove_reindexes(self, index):
-        index.remove("d2")
-        index.add("d2", keywords=("drawing",), instructor="Runhe Huang",
-                  course_number="ED150", title="Engineering Drawing")
+        index.remove("d2", **DOCS["d2"])
+        index.add("d2", **DOCS["d2"])
         assert [h.doc_id for h in index.search(course="Draw")] == ["d2"]

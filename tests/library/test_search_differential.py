@@ -2,7 +2,8 @@
 
 ``_reference_search`` is the algorithm ``SearchIndex.search`` shipped
 with before it became a candidate → accumulate → select pipeline: score
-*every* candidate through its stored term set, sort them all by
+*every* candidate by the terms of the fields it was published with (the
+test's own record, not the index's), sort them all by
 ``(-score, doc_id)``, slice.  The pipeline must equal it exactly — ids,
 float scores and order — on any catalog, query and limit.
 """
@@ -30,7 +31,7 @@ def _reference_title_prefix_docs(index: SearchIndex, token: str) -> set[str]:
         term = index._title_terms_sorted[pos]
         if not term.startswith(token):
             break
-        out |= index._title_postings[term]
+        out.update(index._title_postings[term])
         pos += 1
     return out
 
@@ -46,18 +47,25 @@ def _reference_title_word_matches(index: SearchIndex, query: str) -> set[str]:
     return matched or set()
 
 
-def _reference_score(
-    index: SearchIndex, doc_id: str, query_terms: list[str]
-) -> float:
+def _keyword_terms(entry: CatalogEntry) -> set[str]:
+    """The keyword-axis terms of ``entry``, tokenized from the fields it
+    was published with — not read back from the index."""
+    return {
+        term for text in (*entry.keywords, entry.title)
+        for term in tokenize(text)
+    }
+
+
+def _reference_score(doc_terms: set[str], query_terms: list[str]) -> float:
     if not query_terms:
         return 1.0
-    doc_terms = index._docs[doc_id].keyword_terms
     hits = sum(1 for term in query_terms if term in doc_terms)
     return hits / len(query_terms)
 
 
 def _reference_search(
     index: SearchIndex,
+    published: dict[str, CatalogEntry],
     keywords: str | None = None,
     instructor: str | None = None,
     course: str | None = None,
@@ -68,17 +76,17 @@ def _reference_search(
     query_terms = tokenize(keywords) if keywords else []
     if query_terms:
         per_term = [
-            index._keyword_postings.get(term, set()) for term in query_terms
+            set(index._keyword_postings.get(term, ())) for term in query_terms
         ]
         candidate_sets.append(set.union(*per_term))
     if instructor:
         sets = [
-            index._instructor_postings.get(t, set())
+            set(index._instructor_postings.get(t, ()))
             for t in tokenize(instructor)
         ]
         candidate_sets.append(set.intersection(*sets) if sets else set())
     if course:
-        exact = index._course_postings.get(course.lower(), set())
+        exact = set(index._course_postings.get(course.lower(), ()))
         candidate_sets.append(
             exact | _reference_title_word_matches(index, course)
         )
@@ -88,7 +96,10 @@ def _reference_search(
         candidates = set.intersection(*candidate_sets)
     results = [
         SearchResult(
-            doc_id=doc_id, score=_reference_score(index, doc_id, query_terms)
+            doc_id=doc_id,
+            score=_reference_score(
+                _keyword_terms(published[doc_id]), query_terms
+            ),
         )
         for doc_id in candidates
     ]
@@ -150,21 +161,26 @@ def _entry(doc_id: str, spec) -> CatalogEntry:
     )
 
 
-def _library(specs) -> VirtualLibrary:
+def _library(specs) -> tuple[VirtualLibrary, dict[str, CatalogEntry]]:
+    """The library and, apart from it, what the test published to it."""
     library = VirtualLibrary(instructors={"gen"})
+    published: dict[str, CatalogEntry] = {}
     # "d10" sorts before "d9": id order differs from insertion order.
     for number, spec in enumerate(specs):
-        library.add_document("gen", _entry(f"d{number}", spec))
-    return library
+        published[f"d{number}"] = _entry(f"d{number}", spec)
+        library.add_document("gen", published[f"d{number}"])
+    return library, published
 
 
-def _assert_matches_reference(index: SearchIndex, axes: dict) -> None:
-    everything = _reference_search(index, **axes)
+def _assert_matches_reference(
+    index: SearchIndex, published: dict[str, CatalogEntry], axes: dict
+) -> None:
+    everything = _reference_search(index, published, **axes)
     n = len(everything)
     assert index.search(**axes) == everything
     for limit in (0, 1, 3, n, n + 5):
         assert index.search(**axes, limit=limit) == _reference_search(
-            index, **axes, limit=limit
+            index, published, **axes, limit=limit
         ), f"limit={limit}"
 
 
@@ -181,9 +197,8 @@ def test_pipeline_equals_score_everything_reference(
     mask, specs, keywords, instructor, course, steps
 ):
     """Every axis combination (``mask``) × limit, before and after each
-    of interleaved removals, additions and reloads — the queries in
-    between build kept orders that each later step must not leave
-    stale."""
+    of interleaved removals, additions and reloads — each step must
+    leave every posting the ascending list of its documents."""
     axes = {
         name: value
         for bit, (name, value) in enumerate(
@@ -192,17 +207,20 @@ def test_pipeline_equals_score_everything_reference(
         )
         if mask >> bit & 1
     }
-    library = _library(specs)
-    _assert_matches_reference(library._index, axes)
+    library, published = _library(specs)
+    _assert_matches_reference(library._index, published, axes)
     for number, step in enumerate(steps):
         if step[0] == "remove":
             library.remove_document("gen", f"d{step[1]}")
+            published.pop(f"d{step[1]}", None)
         elif step[0] == "add":
             prefix, spec = step[1:]
-            library.add_document("gen", _entry(f"{prefix}{40 + number}", spec))
+            entry = _entry(f"{prefix}{40 + number}", spec)
+            library.add_document("gen", entry)
+            published[entry.doc_id] = entry
         else:
             library.reload(list(library.entries()))
-        _assert_matches_reference(library._index, axes)
+        _assert_matches_reference(library._index, published, axes)
 
 
 def test_ties_rank_by_doc_id_not_insertion_or_set_order():
@@ -225,10 +243,10 @@ def test_results_identical_across_the_heap_sort_crossover(
 ):
     """Several terms: ``limit * _HEAP_RATIO`` candidates are sorted, one
     more goes through the bounded heap.  One term: the candidates are
-    one posting, sorted once into its kept order (again after an ``add``
-    drops it), and a repeated top-3 runs neither ``heapq.nsmallest`` nor
-    ``sorted`` over the posting, on either side of the crossover.  Every
-    answer equals the reference."""
+    one posting, already in doc-id order (also after an ``add``), and
+    a top-3 runs neither ``heapq.nsmallest`` nor ``sorted`` over the
+    posting, on either side of the crossover.  Every answer equals the
+    reference."""
     heap_calls = []
     sort_sizes = []
     real_nsmallest = heapq.nsmallest
@@ -250,25 +268,74 @@ def test_results_identical_across_the_heap_sort_crossover(
     def top3() -> None:
         heap_calls.clear()
         sort_sizes.clear()
-        expected = _reference_search(index, keywords, limit=limit)
+        expected = _reference_search(index, published, keywords, limit=limit)
         assert index.search(keywords, limit=limit) == expected
 
     limit = 3
     boundary = limit * search_module._HEAP_RATIO
     index = SearchIndex()
+    published: dict[str, CatalogEntry] = {}
+
+    def publish(doc_id: str, keywords: tuple[str, ...]) -> None:
+        published[doc_id] = CatalogEntry(doc_id, "", "", "", keywords)
+        index.add(doc_id, keywords=keywords)
+
     for number in range(boundary):
         extra = ("audio",) if number % 3 == 0 else ()
-        index.add(f"d{number}", keywords=("video", *extra))
+        publish(f"d{number}", ("video", *extra))
     for grown in (False, True):
         if grown:
-            index.add(f"d{boundary}", keywords=("video", "audio"))
+            publish(f"d{boundary}", ("video", "audio"))
         top3()
         if len(tokenize(keywords)) > 1:
             assert heap_calls == ([limit] if grown else [])
             continue
         posting_size = len(index._keyword_postings["video"])
-        assert heap_calls == [] and max(sort_sizes) == posting_size
-        for _ in range(2):
-            top3()
-            assert heap_calls == []
-            assert max(sort_sizes, default=0) < posting_size
+        assert heap_calls == []
+        assert max(sort_sizes, default=0) < posting_size
+
+
+def test_intersection_probes_a_far_larger_posting_by_bisect(monkeypatch):
+    """A posting more than ``_BISECT_RATIO`` times larger than the kept
+    ids is probed by bisect.  Walking a posting keeps its order, so the
+    top-k is a slice, with no sort; walking a title-prefix union (a
+    set) does not, and is sorted.  Both equal the reference."""
+    sort_sizes = []
+
+    def recording_sorted(iterable, **kwargs):
+        if "key" not in kwargs:  # not the groups, smallest first
+            sort_sizes.append(len(iterable))
+        return sorted(iterable, **kwargs)
+
+    monkeypatch.setattr(search_module, "sorted", recording_sorted,
+                        raising=False)
+    index = SearchIndex()
+    published: dict[str, CatalogEntry] = {}
+    titles = {0: "drawing", 10: "drafting"}
+    # "d9", "d19" and "d30" sort out of insertion order.
+    for number in range(4 * search_module._BISECT_RATIO):
+        entry = CatalogEntry(
+            f"d{number}", titles.get(number, "notes"), "", "Timothy Shih",
+            ("video",) if number in (9, 19, 30) else (),
+        )
+        published[entry.doc_id] = entry
+        index.add(entry.doc_id, keywords=entry.keywords,
+                  instructor=entry.instructor, title=entry.title)
+    video = index._keyword_postings["video"]
+    shih = index._instructor_postings["shih"]
+    assert len(shih) > search_module._BISECT_RATIO * len(video)
+    assert search_module._intersect([shih, video]) == video
+
+    for limit in (None, 2):
+        sort_sizes.clear()
+        got = index.search("video", "shih", limit=limit)
+        assert got == _reference_search(
+            index, published, "video", "shih", limit=limit
+        )
+        assert sort_sizes == []
+        got = index.search(instructor="shih", course="dra", limit=limit)
+        assert got == _reference_search(
+            index, published, instructor="shih", course="dra", limit=limit
+        )
+        assert [hit.doc_id for hit in got] == ["d0", "d10"][:limit]
+        assert sort_sizes == [2]
