@@ -26,12 +26,15 @@ import pytest
 from benchmarks.common import build_network, print_table
 from repro.core import WebDocumentDatabase
 from repro.distribution import CourseShipper, package_course
+from repro.net import Station
 from repro.util.units import format_bytes, format_duration
 from repro.workloads import CourseGenerator
 
 
-def _author(pages: int, media: int) -> tuple[WebDocumentDatabase, str]:
-    db = WebDocumentDatabase("instructor")
+def _author(
+    station: Station, pages: int, media: int
+) -> tuple[WebDocumentDatabase, str]:
+    db = WebDocumentDatabase(station)
     db.create_document_database("mmu", author="shih")
     course = CourseGenerator(
         seed=pages * 100 + media, pages_per_course=pages,
@@ -41,12 +44,12 @@ def _author(pages: int, media: int) -> tuple[WebDocumentDatabase, str]:
 
 
 def checkout(pages: int, media: int, include_blobs: bool) -> dict:
-    db, script_name = _author(pages, media)
     net = build_network(2)
+    db, script_name = _author(net.station("s1"), pages, media)
     shipper = CourseShipper(net)
-    shipper.attach("s1", db)
-    student = WebDocumentDatabase("student")
-    shipper.attach("s2", student)
+    shipper.attach(db)
+    student = WebDocumentDatabase(net.station("s2"))
+    shipper.attach(student)
     start = net.sim.now
     shipper.request_course("s2", "s1", script_name,
                            include_blobs=include_blobs)
@@ -57,6 +60,8 @@ def checkout(pages: int, media: int, include_blobs: bool) -> dict:
         "bytes": net.total_bytes,
         "blob_bytes": package.blob_bytes,
         "installed": student.script(script_name) is not None,
+        "student_disk": student.station.disk.used_bytes,
+        "student_blobs": student.station.blobs.physical_bytes,
     }
 
 
@@ -92,6 +97,9 @@ def test_e13_notes_cost_nearly_size_independent():
 def test_e13_full_cost_tracks_media_bytes():
     outcome = checkout(10, 5, include_blobs=True)
     assert outcome["bytes"] >= outcome["blob_bytes"]
+    # the copy is held on the student's station and charged to its disk
+    assert outcome["student_disk"] == outcome["blob_bytes"]
+    assert outcome["student_blobs"] == outcome["blob_bytes"]
 
 
 def test_e13_bench_checkout(benchmark):

@@ -38,7 +38,7 @@ def corpus_stats(reuse: float) -> dict:
     CourseGenerator(seed=1999, reuse_probability=reuse).generate_corpus(
         db, "mmu", N_COURSES
     )
-    stats = db.blobs.stats()
+    stats = db.station.blobs.stats()
     stats["saved"] = stats["logical_bytes"] - stats["physical_bytes"]
     return stats
 
@@ -59,7 +59,7 @@ def class_instance_sharing(n_instances: int) -> dict:
     )
     for index in range(n_instances):
         db.duplicate_course("template", f"section{index}")
-    return db.blobs.stats()
+    return db.station.blobs.stats()
 
 
 def experiment_rows() -> list[list]:

@@ -13,7 +13,10 @@ each twice, in child processes of this script:
   the plan, loads, collects garbage, and groups the bytes still live by
   the file that allocated them — one line per ``src/repro`` file, the
   rest under the directory they belong to (``json`` holds the decoded
-  value strings of recovered rows).
+  value strings of recovered rows).  A block allocated at a line that
+  calls ``sys.intern`` grows the interpreter's interned-string table,
+  which whichever file interns first would otherwise be charged for; it
+  gets its own ``(interpreter: interned strings)`` line.
 
 **Bytes per stored row** is the traced live total divided by the rows
 the loaded tables hold.  ``--check`` (the CI ``benchmark-smoke`` step,
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import linecache
 import resource
 import sys
 import tempfile
@@ -47,6 +51,7 @@ sys.path.insert(0, str(ROOT))  # for benchmarks.e22, which adds src/ itself
 COMMITTED_SMOKE_BYTES_PER_ROW = {"tier": 671, "corpus": 556}
 CHECK_SLACK = 0.15
 MB = 1024 * 1024
+INTERNED = "(interpreter: interned strings)"
 
 
 def resident_bytes() -> int:
@@ -64,6 +69,13 @@ def _group(filename: str) -> str:
                 return relative.as_posix()
             return relative.parent.as_posix() + "/"
     return (path.parent.name or filename) + "/ (stdlib)"
+
+
+def _book(frame: tracemalloc.Frame) -> str:
+    """The ledger line a block allocated at ``frame`` is charged to."""
+    if "sys.intern(" in linecache.getline(frame.filename, frame.lineno):
+        return INTERNED
+    return _group(frame.filename)
 
 
 def _tier(seed: int, scale: float, scratch: Path) -> Callable[[], Any]:
@@ -108,8 +120,8 @@ def child(
         return result
     live, peak = tracemalloc.get_traced_memory()
     by_file: dict[str, int] = {}
-    for stat in tracemalloc.take_snapshot().statistics("filename"):
-        key = _group(stat.traceback[0].filename)
+    for stat in tracemalloc.take_snapshot().statistics("traceback"):
+        key = _book(stat.traceback[0])
         by_file[key] = by_file.get(key, 0) + stat.size
     tracemalloc.stop()
     result.update(live=live, traced_peak=peak, by_file=by_file,

@@ -2,9 +2,11 @@
 
 One instance corresponds to the paper's "virtual course database
 management system" on a workstation: the relational engine loaded with
-the three-layer schema, the station's file and BLOB stores, the
+the three-layer schema, the station's document files, the
 referential-integrity alert engine, the hierarchical lock manager and
-the configuration manager all wired together.
+the configuration manager all wired together.  Its BLOBs are
+persistent holdings (:mod:`repro.storage.holdings`) in its
+:class:`~repro.net.station.Station`'s one BLOB store and disk.
 
 Object identifiers in the lock tree are namespaced:
 ``db:<name>``, ``script:<name>``, ``impl:<url>``, ``file:<path>``,
@@ -21,11 +23,11 @@ to it by hand.
 
 A station's document classes and instances (§4) are its rows too: a
 class is a template course whose implementations name registered BLOBs,
-each held once in the station's BLOB store; an instance is a
+each held once on the station; an instance is a
 :meth:`~WebDocumentDatabase.duplicate_course` copy, with its own HTML
 and program files and references to the template's BLOBs.  A reference
 to a remote instance is a broadcast holding
-(:mod:`repro.distribution.replication`).
+(:mod:`repro.storage.holdings`).
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from repro.core.objects import (
     TestRecordSCI,
 )
 from repro.core.scm import ConfigurationManager
+from repro.net.station import Station
 from repro.rdb import Database, col
-from repro.storage.blob import BlobKind, BlobStore
+from repro.storage.blob import BlobKind
 from repro.storage.files import (
     DocumentFile,
     FileDescriptor,
@@ -58,6 +61,7 @@ from repro.storage.files import (
     FileStore,
     LINK_PATTERNS,
 )
+from repro.storage.holdings import ReplicaManager
 
 __all__ = ["WebDocumentDatabase"]
 
@@ -117,16 +121,17 @@ class WebDocumentDatabase:
 
     def __init__(
         self,
-        station: str = "local",
+        station: Station | str = "local",
         *,
         with_integrity: bool = True,
     ) -> None:
+        if isinstance(station, str):  # a lone workstation of that name
+            station = Station(station)
         self.station = station
-        self.engine = Database(f"wddb_{station}")
+        self.engine = Database(f"wddb_{station.name}")
         for table_schema in _schema.ALL_SCHEMAS:
             self.engine.create_table(table_schema)
-        self.blobs = BlobStore(station=station)
-        self.files = FileStore(station=station)
+        self.files = FileStore(station=station.name)
         self.tree = _RowTree(self.engine)
         self.locks = LockManager(self.tree)
         self.scm = ConfigurationManager(self.locks)
@@ -173,16 +178,17 @@ class WebDocumentDatabase:
         size_bytes: int,
         kind: BlobKind = BlobKind.OTHER,
     ) -> str:
-        """Store a multimedia resource on the station; returns its digest.
+        """Hold a multimedia resource on the station; returns its digest.
 
         Registering the same (label, size) twice shares storage — the
-        paper's in-station BLOB sharing.  A digest registered before
-        without its bytes (a metadata-only check-out) becomes held, and
-        every implementation naming it takes its reference.
+        paper's in-station BLOB sharing — and a broadcast copy becomes
+        persistent in place.  A digest registered before without its
+        bytes (a metadata-only check-out) becomes held, and every
+        implementation naming it takes its reference.
         """
-        digest = self.blobs.put_synthetic(
-            label, size_bytes, kind, owner="library"
-        )
+        digest = ReplicaManager.of(self.station).hold_persistent(
+            label, size_bytes, kind
+        ).digest
         if self.engine.get("blobs", digest) is None:
             self.engine.insert(
                 "blobs",
@@ -197,7 +203,7 @@ class WebDocumentDatabase:
         for row in self.engine.select(
             "implementations", where=col("multimedia").contains(digest)
         ):
-            self.blobs.acquire(digest, f"impl:{row['starting_url']}")
+            self.station.blobs.acquire(digest, f"impl:{row['starting_url']}")
         return digest
 
     def blob_info(self, digest: str) -> dict[str, Any] | None:
@@ -242,7 +248,7 @@ class WebDocumentDatabase:
         deleted = self.engine.delete_pk("scripts", script_name)
         if deleted:
             for impl in impls:
-                self.blobs.release_owner(f"impl:{impl.starting_url}")
+                self.station.blobs.release_owner(f"impl:{impl.starting_url}")
         return deleted
 
     def search_scripts(
@@ -281,7 +287,7 @@ class WebDocumentDatabase:
         path listed twice or one registered to an implementation.  Then
         the row goes in, the files are written and registered, and the
         implementation takes a reference on each BLOB it names that the
-        station holds.
+        station holds persistently.
         """
         if not html_files:
             raise ValueError(
@@ -298,13 +304,12 @@ class WebDocumentDatabase:
                     f"multimedia digest {digest!r} is not registered"
                 )
         self._refuse_taken([*html_files, *program_files])
+        station = self.station.name
         impl = dataclasses.replace(
             impl,
-            html_files=[
-                FileDescriptor(self.station, f.path) for f in html_files
-            ],
+            html_files=[FileDescriptor(station, f.path) for f in html_files],
             program_files=[
-                FileDescriptor(self.station, f.path) for f in program_files
+                FileDescriptor(station, f.path) for f in program_files
             ],
             multimedia=list(impl.multimedia),
         )
@@ -312,8 +317,8 @@ class WebDocumentDatabase:
         self._store_files(html_files, "html_files", impl.starting_url)
         self._store_files(program_files, "program_files", impl.starting_url)
         for digest in impl.multimedia:
-            if digest in self.blobs:
-                self.blobs.acquire(digest, f"impl:{impl.starting_url}")
+            if self._held(digest):
+                self.station.blobs.acquire(digest, f"impl:{impl.starting_url}")
         return impl
 
     def implementation(self, starting_url: str) -> ImplementationSCI | None:
@@ -342,7 +347,7 @@ class WebDocumentDatabase:
         """Delete one implementation (dependents cascade; BLOB refs released)."""
         deleted = self.engine.delete_pk("implementations", starting_url)
         if deleted:
-            self.blobs.release_owner(f"impl:{starting_url}")
+            self.station.blobs.release_owner(f"impl:{starting_url}")
         return deleted
 
     def check_course(
@@ -413,7 +418,9 @@ class WebDocumentDatabase:
         self._refuse_taken([annotation_file])
         annotation = dataclasses.replace(
             annotation,
-            annotation_file=FileDescriptor(self.station, annotation_file.path),
+            annotation_file=FileDescriptor(
+                self.station.name, annotation_file.path
+            ),
         )
         self.engine.insert("annotations", annotation.to_row())
         self._store_files(
@@ -548,8 +555,8 @@ class WebDocumentDatabase:
             }
             for document in self.files.files()
         }
-        held = sorted(blob.digest for blob in self.blobs.blobs()
-                      if self.blob_info(blob.digest) is not None)
+        held = sorted(row["digest"] for row in self.engine.select("blobs")
+                      if self._held(row["digest"]))
         for name, payload in (
             ("files.json", files_payload), ("blobs.json", held),
         ):
@@ -561,7 +568,7 @@ class WebDocumentDatabase:
     def load(
         cls,
         directory: str | Path,
-        station: str = "local",
+        station: Station | str = "local",
         *,
         with_integrity: bool = True,
     ) -> "WebDocumentDatabase":
@@ -597,10 +604,10 @@ class WebDocumentDatabase:
         """Row counts, storage metering and pending-alert count."""
         engine_stats = self.engine.stats()
         return {
-            "station": self.station,
+            "station": self.station.name,
             "tables": engine_stats["tables"],
             "statements": engine_stats["statements"],
-            "blob_stats": self.blobs.stats(),
+            "blob_stats": self.station.blobs.stats(),
             "file_bytes": self.files.total_bytes,
             "pending_alerts": len(self.alerts.alerts) if self.alerts else 0,
         }
@@ -608,6 +615,15 @@ class WebDocumentDatabase:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _held(self, digest: str) -> bool:
+        """True when the station holds BLOB ``digest`` persistently."""
+        label = self.engine.get("blobs", digest)["label"]
+        holding = ReplicaManager.of(self.station).holding(label)
+        return (
+            holding is not None and holding.persistent
+            and holding.digest == digest
+        )
+
     def _refuse_taken(self, files: Iterable[DocumentFile]) -> None:
         """Refuse a path listed twice or registered to an implementation."""
         paths = [document_file.path for document_file in files]
@@ -629,7 +645,7 @@ class WebDocumentDatabase:
             self.files.write(document_file)
             entry = {
                 "path": document_file.path,
-                "station": self.station,
+                "station": self.station.name,
                 "starting_url": starting_url,
                 "size_bytes": document_file.size,
                 "checksum": document_file.checksum,

@@ -9,9 +9,8 @@
   (parent) function: "a child node copies information from its parent".
 * :mod:`repro.distribution.watermark` — the retrieval-frequency
   watermark that promotes remote references to local replicas.
-* :mod:`repro.distribution.replication` — the three on-station forms
-  (class / instance / reference) and the instance→reference migration
-  that bounds buffer usage after a lecture ends.
+* :mod:`repro.storage.holdings` (re-exported here) — what a station
+  holds, and the instance→reference migration after a lecture ends.
 * :mod:`repro.distribution.adaptive` — selection of ``m`` per media type
   from station count and bandwidth ("adaptive to changing network
   conditions").
@@ -21,7 +20,7 @@ from repro.distribution.mtree import MAryTree
 from repro.distribution.broadcast import BroadcastReport, PreBroadcaster
 from repro.distribution.ondemand import FetchReport, OnDemandFetcher
 from repro.distribution.watermark import WatermarkPolicy, WatermarkSimulator
-from repro.distribution.replication import (
+from repro.storage.holdings import (
     HoldingForm,
     ReplicaManager,
     StationHolding,

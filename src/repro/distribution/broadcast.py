@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.distribution.mtree import MAryTree
-from repro.distribution.replication import HoldingForm, ReplicaManager
+from repro.storage.holdings import HoldingForm, ReplicaManager
 from repro.obs.instrument import OBS, Instrument, family
 from repro.net.messages import Message
 from repro.net.station import Station
@@ -115,7 +115,7 @@ class PreBroadcaster:
     One broadcaster serves many runs; each run installs per-station
     chunk receipts under ``station.state["prebroadcast"]`` and holds the
     received lecture as a buffered instance through the station's
-    :class:`~repro.distribution.replication.ReplicaManager` (the paper:
+    :class:`~repro.storage.holdings.ReplicaManager` (the paper:
     duplicates are buffer space, not persistent storage).
     """
 

@@ -14,7 +14,7 @@ registry entries.  Two shipping modes mirror the paper's size split:
   multimedia stays as references, to be pulled later on demand — a
   check-out of the *notes*;
 * ``include_blobs=True`` ships everything, paying the BLOB bytes up
-  front — a full duplicate copy.
+  front — a full duplicate copy, charged to the student's disk.
 
 :class:`CourseShipper` runs the request/response exchange over the
 simulated network and installs arriving packages into the destination
@@ -23,7 +23,7 @@ station's :class:`~repro.core.wddb.WebDocumentDatabase`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.objects import ImplementationSCI, ScriptSCI
@@ -34,6 +34,7 @@ from repro.net.transport import Network
 from repro.rdb import col
 from repro.storage.blob import BlobKind
 from repro.storage.files import DocumentFile, FileDescriptor, FileKind
+from repro.storage.holdings import ReplicaManager
 
 __all__ = ["CoursePackage", "package_course", "install_package", "CourseShipper"]
 
@@ -117,9 +118,10 @@ def install_package(
     """Install a package into a (different) station database.
 
     Refuses, before writing anything, what
-    :meth:`~repro.core.wddb.WebDocumentDatabase.check_course` refuses.  Then
+    :meth:`~repro.core.wddb.WebDocumentDatabase.check_course` refuses,
+    and a full copy the disk has no room for (``DiskFullError``).  Then
     creates the parent document database if absent, registers BLOBs
-    (stored on the station when the package carried them, registry-only
+    (held on the station when the package carried them, registry-only
     references otherwise) and adds the script and its implementations.
     """
     script = ScriptSCI.from_row(package.script_row)
@@ -138,6 +140,10 @@ def install_package(
         for impl in map(ImplementationSCI.from_row, package.implementation_rows)
     ]
     db.check_course(script.script_name, implementations)
+    if package.include_blobs:
+        ReplicaManager.of(db.station).check_persistent(
+            {row["label"]: row["size_bytes"] for row in package.blob_rows}
+        )
     if db.engine.get("doc_databases", script.db_name) is None:
         db.create_document_database(
             script.db_name, author=script.author, created_at=script.created_at,
@@ -167,10 +173,14 @@ class CourseShipper:
         self.requests_served = 0
         self.packages_installed: list[tuple[str, str]] = []
 
-    def attach(self, station_name: str, db: WebDocumentDatabase) -> None:
-        """Register a station's database for serving/receiving."""
-        self._databases[station_name] = db
-        station = self.network.station(station_name)
+    def attach(self, db: WebDocumentDatabase) -> None:
+        """Serve and receive for ``db`` on its station (this network's)."""
+        station = db.station
+        if station.network is not self.network:
+            raise ValueError(
+                f"database station {station.name!r} is not on this network"
+            )
+        self._databases[station.name] = db
         if not station.handles(REQUEST_KIND):
             station.on(REQUEST_KIND, self._on_request)
             station.on(PACKAGE_KIND, self._on_package)

@@ -12,7 +12,7 @@ stations may cache the instance on the way down (``cache_intermediate``)
 — the paper's behaviour, since the child "copies information from its
 parent" implies the parent materializes it first — or relay without
 keeping a copy (ablation).  Every copy, seeded or cached, is held
-through the station's :class:`~repro.distribution.replication.ReplicaManager`:
+through the station's :class:`~repro.storage.holdings.ReplicaManager`:
 a station that already holds the document (say, by pre-broadcast) is a
 local hit, and a full disk keeps only a reference.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.distribution.mtree import MAryTree
-from repro.distribution.replication import ReplicaManager
+from repro.storage.holdings import ReplicaManager
 from repro.fault.policy import RetryPolicy
 from repro.net.messages import Message
 from repro.net.station import Station

@@ -28,7 +28,7 @@ sweeps.  A lost batch is an LSN gap the member refuses to apply past;
 it resubscribes from its own LSN, as :meth:`MetadataReplicator.repair`
 makes it do on demand.
 
-The repo's other replication layer, :mod:`repro.distribution.replication`,
+The repo's other replication layer, :mod:`repro.storage.holdings`,
 moves *course-document BLOBs*.  See DESIGN.md §11.
 """
 

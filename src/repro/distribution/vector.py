@@ -16,7 +16,7 @@ formulas make free).
 :class:`ReferenceBroadcaster` pushes *document references* (small
 control records, not BLOBs) down the current tree, so every member
 learns where each instance physically lives — the mirror pointers each
-station's :class:`~repro.distribution.replication.ReplicaManager`
+station's :class:`~repro.storage.holdings.ReplicaManager`
 records.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.distribution.mtree import MAryTree
-from repro.distribution.replication import ReplicaManager
+from repro.storage.holdings import ReplicaManager
 from repro.net.messages import Message
 from repro.net.station import Station
 from repro.net.transport import Network
@@ -124,7 +124,7 @@ class ReferenceBroadcaster:
     """Fans document references down the membership tree.
 
     Each member station records the references it hears with
-    :meth:`~repro.distribution.replication.ReplicaManager.hold_reference`;
+    :meth:`~repro.storage.holdings.ReplicaManager.hold_reference`;
     a station that holds the instance keeps it.
     """
 

@@ -16,7 +16,7 @@ transfer cost from the owning station; local replays are free.  It
 reports latency, bytes moved and disk consumed so the threshold sweep
 exposes the policy's latency/space trade-off.  The owner holds its
 documents persistently and a copy is a buffered instance, both through
-each station's :class:`~repro.distribution.replication.ReplicaManager`;
+each station's :class:`~repro.storage.holdings.ReplicaManager`;
 a station whose disk is full keeps a reference instead, and the access
 reports ``duplicated=False``.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.distribution.replication import ReplicaManager
+from repro.storage.holdings import ReplicaManager
 from repro.net.link import schedule_transfer
 from repro.net.transport import Network
 from repro.util.validation import check_positive

@@ -1,11 +1,12 @@
 """Simulated workstations.
 
 A :class:`Station` is a named network endpoint with a handler table
-(dispatch by message kind), its own storage stack — BLOB store, file
-store, disk accountant — and traffic counters.  Higher layers (the
-distribution managers, the three-tier server) register handlers rather
-than subclassing, mirroring how the paper's "Java-based daemons" attach
-to a workstation.
+(dispatch by message kind), traffic counters and the workstation's one
+BLOB store and disk accountant, which only its
+:class:`~repro.storage.holdings.ReplicaManager` fills.  Higher layers
+(the distribution managers, the three-tier server) register handlers
+rather than subclassing, mirroring how the paper's "Java-based daemons"
+attach to a workstation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.net.link import DuplexLink
 from repro.net.messages import Message
 from repro.storage.accounting import DiskAccountant
 from repro.storage.blob import BlobStore
-from repro.storage.files import FileStore
 from repro.util.validation import check_identifier
 
 if TYPE_CHECKING:
@@ -42,7 +42,6 @@ class Station:
         self.name = name
         self.link = link if link is not None else DuplexLink.symmetric_mbps(10.0)
         self.blobs = BlobStore(station=name)
-        self.files = FileStore(station=name)
         self.disk = DiskAccountant(station=name, capacity=disk_capacity)
         self._handlers: dict[str, Handler] = {}
         self._default_handler: Handler | None = None

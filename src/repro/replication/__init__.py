@@ -38,7 +38,7 @@ per layer:
   the same stream down the member tree — every station follows its
   tree parent and relays from its own follower journal — for E11's
   fleet-wide copies of the document-layer metadata;
-* :mod:`repro.distribution.replication` replicates *course-document
+* :mod:`repro.storage.holdings` replicates *course-document
   BLOBs* onto stations (the paper's instance/reference forms and
   buffer-space migration).
 

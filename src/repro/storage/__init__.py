@@ -7,7 +7,8 @@ implements that sharing with a content-addressed, reference-counted store
 so experiment E4 can measure exactly how much disk the sharing design
 saves.  :mod:`repro.storage.files` models the smaller document-layer
 files (HTML, program, annotation) that are duplicated rather than shared,
-and :mod:`repro.storage.accounting` meters per-station disk usage.
+and :mod:`repro.storage.accounting` meters per-station disk usage;
+:mod:`repro.storage.holdings` is the one record of what a station holds.
 """
 
 from repro.storage.blob import Blob, BlobKind, BlobStore, MissingBlobError

@@ -6,16 +6,15 @@ within a duration of time" (buffer space).  Experiment E6 quantifies
 that with this meter: every allocation is tagged with a category
 (``persistent`` for the instructor's instances/classes, ``buffer`` for
 pre-broadcast duplicates, ...) so usage curves can be split exactly the
-way the paper's argument splits them.
+way the paper's argument splits them.  Each station has one, charged
+only through :class:`~repro.storage.holdings.ReplicaManager`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["DiskFullError", "DiskAccountant", "UsageSample"]
+__all__ = ["DiskFullError", "DiskAccountant"]
 
 
 class DiskFullError(RuntimeError):
@@ -31,15 +30,6 @@ class DiskFullError(RuntimeError):
         self.available = available
 
 
-@dataclass(frozen=True, slots=True)
-class UsageSample:
-    """One point on a station's usage-over-time curve."""
-
-    time: float
-    used_bytes: int
-    by_category: dict[str, int] = field(hash=False, default_factory=dict)
-
-
 class DiskAccountant:
     """Tracks allocated bytes per category with an optional capacity cap."""
 
@@ -49,8 +39,6 @@ class DiskAccountant:
             check_positive(capacity, "capacity")
         self.capacity = capacity
         self._by_category: dict[str, int] = {}
-        self.peak_bytes = 0
-        self._timeline: list[UsageSample] = []
 
     # -- allocation ---------------------------------------------------------
     def allocate(self, n_bytes: int, category: str = "data") -> None:
@@ -62,7 +50,6 @@ class DiskAccountant:
                 self.station, n, self.capacity - self.used_bytes
             )
         self._by_category[category] = self._by_category.get(category, 0) + n
-        self.peak_bytes = max(self.peak_bytes, self.used_bytes)
 
     def free(self, n_bytes: int, category: str = "data") -> None:
         """Release ``n_bytes`` from ``category`` (never below zero)."""
@@ -104,18 +91,3 @@ class DiskAccountant:
 
     def categories(self) -> dict[str, int]:
         return dict(self._by_category)
-
-    # -- timeline sampling -------------------------------------------------
-    def sample(self, time: float) -> UsageSample:
-        """Record (and return) a usage sample at simulation time ``time``."""
-        point = UsageSample(
-            time=float(time),
-            used_bytes=self.used_bytes,
-            by_category=dict(self._by_category),
-        )
-        self._timeline.append(point)
-        return point
-
-    @property
-    def timeline(self) -> list[UsageSample]:
-        return list(self._timeline)

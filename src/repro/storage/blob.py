@@ -131,10 +131,6 @@ class BlobStore:
             self.logical_bytes += blob.size
         return digest
 
-    def adopt(self, blob: Blob, *, owner: str) -> str:
-        """Install a BLOB copied from another station (same digest)."""
-        return self._put(blob.digest, blob.kind, blob.size, blob.data, owner)
-
     # -- reference management --------------------------------------------------
     def acquire(self, digest: str, owner: str) -> None:
         """Add ``owner``'s reference to an existing BLOB."""
@@ -181,9 +177,6 @@ class BlobStore:
 
     def owners_of(self, digest: str) -> frozenset[str]:
         return frozenset(self._require(digest).owners)
-
-    def digests_for(self, owner: str) -> list[str]:
-        return [d for d, b in self._blobs.items() if owner in b.owners]
 
     # -- metering ---------------------------------------------------------
     @property

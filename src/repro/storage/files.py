@@ -106,10 +106,6 @@ class FileStore:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    def copy_to(self, path: str, other: "FileStore") -> FileDescriptor:
-        """Duplicate one file into another station's store."""
-        return other.write(self.read(path))
-
     def paths(self, kind: FileKind | None = None) -> list[str]:
         if kind is None:
             return sorted(self._files)

@@ -9,44 +9,46 @@ Essentially, buffer spaces are used only.  However, the instructor
 workstation has document instances and classes as persistence objects."
 A station's classes and the instances duplicated from them are its
 document rows (:meth:`repro.core.WebDocumentDatabase.duplicate_course`);
-what is broadcast is held here as an instance or a reference.
+the BLOBs they name, and what is broadcast, are held here as an
+instance or a reference.
 
 :class:`ReplicaManager` is a station's one record of what it holds, by
-form.  It is the only code that puts a document BLOB on a station,
-charges, frees or moves the station's
-:class:`~repro.storage.accounting.DiskAccountant` (``persistent`` vs
-``buffer`` categories), or records a reference ("References to the
+form.  It is the only code that puts a document BLOB in the station's
+one :class:`~repro.storage.blob.BlobStore`, charges, frees or moves its
+one :class:`~repro.storage.accounting.DiskAccountant` (``persistent``
+vs ``buffer`` categories), or records a reference ("References to the
 instance are broadcasted and stored in many remote stations"); it
 migrates a buffered instance to a reference when its lifetime ends.
 
-The other mechanisms reach a station's one manager through
-:meth:`ReplicaManager.of` and ask it :meth:`~ReplicaManager.holds`.
-Pre-broadcast buffers each completed lecture (a full disk keeps a
-reference to the tree root); on-demand fetch seeds persistent instances
-and buffers what flows down; watermark duplication holds the owner's
-documents persistently, buffers its copies and migrates them on reset;
-reference announcements record references, which never replace an
-instance.
+Every mechanism reaches a station's one manager through
+:meth:`ReplicaManager.of` and asks it :meth:`~ReplicaManager.holds`.
+The document database holds its BLOBs persistently, so a full course
+check-out is bounded by the disk.  Pre-broadcast buffers each
+completed lecture (a full disk keeps a reference to the tree root);
+on-demand fetch seeds persistent instances and buffers what flows
+down; watermark duplication holds the owner's documents persistently,
+buffers its copies and migrates them on reset; reference announcements
+record references, which never replace an instance.
 
 Not to be confused with the repo's other replication layer: this
 module replicates *course-document BLOBs* onto stations;
-:mod:`repro.replication` replicates a *relational database* by WAL
-shipping — to a class administrator's read replicas and failover
-candidates, and (:mod:`repro.distribution.syncdb`, the same stream down
-the member tree) to every station's copy of the document-layer
-metadata.  See DESIGN.md §11.
+:mod:`repro.replication` ships a *relational database's* WAL to read
+replicas and (:mod:`repro.distribution.syncdb`) down the member tree.
+See DESIGN.md §11.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.net.sim import Simulator
-from repro.net.station import Station
 from repro.storage.accounting import DiskFullError
 from repro.storage.blob import BlobKind
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.net.station import Station
 
 __all__ = ["HoldingForm", "StationHolding", "ReplicaManager"]
 
@@ -91,14 +93,13 @@ class ReplicaManager:
     #: disk category for lecture-duration duplicates
     BUFFER = "buffer"
 
-    def __init__(self, station: Station, sim: Simulator) -> None:
+    def __init__(self, station: Station) -> None:
         if _STATE_KEY in station.state:
             raise ValueError(
                 f"station {station.name!r} already has a replica manager"
             )
         station.state[_STATE_KEY] = self
         self.station = station
-        self.sim = sim
         self._holdings: dict[str, StationHolding] = {}
         self.migrations = 0
 
@@ -106,9 +107,7 @@ class ReplicaManager:
     def of(cls, station: Station) -> ReplicaManager:
         """The station's one manager, made on first use."""
         manager = station.state.get(_STATE_KEY)
-        if manager is None:
-            manager = cls(station, station.network.sim)
-        return manager
+        return cls(station) if manager is None else manager
 
     # ------------------------------------------------------------------
     # Acquisition
@@ -135,6 +134,18 @@ class ReplicaManager:
             holding.persistent = True
             holding.expires_at = holding.instance_station = None
         return holding
+
+    def check_persistent(self, sizes: dict[str, int]) -> None:
+        """Raise what :meth:`hold_persistent` of each ``doc_id: size``
+        would (another size than the instance held, no disk room for
+        the ones not held), holding nothing."""
+        needed = sum(
+            size for doc_id, size in sizes.items()
+            if self._held(doc_id, size) is None
+        )
+        available = self.station.disk.available_bytes
+        if available is not None and needed > available:
+            raise DiskFullError(self.station.name, needed, available)
 
     def hold_buffered(
         self,
@@ -219,8 +230,9 @@ class ReplicaManager:
         if holding is None or holding.persistent:
             return
         if holding.form is HoldingForm.INSTANCE:
-            holding.expires_at = self.sim.now + extend_s
-            self.sim.schedule(extend_s, self._maybe_migrate, doc_id, holding.expires_at)
+            sim = self.station.network.sim
+            holding.expires_at = sim.now + extend_s
+            sim.schedule(extend_s, self._maybe_migrate, doc_id, holding.expires_at)
 
     def _maybe_migrate(self, doc_id: str, expected_expiry: float) -> None:
         holding = self._holdings.get(doc_id)

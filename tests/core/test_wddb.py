@@ -146,11 +146,12 @@ class TestImplementations:
 
     def test_delete_implementation_releases_blobs(self, wddb, course):
         digest = course.multimedia[0]
-        assert f"impl:{course.starting_url}" in wddb.blobs.owners_of(digest)
+        blobs = wddb.station.blobs
+        assert f"impl:{course.starting_url}" in blobs.owners_of(digest)
         wddb.delete_implementation(course.starting_url)
-        # library owner still holds the blob; impl owner released
-        assert digest in wddb.blobs
-        assert f"impl:{course.starting_url}" not in wddb.blobs.owners_of(digest)
+        # the station's holding keeps the blob; impl owner released
+        assert digest in blobs
+        assert f"impl:{course.starting_url}" not in blobs.owners_of(digest)
 
 
 class TestBlobLayer:
@@ -248,7 +249,8 @@ class TestCascadingDeletes:
     def test_delete_script_releases_blob_references(self, wddb, course):
         digest = course.multimedia[0]
         wddb.delete_script("cs101")
-        assert wddb.blobs.owners_of(digest) == {"library"}
+        label = wddb.blob_info(digest)["label"]
+        assert wddb.station.blobs.owners_of(digest) == {f"replica:{label}"}
 
     def test_component_leaves_the_tree_with_its_container(self, wddb, course):
         wddb.scm.add_component("cm:page", "file:cs101/index.html", "v1", "shih")

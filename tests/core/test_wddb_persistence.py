@@ -32,13 +32,13 @@ class TestDuplicateCourse:
         assert "copy/cs101/p1.html" in index.content
 
     def test_blobs_shared_not_copied(self, wddb, course):
-        physical_before = wddb.blobs.physical_bytes
+        physical_before = wddb.station.blobs.physical_bytes
         wddb.duplicate_course("cs101", "copy")
-        assert wddb.blobs.physical_bytes == physical_before
+        assert wddb.station.blobs.physical_bytes == physical_before
         duplicated = wddb.implementations_of("copy")[0]
         assert duplicated.multimedia == course.multimedia
         # the copy took its own reference
-        owners = wddb.blobs.owners_of(course.multimedia[0])
+        owners = wddb.station.blobs.owners_of(course.multimedia[0])
         assert any(owner.startswith("impl:") and "copy" in owner
                    for owner in owners)
 
@@ -139,8 +139,8 @@ class TestDuplicateCourse:
 
         def assert_shared(db):
             # the library, the template and each section own it
-            assert len(db.blobs.owners_of(video)) == n + 2
-            assert db.blobs.physical_bytes == 1_000_000
+            assert len(db.station.blobs.owners_of(video)) == n + 2
+            assert db.station.blobs.physical_bytes == 1_000_000
 
         assert_shared(wddb)
         wddb.save(tmp_path / "st")
@@ -176,9 +176,9 @@ class TestSaveLoad:
         wddb.save(tmp_path / "state")
         loaded = WebDocumentDatabase.load(tmp_path / "state")
         digest = course.multimedia[0]
-        assert digest in loaded.blobs
-        assert f"impl:{course.starting_url}" in loaded.blobs.owners_of(digest)
-        assert loaded.blobs.physical_bytes == wddb.blobs.physical_bytes
+        assert digest in loaded.station.blobs
+        assert f"impl:{course.starting_url}" in loaded.station.blobs.owners_of(digest)
+        assert loaded.station.blobs.physical_bytes == wddb.station.blobs.physical_bytes
 
     def test_roundtrip_loads_only_held_blobs(self, wddb, course, tmp_path):
         # A registry row whose bytes stay on another station.
@@ -187,11 +187,11 @@ class TestSaveLoad:
                                      "label": "remote.mpg"})
         wddb.save(tmp_path / "state")
         loaded = WebDocumentDatabase.load(tmp_path / "state")
-        assert "remote" not in loaded.blobs
+        assert "remote" not in loaded.station.blobs
         assert loaded.blob_info("remote") is not None
-        assert loaded.blobs.physical_bytes == wddb.blobs.physical_bytes
-        assert sorted(b.digest for b in loaded.blobs.blobs()) == sorted(
-            b.digest for b in wddb.blobs.blobs()
+        assert loaded.station.blobs.physical_bytes == wddb.station.blobs.physical_bytes
+        assert sorted(b.digest for b in loaded.station.blobs.blobs()) == sorted(
+            b.digest for b in wddb.station.blobs.blobs()
         )
 
     def test_roundtrip_rebuilds_lock_tree(self, wddb, course, tmp_path):

@@ -150,7 +150,7 @@ def _apply(db: WebDocumentDatabase, step: tuple) -> WebDocumentDatabase:
     else:
         with tempfile.TemporaryDirectory() as directory:
             db.save(directory)
-            return WebDocumentDatabase.load(directory, db.station)
+            return WebDocumentDatabase.load(directory, db.station.name)
     return db
 
 
@@ -187,7 +187,7 @@ def _state(db: WebDocumentDatabase, candidates: set[str]) -> tuple:
     return (
         {t: db.engine.select(t, order_by=k) for t, k in PRIMARY_KEYS.items()},
         {f.path: (f.kind, f.content) for f in db.files.files()},
-        {b.digest: set(b.owners) for b in db.blobs.blobs()},
+        {b.digest: set(b.owners) for b in db.station.blobs.blobs()},
         {node for node in candidates if node in db.tree},
     )
 
@@ -215,7 +215,7 @@ def _check(db: WebDocumentDatabase, candidates: set[str]) -> None:
         entry = db.engine.get(table, path)
         assert entry["starting_url"] == starting_url, path
         assert entry["checksum"] == db.files.read(path).checksum, path
-    for blob in db.blobs.blobs():
+    for blob in db.station.blobs.blobs():
         naming = {
             f"impl:{row['starting_url']}"
             for row in implementations

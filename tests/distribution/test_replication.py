@@ -4,7 +4,7 @@ import pytest
 
 from repro.distribution import HoldingForm, PreBroadcaster, ReplicaManager
 from repro.distribution.mtree import MAryTree
-from repro.net import Simulator, Station
+from repro.net import Network, Simulator, Station
 from repro.util.units import MIB
 
 from tests.conftest import build_network
@@ -12,8 +12,8 @@ from tests.conftest import build_network
 
 @pytest.fixture
 def manager():
-    sim = Simulator()
-    return ReplicaManager(Station("st"), sim), sim
+    network = Network(Simulator())  # a station holds its network weakly
+    yield ReplicaManager(network.add(Station("st"))), network.sim
 
 
 class TestPersistentHoldings:
@@ -59,9 +59,9 @@ class TestPersistentHoldings:
 
 class TestOneManagerPerStation:
     def test_second_manager_refused(self, manager):
-        mgr, sim = manager
+        mgr, _sim = manager
         with pytest.raises(ValueError, match="already has a replica manager"):
-            ReplicaManager(mgr.station, sim)
+            ReplicaManager(mgr.station)
 
     def test_of_returns_the_station_manager(self, manager):
         mgr, _sim = manager
@@ -72,7 +72,13 @@ class TestOneManagerPerStation:
         station = net.station("s2")
         mgr = ReplicaManager.of(station)
         assert ReplicaManager.of(station) is mgr
-        assert mgr.sim is net.sim
+        assert mgr.station is station
+
+    def test_of_works_on_a_lone_station(self):
+        station = Station("lone")
+        ReplicaManager.of(station).hold_persistent("doc", MIB)
+        assert station.disk.used_in(ReplicaManager.PERSISTENT) == MIB
+        assert station.blobs.physical_bytes == MIB
 
 
 class TestBufferedLifecycle:
@@ -142,7 +148,7 @@ class TestBufferedLifecycle:
         assert (mgr.buffer_bytes, mgr.persistent_bytes) == (MIB, 0)
 
     def test_full_disk_keeps_a_reference(self):
-        mgr = ReplicaManager(Station("st", disk_capacity=MIB // 2), Simulator())
+        mgr = ReplicaManager(Station("st", disk_capacity=MIB // 2))
         holding = mgr.hold_buffered("doc", MIB, instance_station="s9")
         assert holding.form is HoldingForm.REFERENCE
         assert holding.instance_station == "s9"

@@ -32,7 +32,7 @@ class TestStation:
     def test_default_handler_does_not_hide_registered_kinds(self, net8):
         """Subsystems register their kind only where no station handler
         exists; a catch-all sink must not count as one."""
-        from repro.distribution.replication import ReplicaManager
+        from repro.storage.holdings import ReplicaManager
         from repro.distribution.vector import (
             BroadcastVector, ReferenceBroadcaster,
         )

@@ -244,13 +244,13 @@ class TestPackageDocs:
         import repro.replication as replication
 
         doc = replication.__doc__
-        assert "repro.distribution.replication" in doc
+        assert "repro.storage.holdings" in doc
         # not a third layer any more: a topology over this package
         assert "repro.distribution.syncdb" in doc
         assert "same stream" in doc
 
     @pytest.mark.parametrize("module_name", [
-        "repro.distribution.replication", "repro.distribution.syncdb",
+        "repro.storage.holdings", "repro.distribution.syncdb",
     ])
     def test_sibling_layers_point_back_here(self, module_name):
         import importlib

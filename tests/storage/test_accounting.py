@@ -45,13 +45,6 @@ class TestAllocation:
         disk.free(10, "x")
         assert "x" not in disk.categories()
 
-    def test_peak_tracking(self):
-        disk = DiskAccountant()
-        disk.allocate(100)
-        disk.free(60)
-        disk.allocate(10)
-        assert disk.peak_bytes == 100
-
     def test_negative_rejected(self):
         disk = DiskAccountant()
         with pytest.raises(ValueError):
@@ -74,23 +67,3 @@ class TestTransfer:
         disk.allocate(10, "buffer")
         with pytest.raises(ValueError):
             disk.transfer(20, "buffer", "persistent")
-
-
-class TestTimeline:
-    def test_samples_record_state(self):
-        disk = DiskAccountant()
-        disk.allocate(10, "a")
-        disk.sample(1.0)
-        disk.allocate(5, "b")
-        disk.sample(2.0)
-        timeline = disk.timeline
-        assert [s.time for s in timeline] == [1.0, 2.0]
-        assert timeline[0].used_bytes == 10
-        assert timeline[1].by_category == {"a": 10, "b": 5}
-
-    def test_sample_snapshot_is_immutable_copy(self):
-        disk = DiskAccountant()
-        disk.allocate(10, "a")
-        sample = disk.sample(0.0)
-        disk.allocate(10, "a")
-        assert sample.by_category == {"a": 10}

@@ -121,22 +121,8 @@ class TestReferences:
         with pytest.raises(MissingBlobError):
             store.release("nope", "o")
 
-    def test_digests_for_owner(self):
-        store = BlobStore()
-        d1 = store.put_synthetic("x", 1, owner="a")
-        store.put_synthetic("y", 1, owner="b")
-        assert store.digests_for("a") == [d1]
-
 
 class TestAdopt:
-    def test_adopt_from_other_station(self):
-        src = BlobStore("s1")
-        dst = BlobStore("s2")
-        digest = src.put_synthetic("x", 100, BlobKind.VIDEO, owner="a")
-        dst.adopt(src.get(digest), owner="mirror")
-        assert digest in dst
-        assert dst.get(digest).kind is BlobKind.VIDEO
-
     def test_refcount_property(self):
         blob = Blob(digest="d", kind=BlobKind.OTHER, size=1)
         assert blob.refcount == 0

@@ -53,14 +53,6 @@ class TestFileStore:
         assert store.delete("a") is False
         assert not store.exists("a")
 
-    def test_copy_to(self):
-        src = FileStore("s1")
-        dst = FileStore("s2")
-        src.write(DocumentFile("a", FileKind.PROGRAM, "code"))
-        fd = src.copy_to("a", dst)
-        assert fd.station == "s2"
-        assert dst.read("a").content == "code"
-
     def test_paths_filtered_by_kind(self):
         store = FileStore()
         store.write(DocumentFile("a.html", FileKind.HTML, "x"))

@@ -95,7 +95,7 @@ class TestReuse:
             CourseGenerator(seed=7, reuse_probability=reuse).generate_corpus(
                 db, "mmu", 20
             )
-            return db.blobs.sharing_factor
+            return db.station.blobs.sharing_factor
 
         # Even at reuse=0 the factor exceeds 1 (library + implementation
         # each hold a reference); what matters is that cross-course reuse
