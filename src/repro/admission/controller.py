@@ -27,8 +27,7 @@ in experiments), the same pattern as :mod:`repro.obs`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.admission.errors import DeadlineExceededError, OverloadError
 from repro.admission.tokens import TenantQuotas
@@ -50,9 +49,11 @@ QUEUE_DEPTH = Instrument("gauge", "admission.queue_depth")
 DEADLINE_EXPIRED = Instrument("counter", "admission.deadline_expired", "site")
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionTicket:
-    """Proof one request was admitted; returned to :meth:`complete`."""
+class AdmissionTicket(NamedTuple):
+    """Proof one request was admitted; returned to :meth:`complete`.
+
+    A ``typing.NamedTuple``, like the other values built per request.
+    """
 
     op: str
     priority: str
@@ -113,10 +114,6 @@ class AdmissionController:
             else:
                 SHED[reason].inc()
 
-    def _gauge_depth(self) -> None:
-        if OBS.enabled:
-            QUEUE_DEPTH[()].set(self.depth)
-
     # ------------------------------------------------------------------
     # Estimates
     # ------------------------------------------------------------------
@@ -172,7 +169,6 @@ class AdmissionController:
             deadline = now + self.default_deadline_s
         # Anything but bulk is served, and labelled, as interactive.
         bulk = getattr(request, "priority", None) == PRIORITY_BULK
-        priority = PRIORITY_BULK if bulk else PRIORITY_INTERACTIVE
         tenant = getattr(request, "tenant", None) or "default"
 
         if now >= deadline:
@@ -187,16 +183,19 @@ class AdmissionController:
                 reason="quota",
                 retry_after_s=self.quotas.wait_time(tenant, now),
             )
-        wait = self.estimated_wait(now)
-        estimate = self.estimate(op)
-        if self.depth >= self.max_depth:
+        # estimated_wait and estimate, inline: admission is arithmetic.
+        busy_until = self.busy_until
+        wait = busy_until - now if busy_until > now else 0.0
+        estimate = self._estimates.get(op, self.default_estimate_s)
+        depth = self.depth
+        if depth >= self.max_depth:
             self._count_shed(now, "queue-full")
             raise OverloadError(
-                f"admission queue full ({self.depth})",
+                f"admission queue full ({depth})",
                 reason="queue-full",
                 retry_after_s=wait,
             )
-        if priority == PRIORITY_BULK and self.depth >= self.bulk_depth:
+        if bulk and depth >= self.bulk_depth:
             self._count_shed(now, "bulk-queue")
             raise OverloadError(
                 "bulk queue share exhausted",
@@ -211,20 +210,14 @@ class AdmissionController:
                 retry_after_s=max(wait + estimate - (deadline - now), estimate),
             )
 
-        self.depth += 1
-        self.busy_until = max(self.busy_until, now) + estimate
+        self.depth = depth + 1
+        self.busy_until = (now if now > busy_until else busy_until) + estimate
         self.admitted += 1
+        priority = PRIORITY_BULK if bulk else PRIORITY_INTERACTIVE
         if OBS.enabled:
             ADMITTED[priority].inc()
-        self._gauge_depth()
-        return AdmissionTicket(
-            op=op,
-            priority=priority,
-            tenant=tenant,
-            admitted_at=now,
-            deadline=deadline,
-            estimate_s=estimate,
-        )
+            QUEUE_DEPTH[()].set(depth + 1)
+        return AdmissionTicket(op, priority, tenant, now, deadline, estimate)
 
     def complete(
         self,
@@ -233,11 +226,20 @@ class AdmissionController:
         now: float | None = None,
         service_s: float | None = None,
     ) -> None:
-        """Release the queue slot and fold in the observed service time."""
-        self.depth = max(0, self.depth - 1)
-        if service_s is not None:
-            self.record_service(ticket.op, service_s)
-        self._gauge_depth()
+        """Release the queue slot and fold in the observed service time
+        (:meth:`record_service`, inline)."""
+        depth = self.depth - 1 if self.depth > 0 else 0
+        self.depth = depth
+        if service_s is not None and service_s > 0.0:
+            op = ticket.op
+            previous = self._estimates.get(op)
+            if previous is None:
+                self._estimates[op] = float(service_s)
+            else:
+                alpha = self.ewma_alpha
+                self._estimates[op] = (1 - alpha) * previous + alpha * service_s
+        if OBS.enabled:
+            QUEUE_DEPTH[()].set(depth)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -32,6 +32,7 @@ from repro.net.messages import Message
 from repro.net.station import Station
 from repro.net.transport import Network
 from repro.rdb import col
+from repro.storage.accounting import DiskFullError
 from repro.storage.blob import BlobKind
 from repro.storage.files import DocumentFile, FileDescriptor, FileKind
 from repro.storage.holdings import ReplicaManager
@@ -172,6 +173,9 @@ class CourseShipper:
         self._databases: dict[str, WebDocumentDatabase] = {}
         self.requests_served = 0
         self.packages_installed: list[tuple[str, str]] = []
+        #: (station, script name, why) of each package the station
+        #: refused, installing none of it
+        self.packages_refused: list[tuple[str, str, str]] = []
 
     def attach(self, db: WebDocumentDatabase) -> None:
         """Serve and receive for ``db`` on its station (this network's)."""
@@ -227,7 +231,14 @@ class CourseShipper:
         if db is None:
             return
         package: CoursePackage = message.payload
-        install_package(db, package)
-        self.packages_installed.append(
-            (station.name, package.script_row["script_name"])
-        )
+        script_name = package.script_row["script_name"]
+        try:
+            install_package(db, package)
+        except (ValueError, DiskFullError) as exc:
+            # install_package refuses before writing anything; the
+            # refusal stays at the station, not in the event loop.
+            self.packages_refused.append(
+                (station.name, script_name, f"{type(exc).__name__}: {exc}")
+            )
+            return
+        self.packages_installed.append((station.name, script_name))

@@ -225,12 +225,19 @@ class ReplicaManager:
     # ------------------------------------------------------------------
     def touch(self, doc_id: str, extend_s: float) -> None:
         """Expire a buffered instance ``extend_s`` from now (a replay of
-        ``doc_id`` extends its lifetime)."""
+        ``doc_id`` extends its lifetime) on the station's network's
+        clock; a station on no network raises ``RuntimeError``."""
         holding = self._holdings.get(doc_id)
         if holding is None or holding.persistent:
             return
         if holding.form is HoldingForm.INSTANCE:
-            sim = self.station.network.sim
+            network = self.station.network
+            if network is None:
+                raise RuntimeError(
+                    f"station {self.station.name!r} is not attached to a "
+                    "network"
+                )
+            sim = network.sim
             holding.expires_at = sim.now + extend_s
             sim.schedule(extend_s, self._maybe_migrate, doc_id, holding.expires_at)
 

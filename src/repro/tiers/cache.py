@@ -17,10 +17,15 @@ that tier:
   the version lag it tolerates.  ``read_through`` looks up with lag 0
   (any change to a stamped table since the entry was stored is a miss,
   and the fresh value replaces the dead entry in its slot) and hands
-  out a copy; ``select`` is that read-through keyed by query shape, and
-  the server keys it by request, storing its finished ``transcript``
-  and ``roster`` replies.  The server's degraded-mode ledger looks the
-  same kind of store up with a small positive lag while it sheds load.
+  out a copy; ``select`` is that read-through keyed by query shape.
+* The server keeps **one** such store of finished replies, keyed by
+  request.  Its ``transcript`` and ``roster`` replies go in only
+  through ``read_through``; beside an admission controller a
+  ``search_library`` reply is recorded by hand, as one copy.  While the
+  controller sheds load, degraded replies are looked up in the same
+  store with a small positive lag (``server.stale_reads`` is another
+  name of ``server.query_cache``), so an admitted read pays for its
+  reply once.
 """
 
 from __future__ import annotations

@@ -65,26 +65,27 @@ STALE_SERVED = Instrument("counter", "admission.stale_served", "op")
 
 #: The reads whose finished reply the tier stores, and the table each
 #: derives from: a repeat is one lookup and one copy, and the handler
-#: does not run.  A library search is not stored: the library view
-#: keeps no version of its own.
+#: does not run.  A library search is not read through the store: the
+#: library view keeps no version of its own.
 _STORED_REPLIES: dict[str, tuple[str, ...]] = {
     "transcript": ("transcripts",),
     "roster": ("enrollments",),
 }
 
+#: The table a library search derives from, stamped on its reply when
+#: one is recorded beside a controller, for degraded serving only.
+_SEARCH_TABLES = ("catalog_docs",)
+
 #: Replica-safe reads eligible for degraded (stale-cache) serving while
-#: the admission controller sheds, and the tables each derives from —
-#: the staleness bound is measured in version bumps of these tables.
-_STALE_SERVABLE: dict[str, tuple[str, ...]] = {
-    **_STORED_REPLIES,
-    "search_library": ("catalog_docs",),
-}
+#: the admission controller sheds; the staleness bound is measured in
+#: version bumps of the tables stamped on the stored reply.
+_STALE_SERVABLE = frozenset({*_STORED_REPLIES, "search_library"})
 
 #: How many version bumps of those tables a degraded reply may trail by;
 #: past it the read sheds honestly instead of lying unboundedly.
 STALE_MAX_LAG = 8
 
-#: Param types whose values key the stale-read ledger as they are (no
+#: Param types whose values key a stored reply as they are (no
 #: two of them compare equal across types, unlike ``1 == 1.0 == True``).
 _PLAIN_KEYS = frozenset({str})
 _PLAIN_VALUES = frozenset({str, int, type(None)})
@@ -351,22 +352,26 @@ class ClassAdministrator:
         return self.library.reload(entries)
 
     def _serve_from(self, db: Database) -> None:
-        """Point the connection and fresh, empty caches at ``db``."""
+        """Point the connection and a fresh, empty store at ``db``."""
         self.admin_db = db
         self.table_versions = TableVersions()
         self.table_versions.attach(db)
-        # Repeated browser reads (rosters, transcripts) are answered with
-        # the reply stored the first time; any change to the table it
-        # derives from moves that table's version and so misses,
-        # whichever path made the change.  The connection itself reads
-        # and writes uncached.
+        # The one store of finished replies.  Repeated browser reads
+        # (rosters, transcripts) are answered with the reply stored the
+        # first time; any change to the table it derives from moves
+        # that table's version and so misses, whichever path made the
+        # change.  While a controller sheds, the same entries are served
+        # degraded up to STALE_MAX_LAG versions behind.  The connection
+        # itself reads and writes uncached.
         self.query_cache = QueryCache(self.table_versions, max_entries=512)
         self.connection = OpenDatabaseConnection(db)
-        #: Last-known-good replies for degraded serving while shedding:
-        #: the same store, looked up with lag :data:`STALE_MAX_LAG`.
-        #: Written only beside a controller (nothing else can look an
-        #: entry up); one installed later starts from an empty ledger.
-        self.stale_reads = QueryCache(self.table_versions)
+
+    @property
+    def stale_reads(self) -> QueryCache:
+        """The store degraded replies are served from while shedding:
+        :attr:`query_cache` itself, looked up with lag
+        :data:`STALE_MAX_LAG`."""
+        return self.query_cache
 
     def adopt_database(self, db: Database, *, read_only: bool = True) -> None:
         """Serve from an externally managed database (a read replica).
@@ -481,7 +486,7 @@ class ClassAdministrator:
         key = self._read_key(request, session)
         if key is None:
             return None
-        hit, data = self.stale_reads.lookup(key, STALE_MAX_LAG)
+        hit, data = self.query_cache.lookup(key, STALE_MAX_LAG)
         if not hit:
             return None
         if OBS.enabled:
@@ -560,12 +565,12 @@ class ClassAdministrator:
             return Response.success(request, True)
         handler = getattr(self, self._HANDLERS[request.op])
         stored = _STORED_REPLIES.get(request.op)
-        ledger = (
-            _STALE_SERVABLE.get(request.op)
-            if self.admission is not None
-            else None
+        # Only a degraded reply can use a stored search: keep one only
+        # beside a controller.
+        searched = request.op == "search_library" and self.admission is not None
+        key = (
+            self._read_key(request, session) if stored or searched else None
         )
-        key = self._read_key(request, session) if stored or ledger else None
         try:
             if stored is not None and key is not None:
                 data = self.query_cache.read_through(
@@ -586,9 +591,9 @@ class ClassAdministrator:
             RdbError, LookupError, ValueError, RuntimeError, *_BAD_PARAMS
         ) as exc:
             return Response.failure(request, f"{type(exc).__name__}: {exc}")
-        if ledger is not None and key is not None:
-            # The ledger's entry is never the object handed out.
-            self.stale_reads.record(key, ledger, copy_reply(data))
+        if searched and key is not None:
+            # The stored entry is never the object handed out.
+            self.query_cache.record(key, _SEARCH_TABLES, copy_reply(data))
         return Response.success(request, data)
 
     # ------------------------------------------------------------------

@@ -223,6 +223,33 @@ class TestShipping:
         ]
         assert student_db.script(course.script.script_name) is not None
 
+    def test_a_full_copy_the_disk_cannot_take_is_refused_at_the_station(
+        self,
+    ):
+        net = build_network(2, disk_capacity={"s2": 1000})
+        db, course = _author(net.station("s1"))
+        shipper = CourseShipper(net)
+        shipper.attach(db)
+        student_db = WebDocumentDatabase(net.station("s2"))
+        shipper.attach(student_db)
+        before = _station_state(student_db)
+        name = course.script.script_name
+        shipper.request_course("s2", "s1", name, include_blobs=True)
+        net.quiesce()  # the refusal does not escape the simulator
+        assert shipper.packages_installed == []
+        ((station, script_name, why),) = shipper.packages_refused
+        assert (station, script_name) == ("s2", name)
+        assert why.startswith("DiskFullError: ")
+        assert _station_state(student_db) == before
+        # the notes alone still fit, and a second copy is refused
+        for _ in range(2):
+            shipper.request_course("s2", "s1", name)
+            net.quiesce()
+        assert shipper.packages_installed == [("s2", name)]
+        assert shipper.packages_refused[1][2] == (
+            f"ValueError: script {name!r} already installed"
+        )
+
     def test_full_copy_costs_more_bandwidth(self):
         def shipped_bytes(include_blobs):
             net = build_network(2)

@@ -81,6 +81,16 @@ class TestOneManagerPerStation:
         assert station.blobs.physical_bytes == MIB
 
 
+    def test_touch_on_a_lone_station_raises_a_clear_error(self):
+        station = Station("lone")
+        mgr = ReplicaManager.of(station)
+        mgr.hold_buffered("doc", MIB, instance_station="s1")
+        with pytest.raises(RuntimeError, match="not attached to a network"):
+            mgr.touch("doc", 60.0)
+        assert mgr.holding("doc").expires_at is None
+        assert mgr.form_of("doc") is HoldingForm.INSTANCE
+
+
 class TestBufferedLifecycle:
     def test_migration_after_lifetime(self, manager):
         mgr, sim = manager

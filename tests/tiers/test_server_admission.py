@@ -240,9 +240,11 @@ class TestTenantIsolation:
 
 
 class TestStaleLedger:
-    """The stale-read ledger exists only beside a controller."""
+    """Degraded replies come from the one store of finished replies."""
 
     def test_no_controller_no_ledger(self):
+        # Only a degraded reply could use a stored search, so without a
+        # controller none is kept; the stored ops are, once each.
         server = ClassAdministrator()
         session = login(server)
         for course in ("cs101", "cs102"):
@@ -255,18 +257,28 @@ class TestStaleLedger:
             op="transcript", session_id=session,
             params={"student_id": "alice"},
         )).ok
-        assert len(server.stale_reads) == 0
+        assert sorted(key[0] for key in server.stale_reads._entries) == [
+            "roster", "roster", "transcript",
+        ]
 
     def test_controller_installed_later_starts_empty(self, clock):
+        # A controller installed later serves what the store already
+        # holds, but only within STALE_MAX_LAG versions.
         server = ClassAdministrator()
         session = login(server)
-        roster(server, session)
+        fresh = roster(server, session)
         server.admission = AdmissionController(
             clock=clock, default_deadline_s=1.0
         )
-        assert len(server.stale_reads) == 0
+        assert len(server.stale_reads) == 1
         server.admission.busy_until = clock.now + 50.0
+        write_enrollments(server, STALE_MAX_LAG)
+        served = roster(server, session, deadline=clock.now + 0.5)
+        assert served.degraded == "stale-cache"
+        assert served.data == fresh.data
+        write_enrollments(server, 1)
         assert roster(server, session, deadline=clock.now + 0.5).shed
+        assert len(server.stale_reads) == 0
         server.admission.busy_until = 0.0
         assert roster(server, session, deadline=100.0).ok
         assert len(server.stale_reads) == 1
@@ -348,6 +360,48 @@ class TestStaleLedger:
             deadline=100.0,
         ))
         assert response.ok and len(server.stale_reads) == 0
+
+
+class TestOneStore:
+    """An admitted read pays for its reply once: one entry, one copy."""
+
+    def test_an_admitted_transcript_leaves_one_entry(self, clock):
+        server = make_server(clock)
+        session = login(server)
+        assert server.stale_reads is server.query_cache
+        recorded = []
+        record = server.query_cache.record
+        server.query_cache.record = lambda *args: (
+            recorded.append(args[0]), record(*args))
+        for _ in range(2):
+            assert server.handle(Request(
+                op="transcript", session_id=session,
+                params={"student_id": "alice"}, deadline=100.0,
+            )).ok
+        assert len(server.query_cache) == 1 and len(recorded) == 1
+        assert server.query_cache.stats()["hits"] == 1
+
+    def test_an_admitted_search_is_recorded_once_and_served_degraded(
+        self, clock
+    ):
+        server = make_server(clock)
+        session = login(server)
+
+        def search(deadline):
+            return server.handle(Request(
+                op="search_library", session_id=session,
+                params={"keywords": "notes", "limit": 10}, deadline=deadline,
+            ))
+
+        fresh = search(100.0)
+        assert fresh.ok and len(server.query_cache) == 1
+        # A fresh search is never answered from the store.
+        assert search(100.0).degraded is None
+        assert server.query_cache.stats()["hits"] == 0
+        server.admission.busy_until = clock.now + 50.0
+        degraded = search(clock.now + 0.5)
+        assert degraded.degraded == "stale-cache"
+        assert degraded.data == fresh.data
 
 
 class TestLedgerCopies:

@@ -2,8 +2,8 @@
 
 Every value built per request — the network's :class:`Message`, the
 tier protocol's :class:`Request` / :class:`Response`, the library's
-per-result records and the shard protocol's call and reply — is a
-``typing.NamedTuple``.  These tests pin what callers may rely on:
+per-result records, the shard protocol's call and reply and the
+admission controller's ticket — is a ``typing.NamedTuple``.  These tests pin what callers may rely on:
 field names, order and defaults, immutability, the id sequences and
 the ``Name(field=...)`` repr; and that no tier reply carries such a
 record, which ``payload_size`` would size as a tuple.
@@ -15,6 +15,7 @@ import dataclasses
 
 import pytest
 
+from repro.admission import AdmissionTicket
 from repro.library.circulation import CirculationAction, CirculationEvent, Loan
 from repro.library.search import SearchResult
 from repro.net.messages import Message, next_msg_id
@@ -54,6 +55,10 @@ CONTRACT = [
      dict(args=(), kwargs={}, deadline=None)),
     (ShardReply, ("request_id", "ok", "data", "error"),
      dict(request_id=1, ok=True), dict(data=None, error=None)),
+    (AdmissionTicket,
+     ("op", "priority", "tenant", "admitted_at", "deadline", "estimate_s"),
+     dict(op="roster", priority="interactive", tenant="default",
+          admitted_at=1.0, deadline=2.0, estimate_s=0.002), {}),
 ]
 CONTRACT_IDS = [cls.__name__ for cls, *_ in CONTRACT]
 
