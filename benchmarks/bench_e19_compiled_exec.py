@@ -23,6 +23,10 @@ possible, timed in the same process:
   matched pair (~1 us each), so the honest ceiling here is ~2x.
 * **bare filter** — the generated batch filter against per-row
   ``Expr.eval``: the codegen ablation with no executor around it.
+* **grouped aggregate** — a per-course count and size total over the
+  filtered documents through ``Database.aggregate`` (filter, group and
+  fold in one generated pass), against the naive scan feeding the
+  bucket loop kept as ``tests.rdb.oracles._reference_aggregate``.
 * **obs overhead** — the enabled-observability cost on a scan.
   Batches are counted analytically (one add per batch, never per
   row), so the target is <1%.
@@ -42,8 +46,8 @@ floors re-derived from the measured ratios against the new baseline
 (10k rows, three runs: full scan 8.5-9.5x, join query 5.9-8.0x; the
 floors are about half of that because shared runners are noisy): it
 fails (exit 1) if the executor falls below 4x the naive oracle on the
-full scan, 3x on the join query, or the enabled-obs overhead exceeds
-10%.
+full scan, 3x on the join query, 3x on the grouped aggregate, or the
+enabled-obs overhead exceeds 10%.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from repro.obs import MetricsRegistry, disable, enable
 from repro.rdb import Column, ColumnType, Database, Schema, col
 from repro.rdb.compile import batch_filter
 from repro.rdb.query import join_rows
-from tests.rdb.oracles import _reference_join
+from tests.rdb.oracles import _reference_aggregate, _reference_join
 
 T = ColumnType
 
@@ -79,6 +83,10 @@ JOIN_WHERE = (
     & (col("author") == "a13")
 )
 ON = [("course", "course")]
+# Grouped report: per-course count and size of one version's larger
+# documents (~3.5% of the corpus, every course a group).
+AGG_WHERE = (col("version") == 3) & (col("size_kb") > 1000)
+AGG_SPEC = {"n": ("count", None), "kb": ("sum", "size_kb")}
 
 
 def build_corpus(rows: int) -> Database:
@@ -170,6 +178,13 @@ def _workloads(db: Database, iters: int):
         ("bare filter",
          lambda: [row for row in rows_list if evaluate(row)],
          lambda: batch_filter(SCAN_WHERE)(rows_list),
+         iters),
+        ("grouped aggregate",
+         lambda: _reference_aggregate(
+             [row for row in db.table("docs").rows() if AGG_WHERE.eval(row)],
+             AGG_SPEC, ["course"]),
+         lambda: db.aggregate("docs", AGG_SPEC, where=AGG_WHERE,
+                              group_by=["course"]),
          iters),
     ]
 
@@ -268,7 +283,7 @@ def smoke() -> int:
     in-run, floors generous for shared runners)."""
     failures = []
     results = measure(10_000, 40)
-    floors = {"full scan": 4.0, "join query": 3.0}
+    floors = {"full scan": 4.0, "join query": 3.0, "grouped aggregate": 3.0}
     for label, (oracle, executor) in results.items():
         ratio = executor / oracle
         floor = floors.get(label)

@@ -17,6 +17,11 @@ and pays :func:`compile` exactly once per statement *shape*:
   every later statement of the shape is emit, one dict hit and
   ``factory(*consts)``.  Literal values never reach :func:`compile`.
 
+A grouped aggregate is one more shape in the same store
+(:func:`grouped_form`): the WHERE test, the group key and the gathering
+of each group's column values in one loop, and the fold of each group
+into its output row in one comprehension.
+
 Semantics are bit-identical to ``Expr.eval`` — both operands of a
 comparison are evaluated before the SQL null check (a missing column
 raises KeyError from either side, exactly as the interpreter does),
@@ -39,7 +44,7 @@ oracle the test suites judge this module against, but nothing under
 from __future__ import annotations
 
 from textwrap import indent
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Iterable, Mapping
 
 from repro.obs.instrument import OBS, Instrument
 from repro.rdb import predicate as _p
@@ -48,6 +53,7 @@ __all__ = [
     "DEFAULT_BATCH",
     "compiled_predicate",
     "batch_filter",
+    "grouped_form",
     "predicate_fn",
     "compiled_source",
     "cache_stats",
@@ -82,6 +88,34 @@ _ROW_FORM = "def _compiled(r):\n    return {}\n"
 #: Loop and predicate fused into one list comprehension: no call frame
 #: per row, no iterator adapters.  The form the scan path uses.
 _BATCH_FORM = "def _compiled_batch(rows):\n    return [r for r in rows if {}]\n"
+#: A grouped aggregate as two functions of one shape.  The first fuses
+#: filter, group key and per-column appends into one loop: every
+#: matching row's aggregated values go straight onto its group's lists.
+#: The second folds each group, in key order, into its output row.  With
+#: no WHERE the test is ``if True:``, which the compiler drops.
+_GROUP_FORM = (
+    "def _compiled_group(rows):\n"
+    "    groups = {{}}\n"
+    "    get = groups.get\n"
+    "    for r in rows:\n"
+    "        if {where}:\n"
+    "            k = {key}\n"
+    "            g = get(k)\n"
+    "            if g is None:\n"
+    "                g = groups[k] = ({empties})\n"
+    "{appends}"
+    "{no_rows}"
+    "    return groups\n"
+    "def _compiled_fold(groups):\n"
+    "    return [{{{fields}}} for k in {order}(groups)"
+    " for {lists} in (groups[k],){strip}]\n"
+)
+_APPEND = "            g[{}].append({})\n"
+#: With no GROUP BY, no matching row still makes one (empty) group.
+_NO_ROWS = "    if not groups:\n        groups[()] = ({})\n"
+#: One group's non-null values of list ``l<n>``, a copy only if needed
+#: (a one-element ``for`` in a comprehension is a plain assignment).
+_STRIP = " for s{0} in (l{0} if None not in l{0} else [v for v in l{0} if v is not None],)"
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +138,26 @@ def _contains_check(value: Any, item: Any) -> bool:
         return item in value
     except TypeError:
         return False
+
+
+def _null_first(value: Any) -> tuple[bool, Any]:
+    return (value is not None, value)
+
+
+def _single_key_order(groups: dict[Any, Any]) -> list[Any]:
+    """Bare group keys in order, ``None`` first.  Without a ``None`` key
+    every ``(is-not-None, value)`` pair is ``(True, v)`` and orders
+    exactly as the bare key, so the pairs are built only for one."""
+    if None in groups:
+        return sorted(groups, key=_null_first)
+    return sorted(groups)
+
+
+def _tuple_key_order(groups: dict[tuple, Any]) -> list[tuple]:
+    """Tuple group keys in order, ``None`` first in every position."""
+    if any(None in key for key in groups):
+        return sorted(groups, key=lambda key: tuple(map(_null_first, key)))
+    return sorted(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +201,15 @@ class _Codegen:
         self.consts.append(value)
         return f"_c{len(self.consts) - 1}"
 
+    def key(self, name: Any) -> str:
+        """Source for a column or output name: a ``str`` is inlined, as
+        a column reference's is; any other key is a parameter."""
+        return repr(name) if type(name) is str else self.const(name)
+
+    def column(self, name: Any) -> str:
+        """Source for the value of column ``name`` of row ``r``."""
+        return f"r[{self.key(name)}]"
+
     def temp(self) -> str:
         self._temps += 1
         return f"_t{self._temps}"
@@ -164,7 +227,7 @@ class _Codegen:
     # -- node rendering ----------------------------------------------------
     def emit(self, node: _p.Expr) -> str:
         if isinstance(node, _p.ColumnRef):
-            return f"r[{node.name!r}]"
+            return self.column(node.name)
         if isinstance(node, _p.Compare):
             return self._emit_compare(node)
         if isinstance(node, _p.And):
@@ -254,10 +317,11 @@ class _Codegen:
         )
 
 
-def _instantiate(name: str, source: str, consts: list[Any]) -> Callable:
-    """The function ``name`` that ``source`` defines, closed over
-    ``consts``: ``compile()`` for the first statement of a shape, a dict
-    hit and one call of the shape's factory for every later one."""
+def _instantiate(name: str, source: str, consts: list[Any]) -> Any:
+    """The function ``name`` that ``source`` defines (a tuple of them
+    for ``"f, g"``), closed over ``consts``: ``compile()`` for the first
+    statement of a shape, a dict hit and one call of the shape's factory
+    for every later one."""
     factory = _FACTORIES.get(source)
     if factory is not None:
         outcome = "hit"
@@ -303,6 +367,74 @@ def batch_filter(expr: _p.Expr) -> Callable[[list], list]:
     return _instantiate(
         "_compiled_batch", _BATCH_FORM.format(gen.emit_bool(expr)), gen.consts
     )
+
+
+def grouped_form(
+    where: _p.Expr | None,
+    group_by: tuple[Any, ...],
+    aggregates: list[tuple[Any, Callable[[list[Any]], Any], Any]],
+    never_null: Collection[Any] = (),
+) -> tuple[Callable[[Iterable[Mapping[Any, Any]]], dict], Callable[[dict], list]]:
+    """A compiled grouped aggregate: ``(group, fold)``.
+
+    ``group(rows)`` puts each row that satisfies ``where`` in its group
+    and appends its value of each aggregated column, nulls included, to
+    the group's list for that column.  ``fold(groups)`` is one output
+    row per group in key order (``None`` first): the ``group_by``
+    values, then per ``(name, function, column)`` of ``aggregates`` the
+    function over the group's non-null values of ``column`` (of a
+    ``never_null`` column, all of them), or over its rows for no column.
+
+    The key is the bare value for one ``group_by`` column, a tuple for
+    several, ``()`` for none (an empty input is then one empty group);
+    the first of several equal keys (``1``, ``True``, ``1.0``) names its
+    group.  A row lacking a group or aggregated column raises
+    :class:`KeyError` as it is read; the filter raises what
+    ``where.eval`` would.
+    """
+    gen = _Codegen()
+    # One list per distinct column; the rows themselves only for a
+    # function other than count over no column, or when no column is
+    # aggregated at all.  Every list has a group's length: count(*).
+    slots: dict[Any, int] = {}
+    for _name, function, column in aggregates:
+        if column is not None or function is not len:
+            slots.setdefault(column, len(slots))
+    if not slots:
+        slots[None] = 0
+    empties = "[]," * len(slots)
+    keys = [gen.column(name) for name in group_by]
+    where_code = "True" if where is None else gen.emit_bool(where)
+    if len(group_by) == 1:
+        fields = [f"{gen.key(group_by[0])}: k"]
+    else:
+        fields = [f"{gen.key(name)}: k[{i}]" for i, name in enumerate(group_by)]
+    stripped = set()
+    for name, function, column in aggregates:
+        if column is None:
+            values = f"l{slots.get(None, 0)}"
+        elif column in never_null:
+            values = f"l{slots[column]}"
+        else:
+            stripped.add(slots[column])
+            values = f"s{slots[column]}"
+        fields.append(f"{gen.key(name)}: {gen.const(function)}({values})")
+    order = gen.const(_single_key_order if len(group_by) == 1 else _tuple_key_order)
+    source = _GROUP_FORM.format(
+        where=where_code,
+        key=keys[0] if len(keys) == 1 else f"({', '.join(keys)})",
+        empties=empties,
+        appends="".join(
+            _APPEND.format(n, "r" if column is None else gen.column(column))
+            for column, n in slots.items()
+        ),
+        no_rows="" if group_by else _NO_ROWS.format(empties),
+        order=order,
+        lists="".join(f"l{n}," for n in slots.values()),
+        strip="".join(_STRIP.format(n) for n in sorted(stripped)),
+        fields=", ".join(fields),
+    )
+    return _instantiate("_compiled_group, _compiled_fold", source, gen.consts)
 
 
 def predicate_fn(

@@ -419,14 +419,16 @@ class Database:
         )
 
     def rows_by_key(
-        self, table_name: str, columns: Sequence[str], key: tuple
-    ) -> list[dict[str, Any]]:
-        """Copies of the rows whose ``columns`` hold ``key``, by row id;
-        see :func:`repro.rdb.query.key_rows`."""
+        self, table_name: str, columns: Sequence[str], key: tuple,
+        column: str | None = None,
+    ) -> list[Any]:
+        """Copies of the rows whose ``columns`` hold ``key``, by row id —
+        or, given ``column``, its values; see
+        :func:`repro.rdb.query.key_rows`."""
         table = self._catalog.get(table_name)
         if OBS.enabled:
             STATEMENTS["select"].inc()
-        return key_rows(table, tuple(columns), key)
+        return key_rows(table, tuple(columns), key, column)
 
     def explain(
         self, table_name: str, where: Expr | None = None,

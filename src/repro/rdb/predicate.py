@@ -473,9 +473,37 @@ def conjunct_bindings(
     return equalities, memberships, bounds
 
 
+#: Node types whose ``repr`` names them by value, children included.
+#: Any other node — :class:`Apply`'s callable, or an ``Expr`` subclass
+#: defined elsewhere, whose repr may be its address — cannot be keyed.
+_KEYED_NODES = frozenset(
+    {ColumnRef, Literal, Compare, And, Or, Not, IsNull, In, Like, Contains}
+)
+#: Value types whose ``repr`` is their value; containers of them are
+#: named by value too.  A literal of any other type may repr as its
+#: address, which a later object can reuse.
+_KEYED_SCALARS = frozenset({type(None), bool, int, float, str, bytes})
+_KEYED_CONTAINERS = frozenset({tuple, list, set, frozenset})
+
+
+def _named_by_value(value: Any) -> bool:
+    kind = type(value)
+    if kind in _KEYED_SCALARS:
+        return True
+    if kind in _KEYED_CONTAINERS:
+        return all(map(_named_by_value, value))
+    if kind is dict:
+        return all(map(_named_by_value, value)) and all(
+            map(_named_by_value, value.values())
+        )
+    return False
+
+
 def predicate_cache_key(expr: Expr | None) -> str | None:
     """A stable structural key for result caching, or ``None`` when the
-    predicate embeds opaque callables (:class:`Apply`) and therefore
+    predicate holds something its repr cannot name by value — an opaque
+    callable (:class:`Apply`), a node type this module does not define,
+    or a literal of a type whose repr is not its value — and therefore
     cannot be keyed safely.
 
     Two structurally identical trees produce the same key; reprs of
@@ -486,10 +514,12 @@ def predicate_cache_key(expr: Expr | None) -> str | None:
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Apply):
+        if type(node) not in _KEYED_NODES:
             return None
-        for slot in getattr(type(node), "__slots__", ()):
-            child = getattr(node, slot, None)
+        for slot in type(node).__slots__:
+            child = getattr(node, slot)
             if isinstance(child, Expr):
                 stack.append(child)
+            elif slot[0] != "_" and not _named_by_value(child):
+                return None  # Like's compiled ``_regex`` is its pattern's
     return repr(expr)

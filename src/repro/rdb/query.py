@@ -37,14 +37,16 @@ per statement *shape* and handed each statement's literals.  A consumer
 that reads every candidate anyway takes them as one batch — the heap
 snapshot, or one bulk :meth:`Table.get_many` of the index's row ids; a
 LIMIT without ORDER BY pulls batches of
-:data:`~repro.rdb.compile.DEFAULT_BATCH` and stops early.  Observability
-tallies per batch, not per row.  There is no second executor: the naive
+:data:`~repro.rdb.compile.DEFAULT_BATCH` and stops early.  A grouped
+aggregate filters, groups and folds its candidates in one generated pass
+(:func:`~repro.rdb.compile.grouped_form`).  Observability tallies per
+batch, not per row.  There is no second executor: the naive
 ``Expr.eval`` scan and the reference hash join the batched pipeline is
 judged against live in ``tests/rdb/``, not here.
 
 A read of the rows under one key of a hash index (:func:`key_rows`) is
-not a query: it probes that index and copies the rows, with none of the
-planning, filtering or sorting above.
+not a query: it probes that index and copies the rows (or reads one
+column off them), with none of the planning, filtering or sorting above.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs.instrument import OBS, Instrument
-from repro.rdb.compile import DEFAULT_BATCH, batch_filter
+from repro.rdb.compile import DEFAULT_BATCH, batch_filter, grouped_form
 from repro.rdb.errors import UnknownColumnError
 from repro.rdb.index import HashIndex, SortedIndex
 from repro.rdb.predicate import Expr, RangeBound, conjunct_bindings
@@ -441,6 +443,16 @@ def _candidate_batches(
             yield table.get_many(chunk)
 
 
+def _candidates(
+    table: Table, plan: SelectPlan, rowids: Iterable[int]
+) -> list[dict[str, Any]]:
+    """Every candidate row of a planned access path as one list: the
+    heap snapshot, or one bulk fetch of the index's row ids."""
+    if plan.access_path == "scan":
+        return table.rows_list()
+    return table.get_many(rowids)
+
+
 def _collect_matching(
     table: Table,
     plan: SelectPlan,
@@ -463,10 +475,7 @@ def _collect_matching(
     single batch: one fused filter call, no slicing.
     """
     if needed is None:
-        rows = (
-            table.rows_list() if plan.access_path == "scan"
-            else table.get_many(rowids)
-        )
+        rows = _candidates(table, plan, rowids)
         counts[0] += len(rows)
         counts[1] += 1
         return rows if where is None else batch_filter(where)(rows)
@@ -611,7 +620,7 @@ def join_rows(
     return out
 
 
-#: Each takes one group's non-null values as a list, in bucket order —
+#: Each takes one group's non-null values as a list, in candidate order —
 #: ``sum()`` over the list, never a running ``+=``, which interpreters
 #: that compensate float summation (3.12+) do not answer bit for bit.
 _AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
@@ -638,58 +647,32 @@ def aggregate(
     >>> aggregate([{"a": 1}, {"a": 3}], {"n": ("count", None), "m": ("max", "a")})
     [{'n': 2, 'm': 3}]
     """
-    resolved = []  # once per call, not once per group
+    group, fold = grouped_form(
+        None, tuple(group_by) if group_by else (), _resolve_aggregates(spec)
+    )
+    return fold(group(rows))
+
+
+def _resolve_aggregates(
+    spec: dict[str, tuple[str, str | None]],
+) -> list[tuple[str, Callable[[list[Any]], Any], str | None]]:
+    """``spec`` as ``(output name, function, column)`` triples, or
+    :class:`ValueError` for an unknown function."""
+    resolved = []
     for out_name, (fn_name, column) in spec.items():
         if fn_name not in _AGGREGATES:
             raise ValueError(f"unknown aggregate {fn_name!r} for {out_name!r}")
-        getter = None if column is None else itemgetter(column)
-        resolved.append((out_name, _AGGREGATES[fn_name], getter))
-    group_cols = tuple(group_by) if group_by else ()
-    single = len(group_cols) == 1
-    groups: dict[Any, list[dict[str, Any]]] = {}
-    bucket_for = groups.setdefault
-    if single:
-        # The common report: the group key is the bare value.
-        column = group_cols[0]
-        for row in rows:
-            bucket_for(row[column], []).append(row)
-    elif group_cols:
-        key_of = itemgetter(*group_cols)
-        for row in rows:
-            bucket_for(key_of(row), []).append(row)
-    else:
-        groups[()] = list(rows)
-    # None groups sort first via the (is-not-None, value) trick; without
-    # one every pair is (True, v) and orders exactly as the bare key.
-    if single and None in groups:
-        ordered = sorted(groups, key=lambda v: (v is not None, v))
-    elif not single and any(None in key for key in groups):
-        ordered = sorted(groups, key=lambda k: tuple((v is not None, v) for v in k))
-    else:
-        ordered = sorted(groups)
-    out: list[dict[str, Any]] = []
-    for key in ordered:
-        bucket = groups[key]
-        result = {column: key} if single else dict(zip(group_cols, key))
-        for out_name, function, getter in resolved:
-            if getter is None:
-                values: list[Any] = bucket
-            else:
-                values = list(map(getter, bucket))
-                if None in values:
-                    values = [v for v in values if v is not None]
-            result[out_name] = function(values)
-        out.append(result)
-    return out
+        resolved.append((out_name, _AGGREGATES[fn_name], column))
+    return resolved
 
 
 def matching_view(
     table: Table, where: Expr | None = None
 ) -> list[dict[str, Any]]:
     """Matching rows as live references — the executor feed for
-    read-only consumers (joins, aggregates) that build fresh output
-    dicts anyway, so the per-row defensive copy a select makes would be
-    pure waste.  Callers must not mutate the returned rows.
+    read-only consumers (joins, counts) that build fresh output or none,
+    so the per-row defensive copy a select makes would be pure waste.
+    Callers must not mutate the returned rows.
 
     Runs the same planned, batched, observed pipeline as
     :func:`execute_select`.
@@ -716,18 +699,22 @@ def target_rowids(table: Table, where: Expr | None) -> list[int]:
 
 
 def key_rows(
-    table: Table, columns: tuple[str, ...], key: tuple
-) -> list[dict[str, Any]]:
+    table: Table, columns: tuple[str, ...], key: tuple,
+    column: str | None = None,
+) -> list[Any]:
     """Copies of the rows whose ``columns`` hold ``key``, in ascending
     row id: one probe of the hash index on exactly those columns (every
     primary key, unique set and foreign key's child columns has one) —
-    no plan, no compiled filter, no sort.
+    no plan, no compiled filter, no sort.  Given ``column``, that
+    column's values instead, read off the live rows: no copy at all.
 
     With no such index it raises :class:`LookupError`, so a keyed read
     never turns into a scan; a key of another arity is a
-    :class:`ValueError`.  A key with a ``None`` component finds nothing,
-    as ``col == None`` does, and so does an unhashable one.  Observed
-    as the probe it is: ``rdb.plan`` counts it under ``index:<name>``.
+    :class:`ValueError`, and a ``column`` the table does not hold an
+    :class:`UnknownColumnError`.  A key with a ``None`` component finds
+    nothing, as ``col == None`` does, and so does an unhashable one.
+    Observed as the probe it is: ``rdb.plan`` counts it under
+    ``index:<name>``.
     """
     index = table.indexes.hash_index_on(columns)
     if index is None:
@@ -736,17 +723,23 @@ def key_rows(
         )
     if len(key) != len(columns):
         raise ValueError(f"key {key!r} does not fit columns {columns!r}")
+    if column is not None:
+        _check_columns(table, (column,))
     try:
         rowids = () if None in key else sorted(index.lookup(key))
     except TypeError:
         rowids = ()  # unhashable: no stored row can hold it
-    rows = [dict(row) for row in table.get_many(rowids)]
+    rows = table.get_many(rowids)
+    if column is None:
+        out = [dict(row) for row in rows]
+    else:
+        out = list(map(itemgetter(column), rows))
     if OBS.enabled:
         name = table.schema.name
         PLANS[name, f"index:{index.name}"].inc()
         ROWS_SCANNED[name].inc(len(rows))
         ROWS_RETURNED[name].inc(len(rows))
-    return rows
+    return out
 
 
 def aggregate_table(
@@ -755,13 +748,28 @@ def aggregate_table(
     where: Expr | None = None,
     group_by: Sequence[str] | None = None,
 ) -> list[dict[str, Any]]:
-    """Aggregate straight off a table through the batched executor.
+    """Aggregate straight off a table in one pass.
 
     Equivalent to ``aggregate(execute_select(table, where), spec,
-    group_by)`` but grouped over the no-copy :func:`matching_view` —
-    aggregation only reads column values, so live rows are safe.  A
-    column the schema does not hold is refused before a row is touched.
+    group_by)``: the candidates of the path :func:`plan_select` picks
+    are filtered, grouped and gathered into per-column lists by one
+    :func:`grouped_form` loop over live rows, then folded.  Refused
+    before a row is read: a column the schema does not hold, named in
+    ``spec`` or ``group_by`` and then in ``where``, then an unknown
+    function.  Observed as the select it equals: the plan, the
+    candidates examined, the rows that matched, one batch.
     """
+    group_cols = tuple(group_by) if group_by else ()
     named = [column for _fn, column in spec.values() if column is not None]
-    _check_columns(table, (*named, *(group_by or ())))
-    return aggregate(matching_view(table, where), spec, group_by=group_by)
+    _check_columns(table, (*named, *group_cols))
+    plan, rowids = plan_select(table, where)
+    group, fold = grouped_form(
+        where, group_cols, _resolve_aggregates(spec), table.schema.not_null
+    )
+    rows = _candidates(table, plan, rowids)
+    groups = group(rows)
+    if OBS.enabled:
+        PLANS[table.schema.name, plan.access_path].inc()
+        matched = sum(len(lists[0]) for lists in groups.values())
+        _count_rows(table, [len(rows), 1], matched)
+    return fold(groups)

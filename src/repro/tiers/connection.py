@@ -92,14 +92,16 @@ class Cursor:
 
     # -- by a hash index's key ----------------------------------------------
     def rows_by_key(
-        self, table: str, columns: tuple[str, ...], key: tuple
+        self, table: str, columns: tuple[str, ...], key: tuple,
+        column: str | None = None,
     ) -> "Cursor":
         """The rows whose ``columns`` hold ``key``, in row-id order: one
-        probe of the table's hash index on exactly those columns."""
-        rows = self._db.rows_by_key(table, columns, key)
+        probe of the table's hash index on exactly those columns.  Given
+        ``column``, the results are that column's values, not rows."""
+        rows = self._db.rows_by_key(table, columns, key, column)
         return self._answer(rows, len(rows))
 
-    def _answer(self, rows: list[dict[str, Any]], rowcount: int) -> "Cursor":
+    def _answer(self, rows: list[Any], rowcount: int) -> "Cursor":
         self._results = rows
         self._pos = 0
         self.rowcount = rowcount

@@ -704,11 +704,12 @@ class ClassAdministrator:
 
     def _op_roster(self, request: Request, _user: str, _role: Role) -> Any:
         course = request.params["course_number"]
-        rows = self.connection.cursor().rows_by_key(
-            "enrollments", ("course_number",), (course,)
+        # student_id is never null: the ids sort as the rows did by it.
+        students = self.connection.cursor().rows_by_key(
+            "enrollments", ("course_number",), (course,), "student_id"
         ).fetchall()
-        rows.sort(key=_sort_key(("student_id",), rows))
-        return [row["student_id"] for row in rows]
+        students.sort()
+        return students
 
     # ------------------------------------------------------------------
     # Library ops

@@ -503,29 +503,26 @@ TABLE_AGG_SPEC = {**AGG_SPEC, "ftotal": ("sum", "f"), "fmean": ("avg", "f"),
                   "flow": ("min", "f")}
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(table_agg_row, max_size=40),
-    where=st.one_of(
-        st.none(),
-        st.integers(0, 2).map(lambda v: col("h") == v),
-        st.lists(st.integers(0, 3), max_size=3).map(lambda vs: col("h").isin(vs)),
-        st.tuples(st.integers(-9, 9), st.integers(0, 6)).map(
-            lambda b: col("v").between(b[0], b[0] + b[1])),
-        st.integers(-9, 9).map(lambda v: (col("v") > v) & (col("g") == "x")),
-    ),
-    group_by=st.sampled_from([None, ["g"], ["h"], ["g", "h"]]),
-    cheap_index=st.booleans(),
+table_agg_where = st.one_of(
+    st.none(),
+    st.integers(0, 2).map(lambda v: col("h") == v),
+    st.lists(st.integers(0, 3), max_size=3).map(lambda vs: col("h").isin(vs)),
+    st.tuples(st.integers(-9, 9), st.integers(0, 6)).map(
+        lambda b: col("v").between(b[0], b[0] + b[1])),
+    st.integers(-9, 9).map(lambda v: (col("v") > v) & (col("g") == "x")),
+    # Shapes no index path can take: the filter alone decides.
+    st.tuples(st.integers(0, 2), st.sampled_from(["x", "y"])).map(
+        lambda p: (col("h") == p[0]) | (col("g") == p[1])),
+    st.integers(-9, 9).map(lambda v: ~(col("v") < v)),
+    st.sampled_from(["v", "g", "f"]).map(lambda c: col(c).is_null()),
+    st.integers(0, 2).map(lambda v: col("f").not_null() & ~(col("h") == v)),
 )
-def test_database_aggregate_matches_reference_aggregate(
-        rows, where, group_by, cheap_index):
-    """``Database.aggregate`` feeds ``aggregate`` from whichever access
-    path the planner picks (``cheap_index``: every probe, IN-list and
-    range the WHERE offers).  Floats are summed by ``sum()`` over each
-    group's values in candidate order, so against the reference loop
-    over the same candidates the answer is the same to the last bit
-    (``repr``); against a naive heap scan everything that does not
-    depend on float summation order is."""
+# v and f hold None too: groups keyed by None sort first.
+table_agg_group_by = st.sampled_from(
+    [None, ["g"], ["h"], ["g", "h"], ["v"], ["g", "v"], ["f"]])
+
+
+def _check_database_aggregate(rows, where, group_by, cheap_index):
     db = Database("agg")
     db.create_table(Schema(
         name="t",
@@ -541,10 +538,38 @@ def test_database_aggregate_matches_reference_aggregate(
     with mock.patch.object(rdb_query, "_INDEX_ROW_COST", cost):
         got = db.aggregate("t", TABLE_AGG_SPEC, where=where, group_by=group_by)
         candidates = matching_view(db.table("t"), where)
+        again = db.aggregate("t", TABLE_AGG_SPEC, where=where, group_by=group_by)
     expected = _reference_aggregate(candidates, TABLE_AGG_SPEC, group_by)
-    assert repr(got) == repr(expected)
+    assert repr(got) == repr(expected) == repr(again)
     naive = _reference_aggregate(
         [r for r in db.table("t").rows() if where is None or where.eval(r)],
         AGG_SPEC, group_by)
     exact = [*(group_by or ()), *AGG_SPEC]
     assert [{k: row[k] for k in exact} for row in got] == naive
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(table_agg_row, max_size=40), where=table_agg_where,
+       group_by=table_agg_group_by, cheap_index=st.booleans())
+def test_database_aggregate_matches_reference_aggregate(
+        rows, where, group_by, cheap_index):
+    """``Database.aggregate`` groups and folds the candidates of
+    whichever access path the planner picks (``cheap_index``: every
+    probe, IN-list and range the WHERE offers) in one compiled pass.
+    Floats are summed by ``sum()`` over each group's values in
+    candidate order, so against the reference loop over the same
+    candidates the answer is the same to the last bit (``repr``);
+    against a naive heap scan everything that does not depend on float
+    summation order is."""
+    _check_database_aggregate(rows, where, group_by, cheap_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(table_agg_row, max_size=40), where=table_agg_where,
+       group_by=table_agg_group_by, cheap_index=st.booleans())
+def test_database_aggregate_with_the_store_bound_at_2(
+        rows, where, group_by, cheap_index):
+    """The same, with the shape store's bound at 2: every statement
+    evicts the store and rebuilds its kernels from their text."""
+    with mock.patch.object(rdb_compile, "_MAX_SHAPES", 2):
+        _check_database_aggregate(rows, where, group_by, cheap_index)

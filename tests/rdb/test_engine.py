@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdb import SchemaError, col
+from repro.rdb import SchemaError, UnknownColumnError, col
 
 
 class TestGetExists:
@@ -158,3 +158,12 @@ class TestRowsByKey:
         assert populated_db.get("orders", 10)["amount"] == 5.0
         (first, _) = populated_db.rows_by_key("orders", ("person_id",), (1,))
         assert first["amount"] == 5.0
+
+    def test_one_column_is_its_values_in_row_id_order(self, populated_db):
+        for key in (1, 2, 99, None, [1]):
+            rows = populated_db.rows_by_key("orders", ("person_id",), (key,))
+            assert populated_db.rows_by_key(
+                "orders", ("person_id",), (key,), "order_id"
+            ) == [row["order_id"] for row in rows]
+        with pytest.raises(UnknownColumnError):
+            populated_db.rows_by_key("orders", ("person_id",), (1,), "ghost")

@@ -8,8 +8,10 @@ from repro.rdb import (
     ColumnType,
     Database,
     Schema,
+    Expr,
     UnknownTableError,
     col,
+    predicate_cache_key,
 )
 from repro.rdb.wal import WalFrame
 from repro.tiers import (
@@ -178,6 +180,59 @@ class TestQueryCache:
         rows = cache.select(db, "books", where=where)
         assert [r["book_id"] for r in rows] == [1]
         assert cache.bypasses == 1 and len(cache) == 0
+
+    def test_foreign_expr_node_bypasses(self, db, cache):
+        """A node type defined outside ``repro.rdb.predicate`` reprs as
+        its address, which a later predicate can reuse once it is freed:
+        keyed on that, ``Mod(3)`` was served ``Mod(2)``'s rows."""
+        class Mod(Expr):
+            def __init__(self, m):
+                self.m = m
+
+            def eval(self, row):
+                return row["copies"] % self.m == 0
+
+            def columns(self):
+                return frozenset({"copies"})
+
+        for i in range(5, 10):
+            db.insert("books", {"book_id": i, "title": f"b{i}", "copies": i})
+        for m in (2, 3, 2):
+            where = Mod(m)
+            assert predicate_cache_key(where) is None
+            assert predicate_cache_key(col("copies").is_null() | where) is None
+            rows = cache.select(db, "books", where=where)
+            assert rows == db.select("books", where=where)
+            assert [r["copies"] for r in rows] == list(range(0, 10, m))
+            del where, rows
+        assert cache.bypasses == 3 and len(cache) == 0
+
+    def test_literal_named_by_its_address_bypasses(self, db, cache):
+        """The same for a literal whose repr is its address: ``Tag(3)``
+        freed and reborn where ``Tag(2)`` was must not hit its entry."""
+        class Tag:
+            __hash__ = None
+
+            def __init__(self, v):
+                self.v = v
+
+            def __eq__(self, other):
+                return other == self.v
+
+        for v in (2, 3, 2):
+            where = col("copies") == Tag(v)
+            assert predicate_cache_key(where) is None
+            assert predicate_cache_key(col("title").contains(Tag(v))) is None
+            rows = cache.select(db, "books", where=where)
+            assert [r["copies"] for r in rows] == [v]
+            del where, rows
+        assert cache.bypasses == 3 and len(cache) == 0
+
+    def test_plain_literals_are_keyed_by_value(self):
+        for where in (col("a") == 1, col("a").isin([1, "x", None]),
+                      col("a").contains((1, [2.5, b"z"])), col("a") == {"k": [1]},
+                      col("a").like("x%") & ~col("b").is_null()):
+            assert predicate_cache_key(where) == repr(where)
 
     def test_table_created_after_attach_is_cached(self, db, versions, cache):
         db.create_table(Schema(
