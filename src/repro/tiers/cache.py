@@ -16,16 +16,23 @@ that tier:
   ``{table: version}`` stamps they were computed at.  A lookup names
   the version lag it tolerates.  ``read_through`` looks up with lag 0
   (any change to a stamped table since the entry was stored is a miss,
-  and the fresh value replaces the dead entry in its slot) and hands
-  out a copy; ``select`` is that read-through keyed by query shape.
+  and the fresh value replaces the dead entry in its slot); ``select``
+  is that read-through keyed by query shape.
+* A value is stored only on its key's **second** miss: ``admits``
+  remembers a key seen once (TinyLFU's doorkeeper, a set of at most
+  ``max_entries`` keys, cleared when full) and refuses it.  A read
+  nobody repeats pays no stamps, LRU move, eviction or copy, and hands
+  out the computed value itself; a stored value is handed out as a
+  copy.  A key stays in the doorkeeper once admitted, so an entry a
+  write made stale is stored again on its next miss.
 * The server keeps **one** such store of finished replies, keyed by
   request.  Its ``transcript`` and ``roster`` replies go in only
   through ``read_through``; beside an admission controller a
-  ``search_library`` reply is recorded by hand, as one copy.  While the
-  controller sheds load, degraded replies are looked up in the same
-  store with a small positive lag (``server.stale_reads`` is another
-  name of ``server.query_cache``), so an admitted read pays for its
-  reply once.
+  ``search_library`` reply is recorded by hand, as one copy, once
+  ``admits`` lets its key in.  While the controller sheds load,
+  degraded replies are looked up in the same store with a small
+  positive lag (``server.stale_reads`` is another name of
+  ``server.query_cache``), so an admitted read pays for its reply once.
 """
 
 from __future__ import annotations
@@ -79,12 +86,14 @@ class TableVersions:
 class QueryCache:
     """LRU store of values stamped with the table versions they saw.
 
-    ``record``/``lookup`` are the store; ``read_through`` is the one
-    read path over it, and ``select`` keys it with the same contract as
-    ``db.select``.  What a read-through hands out is always a copy
-    (:func:`copy_reply`), on a miss as on a hit, so callers mutating a
-    result can never poison the store.  Predicates embedding opaque
-    callables cannot be keyed and bypass the store entirely.
+    ``record``/``lookup`` are the store and ``admits`` its one
+    admission rule; ``read_through`` is the one read path over them,
+    and ``select`` keys it with the same contract as ``db.select``.
+    What a read-through hands out is never the stored object: a stored
+    value goes out as a copy (:func:`copy_reply`), an unstored one as
+    computed, so callers mutating a result can never poison the store.
+    Predicates embedding opaque callables cannot be keyed and bypass
+    the store entirely.
     """
 
     def __init__(self, versions: TableVersions, max_entries: int = 256) -> None:
@@ -96,10 +105,13 @@ class QueryCache:
         self._entries: OrderedDict[
             tuple, tuple[Any, dict[str, int]]
         ] = OrderedDict()
+        #: keys missed once (or admitted) since the set was last cleared
+        self._seen: set[tuple] = set()
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
         self.too_stale = 0
+        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -112,6 +124,19 @@ class QueryCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def admits(self, key: tuple) -> bool:
+        """Whether a value under ``key`` may be stored: only once the
+        key has been offered before.  A first offer is remembered (the
+        set is cleared when it holds ``max_entries`` keys) and refused."""
+        seen = self._seen
+        if key in seen:
+            return True
+        if len(seen) >= self.max_entries:
+            seen.clear()
+        seen.add(key)
+        return False
 
     def lookup(self, key: tuple, max_lag: int) -> tuple[bool, Any]:
         """``(hit, value)`` — a hit only while no stamped table has
@@ -181,17 +206,22 @@ class QueryCache:
         self, key: tuple, tables: Sequence[str], compute: Callable[[], Any]
     ) -> Any:
         """A copy of the value under ``key`` while none of ``tables`` has
-        changed since it was stored; else of ``compute()``'s, stored in
-        its place.  When ``compute`` raises (a refused read), nothing is
-        stored and the lookup is not counted."""
+        changed since it was stored; else ``compute()``'s, stored in its
+        place (and then handed out as a copy) if ``admits(key)``.  When
+        ``compute`` raises (a refused read), nothing is stored or
+        remembered and the lookup is not counted."""
         hit, value = self._probe(key, 0)
+        stored = hit
         if not hit:
             value = compute()
-            self.record(key, tables, value)
+            stored = self.admits(key)
+            if stored:
+                self.record(key, tables, value)
         self._count(hit)
         if OBS.enabled:
             LOOKUPS["hit" if hit else "miss"].inc()
-        return copy_reply(value)
+        # A value the store does not hold is nobody else's: no copy.
+        return copy_reply(value) if stored else value
 
     def stats(self) -> dict[str, int]:
         """Lookup outcome counters and current residency."""
@@ -200,5 +230,6 @@ class QueryCache:
             "misses": self.misses,
             "bypasses": self.bypasses,
             "too_stale": self.too_stale,
+            "evictions": self.evictions,
             "entries": len(self._entries),
         }

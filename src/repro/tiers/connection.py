@@ -9,8 +9,9 @@ engine means re-implementing this one adapter, exactly the paper's
 "adaptive to open architecture / database standard" goal.
 
 A connection may carry a :class:`~repro.tiers.cache.QueryCache`; cursor
-selects then read through it, and the table version stamped on every
-entry makes any change to the table's rows an implicit invalidation.
+selects then read through it, a result being stored on its select's
+second miss, and the table version stamped on every entry makes any
+change to the table's rows an implicit invalidation.
 A row addressed by its primary key (``get``, ``update_pk``,
 ``delete_pk``), and the rows under one key of a foreign key or other
 hash index (``rows_by_key``), are one index probe, never planned and

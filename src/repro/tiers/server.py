@@ -63,10 +63,10 @@ REQUEST_SECONDS = Instrument("histogram", "tiers.request_seconds", "op")
 REQUESTS = Instrument("counter", "tiers.requests", "op", "status")
 STALE_SERVED = Instrument("counter", "admission.stale_served", "op")
 
-#: The reads whose finished reply the tier stores, and the table each
-#: derives from: a repeat is one lookup and one copy, and the handler
-#: does not run.  A library search is not read through the store: the
-#: library view keeps no version of its own.
+#: The reads whose finished reply the tier stores (on its second miss),
+#: and the table each derives from: a repeat is one lookup and one copy,
+#: and the handler does not run.  A library search is not read through
+#: the store: the library view keeps no version of its own.
 _STORED_REPLIES: dict[str, tuple[str, ...]] = {
     "transcript": ("transcripts",),
     "roster": ("enrollments",),
@@ -357,8 +357,8 @@ class ClassAdministrator:
         self.table_versions = TableVersions()
         self.table_versions.attach(db)
         # The one store of finished replies.  Repeated browser reads
-        # (rosters, transcripts) are answered with the reply stored the
-        # first time; any change to the table it derives from moves
+        # (rosters, transcripts) are answered with the reply stored on
+        # the second miss; any change to the table it derives from moves
         # that table's version and so misses, whichever path made the
         # change.  While a controller sheds, the same entries are served
         # degraded up to STALE_MAX_LAG versions behind.  The connection
@@ -591,7 +591,7 @@ class ClassAdministrator:
             RdbError, LookupError, ValueError, RuntimeError, *_BAD_PARAMS
         ) as exc:
             return Response.failure(request, f"{type(exc).__name__}: {exc}")
-        if searched and key is not None:
+        if searched and key is not None and self.query_cache.admits(key):
             # The stored entry is never the object handed out.
             self.query_cache.record(key, _SEARCH_TABLES, copy_reply(data))
         return Response.success(request, data)

@@ -121,12 +121,14 @@ class TestTableVersions:
 
 class TestQueryCache:
     def test_repeat_read_hits(self, db, cache):
-        first = cache.select(db, "books", where=col("copies") >= 2,
-                             order_by="book_id")
-        second = cache.select(db, "books", where=col("copies") >= 2,
-                              order_by="book_id")
-        assert first == second
-        assert cache.hits == 1 and cache.misses == 1
+        # Stored on the second miss, so the third read is the hit.
+        first, second, third = (
+            cache.select(db, "books", where=col("copies") >= 2,
+                         order_by="book_id")
+            for _ in range(3)
+        )
+        assert first == second == third
+        assert cache.hits == 1 and cache.misses == 2
 
     def test_write_between_reads_yields_fresh_result(self, db, cache):
         before = cache.select(db, "books", order_by="book_id")
@@ -147,7 +149,8 @@ class TestQueryCache:
         assert cache.select(db, "books", where=col("book_id") == 1) == []
 
     def test_caller_mutation_cannot_poison_cache(self, db, cache):
-        rows = cache.select(db, "books", where=col("book_id") == 1)
+        cache.select(db, "books", where=col("book_id") == 1)
+        rows = cache.select(db, "books", where=col("book_id") == 1)  # stored
         rows[0]["title"] = "mutated"
         again = cache.select(db, "books", where=col("book_id") == 1)
         assert again[0]["title"] == "b1"
@@ -172,8 +175,10 @@ class TestQueryCache:
     def test_lru_eviction_bounds_residency(self, db, versions):
         small = QueryCache(versions, max_entries=2)
         for i in range(5):
-            small.select(db, "books", where=col("book_id") == i)
+            for _ in range(2):  # stored on the second miss
+                small.select(db, "books", where=col("book_id") == i)
         assert len(small) == 2
+        assert small.stats()["evictions"] == 3
 
     def test_opaque_predicate_bypasses(self, db, cache):
         where = col("title").apply(str.upper) == "B1"
@@ -240,7 +245,8 @@ class TestQueryCache:
             columns=(Column("id", T.INT, nullable=False),),
             primary_key=("id",),
         ))
-        assert cache.select(db, "late") == cache.select(db, "late") == []
+        assert cache.select(db, "late") == cache.select(db, "late") \
+            == cache.select(db, "late") == []
         assert cache.bypasses == 0 and cache.hits == 1
         db.insert("late", {"id": 1})
         assert cache.select(db, "late") == [{"id": 1}]
@@ -253,6 +259,7 @@ class TestQueryCache:
     def test_write_replaces_the_dead_entry_in_place(self, db, cache):
         """The version is a stamp, not part of the key: a stale entry's
         slot is reused instead of ageing out of the LRU."""
+        cache.select(db, "books", where=col("book_id") == 1)  # first miss
         for i in range(20):
             cache.select(db, "books", where=col("book_id") == 1)
             db.update_pk("books", (1,), {"copies": 100 + i})
@@ -304,15 +311,77 @@ class TestQueryCache:
 
     def test_stats_shape(self, db, cache):
         cache.select(db, "books")
+        cache.select(db, "books")  # the second miss stores
         stats = cache.stats()
         assert stats == {
-            "hits": 0, "misses": 1, "bypasses": 0, "too_stale": 0,
-            "entries": 1,
+            "hits": 0, "misses": 2, "bypasses": 0, "too_stale": 0,
+            "evictions": 0, "entries": 1,
         }
 
     def test_rejects_zero_capacity(self, versions):
         with pytest.raises(ValueError):
             QueryCache(versions, max_entries=0)
+
+
+class TestDoorkeeper:
+    """A value is stored only on its key's second miss."""
+
+    def test_a_once_read_reply_stores_nothing_and_is_the_callers(
+        self, cache, monkeypatch
+    ):
+        def no_record(*args):
+            raise AssertionError("a first miss must not record")
+
+        monkeypatch.setattr(cache, "record", no_record)
+        value = [{"book_id": 1}]
+        assert cache.read_through(("k",), ("books",), lambda: value) is value
+        assert len(cache) == 0
+        assert cache.stats()["misses"] == 1
+
+    def test_the_second_miss_stores_and_the_third_read_hits_a_copy(
+        self, cache
+    ):
+        cache.read_through(("k",), ("books",), lambda: [{"n": 1}])
+        value = [{"n": 2}]
+        second = cache.read_through(("k",), ("books",), lambda: value)
+        assert second == value and second is not value
+        assert second[0] is not value[0] and len(cache) == 1
+
+        def unreached():
+            raise AssertionError("a hit runs no compute")
+
+        third = cache.read_through(("k",), ("books",), unreached)
+        assert third == value and third is not value
+        assert third[0] is not value[0]
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 2
+
+    def test_an_admitted_key_is_stored_again_on_its_first_miss_after_a_write(
+        self, db, cache
+    ):
+        where = col("book_id") == 1
+        for _ in range(2):
+            cache.select(db, "books", where=where)
+        db.update_pk("books", (1,), {"copies": 42})
+        assert cache.select(db, "books", where=where)[0]["copies"] == 42
+        assert len(cache) == 1 and cache.stats()["too_stale"] == 1
+        assert cache.select(db, "books", where=where)[0]["copies"] == 42
+        assert cache.hits == 1
+
+    def test_a_refused_read_is_not_remembered(self, cache):
+        def refuse():
+            raise ValueError("refused")
+
+        with pytest.raises(ValueError):
+            cache.read_through(("k",), ("books",), refuse)
+        cache.read_through(("k",), ("books",), lambda: ["a"])
+        assert len(cache) == 0  # that was the first offer, not the second
+
+    def test_the_doorkeeper_is_cleared_when_full(self, versions):
+        small = QueryCache(versions, max_entries=2)
+        for key in ("a", "b", "c"):  # "c" finds the set full and clears it
+            assert not small.admits((key,))
+        assert not small.admits(("a",))  # forgotten: a first offer again
+        assert small.admits(("a",)) and len(small._seen) <= 2
 
 
 class TestStampedStore:
@@ -330,7 +399,7 @@ class TestStampedStore:
         assert store.lookup(("k",), 99) == (False, None)
         assert store.stats() == {
             "hits": 1, "misses": 2, "bypasses": 0, "too_stale": 1,
-            "entries": 0,
+            "evictions": 0, "entries": 0,
         }
 
     def test_any_stamped_table_past_the_lag_is_a_miss(self, db, versions):
@@ -374,8 +443,8 @@ class TestStampedStore:
 class TestConnectionIntegration:
     def test_cursor_reads_through_cache(self, db, cache):
         connection = OpenDatabaseConnection(db, cache=cache)
-        connection.cursor().select("books", order_by="book_id").fetchall()
-        connection.cursor().select("books", order_by="book_id").fetchall()
+        for _ in range(3):  # stored on the second miss, hit on the third
+            connection.cursor().select("books", order_by="book_id").fetchall()
         assert cache.hits == 1
 
     def test_cursor_write_then_read_is_fresh(self, db, cache):
@@ -412,7 +481,9 @@ class TestServerIntegration:
                                       params={"course_number": "cs101"}))
         second = server.handle(Request(op="roster", session_id=sess,
                                        params={"course_number": "cs101"}))
-        assert first.data == second.data == ["s1"]
+        third = server.handle(Request(op="roster", session_id=sess,
+                                      params={"course_number": "cs101"}))
+        assert first.data == second.data == third.data == ["s1"]
         assert server.query_cache.hits > baseline
         # The instrumented counters agree with the cache's own ledger.
         snap = metrics_registry.snapshot()
@@ -466,7 +537,8 @@ class TestReplyStore:
 
     def test_a_hit_runs_no_handler(self):
         server, call, admin = self._server()
-        first = call(admin, "roster", course_number="cs101")
+        call(admin, "roster", course_number="cs101")
+        first = call(admin, "roster", course_number="cs101")  # stored
         server._op_roster = None  # a hit never reaches it
         second = call(admin, "roster", course_number="cs101")
         assert first.data == second.data == ["alice", "bob"]
@@ -487,7 +559,7 @@ class TestReplyStore:
             data.append("mallory")
 
         for (op, params), want in zip(reads, expected):
-            fresh = call(admin, op, **params)  # a hit
+            fresh = call(admin, op, **params)  # the second miss: stored
             poison(fresh.data)
             assert call(admin, op, **params).data == want
             server.admission.busy_until = clock.now + 50.0

@@ -7,7 +7,10 @@ rollbacks, savepoints and partial rollbacks, and replicated apply, which
 checks no constraint and fires no trigger.  After every step each keyed
 query reads the same through a cache two slots short of holding them
 all (so hits, replacements and evictions interleave) as straight from
-the database, and no table's version ever decreases.
+the database, and no table's version ever decreases.  Random reads
+among the writes, through caches of 1, 2 and 8 entries, check the
+doorkeeper the same way: a result is stored on its second miss, and
+neither the store nor its set of keys seen once outgrows the cache.
 
 The class administrator's stored replies get the same treatment: its
 ``transcript`` and ``roster`` replies, each mutated by the caller once
@@ -56,21 +59,19 @@ BOOK = st.fixed_dictionaries({
     "book_id": KEYS, "shelf": st.integers(min_value=0, max_value=2),
     "copies": KEYS,
 })
-ACTIONS = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), BOOK),
-        st.tuples(st.just("insert_many"), st.lists(BOOK, max_size=4)),
-        st.tuples(st.just("update"), KEYS, KEYS),
-        st.tuples(st.just("delete"), KEYS),
-        st.tuples(st.just("drop_shelf"), st.integers(0, 2)),
-        st.tuples(st.just("replicate"), BOOK),
-        st.tuples(st.just("replicate_delete"), KEYS),
-        st.tuples(st.sampled_from(["begin", "commit", "rollback"])),
-        st.tuples(st.sampled_from(["savepoint", "rollback_to"]),
-                  st.sampled_from(["a", "b"])),
-    ),
-    max_size=30,
+ACTION = st.one_of(
+    st.tuples(st.just("insert"), BOOK),
+    st.tuples(st.just("insert_many"), st.lists(BOOK, max_size=4)),
+    st.tuples(st.just("update"), KEYS, KEYS),
+    st.tuples(st.just("delete"), KEYS),
+    st.tuples(st.just("drop_shelf"), st.integers(0, 2)),
+    st.tuples(st.just("replicate"), BOOK),
+    st.tuples(st.just("replicate_delete"), KEYS),
+    st.tuples(st.sampled_from(["begin", "commit", "rollback"])),
+    st.tuples(st.sampled_from(["savepoint", "rollback_to"]),
+              st.sampled_from(["a", "b"])),
 )
+ACTIONS = st.lists(ACTION, max_size=30)
 #: (table, select keywords): point, range, ordered-and-limited, whole.
 QUERIES = [
     ("books", dict(order_by="book_id")),
@@ -141,6 +142,46 @@ def test_cached_select_always_equals_database_select(actions):
             seen[name] = versions.version(name)
             assert seen[name] >= before, (action, name)
     assert cache.hits + cache.misses == len(actions) * len(QUERIES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("read"), st.integers(0, len(QUERIES) - 1)),
+            st.tuples(st.just("write"), ACTION),
+        ),
+        max_size=40,
+    ),
+    max_entries=st.sampled_from([1, 2, 8]),
+)
+def test_the_doorkeeper_never_changes_an_answer(steps, max_entries):
+    """Over random reads and writes, what is stored on a second miss is
+    never served stale or shared, and neither the store nor the set of
+    keys seen once outgrows ``max_entries``."""
+    db = Database("lib")
+    db.create_table(SHELVES)
+    db.create_table(BOOKS)
+    for shelf in range(3):
+        db.insert("shelves", {"shelf": shelf})
+    versions = TableVersions()
+    versions.attach(db)
+    cache = QueryCache(versions, max_entries=max_entries)
+    for step in steps:
+        if step[0] == "write":
+            try:
+                _apply(db, step[1])
+            except RdbError:
+                pass
+            continue
+        table, query = QUERIES[step[1]]
+        answer = cache.select(db, table, **query)
+        assert answer == db.select(table, **query), (step, table, query)
+        for row in answer:  # the caller owns its answer
+            row.clear()
+        answer.append({"mallory": True})
+        assert len(cache) <= max_entries
+        assert len(cache._seen) <= max_entries
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ class TestStaleServing:
     def test_stale_cache_serves_while_shedding(self, clock):
         server = make_server(clock)
         session = login(server)
-        fresh = roster(server, session, deadline=100.0)
+        roster(server, session, deadline=100.0)
+        fresh = roster(server, session, deadline=100.0)  # stored
         assert fresh.ok and fresh.degraded is None
         # Saturate the controller so the same read sheds ...
         server.admission.busy_until = clock.now + 50.0
@@ -172,7 +173,8 @@ class TestStaleServing:
     def test_stale_serving_respects_version_bound(self, clock):
         server = make_server(clock)
         session = login(server)
-        roster(server, session, deadline=100.0)
+        for _ in range(2):  # stored on the second miss
+            roster(server, session, deadline=100.0)
         server.admission.busy_until = clock.now + 50.0
         write_enrollments(server, STALE_MAX_LAG)
         at_the_bound = roster(server, session, deadline=clock.now + 0.5)
@@ -184,7 +186,8 @@ class TestStaleServing:
     def test_no_stale_serve_for_expired_caller(self, clock):
         server = make_server(clock)
         session = login(server)
-        roster(server, session, deadline=100.0)
+        for _ in range(2):  # stored on the second miss
+            roster(server, session, deadline=100.0)
         clock.now = 200.0
         response = roster(server, session, deadline=150.0)
         assert response.shed  # nobody is waiting for that answer
@@ -202,7 +205,8 @@ class TestStaleServing:
     def test_no_stale_serve_for_dead_session(self, clock):
         server = make_server(clock)
         session = login(server)
-        roster(server, session, deadline=100.0)
+        for _ in range(2):  # stored on the second miss
+            roster(server, session, deadline=100.0)
         server.handle(Request(op="logout", session_id=session,
                               deadline=clock.now + 10.0))
         server.admission.busy_until = clock.now + 50.0
@@ -212,7 +216,8 @@ class TestStaleServing:
     def test_stale_served_metric(self, clock, metrics_registry):
         server = make_server(clock)
         session = login(server)
-        roster(server, session, deadline=100.0)
+        for _ in range(2):  # stored on the second miss
+            roster(server, session, deadline=100.0)
         server.admission.busy_until = clock.now + 50.0
         assert roster(server, session,
                       deadline=clock.now + 0.5).degraded == "stale-cache"
@@ -244,19 +249,21 @@ class TestStaleLedger:
 
     def test_no_controller_no_ledger(self):
         # Only a degraded reply could use a stored search, so without a
-        # controller none is kept; the stored ops are, once each.
+        # controller none is kept; the stored ops are, once each, each
+        # read twice.
         server = ClassAdministrator()
         session = login(server)
-        for course in ("cs101", "cs102"):
-            assert roster(server, session, course=course).ok
-        assert server.handle(Request(
-            op="search_library", session_id=session,
-            params={"keywords": "notes", "limit": 10},
-        )).ok
-        assert server.handle(Request(
-            op="transcript", session_id=session,
-            params={"student_id": "alice"},
-        )).ok
+        for _ in range(2):
+            for course in ("cs101", "cs102"):
+                assert roster(server, session, course=course).ok
+            assert server.handle(Request(
+                op="search_library", session_id=session,
+                params={"keywords": "notes", "limit": 10},
+            )).ok
+            assert server.handle(Request(
+                op="transcript", session_id=session,
+                params={"student_id": "alice"},
+            )).ok
         assert sorted(key[0] for key in server.stale_reads._entries) == [
             "roster", "roster", "transcript",
         ]
@@ -266,7 +273,8 @@ class TestStaleLedger:
         # holds, but only within STALE_MAX_LAG versions.
         server = ClassAdministrator()
         session = login(server)
-        fresh = roster(server, session)
+        roster(server, session)
+        fresh = roster(server, session)  # stored
         server.admission = AdmissionController(
             clock=clock, default_deadline_s=1.0
         )
@@ -280,12 +288,15 @@ class TestStaleLedger:
         assert roster(server, session, deadline=clock.now + 0.5).shed
         assert len(server.stale_reads) == 0
         server.admission.busy_until = 0.0
+        # Admitted before, so stored again on its first miss.
         assert roster(server, session, deadline=100.0).ok
         assert len(server.stale_reads) == 1
 
     def test_record_shed_serve_then_evict(self, clock):
         server = make_server(clock)
         session = login(server)
+        roster(server, session, deadline=100.0)
+        assert len(server.stale_reads) == 0  # a first miss stores nothing
         fresh = roster(server, session, deadline=100.0)
         assert len(server.stale_reads) == 1
         server.admission.busy_until = clock.now + 50.0
@@ -311,7 +322,8 @@ class TestStaleLedger:
                 deadline=deadline,
             ))
 
-        assert search({"keywords": "notes", "limit": 10}, 100.0).ok
+        for _ in range(2):  # recorded on the second search
+            assert search({"keywords": "notes", "limit": 10}, 100.0).ok
         server.admission.busy_until = clock.now + 50.0
         served = search({"limit": 10, "keywords": "notes"}, clock.now + 0.5)
         assert served.degraded == "stale-cache"
@@ -335,7 +347,8 @@ class TestStaleLedger:
 
         # A list is unhashable: the entry is keyed by sorted repr.
         odd = {"keywords": "notes", "limit": 5, "tags": ["a", {"b": 1}]}
-        assert search(odd, 100.0).ok
+        for _ in range(2):  # recorded on the second search
+            assert search(odd, 100.0).ok
         assert len(server.stale_reads) == 1
         (key,) = server.stale_reads._entries
         assert key[2] == (
@@ -354,12 +367,13 @@ class TestStaleLedger:
 
         server = make_server(clock)
         session = login(server)
-        response = server.handle(Request(
-            op="search_library", session_id=session,
-            params={"keywords": "notes", "extra": Unprintable()},
-            deadline=100.0,
-        ))
-        assert response.ok and len(server.stale_reads) == 0
+        for _ in range(2):  # twice: not even the second is recorded
+            response = server.handle(Request(
+                op="search_library", session_id=session,
+                params={"keywords": "notes", "extra": Unprintable()},
+                deadline=100.0,
+            ))
+            assert response.ok and len(server.stale_reads) == 0
 
 
 class TestOneStore:
@@ -373,7 +387,7 @@ class TestOneStore:
         record = server.query_cache.record
         server.query_cache.record = lambda *args: (
             recorded.append(args[0]), record(*args))
-        for _ in range(2):
+        for _ in range(3):  # miss, miss (recorded), hit
             assert server.handle(Request(
                 op="transcript", session_id=session,
                 params={"student_id": "alice"}, deadline=100.0,
@@ -393,7 +407,8 @@ class TestOneStore:
                 params={"keywords": "notes", "limit": 10}, deadline=deadline,
             ))
 
-        fresh = search(100.0)
+        assert search(100.0).ok and len(server.query_cache) == 0
+        fresh = search(100.0)  # the second search is recorded
         assert fresh.ok and len(server.query_cache) == 1
         # A fresh search is never answered from the store.
         assert search(100.0).degraded is None
@@ -419,7 +434,8 @@ class TestLedgerCopies:
                                             "name": "alice"})
         server.admin_db.insert("enrollments", {"student_id": "alice",
                                                "course_number": "cs101"})
-        fresh = roster(server, session, deadline=100.0)
+        roster(server, session, deadline=100.0)
+        fresh = roster(server, session, deadline=100.0)  # stored
         assert fresh.data == ["alice"]
         fresh.data.append("mallory")
         server.admission.busy_until = clock.now + 50.0
