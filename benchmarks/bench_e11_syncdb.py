@@ -7,10 +7,12 @@ through pre-broadcast/watermark), so the question is how quickly a
 course edit at the instructor's master becomes visible fleet-wide.
 
 The table replays a burst of course-authoring activity (generated
-courses inserted at the master), ships the master's journal frames down
-trees of varying arity and membership size, and reports convergence
-time and the bytes the network carried (frames, subscriptions and
-status acks alike).
+courses inserted at the master, a durable station), ships the master's
+journal frames down trees of varying arity and membership size, and
+reports convergence time and the bytes the network carried (frames,
+subscriptions and status acks alike).  The stream is the whole station:
+its rows, its document files and which BLOBs it holds, one frame per
+authoring operation.
 Expected shape: convergence time grows ~log_m N like any tree fan-out;
 batching amortizes per-message latency.
 """
@@ -30,7 +32,6 @@ from benchmarks.common import build_network, names, print_table
 from repro.distribution import MAryTree, MetadataReplicator
 from repro.core import WebDocumentDatabase
 from repro.fault.crashsim import database_state
-from repro.rdb.wal import Journal
 from repro.workloads import CourseGenerator
 
 N_COURSES = 25
@@ -45,9 +46,10 @@ def run_sync(n_stations: int, m: int, *, flush_every: int = 1) -> dict:
 def _run_sync(workdir: Path, n_stations: int, m: int, flush_every: int) -> dict:
     net = build_network(n_stations)
     tree = MAryTree(n_stations, m, names=names(n_stations))
-    master_wddb = WebDocumentDatabase("master", with_integrity=False)
+    master_wddb = WebDocumentDatabase(
+        "master", data_dir=workdir / "master", with_integrity=False
+    )
     master = master_wddb.engine
-    master.attach_journal(Journal(workdir / "master.wal"))
     replicator = MetadataReplicator(net, tree, master, workdir)
     net.quiesce()  # every member subscribed before authoring begins
     master_wddb.create_document_database("mmu", author="shih")

@@ -70,27 +70,26 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Versioned editing through the configuration manager.
     # ------------------------------------------------------------------
+    # A component is a registered file: the check-out WRITE-locks its
+    # file: node, and the check-in writes the file, its registry row and
+    # the new version in one transaction.
     index_path = impl_a.html_files[0].path
-    db.scm.add_component(
-        f"cm:{index_path}", node_a, db.files.read(index_path).content, "shih"
-    )
-    draft = db.scm.check_out("shih", f"cm:{index_path}")
+    draft = db.scm.check_out("shih", index_path)
     print(f"\nshih checked out {index_path} "
-          f"(v{db.scm.latest(f'cm:{index_path}').version})")
+          f"(v{db.scm.latest(index_path).version})")
 
     # While shih holds the check-out (a WRITE lock), huang cannot take it.
     try:
-        db.scm.check_out("huang", f"cm:{index_path}")
+        db.scm.check_out("huang", index_path)
     except Exception as exc:
         print(f"huang cannot double check-out: {type(exc).__name__}: {exc}")
 
     new_content = draft + "\n<!-- revised by shih -->"
-    record = db.scm.check_in("shih", f"cm:{index_path}", new_content,
+    record = db.scm.check_in("shih", index_path, new_content,
                              comment="clarify introduction")
-    db.files.write(DocumentFile(index_path, FileKind.HTML, new_content))
     print(f"shih checked in v{record.version} ({record.comment!r})")
     print(f"version history: "
-          f"{[(v.version, v.author) for v in db.scm.history(f'cm:{index_path}')]}")
+          f"{[(v.version, v.author) for v in db.scm.history(index_path)]}")
 
     # ------------------------------------------------------------------
     # 3. huang annotates shih's (now unlocked) course.

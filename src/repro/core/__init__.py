@@ -16,7 +16,7 @@ The package implements §3 and the station-local half of §4:
 * :mod:`repro.core.locking` — the object-locking compatibility table for
   collaborative course editing.
 * :mod:`repro.core.scm` — software-configuration management: check-in /
-  check-out and version chains of course components.
+  check-out and version chains of a station's HTML and program files.
 """
 
 from repro.core.objects import (

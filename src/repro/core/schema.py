@@ -16,11 +16,14 @@ Layers:
   "belonging" to it are the scripts rows carrying its FK.
 * **Document layer** — ``scripts``, ``implementations``,
   ``test_records``, ``bug_reports``, ``annotations`` plus the file
-  registries ``html_files``, ``program_files``, ``annotation_files``.
+  registries ``html_files``, ``program_files``, ``annotation_files``,
+  the station's document ``files`` themselves (path, kind, content) and
+  the ``versions`` of each checked-in HTML or program file.
 * **BLOB layer** — ``blobs``: the registry of multimedia resources
-  (video / audio / image / animation / MIDI); actual bytes live in the
-  per-station :class:`~repro.storage.blob.BlobStore`, shared by
-  instances and classes.
+  (video / audio / image / animation / MIDI) and whether the station
+  holds each; actual bytes live in the per-station
+  :class:`~repro.storage.blob.BlobStore`, shared by instances and
+  classes.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
     "HTML_FILES",
     "PROGRAM_FILES",
     "ANNOTATION_FILES",
+    "FILES",
+    "VERSIONS",
     "BLOBS",
     "ALL_SCHEMAS",
 ]
@@ -65,6 +70,8 @@ BLOBS = Schema(
         Column("size_bytes", T.INT, nullable=False,
                check=lambda v: v >= 0, check_label="size_non_negative"),
         Column("label", T.TEXT, nullable=False),
+        # the station holds the bytes (False: registered, kept remote)
+        Column("held", T.BOOL, nullable=False, default=False),
     ),
     primary_key=("digest",),
 )
@@ -217,6 +224,32 @@ HTML_FILES = _file_registry("html_files")
 PROGRAM_FILES = _file_registry("program_files")
 ANNOTATION_FILES = _file_registry("annotation_files")
 
+#: The station's document files (:class:`~repro.storage.files.FileStore`).
+FILES = Schema(
+    name="files",
+    columns=(
+        Column("path", T.TEXT, nullable=False),
+        Column("kind", T.TEXT, nullable=False),  # FileKind values
+        Column("content", T.TEXT, nullable=False),
+    ),
+    primary_key=("path",),
+)
+
+#: Each checked-in HTML or program file's version chain
+#: (:class:`~repro.core.scm.ConfigurationManager`).
+VERSIONS = Schema(
+    name="versions",
+    columns=(
+        Column("path", T.TEXT, nullable=False),
+        Column("version", T.INT, nullable=False),
+        Column("author", T.TEXT, nullable=False),
+        Column("content", T.TEXT, nullable=False),
+        Column("comment", T.TEXT, nullable=False, default=""),
+        Column("created_at", T.DATETIME, nullable=False),
+    ),
+    primary_key=("path", "version"),
+)
+
 #: Creation order respects FK dependencies (parents first).
 ALL_SCHEMAS = (
     DOC_DATABASES,
@@ -229,4 +262,6 @@ ALL_SCHEMAS = (
     HTML_FILES,
     PROGRAM_FILES,
     ANNOTATION_FILES,
+    FILES,
+    VERSIONS,
 )

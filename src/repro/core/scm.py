@@ -2,23 +2,34 @@
 
 The paper (§1): "A software configuration management system allows
 checking in/out of course components and maintain versions of a
-course."  :class:`ConfigurationManager` layers version chains and an
-exclusive check-out protocol on top of the
-:class:`~repro.core.locking.LockManager` — a check-out takes a WRITE
-lock on the component (so the compatibility table governs who may work
-concurrently), and a check-in records a new immutable
-:class:`VersionRecord` and releases the lock.
+course."  A component is a registered HTML or program file of a
+station's document database, and its version chain is rows of the
+``versions`` table, keyed by (path, version).
+:class:`ConfigurationManager` keeps an exclusive check-out protocol
+over the station's :class:`~repro.core.locking.LockManager`: a
+check-out takes a WRITE lock on the file's own ``file:<path>`` node (so
+the compatibility table governs who may work concurrently), and a
+check-in writes the new content, the registry row's size and checksum
+and the new version row in one transaction, then releases the lock.
+
+Version 1 of a file is the file as it stands until its first check-in,
+which writes it down beside version 2.  Who has a component checked out
+is session state kept beside the locks; it is not journaled.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass
 
-from repro.core.locking import LockConflictError, LockManager, LockMode
+from repro.core.locking import LockManager, LockMode
+from repro.rdb import Database, col
+from repro.storage.files import DocumentFile, FileKind
 
 __all__ = ["CheckoutError", "VersionRecord", "ConfigurationManager"]
+
+#: The registries whose files are components (their ``file:`` nodes).
+_COMPONENT_TABLES = ("html_files", "program_files")
 
 
 class CheckoutError(RuntimeError):
@@ -27,153 +38,152 @@ class CheckoutError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class VersionRecord:
-    """One immutable version of a component."""
+    """One immutable version of a component (a ``versions`` row)."""
 
-    component_id: str
+    path: str
     version: int
     author: str
-    content: Any
+    content: str
     comment: str
     created_at: _dt.datetime
 
 
-@dataclass
-class _Component:
-    versions: list[VersionRecord] = field(default_factory=list)
-    checked_out_by: str | None = None
-    #: working copy handed out at check-out (content of latest version)
-    working_copy: Any = None
-
-
 class ConfigurationManager:
-    """Version chains + exclusive check-out over the lock manager."""
+    """Version chains + exclusive check-out over a station's files."""
 
-    def __init__(self, locks: LockManager) -> None:
+    def __init__(self, engine: Database, locks: LockManager) -> None:
+        self.engine = engine
         self.locks = locks
-        self._components: dict[str, _Component] = {}
+        #: path -> the user who has it checked out
+        self._checked_out: dict[str, str] = {}
         self.checkouts = 0
         self.checkins = 0
 
     # ------------------------------------------------------------------
-    def add_component(
-        self,
-        component_id: str,
-        parent_object: str,
-        initial_content: Any,
-        author: str,
-        *,
-        created_at: _dt.datetime | None = None,
-    ) -> VersionRecord:
-        """Register a component under ``parent_object`` in the lock tree."""
-        if component_id in self._components:
-            raise ValueError(f"component {component_id!r} already exists")
-        if component_id not in self.locks.tree:
-            self.locks.tree.add(component_id, parent_object)
-        record = VersionRecord(
-            component_id=component_id,
-            version=1,
-            author=author,
-            content=initial_content,
-            comment="initial version",
-            created_at=created_at or _dt.datetime(1999, 1, 1),
-        )
-        self._components[component_id] = _Component(versions=[record])
-        return record
-
-    # ------------------------------------------------------------------
-    def check_out(self, user: str, component_id: str) -> Any:
+    def check_out(self, user: str, path: str) -> str:
         """Take the component for editing; returns a working copy.
 
-        Raises :class:`LockConflictError` if the compatibility table
-        denies the WRITE lock, :class:`CheckoutError` on double check-out.
+        Raises :class:`LookupError` for a path that is no registered
+        HTML or program file, :class:`LockConflictError` if the
+        compatibility table denies the WRITE lock, and
+        :class:`CheckoutError` on double check-out.
         """
-        component = self._component(component_id)
-        if component.checked_out_by is not None:
+        self._registry(path)
+        holder = self._checked_out.get(path)
+        if holder is not None:
             raise CheckoutError(
-                f"component {component_id!r} is already checked out by "
-                f"{component.checked_out_by}"
+                f"component {path!r} is already checked out by {holder}"
             )
-        self.locks.acquire(user, component_id, LockMode.WRITE)
-        component.checked_out_by = user
-        component.working_copy = component.versions[-1].content
+        self.locks.acquire(user, f"file:{path}", LockMode.WRITE)
+        self._checked_out[path] = user
         self.checkouts += 1
-        return component.working_copy
+        return self.latest(path).content
 
     def check_in(
         self,
         user: str,
-        component_id: str,
-        new_content: Any,
+        path: str,
+        new_content: str,
         comment: str = "",
         *,
         created_at: _dt.datetime | None = None,
     ) -> VersionRecord:
         """Commit a new version and release the exclusive lock."""
-        component = self._component(component_id)
-        if component.checked_out_by != user:
-            raise CheckoutError(
-                f"component {component_id!r} is not checked out by {user}"
-                + (
-                    f" (held by {component.checked_out_by})"
-                    if component.checked_out_by
-                    else ""
-                )
-            )
-        latest = component.versions[-1]
+        self._require_holder(user, path)
+        registry = self._registry(path)
+        history = self.history(path)
+        latest = history[-1]
         record = VersionRecord(
-            component_id=component_id,
+            path=path,
             version=latest.version + 1,
             author=user,
             content=new_content,
             comment=comment,
             created_at=created_at or latest.created_at,
         )
-        component.versions.append(record)
-        component.checked_out_by = None
-        component.working_copy = None
-        self.locks.release(user, component_id)
+        kind = FileKind(self.engine.get("files", path)["kind"])
+        document = DocumentFile(path, kind, new_content)
+        with self.engine.transaction():
+            if len(history) == 1:  # the first check-in writes version 1
+                self.engine.insert("versions", asdict(latest))
+            self.engine.update_pk("files", path, {"content": new_content})
+            self.engine.update_pk(registry, path, {
+                "size_bytes": document.size, "checksum": document.checksum,
+            })
+            self.engine.insert("versions", asdict(record))
+        self._release(user, path)
         self.checkins += 1
         return record
 
-    def cancel_checkout(self, user: str, component_id: str) -> None:
+    def cancel_checkout(self, user: str, path: str) -> None:
         """Abandon a check-out without creating a version."""
-        component = self._component(component_id)
-        if component.checked_out_by != user:
-            raise CheckoutError(
-                f"component {component_id!r} is not checked out by {user}"
-            )
-        component.checked_out_by = None
-        component.working_copy = None
-        self.locks.release(user, component_id)
+        self._require_holder(user, path)
+        self._release(user, path)
 
     # ------------------------------------------------------------------
-    def latest(self, component_id: str) -> VersionRecord:
-        return self._component(component_id).versions[-1]
+    def latest(self, path: str) -> VersionRecord:
+        return self.history(path)[-1]
 
-    def version(self, component_id: str, version: int) -> VersionRecord:
-        for record in self._component(component_id).versions:
+    def version(self, path: str, version: int) -> VersionRecord:
+        for record in self.history(path):
             if record.version == version:
                 return record
-        raise LookupError(
-            f"component {component_id!r} has no version {version}"
+        raise LookupError(f"component {path!r} has no version {version}")
+
+    def history(self, path: str) -> list[VersionRecord]:
+        rows = self.engine.select(
+            "versions", where=col("path") == path, order_by="version"
         )
+        if rows:
+            return [VersionRecord(**row) for row in rows]
+        registry = self._registry(path)
+        implementation = self.engine.get(
+            "implementations", self.engine.get(registry, path)["starting_url"]
+        )
+        return [VersionRecord(
+            path=path,
+            version=1,
+            author=implementation["author"],
+            content=self.engine.get("files", path)["content"],
+            comment="initial version",
+            created_at=implementation["created_at"],
+        )]
 
-    def history(self, component_id: str) -> list[VersionRecord]:
-        return list(self._component(component_id).versions)
+    def is_checked_out(self, path: str) -> bool:
+        return path in self._checked_out
 
-    def is_checked_out(self, component_id: str) -> bool:
-        return self._component(component_id).checked_out_by is not None
-
-    def checked_out_by(self, component_id: str) -> str | None:
-        return self._component(component_id).checked_out_by
+    def checked_out_by(self, path: str) -> str | None:
+        return self._checked_out.get(path)
 
     def components(self) -> list[str]:
-        return sorted(self._components)
+        """Paths of the registered HTML and program files."""
+        return sorted(
+            row["path"]
+            for table in _COMPONENT_TABLES
+            for row in self.engine.select(
+                table, where=col("starting_url").not_null()
+            )
+        )
 
-    def _component(self, component_id: str) -> _Component:
-        try:
-            return self._components[component_id]
-        except KeyError:
-            raise LookupError(
-                f"unknown component {component_id!r}"
-            ) from None
+    # ------------------------------------------------------------------
+    def _registry(self, path: str) -> str:
+        """The registry naming ``path``'s file to an implementation; a
+        path that is no such file is unknown."""
+        if self.engine.exists("files", path):
+            for table in _COMPONENT_TABLES:
+                row = self.engine.get(table, path)
+                if row is not None and row["starting_url"] is not None:
+                    return table
+        raise LookupError(f"unknown component {path!r}")
+
+    def _require_holder(self, user: str, path: str) -> None:
+        holder = self._checked_out.get(path)
+        if holder != user:
+            raise CheckoutError(
+                f"component {path!r} is not checked out by {user}"
+                + (f" (held by {holder})" if holder else "")
+            )
+
+    def _release(self, user: str, path: str) -> None:
+        del self._checked_out[path]
+        self.locks.release(user, f"file:{path}")

@@ -17,9 +17,15 @@ locking compatibility table (§3) quantifies over.
 
 The lock tree is read off the rows: an object is in it while its row
 is, and its container is the one its row's parent column names
-(``_CONTAINERS``), so a rename, a cascade or a reload leaves nothing to
-rebuild.  Only the configuration manager's ``cm:`` components are added
-to it by hand.
+(``_CONTAINERS``), so a rename, a cascade or a reopen leaves nothing to
+rebuild.  Nothing is added to it by hand: a configuration-managed
+component is a registered file, locked at its own ``file:`` node.
+
+Everything a restart brings back is a row: the document files
+(:class:`~repro.storage.files.FileStore`), whether the station holds
+each registered BLOB (``blobs.held``) and each file's version chain
+(:mod:`repro.core.scm`).  Each authoring operation commits as one
+transaction, so a crash keeps or loses it whole.
 
 A station's document classes and instances (§4) are its rows too: a
 class is a template course whose implementations name registered BLOBs,
@@ -32,12 +38,13 @@ to a remote instance is a broadcast holding
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime as _dt
-import json
+import os
 import re
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.core import schema as _schema
 from repro.core.integrity import AlertEngine, IntegrityDiagram
@@ -53,7 +60,7 @@ from repro.core.objects import (
 from repro.core.scm import ConfigurationManager
 from repro.net.station import Station
 from repro.rdb import Database, col
-from repro.storage.blob import BlobKind
+from repro.storage.blob import BlobKind, synthetic_digest
 from repro.storage.files import (
     DocumentFile,
     FileDescriptor,
@@ -95,8 +102,7 @@ class _RowTree(ObjectTree):
             row = self._engine.get(table, key)
             if row is not None and row[column] is not None:
                 return f"{above}:{row[column]}" if above else self.root
-        up = super().parent(object_id)  # a cm: node, added by hand
-        return up if up is not None and up in self else None
+        return None
 
 
 def _relink(html: str, moved: dict[str, str]) -> str:
@@ -117,29 +123,78 @@ def _relink(html: str, moved: dict[str, str]) -> str:
 
 
 class WebDocumentDatabase:
-    """The Web document DBMS on one station."""
+    """The Web document DBMS on one station.
+
+    With ``data_dir`` it is durable: its rows are opened from
+    ``<data_dir>/wddb.snapshot`` plus ``wddb.wal``
+    (:meth:`repro.rdb.Database.open`), every commit is synced, and the
+    station re-takes its held BLOBs and their references from them.
+    """
 
     def __init__(
         self,
         station: Station | str = "local",
         *,
+        data_dir: str | os.PathLike[str] | None = None,
         with_integrity: bool = True,
     ) -> None:
         if isinstance(station, str):  # a lone workstation of that name
             station = Station(station)
         self.station = station
-        self.engine = Database(f"wddb_{station.name}")
-        for table_schema in _schema.ALL_SCHEMAS:
-            self.engine.create_table(table_schema)
-        self.files = FileStore(station=station.name)
+        self._data_dir = None if data_dir is None else Path(data_dir)
+        name = f"wddb_{station.name}"
+        if self._data_dir is None:
+            self.engine = Database(name)
+            for table_schema in _schema.ALL_SCHEMAS:
+                self.engine.create_table(table_schema)
+        else:
+            self._data_dir.mkdir(parents=True, exist_ok=True)
+            self.engine = Database.open(
+                name, _schema.ALL_SCHEMAS,
+                snapshot_path=str(self._data_dir / "wddb.snapshot"),
+                journal_path=str(self._data_dir / "wddb.wal"),
+                sync="commit",
+            )
+        self.files = FileStore(self.engine, station.name)
         self.tree = _RowTree(self.engine)
         self.locks = LockManager(self.tree)
-        self.scm = ConfigurationManager(self.locks)
+        self.scm = ConfigurationManager(self.engine, self.locks)
         self.alerts: AlertEngine | None = None
         if with_integrity:
             self.alerts = AlertEngine(
                 self.engine, IntegrityDiagram.paper_default()
             )
+        #: The held BLOBs whose holds and references the open
+        #: :meth:`authoring` scope takes after its commit (None outside).
+        self._to_hold: list[str] | None = None
+        if self._data_dir is not None:
+            self._hold(
+                row["digest"]
+                for row in self.engine.select("blobs", where=col("held"))
+            )
+
+    def checkpoint(self) -> None:
+        """Snapshot the rows and truncate the journal (crash-safe at
+        every step; a no-op for an in-memory station)."""
+        if self._data_dir is not None:
+            self.engine.snapshot(str(self._data_dir / "wddb.snapshot"))
+
+    @contextlib.contextmanager
+    def authoring(self) -> Iterator[None]:
+        """One authoring operation: its rows commit as one transaction,
+        and the station takes the BLOB holds and references they name
+        after the commit.  A scope opened inside another joins it; one
+        that raises writes nothing."""
+        if self._to_hold is not None:
+            yield
+            return
+        self._to_hold = to_hold = []
+        try:
+            with self.engine.transaction():
+                yield
+        finally:
+            self._to_hold = None
+        self._hold(dict.fromkeys(to_hold))  # each digest once, in order
 
     # ------------------------------------------------------------------
     # Database layer
@@ -186,24 +241,18 @@ class WebDocumentDatabase:
         bytes (a metadata-only check-out) becomes held, and every
         implementation naming it takes its reference.
         """
-        digest = ReplicaManager.of(self.station).hold_persistent(
-            label, size_bytes, kind
-        ).digest
-        if self.engine.get("blobs", digest) is None:
-            self.engine.insert(
-                "blobs",
-                {
-                    "digest": digest,
-                    "kind": kind.value,
-                    "size_bytes": size_bytes,
-                    "label": label,
-                },
-            )
-            return digest
-        for row in self.engine.select(
-            "implementations", where=col("multimedia").contains(digest)
-        ):
-            self.station.blobs.acquire(digest, f"impl:{row['starting_url']}")
+        ReplicaManager.of(self.station).check_persistent({label: size_bytes})
+        digest = synthetic_digest(label, size_bytes)
+        with self.authoring():
+            row = self.engine.get("blobs", digest)
+            if row is None:
+                self.engine.insert("blobs", {
+                    "digest": digest, "kind": kind.value,
+                    "size_bytes": size_bytes, "label": label, "held": True,
+                })
+            elif not row["held"]:
+                self.engine.update_pk("blobs", digest, {"held": True})
+            self._to_hold.append(digest)
         return digest
 
     def blob_info(self, digest: str) -> dict[str, Any] | None:
@@ -285,9 +334,9 @@ class WebDocumentDatabase:
         least one HTML file" and refuses, before writing anything, a
         file of the wrong kind, an unregistered multimedia digest, a
         path listed twice or one registered to an implementation.  Then
-        the row goes in, the files are written and registered, and the
-        implementation takes a reference on each BLOB it names that the
-        station holds persistently.
+        the row, the files and their registry rows commit together, and
+        the implementation takes a reference on each BLOB it names that
+        the station holds.
         """
         if not html_files:
             raise ValueError(
@@ -313,12 +362,16 @@ class WebDocumentDatabase:
             ],
             multimedia=list(impl.multimedia),
         )
-        self.engine.insert("implementations", impl.to_row())
-        self._store_files(html_files, "html_files", impl.starting_url)
-        self._store_files(program_files, "program_files", impl.starting_url)
-        for digest in impl.multimedia:
-            if self._held(digest):
-                self.station.blobs.acquire(digest, f"impl:{impl.starting_url}")
+        with self.authoring():
+            self.engine.insert("implementations", impl.to_row())
+            self._store_files(html_files, "html_files", impl.starting_url)
+            self._store_files(
+                program_files, "program_files", impl.starting_url
+            )
+            self._to_hold += [
+                digest for digest in impl.multimedia
+                if self.engine.get("blobs", digest)["held"]
+            ]
         return impl
 
     def implementation(self, starting_url: str) -> ImplementationSCI | None:
@@ -422,10 +475,11 @@ class WebDocumentDatabase:
                 self.station.name, annotation_file.path
             ),
         )
-        self.engine.insert("annotations", annotation.to_row())
-        self._store_files(
-            [annotation_file], "annotation_files", annotation.starting_url
-        )
+        with self.authoring():
+            self.engine.insert("annotations", annotation.to_row())
+            self._store_files(
+                [annotation_file], "annotation_files", annotation.starting_url
+            )
         return annotation
 
     def annotations_of(self, starting_url: str) -> list[AnnotationSCI]:
@@ -529,73 +583,11 @@ class WebDocumentDatabase:
                 new_programs,
             ))
         self.check_course(new_script_name, copies)
-        self.add_script(new_script)
-        for copy in copies:
-            self.add_implementation(*copy)
+        with self.authoring():
+            self.add_script(new_script)
+            for copy in copies:
+                self.add_implementation(*copy)
         return new_script
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, directory: str | Path) -> None:
-        """Persist the whole station database to ``directory``.
-
-        Writes the relational snapshot, the document files and which
-        registered BLOBs the station holds.  BLOB bytes are synthetic in
-        this reproduction, so the blobs table is enough to put the held
-        ones back; their references follow from the implementation rows.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.engine.snapshot(str(directory / "tables.json"))
-        files_payload = {
-            document.path: {
-                "kind": document.kind.value,
-                "content": document.content,
-            }
-            for document in self.files.files()
-        }
-        held = sorted(row["digest"] for row in self.engine.select("blobs")
-                      if self._held(row["digest"]))
-        for name, payload in (
-            ("files.json", files_payload), ("blobs.json", held),
-        ):
-            (directory / name).write_text(
-                json.dumps(payload, separators=(",", ":")), encoding="utf-8"
-            )
-
-    @classmethod
-    def load(
-        cls,
-        directory: str | Path,
-        station: Station | str = "local",
-        *,
-        with_integrity: bool = True,
-    ) -> "WebDocumentDatabase":
-        """Rebuild a station database saved by :meth:`save`.
-
-        Restores rows, files and the held BLOBs, each referenced by the
-        implementations that name it; the lock tree is the rows.
-        """
-        directory = Path(directory)
-        db = cls(station, with_integrity=with_integrity)
-        # Rows are applied mechanically (the snapshot was consistent, so
-        # constraint re-checking is unnecessary).
-        db.engine.load_snapshot(directory / "tables.json")
-        files_payload = json.loads(
-            (directory / "files.json").read_text(encoding="utf-8")
-        )
-        for path, entry in files_payload.items():
-            db.files.write(
-                DocumentFile(path, FileKind(entry["kind"]), entry["content"])
-            )
-        held = (directory / "blobs.json").read_text(encoding="utf-8")
-        for digest in json.loads(held):
-            row = db.engine.get("blobs", digest)
-            db.register_blob(
-                row["label"], row["size_bytes"], BlobKind(row["kind"])
-            )
-        return db
 
     # ------------------------------------------------------------------
     # Stats
@@ -615,14 +607,20 @@ class WebDocumentDatabase:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _held(self, digest: str) -> bool:
-        """True when the station holds BLOB ``digest`` persistently."""
-        label = self.engine.get("blobs", digest)["label"]
-        holding = ReplicaManager.of(self.station).holding(label)
-        return (
-            holding is not None and holding.persistent
-            and holding.digest == digest
-        )
+    def _hold(self, digests: Iterable[str]) -> None:
+        """Hold each BLOB on the station, referenced by every
+        implementation naming it."""
+        for digest in digests:
+            row = self.engine.get("blobs", digest)
+            ReplicaManager.of(self.station).hold_persistent(
+                row["label"], row["size_bytes"], BlobKind(row["kind"])
+            )
+            for impl in self.engine.select(
+                "implementations", where=col("multimedia").contains(digest)
+            ):
+                self.station.blobs.acquire(
+                    digest, f"impl:{impl['starting_url']}"
+                )
 
     def _refuse_taken(self, files: Iterable[DocumentFile]) -> None:
         """Refuse a path listed twice or registered to an implementation."""
@@ -640,9 +638,13 @@ class WebDocumentDatabase:
     def _store_files(
         self, files: Iterable[DocumentFile], table: str, starting_url: str
     ) -> None:
-        """Write ``files``; their ``table`` rows name ``starting_url``."""
+        """Write ``files``; their ``table`` rows name ``starting_url``.
+        A path registered again starts a new version chain."""
         for document_file in files:
             self.files.write(document_file)
+            self.engine.delete(
+                "versions", where=col("path") == document_file.path
+            )
             entry = {
                 "path": document_file.path,
                 "station": self.station.name,

@@ -120,10 +120,11 @@ def install_package(
 
     Refuses, before writing anything, what
     :meth:`~repro.core.wddb.WebDocumentDatabase.check_course` refuses,
-    and a full copy the disk has no room for (``DiskFullError``).  Then
-    creates the parent document database if absent, registers BLOBs
-    (held on the station when the package carried them, registry-only
-    references otherwise) and adds the script and its implementations.
+    and a full copy the disk has no room for (``DiskFullError``).  Then,
+    as one authoring operation, creates the parent document database if
+    absent, registers BLOBs (held on the station when the package
+    carried them, registry-only references otherwise) and adds the
+    script and its implementations.
     """
     script = ScriptSCI.from_row(package.script_row)
     if db.engine.get("scripts", script.script_name) is not None:
@@ -145,22 +146,24 @@ def install_package(
         ReplicaManager.of(db.station).check_persistent(
             {row["label"]: row["size_bytes"] for row in package.blob_rows}
         )
-    if db.engine.get("doc_databases", script.db_name) is None:
-        db.create_document_database(
-            script.db_name, author=script.author, created_at=script.created_at,
-        )
-    for blob_row in package.blob_rows:
-        # A metadata check-out registers the BLOB but keeps it remote.
-        if package.include_blobs:
-            db.register_blob(
-                blob_row["label"], blob_row["size_bytes"],
-                BlobKind(blob_row["kind"]),
+    with db.authoring():
+        if db.engine.get("doc_databases", script.db_name) is None:
+            db.create_document_database(
+                script.db_name, author=script.author,
+                created_at=script.created_at,
             )
-        elif db.engine.get("blobs", blob_row["digest"]) is None:
-            db.engine.insert("blobs", dict(blob_row))
-    db.add_script(script)
-    for impl, html_files, program_files in implementations:
-        db.add_implementation(impl, html_files, program_files)
+        for blob_row in package.blob_rows:
+            # A metadata check-out registers the BLOB but keeps it remote.
+            if package.include_blobs:
+                db.register_blob(
+                    blob_row["label"], blob_row["size_bytes"],
+                    BlobKind(blob_row["kind"]),
+                )
+            elif db.engine.get("blobs", blob_row["digest"]) is None:
+                db.engine.insert("blobs", {**blob_row, "held": False})
+        db.add_script(script)
+        for impl, html_files, program_files in implementations:
+            db.add_implementation(impl, html_files, program_files)
     return script
 
 

@@ -3,9 +3,10 @@
 Unlike BLOBs, these are the "objects of relatively smaller sizes" that
 the paper *duplicates* when a compound object is copied ("the
 duplication process involves objects of relatively smaller sizes, such
-as HTML files").  A :class:`FileStore` holds them per workstation keyed
-by path; a :class:`FileDescriptor` is the pointer stored in database
-rows.
+as HTML files").  A :class:`FileStore` holds a workstation's files as
+rows of its document database's ``files`` table, keyed by path, so a
+file commits, journals and recovers with the row that registers it; a
+:class:`FileDescriptor` is the pointer stored in database rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import enum
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
+
+from repro.rdb import Database
 
 __all__ = [
     "FileKind", "DocumentFile", "FileDescriptor", "FileStore", "LINK_PATTERNS",
@@ -78,48 +81,52 @@ class FileDescriptor:
 
 
 class FileStore:
-    """Per-station store of document files keyed by path."""
+    """A station's document files: the rows of its database's ``files``
+    table (path, kind, content)."""
 
-    def __init__(self, station: str = "local") -> None:
+    def __init__(self, engine: Database, station: str = "local") -> None:
+        self.engine = engine
         self.station = station
-        self._files: dict[str, DocumentFile] = {}
-        self.writes = 0
 
     def write(self, file: DocumentFile) -> FileDescriptor:
         """Store (or overwrite) a file; returns its descriptor."""
-        self._files[file.path] = file
-        self.writes += 1
+        self.engine.upsert("files", {
+            "path": file.path, "kind": file.kind.value,
+            "content": file.content,
+        })
         return FileDescriptor(self.station, file.path)
 
     def read(self, path: str) -> DocumentFile:
-        try:
-            return self._files[path]
-        except KeyError:
+        row = self.engine.get("files", path)
+        if row is None:
             raise FileNotFoundError(
                 f"no file {path!r} in store {self.station!r}"
-            ) from None
+            )
+        return _document(row)
 
     def delete(self, path: str) -> bool:
         """Remove a file; returns False if it was absent."""
-        return self._files.pop(path, None) is not None
+        return self.engine.delete_pk("files", path)
 
     def exists(self, path: str) -> bool:
-        return path in self._files
+        return self.engine.exists("files", path)
 
     def paths(self, kind: FileKind | None = None) -> list[str]:
-        if kind is None:
-            return sorted(self._files)
-        return sorted(p for p, f in self._files.items() if f.kind is kind)
+        return sorted(f.path for f in self.files() if kind in (None, f.kind))
 
     def files(self) -> Iterator[DocumentFile]:
-        return iter(self._files.values())
+        return map(_document, self.engine.select("files"))
 
     @property
     def total_bytes(self) -> int:
-        return sum(f.size for f in self._files.values())
+        return sum(document.size for document in self.files())
 
     def __len__(self) -> int:
-        return len(self._files)
+        return self.engine.count("files")
 
     def __contains__(self, path: str) -> bool:
-        return path in self._files
+        return self.exists(path)
+
+
+def _document(row: dict[str, Any]) -> DocumentFile:
+    return DocumentFile(row["path"], FileKind(row["kind"]), row["content"])

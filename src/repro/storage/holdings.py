@@ -40,6 +40,7 @@ See DESIGN.md §11.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -99,9 +100,18 @@ class ReplicaManager:
                 f"station {station.name!r} already has a replica manager"
             )
         station.state[_STATE_KEY] = self
-        self.station = station
+        # The station keeps its manager, and the manager reaches the
+        # station weakly: the two form no reference cycle.
+        self._station = weakref.ref(station)
         self._holdings: dict[str, StationHolding] = {}
         self.migrations = 0
+
+    @property
+    def station(self) -> Station:
+        station = self._station()
+        if station is None:
+            raise RuntimeError("the station of this manager was dropped")
+        return station
 
     @classmethod
     def of(cls, station: Station) -> ReplicaManager:
@@ -137,8 +147,10 @@ class ReplicaManager:
 
     def check_persistent(self, sizes: dict[str, int]) -> None:
         """Raise what :meth:`hold_persistent` of each ``doc_id: size``
-        would (another size than the instance held, no disk room for
-        the ones not held), holding nothing."""
+        would (a size that is not positive or not the instance's held,
+        no disk room for the ones not held), holding nothing."""
+        for size in sizes.values():
+            check_positive(size, "size_bytes")
         needed = sum(
             size for doc_id, size in sizes.items()
             if self._held(doc_id, size) is None

@@ -28,7 +28,7 @@ def test_src_repro_lints_clean_with_repo_config():
 def test_known_suppressions_are_counted():
     # The deliberate replay escapes stay visible as a count, so a silent
     # drift in suppression handling shows up here: the engine's
-    # snapshot load (1, shared by recover and WebDocumentDatabase.load)
+    # snapshot load (1, under Database.open and recover)
     # and the three raw mutators of _replay_op.
     result = lint_paths([REPO_ROOT / "src" / "repro"])
     assert result.suppressed == 4

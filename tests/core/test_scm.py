@@ -1,24 +1,44 @@
-"""Tests for the configuration manager (check-in/out, versions)."""
+"""Tests for the configuration manager (check-in/out, versions).
+
+A component is a registered file of a station: ``page`` is the one HTML
+file of the ``course/`` implementation, locked at ``file:page``.
+"""
 
 import pytest
 
 from repro.core import (
     CheckoutError,
     ConfigurationManager,
+    ImplementationSCI,
     LockConflictError,
-    LockManager,
     LockMode,
-    ObjectTree,
+    ScriptSCI,
+    WebDocumentDatabase,
 )
+from repro.qa import FindingKind, LinkChecker, WebTraverser
+from repro.storage.files import DocumentFile, FileKind
+
+
+def _implementation(wddb, url, paths, author) -> None:
+    wddb.add_implementation(
+        ImplementationSCI(url, "course", author=author),
+        html_files=[DocumentFile(path, FileKind.HTML, content)
+                    for path, content in paths],
+    )
 
 
 @pytest.fixture
-def scm() -> ConfigurationManager:
-    tree = ObjectTree("root")
-    tree.add("course", "root")
-    manager = ConfigurationManager(LockManager(tree))
-    manager.add_component("page", "course", "v1 content", "shih")
-    return manager
+def station() -> WebDocumentDatabase:
+    wddb = WebDocumentDatabase("station")
+    wddb.create_document_database("mmu", author="shih")
+    wddb.add_script(ScriptSCI("course", "mmu", author="shih"))
+    _implementation(wddb, "course/", [("page", "v1 content")], "shih")
+    return wddb
+
+
+@pytest.fixture
+def scm(station) -> ConfigurationManager:
+    return station.scm
 
 
 class TestVersioning:
@@ -49,9 +69,9 @@ class TestVersioning:
         with pytest.raises(LookupError):
             scm.version("page", 9)
 
-    def test_duplicate_component_rejected(self, scm):
+    def test_duplicate_component_rejected(self, station):
         with pytest.raises(ValueError):
-            scm.add_component("page", "course", "x", "shih")
+            _implementation(station, "other/", [("page", "x")], "shih")
 
     def test_unknown_component(self, scm):
         with pytest.raises(LookupError):
@@ -81,12 +101,12 @@ class TestCheckoutProtocol:
     def test_checkout_takes_write_lock(self, scm):
         scm.check_out("shih", "page")
         with pytest.raises(LockConflictError):
-            scm.locks.acquire("ma", "page", LockMode.READ)
+            scm.locks.acquire("ma", "file:page", LockMode.READ)
 
     def test_checkin_releases_lock(self, scm):
         scm.check_out("shih", "page")
         scm.check_in("shih", "page", "v2")
-        scm.locks.acquire("ma", "page", LockMode.WRITE)  # now free
+        scm.locks.acquire("ma", "file:page", LockMode.WRITE)  # now free
 
     def test_cancel_checkout(self, scm):
         scm.check_out("shih", "page")
@@ -109,14 +129,42 @@ class TestCheckoutProtocol:
 class TestLockTreeIntegration:
     def test_container_lock_blocks_component_checkout(self, scm):
         """A write lock on the course blocks checking out its page."""
-        scm.locks.acquire("admin", "course", LockMode.WRITE)
+        scm.locks.acquire("admin", "impl:course/", LockMode.WRITE)
         with pytest.raises(LockConflictError):
             scm.check_out("shih", "page")
 
     def test_component_registered_in_tree(self, scm):
-        assert "page" in scm.locks.tree
-        assert scm.locks.tree.parent("page") == "course"
+        assert "file:page" in scm.locks.tree
+        assert scm.locks.tree.parent("file:page") == "impl:course/"
 
-    def test_components_listing(self, scm):
-        scm.add_component("page2", "course", "x", "ma")
+    def test_components_listing(self, scm, station):
+        _implementation(station, "course2/", [("page2", "x")], "ma")
         assert scm.components() == ["page", "page2"]
+
+
+class TestCheckInKeepsTheRegistry:
+    def test_checked_in_file_is_consistent(self, wddb, course):
+        """A legitimate edit is no 'inconsistency': the check-in writes
+        the registry row's size and checksum with the file."""
+        path = "cs101/p1.html"
+        wddb.scm.check_out("shih", path)
+        wddb.scm.check_in("shih", path, "<html>revised</html>", "edit")
+        traversal = WebTraverser(wddb.files).traverse(course)
+        findings = LinkChecker(wddb).check(course, traversal)
+        assert FindingKind.INCONSISTENCY not in {f.kind for f in findings}
+        document = wddb.files.read(path)
+        entry = wddb.engine.get("html_files", path)
+        assert document.content == "<html>revised</html>"
+        assert (entry["size_bytes"], entry["checksum"]) == (
+            document.size, document.checksum,
+        )
+
+    def test_a_path_registered_again_starts_a_new_chain(self, scm, station):
+        scm.check_out("shih", "page")
+        scm.check_in("shih", "page", "v2 content")
+        station.delete_implementation("course/")
+        _implementation(station, "again/", [("page", "fresh")], "ma")
+        assert [(r.version, r.author) for r in scm.history("page")] == [
+            (1, "ma"),
+        ]
+        assert scm.check_out("ma", "page") == "fresh"

@@ -1,4 +1,4 @@
-"""Property tests for the configuration manager."""
+"""Property tests for the configuration manager over a station's files."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     CheckoutError,
     ConfigurationManager,
+    ImplementationSCI,
     LockConflictError,
-    LockManager,
-    ObjectTree,
+    ScriptSCI,
+    WebDocumentDatabase,
 )
+from repro.storage.files import DocumentFile, FileKind
 
 USERS = ["u1", "u2", "u3"]
 COMPONENTS = ["c1", "c2", "c3"]
@@ -29,11 +31,15 @@ actions = st.lists(
 
 
 def _run(ops) -> ConfigurationManager:
-    tree = ObjectTree("root")
-    tree.add("course", "root")
-    manager = ConfigurationManager(LockManager(tree))
-    for component in COMPONENTS:
-        manager.add_component(component, "course", "v1", "author")
+    station = WebDocumentDatabase("station", with_integrity=False)
+    station.create_document_database("mmu", author="author")
+    station.add_script(ScriptSCI("course", "mmu", author="author"))
+    station.add_implementation(
+        ImplementationSCI("course/", "course", author="author"),
+        html_files=[DocumentFile(component, FileKind.HTML, "v1")
+                    for component in COMPONENTS],
+    )
+    manager = station.scm
     for op in ops:
         try:
             if op[0] == "checkout":
@@ -62,7 +68,7 @@ def test_at_most_one_holder_and_lock_agreement(ops):
     manager = _run(ops)
     for component in COMPONENTS:
         holder = manager.checked_out_by(component)
-        lock_holders = manager.locks.holders(component)
+        lock_holders = manager.locks.holders(f"file:{component}")
         if holder is None:
             assert lock_holders == {}
         else:

@@ -253,10 +253,12 @@ class TestCascadingDeletes:
         assert wddb.station.blobs.owners_of(digest) == {f"replica:{label}"}
 
     def test_component_leaves_the_tree_with_its_container(self, wddb, course):
-        wddb.scm.add_component("cm:page", "file:cs101/index.html", "v1", "shih")
-        assert list(wddb.tree.ancestors("cm:page"))[-1] == wddb.tree.root
+        page = "file:cs101/index.html"  # a component is a registered file
+        assert "cs101/index.html" in wddb.scm.components()
+        assert list(wddb.tree.ancestors(page))[-1] == wddb.tree.root
         wddb.delete_implementation(course.starting_url)
-        assert "cm:page" not in wddb.tree
+        assert page not in wddb.tree
+        assert "cs101/index.html" not in wddb.scm.components()
 
     def test_lock_tree_pruned_after_delete(self, wddb, course):
         assert f"impl:{course.starting_url}" in wddb.tree

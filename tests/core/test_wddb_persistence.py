@@ -1,4 +1,10 @@
-"""Tests for compound duplication and WDDB save/load."""
+"""Tests for compound duplication and a durable station's reopen.
+
+Every station here is durable (``data_dir``): "save" is a checkpoint
+and closing the journal, "load" is opening the same directory again.
+"""
+
+import datetime as dt
 
 import pytest
 
@@ -11,6 +17,24 @@ from repro.core import (
 )
 from repro.qa import QARunner
 from repro.storage.files import DocumentFile, FileKind
+
+
+@pytest.fixture
+def wddb(tmp_path) -> WebDocumentDatabase:
+    """The shared fixture's station, kept in ``tmp_path / "state"``."""
+    database = WebDocumentDatabase("teststation", data_dir=tmp_path / "state")
+    database.create_document_database(
+        "mmu", author="shih", keywords=["test"],
+        created_at=dt.datetime(1999, 6, 1),
+    )
+    return database
+
+
+def _reopen(wddb, tmp_path, station="teststation", **kwargs):
+    """Checkpoint and close ``wddb``, then open its directory again."""
+    wddb.checkpoint()
+    wddb.engine.journal.close()
+    return WebDocumentDatabase(station, data_dir=tmp_path / "state", **kwargs)
 
 
 class TestDuplicateCourse:
@@ -143,8 +167,7 @@ class TestDuplicateCourse:
             assert db.station.blobs.physical_bytes == 1_000_000
 
         assert_shared(wddb)
-        wddb.save(tmp_path / "st")
-        assert_shared(WebDocumentDatabase.load(tmp_path / "st", "teststation"))
+        assert_shared(_reopen(wddb, tmp_path))
 
 
 class TestSaveLoad:
@@ -157,24 +180,21 @@ class TestSaveLoad:
 
     def test_roundtrip_preserves_rows(self, wddb, course, tmp_path):
         self._populate(wddb, course)
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state", "restored")
+        loaded = _reopen(wddb, tmp_path, "restored")
         assert loaded.script("cs101").author == "shih"
         assert loaded.script("other") is not None
         assert len(loaded.implementations_of("cs101")) == 1
         assert len(loaded.test_records_of(course.starting_url)) == 1
 
     def test_roundtrip_preserves_files(self, wddb, course, tmp_path):
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state")
+        loaded = _reopen(wddb, tmp_path, "local")
         original = wddb.files.read("cs101/index.html")
         restored = loaded.files.read("cs101/index.html")
         assert restored.content == original.content
         assert restored.checksum == original.checksum
 
     def test_roundtrip_rebuilds_blob_store(self, wddb, course, tmp_path):
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state")
+        loaded = _reopen(wddb, tmp_path, "local")
         digest = course.multimedia[0]
         assert digest in loaded.station.blobs
         assert f"impl:{course.starting_url}" in loaded.station.blobs.owners_of(digest)
@@ -185,8 +205,7 @@ class TestSaveLoad:
         wddb.engine.insert("blobs", {"digest": "remote", "kind": "video",
                                      "size_bytes": 5_000_000,
                                      "label": "remote.mpg"})
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state")
+        loaded = _reopen(wddb, tmp_path, "local")
         assert "remote" not in loaded.station.blobs
         assert loaded.blob_info("remote") is not None
         assert loaded.station.blobs.physical_bytes == wddb.station.blobs.physical_bytes
@@ -196,16 +215,14 @@ class TestSaveLoad:
 
     def test_roundtrip_rebuilds_lock_tree(self, wddb, course, tmp_path):
         self._populate(wddb, course)
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state")
+        loaded = _reopen(wddb, tmp_path, "local")
         assert f"impl:{course.starting_url}" in loaded.tree
         assert "test:tr1" in loaded.tree
         # locking still works on the restored hierarchy
         loaded.locks.acquire("shih", "script:cs101", LockMode.WRITE)
 
     def test_loaded_db_is_fully_operational(self, wddb, course, tmp_path):
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state")
+        loaded = _reopen(wddb, tmp_path, "local")
         loaded.update_script("cs101", {"percent_complete": 99.0})
         alerts = loaded.alerts.drain()
         assert alerts  # integrity engine reattached and firing
@@ -213,8 +230,16 @@ class TestSaveLoad:
         assert outcome.passed
 
     def test_load_without_integrity(self, wddb, course, tmp_path):
-        wddb.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(
-            tmp_path / "state", with_integrity=False
-        )
+        loaded = _reopen(wddb, tmp_path, "local", with_integrity=False)
         assert loaded.alerts is None
+
+    def test_reopening_writes_no_frame(self, wddb, course, tmp_path):
+        """Re-taking the held BLOBs and their references on open reads
+        the rows and appends nothing to the journal."""
+        wddb.engine.journal.close()
+        wal = tmp_path / "state" / "wddb.wal"
+        before = wal.read_bytes()
+        reopened = WebDocumentDatabase("teststation", data_dir=tmp_path / "state")
+        assert course.multimedia[0] in reopened.station.blobs
+        reopened.engine.journal.close()
+        assert wal.read_bytes() == before

@@ -1,11 +1,15 @@
 """Property test: the document database's lock tree, files and BLOB
-references agree with its rows after any interleaving of writes, and a
-refused write changes nothing."""
+references agree with its rows after any interleaving of writes, a
+refused write changes nothing, and closing and reopening a durable
+station changes nothing."""
 
 from __future__ import annotations
 
+import random
+import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -17,6 +21,7 @@ from repro.core import (
     WebDocumentDatabase,
 )
 from repro.distribution import install_package, package_course
+from repro.fault.crashsim import crash_points, database_state, frame_boundaries
 from repro.rdb import RdbError
 from repro.storage.blob import BlobKind
 from repro.storage.files import DocumentFile, FileKind
@@ -100,13 +105,16 @@ steps = st.lists(
         st.tuples(st.just("install"), st.sampled_from(["k0", "k1"]),
                   st.booleans()),
         st.tuples(st.just("register"), st.sampled_from(sorted(BLOB_LABELS))),
-        st.tuples(st.just("reload")),
+        st.tuples(st.just("checkin"), st.sampled_from([*HTML, *PROGRAMS])),
+        st.tuples(st.just("reload"), st.booleans()),
     ),
     max_size=30,
 )
 
 
-def _apply(db: WebDocumentDatabase, step: tuple) -> WebDocumentDatabase:
+def _apply(
+    db: WebDocumentDatabase, step: tuple, directory: str
+) -> WebDocumentDatabase:
     kind, *args = step
     if kind == "script":
         db.add_script(ScriptSCI(args[0], "mmu", author="shih"))
@@ -147,10 +155,14 @@ def _apply(db: WebDocumentDatabase, step: tuple) -> WebDocumentDatabase:
         install_package(db, PACKAGES[tuple(args)])
     elif kind == "register":
         db.register_blob(*BLOB_LABELS[args[0]], BlobKind.VIDEO)
-    else:
-        with tempfile.TemporaryDirectory() as directory:
-            db.save(directory)
-            return WebDocumentDatabase.load(directory, db.station.name)
+    elif kind == "checkin":
+        db.scm.check_out("ma", args[0])
+        db.scm.check_in("ma", args[0], f"{args[0]} edited")
+    else:  # close, after a checkpoint or not, and open again
+        if args[0]:
+            db.checkpoint()
+        db.engine.journal.close()
+        return WebDocumentDatabase(db.station.name, data_dir=directory)
     return db
 
 
@@ -187,6 +199,7 @@ def _state(db: WebDocumentDatabase, candidates: set[str]) -> tuple:
     return (
         {t: db.engine.select(t, order_by=k) for t, k in PRIMARY_KEYS.items()},
         {f.path: (f.kind, f.content) for f in db.files.files()},
+        db.engine.select("versions", order_by="path"),
         {b.digest: set(b.owners) for b in db.station.blobs.blobs()},
         {node for node in candidates if node in db.tree},
     )
@@ -228,18 +241,23 @@ def _check(db: WebDocumentDatabase, candidates: set[str]) -> None:
 @given(steps)
 @settings(max_examples=300, deadline=None)
 def test_tree_files_and_blob_references_follow_the_rows(ops):
-    db = WebDocumentDatabase("prop")
+    with tempfile.TemporaryDirectory() as directory:
+        _run(ops, directory)
+
+
+def _run(ops, directory: str) -> None:
+    db = WebDocumentDatabase("prop", data_dir=directory)
     db.create_document_database("mmu", author="shih")
     db.register_blob(*BLOB_LABELS["v0"], BlobKind.VIDEO)
     for script in ("s0", "s1"):
         db.add_script(ScriptSCI(script, "mmu", author="shih"))
-    _apply(db, ("impl", "u0", "s0", ["p0.html"], [], ["v0"]))
-    _apply(db, ("test", "t0", "u0"))
+    _apply(db, ("impl", "u0", "s0", ["p0.html"], [], ["v0"]), directory)
+    _apply(db, ("test", "t0", "u0"), directory)
     candidates = _row_ids(db)
     for step in ops:
         before = _state(db, candidates)
         try:
-            after_db = _apply(db, step)
+            after_db = _apply(db, step, directory)
         except (ValueError, LookupError, RdbError):
             assert _state(db, candidates) == before, step
             continue
@@ -248,3 +266,121 @@ def test_tree_files_and_blob_references_follow_the_rows(ops):
         db = after_db
         candidates |= _row_ids(db)
         _check(db, candidates)
+
+
+# ---------------------------------------------------------------------------
+# Crash gate: an authoring operation is one journal frame
+# ---------------------------------------------------------------------------
+def _seeded_steps(seed: int, count: int) -> list[tuple]:
+    """``count`` authoring steps in :func:`_apply`'s form, drawn from
+    ``seed`` against a model of what the station holds, so most of them
+    commit; one in five new implementations reuses a taken path and is
+    refused."""
+    rng = random.Random(seed)
+    scripts = {"s0": ["u0"], "s1": []}  # script -> its implementations
+    files = {"u0": ["p0.html"]}  # implementation -> its HTML/program paths
+    registered = {"v0"}
+    packages = {"k0": ("k/k0/", ["k0/p.html", "p1.html"], "r0"),
+                "k1": ("k/k1/", ["k1/p.html"], "v0")}
+    steps: list[tuple] = []
+    for index in range(count):
+        kind = rng.choice([
+            "impl", "impl", "checkin", "checkin", "checkin", "duplicate",
+            "install", "delete_impl", "delete_script", "register", "ann",
+        ])
+        urls = [url for owned in scripts.values() for url in owned]
+        if kind == "impl":
+            script, url = rng.choice(sorted(scripts)), f"u{index}/"
+            html = [f"f{index}.html"]
+            if rng.random() < 0.2 and urls:
+                html += files[rng.choice(urls)][:1]
+            else:
+                scripts[script].append(url)
+                files[url] = [*html, f"q{index}.class"]
+            steps.append(("impl", url, script, html, files.get(url, [])[1:],
+                          rng.sample(sorted(registered), rng.randint(0, 1))))
+        elif kind == "checkin" and urls:
+            steps.append(("checkin", rng.choice(files[rng.choice(urls)])))
+        elif kind == "duplicate":
+            source, copy = rng.choice(sorted(scripts)), f"d{index}"
+            steps.append(("duplicate", source, copy))
+            scripts[copy] = [f"{url}{copy}/" for url in scripts[source]]
+            for url in scripts[source]:
+                files[f"{url}{copy}/"] = [f"{copy}/{p}" for p in files[url]]
+        elif kind == "install" and packages:
+            name = rng.choice(sorted(packages))
+            url, paths, digest = packages.pop(name)
+            steps.append(("install", name, rng.random() < 0.5))
+            scripts[name], files[url] = [url], paths
+            registered.add(digest)
+        elif kind == "delete_impl" and urls:
+            url = rng.choice(urls)
+            steps.append(("delete_impl", url))
+            for owned in scripts.values():
+                if url in owned:
+                    owned.remove(url)
+        elif kind == "delete_script" and len(scripts) > 1:
+            script = rng.choice(sorted(scripts)[1:])
+            steps.append(("delete_script", script))
+            del scripts[script]
+        elif kind == "register":
+            name = rng.choice(sorted(BLOB_LABELS))
+            steps.append(("register", name))
+            registered.add(name)
+        elif urls:
+            steps.append(("ann", f"a{index}", rng.choice(urls),
+                          f"n{index}.json"))
+    return steps
+
+
+def _station_state(db: WebDocumentDatabase) -> tuple:
+    """What a reopen must bring back: the rows, the lock tree, the held
+    BLOBs and their owners, the files and the version chains."""
+    return (
+        database_state(db.engine),
+        {node: db.tree.parent(node) for node in _row_ids(db)
+         if node in db.tree},
+        {b.digest: frozenset(b.owners) for b in db.station.blobs.blobs()},
+        {f.path: f for f in db.files.files()},
+        {path: db.scm.history(path) for path in db.scm.components()},
+    )
+
+
+@pytest.mark.parametrize("seed, checkpoint_at", [(3, None), (17, 12)])
+def test_a_crash_keeps_or_loses_each_authoring_op_whole(
+    tmp_path, seed, checkpoint_at
+):
+    """Truncate the journal at every frame boundary and every 64th byte:
+    the reopened station equals the station after the last op whose
+    frame lies wholly below the cut."""
+    live_dir, cut_dir = tmp_path / "live", tmp_path / "cut"
+    db = WebDocumentDatabase("crash", data_dir=live_dir)
+    wal = live_dir / "wddb.wal"
+    #: (journal bytes once the op committed, the station after it)
+    after_op = [(0, _station_state(db))]
+    steps = [
+        ("db",), ("register", "v0"), ("script", "s0"), ("script", "s1"),
+        ("impl", "u0", "s0", ["p0.html"], [], ["v0"]),
+        *_seeded_steps(seed, 40),
+    ]
+    for index, step in enumerate(steps):
+        if index == checkpoint_at:
+            db.checkpoint()
+            after_op = [(0, _station_state(db))]
+        try:
+            if step == ("db",):
+                db.create_document_database("mmu", author="shih")
+            else:
+                _apply(db, step, str(live_dir))
+        except (ValueError, LookupError, RdbError):
+            pass
+        after_op.append((wal.stat().st_size, _station_state(db)))
+    db.engine.journal.close()
+    data = wal.read_bytes()
+    shutil.copytree(live_dir, cut_dir)  # the snapshot, if any, stays
+    for cut in crash_points(len(data), frame_boundaries(wal)):
+        (cut_dir / "wddb.wal").write_bytes(data[:cut])
+        reopened = WebDocumentDatabase("crash", data_dir=cut_dir)
+        expected = [state for end, state in after_op if end <= cut][-1]
+        assert _station_state(reopened) == expected, (seed, cut)
+        reopened.engine.journal.close()

@@ -86,10 +86,11 @@ class TestInstall:
 
     def test_metadata_only_station_survives_save_load(self, source, tmp_path):
         db, course = source
-        student = WebDocumentDatabase("student")
+        student = WebDocumentDatabase("student", data_dir=tmp_path / "state")
         install_package(student, package_course(db, course.script.script_name))
-        student.save(tmp_path / "state")
-        loaded = WebDocumentDatabase.load(tmp_path / "state", "student")
+        student.checkpoint()
+        student.engine.journal.close()
+        loaded = WebDocumentDatabase("student", data_dir=tmp_path / "state")
         assert len(loaded.station.blobs) == 0
         assert loaded.station.blobs.physical_bytes == 0
         assert loaded.engine.count("blobs") == student.engine.count("blobs")

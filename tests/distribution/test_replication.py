@@ -158,7 +158,8 @@ class TestBufferedLifecycle:
         assert (mgr.buffer_bytes, mgr.persistent_bytes) == (MIB, 0)
 
     def test_full_disk_keeps_a_reference(self):
-        mgr = ReplicaManager(Station("st", disk_capacity=MIB // 2))
+        station = Station("st", disk_capacity=MIB // 2)  # mgr holds it weakly
+        mgr = ReplicaManager(station)
         holding = mgr.hold_buffered("doc", MIB, instance_station="s9")
         assert holding.form is HoldingForm.REFERENCE
         assert holding.instance_station == "s9"

@@ -7,11 +7,13 @@ import shutil
 
 import pytest
 
+from repro.core import WebDocumentDatabase
 from repro.distribution import MAryTree, MetadataReplicator
 from repro.fault.crashsim import database_state
 from repro.rdb import Column, ColumnType, Database, Schema
 from repro.rdb.wal import Journal, read_frames
 from repro.replication import RecoveryStage
+from repro.workloads import CourseGenerator
 
 from tests.conftest import build_network
 
@@ -78,6 +80,26 @@ def _journal_bytes(replicator, name) -> bytes:
 
 
 class TestReplication:
+    def test_a_durable_stations_files_reach_every_member(self, tmp_path):
+        """A station's document files are rows of its journaled
+        database, so each member's file table is the master's."""
+        station = WebDocumentDatabase("s1", data_dir=tmp_path / "station")
+        net = build_network(4)
+        tree = MAryTree(4, 2, names=["s1", "s2", "s3", "s4"])
+        replicator = MetadataReplicator(net, tree, station.engine, tmp_path)
+        net.quiesce()
+        station.create_document_database("mmu", author="shih")
+        course = CourseGenerator(seed=5).generate_course(station, "mmu")
+        page = course.implementation.html_files[0].path
+        station.scm.check_out("shih", page)
+        station.scm.check_in("shih", page, "<html>revised</html>")
+        replicator.flush()
+        net.quiesce()
+        files = database_state(station.engine)["files"]
+        assert files[(page,)]["content"] == "<html>revised</html>"
+        for member in replicator.members.values():
+            assert database_state(member.db)["files"] == files
+
     def test_inserts_reach_every_replica(self, world):
         net, master, replicator = world
         master.insert("docs", {"name": "a", "created": dt.datetime(1999, 1, 1)})

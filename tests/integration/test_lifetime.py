@@ -18,7 +18,7 @@ import weakref
 import pytest
 
 from repro.admission import AdmissionController
-from repro.core import WebDocumentDatabase
+from repro.core import ImplementationSCI, ScriptSCI, WebDocumentDatabase
 from repro.fault.crashsim import CRASH_SCHEMAS
 from repro.net import Network, Simulator, Station
 from repro.rdb import (
@@ -30,6 +30,8 @@ from repro.rdb import (
     TriggerTiming,
 )
 from repro.sharding import ShardCluster
+from repro.storage.blob import BlobKind
+from repro.storage.files import DocumentFile, FileKind
 from repro.tiers import ClassAdministrator, Request
 from repro.tiers.remote import RemoteTierClient, RemoteTierServer
 
@@ -141,13 +143,32 @@ class TestFreedWithoutTheCollector:
         assert_freed_on_del(make)
         assert len(fired) == 2
 
-    def test_web_document_database(self):
+    def test_web_document_database(self, tmp_path):
         def make():
             wddb = WebDocumentDatabase("lifetime")
             assert wddb.alerts is not None
             return wddb
 
         assert_freed_on_del(make, "engine", "alerts")
+
+        def make_durable():
+            """Written, checked in, checkpointed and closed."""
+            wddb = WebDocumentDatabase("lifetime", data_dir=tmp_path)
+            wddb.create_document_database("mmu", author="shih")
+            wddb.add_script(ScriptSCI("cs101", "mmu", author="shih"))
+            video = wddb.register_blob("lec.mpg", 1_000, BlobKind.VIDEO)
+            wddb.add_implementation(
+                ImplementationSCI("u/", "cs101", author="shih",
+                                  multimedia=[video]),
+                html_files=[DocumentFile("p.html", FileKind.HTML, "v1")],
+            )
+            wddb.scm.check_out("shih", "p.html")
+            wddb.scm.check_in("shih", "p.html", "v2")
+            wddb.checkpoint()
+            wddb.engine.journal.close()
+            return wddb
+
+        assert_freed_on_del(make_durable, "station", "engine", "alerts")
 
     def test_class_administrator_behind_a_remote_tier_server(self):
         """Served over the wire, then the network and server dropped."""

@@ -20,7 +20,6 @@ from repro.distribution import (
 from repro.library import CatalogEntry, CirculationDesk, VirtualLibrary, assess
 from repro.qa import QARunner
 from repro.fault.crashsim import database_state
-from repro.rdb.wal import Journal
 from repro.util.units import MIB
 from repro.workloads import CourseGenerator
 
@@ -45,8 +44,9 @@ class TestVirtualUniversityDay:
         sim = net.sim
 
         # -- morning: the instructor authors and QAs a course ----------
-        wddb = WebDocumentDatabase("s1", with_integrity=True)
-        wddb.engine.attach_journal(Journal(tmp_path / "s1.wal"))
+        wddb = WebDocumentDatabase(
+            "s1", data_dir=tmp_path / "authoring", with_integrity=True
+        )
         wddb.create_document_database("mmu", author="shih")
         generator = CourseGenerator(seed=99, pages_per_course=5)
         course = generator.generate_course(wddb, "mmu", author="shih")

@@ -2,7 +2,16 @@
 
 import pytest
 
+from repro.core.schema import FILES
+from repro.rdb import Database
 from repro.storage.files import DocumentFile, FileDescriptor, FileKind, FileStore
+
+
+def _store(station: str = "local") -> FileStore:
+    """A file store over a database holding only the ``files`` table."""
+    engine = Database(station)
+    engine.create_table(FILES)
+    return FileStore(engine, station)
 
 
 class TestDocumentFile:
@@ -30,13 +39,13 @@ class TestFileDescriptor:
 
 class TestFileStore:
     def test_write_read(self):
-        store = FileStore("s1")
+        store = _store("s1")
         fd = store.write(DocumentFile("a.html", FileKind.HTML, "hi"))
         assert fd == FileDescriptor("s1", "a.html")
         assert store.read("a.html").content == "hi"
 
     def test_overwrite_replaces(self):
-        store = FileStore()
+        store = _store()
         store.write(DocumentFile("a", FileKind.HTML, "v1"))
         store.write(DocumentFile("a", FileKind.HTML, "v2"))
         assert store.read("a").content == "v2"
@@ -44,17 +53,17 @@ class TestFileStore:
 
     def test_read_missing_raises(self):
         with pytest.raises(FileNotFoundError):
-            FileStore().read("ghost")
+            _store().read("ghost")
 
     def test_delete(self):
-        store = FileStore()
+        store = _store()
         store.write(DocumentFile("a", FileKind.HTML, "x"))
         assert store.delete("a") is True
         assert store.delete("a") is False
         assert not store.exists("a")
 
     def test_paths_filtered_by_kind(self):
-        store = FileStore()
+        store = _store()
         store.write(DocumentFile("a.html", FileKind.HTML, "x"))
         store.write(DocumentFile("b.class", FileKind.PROGRAM, "y"))
         store.write(DocumentFile("c.html", FileKind.HTML, "z"))
@@ -62,12 +71,12 @@ class TestFileStore:
         assert store.paths() == ["a.html", "b.class", "c.html"]
 
     def test_total_bytes(self):
-        store = FileStore()
+        store = _store()
         store.write(DocumentFile("a", FileKind.HTML, "abc"))
         store.write(DocumentFile("b", FileKind.HTML, "de"))
         assert store.total_bytes == 5
 
     def test_contains(self):
-        store = FileStore()
+        store = _store()
         store.write(DocumentFile("a", FileKind.HTML, "x"))
         assert "a" in store and "b" not in store
