@@ -14,9 +14,9 @@ side scales too.  E18 measures the three promises the subsystem makes:
   the follower's record lag stays bounded (it must not grow with the
   length of the run) and collapses to zero once the stream drains;
 * **failover loses nothing acked** — crash the primary, promote the
-  best follower (:class:`~repro.replication.failover
-  .FailoverCoordinator`), and check the promoted state against the
-  crashsim committed-prefix ledger: every commit that was shipped
+  best follower (:meth:`~repro.distribution.syncdb.MetadataReplicator
+  .promote` on the replication tree at m = N-1, a star), and check the
+  promoted state against the crashsim committed-prefix ledger: every commit that was shipped
   before the crash survives, bit for bit, constraints and indexes
   intact.  Commits the primary journaled but never shipped are
   *expected* casualties — that is the async-replication contract.
@@ -40,6 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.common import print_table
+from repro.distribution import MAryTree, MetadataReplicator
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     CrashWorkload,
@@ -55,7 +56,6 @@ from repro.net.station import Station
 from repro.net.transport import Network
 from repro.rdb.wal import Journal
 from repro.replication import (
-    FailoverCoordinator,
     Recoverer,
     WalShipper,
     run_follower_crash_matrix,
@@ -219,33 +219,21 @@ def lag_rows(
 def failover_rows(workdir: Path, txns: int = 24, unshipped: int = 3):
     """Crash the primary, promote, audit the survivor state against the
     committed-prefix ledger.  Returns (rows, ok)."""
-    sim = Simulator()
-    network = Network(sim, default_latency_s=0.002)
-    network.add(Station("primary"))
+    network = Network(Simulator(), default_latency_s=0.002)
+    names = ["primary", "f1", "f2"]
+    for name in names:
+        network.add(Station(name))
     # The kit's workload + ack ledger (the same loop the crash matrices
     # judge against), journaling under sync=commit.
     workload = CrashWorkload(workdir / "primary.wal", name="primary")
-    db, journal = workload.db, workload.journal
-    shipper = WalShipper(
-        network, "primary", journal,
-        snapshot_path=workdir / "primary.snapshot",
-        snapshot_fn=lambda: db.snapshot(str(workdir / "primary.snapshot")),
+    journal = workload.journal
+    group = MetadataReplicator(
+        network, MAryTree(len(names), len(names) - 1, names=names),
+        workload.db, workdir, ddl_fn=crash_ddl,
     )
-    coordinator = FailoverCoordinator(network)
-    coordinator.set_primary(shipper)
-    recoverers = {}
-    for name in ("f1", "f2"):
-        network.add(Station(name))
-        rec = Recoverer(
-            network, name, "primary", CRASH_SCHEMAS, workdir / name,
-            sync_policy="commit", ddl_fn=crash_ddl,
-        )
-        rec.start()
-        coordinator.add_follower(rec)
-        recoverers[name] = rec
 
     workload.run(txns)
-    shipper.pump()
+    group.flush()
     network.quiesce()
     acked_horizon = journal.last_lsn
 
@@ -253,17 +241,16 @@ def failover_rows(workdir: Path, txns: int = 24, unshipped: int = 3):
     network.set_down("primary", True)
     workload.run(unshipped)
 
-    report = coordinator.promote()
-    winner = recoverers[report.new_primary]
+    report = group.promote()
     lost_acked = acked_horizon - report.promoted_lsn
     # Committed prefix: the promoted state is the ledger's state at the
     # promoted LSN, which must not lie beyond what was ever shipped.
     prefix_ok = (
         report.promoted_lsn <= acked_horizon
-        and database_state(winner.db)
+        and database_state(group.master)
         == workload.state_at_lsn(report.promoted_lsn)
     )
-    integrity = verify_database(winner.db)
+    integrity = verify_database(group.master)
     ok = prefix_ok and not integrity and lost_acked == 0
     rows = [
         ["txns acked before crash", acked_horizon],

@@ -208,14 +208,14 @@ def _file_registry(name: str) -> Schema:
         columns=(
             Column("path", T.TEXT, nullable=False),
             Column("station", T.TEXT, nullable=False),
-            Column("starting_url", T.TEXT, nullable=True),
+            Column("starting_url", T.TEXT, nullable=False),
             Column("size_bytes", T.INT, nullable=False, default=0),
             Column("checksum", T.TEXT, nullable=False, default=""),
         ),
         primary_key=("path",),
         foreign_keys=(
             ForeignKey(("starting_url",), "implementations",
-                       ("starting_url",), on_delete=Action.SET_NULL),
+                       ("starting_url",), on_delete=Action.CASCADE),
         ),
     )
 
@@ -236,7 +236,7 @@ FILES = Schema(
 )
 
 #: Each checked-in HTML or program file's version chain
-#: (:class:`~repro.core.scm.ConfigurationManager`).
+#: (:class:`~repro.core.scm.ConfigurationManager`); it goes with its file.
 VERSIONS = Schema(
     name="versions",
     columns=(
@@ -248,6 +248,9 @@ VERSIONS = Schema(
         Column("created_at", T.DATETIME, nullable=False),
     ),
     primary_key=("path", "version"),
+    foreign_keys=(
+        ForeignKey(("path",), "files", ("path",), on_delete=Action.CASCADE),
+    ),
 )
 
 #: Creation order respects FK dependencies (parents first).

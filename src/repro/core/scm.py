@@ -160,9 +160,7 @@ class ConfigurationManager:
         return sorted(
             row["path"]
             for table in _COMPONENT_TABLES
-            for row in self.engine.select(
-                table, where=col("starting_url").not_null()
-            )
+            for row in self.engine.select(table)
         )
 
     # ------------------------------------------------------------------
@@ -171,8 +169,7 @@ class ConfigurationManager:
         path that is no such file is unknown."""
         if self.engine.exists("files", path):
             for table in _COMPONENT_TABLES:
-                row = self.engine.get(table, path)
-                if row is not None and row["starting_url"] is not None:
+                if self.engine.exists(table, path):
                     return table
         raise LookupError(f"unknown component {path!r}")
 

@@ -292,13 +292,11 @@ class WebDocumentDatabase:
         return self.engine.update_pk("scripts", script_name, changes)
 
     def delete_script(self, script_name: str) -> bool:
-        """Delete a script; implementations etc. cascade away."""
-        impls = self.implementations_of(script_name)
-        deleted = self.engine.delete_pk("scripts", script_name)
-        if deleted:
-            for impl in impls:
-                self.station.blobs.release_owner(f"impl:{impl.starting_url}")
-        return deleted
+        """Delete a script; its implementations, their files and
+        everything else under it go in the same transaction."""
+        return self._delete_with_files("scripts", script_name, [
+            impl.starting_url for impl in self.implementations_of(script_name)
+        ])
 
     def search_scripts(
         self,
@@ -397,11 +395,11 @@ class WebDocumentDatabase:
         return self.engine.update_pk("implementations", starting_url, changes)
 
     def delete_implementation(self, starting_url: str) -> bool:
-        """Delete one implementation (dependents cascade; BLOB refs released)."""
-        deleted = self.engine.delete_pk("implementations", starting_url)
-        if deleted:
-            self.station.blobs.release_owner(f"impl:{starting_url}")
-        return deleted
+        """Delete one implementation with its files (dependents cascade;
+        BLOB refs released)."""
+        return self._delete_with_files(
+            "implementations", starting_url, [starting_url]
+        )
 
     def check_course(
         self,
@@ -622,6 +620,26 @@ class WebDocumentDatabase:
                     digest, f"impl:{impl['starting_url']}"
                 )
 
+    def _delete_with_files(self, table: str, key: str, urls: list[str]) -> bool:
+        """Delete one ``table`` row and, in the same transaction, the
+        files registered to the implementations ``urls``: the schema
+        cascades the registry rows with the implementations and each
+        version chain with its file.  Then release the BLOB references
+        the implementations held."""
+        with self.authoring():
+            paths = [
+                row["path"] for registry in _FILE_TABLES
+                for row in self.engine.select(
+                    registry, where=col("starting_url").isin(urls)
+                )
+            ]
+            deleted = self.engine.delete_pk(table, key)
+            self.engine.delete("files", where=col("path").isin(paths))
+        if deleted:
+            for url in urls:
+                self.station.blobs.release_owner(f"impl:{url}")
+        return deleted
+
     def _refuse_taken(self, files: Iterable[DocumentFile]) -> None:
         """Refuse a path listed twice or registered to an implementation."""
         paths = [document_file.path for document_file in files]
@@ -630,7 +648,7 @@ class WebDocumentDatabase:
                 raise ValueError(f"{path!r} is listed twice")
             for table in _FILE_TABLES:
                 row = self.engine.get(table, path)
-                if row is not None and row["starting_url"] is not None:
+                if row is not None:
                     raise ValueError(
                         f"{path!r} already belongs to {row['starting_url']!r}"
                     )
@@ -638,21 +656,13 @@ class WebDocumentDatabase:
     def _store_files(
         self, files: Iterable[DocumentFile], table: str, starting_url: str
     ) -> None:
-        """Write ``files``; their ``table`` rows name ``starting_url``.
-        A path registered again starts a new version chain."""
+        """Write ``files``; their ``table`` rows name ``starting_url``."""
         for document_file in files:
             self.files.write(document_file)
-            self.engine.delete(
-                "versions", where=col("path") == document_file.path
-            )
-            entry = {
+            self.engine.insert(table, {
                 "path": document_file.path,
                 "station": self.station.name,
                 "starting_url": starting_url,
                 "size_bytes": document_file.size,
                 "checksum": document_file.checksum,
-            }
-            if self.engine.get(table, document_file.path) is None:
-                self.engine.insert(table, entry)
-            else:
-                self.engine.update_pk(table, document_file.path, entry)
+            })

@@ -31,7 +31,7 @@ from repro.distribution.vector import (
     ReferenceBroadcaster,
     VectorEntry,
 )
-from repro.distribution.syncdb import MetadataReplicator
+from repro.distribution.syncdb import FailoverReport, MetadataReplicator
 from repro.distribution.coursepkg import (
     CoursePackage,
     CourseShipper,
@@ -44,6 +44,7 @@ __all__ = [
     "CourseShipper",
     "install_package",
     "package_course",
+    "FailoverReport",
     "MetadataReplicator",
     "BroadcastVector",
     "ReferenceBroadcaster",

@@ -19,7 +19,10 @@ Two recovery paths, matching the two kinds of state a crash loses:
   resubscribes to its tree parent from that LSN for everything
   committed while it was dark.  :class:`RecoveryManager.rejoin` revives
   the station, drives that, and re-enters it into the broadcast vector
-  at the tail (the paper's linear join order).
+  at the tail (the paper's linear join order).  It is also how a
+  deposed root comes back after
+  :meth:`~repro.distribution.syncdb.MetadataReplicator.promote`: a
+  station no longer in the tree joins it at the tail, too.
 """
 
 from __future__ import annotations

@@ -636,19 +636,16 @@ class Journal:
             fh.close()
         self.base_lsn = base_lsn
 
-    def _write(self, lsn: int, data: bytes, *, force: bool = False) -> int:
+    def _write(self, lsn: int, data: bytes) -> int:
         """The one append tail: write the frame, flush it to the OS —
-        the journal's one flush; :meth:`sync` only fsyncs — adopt its
-        LSN, fsync when forced or when the sync policy says a batch is
-        due."""
+        the journal's one flush; :meth:`sync` only fsyncs — and adopt
+        its LSN.  Each append then fsyncs as its record kind needs."""
         assert self._fh is not None
         self._fh.write(data)
         self._fh.flush()
         self.last_lsn = lsn
         self.records_written += 1
         self._pending_sync += 1
-        if force or self.sync_policy.due(self._pending_sync):
-            self.sync()
         return lsn
 
     # -- public API ----------------------------------------------------------
@@ -656,7 +653,9 @@ class Journal:
         """Append one committed transaction's ops; returns its LSN."""
         lsn = self.last_lsn + 1
         payload = _compact({"txn": txn_id, "ops": ops}).encode("utf-8")
-        return self._write(lsn, _frame(lsn, payload))
+        self._write(lsn, _frame(lsn, payload))
+        self.sync_due()
+        return lsn
 
     def append_2pc(self, payload: dict[str, Any]) -> int:
         """Append one two-phase-commit protocol record; returns its LSN.
@@ -672,7 +671,9 @@ class Journal:
             raise ValueError("2pc record payload must carry the '2pc' key")
         lsn = self.last_lsn + 1
         body = _compact(payload).encode("utf-8")
-        return self._write(lsn, _frame(lsn, body), force=True)
+        self._write(lsn, _frame(lsn, body))
+        self.sync()
+        return lsn
 
     def append_raw(self, frame: WalFrame) -> int:
         """Append one pre-built frame verbatim, adopting its LSN.
@@ -683,7 +684,9 @@ class Journal:
         prefix-identical copy of the primary's and the same recovery
         machinery applies after a follower crash.  The LSN adopted is
         the one in the frame's own header, and it must advance the
-        local sequence.
+        local sequence.  Appending does not fsync: the follower appends
+        a whole shipped batch, then calls :meth:`sync_due` once, before
+        it acknowledges the batch.
         """
         if frame.lsn <= self.last_lsn:
             raise ValueError(
@@ -691,6 +694,12 @@ class Journal:
                 f"{self.last_lsn}"
             )
         return self._write(frame.lsn, frame.data)
+
+    def sync_due(self) -> None:
+        """fsync if the sync policy says the records appended since the
+        last fsync are due (``commit``: any; ``interval-N``: N)."""
+        if self.sync_policy.due(self._pending_sync):
+            self.sync()
 
     def sync(self) -> None:
         """Force appended records to stable storage (one fsync batch);

@@ -1,4 +1,4 @@
-"""WAL-shipping replication: read replicas and failover promotion.
+"""WAL-shipping replication: read replicas and the follower state machine.
 
 The class administrator's framed journal (:mod:`repro.rdb.wal` v2:
 monotonic LSNs, CRC, checkpoint watermarks) is streamed over
@@ -14,11 +14,6 @@ middle tier into a replicated one:
   watermark → tail live frames → caught up) that persists every shipped
   frame to its *own* journal before applying it, so a follower crash
   recovers through the same committed-prefix machinery as the primary;
-* :class:`~repro.replication.failover.FailoverCoordinator` — promotes
-  the live follower with the highest applied LSN, opens a new WAL
-  epoch (snapshot + fenced epoch number), retargets the surviving
-  followers, and rejoins the deposed primary as a follower through the
-  :mod:`repro.fault` rejoin path;
 * :mod:`~repro.replication.chaos` — the follower scenario of the
   :mod:`repro.fault.crashsim` kit: kill a follower at arbitrary byte
   offsets during snapshot download or frame replay and prove it
@@ -33,11 +28,14 @@ Naming note — two kinds of "replication" coexist in this repo, one
 per layer:
 
 * **this package** replicates a *relational database* by WAL shipping.
-  A class administrator's followers subscribe to it directly (a star:
-  read scaling and failover); :mod:`repro.distribution.syncdb` wires
-  the same stream down the member tree — every station follows its
-  tree parent and relays from its own follower journal — for E11's
-  fleet-wide copies of the document-layer metadata;
+  A class administrator's read replicas subscribe to it directly;
+  :mod:`repro.distribution.syncdb` wires the same stream down the
+  member tree — every station follows its tree parent and relays from
+  its own follower journal — for E11's fleet-wide copies of the
+  document-layer metadata, and fails the tree's root over
+  (:meth:`~repro.distribution.syncdb.MetadataReplicator.promote`:
+  highest applied LSN wins, a new fenced WAL epoch, the tree
+  re-derived; E18's failover is the tree at m = N-1, a star);
 * :mod:`repro.storage.holdings` replicates *course-document
   BLOBs* onto stations (the paper's instance/reference forms and
   buffer-space migration).
@@ -47,7 +45,6 @@ See DESIGN.md §11 for the architecture and the failover protocol.
 
 from repro.replication.shipper import FollowerProgress, WalShipper
 from repro.replication.recoverer import Recoverer, RecoveryStage
-from repro.replication.failover import FailoverCoordinator, FailoverReport
 from repro.replication.chaos import run_follower_crash_matrix
 
 __all__ = [
@@ -55,7 +52,5 @@ __all__ = [
     "FollowerProgress",
     "Recoverer",
     "RecoveryStage",
-    "FailoverCoordinator",
-    "FailoverReport",
     "run_follower_crash_matrix",
 ]

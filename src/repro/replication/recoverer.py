@@ -12,7 +12,9 @@ follower is at any moment:
 
 Durability discipline: every shipped frame is appended **verbatim** to
 the follower's own journal (:meth:`~repro.rdb.wal.Journal.append_raw`)
-*before* it is applied to the in-memory database.  The follower's disk
+*before* it is applied to the in-memory database, and each received
+batch is synced under the journal's policy — one fsync per batch — before
+the follower acknowledges it.  The follower's disk
 state is therefore always a byte-prefix of the primary's journal plus
 a snapshot watermark — which means a follower killed at any byte
 offset recovers through exactly the committed-prefix machinery E17
@@ -336,44 +338,37 @@ class Recoverer:
             return  # stream restarts cleanly after the download installs
         assert self.db is not None and self.journal is not None
         self.primary_lsn_seen = max(self.primary_lsn_seen, batch.primary_lsn)
+        gap = False
         for lsn, data in batch.frames:
             if lsn <= self.applied_lsn:
                 continue  # duplicate delivery
             if lsn != self.applied_lsn + 1:
-                # A batch was lost on the wire: resume from our durable
-                # position rather than applying with a hole.
-                self._enter(RecoveryStage.TAILING)
-                self._subscribe()
-                return
+                gap = True
+                break
             frame = parse_frame(bytes(data))
             if frame.lsn != lsn:
                 raise JournalCorruptError(
                     "<frame>", 0,
                     f"shipped as LSN {lsn} but its header says {frame.lsn}",
                 )
-            # WAL-first: the frame is durable locally before its effects
-            # are visible, the same invariant the primary maintains.
+            # WAL-first: the frame is in the local journal before its
+            # effects are visible, the same invariant the primary keeps.
             self.journal.append_raw(frame)
             self.db.apply_frame(frame)
             self.applied_lsn = lsn
             self.frames_applied += 1
             if self.on_apply is not None:
                 self.on_apply(frame)
+        # One fsync per batch, before anything acknowledges it.
+        self.journal.sync_due()
+        if gap:
+            # A batch was lost on the wire: resume from our durable
+            # position rather than applying with a hole.
+            self._enter(RecoveryStage.TAILING)
+            self._subscribe()
+            return
         if self.applied_lsn >= batch.primary_lsn:
             self._enter(RecoveryStage.CAUGHT_UP)
         else:
             self._enter(RecoveryStage.TAILING)
         self._report_status()
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """Progress counters for reports and tests."""
-        return {
-            "station": self.station_name,
-            "stage": self.stage.value,
-            "applied_lsn": self.applied_lsn,
-            "primary_lsn_seen": self.primary_lsn_seen,
-            "frames_applied": self.frames_applied,
-            "resubscribes": self.resubscribes,
-            "stages": [s.value for s in self.stage_history],
-        }

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from repro.net.messages import (
     Message,
@@ -125,7 +125,6 @@ class WalShipper:
         self.resyncs_refused = 0
         self.followers: dict[str, FollowerProgress] = {}
         self.frames_shipped = 0
-        self.bytes_shipped = 0
         self.snapshots_served = 0
         station = network.station(station_name)
         station.on(REPL_SUBSCRIBE, self._on_subscribe)
@@ -140,10 +139,6 @@ class WalShipper:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def last_lsn(self) -> int:
-        """The primary's current journal horizon."""
-        return self.journal.last_lsn
-
     def commit_horizon(self) -> int:
         """Highest LSN applied by *every* follower (0 with none)."""
         if not self.followers:
@@ -210,7 +205,6 @@ class WalShipper:
         progress.shipped_lsn = frames[-1][0]
         progress.shipped_end = end
         self.frames_shipped += len(frames)
-        self.bytes_shipped += size
         if OBS.enabled:
             FRAMES_SHIPPED[()].inc(len(frames))
             BYTES_SHIPPED[()].inc(size)
@@ -332,23 +326,3 @@ class WalShipper:
             LAG_RECORDS[()].observe(lag)
         # Ack-driven flow: keep streaming while the follower is behind.
         self._push_frames(progress)
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """Shipping counters plus per-follower progress."""
-        return {
-            "epoch": self.epoch,
-            "last_lsn": self.journal.last_lsn,
-            "frames_shipped": self.frames_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "snapshots_served": self.snapshots_served,
-            "followers": {
-                name: {
-                    "applied_lsn": p.applied_lsn,
-                    "shipped_lsn": p.shipped_lsn,
-                    "stage": p.stage,
-                    "lag": p.lag,
-                }
-                for name, p in self.followers.items()
-            },
-        }

@@ -246,9 +246,9 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     def promote_replica(self, name: str) -> ClassAdministrator:
         """Make replica ``name`` the set's primary (tier-level half of a
-        failover; the WAL-level half is :class:`repro.replication
-        .failover.FailoverCoordinator`).  Sessions carry over — they
-        were mirrored on login."""
+        failover; the WAL-level half is :meth:`repro.distribution.syncdb
+        .MetadataReplicator.promote`).  Sessions carry over — they were
+        mirrored on login."""
         for replica in list(self.replicas):
             if replica.name == name:
                 replica.admin.read_only = False

@@ -7,7 +7,6 @@ course DBMS."  The server owns:
 * the administration tables (students/admissions, courses, enrollments,
   transcripts, station registrations) in its own relational database,
   reached through the ODBC-style connection;
-* a reference to the Web document database (course content);
 * the virtual library and its circulation desk;
 * sessions with role-based authorization per
   :data:`repro.tiers.protocol.OPERATIONS`.
@@ -29,7 +28,6 @@ from repro.admission import (
     OverloadError,
     deadline_scope,
 )
-from repro.core.wddb import WebDocumentDatabase
 from repro.obs.instrument import OBS, Instrument
 from repro.library.assessment import assess
 from repro.library.catalog import CatalogEntry, VirtualLibrary
@@ -228,7 +226,6 @@ class ClassAdministrator:
 
     def __init__(
         self,
-        wddb: WebDocumentDatabase | None = None,
         library: VirtualLibrary | None = None,
         *,
         data_dir: str | os.PathLike[str] | None = None,
@@ -246,7 +243,6 @@ class ClassAdministrator:
         else:
             admin_db = self._recover_admin_db()
         self._serve_from(admin_db)
-        self.wddb = wddb if wddb is not None else WebDocumentDatabase("server")
         self.library = library if library is not None else VirtualLibrary()
         self.desk = CirculationDesk(self.library)
         #: A read-only replica refuses every op outside

@@ -243,6 +243,28 @@ class TestCascadingDeletes:
                       "annotations"):
             assert wddb.engine.count(table) == 0
 
+    @pytest.mark.parametrize("delete", ["script", "implementation"])
+    def test_a_deleted_implementation_leaves_no_file_behind(
+        self, wddb, course, delete
+    ):
+        """Its registered files, their content and their version chains
+        go in the same transaction as its row."""
+        wddb.scm.check_out("shih", "cs101/p1.html")
+        wddb.scm.check_in("shih", "cs101/p1.html", "<html>v2</html>")
+        wddb.add_annotation(
+            AnnotationSCI("ann1", "huang", "cs101", course.starting_url,
+                          annotation_file=None),
+            DocumentFile("ann1.json", FileKind.ANNOTATION, "{}"),
+        )
+        if delete == "script":
+            assert wddb.delete_script("cs101") is True
+        else:
+            assert wddb.delete_implementation(course.starting_url) is True
+        for table in ("files", "html_files", "program_files",
+                      "annotation_files", "versions"):
+            assert wddb.engine.count(table) == 0, table
+        assert len(wddb.files) == 0 and wddb.scm.components() == []
+
     def test_delete_script_missing_returns_false(self, wddb):
         assert wddb.delete_script("ghost") is False
 

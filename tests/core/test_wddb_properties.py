@@ -228,6 +228,11 @@ def _check(db: WebDocumentDatabase, candidates: set[str]) -> None:
         entry = db.engine.get(table, path)
         assert entry["starting_url"] == starting_url, path
         assert entry["checksum"] == db.files.read(path).checksum, path
+    # Every file and registry row belongs to a live implementation.
+    assert sorted(db.files.paths()) == sorted(path for _t, path, _u in registered)
+    assert sum(db.engine.count(table) for table in
+               ("html_files", "program_files", "annotation_files")) == \
+        len(registered)
     for blob in db.station.blobs.blobs():
         naming = {
             f"impl:{row['starting_url']}"

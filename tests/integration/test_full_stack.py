@@ -30,7 +30,7 @@ class TestAuthoringToLibraryFlow:
         assert wddb.engine.count("test_records") == 6
 
         # Publish through the middle tier and run a term.
-        server = ClassAdministrator(wddb=wddb)
+        server = ClassAdministrator()
         admin = AdministratorClient(server, "registrar")
         admin.login()
         instructor = InstructorClient(server, "shih")

@@ -101,7 +101,7 @@ class TestFreedWithoutTheCollector:
             drive(server)
             return server
 
-        assert_freed_on_del(make, "admin_db", "wddb", "library")
+        assert_freed_on_del(make, "admin_db", "library")
 
     def test_durable_class_administrator_after_a_bulk_load(self, tmp_path):
         """The benchmark's restart: load, checkpoint, close, drop."""
@@ -113,7 +113,7 @@ class TestFreedWithoutTheCollector:
             loader.journal.close()
             return loader
 
-        assert_freed_on_del(make, "admin_db", "wddb", "library")
+        assert_freed_on_del(make, "admin_db", "library")
         reopened = ClassAdministrator(data_dir=tmp_path)
         assert reopened.admin_db.get("students", ("s00001",)) is not None
         reopened.journal.close()
@@ -185,7 +185,7 @@ class TestFreedWithoutTheCollector:
             network.quiesce()
             return server.administrator
 
-        assert_freed_on_del(make, "admin_db", "wddb", "library")
+        assert_freed_on_del(make, "admin_db", "library")
 
     def test_closed_shard_cluster_on_the_wire(self, tmp_path):
         """After ``close()`` and ``del``, each shard's ``Database`` and

@@ -248,12 +248,14 @@ class TestBaseLsn:
 PINNED_SHA256 = (
     "c9ed99229575798f6cfb37e7cc2edd2355902070c39ccd0f17e21861c7060527"
 )
-#: fsyncs issued so far after each of the script's eight steps (seven
-#: appends, then close), per sync policy, at the parent commit
+#: fsyncs issued so far after each of the script's nine steps (seven
+#: appends, the follower's once-per-batch ``sync_due`` after the two
+#: shipped frames, then close), per sync policy; ``append_raw`` itself
+#: never fsyncs
 PINNED_FSYNCS = {
-    "none": [0, 1, 1, 2, 2, 2, 2, 2],
-    "commit": [1, 2, 3, 4, 5, 6, 7, 7],
-    "interval-3": [0, 1, 1, 2, 2, 2, 3, 3],
+    "none": [0, 1, 1, 2, 2, 2, 2, 2, 2],
+    "commit": [1, 2, 3, 4, 4, 4, 5, 6, 6],
+    "interval-3": [0, 1, 1, 2, 2, 2, 2, 3, 3],
 }
 
 
@@ -279,6 +281,7 @@ def test_append_tail_bytes_and_fsyncs_are_pinned(tmp_path, spec):
         lambda: journal.append_2pc(outcome("commit", "g-1")),
         lambda: journal.append_raw(shipped[0]),
         lambda: journal.append_raw(shipped[1]),
+        journal.sync_due,
         lambda: journal.append(3, [insert(3, "d")]),
         journal.close,
     ]
