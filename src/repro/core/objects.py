@@ -2,9 +2,11 @@
 
 "A SCI can be a page that shows a piece of lecture, an annotation to
 the piece of lecture, or a compound object containing the above."
-These dataclasses are the typed face of the document-layer rows:
-``to_row`` / ``from_row`` convert to and from the relational engine's
-dict rows, so application code never handles raw dicts.
+These dataclasses are the typed face of the document-layer rows, so
+application code never handles raw dicts.  Each is one row of its
+class's ``schema``: :meth:`StoredObject.to_row` reads the schema's
+columns, in order, off the fields of the same name, and
+:meth:`StoredObject.from_row` builds the object back from them.
 """
 
 from __future__ import annotations
@@ -12,12 +14,22 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, ClassVar, Self
 
+from repro.core.schema import (
+    ANNOTATIONS,
+    BUG_REPORTS,
+    DOC_DATABASES,
+    IMPLEMENTATIONS,
+    SCRIPTS,
+    TEST_RECORDS,
+)
+from repro.rdb import ColumnType, Schema
 from repro.storage.files import FileDescriptor
 
 __all__ = [
     "TestScope",
+    "StoredObject",
     "DocumentDatabaseInfo",
     "ScriptSCI",
     "ImplementationSCI",
@@ -25,6 +37,9 @@ __all__ = [
     "BugReportSCI",
     "AnnotationSCI",
 ]
+
+#: When an SCI was created, unless it says.
+_EPOCH = _dt.datetime(1999, 1, 1)
 
 
 class TestScope(enum.Enum):
@@ -34,41 +49,74 @@ class TestScope(enum.Enum):
     GLOBAL = "global"
 
 
+#: How a field goes into its column and comes back: (to the row, from it).
+_Rule = tuple[Callable[[Any], Any], Callable[[Any], Any]]
+_AS_IS: _Rule = (lambda value: value, lambda value: value)
+_LIST: _Rule = (list, lambda value: list(value or []))
+_FILES: _Rule = (
+    lambda files: [fd.as_json() for fd in files],
+    lambda payload: [FileDescriptor.from_json(d) for d in payload or []],
+)
+#: The fields with a rule of their own.
+_RULES: dict[str, _Rule] = {
+    "html_files": _FILES,
+    "program_files": _FILES,
+    "annotation_file": (FileDescriptor.as_json, FileDescriptor.from_json),
+    "scope": (lambda scope: scope.value, TestScope),
+}
+
+
+class StoredObject:
+    """An object that is one row of its class's ``schema``.
+
+    The row is the schema's columns, in schema order, each read off the
+    field of the same name: a JSON list is copied on the way out and a
+    NULL one comes back as ``[]``; the fields in ``_RULES`` convert
+    their own way, every other value is stored as it is.
+    """
+
+    __slots__ = ()
+    schema: ClassVar[Schema]
+    _codecs: ClassVar[tuple[tuple[Any, ...], ...]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._codecs = tuple(
+            (column.name, *_RULES.get(
+                column.name,
+                _LIST if column.type is ColumnType.JSON else _AS_IS,
+            ))
+            for column in cls.schema.columns
+        )
+
+    def to_row(self) -> dict[str, Any]:
+        return {
+            name: out(getattr(self, name)) for name, out, _ in self._codecs
+        }
+
+    @classmethod
+    def from_row(cls, row: dict[str, Any]) -> Self:
+        return cls(**{name: back(row[name]) for name, _, back in cls._codecs})
+
+
 @dataclass(slots=True)
-class DocumentDatabaseInfo:
+class DocumentDatabaseInfo(StoredObject):
     """Database-layer object: one Web document database."""
+
+    schema = DOC_DATABASES
 
     db_name: str
     author: str
     keywords: list[str] = field(default_factory=list)
     version: int = 1
-    created_at: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(1999, 1, 1)
-    )
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "db_name": self.db_name,
-            "keywords": list(self.keywords),
-            "author": self.author,
-            "version": self.version,
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "DocumentDatabaseInfo":
-        return cls(
-            db_name=row["db_name"],
-            author=row["author"],
-            keywords=list(row["keywords"] or []),
-            version=row["version"],
-            created_at=row["created_at"],
-        )
+    created_at: _dt.datetime = _EPOCH
 
 
 @dataclass(slots=True)
-class ScriptSCI:
+class ScriptSCI(StoredObject):
     """A document script — "similar to a software system specification"."""
+
+    schema = SCRIPTS
 
     script_name: str
     db_name: str
@@ -76,53 +124,22 @@ class ScriptSCI:
     description: str = ""
     keywords: list[str] = field(default_factory=list)
     version: int = 1
-    created_at: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(1999, 1, 1)
-    )
+    created_at: _dt.datetime = _EPOCH
     verbal_description: str | None = None  # BLOB digest of spoken spec
     expected_completion: _dt.datetime | None = None
     percent_complete: float = 0.0
     multimedia: list[str] = field(default_factory=list)  # BLOB digests
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "script_name": self.script_name,
-            "db_name": self.db_name,
-            "keywords": list(self.keywords),
-            "author": self.author,
-            "version": self.version,
-            "created_at": self.created_at,
-            "description": self.description,
-            "verbal_description": self.verbal_description,
-            "expected_completion": self.expected_completion,
-            "percent_complete": self.percent_complete,
-            "multimedia": list(self.multimedia),
-        }
-
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "ScriptSCI":
-        return cls(
-            script_name=row["script_name"],
-            db_name=row["db_name"],
-            author=row["author"],
-            description=row["description"],
-            keywords=list(row["keywords"] or []),
-            version=row["version"],
-            created_at=row["created_at"],
-            verbal_description=row["verbal_description"],
-            expected_completion=row["expected_completion"],
-            percent_complete=row["percent_complete"],
-            multimedia=list(row["multimedia"] or []),
-        )
-
 
 @dataclass(slots=True)
-class ImplementationSCI:
+class ImplementationSCI(StoredObject):
     """One "try of implementation" of a script.
 
     Must contain at least one HTML file (enforced by the facade, per the
     paper: "each implementation contains at least one HTML file").
     """
+
+    schema = IMPLEMENTATIONS
 
     starting_url: str
     script_name: str
@@ -130,77 +147,29 @@ class ImplementationSCI:
     html_files: list[FileDescriptor] = field(default_factory=list)
     program_files: list[FileDescriptor] = field(default_factory=list)
     multimedia: list[str] = field(default_factory=list)  # BLOB digests
-    created_at: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(1999, 1, 1)
-    )
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "starting_url": self.starting_url,
-            "script_name": self.script_name,
-            "author": self.author,
-            "created_at": self.created_at,
-            "html_files": [fd.as_json() for fd in self.html_files],
-            "program_files": [fd.as_json() for fd in self.program_files],
-            "multimedia": list(self.multimedia),
-        }
-
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "ImplementationSCI":
-        return cls(
-            starting_url=row["starting_url"],
-            script_name=row["script_name"],
-            author=row["author"],
-            html_files=[FileDescriptor.from_json(d) for d in row["html_files"]],
-            program_files=[
-                FileDescriptor.from_json(d) for d in (row["program_files"] or [])
-            ],
-            multimedia=list(row["multimedia"] or []),
-            created_at=row["created_at"],
-        )
+    created_at: _dt.datetime = _EPOCH
 
 
 @dataclass(slots=True)
-class TestRecordSCI:
+class TestRecordSCI(StoredObject):
     """A test record over one implementation."""
+
+    schema = TEST_RECORDS
 
     test_record_name: str
     script_name: str
     starting_url: str
     scope: TestScope = TestScope.LOCAL
     traversal_messages: list[str] = field(default_factory=list)
-    created_at: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(1999, 1, 1)
-    )
+    created_at: _dt.datetime = _EPOCH
     passed: bool | None = None
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "test_record_name": self.test_record_name,
-            "scope": self.scope.value,
-            "traversal_messages": list(self.traversal_messages),
-            "script_name": self.script_name,
-            "starting_url": self.starting_url,
-            "created_at": self.created_at,
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "TestRecordSCI":
-        return cls(
-            test_record_name=row["test_record_name"],
-            script_name=row["script_name"],
-            starting_url=row["starting_url"],
-            scope=TestScope(row["scope"]),
-            traversal_messages=list(row["traversal_messages"] or []),
-            created_at=row["created_at"],
-            passed=row["passed"],
-        )
 
 
 @dataclass(slots=True)
-class BugReportSCI:
+class BugReportSCI(StoredObject):
     """A bug report created for a test record."""
+
+    schema = BUG_REPORTS
 
     bug_report_name: str
     test_record_name: str
@@ -211,9 +180,7 @@ class BugReportSCI:
     missing_objects: list[str] = field(default_factory=list)
     inconsistency: str = ""
     redundant_objects: list[str] = field(default_factory=list)
-    created_at: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(1999, 1, 1)
-    )
+    created_at: _dt.datetime = _EPOCH
 
     @property
     def is_clean(self) -> bool:
@@ -226,39 +193,12 @@ class BugReportSCI:
             or self.bug_description
         )
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "bug_report_name": self.bug_report_name,
-            "qa_engineer": self.qa_engineer,
-            "test_procedure": self.test_procedure,
-            "bug_description": self.bug_description,
-            "bad_urls": list(self.bad_urls),
-            "missing_objects": list(self.missing_objects),
-            "inconsistency": self.inconsistency,
-            "redundant_objects": list(self.redundant_objects),
-            "test_record_name": self.test_record_name,
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "BugReportSCI":
-        return cls(
-            bug_report_name=row["bug_report_name"],
-            test_record_name=row["test_record_name"],
-            qa_engineer=row["qa_engineer"],
-            test_procedure=row["test_procedure"],
-            bug_description=row["bug_description"],
-            bad_urls=list(row["bad_urls"] or []),
-            missing_objects=list(row["missing_objects"] or []),
-            inconsistency=row["inconsistency"],
-            redundant_objects=list(row["redundant_objects"] or []),
-            created_at=row["created_at"],
-        )
-
 
 @dataclass(slots=True)
-class AnnotationSCI:
+class AnnotationSCI(StoredObject):
     """A per-instructor annotation overlay on an implementation."""
+
+    schema = ANNOTATIONS
 
     annotation_name: str
     author: str
@@ -266,29 +206,4 @@ class AnnotationSCI:
     starting_url: str
     annotation_file: FileDescriptor
     version: int = 1
-    created_at: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(1999, 1, 1)
-    )
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "annotation_name": self.annotation_name,
-            "author": self.author,
-            "version": self.version,
-            "created_at": self.created_at,
-            "annotation_file": self.annotation_file.as_json(),
-            "script_name": self.script_name,
-            "starting_url": self.starting_url,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "AnnotationSCI":
-        return cls(
-            annotation_name=row["annotation_name"],
-            author=row["author"],
-            script_name=row["script_name"],
-            starting_url=row["starting_url"],
-            annotation_file=FileDescriptor.from_json(row["annotation_file"]),
-            version=row["version"],
-            created_at=row["created_at"],
-        )
+    created_at: _dt.datetime = _EPOCH

@@ -44,7 +44,7 @@ import datetime as _dt
 import os
 import re
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
 
 from repro.core import schema as _schema
 from repro.core.integrity import AlertEngine, IntegrityDiagram
@@ -55,11 +55,12 @@ from repro.core.objects import (
     DocumentDatabaseInfo,
     ImplementationSCI,
     ScriptSCI,
+    StoredObject,
     TestRecordSCI,
 )
 from repro.core.scm import ConfigurationManager
 from repro.net.station import Station
-from repro.rdb import Database, col
+from repro.rdb import Database, Expr, col
 from repro.storage.blob import BlobKind, synthetic_digest
 from repro.storage.files import (
     DocumentFile,
@@ -86,6 +87,8 @@ _CONTAINERS: dict[str, tuple[tuple[str, ...], str, str | None]] = {
     "ann": (("annotations",), "starting_url", "impl"),
 }
 _FILE_TABLES = ("html_files", "program_files", "annotation_files")
+
+_Stored = TypeVar("_Stored", bound=StoredObject)
 
 
 class _RowTree(ObjectTree):
@@ -219,10 +222,7 @@ class WebDocumentDatabase:
 
     def document_databases(self) -> list[DocumentDatabaseInfo]:
         """All database-layer objects, ordered by name."""
-        return [
-            DocumentDatabaseInfo.from_row(row)
-            for row in self.engine.select("doc_databases", order_by="db_name")
-        ]
+        return self._objects(DocumentDatabaseInfo)
 
     # ------------------------------------------------------------------
     # BLOB layer
@@ -269,18 +269,11 @@ class WebDocumentDatabase:
 
     def script(self, script_name: str) -> ScriptSCI | None:
         """Fetch one script SCI by name (None if absent)."""
-        row = self.engine.get("scripts", script_name)
-        return None if row is None else ScriptSCI.from_row(row)
+        return self._object(ScriptSCI, script_name)
 
     def scripts_in(self, db_name: str) -> list[ScriptSCI]:
         """The paper's database-layer "script names" list, by query."""
-        return [
-            ScriptSCI.from_row(row)
-            for row in self.engine.select(
-                "scripts", where=col("db_name") == db_name,
-                order_by="script_name",
-            )
-        ]
+        return self._objects(ScriptSCI, col("db_name") == db_name)
 
     def update_script(self, script_name: str, changes: dict[str, Any]) -> bool:
         """Update a script; bumps its version and fires integrity alerts."""
@@ -310,12 +303,7 @@ class WebDocumentDatabase:
         if author is not None:
             author_expr = col("author") == author
             where = author_expr if where is None else (where & author_expr)
-        return [
-            ScriptSCI.from_row(row)
-            for row in self.engine.select(
-                "scripts", where=where, order_by="script_name"
-            )
-        ]
+        return self._objects(ScriptSCI, where)
 
     # ------------------------------------------------------------------
     # Implementations
@@ -374,19 +362,13 @@ class WebDocumentDatabase:
 
     def implementation(self, starting_url: str) -> ImplementationSCI | None:
         """Fetch one implementation SCI by starting URL (None if absent)."""
-        row = self.engine.get("implementations", starting_url)
-        return None if row is None else ImplementationSCI.from_row(row)
+        return self._object(ImplementationSCI, starting_url)
 
     def implementations_of(self, script_name: str) -> list[ImplementationSCI]:
         """The script table's "starting URLs" list, by query."""
-        return [
-            ImplementationSCI.from_row(row)
-            for row in self.engine.select(
-                "implementations",
-                where=col("script_name") == script_name,
-                order_by="starting_url",
-            )
-        ]
+        return self._objects(
+            ImplementationSCI, col("script_name") == script_name
+        )
 
     def update_implementation(
         self, starting_url: str, changes: dict[str, Any]
@@ -429,14 +411,9 @@ class WebDocumentDatabase:
 
     def test_records_of(self, starting_url: str) -> list[TestRecordSCI]:
         """All test records filed against one implementation."""
-        return [
-            TestRecordSCI.from_row(row)
-            for row in self.engine.select(
-                "test_records",
-                where=col("starting_url") == starting_url,
-                order_by="test_record_name",
-            )
-        ]
+        return self._objects(
+            TestRecordSCI, col("starting_url") == starting_url
+        )
 
     def add_bug_report(self, report: BugReportSCI) -> BugReportSCI:
         """File a bug report against an existing test record."""
@@ -445,14 +422,9 @@ class WebDocumentDatabase:
 
     def bug_reports_of(self, test_record_name: str) -> list[BugReportSCI]:
         """All bug reports created for one test record."""
-        return [
-            BugReportSCI.from_row(row)
-            for row in self.engine.select(
-                "bug_reports",
-                where=col("test_record_name") == test_record_name,
-                order_by="bug_report_name",
-            )
-        ]
+        return self._objects(
+            BugReportSCI, col("test_record_name") == test_record_name
+        )
 
     def add_annotation(
         self, annotation: AnnotationSCI, annotation_file: DocumentFile
@@ -482,25 +454,13 @@ class WebDocumentDatabase:
 
     def annotations_of(self, starting_url: str) -> list[AnnotationSCI]:
         """All instructors' overlays on one implementation."""
-        return [
-            AnnotationSCI.from_row(row)
-            for row in self.engine.select(
-                "annotations",
-                where=col("starting_url") == starting_url,
-                order_by="annotation_name",
-            )
-        ]
+        return self._objects(
+            AnnotationSCI, col("starting_url") == starting_url
+        )
 
     def annotations_by(self, author: str) -> list[AnnotationSCI]:
         """One instructor's annotations across all courses."""
-        return [
-            AnnotationSCI.from_row(row)
-            for row in self.engine.select(
-                "annotations",
-                where=col("author") == author,
-                order_by="annotation_name",
-            )
-        ]
+        return self._objects(AnnotationSCI, col("author") == author)
 
     # ------------------------------------------------------------------
     # Compound-object duplication (paper §3: "A number of database
@@ -605,6 +565,25 @@ class WebDocumentDatabase:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _object(self, cls: type[_Stored], key: Any) -> _Stored | None:
+        """The ``cls`` object stored under primary key ``key`` (None if
+        absent)."""
+        row = self.engine.get(cls.schema.name, key)
+        return None if row is None else cls.from_row(row)
+
+    def _objects(
+        self, cls: type[_Stored], where: Expr | None = None
+    ) -> list[_Stored]:
+        """The ``cls`` objects whose rows match ``where``, in primary-key
+        order."""
+        (key,) = cls.schema.primary_key
+        return [
+            cls.from_row(row)
+            for row in self.engine.select(
+                cls.schema.name, where=where, order_by=key
+            )
+        ]
+
     def _hold(self, digests: Iterable[str]) -> None:
         """Hold each BLOB on the station, referenced by every
         implementation naming it."""

@@ -127,15 +127,18 @@ REPL_STATUS = "repl.status"
 class ReplSubscribe:
     """A follower announcing itself and where its history ends.
 
-    ``applied_lsn`` is the last LSN durably applied locally; the
-    primary resumes the stream just above it, or falls back to a full
-    snapshot when that history has been checkpointed away (or the
-    follower has diverged past the primary — a stale-epoch rejoin).
+    ``applied_lsn`` is the last LSN durably applied locally and
+    ``last_crc`` the CRC of the follower's frame there (None when its
+    journal ends on a checkpoint).  The primary resumes the stream just
+    above it, or falls back to a full snapshot when that history has
+    been checkpointed away or has diverged: past the primary's end, or
+    onto a frame the primary does not hold at that LSN.
     """
 
     follower: str
     applied_lsn: int
     epoch: int = 0
+    last_crc: int | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,12 +24,7 @@ guide's "make it work, make it right" ordering; the few hot paths
 """
 
 from repro.rdb.types import Column, ColumnType, Schema
-from repro.rdb.compile import (
-    batch_filter,
-    compiled_predicate,
-    compiled_source,
-    predicate_fn,
-)
+from repro.rdb.compile import batch_filter
 from repro.rdb.predicate import Expr, col, lit, predicate_cache_key
 from repro.rdb.query import SelectPlan
 from repro.rdb.constraints import Action, ForeignKey
@@ -66,9 +61,6 @@ __all__ = [
     "lit",
     "predicate_cache_key",
     "batch_filter",
-    "compiled_predicate",
-    "compiled_source",
-    "predicate_fn",
     "SelectPlan",
     "Action",
     "ForeignKey",

@@ -6,7 +6,8 @@ conjunction.  This module lowers a tree to a **single Python function**
 and pays :func:`compile` exactly once per statement *shape*:
 
 * the tree is rendered to the source of one function
-  (``def _compiled(r): return ...``) in which every value is a
+  (``def _compiled_batch(rows): return [r for r in rows if ...]``, the
+  loop and the test in one comprehension) in which every value is a
   parameter ``_c<n>``: literals (all but ``None``/``True``/``False``,
   which select the emitted form), frozensets, regex ``match`` methods,
   an :class:`~repro.rdb.predicate.Apply` node's opaque callable, the
@@ -51,11 +52,8 @@ from repro.rdb import predicate as _p
 
 __all__ = [
     "DEFAULT_BATCH",
-    "compiled_predicate",
     "batch_filter",
     "grouped_form",
-    "predicate_fn",
-    "compiled_source",
     "cache_stats",
 ]
 
@@ -84,7 +82,6 @@ _STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 COMPILES = Instrument("counter", "rdb.compile", "outcome", values=("hit", "miss"))
 
-_ROW_FORM = "def _compiled(r):\n    return {}\n"
 #: Loop and predicate fused into one list comprehension: no call frame
 #: per row, no iterator adapters.  The form the scan path uses.
 _BATCH_FORM = "def _compiled_batch(rows):\n    return [r for r in rows if {}]\n"
@@ -349,18 +346,6 @@ def _instantiate(name: str, source: str, consts: list[Any]) -> Any:
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
-def compiled_predicate(expr: _p.Expr) -> Callable[[Mapping[str, Any]], Any]:
-    """The compiled closure for ``expr``.
-
-    Returns exactly what ``expr.eval(row)`` would for every row,
-    including raised exceptions (missing columns, unorderable types).
-    """
-    gen = _Codegen()
-    return _instantiate(
-        "_compiled", _ROW_FORM.format(gen.emit(expr)), gen.consts
-    )
-
-
 def batch_filter(expr: _p.Expr) -> Callable[[list], list]:
     """A compiled batch filter: ``fn(rows) -> [row for row in rows if expr]``."""
     gen = _Codegen()
@@ -435,19 +420,6 @@ def grouped_form(
         fields=", ".join(fields),
     )
     return _instantiate("_compiled_group, _compiled_fold", source, gen.consts)
-
-
-def predicate_fn(
-    expr: _p.Expr | None,
-) -> Callable[[Mapping[str, Any]], Any] | None:
-    """The row filter for an optional WHERE: ``None`` for no predicate,
-    the compiled closure otherwise."""
-    return None if expr is None else compiled_predicate(expr)
-
-
-def compiled_source(expr: _p.Expr) -> str:
-    """Generated source for ``expr`` — the text its shape is stored under."""
-    return _ROW_FORM.format(_Codegen().emit(expr))
 
 
 def cache_stats() -> dict[str, int]:

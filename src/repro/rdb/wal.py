@@ -71,7 +71,6 @@ __all__ = [
     "Journal",
     "write_snapshot",
     "parse_snapshot",
-    "read_snapshot_info",
 ]
 
 SYNC_BATCHES = Instrument("counter", "wal.sync_batches", "policy")
@@ -80,6 +79,8 @@ SYNC_BATCHES = Instrument("counter", "wal.sync_batches", "policy")
 MAGIC = b"WJ2\x00"
 _HEADER = struct.Struct("<IQ")  # payload length, lsn
 _CRC = struct.Struct("<I")
+#: Offset of a frame's CRC: after its magic and header.
+_CRC_AT = len(MAGIC) + _HEADER.size
 
 #: Key marking a v2 snapshot payload ("$" can never start a table name).
 _SNAPSHOT_KEY = "$snapshot"
@@ -296,6 +297,11 @@ class WalFrame:
     def data(self) -> bytes:
         """The frame's own bytes, header and CRC included."""
         return self.source[self.start:self.end]
+
+    @property
+    def crc(self) -> int:
+        """The frame's CRC, over its header (LSN included) and payload."""
+        return _CRC.unpack_from(self.source, self.start + _CRC_AT)[0]
 
 
 def _frame(lsn: int, payload: bytes) -> bytes:
@@ -557,6 +563,10 @@ class Journal:
         self._file_wrapper = file_wrapper
         self.records_written = 0
         self.last_lsn = 0
+        #: CRC of the frame at ``last_lsn``; None when the file ends on
+        #: its checkpoint frame (or holds none), which says nothing of
+        #: the history before it.
+        self.last_crc: int | None = None
         #: Lowest LSN the file can be streamed *from* (exclusive): its
         #: checkpoint frame's watermark, else one below its first frame.
         self.base_lsn = 0
@@ -587,6 +597,7 @@ class Journal:
                     frame.lsn if frame.kind == "ckpt" else frame.lsn - 1
                 )
             self.last_lsn, valid_end = frame.lsn, frame.end
+            self.last_crc = None if frame.kind == "ckpt" else frame.crc
             if salvage and frame.kind == "ckpt":
                 base = frame.lsn
             elif salvage:
@@ -599,7 +610,7 @@ class Journal:
             # already in the snapshot, so finish the truncation now.
             self._rewrite(watermark, [])
             marker.unlink()
-            self.last_lsn = watermark
+            self.last_lsn, self.last_crc = watermark, None
         elif salvage and stats.checksum_failures + stats.torn_tails > damage:
             # Compact: rewrite only the surviving frames so the damage
             # cannot resurface on a later read.
@@ -644,6 +655,7 @@ class Journal:
         self._fh.write(data)
         self._fh.flush()
         self.last_lsn = lsn
+        self.last_crc = _CRC.unpack_from(data, _CRC_AT)[0]
         self.records_written += 1
         self._pending_sync += 1
         return lsn
@@ -750,6 +762,7 @@ class Journal:
         self.records_written = 0
         self._pending_sync = 0
         self.last_lsn = max(self.last_lsn, last_lsn)
+        self.last_crc = None
 
     def __enter__(self) -> "Journal":
         return self
@@ -833,12 +846,3 @@ def parse_snapshot(
         )
     return payload["tables"], int(payload.get("last_lsn", 0))
 
-
-def read_snapshot_info(
-    path: str | os.PathLike[str],
-) -> tuple[dict[str, list[dict[str, Any]]], int]:
-    """Load a whole snapshot, rows decoded: ``(tables, last_applied_lsn)``."""
-    tables, watermark = parse_snapshot(path)
-    for rows in tables.values():
-        rows[:] = map(decode_row, rows)
-    return tables, watermark

@@ -215,11 +215,17 @@ class Recoverer:
 
     def _subscribe(self) -> None:
         self.resubscribes += 1
+        # The frame this follower's history ends on, for the primary to
+        # check against its own at the same LSN.
+        journal = self.journal
+        last_crc = (
+            journal.last_crc if journal.last_lsn == self.applied_lsn else None
+        )
         self.network.send(
             self.station_name, self.primary_name, REPL_SUBSCRIBE,
             ReplSubscribe(
                 follower=self.station_name, applied_lsn=self.applied_lsn,
-                epoch=self.epoch,
+                epoch=self.epoch, last_crc=last_crc,
             ),
             64,
         )

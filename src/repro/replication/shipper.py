@@ -4,9 +4,10 @@ The :class:`WalShipper` sits next to the primary's journal and serves
 the replication stream: followers subscribe with their applied LSN and
 the shipper answers with either a resumed frame stream (the common
 case) or a full snapshot download when the follower's position has
-been checkpointed away — or when the follower has *diverged*, i.e. it
-claims an LSN the primary never issued (the signature of a deposed
-primary rejoining after failover).
+been checkpointed away — or when the follower has *diverged*: it claims
+an LSN the primary never issued, or its frame at that LSN is not the
+primary's (the signatures of a deposed primary rejoining after failover
+with commits it never shipped).
 
 Flow control is ack-driven: each :class:`~repro.net.messages.ReplStatus`
 from a follower triggers the next frame batch, so a whole catch-up runs
@@ -137,21 +138,6 @@ class WalShipper:
         station.off(REPL_STATUS)
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def commit_horizon(self) -> int:
-        """Highest LSN applied by *every* follower (0 with none)."""
-        if not self.followers:
-            return 0
-        return min(f.applied_lsn for f in self.followers.values())
-
-    def caught_up(self, name: str) -> bool:
-        """True when ``name`` has applied everything journaled so far."""
-        progress = self.followers.get(name)
-        return (progress is not None
-                and progress.applied_lsn >= self.journal.last_lsn)
-
-    # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
     def pump(self) -> int:
@@ -280,7 +266,8 @@ class WalShipper:
             sub.follower, FollowerProgress(name=sub.follower)
         )
         progress.syncing = False
-        diverged = sub.applied_lsn > self.journal.last_lsn
+        diverged = (sub.applied_lsn > self.journal.last_lsn
+                    or self._history_differs(sub))
         checkpointed_away = sub.applied_lsn < self.journal.base_lsn
         if diverged or checkpointed_away:
             if self._serve_snapshot(progress):
@@ -308,6 +295,19 @@ class WalShipper:
                 ),
                 32,
             )
+
+    def _history_differs(self, sub: ReplSubscribe) -> bool:
+        """True when the subscriber's frame at its ``applied_lsn`` is not
+        this journal's frame at that LSN.  Only a frame both journals
+        hold can be compared: a subscriber at or below this journal's
+        base, or one whose own journal ends on a checkpoint, is taken at
+        its word."""
+        lsn = sub.applied_lsn
+        if sub.last_crc is None or lsn <= self.journal.base_lsn:
+            return False
+        frame = next(read_frames(self.journal.path, from_lsn=lsn - 1), None)
+        return (frame is not None and frame.lsn == lsn
+                and frame.crc != sub.last_crc)
 
     def _on_status(self, _station: Station, message: Message) -> None:
         status: ReplStatus = message.payload

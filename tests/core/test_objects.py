@@ -1,8 +1,10 @@
 """Tests for SCI object <-> row conversions."""
 
+import dataclasses
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AnnotationSCI,
@@ -13,7 +15,68 @@ from repro.core import (
     TestRecordSCI,
     TestScope,
 )
+from repro.core import schema
+from repro.rdb import Database
 from repro.storage.files import FileDescriptor
+
+#: Each SCI class beside the table it is a row of.
+CLASSES = [
+    (DocumentDatabaseInfo, schema.DOC_DATABASES),
+    (ScriptSCI, schema.SCRIPTS),
+    (ImplementationSCI, schema.IMPLEMENTATIONS),
+    (TestRecordSCI, schema.TEST_RECORDS),
+    (BugReportSCI, schema.BUG_REPORTS),
+    (AnnotationSCI, schema.ANNOTATIONS),
+]
+
+_TEXT = st.text(max_size=8)
+_WHEN = st.datetimes(dt.datetime(1990, 1, 1), dt.datetime(2030, 1, 1))
+_FILE = st.builds(FileDescriptor, _TEXT, _TEXT)
+#: A value for every field annotation the SCI classes use, drawn from
+#: the field's own type: a field with no column cannot hide behind
+#: its default.
+_VALUES = {
+    "str": _TEXT,
+    "str | None": st.none() | _TEXT,
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(0.0, 100.0),
+    "bool | None": st.sampled_from([None, True, False]),
+    "_dt.datetime": _WHEN,
+    "_dt.datetime | None": st.none() | _WHEN,
+    "list[str]": st.lists(_TEXT, max_size=3),
+    "TestScope": st.sampled_from(TestScope),
+    "FileDescriptor": _FILE,
+    "list[FileDescriptor]": st.lists(_FILE, max_size=3),
+}
+
+
+def _instances(cls):
+    return st.builds(cls, **{
+        f.name: _VALUES[f.type] for f in dataclasses.fields(cls)
+    })
+
+
+@pytest.mark.parametrize(
+    "cls, table", CLASSES, ids=[cls.__name__ for cls, _ in CLASSES]
+)
+class TestEachClassAgreesWithItsSchema:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_row_is_the_schemas_columns_in_order(self, cls, table, data):
+        assert cls.schema is table
+        row = data.draw(_instances(cls)).to_row()
+        assert list(row) == [column.name for column in table.columns]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_a_stored_object_reads_back_equal(self, cls, table, data):
+        instance = data.draw(_instances(cls))
+        db = Database("objects")
+        # The table alone: its parents' rows are not what is tested.
+        db.create_table(dataclasses.replace(table, foreign_keys=()))
+        db.insert(table.name, instance.to_row())
+        key = getattr(instance, table.primary_key[0])
+        assert cls.from_row(db.get(table.name, key)) == instance
 
 
 class TestRoundTrips:

@@ -1,7 +1,8 @@
 """Unit tests for compiled predicate execution (repro.rdb.compile).
 
-Covers codegen (hoisted opaque callables included), per-shape caching
-and its counters, the restricted generated namespace, ``predicate_fn``, EXPLAIN's
+Covers codegen (hoisted opaque callables included), read off the shape
+store's keys; per-shape caching and its counters, the restricted
+generated namespace, a WHERE running through the batch form, EXPLAIN's
 single-executor rendering, the LIKE-regex LRU cache, and the batched
 write paths the vectorized executor leans on.  Semantic equivalence
 with ``Expr.eval`` is pinned separately by the Hypothesis suite in
@@ -26,13 +27,7 @@ from repro.rdb import (
     col,
 )
 from repro.rdb import compile as rdb_compile
-from repro.rdb.compile import (
-    _SAFE_BUILTINS,
-    batch_filter,
-    compiled_predicate,
-    compiled_source,
-    predicate_fn,
-)
+from repro.rdb.compile import _SAFE_BUILTINS, batch_filter
 from repro.rdb.predicate import _like_to_regex
 
 T = ColumnType
@@ -58,15 +53,28 @@ def _docs_db() -> Database:
     return db
 
 
+def _source(expr: Expr) -> str:
+    """The generated text ``expr``'s shape is stored under: the one key
+    its batch filter adds to an empty shape store."""
+    with mock.patch.object(rdb_compile, "_FACTORIES", {}):
+        batch_filter(expr)
+        (source,) = rdb_compile._FACTORIES
+    return source
+
+
+def _matching(expr: Expr) -> list[dict]:
+    return [r for r in ROWS if expr.eval(r)]
+
+
 # -- codegen ----------------------------------------------------------------
 def test_plain_tree_uses_codegen():
     expr = (col("a") > 1) & col("b").like("x%")
-    assert compiled_source(expr).startswith("def _compiled(r):")
+    assert _source(expr).startswith("def _compiled_batch(rows):")
 
 
 def test_apply_fn_is_a_hoisted_constant_of_the_generated_source():
     expr = col("b").apply(str.upper) == "X"
-    fn = compiled_predicate(expr)
+    fn = batch_filter(expr)
     # The callable is an argument of the shape's factory — a closure
     # cell of the generated function — not a global of its namespace,
     # and neither it nor the literal appears in the text.
@@ -75,12 +83,11 @@ def test_apply_fn_is_a_hoisted_constant_of_the_generated_source():
     ))
     hoisted = [k for k, v in cells.items() if v is str.upper]
     assert len(hoisted) == 1
-    source = compiled_source(expr)
+    source = _source(expr)
     assert f"{hoisted[0]}(r['b'])" in source
     assert "upper" not in source and "'X'" not in source
     assert str.upper not in fn.__globals__.values()
-    assert [r["a"] for r in ROWS if fn(r)] == [1]
-    assert [r["a"] for r in batch_filter(expr)(ROWS)] == [1]
+    assert [r["a"] for r in fn(ROWS)] == [1]
 
 
 def test_foreign_expr_subclass_runs_its_own_eval():
@@ -92,7 +99,6 @@ def test_foreign_expr_subclass_runs_its_own_eval():
             return frozenset({"b"})
 
     expr = LongB() & (col("a").is_null())
-    assert [r["b"] for r in ROWS if compiled_predicate(expr)(r)] == ["xx"]
     assert [r["b"] for r in batch_filter(expr)(ROWS)] == ["xx"]
 
 
@@ -100,29 +106,28 @@ def test_compiled_closure_is_cached_per_expression():
     # Cached per statement *shape*, not per Expr instance: equal-shaped
     # trees share one compiled code object whatever their literals ...
     expr = col("a") == 1
-    assert compiled_predicate(expr).__code__ is compiled_predicate(expr).__code__
     assert batch_filter(expr).__code__ is batch_filter(expr).__code__
-    other = compiled_predicate(col("a") == 2)
-    assert other.__code__ is compiled_predicate(expr).__code__
+    other = batch_filter(col("a") == 2)
+    assert other.__code__ is batch_filter(expr).__code__
     # ... each closed over its own: sharing the code shares no value.
-    assert [r["a"] for r in ROWS if other(r)] == [2]
-    assert [r["a"] for r in ROWS if compiled_predicate(expr)(r)] == [1]
+    assert [r["a"] for r in other(ROWS)] == [2]
+    assert [r["a"] for r in batch_filter(expr)(ROWS)] == [1]
     # A different shape compiles independently.
-    assert compiled_predicate(col("a") > 1).__code__ is not other.__code__
+    assert batch_filter(col("a") > 1).__code__ is not other.__code__
 
 
 def test_compiled_source_shows_literals_as_parameters():
-    source = compiled_source(
+    source = _source(
         (col("a") == 7) & col("b").like("x%") & (col("c") > "q'"))
-    assert source.startswith("def _compiled(r):")
+    assert source.startswith("def _compiled_batch(rows):")
     for value in ("7", "x%", "q'"):
         assert value not in source
     assert "_c0" in source and "_c1" in source
     # None/True/False select the emitted form, so they stay in the text
     # (and 1 can never be served True's code, equal though they are).
-    assert "== True" in compiled_source(col("a") == True)  # noqa: E712
-    assert "and False" in compiled_source(col("a") == None)  # noqa: E711
-    assert compiled_source(col("a") == 1) == compiled_source(col("a") == "x")
+    assert "== True" in _source(col("a") == True)  # noqa: E712
+    assert "and False" in _source(col("a") == None)  # noqa: E711
+    assert _source(col("a") == 1) == _source(col("a") == "x")
 
 
 def test_compile_outcomes_are_counted_once_per_statement(metrics_registry):
@@ -145,10 +150,9 @@ def test_compile_outcomes_are_counted_once_per_statement(metrics_registry):
     assert metrics_registry.counter("rdb.compile", outcome="hit").value == 2
 
 
-def test_batch_filter_matches_per_row_closure():
+def test_batch_filter_matches_per_row_eval():
     expr = (col("a").not_null()) & (col("c") != 3)
-    pred = compiled_predicate(expr)
-    assert batch_filter(expr)(ROWS) == [r for r in ROWS if pred(r)]
+    assert batch_filter(expr)(ROWS) == _matching(expr)
 
 
 def test_missing_column_raises_keyerror_like_interpreter():
@@ -156,23 +160,28 @@ def test_missing_column_raises_keyerror_like_interpreter():
     with pytest.raises(KeyError):
         expr.eval({"a": 1})
     with pytest.raises(KeyError):
-        compiled_predicate(expr)({"a": 1})
+        batch_filter(expr)([{"a": 1}])
 
 
 def test_generated_namespace_is_restricted():
     # The whitelist must never grow I/O, import, or entropy builtins.
     assert set(_SAFE_BUILTINS) == {"bool", "isinstance", "str"}
-    fn = compiled_predicate(col("a") == 1)
+    fn = batch_filter(col("a") == 1)
     namespace = getattr(fn, "__globals__", {})
     assert namespace.get("__builtins__") is _SAFE_BUILTINS
 
 
 # -- one executor ----------------------------------------------------------
-def test_predicate_fn_is_none_or_the_compiled_closure():
-    expr = col("a") == 1
-    assert predicate_fn(None) is None
-    assert predicate_fn(expr).__code__ is compiled_predicate(expr).__code__
-    assert [r["a"] for r in ROWS if predicate_fn(expr)(r)] == [1]
+def test_a_where_runs_through_the_batch_form():
+    db = _docs_db()
+    db.insert_many("docs", [
+        {"doc_id": i, "author": "a", "size": i % 3} for i in range(9)
+    ])
+    with mock.patch.object(rdb_compile, "_FACTORIES", {}):
+        rows = db.select("docs", where=col("size") == 1, order_by="doc_id")
+        (source,) = rdb_compile._FACTORIES
+    assert source == _source(col("size") == 1)
+    assert [r["doc_id"] for r in rows] == [1, 4, 7]
 
 
 def test_select_equals_naive_eval_scan():

@@ -1,9 +1,9 @@
 """Property tests: compiled predicates are bit-identical to Expr.eval.
 
 For random expression trees over random rows — None values, missing
-columns, unhashable values, type mismatches — the compiled closure and
-the fused batch filter must agree with the interpreter on *outcomes*:
-the same value back, or the same exception type raised.  The compiled
+columns, unhashable values, type mismatches — the fused batch filter
+must agree with the interpreter on *outcomes*: the same rows back, or
+the same exception type raised.  The compiled
 code is shared by statement *shape* with the literals passed in, so the
 same must hold for several literal assignments of one tree compiled
 back to back through the shared store — no assignment may see another's
@@ -31,7 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.rdb import Column, ColumnType, Database, Schema, col, lit
 from repro.rdb import compile as rdb_compile
 from repro.rdb import query as rdb_query
-from repro.rdb.compile import batch_filter, cache_stats, compiled_predicate
+from repro.rdb.compile import batch_filter, cache_stats
 from repro.rdb.predicate import Expr
 from repro.rdb.query import aggregate, join_rows, matching_view
 from tests.rdb.oracles import _reference_aggregate, _reference_join
@@ -123,19 +123,6 @@ def _outcome(fn, *args):
 @example(expr=col("a") < col("b"), rows=[{"a": 1, "b": None}])
 @example(expr=col("a") != col("b"), rows=[{"a": 1, "b": None}])
 @example(expr=col("a") >= col("b"), rows=[{"a": "x", "b": None}, {"a": None, "b": None}])
-def test_compiled_predicate_matches_eval(expr, rows):
-    compiled = compiled_predicate(expr)
-    for row in rows:
-        expected = _outcome(expr.eval, row)
-        assert _outcome(compiled, row) == expected
-        if expected[0] == "return":
-            # Same truthiness seen by a WHERE clause, not just equality
-            # (guards against e.g. 0 vs False drift in boolean context).
-            assert bool(compiled(row)) == bool(expr.eval(row))
-
-
-@settings(max_examples=300, deadline=None)
-@given(expr=expr_strategy, rows=rows_strategy)
 def test_batch_filter_matches_per_row_eval(expr, rows):
     def reference(batch):
         return [r for r in batch if expr.eval(r)]
@@ -226,11 +213,8 @@ def test_same_shape_statements_never_see_each_others_literals(
     with (mock.patch.object(rdb_compile, "_MAX_SHAPES", bound)
           if bound is not None else nullcontext()):
         exprs = [_build_tree(shape, data.draw) for _ in range(assignments)]
-        compiled = [(compiled_predicate(e), batch_filter(e)) for e in exprs]
-        for expr, (per_row, batch) in zip(exprs, compiled):
-            for row in rows:
-                assert _outcome(per_row, row) == _outcome(expr.eval, row)
-
+        compiled = [batch_filter(e) for e in exprs]
+        for expr, batch in zip(exprs, compiled):
             def reference(batch_rows, expr=expr):
                 return [r for r in batch_rows if expr.eval(r)]
 
@@ -272,7 +256,7 @@ def test_store_is_bounded_and_counts_what_it_drops():
             mock.patch.object(rdb_compile, "_MAX_SHAPES", 2):
         before = cache_stats()
         for column in ("a", "b", "c", "a", "b", "c"):
-            assert compiled_predicate(col(column) == 1)({column: 1})
+            assert batch_filter(col(column) == 1)([{column: 1}])
             assert cache_stats()["shapes"] <= 2
         after = cache_stats()
     assert after["misses"] - before["misses"] == 6

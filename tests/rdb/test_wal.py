@@ -22,14 +22,25 @@ from repro.rdb import (
 from repro.rdb.wal import (
     Journal,
     RecoveryStats,
+    decode_row,
     decode_value,
     encode_value,
+    parse_snapshot,
     read_frames,
-    read_snapshot_info,
     write_snapshot,
 )
 
 T = ColumnType
+
+
+def _decoded_snapshot(path):
+    """``(tables, watermark)`` of a snapshot with every row decoded, as
+    ``Database.load_snapshot`` reads it."""
+    tables, watermark = parse_snapshot(path)
+    return {
+        name: [decode_row(row) for row in rows]
+        for name, rows in tables.items()
+    }, watermark
 
 
 def txn_frames(path, **kwargs):
@@ -120,7 +131,7 @@ class TestSnapshot:
             ]
         }
         write_snapshot(path, tables)
-        assert read_snapshot_info(path) == (tables, 0)
+        assert _decoded_snapshot(path) == (tables, 0)
 
     #: Every value shape the codec treats specially, chunk boundaries on
     #: both sides of it (the tests cut chunks to 2 rows).
@@ -170,7 +181,7 @@ class TestSnapshot:
             last_lsn=7,
         )
         assert path.read_bytes() == self._one_shot(tables, 7)
-        assert read_snapshot_info(path) == (tables, 7)
+        assert _decoded_snapshot(path) == (tables, 7)
         assert wal.parse_snapshot(path)[1] == 7
         assert not path.with_name("snap.json.tmp").exists()
 
@@ -604,27 +615,23 @@ class TestSyncPolicy:
 # ---------------------------------------------------------------------------
 class TestCheckpointWatermark:
     def test_snapshot_records_watermark(self, tmp_path):
-        from repro.rdb.wal import read_snapshot_info
-
         wal_path = tmp_path / "wal"
         snap_path = tmp_path / "snap.json"
         db = _make_db(Journal(wal_path))
         db.insert("events", {"k": 1})
         db.insert("events", {"k": 2})
         db.snapshot(str(snap_path))
-        tables, watermark = read_snapshot_info(snap_path)
+        tables, watermark = _decoded_snapshot(snap_path)
         assert watermark == 2
         assert len(tables["events"]) == 2
 
     def test_pre_watermark_snapshot_refused(self, tmp_path):
         """A bare ``{table: rows}`` mapping (retired in PR 13) must not
         load with watermark 0 and replay the journal over itself."""
-        from repro.rdb.wal import read_snapshot_info
-
         path = tmp_path / "snap.json"
         path.write_text(json.dumps({"events": [{"k": 1}]}))
         with pytest.raises(ValueError, match="pre-watermark"):
-            read_snapshot_info(path)
+            parse_snapshot(path)
         with pytest.raises(ValueError, match="retired in PR 13"):
             Database.recover("r", [EVENTS], snapshot_path=str(path))
 

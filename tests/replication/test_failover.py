@@ -167,6 +167,41 @@ class TestRejoin:
         assert rejoined.primary_name == "f1"
         assert verify_database(rejoined.db) == []
 
+    def test_a_deposed_member_with_unshipped_commits_is_resynced(
+        self, cluster
+    ):
+        """f1 is promoted, journals two commits it never ships, and is
+        deposed in turn; f2 commits three of its own, so f1's LSN is one
+        the master also has.  Rejoining, f1's history at that LSN differs
+        from the master's: it is resynced by snapshot, not streamed on
+        top of rows no one else has."""
+        network, replicator = cluster.network, cluster.replicator
+        network.set_down("primary", True)
+        assert replicator.promote().new_primary == "f1"
+        network.quiesce()
+        network.set_down("f1", True)
+        _write_at_master(replicator, range(100, 102), "unshipped")
+        assert replicator.master.journal.last_lsn == 8
+        report = replicator.promote()
+        assert (report.new_primary, report.promoted_lsn) == ("f2", 6)
+        _write_at_master(replicator, range(200, 203), "new-master")
+        replicator.flush()
+        network.quiesce()
+        acked = database_state(replicator.master)
+
+        network.set_down("f1", False)
+        replicator.restart("f1")
+        network.quiesce()
+        rejoined = replicator.members["f1"]
+        assert rejoined.primary_name == "f2"
+        assert replicator.converged()
+        # Nothing the master acknowledged is lost, and f1 keeps nothing
+        # of its own.
+        assert database_state(replicator.master) == acked
+        assert database_state(rejoined.db) == acked
+        assert RecoveryStage.DOWNLOADING_SNAPSHOT in rejoined.stage_history
+        assert verify_database(rejoined.db) == []
+
     def test_deposed_shipper_cannot_serve_new_epoch_subscribers(
         self, cluster, tmp_path
     ):

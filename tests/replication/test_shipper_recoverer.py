@@ -141,8 +141,11 @@ class TestLagTracking:
         for rec in cluster.recoverers.values():
             rec.start()
         cluster.sync()
-        assert cluster.shipper.commit_horizon() == 4
-        assert cluster.shipper.caught_up("f1")
+        followers = cluster.shipper.followers
+        # The commit horizon: the lowest LSN every follower has applied.
+        assert min(f.applied_lsn for f in followers.values()) == 4
+        assert followers["f1"].applied_lsn == cluster.journal.last_lsn
+        assert cluster.recoverers["f1"].caught_up
         progress = cluster.shipper.followers["f1"]
         assert progress.lag == 0
         assert progress.status_reports >= 1

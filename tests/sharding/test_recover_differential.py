@@ -33,9 +33,10 @@ from repro.rdb.errors import RdbError
 from repro.rdb.wal import (
     RecoveryStats,
     WalFrame,
+    decode_row,
     encode_row,
+    parse_snapshot,
     read_frames,
-    read_snapshot_info,
 )
 from repro.sharding import recover_participant
 
@@ -60,7 +61,8 @@ def _reference_recover(shard_id, schemas, journal_path, *,
                        snapshot_path=None, ddl_fn=None):
     """``recover_participant`` as it stood before the funnel — its own
     snapshot load and replay loop, kept verbatim up to the point where
-    it opened the journal for appending."""
+    it opened the journal for appending (its snapshot read restated as
+    ``parse_snapshot`` plus ``decode_row``)."""
     db = Database(f"shard-{shard_id}")
     for schema in schemas:
         db.create_table(schema)
@@ -70,11 +72,12 @@ def _reference_recover(shard_id, schemas, journal_path, *,
     watermark = 0
     snapshot_path = Path(snapshot_path) if snapshot_path else None
     if snapshot_path is not None and snapshot_path.exists():
-        tables, watermark = read_snapshot_info(snapshot_path)
+        tables, watermark = parse_snapshot(snapshot_path)
         for table, rows in tables.items():
             if rows:
                 db.apply_frame(_shipped(
-                    [["insert", table, encode_row(r)] for r in rows]
+                    [["insert", table, encode_row(decode_row(r))]
+                     for r in rows]
                 ))
 
     stats = RecoveryStats()
