@@ -83,11 +83,7 @@ def _measure_read_makespan(
     network.add(Station("primary", link()))
 
     primary = ClassAdministrator(data_dir=workdir / "primary")
-    shipper = WalShipper(
-        network, "primary", primary.journal,
-        snapshot_path=primary.snapshot_path,
-        snapshot_fn=primary.checkpoint,
-    )
+    shipper = WalShipper(network, "primary", primary.admin_db)
     rs = ReplicaSet(primary)
     session = rs.handle(Request(
         op="login", session_id=None,
@@ -175,11 +171,7 @@ def lag_rows(
     journal = Journal(workdir / "primary.wal", sync="commit")
     db = build_crash_db("primary", journal=journal)
     rng = make_rng(0, "e18-lag-workload")
-    shipper = WalShipper(
-        network, "primary", journal,
-        snapshot_path=workdir / "primary.snapshot",
-        snapshot_fn=lambda: db.snapshot(str(workdir / "primary.snapshot")),
-    )
+    shipper = WalShipper(network, "primary", db)
     recoverer = Recoverer(
         network, "follower", "primary", CRASH_SCHEMAS,
         workdir / "follower", sync_policy="commit", ddl_fn=crash_ddl,
@@ -302,14 +294,15 @@ def _catchup_seconds(records: int) -> float:
         network.add(Station("primary"))
         network.add(Station("follower"))
         # Written straight to the journal: the primary's engine is not
-        # what this row times.
+        # what this row times (its tables stay empty; nothing resyncs).
         journal = Journal(workdir / "primary.wal", sync="none")
+        primary = build_crash_db("primary", journal=journal)
         for txn in range(1, records + 1):
             journal.append(txn, [["insert", "crash_docs", {
                 "doc_id": txn, "title": f"doc-{txn:05d}",
                 "version": 1, "body": "x" * (txn % 120),
             }]])
-        WalShipper(network, "primary", journal)
+        WalShipper(network, "primary", primary)
         recoverer = Recoverer(
             network, "follower", "primary", CRASH_SCHEMAS,
             workdir / "follower", sync_policy="none", ddl_fn=crash_ddl,

@@ -14,12 +14,14 @@ followed by a :class:`~repro.replication.recoverer.Recoverer` that
 appends each frame verbatim to its own journal before applying it.
 What this module adds is *who follows whom*: every non-root member of
 the :class:`~repro.distribution.mtree.MAryTree` follows its tree
-parent, and every interior member relays from its own follower journal
-— from that journal's base on a byte prefix of the master's (the bases
-differ only between members that did and did not resync by snapshot
-after a master checkpoint), so frames travel the whole tree unchanged,
-CRC included.  Only committed transactions are journaled, so
-rolled-back work never leaves the master.
+parent, and every interior member relays its own follower engine's
+journal: from its base, a byte prefix of the master's, so frames travel
+the tree unchanged and every member's history digest at an LSN is the
+master's.  A resync is served by the tree parent from its own engine's
+latest snapshot (a relay with none snapshots itself, as :meth:`promote`
+does for the winner), so resync traffic stays on tree edges.  Only
+committed transactions are journaled, so rolled-back work never leaves
+the master.
 
 Replication is asynchronous: members converge once the network drains.
 :meth:`MetadataReplicator.divergence` is how many journal records a
@@ -94,11 +96,10 @@ class MetadataReplicator:
         master journal's sync policy) and builds its engine from the
         master's schemas.
 
-        The master's journal and snapshot stay its owner's: nothing
-        here appends to, checkpoints or snapshots the master (only a
-        member it promotes).  A member
-        that falls below a checkpoint the owner took
-        (``master.snapshot(path)``) is served that very file.
+        The master's journal stays its owner's: a member that falls
+        below a checkpoint the owner took (``master.snapshot(path)``) is
+        served that very file.  Only a master never snapshotted is
+        snapshotted here, beside its journal, when a member must resync.
 
         ``ddl_fn`` re-issues the master's secondary indexes on each
         member engine it opens (:class:`Recoverer`'s contract)."""
@@ -130,15 +131,6 @@ class MetadataReplicator:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def _find_master_snapshot(self) -> None:
-        """Before the root serves a resync: point it at the file the
-        master's owner last checkpointed against, wherever that is —
-        its LSN is the master journal's base."""
-        path = self.master.snapshot_path
-        self.shippers[self.tree.name_of(1)].snapshot_path = (
-            Path(path) if path is not None else None
-        )
-
     def restart(self, station: str) -> None:
         """(Re)start ``station``'s follower process: a fresh
         :class:`Recoverer` over the station's own directory replays what
@@ -167,37 +159,32 @@ class MetadataReplicator:
         member.start()
 
     def _serve_children(self, station: str) -> None:
-        """Open ``station``'s shipper over the journal it has *now*, at
-        the group's epoch, and make its tree children resubscribe.
+        """Open ``station``'s shipper over the engine it has *now* (the
+        master's at the root, its own elsewhere), at the group's epoch,
+        and make its tree children resubscribe.
 
-        The root's shipper reads the master's journal; an interior
-        member's relays its own.  A restart or a snapshot install
-        replaces the member's journal (and may move it past frames the
-        children still need), so the old shipper — its journal object,
-        its idea of where each child is — is discarded with it.
-        Children that fell behind the new journal's base are served the
-        member's own ``replica.snapshot``, and cascade the same way to
-        theirs.  A child *ahead* of a member that lost its disk, or of
-        a new parent after a promotion, is on the same stream, not a
-        deposed primary's: it is left where it is and streamed to again
-        once the member has passed it.
+        A restart or a snapshot install replaces a member's engine (and
+        may move its journal past frames the children still need), so
+        the old shipper and its idea of each child go with it.  A child
+        below the new base, or with another history digest, is resynced
+        from the member's own snapshot and cascades the same way.  A
+        child *ahead* (of a member that lost its disk, or of a new
+        parent after a promotion) is on the same stream: it is left
+        where it is and streamed to once the member has passed it.
         """
         children = self.tree.children_names(station)
-        if station == self.tree.name_of(1):
-            journal, at = self.master.journal, self.master.journal.last_lsn
-            served = {"snapshot_fn": self._find_master_snapshot}
-        elif children:
-            member = self.members[station]
-            journal, at = member.journal, member.applied_lsn
-            served = {"snapshot_path": member.snapshot_path}
-        else:
+        root = station == self.tree.name_of(1)
+        if not (root or children):
             return
-        assert journal is not None
+        member = None if root else self.members[station]
+        db = self.master if member is None else member.db
+        assert db is not None and db.journal is not None
+        at = db.journal.last_lsn if member is None else member.applied_lsn
         old = self.shippers.pop(station, None)
         if old is not None:
             old.close()
         shipper = self.shippers[station] = WalShipper(
-            self.network, station, journal, epoch=self.epoch, **served
+            self.network, station, db, epoch=self.epoch
         )
         for child in children:
             follower = self.members.get(child)
@@ -240,17 +227,14 @@ class MetadataReplicator:
 
         With ack-driven shipping that member holds the longest durable
         prefix of the lost journal, so every commit that reached a live
-        member survives; what the root journaled and never shipped is
-        lost (the asynchronous contract).  The winner's engine becomes
-        the master: it stops following, snapshots to open epoch + 1 —
-        checkpointing its journal there, the resync anchor for later
-        subscribers — and its journal is the stream from then on.  The
-        tree is re-derived over the old join order without the dead
-        root and with the winner first, at the same m, and every
-        shipper is re-opened at the new epoch: a deposed shipper drops
-        subscriptions from a later epoch, a member drops batches from
-        an earlier one.  The old root comes back through
-        :meth:`restart`.
+        member survives; what the root never shipped is lost (the
+        asynchronous contract).  The winner's engine becomes the master
+        and snapshots to open epoch + 1, the resync anchor for later
+        subscribers.  The tree is re-derived over the old join order
+        without the dead root and with the winner first, at the same m,
+        and every shipper re-opens at the new epoch: a deposed shipper
+        drops later-epoch subscriptions, a member earlier-epoch
+        batches.  The old root comes back through :meth:`restart`.
         """
         old_root = self.tree.name_of(1)
         live = [
@@ -274,7 +258,7 @@ class MetadataReplicator:
             shipper.close()
         self.shippers.clear()
         self.epoch = report.epoch
-        self.master, _journal = winner.promote()
+        self.master = winner.promote()
         self.master.snapshot(str(winner.snapshot_path))
         del self.members[name]
         names = [name] + [

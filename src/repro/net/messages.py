@@ -128,17 +128,16 @@ class ReplSubscribe:
     """A follower announcing itself and where its history ends.
 
     ``applied_lsn`` is the last LSN durably applied locally and
-    ``last_crc`` the CRC of the follower's frame there (None when its
-    journal ends on a checkpoint).  The primary resumes the stream just
-    above it, or falls back to a full snapshot when that history has
-    been checkpointed away or has diverged: past the primary's end, or
-    onto a frame the primary does not hold at that LSN.
+    ``digest`` the history digest there (:mod:`repro.rdb.wal`).  The
+    primary resumes the stream just above it, or resyncs the follower
+    by snapshot when that LSN is below its base or past its end, or
+    the digest there is not its own.
     """
 
     follower: str
     applied_lsn: int
     epoch: int = 0
-    last_crc: int | None = None
+    digest: int = 0
 
 
 @dataclass(frozen=True, slots=True)

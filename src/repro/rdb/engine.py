@@ -561,10 +561,10 @@ class Database:
         """Dump all rows to ``path`` and checkpoint the journal (if any).
 
         The snapshot records the journal's last applied LSN as a
-        watermark and the journal truncation is staged through an
-        atomic marker file, so a crash at any point in the sequence can
-        neither lose committed transactions nor double-apply them on
-        recovery.
+        watermark, with the history digest there, and the journal
+        truncation is staged through an atomic marker file, so a crash
+        at any point in the sequence can neither lose committed
+        transactions nor double-apply them on recovery.
         """
         if self.in_transaction:
             raise TransactionError("cannot snapshot inside a transaction")
@@ -574,11 +574,14 @@ class Database:
             name: self._catalog.get(name).rows()
             for name in self._catalog.names()
         }
-        last_lsn = self._journal.last_lsn if self._journal is not None else 0
-        write_snapshot(path, dump, last_lsn=last_lsn)
+        journal = self._journal
+        write_snapshot(
+            path, dump, last_lsn=journal.last_lsn if journal else 0,
+            digest=journal.digest if journal else None,
+        )
         self.snapshot_path = path
-        if self._journal is not None:
-            self._journal.checkpoint(last_lsn)
+        if journal is not None:
+            journal.checkpoint(journal.last_lsn)
         if started is not None and OBS.enabled:
             CHECKPOINT_SECONDS[()].observe(OBS.clock() - started)
 
@@ -631,11 +634,14 @@ class Database:
                     self._replay_op(op)
             self.outcomes[gtxn] = step
 
-    def load_snapshot(self, path: str | os.PathLike[str]) -> int:
+    def load_snapshot(
+        self, path: str | os.PathLike[str]
+    ) -> tuple[int, int | None]:
         """Load the rows :meth:`snapshot` dumped to ``path`` into this
         database's (empty) tables — the only snapshot→tables step.
-        Returns the snapshot's journal LSN watermark."""
-        tables, watermark = parse_snapshot(path)
+        Returns the snapshot's journal LSN watermark and history digest
+        there."""
+        tables, watermark, digest = parse_snapshot(path)
         # One object per distinct string across every table it loads.
         strings: dict[str, str] = {}
         for table_name in list(tables):
@@ -650,7 +656,7 @@ class Database:
             ]
             # repro-analysis: ignore[mutation-outside-transaction] -- snapshot rows were committed before being dumped; replay needs no undo log
             table.apply_insert_many(rows)
-        return watermark
+        return watermark, digest
 
     @classmethod
     def _from_snapshot(
@@ -659,17 +665,19 @@ class Database:
         schemas: Sequence[Schema],
         snapshot_path: str | os.PathLike[str] | None,
         salvage: bool,
-    ) -> "tuple[Database, RecoveryStats]":
+    ) -> "tuple[Database, RecoveryStats, int | None]":
         """Empty tables plus the snapshot's rows; ``recovery_stats``
-        starts at its watermark, where journal replay begins."""
+        starts at its watermark, where journal replay begins, and the
+        history digest there comes back beside them."""
         db = cls(name)
         for schema in schemas:
             db.create_table(schema)
         db.recovery_stats = stats = RecoveryStats(salvaged=salvage)
+        digest: int | None = 0
         if snapshot_path is not None and os.path.exists(snapshot_path):
-            stats.watermark = db.load_snapshot(snapshot_path)
+            stats.watermark, digest = db.load_snapshot(snapshot_path)
             db.snapshot_path = snapshot_path
-        return db, stats
+        return db, stats, digest
 
     @classmethod
     def open(
@@ -702,10 +710,12 @@ class Database:
         returned database's ``recovery_stats`` (mirrored into
         ``repro.obs`` counters when instrumentation is on).
         """
-        db, stats = cls._from_snapshot(name, schemas, snapshot_path, salvage)
+        db, stats, digest = cls._from_snapshot(
+            name, schemas, snapshot_path, salvage
+        )
         db._journal = Journal.open(
             journal_path, db.apply_frame, from_lsn=stats.watermark,
-            stats=stats, sync=sync, salvage=salvage,
+            digest=digest, stats=stats, sync=sync, salvage=salvage,
             file_wrapper=file_wrapper,
         )
         cls._count_recovery(stats)
@@ -725,7 +735,9 @@ class Database:
         load, watermark rule, replay and ``recovery_stats``, but the
         journal file is never written (no trim, no compaction, no
         completed checkpoint) and none is attached."""
-        db, stats = cls._from_snapshot(name, schemas, snapshot_path, salvage)
+        db, stats, _digest = cls._from_snapshot(
+            name, schemas, snapshot_path, salvage
+        )
         if journal_path is not None:
             for frame in read_frames(
                 journal_path, from_lsn=stats.watermark, salvage=salvage,

@@ -38,6 +38,12 @@ transactions.  The truncation itself is staged through an atomically
 written ``.ckpt`` marker file that :class:`Journal` completes on the
 next open, making snapshot→truncate idempotent across crashes.
 
+History digest: ``digest_L = crc32(CRC bytes of frame L, digest_{L-1})``,
+``digest_0 = 0``, names the whole history up to LSN L from bytes every
+copy of the stream holds verbatim.  :class:`Journal` folds it as it
+appends and opens; a snapshot records it beside its watermark, so the
+digest at a checkpoint base survives the truncation and a reopen.
+
 Values are encoded JSON-safe: ``datetime`` as ``{"$dt": iso}``,
 ``bytes`` as ``{"$b64": ...}``; a genuine user dict whose only key is
 one of the markers is wrapped as ``{"$esc": {...}}`` so it round-trips
@@ -298,10 +304,11 @@ class WalFrame:
         """The frame's own bytes, header and CRC included."""
         return self.source[self.start:self.end]
 
-    @property
-    def crc(self) -> int:
-        """The frame's CRC, over its header (LSN included) and payload."""
-        return _CRC.unpack_from(self.source, self.start + _CRC_AT)[0]
+    def fold(self, digest: int) -> int:
+        """The history digest through this frame, ``digest`` being the
+        one through the frame before it."""
+        at = self.start + _CRC_AT
+        return zlib.crc32(self.source[at:at + _CRC.size], digest)
 
 
 def _frame(lsn: int, payload: bytes) -> bytes:
@@ -515,7 +522,7 @@ class Journal:
         file_wrapper: Callable[[BinaryIO], BinaryIO] | None = None,
     ) -> None:
         stats = RecoveryStats()
-        self._start(path, sync, file_wrapper, salvage, None, 0, stats)
+        self._start(path, sync, file_wrapper, salvage, None, 0, 0, stats)
 
     @classmethod
     def open(
@@ -524,6 +531,7 @@ class Journal:
         apply: Callable[[WalFrame], None],
         *,
         from_lsn: int = 0,
+        digest: int | None = 0,
         stats: RecoveryStats | None = None,
         sync: "SyncPolicy | str" = "none",
         salvage: bool = False,
@@ -537,13 +545,16 @@ class Journal:
         scan, so a strict open that raises on mid-file corruption
         (``apply`` has by then seen the frames before the damage) leaves
         every byte in place for a ``salvage`` retry.
+
+        ``digest`` is the one the snapshot at ``from_lsn`` recorded
+        (None: none); it seeds :attr:`base_digest` at that base.
         """
         stats = stats or RecoveryStats()
         stats.watermark = max(stats.watermark, from_lsn)
         stats.salvaged = stats.salvaged or salvage
         journal = cls.__new__(cls)
         journal._start(
-            path, sync, file_wrapper, salvage, apply, from_lsn, stats
+            path, sync, file_wrapper, salvage, apply, from_lsn, digest, stats
         )
         return journal
 
@@ -555,6 +566,7 @@ class Journal:
         salvage: bool,
         apply: Callable[[WalFrame], None] | None,
         from_lsn: int,
+        digest: int | None,
         stats: RecoveryStats,
     ) -> None:
         self.path = Path(path)
@@ -563,13 +575,14 @@ class Journal:
         self._file_wrapper = file_wrapper
         self.records_written = 0
         self.last_lsn = 0
-        #: CRC of the frame at ``last_lsn``; None when the file ends on
-        #: its checkpoint frame (or holds none), which says nothing of
-        #: the history before it.
-        self.last_crc: int | None = None
         #: Lowest LSN the file can be streamed *from* (exclusive): its
         #: checkpoint frame's watermark, else one below its first frame.
         self.base_lsn = 0
+        #: History digest at ``base_lsn`` (None: unknown, a checkpoint
+        #: its opener gave no digest for), and at ``last_lsn`` (folded
+        #: on from ``base_digest``, or from 0 when that is unknown).
+        self.base_digest: int | None = 0
+        self.digest = digest or 0
         self._pending_sync = 0
         self._fh: BinaryIO | None = None
 
@@ -589,6 +602,12 @@ class Journal:
         # Salvage only: the last checkpoint frame's LSN, and every
         # other surviving frame's own bytes.
         base, survivors = 0, []
+
+        def rebase(lsn: int) -> None:
+            # Only the opener's watermark and LSN 0 have a known digest.
+            self.base_digest = digest if lsn == from_lsn else None if lsn else 0
+            self.digest = self.base_digest or 0
+
         for frame in _scan_entries(
             data, salvage=salvage, stats=stats, path=self.path
         ):
@@ -596,8 +615,10 @@ class Journal:
                 self.base_lsn = (
                     frame.lsn if frame.kind == "ckpt" else frame.lsn - 1
                 )
+                rebase(self.base_lsn)
             self.last_lsn, valid_end = frame.lsn, frame.end
-            self.last_crc = None if frame.kind == "ckpt" else frame.crc
+            if frame.kind != "ckpt":
+                self.digest = frame.fold(self.digest)
             if salvage and frame.kind == "ckpt":
                 base = frame.lsn
             elif salvage:
@@ -610,7 +631,8 @@ class Journal:
             # already in the snapshot, so finish the truncation now.
             self._rewrite(watermark, [])
             marker.unlink()
-            self.last_lsn, self.last_crc = watermark, None
+            self.last_lsn = watermark
+            rebase(watermark)
         elif salvage and stats.checksum_failures + stats.torn_tails > damage:
             # Compact: rewrite only the surviving frames so the damage
             # cannot resurface on a later read.
@@ -655,7 +677,7 @@ class Journal:
         self._fh.write(data)
         self._fh.flush()
         self.last_lsn = lsn
-        self.last_crc = _CRC.unpack_from(data, _CRC_AT)[0]
+        self.digest = zlib.crc32(data[_CRC_AT:_CRC_AT + _CRC.size], self.digest)
         self.records_written += 1
         self._pending_sync += 1
         return lsn
@@ -743,11 +765,14 @@ class Journal:
         marker records the watermark *before* the file is truncated, and
         a half-done checkpoint is completed on the next open.  The new
         epoch begins with a checkpoint frame carrying the watermark so
-        the LSN sequence stays monotonic across truncations.
+        the LSN sequence stays monotonic across truncations.  The new
+        :attr:`base_digest` is :attr:`digest` at the journal's own
+        ``last_lsn`` (a chain from an unknown base restarts), else 0.
         """
         assert self._fh is not None
         if last_lsn is None:
             last_lsn = self.last_lsn
+        known = last_lsn == self.last_lsn
         marker = self._marker_path()
         tmp = marker.with_name(marker.name + ".tmp")
         with tmp.open("wb") as fh:
@@ -762,7 +787,7 @@ class Journal:
         self.records_written = 0
         self._pending_sync = 0
         self.last_lsn = max(self.last_lsn, last_lsn)
-        self.last_crc = None
+        self.base_digest = self.digest = self.digest if known else 0
 
     def __enter__(self) -> "Journal":
         return self
@@ -779,11 +804,15 @@ _SNAPSHOT_CHUNK_ROWS = 1024
 
 
 def _snapshot_pieces(
-    tables: Mapping[str, Iterable[dict[str, Any]]], last_lsn: int
+    tables: Mapping[str, Iterable[dict[str, Any]]],
+    last_lsn: int,
+    digest: int | None,
 ) -> Iterator[str]:
-    """``json.dumps({"$snapshot": 2, "last_lsn": n, "tables": {name:
-    [row, ...]}}, separators=(",", ":"))`` a bounded piece at a time."""
-    yield f'{{"{_SNAPSHOT_KEY}":2,"last_lsn":{last_lsn},"tables":{{'
+    """``json.dumps({"$snapshot": 2, "last_lsn": n[, "digest": d],
+    "tables": {name: [row, ...]}}, separators=(",", ":"))`` a bounded
+    piece at a time."""
+    known = "" if digest is None else f'"digest":{int(digest)},'
+    yield f'{{"{_SNAPSHOT_KEY}":2,"last_lsn":{last_lsn},{known}"tables":{{'
     for position, (name, rows) in enumerate(tables.items()):
         yield f'{"," if position else ""}{json.dumps(name)}:['
         rows, separator = iter(rows), ""
@@ -801,13 +830,15 @@ def write_snapshot(
     tables: Mapping[str, Iterable[dict[str, Any]]],
     *,
     last_lsn: int = 0,
+    digest: int | None = None,
 ) -> None:
     """Atomically dump ``{table: rows}`` plus the journal watermark to
     ``path``, a chunk of rows at a time (``rows`` may be live iterators).
 
     ``last_lsn`` records the last journal LSN whose effects the
     snapshot contains; recovery replays only records above it, which is
-    what makes the snapshot→truncate sequence immune to double-apply.
+    what makes the snapshot→truncate sequence immune to double-apply;
+    ``digest`` the history digest there (None: unknown, not recorded).
     The temporary file is fsynced before the atomic rename so a crash
     can never leave a half-written snapshot under the final name; a
     failure (unencodable value, disk error) removes the temporary file
@@ -818,7 +849,7 @@ def write_snapshot(
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with tmp.open("wb") as fh:
-            for piece in _snapshot_pieces(tables, int(last_lsn)):
+            for piece in _snapshot_pieces(tables, int(last_lsn), digest):
                 fh.write(piece.encode("ascii"))
             fh.flush()
             os.fsync(fh.fileno())
@@ -830,9 +861,10 @@ def write_snapshot(
 
 def parse_snapshot(
     path: str | os.PathLike[str],
-) -> tuple[dict[str, list[dict[str, Any]]], int]:
-    """``(tables, last_applied_lsn)`` as parsed: rows still encoded
-    (:func:`decode_row` each), so the watermark alone costs no decoding.
+) -> tuple[dict[str, list[dict[str, Any]]], int, int | None]:
+    """``(tables, last_applied_lsn, digest)`` as parsed: rows still
+    encoded (:func:`decode_row` each), so the header alone costs no
+    decoding.  ``digest`` is None when unrecorded above LSN 0.
 
     A pre-watermark snapshot (a bare ``{table: rows}`` mapping, retired
     in PR 13) is refused: loading it with watermark 0 would replay the
@@ -844,5 +876,7 @@ def parse_snapshot(
             f"snapshot {str(path)!r} is not a v2 snapshot: the "
             f"pre-watermark bare-mapping format was retired in PR 13"
         )
-    return payload["tables"], int(payload.get("last_lsn", 0))
+    last_lsn = int(payload.get("last_lsn", 0))
+    digest = payload.get("digest", None if last_lsn else 0)
+    return payload["tables"], last_lsn, digest
 

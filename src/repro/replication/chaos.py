@@ -69,10 +69,7 @@ class _Cluster:
             self.db.snapshot(str(self.snapshot_path))
             txns -= checkpoint_after
         self.ledger.run(txns)
-        self.shipper = WalShipper(
-            self.network, "primary", self.journal,
-            snapshot_path=self.snapshot_path,
-        )
+        self.shipper = WalShipper(self.network, "primary", self.db)
 
     def follower(self, **wrappers: Any) -> Recoverer:
         return Recoverer(

@@ -20,6 +20,10 @@ a snapshot watermark — which means a follower killed at any byte
 offset recovers through exactly the committed-prefix machinery E17
 proves for the primary, then resumes the stream from its applied LSN.
 
+Each subscription carries the follower's history digest at its applied
+LSN (:mod:`repro.rdb.wal`) for the primary to check against its own; an
+installed snapshot's header seeds the fresh journal's digest.
+
 Both the journal file and the snapshot download can be wrapped with a
 :class:`~repro.fault.crashsim.FailpointFile`-style wrapper, which is
 how :mod:`repro.replication.chaos` kills followers mid-catch-up.
@@ -153,9 +157,8 @@ class Recoverer:
         self.applied_lsn = max(self.journal.last_lsn, self.db.recovery_stats.watermark)
         if self.on_rebuild is not None:
             self.on_rebuild(self.db)
+        self._detach()
         station = self.network.station(self.station_name)
-        for kind in (REPL_SNAPSHOT_META, REPL_SNAPSHOT_CHUNK, REPL_FRAMES):
-            station.off(kind)
         station.on(REPL_SNAPSHOT_META, self._on_snapshot_meta)
         station.on(REPL_SNAPSHOT_CHUNK, self._on_snapshot_chunk)
         station.on(REPL_FRAMES, self._on_frames)
@@ -178,32 +181,28 @@ class Recoverer:
             self.ddl_fn(self.db)
         self.journal = self.db.journal
 
-    def stop(self) -> None:
-        """Detach from the stream (promotion, shutdown)."""
+    def _detach(self) -> None:
         station = self.network.station(self.station_name)
         for kind in (REPL_SNAPSHOT_META, REPL_SNAPSHOT_CHUNK, REPL_FRAMES):
             station.off(kind)
         self._abort_download()
+
+    def stop(self) -> None:
+        """Detach from the stream (promotion, shutdown)."""
+        self._detach()
         if self.journal is not None:
             self.journal.close()
 
-    def promote(self) -> tuple[Database, Journal]:
-        """Detach from the stream and hand over (db, journal) for
-        primary duty.
-
-        Unlike :meth:`stop` the journal stays open — the database
-        already journals to it, so the new primary's commits continue
-        the same file: the caller snapshots to open the new WAL epoch
-        and wraps the pair in a fresh
-        :class:`~repro.replication.shipper.WalShipper`.
-        """
+    def promote(self) -> Database:
+        """Detach from the stream and hand over the engine for primary
+        duty.  Unlike :meth:`stop` its journal stays open, so the new
+        primary's commits continue the same file: the caller snapshots
+        to open the new WAL epoch and ships the engine with a fresh
+        :class:`~repro.replication.shipper.WalShipper`."""
         assert self.db is not None and self.journal is not None
-        station = self.network.station(self.station_name)
-        for kind in (REPL_SNAPSHOT_META, REPL_SNAPSHOT_CHUNK, REPL_FRAMES):
-            station.off(kind)
-        self._abort_download()
+        self._detach()
         self._enter(RecoveryStage.CAUGHT_UP)
-        return self.db, self.journal
+        return self.db
 
     def retarget(self, primary_name: str, *, epoch: int | None = None) -> None:
         """Follow a different primary (after a failover promotion)."""
@@ -215,17 +214,11 @@ class Recoverer:
 
     def _subscribe(self) -> None:
         self.resubscribes += 1
-        # The frame this follower's history ends on, for the primary to
-        # check against its own at the same LSN.
-        journal = self.journal
-        last_crc = (
-            journal.last_crc if journal.last_lsn == self.applied_lsn else None
-        )
         self.network.send(
             self.station_name, self.primary_name, REPL_SUBSCRIBE,
             ReplSubscribe(
                 follower=self.station_name, applied_lsn=self.applied_lsn,
-                epoch=self.epoch, last_crc=last_crc,
+                epoch=self.epoch, digest=self.journal.digest,
             ),
             64,
         )
@@ -324,8 +317,11 @@ class Recoverer:
         if marker.exists():
             marker.unlink()
         os.replace(self._snapshot_tmp(), self.snapshot_path)
+        # The fresh journal starts on the snapshot's watermark, so the
+        # open seeds it with the digest the snapshot's header recorded.
+        with Journal(self.journal_path, file_wrapper=self.file_wrapper) as fresh:
+            fresh.checkpoint(snapshot_lsn)
         self._open_local()
-        self.journal.checkpoint(snapshot_lsn)
         self.applied_lsn = snapshot_lsn
         if self.on_rebuild is not None:
             self.on_rebuild(self.db)

@@ -1,13 +1,14 @@
 """Primary-side WAL shipping.
 
-The :class:`WalShipper` sits next to the primary's journal and serves
-the replication stream: followers subscribe with their applied LSN and
-the shipper answers with either a resumed frame stream (the common
-case) or a full snapshot download when the follower's position has
-been checkpointed away — or when the follower has *diverged*: it claims
-an LSN the primary never issued, or its frame at that LSN is not the
-primary's (the signatures of a deposed primary rejoining after failover
-with commits it never shipped).
+The :class:`WalShipper` sits next to one engine and serves its journal
+as the replication stream: followers subscribe with their applied LSN
+and history digest (:mod:`repro.rdb.wal`), and the shipper answers
+with a resumed frame stream, or with the engine's latest snapshot (the
+one at its journal base; taken first if there is none) when the
+follower's position has been checkpointed away or its history has
+*diverged* — past the primary's end, or with another digest there: a
+deposed primary rejoining with commits it never shipped.  Such a
+follower is streamed no frame until its resync has been served.
 
 Flow control is ack-driven: each :class:`~repro.net.messages.ReplStatus`
 from a follower triggers the next frame batch, so a whole catch-up runs
@@ -24,10 +25,8 @@ histogram.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.net.messages import (
     Message,
@@ -47,6 +46,7 @@ from repro.admission.breaker import REJECTED as BREAKER_REJECTED
 from repro.net.station import Station
 from repro.net.transport import Network
 from repro.obs.instrument import OBS, Instrument
+from repro.rdb import Database
 from repro.rdb.wal import Journal, parse_snapshot, read_frames
 
 __all__ = ["FollowerProgress", "WalShipper"]
@@ -72,8 +72,10 @@ class FollowerProgress:
     #: highest LSN the follower reported durably applied
     applied_lsn: int = 0
     stage: str = "subscribed"
-    #: snapshot transfer in flight (suppresses frame pushes)
-    syncing: bool = False
+    #: None while frames stream; "due" when the follower needs a
+    #: snapshot (diverged, or checkpointed away) not yet served, "sent"
+    #: while one is in flight.  No frame is pushed unless it is None.
+    resync: str | None = None
     status_reports: int = 0
     resyncs: int = 0
     #: last observed LSN lag (None before the first status)
@@ -81,25 +83,16 @@ class FollowerProgress:
 
 
 class WalShipper:
-    """Streams a journal (snapshot + live frames) to follower stations.
-
-    ``journal`` is the primary's live :class:`~repro.rdb.wal.Journal`
-    (the one attached to its database); ``snapshot_path`` the snapshot
-    the journal's checkpoints are staged against.  ``snapshot_fn``,
-    when given, is invoked to produce a *fresh* snapshot before a full
-    resync is served (typically ``admin.checkpoint`` or
-    ``db.snapshot``); without it the shipper serves whatever snapshot
-    file already exists.
-    """
+    """Streams one engine (snapshot + live frames of its journal) to
+    follower stations.  ``db`` must journal: ``db.journal`` is the
+    stream, ``db.snapshot_path`` what a resync serves."""
 
     def __init__(
         self,
         network: Network,
         station_name: str,
-        journal: Journal,
+        db: Database,
         *,
-        snapshot_path: str | os.PathLike[str] | None = None,
-        snapshot_fn: Callable[[], None] | None = None,
         epoch: int = 1,
         batch_frames: int = 64,
         chunk_bytes: int = 32 * 1024,
@@ -107,21 +100,15 @@ class WalShipper:
     ) -> None:
         self.network = network
         self.station_name = station_name
-        self.journal = journal
-        self.snapshot_path = (
-            Path(snapshot_path) if snapshot_path is not None else None
-        )
-        self.snapshot_fn = snapshot_fn
+        self.db = db
         self.epoch = epoch
         self.batch_frames = batch_frames
         self.chunk_bytes = chunk_bytes
-        #: Optional rate guard on full-snapshot resyncs — the most
-        #: expensive thing a primary does for a follower.  Each served
-        #: resync counts toward the breaker's failure window, so
-        #: ``failure_threshold`` resyncs within ``window_s`` open it and
-        #: a flapping follower stops monopolizing the primary until the
-        #: cool-down probe admits one more.  None (default) = unlimited,
-        #: the pre-existing behaviour.
+        #: Optional rate guard on full-snapshot resyncs, the costliest
+        #: thing a primary does for a follower: each served resync is a
+        #: failure in the breaker's window, so a flapping follower stops
+        #: monopolizing the primary until the cool-down probe admits one
+        #: more.  None (default): unlimited.
         self.resync_breaker = resync_breaker
         self.resyncs_refused = 0
         self.followers: dict[str, FollowerProgress] = {}
@@ -130,6 +117,11 @@ class WalShipper:
         station = network.station(station_name)
         station.on(REPL_SUBSCRIBE, self._on_subscribe)
         station.on(REPL_STATUS, self._on_status)
+
+    @property
+    def journal(self) -> Journal:
+        assert self.db.journal is not None
+        return self.db.journal
 
     def close(self) -> None:
         """Detach the protocol handlers (used when a primary is deposed)."""
@@ -153,21 +145,21 @@ class WalShipper:
         return sent
 
     def _push_frames(self, progress: FollowerProgress) -> int:
-        if progress.syncing:
-            return 0
+        journal = self.journal
         start = max(progress.shipped_lsn, progress.applied_lsn)
-        if start >= self.journal.last_lsn:
-            return 0
-        if progress.applied_lsn < self.journal.base_lsn:
+        if (progress.resync is None and start < journal.last_lsn
+                and progress.applied_lsn < journal.base_lsn):
             # The follower's position was checkpointed away *while it was
             # subscribed* (a checkpoint ran between its acks): the frames
             # it needs no longer exist, so switch it to a snapshot resync.
+            progress.resync = "due"
+        if progress.resync == "due":
             self._serve_snapshot(progress)
+        if progress.resync is not None or start >= journal.last_lsn:
             return 0
-        frames = []
-        end = 0
+        frames, end = [], 0
         for frame in read_frames(
-            self.journal.path, from_lsn=start, resume_at=progress.shipped_end
+            journal.path, from_lsn=start, resume_at=progress.shipped_end
         ):
             if frame.kind == "ckpt":
                 # Epoch marker of *this* file; everything else ships — a
@@ -180,10 +172,7 @@ class WalShipper:
                 break
         if not frames:
             return 0
-        batch = ReplFrameBatch(
-            epoch=self.epoch, frames=frames,
-            primary_lsn=self.journal.last_lsn,
-        )
+        batch = ReplFrameBatch(self.epoch, frames, journal.last_lsn)
         size = sum(len(data) for _lsn, data in frames)
         self.network.send(
             self.station_name, progress.name, REPL_FRAMES, batch, size
@@ -199,27 +188,24 @@ class WalShipper:
     # ------------------------------------------------------------------
     # Snapshot transfer
     # ------------------------------------------------------------------
-    def _serve_snapshot(self, progress: FollowerProgress) -> bool:
-        """Start a chunked snapshot download to ``progress``; False when
-        no snapshot can be produced (the follower stays subscribed and
-        will be streamed from LSN 0 if the journal allows) or when the
-        resync breaker is open (the follower retries after cool-down)."""
+    def _serve_snapshot(self, progress: FollowerProgress) -> None:
+        """Start a chunked snapshot download to ``progress`` — unless
+        the resync breaker is open: the follower then stays "due" and
+        the next push retries."""
         if self.resync_breaker is not None and not self.resync_breaker.allow(
             self.network.sim.now
         ):
             self.resyncs_refused += 1
             if OBS.enabled:
                 BREAKER_REJECTED[self.resync_breaker.name].inc()
-            return False
-        if self.snapshot_fn is not None:
-            # Produce a fresh snapshot at the current horizon; this also
-            # checkpoints the journal, so the follow-up stream starts
-            # exactly at the snapshot watermark.
-            self.snapshot_fn()
-        if self.snapshot_path is None or not self.snapshot_path.exists():
-            return False
-        data = self.snapshot_path.read_bytes()
-        snapshot_lsn = parse_snapshot(self.snapshot_path)[1]  # no row decoded
+            return
+        if self.db.snapshot_path is None or self.journal.base_digest is None:
+            # None yet, or one whose digest is unknown: a fresh snapshot
+            # restarts the chain, or every subscriber resyncs forever.
+            self.db.snapshot(str(self.journal.path.with_suffix(".snapshot")))
+        path = Path(self.db.snapshot_path)
+        data = path.read_bytes()
+        snapshot_lsn = parse_snapshot(path)[1]  # no row decoded
         chunks = [
             data[i:i + self.chunk_bytes]
             for i in range(0, len(data), self.chunk_bytes)
@@ -241,7 +227,7 @@ class WalShipper:
                 ),
                 len(chunk),
             )
-        progress.syncing = True
+        progress.resync = "sent"
         progress.shipped_lsn = snapshot_lsn
         progress.resyncs += 1
         self.snapshots_served += 1
@@ -251,7 +237,6 @@ class WalShipper:
         if OBS.enabled:
             SNAPSHOT_CHUNKS[()].inc(len(chunks))
             RESYNCS[()].inc()
-        return True
 
     # ------------------------------------------------------------------
     # Handlers
@@ -265,49 +250,40 @@ class WalShipper:
         progress = self.followers.setdefault(
             sub.follower, FollowerProgress(name=sub.follower)
         )
-        progress.syncing = False
-        diverged = (sub.applied_lsn > self.journal.last_lsn
-                    or self._history_differs(sub))
-        checkpointed_away = sub.applied_lsn < self.journal.base_lsn
-        if diverged or checkpointed_away:
-            if self._serve_snapshot(progress):
-                return
-            if diverged:
-                # No snapshot machinery: a diverged follower cannot be
-                # reconciled; leave it subscribed but quiescent.
-                progress.stage = "diverged"
-                return
+        journal = self.journal
+        if (not journal.base_lsn <= sub.applied_lsn <= journal.last_lsn
+                or self._history_differs(sub)):
+            progress.resync = "due"  # checkpointed away, or diverged
+            self._push_frames(progress)
+            return
         # The subscriber's own durable position is authoritative, even
         # when it is *below* what it once acknowledged (it lost its disk,
         # or an unsynced tail): streaming from the old ack would ship a
         # gap it can only answer by resubscribing, forever.
-        progress.shipped_lsn = progress.applied_lsn = min(
-            sub.applied_lsn, self.journal.last_lsn
-        )
+        progress.resync = None
+        progress.shipped_lsn = progress.applied_lsn = sub.applied_lsn
         if self._push_frames(progress) == 0:
             # Nothing to stream: answer with an empty batch anyway so the
             # subscriber learns the horizon and can report caught-up.
+            empty = ReplFrameBatch(self.epoch, [], journal.last_lsn)
             self.network.send(
-                self.station_name, progress.name, REPL_FRAMES,
-                ReplFrameBatch(
-                    epoch=self.epoch, frames=[],
-                    primary_lsn=self.journal.last_lsn,
-                ),
-                32,
+                self.station_name, progress.name, REPL_FRAMES, empty, 32
             )
 
     def _history_differs(self, sub: ReplSubscribe) -> bool:
-        """True when the subscriber's frame at its ``applied_lsn`` is not
-        this journal's frame at that LSN.  Only a frame both journals
-        hold can be compared: a subscriber at or below this journal's
-        base, or one whose own journal ends on a checkpoint, is taken at
-        its word."""
-        lsn = sub.applied_lsn
-        if sub.last_crc is None or lsn <= self.journal.base_lsn:
-            return False
-        frame = next(read_frames(self.journal.path, from_lsn=lsn - 1), None)
-        return (frame is not None and frame.lsn == lsn
-                and frame.crc != sub.last_crc)
+        """True unless this journal's history digest at the subscriber's
+        ``applied_lsn`` (between its base and its end) is the one the
+        subscriber sent: the base digest folded through every frame up
+        to that LSN.  An unknown base digest vouches for nothing."""
+        journal = self.journal
+        digest = journal.base_digest
+        if digest is None:
+            return True
+        for frame in read_frames(journal.path, from_lsn=journal.base_lsn):
+            if frame.lsn > sub.applied_lsn:
+                break
+            digest = frame.fold(digest)
+        return digest != sub.digest
 
     def _on_status(self, _station: Station, message: Message) -> None:
         status: ReplStatus = message.payload

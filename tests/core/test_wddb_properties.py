@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import random
 import shutil
-import tempfile
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from repro.core import (
 )
 from repro.distribution import install_package, package_course
 from repro.fault.crashsim import crash_points, database_state, frame_boundaries
-from repro.rdb import RdbError
+from repro.rdb import RdbError, SyncPolicy
 from repro.storage.blob import BlobKind
 from repro.storage.files import DocumentFile, FileKind
 
@@ -243,11 +244,36 @@ def _check(db: WebDocumentDatabase, candidates: set[str]) -> None:
         assert owners == naming, blob.digest
 
 
-@given(steps)
+@contextmanager
+def _counted_fsyncs():
+    """Every fsync the station asks for lands in a counter, not on the
+    disk: its journal's ``"commit"`` policy (``SyncPolicy.parse`` ->
+    ``SyncPolicy.commit()``) and its snapshots' and checkpoints'
+    ``os.fsync``.  What the property checks is rows and bytes; removing
+    the files a station fsynced dominated its wall time."""
+    calls: list[int] = []
+    policy = SyncPolicy("commit", fsync=calls.append)
+    with mock.patch.object(SyncPolicy, "commit", lambda: policy), \
+            mock.patch("os.fsync", calls.append):
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def station_dir(tmp_path_factory):
+    """One directory for every example's station: each example removes
+    the files the last one left (a station writes no subdirectory), as
+    removing a directory costs tens of ms on some disks."""
+    return tmp_path_factory.mktemp("station")
+
+
+@given(ops=steps)
 @settings(max_examples=300, deadline=None)
-def test_tree_files_and_blob_references_follow_the_rows(ops):
-    with tempfile.TemporaryDirectory() as directory:
-        _run(ops, directory)
+def test_tree_files_and_blob_references_follow_the_rows(station_dir, ops):
+    for leftover in station_dir.iterdir():
+        leftover.unlink()
+    with _counted_fsyncs() as fsyncs:
+        _run(ops, str(station_dir))
+    assert len(fsyncs) > 0
 
 
 def _run(ops, directory: str) -> None:
@@ -384,6 +410,9 @@ def test_a_crash_keeps_or_loses_each_authoring_op_whole(
     data = wal.read_bytes()
     shutil.copytree(live_dir, cut_dir)  # the snapshot, if any, stays
     for cut in crash_points(len(data), frame_boundaries(wal)):
+        # A fresh file per cut: truncating the last one in place costs
+        # far more than unlinking it first.
+        (cut_dir / "wddb.wal").unlink()
         (cut_dir / "wddb.wal").write_bytes(data[:cut])
         reopened = WebDocumentDatabase("crash", data_dir=cut_dir)
         expected = [state for end, state in after_op if end <= cut][-1]

@@ -33,13 +33,7 @@ class ReplCluster:
         self.workload = CrashWorkload(tmp_path / "primary.wal",
                                       name="primary")
         self.db, self.journal = self.workload.db, self.workload.journal
-        self.shipper = WalShipper(
-            self.network, "primary", self.journal,
-            snapshot_path=tmp_path / "primary.snapshot",
-            snapshot_fn=lambda: self.db.snapshot(
-                str(tmp_path / "primary.snapshot")
-            ),
-        )
+        self.shipper = WalShipper(self.network, "primary", self.db)
         self.recoverers = {}
         for name in followers:
             self.add_follower(name)

@@ -270,6 +270,46 @@ class TestDeepTree:
         assert replicator.members["s1"].primary_name == "s4"
         assert database_state(replicator.members["s1"].db) == wanted
 
+    def test_a_deposed_member_rejoining_under_a_relay_is_resynced_by_it(
+        self, tmp_path
+    ):
+        """N = 6 at m = 2: s2 is promoted, journals two commits it never
+        ships and is deposed; s3 wins and commits four.  s2 rejoins at
+        the tail, under s4, a relay that never installed a snapshot.
+        s2's digest at LSN 7 is not s4's, so s4 snapshots its own engine
+        and resyncs s2 from it: resync traffic stays on the tree edge."""
+        names = ["s1", "s2", "s3", "s4", "s5", "s6"]
+        g = _group(tmp_path, names, m=2)
+        g.write(5)
+        g.sync()
+        g.network.set_down("s1", True)
+        replicator = g.replicator
+        assert replicator.promote().new_primary == "s2"
+        g.network.quiesce()
+        g.network.set_down("s2", True)
+        _write_at_master(replicator, range(100, 102), "unshipped")
+        report = replicator.promote()
+        assert (report.new_primary, report.promoted_lsn) == ("s3", 5)
+        _write_at_master(replicator, range(200, 204), "new-master")
+        replicator.flush()
+        g.network.quiesce()
+        assert replicator.master.journal.last_lsn == 9
+        assert not (tmp_path / "s4" / "replica.snapshot").exists()
+
+        g.network.set_down("s2", False)
+        replicator.restart("s2")
+        g.network.quiesce()
+        rejoined = replicator.members["s2"]
+        assert rejoined.primary_name == "s4"
+        assert replicator.converged()
+        assert database_state(rejoined.db) == \
+            database_state(replicator.master)
+        assert RecoveryStage.DOWNLOADING_SNAPSHOT in rejoined.stage_history
+        assert replicator.shippers["s4"].snapshots_served == 1
+        assert (tmp_path / "s4" / "replica.snapshot").exists()
+        assert replicator.shippers["s3"].snapshots_served == 0
+        assert verify_database(rejoined.db) == []
+
     def test_a_member_ahead_of_its_new_parent_is_not_resynced(self, tmp_path):
         """s3 was down for two commits that s5 (under s2) received.  In
         the re-derived tree s5 hangs under s3: it is registered at its

@@ -56,11 +56,7 @@ def test_follower_state_is_always_an_acked_prefix(actions, seed):
         journal = Journal(workdir / "primary.wal", sync="commit")
         db = build_crash_db("primary", journal=journal)
         rng = make_rng(seed, "repl-prop-workload")
-        shipper = WalShipper(
-            network, "primary", journal,
-            snapshot_path=workdir / "primary.snapshot",
-            snapshot_fn=lambda: db.snapshot(str(workdir / "primary.snapshot")),
-        )
+        shipper = WalShipper(network, "primary", db)
         rec = Recoverer(
             network, "follower", "primary", CRASH_SCHEMAS,
             workdir / "follower", sync_policy="commit", ddl_fn=crash_ddl,

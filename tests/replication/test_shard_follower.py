@@ -58,7 +58,7 @@ def test_follower_of_a_shard_journal_catches_up(shard_cluster, tmp_path):
     network = Network(Simulator(), default_latency_s=0.002)
     network.add(Station("shard-0-primary"))
     network.add(Station("f1"))
-    WalShipper(network, "shard-0-primary", shard.journal)
+    WalShipper(network, "shard-0-primary", shard.db)
     recoverer = follower(network, tmp_path / "f1")
     recoverer.start()
     events = drain(network)
@@ -122,12 +122,12 @@ def test_a_promoted_shard_follower_is_an_in_doubt_participant(
     network = Network(Simulator(), default_latency_s=0.002)
     network.add(Station("shard-0-primary"))
     network.add(Station("f1"))
-    WalShipper(network, "shard-0-primary", shard.journal)
+    WalShipper(network, "shard-0-primary", shard.db)
     recoverer = follower(network, tmp_path / "f1")
     recoverer.start()
     drain(network)
     assert recoverer.applied_lsn == shard.journal.last_lsn
-    db, _journal = recoverer.promote()
+    db = recoverer.promote()
 
     promoted = ShardParticipant(0, db)
     assert list(promoted.in_doubt) == [gtxn]

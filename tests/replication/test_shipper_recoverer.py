@@ -301,3 +301,41 @@ class TestResyncBreaker:
         assert cluster.shipper.snapshots_served == 2
         assert cluster.shipper.resyncs_refused == 0
         assert all(r.caught_up for r in cluster.recoverers.values())
+
+    def test_a_refused_diverged_follower_is_never_streamed(self, repl_cluster):
+        """The breaker is spent when a follower holding a frame of its
+        own at LSN 4 resubscribes.  Refused, it waits for its resync:
+        the primary's next commits are not streamed on top of its rows
+        (the primary's LSN 4 would be skipped as a duplicate).  Once
+        the cool-down lets a resync through, it converges."""
+        from repro.admission import CircuitBreaker
+
+        cluster = repl_cluster()
+        breaker = cluster.shipper.resync_breaker = CircuitBreaker(
+            "resync:primary", failure_threshold=1, open_s=60.0,
+        )
+        cluster.write(3)
+        rec = cluster.recoverers["f1"]
+        rec.start()
+        cluster.sync()
+        breaker.record_failure(cluster.network.sim.now)
+        rec.journal.append(99, [["insert", "crash_docs", {
+            "doc_id": 999, "title": "phantom", "version": 1, "body": "",
+        }]])
+        rec.applied_lsn = rec.journal.last_lsn
+        rec.retarget("primary")
+        cluster.network.quiesce()
+        assert cluster.shipper.resyncs_refused == 1
+
+        cluster.write(4)
+        cluster.sync()
+        assert rec.applied_lsn == 4 and not rec.caught_up
+        assert cluster.shipper.followers["f1"].resync == "due"
+        assert cluster.shipper.snapshots_served == 0
+
+        cluster.network.sim.run(until=cluster.network.sim.now + 61.0)
+        cluster.sync()
+        assert cluster.shipper.snapshots_served == 1
+        assert rec.caught_up
+        assert rec.applied_lsn == cluster.journal.last_lsn == 7
+        assert database_state(rec.db) == database_state(cluster.db)

@@ -72,7 +72,7 @@ def _reference_recover(shard_id, schemas, journal_path, *,
     watermark = 0
     snapshot_path = Path(snapshot_path) if snapshot_path else None
     if snapshot_path is not None and snapshot_path.exists():
-        tables, watermark = parse_snapshot(snapshot_path)
+        tables, watermark, _digest = parse_snapshot(snapshot_path)
         for table, rows in tables.items():
             if rows:
                 db.apply_frame(_shipped(

@@ -209,11 +209,7 @@ class TestFollowerIntegration:
         network.add(Station("primary"))
         network.add(Station("replica-1"))
         primary = ClassAdministrator(data_dir=tmp_path / "primary")
-        shipper = WalShipper(
-            network, "primary", primary.journal,
-            snapshot_path=primary.snapshot_path,
-            snapshot_fn=primary.checkpoint,
-        )
+        shipper = WalShipper(network, "primary", primary.admin_db)
         rs = ReplicaSet(primary)
         session = _login(rs, "shih", "instructor")
         replica_admin = ClassAdministrator()
