@@ -40,6 +40,7 @@ from repro.rdb import (
     JournalCorruptError,
     Schema,
 )
+from repro.rdb.index import HashIndex, SortedIndex
 from repro.rdb.wal import Journal, read_frames
 from repro.util.rng import make_rng
 
@@ -57,6 +58,7 @@ __all__ = [
     "run_crash_workload",
     "recover_crash_db",
     "verify_database",
+    "posting_problems",
     "audit",
     "database_state",
     "crash_points",
@@ -354,7 +356,8 @@ def verify_database(db: Database) -> list[str]:
 
     Returns a list of human-readable violations (empty ⇒ consistent):
     duplicate primary keys, unique-constraint breaks, dangling foreign
-    keys, and hash/sorted secondary indexes that disagree with the heap.
+    keys, hash/sorted secondary indexes that disagree with the heap, and
+    postings out of shape (:func:`posting_problems`).
     """
     problems: list[str] = []
     for name in db.table_names():
@@ -411,13 +414,63 @@ def verify_database(db: Database) -> list[str]:
                         f"{sorted(rowids)}"
                     )
         for index in table.indexes.sorted_indexes:
-            got = sorted(index.range(None, None))
-            heap = sorted(rowid for rowid, _ in rows)
-            if got != heap:
+            filed: dict[Any, list[int]] = {}
+            for rowid, row in rows:
+                if row[index.column] is not None:
+                    filed.setdefault(row[index.column], []).append(rowid)
+            for key, rowids in filed.items():
+                got = sorted(index.range(key, key))
+                if got != sorted(rowids):
+                    problems.append(
+                        f"{name}.{index.name}: key {key!r} maps to {got}, "
+                        f"heap says {sorted(rowids)}"
+                    )
+            heap_entries = sum(map(len, filed.values()))
+            if len(index) != heap_entries:
                 problems.append(
-                    f"{name}.{index.name}: sorted index rowids {got} != "
-                    f"heap rowids {heap}"
+                    f"{name}.{index.name}: {len(index)} entries, heap has "
+                    f"{heap_entries}"
                 )
+        for index in (*table.indexes.hash_indexes,
+                      *table.indexes.sorted_indexes):
+            problems.extend(posting_problems(f"{name}.{index.name}", index))
+    return problems
+
+
+def posting_problems(where: str, index: HashIndex | SortedIndex) -> list[str]:
+    """The postings' representation: a hash key holds a bare row id or
+    a strictly ascending list of two or more; a sorted index's keys are
+    strictly ascending and each holds a non-empty, strictly ascending
+    list; ``len`` and ``distinct_keys`` are the postings' totals."""
+    problems: list[str] = []
+    is_hash = isinstance(index, HashIndex)
+    entries = keys = 0
+    previous: Any = None
+    for key, held in index.postings():
+        if not is_hash and keys and not previous < key:
+            problems.append(f"{where}: key {key!r} follows {previous!r}")
+        keys += 1
+        previous = key
+        if is_hash and type(held) is int:
+            entries += 1
+            continue
+        if (
+            type(held) is not list
+            or len(held) < (2 if is_hash else 1)
+            or any(type(rowid) is not int for rowid in held)
+            or any(a >= b for a, b in zip(held, held[1:]))
+        ):
+            shape = ("a bare row id or a strictly ascending list of two or "
+                     "more" if is_hash else "a non-empty, strictly ascending "
+                     "list")
+            problems.append(f"{where}: key {key!r} holds {held!r}, not {shape}")
+        entries += len(held) if type(held) is list else 1
+    if len(index) != entries or index.distinct_keys() != keys:
+        problems.append(
+            f"{where}: counts {len(index)} entries under "
+            f"{index.distinct_keys()} keys, postings hold {entries} under "
+            f"{keys}"
+        )
     return problems
 
 

@@ -1,8 +1,9 @@
 """Secondary indexes: hash (equality) and sorted (range).
 
-Indexes map a key tuple (values of the indexed columns) to the set of
-row ids holding that key.  The table maintains them on every mutation;
-the query planner consults them through :class:`IndexSet`.
+Indexes map a key tuple (values of the indexed columns) to the row ids
+holding that key: one ascending list of ids, each id once (a lone id is
+held bare by :class:`HashIndex`).  The table maintains them on every
+mutation; the query planner consults them through :class:`IndexSet`.
 
 Both index kinds keep two O(1) statistics counters up to date on every
 mutation — total entries and distinct keys — so the cost-based planner
@@ -25,15 +26,18 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 class HashIndex:
-    """Equality index: key tuple -> set of row ids.
+    """Equality index: key tuple -> its row ids.
 
     ``None`` components are allowed in keys (SQL would exclude them from
     unique enforcement; uniqueness is handled by the constraint layer,
     not here, so the index simply stores what it is given).
 
     A key with one row id — every primary and unique key — holds that
-    id bare; the ``set`` (216 bytes before its first member) exists only
-    from a key's second id and goes again when it is back to one.
+    id bare; from a key's second id on it holds one ascending ``list``
+    of its ids (72 bytes at two, where a ``set`` took 216 before its
+    first member), which goes back to the bare id when one is left.
+    A new row's id is above every id already filed, so an insert
+    appends; only an undone delete or a re-filed row bisects.
     ``key_of(row)`` is the key tuple a row files under.
     """
 
@@ -45,31 +49,36 @@ class HashIndex:
         self.name = name
         self.columns = columns
         self.key_of = key_getter(columns)
-        self._map: dict[tuple, int | set[int]] = {}
+        self._map: dict[tuple, int | list[int]] = {}
         self._entries = 0
 
     def insert(self, key: tuple, rowid: int) -> None:
         held = self._map.get(key)
         if held is None:
             self._map[key] = rowid
-        elif type(held) is set:
-            if rowid in held:
-                return
-            held.add(rowid)
+        elif type(held) is list:
+            if rowid > held[-1]:
+                held.append(rowid)
+            else:
+                pos = bisect.bisect_left(held, rowid)
+                if held[pos] == rowid:
+                    return
+                held.insert(pos, rowid)
         elif held == rowid:
             return
         else:
-            self._map[key] = {held, rowid}
+            self._map[key] = [held, rowid] if held < rowid else [rowid, held]
         self._entries += 1
 
     def remove(self, key: tuple, rowid: int) -> None:
         held = self._map.get(key)
-        if type(held) is set:
-            if rowid not in held:
+        if type(held) is list:
+            pos = bisect.bisect_left(held, rowid)
+            if pos == len(held) or held[pos] != rowid:
                 return
-            held.discard(rowid)
+            del held[pos]
             if len(held) == 1:
-                self._map[key] = held.pop()
+                self._map[key] = held[0]
         elif held == rowid:  # never None: row ids are ints
             del self._map[key]
         else:
@@ -82,22 +91,28 @@ class HashIndex:
         held = self._map.get(key)
         if held is None:
             return _EMPTY
-        return frozenset(held if type(held) is set else (held,))
+        return frozenset(held if type(held) is list else (held,))
 
     def count(self, key: tuple) -> int:
         held = self._map.get(key)
         if held is None:
             return 0
-        return len(held) if type(held) is set else 1
+        return len(held) if type(held) is list else 1
 
     def any_rowid(self, key: tuple) -> int | None:
         """One row id holding ``key`` (*the* one under a primary or
-        unique key), or None — no snapshot is built."""
+        unique key; the lowest under any other), or None — no snapshot
+        is built."""
         held = self._map.get(key)
-        return next(iter(held)) if type(held) is set else held
+        return held[0] if type(held) is list else held
 
     def keys(self) -> Iterator[tuple]:
         return iter(self._map)
+
+    def postings(self) -> Iterator[tuple[tuple, int | list[int]]]:
+        """(key, row ids) as held — a bare id or the key's own list, not
+        a copy — for an audit of the representation; never mutate."""
+        return iter(self._map.items())
 
     def distinct_keys(self) -> int:
         """Number of distinct key tuples currently stored (O(1))."""
@@ -110,10 +125,12 @@ class HashIndex:
 class SortedIndex:
     """Range index over a single column, ``None`` keys excluded.
 
-    Implemented as parallel sorted lists (keys / rowid lists) maintained
-    with :mod:`bisect` — O(log n) lookup, O(n) worst-case insert, which is
-    fine at the table sizes the document database reaches and keeps the
-    implementation transparent.
+    Implemented as parallel sorted lists maintained with :mod:`bisect`:
+    the distinct keys, and per key one ascending list of its row ids —
+    O(log n) lookup, O(n) worst-case insert, which is fine at the table
+    sizes the document database reaches and keeps the implementation
+    transparent.  A row id is filed as in :class:`HashIndex`: appended
+    when above the key's last id, bisected in otherwise.
     """
 
     __slots__ = ("name", "column", "_keys", "_rowids", "_entries")
@@ -122,48 +139,60 @@ class SortedIndex:
         self.name = name
         self.column = column
         self._keys: list[Any] = []
-        self._rowids: list[set[int]] = []
+        self._rowids: list[list[int]] = []
         self._entries = 0
 
     def insert(self, key: Any, rowid: int) -> None:
         if key is None:
             return
-        pos = bisect.bisect_left(self._keys, key)
-        if pos < len(self._keys) and self._keys[pos] == key:
-            if rowid not in self._rowids[pos]:
-                self._rowids[pos].add(rowid)
-                self._entries += 1
+        keys = self._keys
+        pos = bisect.bisect_left(keys, key)
+        if pos < len(keys) and keys[pos] == key:
+            held = self._rowids[pos]
+            if rowid > held[-1]:
+                held.append(rowid)
+            else:
+                at = bisect.bisect_left(held, rowid)
+                if held[at] == rowid:
+                    return
+                held.insert(at, rowid)
         else:
-            self._keys.insert(pos, key)
-            self._rowids.insert(pos, {rowid})
-            self._entries += 1
+            keys.insert(pos, key)
+            self._rowids.insert(pos, [rowid])
+        self._entries += 1
 
     def remove(self, key: Any, rowid: int) -> None:
         if key is None:
             return
-        pos = bisect.bisect_left(self._keys, key)
-        if pos >= len(self._keys) or self._keys[pos] != key:
+        keys = self._keys
+        pos = bisect.bisect_left(keys, key)
+        if pos >= len(keys) or keys[pos] != key:
             return
-        if rowid in self._rowids[pos]:
-            self._rowids[pos].discard(rowid)
-            self._entries -= 1
-        if not self._rowids[pos]:
-            del self._keys[pos]
+        held = self._rowids[pos]
+        at = bisect.bisect_left(held, rowid)
+        if at == len(held) or held[at] != rowid:
+            return
+        self._entries -= 1
+        if len(held) == 1:
+            del keys[pos]
             del self._rowids[pos]
+        else:
+            del held[at]
 
     def bulk_load(self, items: Iterable[tuple[Any, int]]) -> None:
         """Insert many (key, rowid) pairs in one sorted rebuild.
 
         Per-pair :meth:`insert` pays an O(n) list shift per new key;
         bulk load buckets the pairs in a dict, merges the existing
-        parallel lists in, and rebuilds with one sort — O((n+m) log
-        (n+m)) total.  ``None`` keys are excluded as on insert.
+        parallel lists in, and rebuilds with one sort of the keys and
+        one of each key's ids — O((n+m) log (n+m)) total.  ``None``
+        keys are excluded as on insert; a pair already filed is filed
+        once.
         """
-        pending: dict[Any, set[int]] = {}
+        pending: dict[Any, list[int]] = {}
         for key, rowid in items:
-            if key is None:
-                continue
-            pending.setdefault(key, set()).add(rowid)
+            if key is not None:
+                pending.setdefault(key, []).append(rowid)
         if not pending:
             return
         for key, rowids in zip(self._keys, self._rowids):
@@ -171,11 +200,14 @@ class SortedIndex:
             if existing is None:
                 pending[key] = rowids
             else:
-                existing.update(rowids)
+                existing.extend(rowids)
         keys = sorted(pending)
         self._keys = keys
-        self._rowids = [pending[key] for key in keys]
-        self._entries = sum(len(rowids) for rowids in self._rowids)
+        self._rowids = [
+            sorted(set(ids)) if len(ids) > 1 else ids
+            for ids in map(pending.__getitem__, keys)
+        ]
+        self._entries = sum(map(len, self._rowids))
 
     def _bounds(
         self, low: Any, high: Any, include_low: bool, include_high: bool
@@ -204,8 +236,8 @@ class SortedIndex:
         include_high: bool = True,
     ) -> Iterator[int]:
         """Row ids whose key falls in [low, high] (bounds optional), in
-        key order — one C-level chain over the covered keys' row-id
-        sets, not a generator resumed per row."""
+        (key, row id) order — one C-level chain over the covered keys'
+        row-id lists, not a generator resumed per row."""
         start, stop = self._bounds(low, high, include_low, include_high)
         return chain.from_iterable(self._rowids[start:stop])
 
@@ -248,6 +280,11 @@ class SortedIndex:
         if span == 0 or not self._keys:
             return 0
         return math.ceil(span * self._entries / len(self._keys))
+
+    def postings(self) -> Iterator[tuple[Any, list[int]]]:
+        """(key, row ids) in key order, each the key's own list, not a
+        copy — for an audit of the representation; never mutate."""
+        return zip(self._keys, self._rowids)
 
     def min_key(self) -> Any:
         return self._keys[0] if self._keys else None

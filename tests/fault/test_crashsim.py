@@ -140,6 +140,39 @@ class TestVerifyDatabase:
         problems = verify_database(db)
         assert any("docs_by_version" in p for p in problems)
 
+    @pytest.mark.parametrize("corrupt", ["swap", "duplicate", "too_short"])
+    def test_names_the_key_of_a_posting_out_of_shape(self, corrupt):
+        """A hash posting holds a bare id or a strictly ascending list of
+        two or more; a sorted posting a non-empty, strictly ascending
+        list.  Each break names its table, index and key."""
+        db = build_crash_db()
+        db.create_sorted_index("crash_refs", "refs_by_doc", "doc_id")
+        db.insert("crash_docs", {"doc_id": 1, "title": "t1", "version": 3})
+        for ref_id, doc_id in ((1, 1), (2, None), (3, 1), (4, 1)):
+            db.insert("crash_refs", {"ref_id": ref_id, "doc_id": doc_id})
+        for title in ("t2", "t3"):
+            db.insert("crash_docs", {"doc_id": int(title[1]), "title": title,
+                                     "version": 3})
+        assert verify_database(db) == []
+        by_version = db.table("crash_docs").indexes.hash_index_on(("version",))
+        by_doc = db.table("crash_refs").indexes.sorted_index_on("doc_id")
+        for index, key, where in (
+            (by_version, (3,), "crash_docs.docs_by_version"),
+            (by_doc, 1, "crash_refs.refs_by_doc"),
+        ):
+            held = dict(index.postings())[key]
+            if corrupt == "swap":
+                held[0], held[1] = held[1], held[0]
+            elif corrupt == "duplicate":
+                held.insert(1, held[0])
+            elif index is by_version:
+                index._map[key] = held[:1]
+            else:
+                held.clear()
+            problems = verify_database(db)
+            assert any(p.startswith(f"{where}: key {key!r} holds")
+                       for p in problems), problems
+
 
 class TestCrashPoints:
     def test_includes_boundaries_stride_and_eof(self):
