@@ -5,8 +5,10 @@ reads by throwing more client workstations at it; our reproduction adds
 WAL-shipping replication (:mod:`repro.replication`) so the *server*
 side scales too.  E18 measures the three promises the subsystem makes:
 
-* **read scaling** — the library-search workload round-robins across N
-  caught-up read replicas hosted behind network stations
+* **read scaling** — the library-search workload round-robins across
+  the N fresh members of the primary's replication star, as
+  :class:`~repro.tiers.replicaset.ReplicaSet` routes it, each hosted
+  behind its network station
   (:class:`~repro.tiers.remote.RemoteTierServer`); virtual-time
   makespan of a fixed search batch should shrink roughly linearly in N
   because each replica answers over its own link;
@@ -62,7 +64,6 @@ from repro.replication import (
 )
 from repro.tiers import ClassAdministrator, ReplicaSet, Request
 from repro.tiers.remote import RemoteTierClient, RemoteTierServer
-from repro.tiers.server import ADMIN_SCHEMAS
 from repro.util.rng import make_rng
 
 LINK_MBPS = 10.0
@@ -76,15 +77,23 @@ def _measure_read_makespan(
     workdir: Path, replicas: int, docs: int, searches: int
 ) -> float:
     """Virtual seconds to answer ``searches`` library searches spread
-    over ``replicas`` stations (0 = primary answers everything)."""
+    over ``replicas`` members of the primary's replication star
+    (0 = primary answers everything).  The set picks each search's
+    station (:meth:`~repro.tiers.replicaset.ReplicaSet.route`); the
+    search travels there from that station's own client."""
     sim = Simulator()
     network = Network(sim, default_latency_s=LATENCY_S)
     link = lambda: DuplexLink.symmetric_mbps(LINK_MBPS)  # noqa: E731
-    network.add(Station("primary", link()))
+    names = ["primary"] + [f"replica-{i + 1}" for i in range(replicas)]
+    for name in names:
+        network.add(Station(name, link()))
 
     primary = ClassAdministrator(data_dir=workdir / "primary")
-    shipper = WalShipper(network, "primary", primary.admin_db)
-    rs = ReplicaSet(primary)
+    replicator = MetadataReplicator(
+        network, MAryTree(len(names), max(1, replicas), names=names),
+        primary.admin_db, workdir,
+    )
+    rs = ReplicaSet(primary, replicator)
     session = rs.handle(Request(
         op="login", session_id=None,
         params={"user": "shih", "role": "instructor"},
@@ -95,38 +104,22 @@ def _measure_read_makespan(
             params={"doc_id": f"d{k}", "title": f"Lecture {k}",
                     "course_number": "MM1", "keywords": ["video"]},
         )).unwrap()
-
-    serving: list[tuple[str, ClassAdministrator]] = []
-    if replicas == 0:
-        serving.append(("primary", primary))
-    for i in range(replicas):
-        name = f"replica-{i + 1}"
-        network.add(Station(name, link()))
-        admin = ClassAdministrator()
-        recoverer = Recoverer(
-            network, name, "primary", ADMIN_SCHEMAS,
-            workdir / name, sync_policy="commit",
-        )
-        rs.add_follower(name, admin, recoverer)
-        recoverer.start()
-        serving.append((name, admin))
-    shipper.pump()
     network.quiesce()
 
-    clients = []
-    for i, (server_name, admin) in enumerate(serving):
+    clients = {}
+    for i, server_name in enumerate(names[1:] or names):
+        admin = primary if replicas == 0 else rs.member(server_name)
         RemoteTierServer(network, server_name, administrator=admin)
         client_name = f"client-{i + 1}"
         network.add(Station(client_name, link()))
         client = RemoteTierClient(network, client_name, server_name)
         client.session_id = session
-        clients.append(client)
+        clients[server_name] = client
 
     start = sim.now
-    for k in range(searches):
-        clients[k % len(clients)].call(
-            "search_library", {"keywords": "video"}
-        )
+    for _ in range(searches):
+        server_name, _admin, _degraded = rs.route("search_library")
+        clients[server_name].call("search_library", {"keywords": "video"})
     network.quiesce()
     return sim.now - start
 

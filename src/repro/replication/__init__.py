@@ -20,19 +20,20 @@ middle tier into a replicated one:
   recovers to a consistent prefix and resumes.
 
 Read routing lives one layer up, in
-:class:`repro.tiers.replicaset.ReplicaSet`, which sends library search
-and catalog reads to caught-up replicas while writes stay on the
-primary.
+:class:`repro.tiers.replicaset.ReplicaSet`: its replicas are the
+members of one :class:`~repro.distribution.syncdb.MetadataReplicator`
+tree, and it sends library search and catalog reads to members that
+have every record the primary has, while writes stay on the primary.
 
 Naming note — two kinds of "replication" coexist in this repo, one
 per layer:
 
 * **this package** replicates a *relational database* by WAL shipping.
-  A class administrator's read replicas subscribe to it directly;
   :mod:`repro.distribution.syncdb` wires the same stream down the
   member tree — every station follows its tree parent and relays from
-  its own follower journal — for E11's fleet-wide copies of the
-  document-layer metadata, and fails the tree's root over
+  its own follower journal — for a class administrator's read replicas
+  and for E11's fleet-wide copies of the document-layer metadata, and
+  fails the tree's root over
   (:meth:`~repro.distribution.syncdb.MetadataReplicator.promote`:
   highest applied LSN wins, a new fenced WAL epoch, the tree
   re-derived; E18's failover is the tree at m = N-1, a star);

@@ -82,8 +82,8 @@ class Recoverer:
 
     ``ddl_fn`` re-issues secondary-index DDL after each database
     rebuild (same contract as the E17 harness).  ``on_apply`` fires
-    after every applied frame — the replica tier uses it to refresh
-    derived structures such as the library search index.
+    after every applied frame — a relaying tree member pumps its
+    children from it.
     """
 
     def __init__(
@@ -115,13 +115,12 @@ class Recoverer:
         self.on_apply = on_apply
         #: called with the new Database whenever local state is rebuilt
         #: (startup recovery and snapshot installs), once the engine
-        #: *and* the journal behind it are live — the read-replica tier
-        #: re-adopts the fresh engine here, a relaying member its journal
+        #: *and* the journal behind it are live — a relaying member
+        #: re-opens its shipper over the fresh journal here
         self.on_rebuild = on_rebuild
         self.db: Database | None = None
         self.journal: Journal | None = None
         self.applied_lsn = 0
-        self.primary_lsn_seen = 0
         self.stage = RecoveryStage.INACTIVE
         self.stage_history: list[RecoveryStage] = [self.stage]
         self.frames_applied = 0
@@ -339,7 +338,6 @@ class Recoverer:
         if self.stage is RecoveryStage.DOWNLOADING_SNAPSHOT:
             return  # stream restarts cleanly after the download installs
         assert self.db is not None and self.journal is not None
-        self.primary_lsn_seen = max(self.primary_lsn_seen, batch.primary_lsn)
         gap = False
         for lsn, data in batch.frames:
             if lsn <= self.applied_lsn:

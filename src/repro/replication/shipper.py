@@ -14,8 +14,9 @@ Flow control is ack-driven: each :class:`~repro.net.messages.ReplStatus`
 from a follower triggers the next frame batch, so a whole catch-up runs
 inside one simulator drain with bounded in-flight data per follower.
 New commits are pushed by calling :meth:`WalShipper.pump` after write
-batches (the class-administrator deployments pump from their request
-loop; benchmarks pump per round).
+batches: a :class:`~repro.tiers.replicaset.ReplicaSet` pumps (through
+``MetadataReplicator.flush``) after every write it acks; benchmarks
+pump per round.
 
 Replica-lag accounting happens here, on the primary, where both ends
 of the lag are known: every status report updates the follower's

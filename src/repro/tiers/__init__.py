@@ -19,7 +19,8 @@ the front end of the virtual course DBMS"), and the DBMS reached
 * :mod:`repro.tiers.client` — typed student / instructor /
   administrator clients.
 * :mod:`repro.tiers.replicaset` — read routing across a primary and
-  WAL-shipped read replicas (:mod:`repro.replication`).
+  the members of its replication tree
+  (:mod:`repro.distribution.syncdb`).
 * :mod:`repro.tiers.shards` — the shard-aware coordinator: shard-key
   routing, two-phase commit for cross-shard writes
   (:mod:`repro.sharding`), scatter-gather reads with EXPLAIN fan-out.
@@ -31,7 +32,7 @@ from repro.tiers.connection import OpenDatabaseConnection
 from repro.tiers.server import ClassAdministrator
 from repro.tiers.client import AdministratorClient, InstructorClient, StudentClient
 from repro.tiers.remote import RemoteTierClient, RemoteTierServer
-from repro.tiers.replicaset import ReplicaSet, catalog_refresher
+from repro.tiers.replicaset import ReplicaSet
 from repro.tiers.shards import ShardedDatabase
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "RemoteTierClient",
     "RemoteTierServer",
     "ReplicaSet",
-    "catalog_refresher",
     "Request",
     "Response",
     "Role",

@@ -1,98 +1,81 @@
 """Read routing over a replicated middle tier.
 
-A :class:`ReplicaSet` fronts one primary class administrator and any
-number of read replicas — followers whose administration database is
-kept current by WAL shipping (:mod:`repro.replication`).  Requests are
-routed by operation:
+A :class:`ReplicaSet` fronts one primary class administrator and the
+members of its :class:`~repro.distribution.syncdb.MetadataReplicator`,
+the replication tree whose master engine is the primary's
+administration database.  Requests are routed by operation:
 
 * ops in :data:`~repro.tiers.protocol.REPLICA_SAFE_OPS` (library
-  search, transcripts, rosters) round-robin across **caught-up**
-  replicas, scaling read throughput with replica count;
+  search, transcripts, rosters) round-robin across **fresh** members —
+  station up, :meth:`~repro.distribution.syncdb.MetadataReplicator
+  .divergence` 0, caught up since it last subscribed (DESIGN §11.5) —
+  scaling read throughput with member count;
 * every write — and every op touching primary-only state such as
-  circulation loans — goes to the primary;
+  circulation loans — goes to the primary, and once the primary acks
+  it the set flushes the replicator, so the commit heads down the tree
+  from the request loop;
 * ``login``/``logout`` execute on the primary (admission checks live
-  there) and the resulting session is mirrored onto every replica via
+  there) and the resulting session is mirrored onto every member's
+  administrator via
   :meth:`~repro.tiers.server.ClassAdministrator.install_session`, so a
-  replica can authorize the reads it serves.
+  member can authorize the reads it serves.
 
-This module deliberately does not import :mod:`repro.replication`:
-replicas are registered with a duck-typed *readiness* callable (for a
-replication follower, ``lambda: recoverer.caught_up``), keeping the
-tier usable with any freshness source — or none, for tests.  The
-convenience glue for wiring an actual follower lives in
-:func:`catalog_refresher` plus :meth:`ReplicaSet.add_follower`.
+A member is served through one read-only administrator the set builds
+on first use.  At routing time the set re-adopts the member's engine
+when a snapshot install or a restart replaced it, and rebuilds the
+library view when ``catalog_docs`` moved, so the replicator's hooks
+stay its own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections import Counter
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.instrument import OBS, Instrument
 from repro.tiers.protocol import REPLICA_SAFE_OPS, Request, Response, Role
 from repro.tiers.server import ClassAdministrator
 
-__all__ = ["ReplicaSet", "catalog_refresher"]
+if TYPE_CHECKING:
+    from repro.distribution.syncdb import FailoverReport, MetadataReplicator
+
+__all__ = ["ReplicaSet"]
 
 READS = Instrument("counter", "replica.reads", "target")
 FALLBACKS = Instrument("counter", "replica.fallback", "target")
 
 
-def catalog_refresher(admin: ClassAdministrator) -> Callable[[Any], None]:
-    """An ``on_apply`` callback that keeps a replica's library fresh.
-
-    Rebuilds the derived search index whenever a replicated frame
-    touches the durable catalog table; cheap no-op otherwise.  The
-    frame is duck-typed (``.ops`` as replay op lists) so this composes
-    with :class:`repro.replication.recoverer.Recoverer` without an
-    import cycle.
-    """
-
-    def on_apply(frame: Any) -> None:
-        ops = getattr(frame, "ops", None) or []
-        if any(op[1] == "catalog_docs" for op in ops):
-            admin.refresh_catalog()
-
-    return on_apply
-
-
-class _Replica:
-    """One registered replica and its freshness source."""
-
-    def __init__(
-        self,
-        name: str,
-        admin: ClassAdministrator,
-        ready: Callable[[], bool] | None,
-        lag: Callable[[], int] | None = None,
-    ) -> None:
-        self.name = name
-        self.admin = admin
-        self.ready = ready if ready is not None else (lambda: True)
-        #: replication records behind the primary (None = unknown, so
-        #: the replica is ineligible for bounded-staleness routing)
-        self.lag = lag
-        self.requests_served = 0
-
-
 class ReplicaSet:
-    """Route one request stream across a primary and its read replicas.
+    """Route one request stream across a primary and its tree members.
 
     ``max_staleness_records`` bounds graceful degradation: while the
     primary's admission controller is shedding, reads may route to a
-    **lagged** replica — but only one whose known replication lag is
-    within this many records, and the reply is marked
-    ``degraded="lagged-replica"`` so the client sees the trade.
+    **lagged** member — one whose divergence is within this many
+    records — and the reply is marked ``degraded="lagged-replica"`` so
+    the client sees the trade.  A member on a down station is neither
+    fresh nor lagged.
     """
 
     def __init__(
         self,
         primary: ClassAdministrator,
+        replicator: MetadataReplicator,
         *,
         max_staleness_records: int = 64,
     ) -> None:
+        if replicator.master is not primary.admin_db:
+            raise ValueError(
+                "the replicator's master is not the primary's "
+                "administration database"
+            )
         self.primary = primary
+        self.replicator = replicator
         self.max_staleness_records = max_staleness_records
-        self.replicas: list[_Replica] = []
+        #: member station -> its read-only administrator (first use)
+        self._admins: dict[str, ClassAdministrator] = {}
+        #: member station -> ``catalog_docs`` version its library reflects
+        self._catalog_at: dict[str, int] = {}
+        self._served: Counter[str] = Counter()
         self._rr = 0
         self.reads_primary = 0
         self.reads_replica = 0
@@ -101,139 +84,106 @@ class ReplicaSet:
         self.writes = 0
 
     # ------------------------------------------------------------------
-    # Membership
+    # Members
     # ------------------------------------------------------------------
-    def add_replica(
-        self,
-        name: str,
-        admin: ClassAdministrator,
-        *,
-        ready: Callable[[], bool] | None = None,
-        lag: Callable[[], int] | None = None,
-    ) -> None:
-        """Register a read replica; ``ready`` gates routing (caught-up).
+    def member(self, name: str) -> ClassAdministrator:
+        """Member ``name``'s read-only administrator, serving the engine
+        the member has now, its library view current."""
+        db = self.replicator.members[name].db
+        admin = self._admins.get(name)
+        if admin is None:
+            admin = self._admins[name] = self._mirror(ClassAdministrator())
+        catalog = db.table("catalog_docs").version
+        if admin.admin_db is not db:
+            admin.adopt_database(db)
+        elif self._catalog_at[name] != catalog:
+            admin.refresh_catalog()
+        self._catalog_at[name] = catalog
+        return admin
 
-        ``lag`` reports replication records behind the primary and
-        makes the replica eligible for bounded-staleness degraded
-        routing.  Sessions the primary already issued are mirrored
-        immediately so the new replica can serve existing users.
-        """
-        admin.read_only = True
+    def _mirror(self, admin: ClassAdministrator) -> ClassAdministrator:
         for session_id, (user, role) in self.primary.sessions().items():
             admin.install_session(session_id, user, role)
-        self.replicas.append(_Replica(name, admin, ready, lag))
-
-    def add_follower(self, name: str, admin: ClassAdministrator,
-                     recoverer: Any) -> None:
-        """Wire a replication follower as a read replica.
-
-        ``recoverer`` is duck-typed (:class:`repro.replication.recoverer
-        .Recoverer`-shaped): its database is adopted read-only, its
-        rebuild/apply hooks keep the adoption and the library view
-        fresh, and its ``caught_up`` flag gates routing.  Call before
-        ``recoverer.start()`` so the first rebuild is observed too.
-        """
-        recoverer.on_rebuild = admin.adopt_database
-        recoverer.on_apply = catalog_refresher(admin)
-        if getattr(recoverer, "db", None) is not None:
-            admin.adopt_database(recoverer.db)
-        self.add_replica(
-            name,
-            admin,
-            ready=lambda: recoverer.caught_up,
-            lag=lambda: max(
-                0, recoverer.primary_lsn_seen - recoverer.applied_lsn
-            ),
-        )
-
-    def remove_replica(self, name: str) -> bool:
-        """Drop a replica (promotion, decommission); False if unknown."""
-        before = len(self.replicas)
-        self.replicas = [r for r in self.replicas if r.name != name]
-        return len(self.replicas) < before
+        return admin
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _pick(self) -> _Replica | None:
-        """Next caught-up replica, round-robin; None when all lag."""
-        if not self.replicas:
-            return None
-        for step in range(len(self.replicas)):
-            replica = self.replicas[(self._rr + step) % len(self.replicas)]
-            if replica.ready():
-                self._rr = (self._rr + step + 1) % len(self.replicas)
-                return replica
-        return None
-
     def handle(self, request: Request) -> Response:
-        """Authorize-and-execute with replica-aware routing."""
+        """Authorize-and-execute with member-aware routing."""
         if request.op == "login":
             response = self.primary.handle(request)
             if response.ok:
                 user = request.params.get("user", "")
                 role = Role(request.params["role"])
                 session_id = response.data["session_id"]
-                for replica in self.replicas:
-                    replica.admin.install_session(session_id, user, role)
+                for admin in self._admins.values():
+                    admin.install_session(session_id, user, role)
             return response
         if request.op == "logout":
             response = self.primary.handle(request)
             if response.ok and request.session_id:
-                for replica in self.replicas:
-                    replica.admin.drop_session(request.session_id)
+                for admin in self._admins.values():
+                    admin.drop_session(request.session_id)
             return response
-        if request.op in REPLICA_SAFE_OPS:
-            return self._route_read(request)
-        self.writes += 1
-        return self.primary.handle(request)
+        _name, admin, degraded = self.route(request.op)
+        response = admin.handle(request)
+        if admin is self.primary:
+            if response.ok and request.op not in REPLICA_SAFE_OPS:
+                self.replicator.flush()
+        elif degraded and response.ok and response.degraded is None:
+            response = response._replace(degraded=degraded)
+        return response
 
-    def _route_read(self, request: Request) -> Response:
-        """Caught-up replica, else (primary shedding) a lagged replica
-        within the staleness bound, else the primary — never silently:
-        the all-lagged fallback is counted on ``replica.fallback``."""
-        replica = self._pick()
-        if replica is not None:
-            replica.requests_served += 1
-            self.reads_replica += 1
-            self._count_read("replica")
-            return replica.admin.handle(request)
-        if self.replicas and self._primary_shedding():
-            lagged = self._pick_lagged()
-            if lagged is not None:
-                lagged.requests_served += 1
+    def route(self, op: str) -> tuple[str, ClassAdministrator, str | None]:
+        """Where a request for ``op`` goes: the station, the
+        administrator serving it there, and the degraded mark its reply
+        carries (None when fresh).
+
+        A replica-safe read goes to the next fresh member, round-robin;
+        else, while the primary sheds, to the least-lagged member within
+        the staleness bound; else to the primary — never silently: the
+        all-lagged fallback is counted on ``replica.fallback``."""
+        primary = self.replicator.tree.name_of(1)
+        if op not in REPLICA_SAFE_OPS:
+            self.writes += 1
+            return primary, self.primary, None
+        members = self.replicator.members
+        names = list(members)
+        lags = {
+            name: self.replicator.divergence(name) for name in names
+            if not self.replicator.network.is_down(name)
+        }
+        for step in range(len(names)):
+            name = names[(self._rr + step) % len(names)]
+            if lags.get(name) == 0 and members[name].caught_up:
+                self._rr = (self._rr + step + 1) % len(names)
+                self.reads_replica += 1
+                return name, self._serve(name, "replica"), None
+        admission = self.primary.admission
+        if names and admission is not None and admission.overloaded():
+            lagged = [
+                name for name, lag in lags.items()
+                if 0 < lag <= self.max_staleness_records
+            ]
+            if lagged:
+                name = min(lagged, key=lags.__getitem__)
                 self.reads_lagged += 1
-                self._count_read("lagged")
                 self._count_fallback("lagged-replica")
-                response = lagged.admin.handle(request)
-                if response.ok and response.degraded is None:
-                    response = response._replace(degraded="lagged-replica")
-                return response
-        if self.replicas:
-            # All replicas lagged and no degraded route: the primary
+                return name, self._serve(name, "lagged"), "lagged-replica"
+        if names:
+            # Every member lagged and no degraded route: the primary
             # absorbs the read rather than the caller seeing an error.
             self.fallbacks += 1
             self._count_fallback("primary")
         self.reads_primary += 1
         self._count_read("primary")
-        return self.primary.handle(request)
+        return primary, self.primary, None
 
-    def _primary_shedding(self) -> bool:
-        admission = getattr(self.primary, "admission", None)
-        return admission is not None and admission.overloaded()
-
-    def _pick_lagged(self) -> _Replica | None:
-        """The least-lagged replica within ``max_staleness_records``
-        whose lag is *known*; None when no replica qualifies."""
-        best: _Replica | None = None
-        best_lag = self.max_staleness_records + 1
-        for replica in self.replicas:
-            if replica.lag is None:
-                continue
-            lag = replica.lag()
-            if lag <= self.max_staleness_records and lag < best_lag:
-                best, best_lag = replica, lag
-        return best
+    def _serve(self, name: str, target: str) -> ClassAdministrator:
+        self._served[name] += 1
+        self._count_read(target)
+        return self.member(name)
 
     def _count_read(self, target: str) -> None:
         if OBS.enabled:
@@ -244,21 +194,22 @@ class ReplicaSet:
             FALLBACKS[target].inc()
 
     # ------------------------------------------------------------------
-    def promote_replica(self, name: str) -> ClassAdministrator:
-        """Make replica ``name`` the set's primary (tier-level half of a
-        failover; the WAL-level half is :meth:`repro.distribution.syncdb
-        .MetadataReplicator.promote`).  Sessions carry over — they were
+    def promote(self) -> FailoverReport:
+        """Fail the primary over: :meth:`~repro.distribution.syncdb
+        .MetadataReplicator.promote` elects the winner, whose
+        administrator becomes the set's read-write primary over the
+        engine that is now the master.  Sessions carry over — they were
         mirrored on login."""
-        for replica in list(self.replicas):
-            if replica.name == name:
-                replica.admin.read_only = False
-                self.primary = replica.admin
-                self.remove_replica(name)
-                return replica.admin
-        raise LookupError(f"no replica named {name!r}")
+        report = self.replicator.promote()
+        admin = self._admins.pop(report.new_primary, None)
+        if admin is None:
+            admin = self._mirror(ClassAdministrator())
+        admin.adopt_database(self.replicator.master, read_only=False)
+        self.primary = admin
+        return report
 
     def stats(self) -> dict[str, Any]:
-        """Routing counters plus per-replica service counts."""
+        """Routing counters plus per-member service counts."""
         return {
             "reads_replica": self.reads_replica,
             "reads_primary": self.reads_primary,
@@ -266,11 +217,10 @@ class ReplicaSet:
             "fallbacks": self.fallbacks,
             "writes": self.writes,
             "replicas": {
-                r.name: {
-                    "served": r.requests_served,
-                    "ready": r.ready(),
+                name: {
+                    "served": self._served[name],
+                    "divergence": self.replicator.divergence(name),
                 }
-                for r in self.replicas
+                for name in self.replicator.members
             },
         }
-

@@ -327,8 +327,8 @@ class ClassAdministrator:
     def refresh_catalog(self) -> int:
         """Rebuild the virtual library from the ``catalog_docs`` table.
 
-        Called after startup recovery and, on read replicas, whenever a
-        replicated frame touches the catalog; returns the entry count.
+        Called after startup recovery and, on a read replica, when the
+        table has moved; returns the entry count.
         Keywords are interned: each distinct keyword is one ``str``.
         """
         entries = [
@@ -375,8 +375,8 @@ class ClassAdministrator:
         The replication follower owns ``db`` and mutates it through the
         replay path; its tables' versions move with every applied frame,
         so the adopted connection reads through a cache like any other.
-        The library view is rebuilt immediately and again on every
-        catalog frame via :meth:`refresh_catalog`.
+        The library view is rebuilt here, and by the replica set
+        again whenever ``catalog_docs`` moves (:meth:`refresh_catalog`).
         """
         self._serve_from(db)
         self.read_only = read_only
@@ -387,8 +387,9 @@ class ClassAdministrator:
 
         Replicas cannot mint sessions (login is a write, and the
         admitted-students check belongs on the primary); the
-        :class:`~repro.tiers.replicaset.ReplicaSet` broker calls this on
-        every successful login it routes.
+        :class:`~repro.tiers.replicaset.ReplicaSet` calls this on each
+        member's administrator for every successful login it routes,
+        and for the primary's live sessions when it builds one.
         """
         self._sessions[session_id] = (user, role)
         if role is Role.INSTRUCTOR:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.admission import AdmissionController, ClockBox, run_offered_load
+from repro.distribution import MAryTree, MetadataReplicator
 from repro.fault.inject import FaultInjector, FaultSchedule
 from repro.net.sim import Simulator
 from repro.net.station import Station
@@ -27,28 +28,34 @@ from repro.workloads.traces import flash_crowd_arrivals
 SERVICE_S = 0.004  # modeled per-request service time (250 rps capacity)
 
 
-def build_tier(clock, network):
-    """Primary + two replicas whose liveness tracks network stations."""
-    primary = ClassAdministrator(admission=AdmissionController(
-        clock=clock, service_estimate_s=SERVICE_S, max_depth=32,
-    ))
-    rs = ReplicaSet(primary, max_staleness_records=64)
-    for name in ("replica-1", "replica-2"):
-        rs.add_replica(
-            name,
-            ClassAdministrator(),
-            # A crashed station is neither ready nor eligible: the
-            # fault schedule controls both routing paths at once.
-            ready=lambda name=name: not network.is_down(name),
-            lag=lambda name=name: (
-                1_000_000 if network.is_down(name) else 2
-            ),
-        )
+def build_tier(clock, network, data_dir):
+    """Primary + two members of its replication tree.  A crashed
+    member's station is down, so neither the fresh nor the lagged route
+    reaches it: the fault schedule steers both routing paths at once."""
+    primary = ClassAdministrator(
+        data_dir=data_dir / "admin", sync_policy="none",
+        admission=AdmissionController(
+            clock=clock, service_estimate_s=SERVICE_S, max_depth=32,
+        ),
+    )
+    replicator = MetadataReplicator(
+        network, MAryTree(3, 2, names=["primary", "replica-1", "replica-2"]),
+        primary.admin_db, data_dir,
+    )
+    rs = ReplicaSet(primary, replicator, max_staleness_records=64)
     response = rs.handle(Request(
         op="login", session_id=None,
         params={"user": "registrar", "role": "administrator"},
     ))
+    network.quiesce()
     return rs, response.unwrap()["session_id"]
+
+
+def advance(network, now):
+    """Run the simulator up to ``now``: shipped frames land and the
+    fault schedule fires as virtual time passes."""
+    if network.sim.now < now:
+        network.sim.run(until=now)
 
 
 def make_schedule(session, arrivals, *, deadline_s=0.25, write_every=20):
@@ -71,12 +78,12 @@ def make_schedule(session, arrivals, *, deadline_s=0.25, write_every=20):
 
 
 @pytest.fixture
-def assembly():
+def assembly(tmp_path):
     clock = ClockBox(0.0)
     network = Network(Simulator(), default_latency_s=0.001)
     for name in ("primary", "replica-1", "replica-2"):
         network.add(Station(name))
-    rs, session = build_tier(clock, network)
+    rs, session = build_tier(clock, network, tmp_path)
     return clock, network, rs, session
 
 
@@ -93,6 +100,7 @@ class TestFlashCrowdChaos:
             rs, make_schedule(session, calm_arrivals),
             service_model=lambda op: SERVICE_S, clock=clock, label="calm",
             parallelism=3,
+            on_reply=lambda now, _request, _response: advance(network, now),
         )
         assert knee.goodput_rps > 100.0  # sanity: the tier works
 
@@ -115,9 +123,7 @@ class TestFlashCrowdChaos:
         acked_writes: list[str] = []
 
         def on_reply(now, request, response):
-            # Fire the fault schedule as virtual time passes.
-            if network.sim.now < now:
-                network.sim.run(until=now)
+            advance(network, now)
             if request.op == "admit_student" and response.ok:
                 acked_writes.append(request.params["student_id"])
 

@@ -100,6 +100,12 @@ def test_readme_quickstart_runs():
     exec(compile(code, f"{README}:Quickstart", "exec"), {})
 
 
+def test_readme_replication_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = _readme_block("from repro.distribution import MAryTree")
+    exec(compile(code, f"{README}:Replication", "exec"), {})
+
+
 def test_readme_explain_examples():
     test = doctest.DocTestParser().get_doctest(
         _readme_block(">>> from repro.rdb import col"),
